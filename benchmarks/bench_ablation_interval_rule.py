@@ -18,7 +18,11 @@ import pytest
 from repro.algorithms import PageRankDeltaProgram, SSSPProgram
 from repro.bench.harness import get_partitioned, get_prepared_graph
 from repro.bench.reporting import format_table
-from repro.core import AdaptiveIntervalModel, LazyBlockAsyncEngine
+from repro.core import (
+    AdaptiveIntervalModel,
+    LazyBlockAsyncEngine,
+    PaperRuleController,
+)
 
 EV_GRID = (0.0, 5.0, 10.0, 30.0)  # 0 ⇒ E/V arm never fires; 30 ⇒ always
 TREND_GRID = (-1.0, 0.0, 0.07, 0.5, math.inf)  # -1 ⇒ always; inf ⇒ never
@@ -41,7 +45,7 @@ def _run_policy(ev_t, trend_t):
             prog = PageRankDeltaProgram(tolerance=1e-3)
             g = get_prepared_graph(graph_name, symmetric=False, weighted=False)
         pg = get_partitioned(g, MACHINES)
-        r = LazyBlockAsyncEngine(pg, prog, interval_model=model).run()
+        r = LazyBlockAsyncEngine(pg, prog, controller=PaperRuleController(model)).run()
         total += r.stats.modeled_time_s
     return total
 

@@ -153,59 +153,27 @@ def _bits(a):
 
 
 def bench_raw_kernels(n, m, reps):
-    """Raw scatter_reduce vs ufunc.at on synthetic scatters.
+    """Raw scatter_reduce (one ``ufunc.at``) on synthetic scatters.
 
-    Honest numbers: on NumPy ≥ 1.25 the indexed ``ufunc.at`` loops make
-    the plan-less specializations roughly break even — the speedups come
-    from the plan-aware sweep paths measured in ``scatter_path``.
+    The floor every sweep path in ``scatter_path`` is built on: the
+    indexed ``ufunc.at`` loops of NumPy ≥ 1.25 are the only per-call
+    fold (``docs/performance.md`` has the numbers that retired the
+    bincount and sort+reduceat alternatives).
     """
     from repro.api.vertex_program import MIN_ALGEBRA, SUM_ALGEBRA
 
     rng = np.random.default_rng(0)
     idx = rng.integers(0, n, m)
     vals = rng.random(m)
-    counts = np.bincount(idx, minlength=n).astype(np.int64)
     out = {"n": n, "m": m, "cases": {}}
-
-    def run_mode(alg, **cfg):
-        with kernels.configured(**cfg):
-            buf = np.full(n, alg.identity)
-            label = kernels.scatter_reduce(alg, buf, idx, vals)
-            t = _best_of(
-                lambda: kernels.scatter_reduce(
-                    alg, np.full(n, alg.identity), idx, vals
-                ),
-                reps,
-            )
-        return buf, label, t
-
-    base_sum, _, t_at = run_mode(SUM_ALGEBRA, mode="generic")
-    spec_sum, _, t_bc = run_mode(SUM_ALGEBRA, sum_spec="always")
-    # counts-hint path (what a CSRPlan full sweep provides for free)
-    buf = np.full(n, 0.0)
-    kernels.scatter_reduce(SUM_ALGEBRA, buf, idx, vals, counts=counts)
-    t_hint = _best_of(
-        lambda: kernels.scatter_reduce(
-            SUM_ALGEBRA, np.full(n, 0.0), idx, vals, counts=counts
-        ),
-        reps,
-    )
-    out["cases"]["sum"] = {
-        "ufunc_at_ms": t_at * 1e3,
-        "bincount_ms": t_bc * 1e3,
-        "bincount_counts_hint_ms": t_hint * 1e3,
-        "identical": bool(
-            np.array_equal(_bits(base_sum), _bits(spec_sum))
-            and np.array_equal(_bits(base_sum), _bits(buf))
-        ),
-    }
-    base_min, _, t_at = run_mode(MIN_ALGEBRA, mode="generic")
-    spec_min, _, t_sr = run_mode(MIN_ALGEBRA, minmax_spec="always")
-    out["cases"]["min"] = {
-        "ufunc_at_ms": t_at * 1e3,
-        "sort_reduceat_ms": t_sr * 1e3,
-        "identical": bool(np.array_equal(_bits(base_min), _bits(spec_min))),
-    }
+    for name, alg in (("sum", SUM_ALGEBRA), ("min", MIN_ALGEBRA)):
+        t = _best_of(
+            lambda: kernels.scatter_reduce(
+                alg, np.full(n, alg.identity), idx, vals
+            ),
+            reps,
+        )
+        out["cases"][name] = {"ufunc_at_ms": t * 1e3}
     return out
 
 
@@ -264,7 +232,7 @@ def bench_scatter_path(n, m, reps):
                 "speedup": times["generic"] / times["auto"],
                 "identical": bool(identical),
                 "frontier_edges": int(
-                    (rt.out_indptr[idx + 1] - rt.out_indptr[idx]).sum()
+                    (rt.out_plan.indptr[idx + 1] - rt.out_plan.indptr[idx]).sum()
                 ),
             }
         cases[name] = per_density
@@ -279,7 +247,9 @@ def bench_engine_matrix(machines, quick):
     the ``extra.kernel_*`` observability metrics, which legitimately
     differ between kernel modes.
     """
+    from repro.powergraph.gas import GAS_ALGORITHM_NAMES
     from repro.run_api import ENGINE_NAMES, run
+    from repro.runtime.registry import get_engine
 
     algos = ("pagerank", "cc") if quick else ("pagerank", "cc", "sssp", "kcore")
     engines = ENGINE_NAMES[:2] if quick else ENGINE_NAMES
@@ -298,6 +268,11 @@ def bench_engine_matrix(machines, quick):
     ok = True
     for engine in engines:
         for algo in algos:
+            if (
+                get_engine(engine).program_api == "gas"
+                and algo not in GAS_ALGORITHM_NAMES
+            ):
+                continue  # kcore has a delta formulation only
             outs = {}
             for mode in ("generic", "auto"):
                 with kernels.configured(mode=mode):
@@ -337,10 +312,7 @@ def run_harness(args):
         "quick": bool(args.quick),
         "config_defaults": {
             k: getattr(kernels.get_config(), k)
-            for k in (
-                "mode", "min_specialize", "sum_spec", "minmax_spec",
-                "dense_sweep_fraction", "dense_min_edges",
-            )
+            for k in ("mode", "dense_sweep_fraction", "dense_min_edges")
         },
         "raw_kernels": bench_raw_kernels(n, m, reps),
         "scatter_path": bench_scatter_path(n, m, reps),
@@ -356,10 +328,6 @@ def run_harness(args):
                 d["identical"]
                 for case in report["scatter_path"]["densities"].values()
                 for d in case.values()
-            )
-            and all(
-                c.get("identical", True)
-                for c in report["raw_kernels"]["cases"].values()
             )
         ),
     }

@@ -30,14 +30,12 @@ from repro.api.vertex_program import DeltaProgram
 from repro.cluster.network import NetworkModel
 from repro.comms import Delivery
 from repro.core.coherency import CoherencyExchanger
-from repro.core.interval_model import IntervalModel
 from repro.core.policy import (
     CoherencyController,
     CoherencySignals,
     PaperRuleController,
     SignalTap,
 )
-from repro.errors import EngineError
 from repro.obs.lens import CoherencyLens
 from repro.partition.partitioned_graph import PartitionedGraph
 from repro.runtime.base_engine import BaseEngine
@@ -52,16 +50,12 @@ class LazyBlockAsyncEngine(BaseEngine):
 
     Parameters
     ----------
-    interval_model:
-        Strategy for ``turnOnLazy``/``doLC`` (default: the paper's
-        adaptive rule). Shorthand for
-        ``controller=PaperRuleController(interval_model)``; mutually
-        exclusive with ``controller``.
     controller:
         A :class:`~repro.core.policy.CoherencyController` deciding the
         coherency points from the full :class:`CoherencySignals`
-        snapshot (default: the paper rule, bit-identical to the
-        pre-controller engine).
+        snapshot (default: the paper rule under the adaptive interval
+        model; pass ``PaperRuleController(model)`` for another
+        ``turnOnLazy``/``doLC`` strategy).
     coherency_mode:
         ``"dynamic"`` (paper default), ``"a2a"`` or ``"m2m"``.
     lens:
@@ -77,7 +71,6 @@ class LazyBlockAsyncEngine(BaseEngine):
         pgraph: PartitionedGraph,
         program: DeltaProgram,
         network: Optional[NetworkModel] = None,
-        interval_model: Optional[IntervalModel] = None,
         coherency_mode: str = "dynamic",
         max_supersteps: int = 100_000,
         trace: bool = False,
@@ -91,14 +84,7 @@ class LazyBlockAsyncEngine(BaseEngine):
             pgraph, program, network, max_supersteps, trace, tracer,
             backend=backend, plans=plans,
         )
-        if controller is not None and interval_model is not None:
-            raise EngineError(
-                "pass either interval_model or controller, not both"
-            )
-        self.controller = controller or PaperRuleController(interval_model)
-        # kept for introspection/back-compat; None for controllers that
-        # do not wrap an interval model
-        self.interval_model = getattr(self.controller, "interval_model", None)
+        self.controller = controller or PaperRuleController()
         self._tap = (
             SignalTap(self.runtimes, pgraph, program)
             if self.controller.needs_signals

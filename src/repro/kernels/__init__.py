@@ -1,32 +1,25 @@
-"""Monoid-specialized hot-path kernels for the simulator's NumPy core.
+"""Hot-path kernels for the simulator's NumPy core.
 
 Every message fold in every engine is a *scatter-reduction*: combine
 ``values`` into ``buf`` at positions ``idx`` with the program's ⊕,
-folding duplicate indices. The portable NumPy spelling is ``ufunc.at``;
-this package picks the fastest sound kernel per
-:class:`~repro.api.vertex_program.DeltaAlgebra` and per problem shape:
-
-* **sum-like ⊕** (``np.add``) — ``np.bincount`` with weights, plus an
-  exact residual path so results stay bit-identical to ``ufunc.at``
-  (see :mod:`repro.kernels.segment_reduce` for the argument); one
-  bincount can feed several target buffers (fold once, apply twice);
-* **min/max ⊕** — ``ufunc.reduceat`` segment folds over pre-grouped
-  values, with the grouping sort amortized into the cached CSR plan
-  (min/max are exact under regrouping, so any association is
-  bit-identical);
-* **anything else** — the ``ufunc.at`` generic fallback.
+folding duplicate indices. :func:`scatter_reduce` spells that as one
+``ufunc.at`` (an indexed inner loop on the pinned NumPy ≥ 1.25); the
+only structured fold is the full sum sweep, where one ``np.bincount``
+feeds several target buffers bit-identically
+(:func:`apply_segment_sums`, see :mod:`repro.kernels.segment_reduce`
+for the argument).
 
 The bigger structural win lives in :class:`~repro.kernels.csr.CSRPlan`:
-cached CSR flatten structures (edge order, per-source slices, by-target
-grouping, per-slot counts, scratch buffers) and the frontier-adaptive
-sparse/dense sweep decision used by
+cached CSR flatten structures (edge order, per-source slices, per-slot
+counts, scratch buffers) and the frontier-adaptive sparse/dense sweep
+decision used by
 :class:`~repro.runtime.machine_runtime.MachineRuntime` — dense sweeps
 skip the per-call ``repeat``/``cumsum``/``arange`` flatten entirely.
 
-Dispatch is governed by the process-wide :class:`KernelConfig`
+Sweep selection is governed by the process-wide :class:`KernelConfig`
 (:func:`configured` temporarily overrides it; ``mode="generic"``
-forces the old per-call-flatten + ``ufunc.at`` path everywhere, which
-is how the bench harness measures old-vs-new).
+forces the old per-call-flatten path everywhere, which is how the
+bench harness measures old-vs-new).
 """
 
 from repro.kernels.config import (
@@ -38,9 +31,7 @@ from repro.kernels.config import (
 from repro.kernels.csr import CSRPlan
 from repro.kernels.segment_reduce import (
     apply_segment_sums,
-    fold_segments_presorted,
     monoid_kind,
-    reduce_segments,
     scatter_reduce,
     segment_sum,
 )
@@ -55,8 +46,6 @@ __all__ = [
     "scatter_reduce",
     "segment_sum",
     "apply_segment_sums",
-    "reduce_segments",
-    "fold_segments_presorted",
     "monoid_kind",
     "KernelStats",
 ]

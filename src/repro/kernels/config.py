@@ -1,24 +1,17 @@
-"""Process-wide tunables for kernel dispatch and sweep selection.
+"""Process-wide tunables for the frontier-adaptive sweep selection.
 
-The defaults encode crossovers *measured on this class of host* (see
-``benchmarks/bench_kernels.py`` and ``BENCH_kernels.json``). Two facts
-drive them:
+Every ⊕-fold is one ``ufunc.at``: NumPy ≥ 1.25 (the floor
+``pyproject.toml`` pins) registers indexed inner loops for ``add``/
+``minimum``/``maximum``, so that is already a single memory-bound pass
+and nothing here selects a fold kernel. What is left to tune is *which
+edges a scatter visits* — the sparse/dense sweep crossover, measured on
+this class of host (see ``benchmarks/bench_kernels.py`` and
+``BENCH_kernels.json``).
 
-* NumPy ≥ 1.25 registers indexed inner loops for ``add``/``minimum``/
-  ``maximum``, so a bare ``ufunc.at`` is already a single memory-bound
-  pass — a specialized fold only wins when it can reuse structure that
-  was *precomputed once* (per-slot counts, a by-target grouping) instead
-  of re-deriving it per call. ``sum_spec="plan"`` / ``minmax_spec="plan"``
-  say exactly that: specialize only when the caller hands over plan
-  structure, fall back to ``ufunc.at`` otherwise.
-* On older NumPy, ``ufunc.at`` is an unbuffered 10–100× slower loop;
-  there the ``"always"`` settings (bincount sums, sort+reduceat min/max
-  regardless of plan structure) are the right choice. The property suite
-  runs both settings — they are bit-identical, only speed differs.
-
-``mode="generic"`` pins every fold *and* every sweep decision to the
-pre-kernel behaviour (per-call flatten + ``ufunc.at``), which the bench
-harness and the property suite use as the bit-identical baseline.
+``mode="generic"`` pins every sweep decision to the pre-kernel behaviour
+(per-call sparse flatten + ``edge_message``, ``np.add.at`` inside
+``segment_sum``), which the bench harness and the property suite use as
+the bit-identical baseline.
 """
 
 from __future__ import annotations
@@ -31,33 +24,18 @@ from repro.errors import ConfigError
 __all__ = ["KernelConfig", "get_config", "set_config", "configured"]
 
 _MODES = ("auto", "generic")
-_SPECS = ("plan", "always")
 
 
 @dataclass(frozen=True)
 class KernelConfig:
-    """Dispatch thresholds; one process-wide instance (see get_config).
+    """Sweep thresholds; one process-wide instance (see get_config).
 
     Attributes
     ----------
     mode:
-        ``"auto"`` picks specialized kernels; ``"generic"`` forces the
-        per-call flatten + ``ufunc.at`` fallback everywhere (baseline
-        measurements).
-    min_specialize:
-        Scatters smaller than this always use ``ufunc.at`` (setup cost
-        dominates below it).
-    sum_spec:
-        ``"plan"`` — the bincount sum kernel runs only when the caller
-        provides precomputed per-slot counts (a
-        :class:`~repro.kernels.csr.CSRPlan` full sweep); ``"always"`` —
-        run it for any large-enough scatter (older NumPy without
-        indexed ``ufunc.at`` loops).
-    minmax_spec:
-        ``"plan"`` — min/max segment folds run only presorted (the
-        sort amortized into a :class:`~repro.kernels.csr.CSRPlan`);
-        ``"always"`` — per-call stable sort + ``reduceat`` for any
-        large-enough scatter (older NumPy).
+        ``"auto"`` lets scatters pick dense sweeps and hoisted edge
+        transforms; ``"generic"`` forces the per-call sparse flatten
+        everywhere (baseline measurements).
     dense_sweep_fraction:
         :meth:`repro.kernels.csr.CSRPlan.select` switches from the
         frontier-driven flatten to the dense full-CSR sweep when the
@@ -68,9 +46,6 @@ class KernelConfig:
     """
 
     mode: str = "auto"
-    min_specialize: int = 32
-    sum_spec: str = "plan"
-    minmax_spec: str = "plan"
     dense_sweep_fraction: float = 0.5
     dense_min_edges: int = 256
 
@@ -78,14 +53,6 @@ class KernelConfig:
         if self.mode not in _MODES:
             raise ConfigError(
                 f"kernel mode must be one of {_MODES}, got {self.mode!r}"
-            )
-        if self.sum_spec not in _SPECS:
-            raise ConfigError(
-                f"sum_spec must be one of {_SPECS}, got {self.sum_spec!r}"
-            )
-        if self.minmax_spec not in _SPECS:
-            raise ConfigError(
-                f"minmax_spec must be one of {_SPECS}, got {self.minmax_spec!r}"
             )
         if not 0.0 <= self.dense_sweep_fraction:
             raise ConfigError("dense_sweep_fraction must be >= 0")
@@ -111,7 +78,7 @@ def configured(**overrides):
     """Temporarily override the active configuration.
 
     >>> with configured(mode="generic"):
-    ...     pass  # every fold inside uses the ufunc.at baseline
+    ...     pass  # every scatter inside takes the sparse-flatten baseline
     """
     global _config
     prev = _config

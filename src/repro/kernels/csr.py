@@ -6,8 +6,8 @@ from a grouped-by-key edge list. Doing that per call with
 arithmetic and allocates fresh buffers every round; a :class:`CSRPlan`
 precomputes everything that depends only on the graph — the stable edge
 order, the per-key slices, the key/value arrays in sorted order, the
-by-destination grouping for presorted segment folds — plus reusable
-scratch, at machine-runtime construction.
+per-target counts of a full sweep — plus reusable scratch, at
+machine-runtime construction.
 
 :meth:`CSRPlan.select` is the push/pull-style mode switch: when the
 frontier's edges cover enough of the local CSR (the
@@ -47,8 +47,8 @@ class CSRPlan:
         Number of key slots (local vertices).
     dst:
         Optional per-edge companion array (the other endpoint); when
-        given, ``dst_sorted`` and the by-destination grouping used by
-        presorted dense folds are precomputed as well.
+        given, ``dst_sorted`` and the full sweep's per-target counts
+        and touched-target set are precomputed as well.
     """
 
     def __init__(
@@ -70,64 +70,33 @@ class CSRPlan:
         self.dst_sorted: Optional[np.ndarray] = None
         self.dst_counts_full: Optional[np.ndarray] = None
         self.dst_targets: Optional[np.ndarray] = None
-        self._by_dst: Optional[np.ndarray] = None
-        self._dst_starts: Optional[np.ndarray] = None
         if dst is not None:
             ds = dst[order]
             self.dst_sorted = ds
-            # per-target contribution counts of a full sweep — the
-            # precomputed `counts` hint that unlocks the buffered sum
-            # kernel (scatter_reduce) at zero per-call cost
+            # per-target contribution counts of a full sweep, for the
+            # fold-once/apply-twice sum path (apply_segment_sums)
             self.dst_counts_full = np.bincount(ds, minlength=n).astype(np.int64)
             # targets a full sweep touches, ascending (for has_msg flags)
             self.dst_targets = np.flatnonzero(self.dst_counts_full[:n] > 0)
 
-    # -- lazy by-destination grouping (reduceat-style presorted folds) --
-    @property
-    def by_dst(self) -> np.ndarray:
-        """Stable by-destination grouping of the key-sorted edge list.
-
-        Per destination, edges keep their key-sorted order, so a
-        presorted segment fold sees values in the same per-slot order as
-        the sparse path. Computed on first use — the default dispatch
-        folds full sweeps through per-slot scratch instead (see
-        ``docs/performance.md``), so most runs never pay this sort.
-        """
-        if self._by_dst is None:
-            if self.dst_sorted is None:
-                raise ValueError("CSRPlan was built without a dst array")
-            self._by_dst = np.argsort(self.dst_sorted, kind="stable").astype(
-                np.int64
-            )
-        return self._by_dst
-
-    @property
-    def dst_starts(self) -> np.ndarray:
-        """Segment starts of the by-destination grouping (for reduceat)."""
-        if self._dst_starts is None:
-            dsts = self.dst_sorted[self.by_dst]
-            if dsts.size:
-                self._dst_starts = np.concatenate(
-                    ([0], np.flatnonzero(dsts[1:] != dsts[:-1]) + 1)
-                ).astype(np.int64)
-            else:
-                self._dst_starts = np.empty(0, dtype=np.int64)
-        return self._dst_starts
-
     # ------------------------------------------------------------------
+    def _expand(
+        self, starts: np.ndarray, counts: np.ndarray, total: int
+    ) -> np.ndarray:
+        """Edge positions of the per-vertex ranges ``[starts, starts+counts)``."""
+        if total == 0:
+            return self._arange[:0]
+        base = np.repeat(starts, counts)
+        reps = np.repeat(np.cumsum(counts) - counts, counts)
+        return base + (self._arange[:total] - reps)
+
     def flatten(self, idx: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Sparse expansion: positions (into sorted order) of ``idx``'s
         edges, plus the per-vertex counts. Positions preserve the order
         of ``idx`` and, within a vertex, sorted-edge order."""
         starts = self.indptr[idx]
         counts = self.indptr[idx + 1] - starts
-        total = int(counts.sum())
-        if total == 0:
-            return self._arange[:0], counts
-        base = np.repeat(starts, counts)
-        reps = np.repeat(np.cumsum(counts) - counts, counts)
-        pos = base + (self._arange[:total] - reps)
-        return pos, counts
+        return self._expand(starts, counts, int(counts.sum())), counts
 
     def select(
         self, idx: np.ndarray
@@ -161,10 +130,7 @@ class CSRPlan:
             and total >= cfg.dense_sweep_fraction * self.num_edges
         )
         if not dense_ok:
-            base = np.repeat(starts, counts)
-            reps = np.repeat(np.cumsum(counts) - counts, counts)
-            pos = base + (self._arange[:total] - reps)
-            return SPARSE, pos, counts, total
+            return SPARSE, self._expand(starts, counts, total), counts, total
         if total == self.num_edges:
             return DENSE_FULL, None, None, total
         mask = self._mask_scratch

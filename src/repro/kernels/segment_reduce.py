@@ -1,12 +1,21 @@
-"""Monoid-specialized scatter-reductions (``buf[idx] ⊕= values``).
+"""The ⊕ scatter-reduction (``buf[idx] ⊕= values``) and its sum helpers.
 
-Exactness contract
-------------------
-Every kernel here is **bit-identical** to the generic fallback
-``algebra.ufunc.at(buf, idx, values)``. That is cheap to promise for
-min/max — they are exact operations, so any regrouping of the fold
-returns the same value — but needs care for sums, where floating-point
-addition does not reassociate. The sum kernel leans on two facts:
+One fold
+--------
+:func:`scatter_reduce` is ``algebra.ufunc.at(buf, idx, values)``. On
+NumPy ≥ 1.25 (the pinned floor) that runs an indexed inner loop — one
+memory-bound pass that no per-call regrouping beats (bincount is
+1.2–1.85× slower, sort+``reduceat`` 46×; ``docs/performance.md``), so
+there is nothing to dispatch on. It returns a kernel label only because
+:class:`~repro.kernels.stats.KernelStats` keys on it.
+
+Fold once, apply twice
+----------------------
+The one structured path that does win is a *full* sum sweep feeding two
+buffers (``message`` and ``deltaMsg``): one ``np.bincount`` computes the
+per-slot sums, and :func:`apply_segment_sums` adds them into each
+buffer. That must stay **bit-identical** to ``np.add.at`` even though
+floating-point addition does not reassociate. It leans on two facts:
 
 * ``np.bincount`` accumulates each bin *sequentially in input order*,
   exactly the per-slot order ``np.add.at`` uses; and
@@ -20,36 +29,13 @@ slot holds +0.0 (the ⊕-identity every engine buffer is filled with) or
 receives exactly one contribution. The rare remaining slots — an
 already-accumulated slot hit by several duplicates in one call, e.g.
 ``deltaMsg`` across lazy micro-iterations — are re-folded through
-``ufunc.at`` on just their elements, preserving bit-identity at full
+``np.add.at`` on just their elements, preserving bit-identity at full
 speed for the common case.
 
-Dispatch policy
----------------
-On NumPy ≥ 1.25 a bare ``ufunc.at`` already runs an indexed inner loop
-(one memory-bound pass), so re-deriving per-slot structure inside the
-kernel cannot beat it. The specialized paths therefore fire when they
-get structure for free:
-
-* sums — when the caller passes **precomputed per-slot counts** (a
-  :class:`~repro.kernels.csr.CSRPlan` full sweep precomputes them), one
-  ``bincount`` plus O(n) masked adds replaces the scatter, and
-  :func:`apply_segment_sums` lets one ``bincount`` feed *two* target
-  buffers (``message`` and ``deltaMsg``) — the fold-once/apply-twice
-  path;
-* min/max — when the values arrive **pre-grouped by target**
-  (:func:`fold_segments_presorted`, grouping precomputed in the plan),
-  one ``reduceat`` replaces the scatter; the per-call sort variant
-  exists for older NumPy (``minmax_spec="always"``).
-
-Everything else — small scatters, plan-less calls on modern NumPy,
-non-float64 buffers — goes straight to ``ufunc.at``.
-
-All kernels operate on float64 buffers (the engines' message dtype).
+All helpers operate on float64 buffers (the engines' message dtype).
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 import numpy as np
 
@@ -60,19 +46,15 @@ __all__ = [
     "scatter_reduce",
     "segment_sum",
     "apply_segment_sums",
-    "reduce_segments",
-    "fold_segments_presorted",
 ]
 
 # kernel labels returned by scatter_reduce (stable API for stats/tests)
 K_GENERIC = "ufunc_at"
-K_SUM = "bincount"
-K_MINMAX = "sort_reduceat"
 K_NOOP = "noop"
 
 
 def monoid_kind(algebra) -> str:
-    """Classify an algebra's ⊕ for dispatch: sum | min | max | generic."""
+    """Classify an algebra's ⊕: sum | min | max | generic."""
     uf = algebra.ufunc
     if uf is np.add:
         return "sum"
@@ -83,9 +65,14 @@ def monoid_kind(algebra) -> str:
     return "generic"
 
 
-# ----------------------------------------------------------------------
-# specialized folds
-# ----------------------------------------------------------------------
+def scatter_reduce(algebra, buf: np.ndarray, idx: np.ndarray, values) -> str:
+    """``buf[idx] ⊕= values`` with duplicates folded; returns kernel label."""
+    if idx.size == 0:
+        return K_NOOP
+    algebra.ufunc.at(buf, idx, values)
+    return K_GENERIC
+
+
 def apply_segment_sums(
     buf: np.ndarray,
     sums: np.ndarray,
@@ -118,91 +105,14 @@ def apply_segment_sums(
         np.add.at(buf, idx[keep], values[keep])
 
 
-def _sum_bincount(
-    buf: np.ndarray,
-    idx: np.ndarray,
-    values: np.ndarray,
-    counts: Optional[np.ndarray] = None,
-) -> None:
-    """Exact bincount-based ``buf[idx] += values`` with duplicates folded."""
-    n = buf.size
-    if counts is None:
-        counts = np.bincount(idx, minlength=n)
-    sums = np.bincount(idx, weights=values, minlength=n)
-    apply_segment_sums(buf, sums, counts, idx, values)
-
-
-def _minmax_sort_reduceat(
-    ufunc: np.ufunc, buf: np.ndarray, idx: np.ndarray, values: np.ndarray
-) -> None:
-    """Stable sort + reduceat segment fold for idempotent min/max ⊕."""
-    order = np.argsort(idx, kind="stable")
-    si = idx[order]
-    sv = values[order]
-    starts = np.empty(0, dtype=np.int64)
-    if si.size:
-        starts = np.concatenate(
-            ([0], np.flatnonzero(si[1:] != si[:-1]) + 1)
-        ).astype(np.int64)
-    seg = ufunc.reduceat(sv, starts)
-    targets = si[starts]
-    buf[targets] = ufunc(buf[targets], seg)
-
-
-# ----------------------------------------------------------------------
-# public entry points
-# ----------------------------------------------------------------------
-def scatter_reduce(
-    algebra,
-    buf: np.ndarray,
-    idx: np.ndarray,
-    values: np.ndarray,
-    counts: Optional[np.ndarray] = None,
-) -> str:
-    """``buf[idx] ⊕= values`` with duplicates folded; returns kernel label.
-
-    Selects the fastest sound kernel for the algebra and problem shape
-    under the active :class:`~repro.kernels.config.KernelConfig`;
-    results are bit-identical to ``algebra.ufunc.at(buf, idx, values)``.
-    ``counts``, when given, must equal ``np.bincount(idx,
-    minlength=buf.size)`` — plan callers precompute it once, unlocking
-    the buffered sum kernel at zero setup cost.
-    """
-    m = idx.size
-    if m == 0:
-        return K_NOOP
-    values = np.asarray(values)
-    if values.shape != idx.shape:  # scalar / broadcastable payloads
-        values = np.broadcast_to(values, idx.shape)
-    cfg = get_config()
-    if (
-        cfg.mode == "generic"
-        or m < cfg.min_specialize
-        or buf.dtype != np.float64
-    ):
-        algebra.ufunc.at(buf, idx, values)
-        return K_GENERIC
-    kind = monoid_kind(algebra)
-    if kind == "sum" and (counts is not None or cfg.sum_spec == "always"):
-        _sum_bincount(buf, idx, np.asarray(values, dtype=np.float64), counts)
-        return K_SUM
-    if kind in ("min", "max") and cfg.minmax_spec == "always":
-        _minmax_sort_reduceat(
-            algebra.ufunc, buf, idx, np.asarray(values, dtype=np.float64)
-        )
-        return K_MINMAX
-    algebra.ufunc.at(buf, idx, values)
-    return K_GENERIC
-
-
 def segment_sum(idx: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
     """Per-slot sum of ``values`` grouped by ``idx`` (fresh identity buffer).
 
     Equivalent to ``np.add.at(np.zeros(n), idx, values)`` — including
     bit-for-bit, since bincount folds each bin in input order from the
-    same +0.0 start — but one buffered pass. Used by the single-machine
-    reference implementations' inner loops and the dense sweep's
-    fold-once/apply-twice path.
+    same +0.0 start, and including the ``IndexError`` for a slot ≥ ``n``
+    — but one buffered pass. Used by the single-machine reference
+    implementations' inner loops.
     """
     if idx.size == 0:
         return np.zeros(n, dtype=np.float64)
@@ -210,41 +120,9 @@ def segment_sum(idx: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
         out = np.zeros(n, dtype=np.float64)
         np.add.at(out, idx, values)
         return out
-    return np.bincount(idx, weights=values, minlength=n)[:n]
-
-
-def reduce_segments(
-    ufunc: np.ufunc, values_sorted: np.ndarray, starts: np.ndarray
-) -> np.ndarray:
-    """Per-segment ⊕ of pre-grouped values (one ``reduceat``, no sort).
-
-    Segment ``k`` spans ``values_sorted[starts[k]:starts[k+1]]``; the
-    caller pairs the result with the segments' target slots. Computing
-    the segments once and applying them to several buffers is the
-    min/max half of the fold-once/apply-twice path.
-    """
-    if values_sorted.size == 0:
-        return values_sorted[:0]
-    return ufunc.reduceat(values_sorted, starts)
-
-
-def fold_segments_presorted(
-    algebra,
-    buf: np.ndarray,
-    values_sorted: np.ndarray,
-    starts: np.ndarray,
-    targets: np.ndarray,
-) -> None:
-    """Fold pre-grouped values into ``buf`` (one reduceat, no sort).
-
-    ``values_sorted`` must be grouped by target with segment ``k``
-    spanning ``[starts[k], starts[k+1])`` and belonging to slot
-    ``targets[k]`` (the dense-sweep layout a
-    :class:`~repro.kernels.csr.CSRPlan` precomputes). Only sound for
-    idempotent min/max ⊕ — sums must keep their original fold order for
-    bit-identity and go through :func:`scatter_reduce` instead.
-    """
-    if values_sorted.size == 0:
-        return
-    seg = reduce_segments(algebra.ufunc, values_sorted, starts)
-    buf[targets] = algebra.ufunc(buf[targets], seg)
+    out = np.bincount(idx, weights=values, minlength=n)
+    if out.size > n:
+        raise IndexError(
+            f"index {out.size - 1} is out of bounds for {n} slots"
+        )
+    return out

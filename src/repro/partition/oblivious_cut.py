@@ -1,7 +1,8 @@
 """Oblivious greedy vertex-cut (PowerGraph's distributed-loading variant).
 
-Same greedy rules as :mod:`repro.partition.coordinated_cut`, but each
-loader sees only its **own** placement history: the edge list is split
+The same greedy loop as :mod:`repro.partition.coordinated_cut`
+(``_greedy_cut``, one rule cascade for both), but each loader sees only
+its **own** placement history: the edge list is split
 into ``num_machines`` contiguous chunks (one per loading machine), and
 loader *i* maintains a private ``A_i(v)`` built only from the edges it
 placed itself. No loader-to-loader coordination happens — the "oblivious"
@@ -19,14 +20,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import PartitionError
 from repro.graph.digraph import DiGraph
-from repro.partition.coordinated_cut import _least_loaded_in_mask
+from repro.partition.coordinated_cut import _greedy_cut
 from repro.utils.rng import SeedLike, make_rng
 
 __all__ = ["oblivious_cut"]
-
-_MAX_MACHINES = 1024
 
 
 def oblivious_cut(
@@ -36,62 +34,14 @@ def oblivious_cut(
     balance_slack: float = 0.10,
 ) -> np.ndarray:
     """Greedy vertex-cut with per-loader (uncoordinated) placement state."""
-    if num_machines > _MAX_MACHINES:
-        raise PartitionError(
-            f"oblivious_cut supports up to {_MAX_MACHINES} machines, got {num_machines}"
-        )
-    rng = make_rng(seed)
     n_edges = graph.num_edges
-    if n_edges == 0:
-        return np.empty(0, dtype=np.int32)
-
-    tie_order = rng.permutation(num_machines)
-    loads = np.zeros(num_machines, dtype=np.int64)
-    all_mask = (1 << num_machines) - 1
-    capacity = max(1, int((1.0 + balance_slack) * n_edges / num_machines))
-    open_mask = all_mask
-
-    # per-loader private A(v) maps
-    placed = [
-        [0] * graph.num_vertices for _ in range(num_machines)
-    ]
-    remaining = graph.degrees().astype(np.int64).tolist()
-
-    # contiguous chunks, processed round-robin (loaders run in parallel;
+    # contiguous chunks, visited round-robin (loaders run in parallel;
     # interleaving approximates their concurrent progress)
     bounds = np.linspace(0, n_edges, num_machines + 1).astype(np.int64)
-    cursors = bounds[:-1].copy()
-    src, dst = graph.src, graph.dst
-    assignment = np.empty(n_edges, dtype=np.int32)
-    done = 0
-    while done < n_edges:
-        for loader in range(num_machines):
-            if cursors[loader] >= bounds[loader + 1]:
-                continue
-            e = int(cursors[loader])
-            cursors[loader] += 1
-            done += 1
-            mine = placed[loader]
-            u, v = int(src[e]), int(dst[e])
-            au, av = mine[u], mine[v]
-            inter = au & av & open_mask
-            auo, avo = au & open_mask, av & open_mask
-            if inter:
-                m = _least_loaded_in_mask(loads, inter, tie_order)
-            elif auo and avo:
-                cand = auo if remaining[u] >= remaining[v] else avo
-                m = _least_loaded_in_mask(loads, cand, tie_order)
-            elif auo or avo:
-                m = _least_loaded_in_mask(loads, auo | avo, tie_order)
-            else:
-                m = _least_loaded_in_mask(loads, open_mask or all_mask, tie_order)
-            assignment[e] = m
-            bit = 1 << m
-            mine[u] = au | bit
-            mine[v] = av | bit
-            loads[m] += 1
-            if loads[m] >= capacity:
-                open_mask &= ~bit
-            remaining[u] -= 1
-            remaining[v] -= 1
-    return assignment
+    loader = np.repeat(np.arange(num_machines), np.diff(bounds))
+    turn = np.arange(n_edges) - bounds[loader]
+    edges = np.lexsort((loader, turn))
+    return _greedy_cut(
+        "oblivious_cut", graph, num_machines, make_rng(seed), balance_slack,
+        edges.tolist(), loader[edges].tolist(), num_machines,
+    )

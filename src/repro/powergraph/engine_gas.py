@@ -71,8 +71,7 @@ class _GASMachine:
         The accums are views into per-machine scratch, consumed by the
         caller before the next gather. The in-plan is keyed by target,
         so the fold targets are the sorted keys themselves; a dense-full
-        sweep reuses the plan's precomputed per-slot counts and touched
-        set (the counts hint unlocks the buffered sum kernel).
+        sweep reuses the plan's precomputed touched set.
         """
         idx = np.flatnonzero(active_local)
         if idx.size == 0:
@@ -84,12 +83,10 @@ class _GASMachine:
         if pos is None:  # dense-full: every local in-edge, sorted by target
             e_sel = plan.eorder
             tgt = plan.key_sorted
-            counts = plan.counts
             touched = plan.nonempty_slots
         else:
             e_sel = plan.eorder[pos]
             tgt = plan.key_sorted[pos]  # == mg.edst[e_sel], no gather
-            counts = None
             # tgt is ascending (positions are in sorted-key order), so
             # the touched set falls out of the segment boundaries
             bounds = np.flatnonzero(tgt[1:] != tgt[:-1]) + 1
@@ -98,7 +95,7 @@ class _GASMachine:
         alg = program.algebra
         acc = self._acc_scratch
         acc.fill(alg.identity)
-        scatter_reduce(alg, acc, tgt, vals, counts=counts)
+        scatter_reduce(alg, acc, tgt, vals)
         return touched, acc[touched], int(e_sel.size)
 
     def out_targets(self, idx: np.ndarray) -> np.ndarray:

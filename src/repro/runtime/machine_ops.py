@@ -80,17 +80,8 @@ def set_runtime_array(rt, key: str, arr: np.ndarray) -> None:
 
 def _op_bootstrap(rt, ctx: OpContext, payload: Dict[str, Any]) -> Dict[str, Any]:
     """Initial scatter: stage the seed deltas (BaseEngine._bootstrap body)."""
-    init_delta, active = rt.program.initial_scatter(rt.mg, rt.state)
-    idx = np.flatnonzero(active)
-    if init_delta is None:
-        rt.has_msg[idx] = True
-        edges = 0
-    else:
-        edges = rt.scatter(idx, init_delta[idx], track_delta=payload["track_delta"])
-    # warm starts pre-stage replica-consistent inbox messages (a no-op
-    # for ordinary programs); injected vertices are charged as applies
-    injected = rt.inject_initial_messages()
-    return {"edges": int(edges), "applies": int(idx.size) + injected}
+    edges, applies = rt.bootstrap(payload["track_delta"])
+    return {"edges": edges, "applies": applies}
 
 
 def _op_apply_step(rt, ctx: OpContext, payload: Dict[str, Any]) -> Dict[str, Any]:

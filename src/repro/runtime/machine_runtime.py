@@ -19,9 +19,8 @@ so they are never re-sent at a coherency point.
 
 Hot-path layout (the kernel layer)
 ----------------------------------
-All CSR flatten structures — edge order, per-source slices, the
-by-destination grouping, per-target counts, scratch buffers — are
-precomputed once at construction in a
+All CSR flatten structures — edge order, per-source slices, per-target
+counts, scratch buffers — are precomputed once at construction in a
 :class:`~repro.kernels.csr.CSRPlan`. ``scatter`` is
 *frontier-adaptive*: sparse frontiers expand per-vertex edge ranges,
 dense frontiers sweep the whole local CSR (the push/pull-style mode
@@ -82,8 +81,8 @@ class MachineRuntime:
         self.has_msg = np.zeros(n, dtype=bool)
         self.delta_msg = np.full(n, ident, dtype=np.float64)
         self.has_delta = np.zeros(n, dtype=bool)
-        # local out-CSR plan: edge order, per-source slices, by-target
-        # grouping and scratch — computed once, reused every scatter.
+        # local out-CSR plan: edge order, per-source slices, per-target
+        # counts and scratch — computed once, reused every scatter.
         # A caller-provided plan (a GraphSession's per-machine cache)
         # must describe this exact machine graph; plans carry no
         # run-mutable state beyond reset-before-use scratch, so reuse
@@ -99,8 +98,6 @@ class MachineRuntime:
             self.out_plan = plan
         else:
             self.out_plan = CSRPlan(mg.esrc, n, dst=mg.edst)
-        self.eorder = self.out_plan.eorder  # kept: tests/benches poke it
-        self.out_indptr = self.out_plan.indptr
         self._epar_sorted = mg.eparallel[self.out_plan.eorder]
         self._one_edge_sorted = ~self._epar_sorted
         self._all_one_edge = bool(self._one_edge_sorted.all())
@@ -156,8 +153,8 @@ class MachineRuntime:
         """Vertices scheduled for Apply (pending messages)."""
         return int(np.count_nonzero(self.has_msg))
 
-    def bootstrap(self) -> int:
-        """Run the program's initial activation; returns edge traversals."""
+    def bootstrap(self, track_delta: bool) -> Tuple[int, int]:
+        """Run the program's initial activation; returns (edges, applies)."""
         init_delta, active = self.program.initial_scatter(self.mg, self.state)
         idx = np.flatnonzero(active)
         if init_delta is None:
@@ -165,9 +162,11 @@ class MachineRuntime:
             self.has_msg[idx] = True
             edges = 0
         else:
-            edges = self.scatter(idx, init_delta[idx], track_delta=True)
-        self.inject_initial_messages()
-        return edges
+            edges = self.scatter(idx, init_delta[idx], track_delta)
+        # warm starts pre-stage replica-consistent inbox messages (a no-op
+        # for ordinary programs); injected vertices are charged as applies
+        injected = self.inject_initial_messages()
+        return edges, int(idx.size) + injected
 
     def inject_initial_messages(self) -> int:
         """Fold the program's pre-staged inbox messages (warm starts).

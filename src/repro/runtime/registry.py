@@ -119,7 +119,7 @@ def _ensure_builtin() -> None:
         name="lazy-block",
         cls=LazyBlockAsyncEngine,
         family="lazy",
-        options=("interval_model", "coherency_mode", "lens", "controller"),
+        options=("coherency_mode", "lens", "controller"),
         description="LazyGraph bulk engine (Algorithm 1: local stages + "
                     "coherency points)",
     ))

@@ -60,10 +60,11 @@ class TestLazyEngineCosts:
         assert r.stats.local_iterations > 0
 
     def test_never_model_disables_local_stages(self, pg):
-        from repro.core import NeverLazyModel
+        from repro.core import NeverLazyModel, PaperRuleController
 
         r = LazyBlockAsyncEngine(
-            pg, SSSPProgram(0), interval_model=NeverLazyModel()
+            pg, SSSPProgram(0),
+            controller=PaperRuleController(NeverLazyModel()),
         ).run()
         assert r.stats.local_iterations == 0
 

@@ -22,7 +22,12 @@ from repro.algorithms import (
     pagerank_reference,
     sssp_reference,
 )
-from repro.core import LazyBlockAsyncEngine, build_lazy_graph, make_interval_model
+from repro.core import (
+    LazyBlockAsyncEngine,
+    PaperRuleController,
+    build_lazy_graph,
+    make_interval_model,
+)
 from repro.errors import AlgorithmError
 from repro.runtime.registry import engine_specs
 
@@ -131,7 +136,8 @@ class TestEveryIntervalStrategy:
     def test_sssp(self, er_weighted, interval):
         pg = build_lazy_graph(er_weighted, 6, seed=1)
         result = LazyBlockAsyncEngine(
-            pg, SSSPProgram(0), interval_model=make_interval_model(interval)
+            pg, SSSPProgram(0),
+            controller=PaperRuleController(make_interval_model(interval)),
         ).run()
         assert_matches(result, sssp_reference(er_weighted, 0))
 
@@ -139,7 +145,7 @@ class TestEveryIntervalStrategy:
         pg = build_lazy_graph(er_symmetric, 6, seed=1)
         result = LazyBlockAsyncEngine(
             pg, ConnectedComponentsProgram(),
-            interval_model=make_interval_model(interval),
+            controller=PaperRuleController(make_interval_model(interval)),
         ).run()
         assert_matches(result, cc_reference(er_symmetric))
 

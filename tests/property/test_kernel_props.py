@@ -1,7 +1,7 @@
 """Property tests: kernel-layer bit-identity against ``ufunc.at``.
 
-The kernel package promises that every specialized fold — bincount
-sums, presorted min/max segment reductions, the dense-sweep paths in
+The kernel package promises that every fold — ``scatter_reduce``, the
+fold-once/apply-twice sum primitives, the dense-sweep paths in
 :class:`~repro.runtime.machine_runtime.MachineRuntime` — is
 *bit-identical* to the historical per-call ``ufunc.at`` spelling, for
 every registered algebra, including empty scatters, duplicate indices,
@@ -19,7 +19,6 @@ from repro.graph.digraph import DiGraph
 from repro.kernels import (
     apply_segment_sums,
     configured,
-    fold_segments_presorted,
     scatter_reduce,
     segment_sum,
 )
@@ -68,51 +67,8 @@ def scatters(draw, max_slots=10, max_len=48):
 
 
 # ----------------------------------------------------------------------
-# scatter_reduce: every specialized path == ufunc.at, bit for bit
+# scatter_reduce == ufunc.at, bit for bit
 # ----------------------------------------------------------------------
-@given(s=scatters())
-@settings(max_examples=200, deadline=None)
-def test_sum_bincount_kernel_bit_identical(s):
-    """Forced bincount path (``sum_spec="always"``) == np.add.at."""
-    n, idx, values, buf = s
-    base = buf.copy()
-    np.add.at(base, idx, values)
-    with configured(min_specialize=1, sum_spec="always"):
-        out = buf.copy()
-        scatter_reduce(SUM_ALGEBRA, out, idx, values)
-    assert bits(out) == bits(base)
-
-
-@given(s=scatters())
-@settings(max_examples=200, deadline=None)
-def test_sum_counts_hint_bit_identical(s):
-    """The plan-provided ``counts`` hint path == np.add.at."""
-    n, idx, values, buf = s
-    base = buf.copy()
-    np.add.at(base, idx, values)
-    with configured(min_specialize=1):  # default sum_spec="plan"
-        out = buf.copy()
-        scatter_reduce(
-            SUM_ALGEBRA, out, idx, values,
-            counts=np.bincount(idx, minlength=n),
-        )
-    assert bits(out) == bits(base)
-
-
-@given(s=scatters())
-@settings(max_examples=200, deadline=None)
-def test_minmax_sort_reduceat_bit_identical(s):
-    """Forced sort+reduceat path (``minmax_spec="always"``) == ufunc.at."""
-    n, idx, values, buf = s
-    for alg in (MIN_ALGEBRA, MAX_ALGEBRA):
-        base = buf.copy()
-        alg.ufunc.at(base, idx, values)
-        with configured(min_specialize=1, minmax_spec="always"):
-            out = buf.copy()
-            scatter_reduce(alg, out, idx, values)
-        assert bits(out) == bits(base), alg.name
-
-
 @given(s=scatters())
 @settings(max_examples=100, deadline=None)
 def test_default_dispatch_bit_identical(s):
@@ -129,16 +85,13 @@ def test_default_dispatch_bit_identical(s):
 @given(s=scatters(), scalar=finite)
 @settings(max_examples=100, deadline=None)
 def test_scalar_payload_broadcast(s, scalar):
-    """Scalar payloads broadcast to idx.shape in every kernel."""
+    """Scalar payloads broadcast to idx.shape."""
     n, idx, _values, buf = s
     for alg in ALGEBRAS:
         base = buf.copy()
         alg.ufunc.at(base, idx, np.broadcast_to(scalar, idx.shape))
-        with configured(
-            min_specialize=1, sum_spec="always", minmax_spec="always"
-        ):
-            out = buf.copy()
-            scatter_reduce(alg, out, idx, scalar)
+        out = buf.copy()
+        scatter_reduce(alg, out, idx, scalar)
         assert bits(out) == bits(base), alg.name
 
 
@@ -170,29 +123,6 @@ def test_segment_sum_matches_add_at(s):
         slow = segment_sum(idx, values, n)
     assert bits(fast) == bits(base)
     assert bits(slow) == bits(base)
-
-
-@given(s=scatters())
-@settings(max_examples=100, deadline=None)
-def test_fold_segments_presorted_bit_identical(s):
-    """Presorted segment fold == ufunc.at for the idempotent algebras."""
-    n, idx, values, buf = s
-    order = np.argsort(idx, kind="stable")
-    si, sv = idx[order], values[order]
-    if si.size:
-        starts = np.concatenate(
-            ([0], np.flatnonzero(si[1:] != si[:-1]) + 1)
-        ).astype(np.int64)
-        targets = si[starts]
-    else:
-        starts = np.empty(0, dtype=np.int64)
-        targets = si[:0]
-    for alg in (MIN_ALGEBRA, MAX_ALGEBRA):
-        base = buf.copy()
-        alg.ufunc.at(base, idx, values)
-        out = buf.copy()
-        fold_segments_presorted(alg, out, sv, starts, targets)
-        assert bits(out) == bits(base), alg.name
 
 
 # ----------------------------------------------------------------------
@@ -230,7 +160,7 @@ def _scatter_state(program_cls, n, src, dst, mask, deltas, track, cfg):
     pg = PartitionedGraph.build(
         g, np.zeros(g.num_edges, dtype=np.int32), 1
     )
-    with configured(min_specialize=1, **cfg):
+    with configured(**cfg):
         rt = MachineRuntime(pg.machines[0], program_cls())
         rt.scatter(np.flatnonzero(mask), deltas, track_delta=track)
     return (

@@ -1,4 +1,6 @@
-"""Unit tests for the kernel layer: config, CSR plans, dispatch, stats."""
+"""Unit tests for the kernel layer: config, CSR plans, the fold, stats."""
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -26,14 +28,14 @@ class TestKernelConfig:
     def test_defaults(self):
         cfg = KernelConfig()
         assert cfg.mode == "auto"
-        assert cfg.sum_spec == "plan" and cfg.minmax_spec == "plan"
+        assert [f.name for f in dataclasses.fields(cfg)] == [
+            "mode", "dense_sweep_fraction", "dense_min_edges",
+        ]
 
     @pytest.mark.parametrize(
         "bad",
         [
             dict(mode="fast"),
-            dict(sum_spec="never"),
-            dict(minmax_spec="maybe"),
             dict(dense_sweep_fraction=-0.1),
         ],
     )
@@ -47,7 +49,7 @@ class TestKernelConfig:
             assert get_config().mode == "generic"
         assert get_config() is before
         with pytest.raises(RuntimeError):
-            with configured(min_specialize=7):
+            with configured(dense_min_edges=7):
                 raise RuntimeError("boom")
         assert get_config() is before
 
@@ -107,20 +109,6 @@ class TestCSRPlan:
         assert p.dst_counts_full.tolist() == [2, 1, 1]
         assert p.dst_targets.tolist() == [0, 1, 2]
 
-    def test_by_dst_is_lazy_and_stable(self):
-        p = self.plan()
-        assert p._by_dst is None
-        by = p.by_dst
-        assert p._by_dst is not None
-        # grouped by destination, key-sorted order preserved per group
-        assert p.dst_sorted[by].tolist() == [0, 0, 1, 2]
-        assert p.dst_starts.tolist() == [0, 2, 3]
-
-    def test_by_dst_without_dst_raises(self):
-        p = CSRPlan(self.KEY, 3)
-        with pytest.raises(ValueError):
-            p.by_dst
-
     def test_select_sparse_small_frontier(self):
         p = self.plan()
         with configured(dense_min_edges=1, dense_sweep_fraction=0.6):
@@ -164,9 +152,9 @@ class TestCSRPlan:
 
 
 # ----------------------------------------------------------------------
-# scatter_reduce dispatch
+# scatter_reduce
 # ----------------------------------------------------------------------
-class TestScatterReduceDispatch:
+class TestScatterReduce:
     IDX = np.array([0, 1, 1, 2, 0, 2, 1, 0])
     VAL = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0])
 
@@ -176,49 +164,21 @@ class TestScatterReduceDispatch:
             == "noop"
         assert buf.tolist() == [0.0, 0.0, 0.0]
 
-    def test_small_scatters_stay_generic(self):
-        buf = np.zeros(3)
-        with configured(min_specialize=100, sum_spec="always"):
-            label = scatter_reduce(SUM_ALGEBRA, buf, self.IDX, self.VAL)
+    @pytest.mark.parametrize(
+        "algebra,dtype", [
+            (SUM_ALGEBRA, np.float64),
+            (SUM_ALGEBRA, np.float32),
+            (MIN_ALGEBRA, np.float64),
+            (MAX_ALGEBRA, np.float64),
+        ],
+    )
+    def test_nonempty_is_one_ufunc_at(self, algebra, dtype):
+        buf = np.full(3, algebra.identity, dtype=dtype)
+        base = buf.copy()
+        algebra.ufunc.at(base, self.IDX, self.VAL.astype(dtype))
+        label = scatter_reduce(algebra, buf, self.IDX, self.VAL.astype(dtype))
         assert label == "ufunc_at"
-
-    def test_non_float64_stays_generic(self):
-        buf = np.zeros(3, dtype=np.float32)
-        with configured(min_specialize=1, sum_spec="always"):
-            label = scatter_reduce(SUM_ALGEBRA, buf, self.IDX,
-                                   self.VAL.astype(np.float32))
-        assert label == "ufunc_at"
-
-    def test_sum_plan_spec_needs_counts(self):
-        buf = np.zeros(3)
-        with configured(min_specialize=1):  # sum_spec="plan"
-            assert scatter_reduce(SUM_ALGEBRA, buf, self.IDX, self.VAL) \
-                == "ufunc_at"
-            counts = np.bincount(self.IDX, minlength=3)
-            assert scatter_reduce(SUM_ALGEBRA, buf, self.IDX, self.VAL,
-                                  counts=counts) == "bincount"
-
-    def test_sum_always_spec(self):
-        buf = np.zeros(3)
-        with configured(min_specialize=1, sum_spec="always"):
-            assert scatter_reduce(SUM_ALGEBRA, buf, self.IDX, self.VAL) \
-                == "bincount"
-
-    def test_minmax_spec_modes(self):
-        buf = np.full(3, np.inf)
-        with configured(min_specialize=1):  # minmax_spec="plan"
-            assert scatter_reduce(MIN_ALGEBRA, buf, self.IDX, self.VAL) \
-                == "ufunc_at"
-        with configured(min_specialize=1, minmax_spec="always"):
-            assert scatter_reduce(MIN_ALGEBRA, buf, self.IDX, self.VAL) \
-                == "sort_reduceat"
-
-    def test_generic_mode_wins_over_counts(self):
-        buf = np.zeros(3)
-        counts = np.bincount(self.IDX, minlength=3)
-        with configured(mode="generic", min_specialize=1):
-            assert scatter_reduce(SUM_ALGEBRA, buf, self.IDX, self.VAL,
-                                  counts=counts) == "ufunc_at"
+        assert buf.tobytes() == base.tobytes()
 
 
 class TestApplySegmentSums:
@@ -264,10 +224,18 @@ class TestSegmentSum:
         out = segment_sum(np.array([], dtype=np.int64), np.array([]), 4)
         assert out.tolist() == [0.0] * 4
 
-    def test_trims_to_n(self):
-        # idx larger than n must not leak extra slots
-        out = segment_sum(np.array([0, 5]), np.array([1.0, 2.0]), 3)
-        assert out.shape == (3,) and out.tolist() == [1.0, 0.0, 0.0]
+    @pytest.mark.parametrize("mode", ["auto", "generic"])
+    def test_out_of_range_slot_raises(self, mode):
+        # a contribution to a slot >= n is a caller bug in both modes:
+        # bincount must not silently drop what np.add.at rejects
+        with configured(mode=mode), pytest.raises(IndexError):
+            segment_sum(np.array([0, 5]), np.array([1.0, 2.0]), 3)
+
+    @pytest.mark.parametrize("mode", ["auto", "generic"])
+    def test_pads_untouched_tail_slots(self, mode):
+        with configured(mode=mode):
+            out = segment_sum(np.array([1, 1]), np.array([1.0, 2.0]), 4)
+        assert out.tolist() == [0.0, 3.0, 0.0, 0.0]
 
 
 # ----------------------------------------------------------------------
@@ -346,8 +314,7 @@ class TestSweepModeStats:
         return DiGraph(8, src, dst)
 
     def test_dense_full_sweep_recorded(self):
-        with configured(dense_min_edges=1, dense_sweep_fraction=0.0,
-                        min_specialize=1):
+        with configured(dense_min_edges=1, dense_sweep_fraction=0.0):
             rt = _runtime(self._graph(), PageRankDeltaProgram())
             rt.scatter(np.arange(8), np.ones(8), track_delta=False)
         labels = list(rt.kernel_stats.calls)

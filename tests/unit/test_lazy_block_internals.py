@@ -10,6 +10,7 @@ from repro.core import (
     AdaptiveIntervalModel,
     LazyBlockAsyncEngine,
     NeverLazyModel,
+    PaperRuleController,
     SimpleIntervalModel,
     build_lazy_graph,
 )
@@ -42,17 +43,24 @@ def pg(er_weighted):
     return build_lazy_graph(er_weighted, 5, seed=1)
 
 
+def _engine(pg, model):
+    """SSSP lazy-block engine under the paper rule with ``model``."""
+    return LazyBlockAsyncEngine(
+        pg, SSSPProgram(0), controller=PaperRuleController(model)
+    )
+
+
 class TestIntervalIntegration:
     def test_model_consulted_each_coherency_point(self, pg):
         model = RecordingModel()
-        eng = LazyBlockAsyncEngine(pg, SSSPProgram(0), interval_model=model)
+        eng = _engine(pg, model)
         eng.run()
         # one decision per non-final coherency point
         assert len(model.calls) == eng.sim.stats.coherency_points - 1
 
     def test_ev_ratio_passed_through(self, pg):
         model = RecordingModel()
-        eng = LazyBlockAsyncEngine(pg, SSSPProgram(0), interval_model=model)
+        eng = _engine(pg, model)
         eng.run()
         evs = {round(c[0], 6) for c in model.calls}
         assert evs == {round(pg.graph.ev_ratio, 6)}
@@ -60,7 +68,7 @@ class TestIntervalIntegration:
     def test_first_iteration_never_lazy(self, pg):
         """Paper §4.2.1 point 3: iteration 1 has no local stage."""
         model = RecordingModel()
-        eng = LazyBlockAsyncEngine(pg, SSSPProgram(0), interval_model=model)
+        eng = _engine(pg, model)
         eng.run()
         # the engine ran at least one local iteration overall, but only
         # after the first coherency point consulted the model
@@ -70,7 +78,7 @@ class TestIntervalIntegration:
 
     def test_trends_reflect_active_counts(self, pg):
         model = RecordingModel(decide=lambda ev, t: False)  # never lazy
-        eng = LazyBlockAsyncEngine(pg, SSSPProgram(0), interval_model=model)
+        eng = _engine(pg, model)
         eng.run()
         trends = [t for _, t, _ in model.calls]
         # trends are finite and bounded by definition (≤ 1)
@@ -78,7 +86,7 @@ class TestIntervalIntegration:
 
     def test_budget_measured_from_first_micro_iteration(self, pg):
         model = RecordingModel(budget=math.inf)
-        eng = LazyBlockAsyncEngine(pg, SSSPProgram(0), interval_model=model)
+        eng = _engine(pg, model)
         eng.run()
         assert model.budgets, "local stages ran: budgets must be sampled"
         assert all(b > 0 for b in model.budgets)
@@ -86,11 +94,11 @@ class TestIntervalIntegration:
     def test_zero_budget_means_single_iteration_stages(self, pg):
         """A zero budget stops every stage after its first sweep."""
         tiny = RecordingModel(budget=0.0)
-        eng = LazyBlockAsyncEngine(pg, SSSPProgram(0), interval_model=tiny)
+        eng = _engine(pg, tiny)
         eng.run()
         stats_tiny = eng.sim.stats
         big = RecordingModel(budget=math.inf)
-        eng2 = LazyBlockAsyncEngine(pg, SSSPProgram(0), interval_model=big)
+        eng2 = _engine(pg, big)
         eng2.run()
         # unbounded stages pack strictly more local iterations per sync
         ratio_tiny = stats_tiny.local_iterations / stats_tiny.global_syncs
@@ -102,16 +110,14 @@ class TestIntervalIntegration:
 
 class TestStrategiesDiffer:
     def test_never_equals_zero_local_iterations(self, pg):
-        eng = LazyBlockAsyncEngine(
-            pg, SSSPProgram(0), interval_model=NeverLazyModel()
-        )
+        eng = _engine(pg, NeverLazyModel())
         eng.run()
         assert eng.sim.stats.local_iterations == 0
 
     def test_simple_packs_most_local_work(self, pg):
         results = {}
         for model in (NeverLazyModel(), AdaptiveIntervalModel(), SimpleIntervalModel()):
-            eng = LazyBlockAsyncEngine(pg, SSSPProgram(0), interval_model=model)
+            eng = _engine(pg, model)
             eng.run()
             results[model.name] = eng.sim.stats
         assert (
@@ -125,9 +131,7 @@ class TestStrategiesDiffer:
         for name in ("never", "adaptive", "simple"):
             from repro.core import make_interval_model
 
-            eng = LazyBlockAsyncEngine(
-                pg, SSSPProgram(0), interval_model=make_interval_model(name)
-            )
+            eng = _engine(pg, make_interval_model(name))
             values.append(eng.run().values)
         a = np.nan_to_num(values[0], posinf=1e18)
         for v in values[1:]:

@@ -98,9 +98,15 @@ class TestBootstrap:
     def test_pagerank_bootstrap_scatters(self):
         g = DiGraph(3, [0, 1, 2], [1, 2, 0])
         rt = runtime_for(g, PageRankDeltaProgram())
-        edges = rt.bootstrap()
-        assert edges == 3
-        assert rt.has_msg.all()
+        edges, applies = rt.bootstrap(track_delta=True)
+        assert (edges, applies) == (3, 3)
+        assert rt.has_msg.all() and rt.has_delta.all()
+
+    def test_bootstrap_without_delta_tracking(self):
+        g = DiGraph(3, [0, 1, 2], [1, 2, 0])
+        rt = runtime_for(g, PageRankDeltaProgram())
+        rt.bootstrap(track_delta=False)
+        assert rt.has_msg.all() and not rt.has_delta.any()
 
     def test_clear_deltas(self, cc_rt):
         cc_rt.scatter(np.array([0]), np.array([0.0]), track_delta=True)
