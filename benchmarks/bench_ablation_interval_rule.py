@@ -16,7 +16,7 @@ import math
 import pytest
 
 from repro.algorithms import PageRankDeltaProgram, SSSPProgram
-from repro.bench.harness import get_partitioned, get_prepared_graph
+from repro.bench.harness import session_for
 from repro.bench.reporting import format_table
 from repro.core import (
     AdaptiveIntervalModel,
@@ -40,11 +40,9 @@ def _run_policy(ev_t, trend_t):
     for graph_name, alg in WORKLOADS:
         if alg == "sssp":
             prog = SSSPProgram(0)
-            g = get_prepared_graph(graph_name, symmetric=False, weighted=True)
         else:
             prog = PageRankDeltaProgram(tolerance=1e-3)
-            g = get_prepared_graph(graph_name, symmetric=False, weighted=False)
-        pg = get_partitioned(g, MACHINES)
+        pg = session_for(graph_name, MACHINES).partitioned(prog)
         r = LazyBlockAsyncEngine(pg, prog, controller=PaperRuleController(model)).run()
         total += r.stats.modeled_time_s
     return total

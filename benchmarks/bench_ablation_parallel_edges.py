@@ -19,9 +19,9 @@ import numpy as np
 import pytest
 
 from repro.algorithms import KCoreProgram
-from repro.bench.harness import get_prepared_graph
+from repro.bench.harness import session_for
 from repro.bench.reporting import format_table
-from repro.core import LazyBlockAsyncEngine, build_lazy_graph
+from repro.core import LazyBlockAsyncEngine
 from repro.partition.edge_splitter import EdgeSplitConfig
 
 MACHINES = 24
@@ -29,13 +29,15 @@ TEXTRAS = (0.0, 0.05, 0.1, 0.2, 0.5)
 
 
 def sweep():
-    g = get_prepared_graph("livejournal-mini", symmetric=True, weighted=False)
     rows = []
     runs = []
     for textra in TEXTRAS:
         cfg = EdgeSplitConfig(textra=textra) if textra else None
-        pg = build_lazy_graph(g, MACHINES, split_config=cfg, seed=1)
-        r = LazyBlockAsyncEngine(pg, KCoreProgram(k=10)).run()
+        program = KCoreProgram(k=10)
+        pg = session_for(
+            "livejournal-mini", MACHINES, seed=1, split=cfg
+        ).partitioned(program)
+        r = LazyBlockAsyncEngine(pg, program).run()
         rows.append(
             [
                 textra,

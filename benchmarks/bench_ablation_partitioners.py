@@ -25,9 +25,9 @@ import numpy as np
 import pytest
 
 from repro.algorithms import ConnectedComponentsProgram
-from repro.bench.harness import get_prepared_graph
+from repro.bench.harness import session_for
 from repro.bench.reporting import format_table
-from repro.core import LazyBlockAsyncEngine, build_lazy_graph
+from repro.core import LazyBlockAsyncEngine
 from repro.powergraph import PowerGraphSyncEngine
 
 PARTITIONERS = ("coordinated", "oblivious", "grid", "hybrid", "random")
@@ -39,10 +39,11 @@ def sweep():
     rows = []
     per_graph = {}
     for graph_name in GRAPHS:
-        g = get_prepared_graph(graph_name, symmetric=True, weighted=False)
         lams, speeds = [], []
         for method in PARTITIONERS:
-            pg = build_lazy_graph(g, MACHINES, partitioner=method, seed=1)
+            pg = session_for(
+                graph_name, MACHINES, partitioner=method, seed=1
+            ).partitioned(ConnectedComponentsProgram())
             sync = PowerGraphSyncEngine(pg, ConnectedComponentsProgram()).run()
             lazy = LazyBlockAsyncEngine(pg, ConnectedComponentsProgram()).run()
             assert np.array_equal(sync.values, lazy.values)

@@ -15,20 +15,12 @@ import numpy as np
 import pytest
 
 from repro.bench.configs import FIG9_ALGORITHMS, FIG9_GRAPHS
-from repro.bench.harness import compare_lazy_vs_sync
+from repro.bench.persistence import fig9_10_11
 from repro.bench.reporting import format_table
 
 
-def matrix():
-    return {
-        (a, g): compare_lazy_vs_sync(g, a, machines=48)
-        for a in FIG9_ALGORITHMS
-        for g in FIG9_GRAPHS
-    }
-
-
 def test_fig10_normalized_syncs(benchmark, run_once):
-    cells = run_once(benchmark, matrix)
+    cells = run_once(benchmark, fig9_10_11)
     rows = [
         [g] + [round(cells[(a, g)]["norm_syncs"], 3) for a in FIG9_ALGORITHMS]
         for g in FIG9_GRAPHS

@@ -18,42 +18,31 @@ machines. Shape criteria from the paper:
 import numpy as np
 import pytest
 
-from repro.bench.configs import FIG12_GRAPHS, FIG12_MACHINES, ExperimentConfig
-from repro.bench.harness import run_config
+from repro.bench.configs import (
+    FIG12_ALGORITHMS,
+    FIG12_ENGINES,
+    FIG12_GRAPHS,
+    FIG12_MACHINES,
+)
+from repro.bench.persistence import fig12
 from repro.bench.reporting import format_series, format_table
-
-ENGINES = ("powergraph-sync", "powergraph-async", "lazy-block")
-ALGORITHMS = ("pagerank", "sssp")
-
-
-def sweep():
-    out = {}
-    for graph in FIG12_GRAPHS:
-        for alg in ALGORITHMS:
-            for P in FIG12_MACHINES:
-                for engine in ENGINES:
-                    r = run_config(
-                        ExperimentConfig(graph, alg, engine=engine, machines=P)
-                    )
-                    out[(graph, alg, engine, P)] = r.stats.modeled_time_s
-    return out
 
 
 @pytest.fixture(scope="module")
 def times():
-    return sweep()
+    return fig12()
 
 
 def test_fig12_curves(benchmark, run_once, times):
     run_once(benchmark, lambda: times)
     for graph in FIG12_GRAPHS:
-        for alg in ALGORITHMS:
+        for alg in FIG12_ALGORITHMS:
             series = {
                 engine: [
                     round(times[(graph, alg, engine, P)], 4)
                     for P in FIG12_MACHINES
                 ]
-                for engine in ENGINES
+                for engine in FIG12_ENGINES
             }
             print()
             print(
@@ -81,7 +70,7 @@ def test_fig12_curves(benchmark, run_once, times):
 def test_fig12_async_degrades_on_road(benchmark, run_once, times):
     """Async loses ground beyond 16 machines on the road graph."""
     run_once(benchmark, lambda: times)
-    for alg in ALGORITHMS:
+    for alg in FIG12_ALGORITHMS:
         async_t = {
             P: times[("road-usa-mini", alg, "powergraph-async", P)]
             for P in FIG12_MACHINES
@@ -102,7 +91,7 @@ def test_fig12gh_speedups_on_16_and_24(benchmark, run_once, times):
     rows = []
     for P in (16, 24):
         for graph in FIG12_GRAPHS:
-            for alg in ALGORITHMS:
+            for alg in FIG12_ALGORITHMS:
                 sync = times[(graph, alg, "powergraph-sync", P)]
                 rows.append(
                     [

@@ -12,8 +12,10 @@ both lazy strategies beat never-lazy's sync count.
 import pytest
 
 from repro.bench.configs import ExperimentConfig
-from repro.bench.harness import run_config
+from repro.bench.harness import run_experiment
 from repro.bench.reporting import format_table
+from repro.core.policy import CoherencyPolicy
+from repro.runtime.run_config import RunConfig
 
 GRAPHS = ("road-usa-mini", "web-uk-mini", "twitter-mini")
 STRATEGIES = ("adaptive", "simple", "never")
@@ -25,10 +27,10 @@ def sweep():
     for graph in GRAPHS:
         per = {}
         for strategy in STRATEGIES:
-            r = run_config(
+            r = run_experiment(
                 ExperimentConfig(
-                    graph, "sssp", engine="lazy-block",
-                    policy_opts={"interval": strategy},
+                    graph, "sssp",
+                    run=RunConfig(policy=CoherencyPolicy(interval=strategy)),
                 )
             )
             per[strategy] = r

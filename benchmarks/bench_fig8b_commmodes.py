@@ -11,9 +11,11 @@ modeled time is within a hair of the better fixed mode.
 import pytest
 
 from repro.bench.configs import ExperimentConfig
-from repro.bench.harness import run_config
+from repro.bench.harness import run_experiment
 from repro.bench.reporting import format_series, format_table
-from repro.cluster.network import CommMode, NetworkModel
+from repro.cluster.network import NetworkModel
+from repro.core.policy import CoherencyPolicy
+from repro.runtime.run_config import RunConfig
 
 VOLUMES_MB = [0.0, 0.05, 0.1, 0.25, 0.5, 1.0, 2.0, 3.0, 4.0, 5.0]
 
@@ -57,10 +59,10 @@ def dynamic_vs_fixed():
     for graph in ("road-usa-mini", "twitter-mini", "web-uk-mini"):
         per = {}
         for mode in ("a2a", "m2m", "dynamic"):
-            r = run_config(
+            r = run_experiment(
                 ExperimentConfig(
-                    graph, "pagerank", engine="lazy-block",
-                    policy_opts={"mode": mode},
+                    graph, "pagerank",
+                    run=RunConfig(policy=CoherencyPolicy(mode=mode)),
                 )
             )
             per[mode] = r.stats.modeled_time_s

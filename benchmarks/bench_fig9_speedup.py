@@ -17,21 +17,8 @@ import numpy as np
 import pytest
 
 from repro.bench.configs import FIG9_ALGORITHMS, FIG9_GRAPHS
-from repro.bench.harness import compare_lazy_vs_sync, get_partitioned, get_prepared_graph
+from repro.bench.persistence import fig9_10_11, table1
 from repro.bench.reporting import format_table
-
-
-def lambda_of(graph_name):
-    g = get_prepared_graph(graph_name, symmetric=False, weighted=False)
-    return get_partitioned(g, 48).replication_factor
-
-
-def full_matrix():
-    cells = {}
-    for alg in FIG9_ALGORITHMS:
-        for graph in FIG9_GRAPHS:
-            cells[(alg, graph)] = compare_lazy_vs_sync(graph, alg, machines=48)
-    return cells
 
 
 def _spearman(xs, ys):
@@ -48,8 +35,8 @@ def _spearman(xs, ys):
 
 
 def test_fig9_speedups(benchmark, run_once):
-    cells = run_once(benchmark, full_matrix)
-    lams = {g: lambda_of(g) for g in FIG9_GRAPHS}
+    cells = run_once(benchmark, fig9_10_11)
+    lams = {row["graph"]: row["lambda"] for row in table1()}
     rows = [
         [g, round(lams[g], 2)]
         + [round(cells[(a, g)]["speedup"], 2) for a in FIG9_ALGORITHMS]
@@ -101,7 +88,7 @@ def test_fig9_speedups(benchmark, run_once):
 def test_fig9_average_speedups(benchmark, run_once):
     from repro.bench.expectations import PAPER_MEAN_SPEEDUPS
 
-    cells = run_once(benchmark, full_matrix)
+    cells = run_once(benchmark, fig9_10_11)
     averages = {
         a: float(np.mean([cells[(a, g)]["speedup"] for g in FIG9_GRAPHS]))
         for a in FIG9_ALGORITHMS

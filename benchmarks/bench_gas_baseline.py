@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from repro.algorithms import PageRankDeltaProgram, SSSPProgram
-from repro.bench.harness import get_partitioned, get_prepared_graph
+from repro.bench.harness import session_for
 from repro.bench.reporting import format_table
 from repro.powergraph import (
     GASPageRank,
@@ -33,10 +33,11 @@ def compare():
     rows = []
     checks = []
     for name in GRAPHS:
-        g = get_prepared_graph(name, symmetric=False, weighted=False)
-        pg = get_partitioned(g, 48)
+        session = session_for(name, 48)
+        delta_prog = PageRankDeltaProgram(tolerance=1e-3)
+        pg = session.partitioned(delta_prog)
         gas = PowerGraphGASSyncEngine(pg, GASPageRank(tolerance=1e-3)).run()
-        delta = PowerGraphSyncEngine(pg, PageRankDeltaProgram(tolerance=1e-3)).run()
+        delta = PowerGraphSyncEngine(pg, delta_prog).run()
         rows.append(
             [
                 name,
@@ -49,10 +50,10 @@ def compare():
         )
         checks.append((name, "pagerank", gas, delta))
 
-        gw = get_prepared_graph(name, symmetric=False, weighted=True)
-        pgw = get_partitioned(gw, 48)
+        delta_prog = SSSPProgram(0)
+        pgw = session.partitioned(delta_prog)
         gas = PowerGraphGASSyncEngine(pgw, GASSSSP(0)).run()
-        delta = PowerGraphSyncEngine(pgw, SSSPProgram(0)).run()
+        delta = PowerGraphSyncEngine(pgw, delta_prog).run()
         rows.append(
             [
                 name,

@@ -19,8 +19,9 @@ import numpy as np
 import pytest
 
 from repro.bench.configs import ExperimentConfig
-from repro.bench.harness import run_config
+from repro.bench.harness import run_experiment
 from repro.bench.reporting import format_table
+from repro.runtime.run_config import RunConfig
 
 GRAPHS = ("road-usa-mini", "web-uk-mini", "twitter-mini")
 
@@ -29,14 +30,11 @@ def sweep():
     rows = []
     per = {}
     for graph in GRAPHS:
-        block = run_config(
-            ExperimentConfig(graph, "sssp", engine="lazy-block")
-        )
-        vertex = run_config(
-            ExperimentConfig(graph, "sssp", engine="lazy-vertex")
-        )
-        sync = run_config(
-            ExperimentConfig(graph, "sssp", engine="powergraph-sync")
+        block, vertex, sync = (
+            run_experiment(
+                ExperimentConfig(graph, "sssp", run=RunConfig(engine=engine))
+            )
+            for engine in ("lazy-block", "lazy-vertex", "powergraph-sync")
         )
         rows.append(
             [

@@ -1,26 +1,27 @@
-"""Process-backend speedup gate: real wall-clock parallelism, bit-exact.
+"""Process-backend ruler: real wall-clock parallelism, bit-exact.
 
 The execution-backend layer's pitch is that ``backend="process"`` buys
 host wall-clock speedup while staying *bit-identical* to the serial
 backend (same values, same RunStats, same traces — the equivalence
 matrix in ``tests/integration/test_backend_equivalence.py`` is the
-oracle). This harness prices the claim on the dense-sweep PageRank
-workload (powerlaw 50k vertices / 600k edges, 8 machines, lazy-block):
+oracle). The process backend is outside ``BENCHMARK.json`` on purpose,
+so this script is the one ruler for "is it faster": it prices the claim
+on the dense-sweep PageRank workload (powerlaw 50k vertices / 600k
+edges, 8 machines, lazy-block):
 
 * ``serial``  — the inline lockstep backend (the baseline);
 * ``process`` — the shared-memory worker pool at ``--workers`` workers,
   with the pool spawn cost (``startup_s``) reported separately from the
   steady-state ``run()`` wall time it amortizes over.
 
-and writes ``BENCH_parallel.json``. The acceptance gate — enforced by
-CI on multi-core runners — is **speedup ≥ 1.8× at 4 workers**. Hosts
-with fewer cores than workers cannot express the parallelism, so the
-gate is *skipped honestly* there (recorded as ``skipped (N cores)``,
-never silently passed). Bit-identity of the two backends' values is
-asserted unconditionally on every host.
+Nothing is committed from it: the report is printed (or ``--out``) and
+the exit status is the in-run verdict. Bit-identity of the two backends'
+values is asserted unconditionally; the **speedup ≥ 1.8× at 4 workers**
+gate applies only where the host has at least as many cores as workers
+— elsewhere it is recorded as ``skipped (N cores)``, never silently
+passed.
 
-Run:   ``python benchmarks/bench_parallel.py --out BENCH_parallel.json``
-Check: ``python benchmarks/bench_parallel.py --quick --check BENCH_parallel.json``
+Run: ``python benchmarks/bench_parallel.py [--quick] [--out report.json]``
 """
 
 import argparse
@@ -120,23 +121,6 @@ def apply_gate(report: dict, gate: float) -> bool:
     return ok
 
 
-def check_baseline(report: dict, path: str) -> list:
-    """Compare against the committed baseline (config + identity)."""
-    with open(path) as fh:
-        base = json.load(fh)
-    failures = []
-    if not base.get("bit_identical", False):
-        failures.append(f"baseline {path} was not bit-identical")
-    for key in ("graph", "machines", "engine", "algorithm", "workers"):
-        if base["config"].get(key) != report["config"].get(key):
-            failures.append(
-                f"config drift vs baseline: {key} = "
-                f"{report['config'].get(key)!r} vs {base['config'].get(key)!r}"
-                " (re-generate BENCH_parallel.json)"
-            )
-    return failures
-
-
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", help="write the JSON report here")
@@ -156,10 +140,6 @@ def main(argv=None) -> int:
         "--gate", type=float, default=DEFAULT_GATE,
         help=f"min speedup vs serial when measurable (default {DEFAULT_GATE})",
     )
-    ap.add_argument(
-        "--check", metavar="BASELINE",
-        help="fail on config drift vs a committed BENCH_parallel.json",
-    )
     args = ap.parse_args(argv)
     repeats = 1 if args.quick else args.repeats
     report = measure(workers=args.workers, repeats=repeats)
@@ -172,9 +152,6 @@ def main(argv=None) -> int:
         print(f"wrote {args.out}")
     else:
         print(text)
-    failures = [] if ok else ["acceptance gate failed (see report)"]
-    if args.check:
-        failures += check_baseline(report, args.check)
     print(
         f"serial {report['serial']['median_s']:.3f}s vs process "
         f"{report['process']['median_s']:.3f}s @ {args.workers} workers "
@@ -184,9 +161,9 @@ def main(argv=None) -> int:
         f"gate={report['acceptance']['speedup_ok']}",
         file=sys.stderr,
     )
-    for f in failures:
-        print("FAILURE:", f, file=sys.stderr)
-    return 1 if failures else 0
+    if not ok:
+        print("FAILURE: acceptance gate failed (see report)", file=sys.stderr)
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

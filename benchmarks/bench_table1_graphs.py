@@ -12,36 +12,25 @@ the structural claims the rest of the evaluation leans on:
 
 import pytest
 
+from repro.bench.persistence import table1
 from repro.bench.reporting import format_table
-from repro.graph.datasets import dataset_info, dataset_names, load_dataset
-from repro.bench.harness import get_partitioned, get_prepared_graph
-
-MACHINES = 48  # the paper's Table 1 is "coordinated-cut on 48 partitions"
-
-
-def _lambda(name: str) -> float:
-    g = get_prepared_graph(name, symmetric=False, weighted=False)
-    return get_partitioned(g, MACHINES).replication_factor
+from repro.graph.datasets import dataset_info, load_dataset
 
 
 def table_rows():
-    rows = []
-    for name in dataset_names():
-        info = dataset_info(name)
-        g = load_dataset(name)
-        rows.append(
-            [
-                name,
-                info.category,
-                g.num_vertices,
-                g.num_edges,
-                round(g.ev_ratio, 2),
-                round(_lambda(name), 2),
-                info.paper_ev_ratio,
-                info.paper_lambda,
-            ]
-        )
-    return rows
+    return [
+        [
+            r["graph"],
+            r["class"],
+            r["vertices"],
+            r["edges"],
+            round(r["ev_ratio"], 2),
+            round(r["lambda"], 2),
+            r["paper_ev_ratio"],
+            r["paper_lambda"],
+        ]
+        for r in table1()
+    ]
 
 
 def test_table1(benchmark, run_once):

@@ -4,9 +4,12 @@ One module per concern:
 
 * :mod:`repro.bench.configs` — experiment descriptions (graph ×
   algorithm × engine × machines) with the paper's per-figure defaults;
-* :mod:`repro.bench.harness` — cached execution (partitioned graphs are
-  built once per (graph, machines, partitioner) and reused across
-  engines and figures) and the comparison helpers each figure needs;
+* :mod:`repro.bench.harness` — execution over a registry of resident
+  :class:`~repro.session.GraphSession` objects (one per graph ×
+  machines × partitioner, shared across engines and figures) and the
+  lazy-vs-Sync comparison every per-graph figure needs;
+* :mod:`repro.bench.persistence` — one collector per paper table/figure,
+  shared by ``repro figures`` and the ``benchmarks/bench_*`` shape tests;
 * :mod:`repro.bench.reporting` — plain-text table/series printers that
   emit the same rows the paper's figures plot.
 """
@@ -23,9 +26,8 @@ from repro.bench.configs import (
 from repro.bench.harness import (
     clear_caches,
     compare_lazy_vs_sync,
-    get_partitioned,
-    get_prepared_graph,
-    run_config,
+    run_experiment,
+    session_for,
 )
 from repro.bench.expectations import (
     FIG_EXPECTATIONS,
@@ -44,10 +46,9 @@ __all__ = [
     "FIG12_MACHINES",
     "default_kcore_k",
     "default_program_params",
-    "run_config",
+    "session_for",
+    "run_experiment",
     "compare_lazy_vs_sync",
-    "get_partitioned",
-    "get_prepared_graph",
     "clear_caches",
     "format_table",
     "format_series",

@@ -8,10 +8,11 @@ machine counts on one representative graph per class.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.errors import ConfigError
 from repro.graph.datasets import dataset_info
+from repro.runtime.run_config import RunConfig
 
 __all__ = [
     "ExperimentConfig",
@@ -19,6 +20,8 @@ __all__ = [
     "FIG9_ALGORITHMS",
     "FIG12_GRAPHS",
     "FIG12_MACHINES",
+    "FIG12_ALGORITHMS",
+    "FIG12_ENGINES",
     "default_kcore_k",
     "default_program_params",
 ]
@@ -40,6 +43,10 @@ FIG9_ALGORITHMS: Tuple[str, ...] = ("kcore", "pagerank", "sssp", "cc")
 # Fig 12: one representative per class (web / road / social)
 FIG12_GRAPHS: Tuple[str, ...] = ("web-uk-mini", "road-usa-mini", "twitter-mini")
 FIG12_MACHINES: Tuple[int, ...] = (8, 16, 24, 32, 40, 48)
+FIG12_ALGORITHMS: Tuple[str, ...] = ("pagerank", "sssp")
+FIG12_ENGINES: Tuple[str, ...] = (
+    "powergraph-sync", "powergraph-async", "lazy-block",
+)
 
 
 def default_kcore_k(graph_name: str) -> int:
@@ -67,66 +74,26 @@ def default_program_params(algorithm: str, graph_name: str) -> Dict:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One engine run in one figure's sweep."""
+    """One engine run in one figure's sweep.
+
+    The graph-level choices a :class:`~repro.session.GraphSession` fixes
+    (``graph`` / ``machines`` / ``partitioner`` / ``seed``), the
+    algorithm, and everything run-level as the shared
+    :class:`~repro.runtime.run_config.RunConfig`.
+    """
 
     graph: str
     algorithm: str
-    engine: str = "lazy-block"
     machines: int = 48
     partitioner: str = "coordinated"
     seed: int = 0
-    lens: bool = False
-    #: CoherencyLens keyword overrides (sample_size / seed / rollup_after
-    #: / rollup_every / sharded); a non-empty dict implies ``lens``.
-    lens_opts: Dict = field(default_factory=dict)
-    #: Named coherency policy (see :func:`repro.policy_names`), default
-    #: the ``"paper"`` policy on lazy engines; ``policy_opts`` overlays
-    #: ``--policy-opt``-style overrides (``interval=…``, ``mode=…``,
-    #: ``max_delta_age=…``, controller options).
-    policy: Optional[str] = None
-    policy_opts: Dict = field(default_factory=dict)
-    #: Execution backend (``"serial"`` / ``"process"``) and worker count
-    #: (process backend only; ``None`` = host CPU count capped at the
-    #: machine count). Results are bit-identical across backends.
-    backend: str = "serial"
-    workers: Optional[int] = None
-    params: Dict = field(default_factory=dict)
+    run: RunConfig = field(default_factory=RunConfig)
 
     def resolved_params(self) -> Dict:
         """Program parameters: per-figure defaults overlaid with overrides."""
         out = default_program_params(self.algorithm, self.graph)
-        out.update(self.params)
+        out.update(self.run.params)
         return out
 
     def label(self) -> str:
-        return f"{self.algorithm}/{self.graph}@{self.machines}:{self.engine}"
-
-    def to_run_config(self):
-        """This experiment's run-level knobs as a shared ``RunConfig``.
-
-        Mapping notes: ``policy_opts`` overlays the named policy (the
-        ``"paper"`` policy when none is named, matching the run API
-        default — the harness still constructs eager engines without
-        complaint because it resolves with ``strict_policy=False``);
-        ``"serial"`` maps to backend ``None`` (the engine's default) so
-        the harness keeps constructing serial engines without an
-        explicit backend kwarg.
-        """
-        from repro.core.policy import get_policy
-        from repro.runtime.run_config import RunConfig
-
-        policy = None
-        if self.policy is not None or self.policy_opts:
-            pol = get_policy(self.policy or "paper")
-            if self.policy_opts:
-                pol = pol.apply_opts(self.policy_opts)
-            policy = pol
-        return RunConfig(
-            engine=self.engine,
-            policy=policy,
-            lens=bool(self.lens or self.lens_opts),
-            lens_opts=dict(self.lens_opts) if self.lens_opts else None,
-            backend=None if self.backend == "serial" else self.backend,
-            workers=self.workers,
-            params=self.resolved_params(),
-        )
+        return f"{self.algorithm}/{self.graph}@{self.machines}:{self.run.engine}"

@@ -28,12 +28,16 @@ import json
 from typing import Dict, List, Tuple
 
 from repro.bench.configs import ExperimentConfig
-from repro.bench.harness import run_config
+from repro.bench.harness import run_experiment
+from repro.core.policy import named_policy
 from repro.errors import ConfigError
 from repro.runtime.result import EngineResult
+from repro.runtime.run_config import RunConfig
 
 __all__ = ["load_experiment_file", "run_experiment_file"]
 
+#: the flat per-experiment keys: graph-level ones name the session,
+#: the rest (``policy_opts`` folded into ``policy``) are RunConfig fields
 _ALLOWED_KEYS = {
     "graph",
     "algorithm",
@@ -68,17 +72,16 @@ def _build_config(entry: Dict, defaults: Dict, index: int) -> ExperimentConfig:
     for required in ("graph", "algorithm"):
         if required not in merged:
             raise ConfigError(f"experiment #{index}: missing {required!r}")
-    params = merged.pop("params", {})
-    if not isinstance(params, dict):
-        raise ConfigError(f"experiment #{index}: params must be an object")
-    policy_opts = merged.pop("policy_opts", {})
-    if not isinstance(policy_opts, dict):
-        raise ConfigError(f"experiment #{index}: policy_opts must be an object")
-    lens_opts = merged.pop("lens_opts", {})
-    if not isinstance(lens_opts, dict):
-        raise ConfigError(f"experiment #{index}: lens_opts must be an object")
+    for key in ("params", "policy_opts", "lens_opts"):
+        if not isinstance(merged.get(key, {}), dict):
+            raise ConfigError(f"experiment #{index}: {key} must be an object")
+    merged["policy"] = named_policy(
+        merged.get("policy"), merged.pop("policy_opts", {})
+    )
+    run_keys = set(RunConfig.field_names())
     return ExperimentConfig(
-        params=params, policy_opts=policy_opts, lens_opts=lens_opts, **merged
+        run=RunConfig(**{k: v for k, v in merged.items() if k in run_keys}),
+        **{k: v for k, v in merged.items() if k not in run_keys},
     )
 
 
@@ -109,7 +112,7 @@ def load_experiment_file(path: str) -> Tuple[str, List[ExperimentConfig]]:
 def run_experiment_file(
     path: str,
 ) -> Tuple[str, List[Tuple[ExperimentConfig, EngineResult]]]:
-    """Load and execute every experiment in the file (cached harness)."""
+    """Load and execute every experiment in the file (shared sessions)."""
     name, configs = load_experiment_file(path)
-    results = [(cfg, run_config(cfg)) for cfg in configs]
+    results = [(cfg, run_experiment(cfg)) for cfg in configs]
     return name, results

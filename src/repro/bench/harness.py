@@ -1,165 +1,96 @@
-"""Cached experiment execution.
+"""Experiment execution over a registry of resident sessions.
 
 Partitioning dominates setup cost, and every figure reuses the same
 (graph, machines) partitions across engines and algorithms sharing a
-graph *shape* (directed / symmetrized / weighted). The harness caches
-
-* prepared graphs per (dataset, symmetric, weighted),
-* partitioned graphs per (prepared graph, machines, partitioner, seed),
-* completed run results per full config label
-
-so the whole benchmark suite re-executes each distinct engine run once.
+graph *shape* (directed / symmetrized / weighted). That is exactly what
+a :class:`~repro.session.GraphSession` caches, so the harness keeps one
+session per ``(graph, machines, partitioner, seed, split)`` and every
+experiment is a ``session.run`` — the same path ``repro.run``, the
+serving layer and the ``BENCHMARK.json`` workloads take.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict, Optional, Tuple
 
 from repro.bench.configs import ExperimentConfig
-from repro.cluster.network import NetworkModel
-from repro.core.transmission import build_lazy_graph
-from repro.graph.datasets import load_dataset
-from repro.graph.digraph import DiGraph
 from repro.partition.edge_splitter import EdgeSplitConfig
-from repro.partition.partitioned_graph import PartitionedGraph
-from repro.runtime.registry import get_engine
 from repro.runtime.result import EngineResult
-from repro.utils.timer import Timer
+from repro.runtime.run_config import RunConfig
+from repro.session import GraphSession
 
 __all__ = [
-    "get_prepared_graph",
-    "get_partitioned",
-    "run_config",
+    "session_for",
+    "run_experiment",
     "compare_lazy_vs_sync",
     "clear_caches",
 ]
 
-_GRAPH_CACHE: Dict[Tuple, DiGraph] = {}
-_PARTITION_CACHE: Dict[Tuple, PartitionedGraph] = {}
-_RESULT_CACHE: Dict[Tuple, EngineResult] = {}
+_SESSIONS: Dict[Tuple, GraphSession] = {}
 
 
-def clear_caches() -> None:
-    """Drop all harness caches (tests use this for isolation)."""
-    _GRAPH_CACHE.clear()
-    _PARTITION_CACHE.clear()
-    _RESULT_CACHE.clear()
-
-
-def get_prepared_graph(
-    name: str, symmetric: bool, weighted: bool
-) -> DiGraph:
-    """Dataset in the shape an algorithm needs, cached."""
-    key = (name, symmetric, weighted)
-    if key not in _GRAPH_CACHE:
-        g = load_dataset(name, weighted=weighted)
-        if symmetric:
-            sym = g.symmetrized()
-            sym.name = g.name
-            g = sym
-        _GRAPH_CACHE[key] = g
-    return _GRAPH_CACHE[key]
-
-
-def get_partitioned(
-    graph: DiGraph,
-    machines: int,
+def session_for(
+    graph: str,
+    machines: int = 48,
     partitioner: str = "coordinated",
     seed: int = 0,
     split: Optional[EdgeSplitConfig] = None,
-) -> PartitionedGraph:
-    """Partitioned graph, cached by identity of the prepared graph."""
-    key = (id(graph), machines, partitioner, seed, split)
-    if key not in _PARTITION_CACHE:
-        _PARTITION_CACHE[key] = build_lazy_graph(
-            graph, machines, partitioner=partitioner, split_config=split, seed=seed
+) -> GraphSession:
+    """The resident session for these graph-level choices (opened once)."""
+    key = (graph, machines, partitioner, seed, split)
+    if key not in _SESSIONS:
+        _SESSIONS[key] = GraphSession.open(
+            graph, machines=machines, partitioner=partitioner,
+            split=split, seed=seed,
         )
-    return _PARTITION_CACHE[key]
+    return _SESSIONS[key]
 
 
-def run_config(
-    config: ExperimentConfig,
-    network: Optional[NetworkModel] = None,
-    split: Optional[EdgeSplitConfig] = None,
-    use_cache: bool = True,
-) -> EngineResult:
-    """Execute one experiment config (cached by its full identity)."""
-    # config.params is a dict (unhashable); key on the canonical tuple
-    key = (
-        config.label(),
-        config.partitioner,
-        config.policy,
-        tuple(sorted(config.policy_opts.items())),
-        config.seed,
-        config.lens,
-        tuple(sorted(config.lens_opts.items())),
-        config.backend,
-        config.workers,
-        tuple(sorted(config.resolved_params().items())),
-        split,
-        network,
-    )
-    if use_cache and key in _RESULT_CACHE:
-        return _RESULT_CACHE[key]
+def clear_caches() -> None:
+    """Close and drop every session (tests use this for isolation)."""
+    for session in _SESSIONS.values():
+        session.close()
+    _SESSIONS.clear()
 
-    spec = get_engine(config.engine)
-    timer = Timer()
-    timer.start()
-    program = spec.make_program(config.algorithm, **config.resolved_params())
-    timer.lap("program")
-    graph = get_prepared_graph(
-        config.graph, program.requires_symmetric, program.needs_weights
+
+def run_experiment(config: ExperimentConfig) -> EngineResult:
+    """Execute one experiment on its session, figure defaults overlaid."""
+    session = session_for(
+        config.graph, config.machines, config.partitioner, config.seed
     )
-    timer.lap("graph")
-    pgraph = get_partitioned(
-        graph, config.machines, config.partitioner, config.seed, split
+    return session.run(
+        config.algorithm,
+        config=replace(config.run, params=config.resolved_params()),
     )
-    timer.lap("partition")
-    # one shared resolve path (RunConfig.engine_kwargs) with the
-    # harness's historical leniency: no policy error on eager engines
-    # (strict_policy=False silently drops the paper-policy default there)
-    rc = config.to_run_config()
-    rc.network = network
-    kwargs = rc.engine_kwargs(spec, seed=config.seed, strict_policy=False)
-    result = spec.cls(pgraph, program, **kwargs).run()
-    timer.lap("engine")
-    timer.stop()
-    # host-side cost split (distinct from the modeled cluster time)
-    for stage, seconds in timer.laps.items():
-        result.stats.extra[f"host_{stage}_s"] = seconds
-    if use_cache:
-        _RESULT_CACHE[key] = result
-    return result
 
 
 def compare_lazy_vs_sync(
     graph: str,
     algorithm: str,
     machines: int = 48,
-    network: Optional[NetworkModel] = None,
-    **overrides,
+    partitioner: str = "coordinated",
+    seed: int = 0,
+    params: Optional[Dict] = None,
 ) -> Dict[str, float]:
     """The row every per-graph figure needs: lazy vs PowerGraph Sync.
 
     Returns speedup plus the normalized sync and traffic ratios that
     Figs 10 and 11 plot.
     """
-    base = dict(graph=graph, algorithm=algorithm, machines=machines)
-    base.update(overrides)
-    sync = run_config(
-        ExperimentConfig(engine="powergraph-sync", **base), network=network
-    )
-    lazy = run_config(
-        ExperimentConfig(engine="lazy-block", **base), network=network
+    sync, lazy = (
+        run_experiment(
+            ExperimentConfig(
+                graph, algorithm, machines, partitioner, seed,
+                run=RunConfig(engine=engine, params=params or {}),
+            )
+        ).stats
+        for engine in ("powergraph-sync", "lazy-block")
     )
     return {
-        "speedup": sync.stats.modeled_time_s / lazy.stats.modeled_time_s,
-        "sync_time_s": sync.stats.modeled_time_s,
-        "lazy_time_s": lazy.stats.modeled_time_s,
-        "norm_syncs": lazy.stats.global_syncs / max(sync.stats.global_syncs, 1),
-        "norm_traffic": lazy.stats.comm_bytes / max(sync.stats.comm_bytes, 1.0),
-        "sync_syncs": float(sync.stats.global_syncs),
-        "lazy_syncs": float(lazy.stats.global_syncs),
-        "sync_traffic_mb": sync.stats.comm_bytes / 1e6,
-        "lazy_traffic_mb": lazy.stats.comm_bytes / 1e6,
+        "speedup": sync.modeled_time_s / lazy.modeled_time_s,
+        "sync_time_s": sync.modeled_time_s,
+        "lazy_time_s": lazy.modeled_time_s,
+        "norm_syncs": lazy.global_syncs / max(sync.global_syncs, 1),
+        "norm_traffic": lazy.comm_bytes / max(sync.comm_bytes, 1.0),
     }

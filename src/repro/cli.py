@@ -10,9 +10,9 @@ Mirrors how the paper's toolkits are driven from the shell:
 * ``report``   — per-phase breakdown of a recorded execution trace,
   with LensAuditor anomaly flags (``--strict`` exits 3 on anomalies);
 * ``analyze``  — critical-path / straggler analysis of a recorded trace
-  (per-superstep gating machine/channel, load imbalance vs λ);
-  ``--serve`` switches to request-waterfall / cost-attribution analysis
-  of a merged serve trace;
+  (per-superstep gating machine/channel, load imbalance vs λ); a merged
+  serve trace gets the request-waterfall / cost-attribution analysis and
+  a ``mutate --out`` stream the re-convergence / λ-drift table instead;
 * ``dashboard``— render a recorded trace as an offline HTML dashboard;
 * ``top``      — live (or one-shot) text view of a service telemetry
   file written by ``serve --telemetry-out``;
@@ -30,11 +30,11 @@ from typing import List, Optional
 import numpy as np
 
 from repro.algorithms import program_names
-from repro.bench.harness import compare_lazy_vs_sync
+from repro.bench.harness import compare_lazy_vs_sync, session_for
 from repro.bench.reporting import format_series, format_table
 from repro.graph.datasets import dataset_info, dataset_names, load_dataset
 from repro.graph.properties import compute_properties
-from repro.core.policy import get_policy, policy_names
+from repro.core.policy import named_policy, policy_names
 from repro.obs.sinks import TRACE_FORMATS
 from repro.run_api import run
 from repro.runtime.backend import BACKEND_NAMES
@@ -167,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--trace-out", metavar="PATH",
             help="write the merged request trace (service spans joined "
                  "to engine run spans) to PATH; analyze with "
-                 "'repro analyze --serve PATH'",
+                 "'repro analyze PATH'",
         )
         p.add_argument(
             "--telemetry-out", metavar="PATH",
@@ -264,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mut.add_argument(
         "--out", metavar="PATH",
         help="also write the JSONL events to PATH (analyze with "
-             "'repro analyze --mutations PATH')",
+             "'repro analyze PATH')",
     )
 
     p_cmp = sub.add_parser("compare", help="lazy vs PowerGraph Sync")
@@ -310,9 +310,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ana = sub.add_parser(
         "analyze",
-        help="critical-path / straggler analysis of a recorded trace",
+        help="analysis of a recorded file, by what it contains: "
+             "critical-path / straggler analysis of a run trace, "
+             "request waterfalls + cost attribution of a merged serve "
+             "trace, re-convergence + lambda drift of a mutation stream",
     )
-    p_ana.add_argument("trace", help="trace file written by run --trace-out")
+    p_ana.add_argument(
+        "trace",
+        help="trace written by run/serve --trace-out, or the event "
+             "stream written by mutate --out",
+    )
     p_ana.add_argument(
         "--json", action="store_true",
         help="print the full analysis as JSON instead of text",
@@ -323,24 +330,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_ana.add_argument(
         "--max-rows", type=int, default=40,
-        help="per-superstep rows shown in the text table (default 40)",
-    )
-    p_ana.add_argument(
-        "--serve", action="store_true",
-        help="analyze a merged serve trace (serve --trace-out): "
-             "per-request waterfalls, engine-run cost attribution, and "
-             "the cost-by-query-class table",
+        help="rows shown in the text tables (default 40)",
     )
     p_ana.add_argument(
         "--run-id", type=int, metavar="N",
-        help="narrow a merged serve trace to engine run N before the "
-             "critical-path analysis (run ids: analyze --serve)",
-    )
-    p_ana.add_argument(
-        "--mutations", action="store_true",
-        help="analyze a mutation-stream JSONL (repro mutate --out / "
-             "bench_dynamic): supersteps-to-reconverge and lambda drift "
-             "per applied batch",
+        help="narrow a merged serve trace to engine run N and print "
+             "that run's critical-path analysis (run ids: the serve "
+             "analysis' runs table)",
     )
 
     p_rep = sub.add_parser(
@@ -441,16 +437,13 @@ def _coerce_opt(value: str):
 
 def _resolve_cli_policy(args):
     """Build the run's CoherencyPolicy from --policy / --policy-opt."""
-    if not args.policy and not args.policy_opt:
-        return None
-    policy = get_policy(args.policy or "paper")
     opts = {}
     for item in args.policy_opt:
         if "=" not in item:
             raise SystemExit(f"--policy-opt expects K=V, got {item!r}")
         key, _, value = item.partition("=")
         opts[key] = _coerce_opt(value)
-    return policy.apply_opts(opts) if opts else policy
+    return named_policy(args.policy, opts)
 
 
 def _lens_cli_opts(args) -> dict:
@@ -840,11 +833,10 @@ def _cmd_sweep(args) -> int:
     kwargs = _algorithm_params(args)
     series = {"powergraph-sync": [], "lazy-block": []}
     for P in counts:
+        # one session per machine count: both engines share its partition
+        session = session_for(args.graph, P, args.partitioner, args.seed)
         for engine in series:
-            r = run(
-                args.graph, args.algorithm, engine=engine, machines=P,
-                partitioner=args.partitioner, seed=args.seed, **kwargs,
-            )
+            r = session.run(args.algorithm, engine=engine, **kwargs)
             series[engine].append(round(r.stats.modeled_time_s, 4))
     print(
         format_series(
@@ -934,7 +926,7 @@ def _cmd_experiment(args) -> int:
             [
                 cfg.graph,
                 cfg.algorithm,
-                cfg.engine,
+                cfg.run.engine,
                 cfg.machines,
                 round(r.stats.modeled_time_s, 4),
                 r.stats.global_syncs,
@@ -993,83 +985,55 @@ def _cmd_analyze(args) -> int:
     import json
 
     from repro.obs.critical_path import analyze_trace, format_analysis
-    from repro.obs.report import load_trace
-
-    if getattr(args, "mutations", False):
-        from repro.obs.mutation_report import (
-            analyze_mutation_stream,
-            format_mutation_analysis,
-            is_mutation_stream,
-            load_mutation_stream,
-        )
-
-        events = load_mutation_stream(args.trace)
-        if not is_mutation_stream(events):
-            print(
-                f"analyze --mutations: {args.trace} has no apply events "
-                f"(write one with 'repro mutate --out')",
-                file=sys.stderr,
-            )
-            return 2
-        analysis = analyze_mutation_stream(events)
-        if args.json_out:
-            with open(args.json_out, "w", encoding="utf-8") as fh:
-                json.dump(analysis, fh, indent=2, sort_keys=True)
-        if args.json:
-            print(json.dumps(analysis, indent=2, sort_keys=True))
-        else:
-            print(format_mutation_analysis(analysis, max_rows=args.max_rows))
-        if args.json_out:
-            print(f"analysis JSON written to {args.json_out}", file=sys.stderr)
-        return 0
-
-    if getattr(args, "serve", False):
-        from repro.obs.request_trace import (
-            analyze_serve_trace,
-            format_serve_analysis,
-            is_serve_trace,
-        )
-
-        trace = load_trace(args.trace)
-        if not is_serve_trace(trace):
-            print(
-                f"analyze --serve: {args.trace} has no serve.request "
-                f"spans (write one with 'repro serve --trace-out')",
-                file=sys.stderr,
-            )
-            return 2
-        analysis = analyze_serve_trace(trace)
-        if args.json_out:
-            with open(args.json_out, "w", encoding="utf-8") as fh:
-                json.dump(analysis, fh, indent=2, sort_keys=True)
-        if args.json:
-            print(json.dumps(analysis, indent=2, sort_keys=True))
-        else:
-            print(format_serve_analysis(analysis, max_rows=args.max_rows))
-        if args.json_out:
-            print(f"analysis JSON written to {args.json_out}", file=sys.stderr)
-        totals = analysis["totals"]
-        if not (totals["latency_exact"] and totals["attribution_exact"]):
-            print(
-                "analyze --serve: exactness check FAILED (latency or "
-                "cost attribution does not reconstruct)",
-                file=sys.stderr,
-            )
-            return 3
-        return 0
-
-    analysis = analyze_trace(
-        load_trace(args.trace), run_id=getattr(args, "run_id", None)
+    from repro.obs.mutation_report import (
+        analyze_mutation_stream,
+        format_mutation_analysis,
+        is_mutation_stream,
+        load_mutation_stream,
     )
+    from repro.obs.report import load_trace
+    from repro.obs.request_trace import (
+        analyze_serve_trace,
+        format_serve_analysis,
+        is_serve_trace,
+    )
+
+    # the file says which reader it needs: a mutate --out stream holds no
+    # trace records at all (its records carry "event"), a merged serve
+    # trace carries serve.request spans
+    trace = load_trace(args.trace)
+    events = (
+        [] if trace.spans or trace.instants
+        else load_mutation_stream(args.trace)
+    )
+    exact = True
+    if is_mutation_stream(events):
+        analysis = analyze_mutation_stream(events)
+        render = format_mutation_analysis
+    elif is_serve_trace(trace) and args.run_id is None:
+        analysis = analyze_serve_trace(trace)
+        render = format_serve_analysis
+        totals = analysis["totals"]
+        exact = totals["latency_exact"] and totals["attribution_exact"]
+    else:
+        analysis = analyze_trace(trace, run_id=args.run_id)
+        render = format_analysis
     if args.json_out:
         with open(args.json_out, "w", encoding="utf-8") as fh:
             json.dump(analysis, fh, indent=2, sort_keys=True)
     if args.json:
         print(json.dumps(analysis, indent=2, sort_keys=True))
     else:
-        print(format_analysis(analysis, max_rows=args.max_rows))
+        print(render(analysis, max_rows=args.max_rows))
     if args.json_out:
         print(f"analysis JSON written to {args.json_out}", file=sys.stderr)
+    if not exact:
+        print(
+            "analyze: serve-trace exactness check FAILED (latency or "
+            "cost attribution does not reconstruct)",
+            file=sys.stderr,
+        )
+        return 3
     return 0
 
 

@@ -36,7 +36,7 @@ collapsing the previously scattered coherency arguments (``interval``,
 ``coherency_mode``, ``max_delta_age``) plus the controller choice and
 its options. Policies are registered by name (:func:`register_policy` /
 :func:`get_policy`) so ``repro.run(policy="staleness")``, the CLI's
-``--policy`` and ``ExperimentConfig(policy=...)`` all share one
+``--policy`` and an experiment file's ``"policy"`` key all share one
 vocabulary.
 """
 
@@ -69,6 +69,7 @@ __all__ = [
     "controller_names",
     "register_policy",
     "get_policy",
+    "named_policy",
     "policy_names",
     "resolve_policy",
 ]
@@ -423,8 +424,8 @@ class CoherencyPolicy:
     ``interval``/``coherency_mode`` and the engines' ``max_delta_age`` —
     plus the controller choice and its numeric options. Accepted by
     :func:`repro.run` (``policy=``), the CLI (``--policy`` /
-    ``--policy-opt k=v``) and
-    :class:`~repro.bench.configs.ExperimentConfig`.
+    ``--policy-opt k=v``) and experiment files (``"policy"`` /
+    ``"policy_opts"``).
     """
 
     controller: str = "paper"
@@ -532,6 +533,20 @@ def get_policy(name: str) -> CoherencyPolicy:
             f"unknown coherency policy {name!r}; known: "
             f"{', '.join(policy_names())}"
         ) from None
+
+
+def named_policy(
+    name: Optional[str], opts: Mapping[str, object]
+) -> Optional[CoherencyPolicy]:
+    """A flat ``name`` + ``opts`` pair (``--policy`` / ``--policy-opt``,
+    an experiment file's ``policy`` / ``policy_opts``) as one policy.
+
+    Options alone overlay the ``"paper"`` policy; neither means "no
+    explicit policy" (``None``), which eager engines accept.
+    """
+    if not name and not opts:
+        return None
+    return get_policy(name or "paper").apply_opts(opts)
 
 
 def policy_names() -> Tuple[str, ...]:

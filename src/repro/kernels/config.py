@@ -5,13 +5,14 @@ Every ⊕-fold is one ``ufunc.at``: NumPy ≥ 1.25 (the floor
 ``minimum``/``maximum``, so that is already a single memory-bound pass
 and nothing here selects a fold kernel. What is left to tune is *which
 edges a scatter visits* — the sparse/dense sweep crossover, measured on
-this class of host (see ``benchmarks/bench_kernels.py`` and
-``BENCH_kernels.json``).
+this class of host (numbers quoted in ``docs/performance.md``; the
+``kernels.sweeps_*`` counters of the ``BENCHMARK.json`` traced run show
+which side of it each workload lands on).
 
 ``mode="generic"`` pins every sweep decision to the pre-kernel behaviour
 (per-call sparse flatten + ``edge_message``, ``np.add.at`` inside
-``segment_sum``), which the bench harness and the property suite use as
-the bit-identical baseline.
+``segment_sum``), which the property suite and the engine-equivalence
+matrix use as the bit-identical baseline.
 """
 
 from __future__ import annotations

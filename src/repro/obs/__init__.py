@@ -27,7 +27,7 @@ The observability layer the paper's counter-driven evaluation implies:
 * :mod:`repro.obs.request_trace` — request-scoped tracing for the
   serving layer: per-request ``serve.*`` spans joined to engine run
   spans in one merged trace, with bit-exact cost attribution
-  (``repro analyze --serve``);
+  (``repro analyze`` on a serve trace);
 * :mod:`repro.obs.telemetry` — the service telemetry plane: a
   background ticker sampling queue depth / cache hit rate /
   sliding-window latency quantiles / worker-pool heartbeats into

@@ -1,10 +1,10 @@
 """Mutation-stream analysis: re-convergence cost and λ drift over time.
 
-Consumes the JSONL event stream ``repro mutate`` (and
-``benchmarks/bench_dynamic.py``) emit — one ``{"event": "apply", ...}``
-record per applied batch, interleaved with ``{"event": "run", ...}``
-records for the engine runs that re-converged after each — and distills
-the two questions the dynamic-graph story hangs on:
+Consumes the JSONL event stream ``repro mutate --out`` emits — one
+``{"event": "apply", ...}`` record per applied batch, interleaved with
+``{"event": "run", ...}`` records for the engine runs that re-converged
+after each — and distills the two questions the dynamic-graph story
+hangs on:
 
 * **supersteps-to-reconverge**: how many supersteps (and how much
   modeled time) each incremental run needed, against the from-scratch
@@ -13,7 +13,8 @@ the two questions the dynamic-graph story hangs on:
   wandered from the baseline partitioning as mutations accumulated,
   and where the repartition valve fired.
 
-``repro analyze --mutations PATH`` prints the result.
+``repro analyze PATH`` prints the result (a file whose records carry
+``"event"`` is read as a mutation stream).
 """
 
 from __future__ import annotations
@@ -182,7 +183,7 @@ def analyze_mutation_stream(
 def format_mutation_analysis(
     analysis: Dict[str, Any], max_rows: int = 40
 ) -> str:
-    """Human-readable table for ``repro analyze --mutations``."""
+    """Human-readable table ``repro analyze`` prints for a mutation stream."""
     out: List[str] = []
     baseline = analysis.get("baseline") or {}
     if baseline:

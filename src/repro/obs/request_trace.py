@@ -31,8 +31,8 @@ the root span stores ``latency_s`` as the left-to-right sum of the four
 widths — the same expression :attr:`RequestContext.latency_s` computes
 and :class:`~repro.serve.ServedResult` reports. JSON round-trips floats
 exactly, so :func:`analyze_serve_trace` reproduces every request's
-end-to-end latency bit-for-bit from its spans (``repro analyze
---serve`` asserts it and prints the per-request waterfalls plus a
+end-to-end latency bit-for-bit from its spans (``repro analyze`` on a
+serve trace asserts it and prints the per-request waterfalls plus a
 "cost by query class" table).
 """
 
@@ -357,7 +357,7 @@ class ServeTraceWriter:
 
 
 # ----------------------------------------------------------------------
-# Analysis (``repro analyze --serve``)
+# Analysis (``repro analyze`` on a merged serve trace)
 # ----------------------------------------------------------------------
 def is_serve_trace(trace: Any) -> bool:
     """Whether a loaded :class:`TraceData` carries service-plane spans."""
@@ -532,7 +532,7 @@ def analyze_serve_trace(trace: Any) -> Dict[str, Any]:
 def format_serve_analysis(
     analysis: Dict[str, Any], max_rows: int = 40
 ) -> str:
-    """Render a serve analysis as the ``repro analyze --serve`` text."""
+    """Render a serve analysis as the ``repro analyze`` text."""
     from repro.bench.reporting import format_table
 
     t = analysis["totals"]

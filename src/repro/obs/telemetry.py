@@ -315,6 +315,12 @@ def check_slo(
     return violations
 
 
+def _fmt_count(value: Any) -> str:
+    """Counters are stored as floats; integral ones print as integers."""
+    value = float(value)
+    return str(int(value)) if value.is_integer() else f"{value:g}"
+
+
 def format_service_report(summary: Dict[str, Any]) -> str:
     """Render :func:`summarize_telemetry` output as the report "service"
     section (``repro report service.telemetry.jsonl``)."""
@@ -329,7 +335,7 @@ def format_service_report(summary: Dict[str, Any]) -> str:
         f"(interval {summary.get('interval_s')}s)"
     )
     counters = summary.get("counters") or {}
-    rows = [[k, f"{v:g}"] for k, v in sorted(counters.items())]
+    rows = [[k, _fmt_count(v)] for k, v in sorted(counters.items())]
     rows.append(["serve.cache_hit_rate", f"{summary.get('hit_rate', 0.0):.3f}"])
     cache = summary.get("cache") or {}
     rows.append([
@@ -389,10 +395,10 @@ def format_top(tick: Dict[str, Any], header: Optional[Dict] = None) -> str:
     )
     cache = tick.get("cache") or {}
     lines.append(
-        f"queries {counters.get('serve.queries', 0)}  "
-        f"runs {counters.get('serve.runs', 0)}  "
-        f"batches {counters.get('serve.batches', 0)}  "
-        f"fused {counters.get('serve.fused_queries', 0)}  "
+        f"queries {_fmt_count(counters.get('serve.queries', 0))}  "
+        f"runs {_fmt_count(counters.get('serve.runs', 0))}  "
+        f"batches {_fmt_count(counters.get('serve.batches', 0))}  "
+        f"fused {_fmt_count(counters.get('serve.fused_queries', 0))}  "
         f"cache {cache.get('entries', 0)}/{cache.get('capacity', 0)} "
         f"(hit rate {tick.get('hit_rate', 0.0):.2f})"
     )
@@ -403,7 +409,7 @@ def format_top(tick: Dict[str, Any], header: Optional[Dict] = None) -> str:
             f"p50 {latency.get('p50', 0.0) * 1e3:.3f} ms  "
             f"p95 {latency.get('p95', 0.0) * 1e3:.3f} ms  "
             f"p99 {latency.get('p99', 0.0) * 1e3:.3f} ms  "
-            f"n={latency.get('count', 0)}"
+            f"n={_fmt_count(latency.get('count', 0))}"
         )
     classes = tick.get("classes") or {}
     rows = []

@@ -38,7 +38,7 @@ PHASE = "phase"  # the category whose modeled durations tile the run
 SERVE = "serve"  # service-plane spans (request legs / engine-run roots)
 # in a merged serve trace (repro.obs.request_trace); engine-analysis
 # passes (report / critical path) skip this category, serve analysis
-# (repro analyze --serve) reads only it
+# (repro analyze on a serve trace) reads only it
 
 
 class Span:

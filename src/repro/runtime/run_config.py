@@ -1,19 +1,14 @@
 """One declarative run configuration shared by every entry point.
 
-``repro.run(...)`` grew ~20 keyword arguments; the bench harness, the
-CLI and the serving layer each re-implemented the same kwarg-assembly
-dance (policy resolution, backend selection, lens gating) with subtly
-different strictness. :class:`RunConfig` is the one place that logic
-lives now:
-
-* :meth:`RunConfig.engine_kwargs` is the single resolve path from a
-  config to an engine constructor's keyword arguments — ``run()``,
-  :meth:`repro.session.GraphSession.run`, and the bench harness all call
-  it;
-* ``ExperimentConfig.to_run_config()`` maps the frozen experiment-file
-  dataclass onto it (preserving the harness's historical leniency: its
-  default policy is silently ignored on eager engines);
-* the CLI builds one from parsed arguments.
+``repro.run(...)`` grew ~20 keyword arguments, and every entry point
+used to re-implement the same kwarg-assembly dance (policy resolution,
+backend selection, lens gating). :class:`RunConfig` is the one place
+that logic lives: :meth:`RunConfig.engine_kwargs` is the single resolve
+path from a config to an engine constructor's keyword arguments, and
+:meth:`repro.session.GraphSession.run` is its only caller — ``run()``,
+the serving layer, the CLI and the bench harness
+(:class:`~repro.bench.configs.ExperimentConfig` carries a ``RunConfig``)
+all run through a session.
 
 The pre-PR-10 ``interval=`` / ``coherency_mode=`` shim fields were
 removed after their deprecation cycle; the coherency policy is the one
@@ -128,21 +123,15 @@ class RunConfig:
         seed: int = 0,
         tracer: Any = None,
         pool: Any = None,
-        strict_policy: bool = True,
     ) -> Dict[str, Any]:
         """The engine constructor kwargs this config resolves to.
 
-        This is the single resolve path behind ``repro.run``, the
-        session, and the bench harness:
-
         * ``backend`` is resolved (and included) only when a backend or
           worker count was requested — otherwise the engine constructs
-          its own default :class:`SerialBackend`, exactly as before;
+          its own default :class:`SerialBackend`;
         * the coherency policy is resolved from ``policy``; engines
           without a controller layer raise :class:`ConfigError` on an
-          explicit policy when ``strict_policy`` (the public-API
-          behavior) and silently ignore it otherwise (the harness
-          behavior — its default policy is its own dataclass default);
+          explicit policy;
         * the lens request is gated on the engine's declared options.
 
         ``tracer`` overrides ``self.tracer`` (sessions create a fresh
@@ -171,7 +160,7 @@ class RunConfig:
             kwargs["coherency_mode"] = pol.mode
             if "max_delta_age" in spec.options:
                 kwargs["max_delta_age"] = pol.max_delta_age
-        elif explicit and strict_policy:
+        elif explicit:
             raise ConfigError(
                 f"engine {spec.name!r} does not take an interval model / "
                 f"coherency policy (replicas are eagerly coherent)"

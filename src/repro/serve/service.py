@@ -45,7 +45,7 @@ legs); opt-in observability rides on it with zero behavior change:
 * ``trace_out=`` streams a **merged request trace** — service spans
   joined to each engine run's own tracer stream, with fused/single-
   flight engine cost split bit-exactly across riding requests
-  (:mod:`repro.obs.request_trace`; ``repro analyze --serve``);
+  (:mod:`repro.obs.request_trace`; ``repro analyze``);
 * ``telemetry_out=`` attaches a :class:`~repro.obs.telemetry.
   TelemetrySink` ticker sampling queue depth, in-flight count, cache
   hit rate, sliding-window per-class latency quantiles and worker-pool

@@ -48,8 +48,8 @@ incremental=True)`` warm-starts delta programs that opt in
 tainted/fresh slice and injecting boundary corrections via
 :mod:`repro.runtime.warm_start` — and re-converges to the same fixpoint
 as a cold run in a fraction of the supersteps
-(``tests/integration/test_dynamic_equivalence.py`` pins the matrix;
-``benchmarks/bench_dynamic.py`` prices it).
+(``tests/integration/test_dynamic_equivalence.py`` pins the matrix; the
+``dynamic_stream`` workload of ``BENCHMARK.json`` prices it).
 """
 
 from __future__ import annotations
@@ -72,6 +72,7 @@ from repro.partition.dynamic import (
     repartition_if_needed,
 )
 from repro.partition.edge_splitter import EdgeSplitConfig
+from repro.partition.partitioned_graph import PartitionedGraph
 from repro.powergraph.gas import GASProgram
 from repro.runtime.registry import EngineSpec, get_engine
 from repro.runtime.result import EngineResult
@@ -247,6 +248,17 @@ class GraphSession:
             vbatch = batch if g.weights is not None else batch.without_weights()
             g, _ = apply_batch(g, vbatch)
         return g
+
+    def partitioned(self, program) -> PartitionedGraph:
+        """The vertex-cut of the graph variant ``program`` runs against.
+
+        Prepared (symmetrized / weighted per the program's declared
+        requirements) and partitioned on first use, then cached; callers
+        that construct engines by hand, or only need λ, share it with
+        :meth:`run`.
+        """
+        self._check_open()
+        return self._prepared(program)[0]
 
     def _prepared(self, program) -> Tuple[Any, GraphKey]:
         """The partitioned graph + CSR plans this program runs against."""

@@ -1,4 +1,4 @@
-"""Lightweight wall-clock timing helpers used by the bench harness.
+"""Lightweight wall-clock timing helper used by the benchmark suite.
 
 These measure *host* time (how long the simulator takes to run), which is
 distinct from the *modeled* cluster time reported by
@@ -8,11 +8,11 @@ distinct from the *modeled* cluster time reported by
 from __future__ import annotations
 
 import time
-from typing import Dict, Optional
+from typing import Optional
 
 
 class Timer:
-    """Context-manager stopwatch with named laps.
+    """Context-manager stopwatch.
 
     >>> with Timer() as t:
     ...     sum(range(1000))
@@ -23,9 +23,7 @@ class Timer:
 
     def __init__(self) -> None:
         self._start: Optional[float] = None
-        self._last_lap: Optional[float] = None
         self.elapsed: float = 0.0
-        self.laps: Dict[str, float] = {}
 
     def __enter__(self) -> "Timer":
         self.start()
@@ -36,27 +34,10 @@ class Timer:
 
     def start(self) -> None:
         self._start = time.perf_counter()
-        self._last_lap = self._start
 
     def stop(self) -> float:
         if self._start is None:
             raise RuntimeError("Timer.stop() called before start()")
         self.elapsed = time.perf_counter() - self._start
         self._start = None
-        self._last_lap = None
         return self.elapsed
-
-    def lap(self, name: str) -> float:
-        """Record the split since the previous lap (or ``start()``) as ``name``.
-
-        The timer keeps running; repeated ``lap`` calls with the same
-        name accumulate, so the laps always partition the elapsed time:
-        ``sum(t.laps.values()) <= t.elapsed``.
-        """
-        if self._start is None:
-            raise RuntimeError("Timer.lap() called before start()")
-        now = time.perf_counter()
-        split = now - self._last_lap
-        self._last_lap = now
-        self.laps[name] = self.laps.get(name, 0.0) + split
-        return split

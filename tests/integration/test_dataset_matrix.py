@@ -14,7 +14,7 @@ from repro.core import LazyBlockAsyncEngine
 from repro.graph.datasets import dataset_names
 from repro.powergraph import PowerGraphSyncEngine
 
-from repro.bench.harness import get_partitioned, get_prepared_graph
+from repro.bench.harness import session_for
 
 MACHINES = 6
 ALGORITHMS = ("kcore", "pagerank", "sssp", "cc")
@@ -24,10 +24,7 @@ def _cell(graph_name: str, alg: str):
     params = default_program_params(alg, graph_name)
     prog_a = make_program(alg, **params)
     prog_b = make_program(alg, **params)
-    g = get_prepared_graph(
-        graph_name, prog_a.requires_symmetric, prog_a.needs_weights
-    )
-    pg = get_partitioned(g, MACHINES)
+    pg = session_for(graph_name, MACHINES).partitioned(prog_a)
     eager = PowerGraphSyncEngine(pg, prog_a).run()
     lazy = LazyBlockAsyncEngine(pg, prog_b).run()
     return eager, lazy

@@ -217,3 +217,45 @@ class TestDeterminism:
         assert a.stats.global_syncs == b.stats.global_syncs
         assert a.stats.comm_bytes == b.stats.comm_bytes
         assert a.stats.modeled_time_s == b.stats.modeled_time_s
+
+
+@pytest.mark.parametrize("algorithm", ["pagerank", "cc", "sssp", "kcore"])
+@pytest.mark.parametrize("engine_name", list(SPECS))
+class TestKernelModesBitIdentical:
+    """Full runs under ``mode="generic"`` (per-call sparse flatten) and
+    ``mode="auto"`` (dense sweeps, hoisted edge transforms) are the same
+    run: values bit-for-bit and every RunStats field except the
+    ``kernel_*`` observability metrics, which count the sweeps taken."""
+
+    @staticmethod
+    def _run(engine_name, algorithm, mode):
+        import repro
+        from repro import kernels
+
+        with kernels.configured(mode=mode):
+            result = repro.run(
+                "road-ca-mini", algorithm, engine=engine_name,
+                machines=4, seed=3,
+            )
+        stats = result.stats.to_dict()
+        for section in ("metrics", "extra"):
+            stats[section] = {
+                k: v for k, v in stats[section].items()
+                if not k.startswith(("kernel_", "extra.kernel_"))
+            }
+        return result.values, stats
+
+    def test_generic_equals_auto(self, engine_name, algorithm):
+        from repro.powergraph.gas import GAS_ALGORITHM_NAMES
+
+        if (
+            SPECS[engine_name].program_api == "gas"
+            and algorithm not in GAS_ALGORITHM_NAMES
+        ):
+            pytest.skip("kcore has a delta formulation only")
+        generic_values, generic_stats = self._run(engine_name, algorithm, "generic")
+        auto_values, auto_stats = self._run(engine_name, algorithm, "auto")
+        assert np.array_equal(
+            generic_values.view(np.int64), auto_values.view(np.int64)
+        )
+        assert generic_stats == auto_stats

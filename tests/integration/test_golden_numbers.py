@@ -71,3 +71,63 @@ class TestGoldenPartition:
         assert (g.num_vertices, g.num_edges) == (2025, 5708)
         g = repro.load_dataset("enwiki-mini")
         assert (g.num_vertices, g.num_edges) == (2000, 50136)
+
+
+class TestGoldenPolicyCoherencyPoints:
+    """PageRank on road-ca-mini / 8 machines under each shipped
+    controller (the matrix ``benchmarks/bench_policy_ablation.py``
+    audits): the coherency-point counts are protocol behaviour."""
+
+    @pytest.mark.parametrize(
+        "engine, policy, points",
+        [
+            ("lazy-vertex", "paper", 54),
+            ("lazy-vertex", "staleness", 21),
+            ("lazy-vertex", "batched", 25),
+            ("lazy-block", "paper", 23),
+            ("lazy-block", "staleness", 23),
+        ],
+    )
+    def test_coherency_points(self, engine, policy, points):
+        result = repro.run(
+            "road-ca-mini", "pagerank", engine=engine, machines=8,
+            policy=policy,
+        )
+        assert result.stats.coherency_points == points
+
+
+class TestCommittedFigures:
+    """``results/results.json`` is what the code computes: the tier-1
+    shadow of ``repro figures --out /tmp/r && diff -r /tmp/r results``
+    (one graph's Fig 9/10/11 cells and Table 1 row, exactly)."""
+
+    @pytest.fixture(scope="class")
+    def committed(self):
+        import json
+        import os
+
+        path = os.path.join(
+            os.path.dirname(__file__), os.pardir, os.pardir,
+            "results", "results.json",
+        )
+        with open(path) as fh:
+            return json.load(fh)
+
+    @pytest.mark.parametrize("algorithm", ["kcore", "pagerank", "sssp", "cc"])
+    def test_fig9_10_11_road_ca_cells(self, committed, algorithm):
+        from repro.bench.harness import compare_lazy_vs_sync
+
+        row = compare_lazy_vs_sync("road-ca-mini", algorithm, machines=48)
+        cell = committed["fig9_10_11"][f"{algorithm}/road-ca-mini"]
+        digits = {"speedup": 4, "norm_syncs": 4, "norm_traffic": 4,
+                  "sync_time_s": 5, "lazy_time_s": 5}
+        assert {k: round(row[k], n) for k, n in digits.items()} == cell
+
+    def test_table1_road_ca_row(self, committed):
+        from repro.bench.persistence import table1
+
+        (row,) = [r for r in table1() if r["graph"] == "road-ca-mini"]
+        (want,) = [r for r in committed["table1"] if r["graph"] == "road-ca-mini"]
+        got = {**row, "ev_ratio": round(row["ev_ratio"], 3),
+               "lambda": round(row["lambda"], 3)}
+        assert got == want

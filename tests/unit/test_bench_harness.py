@@ -12,12 +12,12 @@ from repro.bench.configs import (
 from repro.bench.harness import (
     clear_caches,
     compare_lazy_vs_sync,
-    get_partitioned,
-    get_prepared_graph,
-    run_config,
+    run_experiment,
+    session_for,
 )
 from repro.bench.reporting import format_series, format_table
 from repro.errors import ConfigError
+from repro.runtime.run_config import RunConfig
 
 
 class TestConfigs:
@@ -36,8 +36,19 @@ class TestConfigs:
             default_program_params("bogus", "twitter-mini")
 
     def test_config_param_overlay(self):
-        cfg = ExperimentConfig("twitter-mini", "kcore", params={"k": 7})
+        cfg = ExperimentConfig(
+            "twitter-mini", "kcore", run=RunConfig(params={"k": 7})
+        )
         assert cfg.resolved_params() == {"k": 7}
+        assert ExperimentConfig("twitter-mini", "kcore").resolved_params() == {
+            "k": 10
+        }
+
+    def test_no_field_on_both_config_types(self):
+        from dataclasses import fields
+
+        experiment = {f.name for f in fields(ExperimentConfig)}
+        assert not experiment & set(RunConfig.field_names())
 
     def test_label(self):
         cfg = ExperimentConfig("road-ca-mini", "cc", machines=8)
@@ -49,30 +60,51 @@ class TestHarness:
         clear_caches()
 
     def test_graph_cache_shares_objects(self):
-        a = get_prepared_graph("road-ca-mini", False, False)
-        b = get_prepared_graph("road-ca-mini", False, False)
-        assert a is b
-        c = get_prepared_graph("road-ca-mini", True, False)
-        assert c is not a
+        from repro.algorithms import make_program
+
+        session = session_for("road-ca-mini", 4)
+        assert session_for("road-ca-mini", 4) is session
+        # one prepared variant per program requirement, shared by runs
+        directed = session.partitioned(make_program("pagerank"))
+        assert session.partitioned(make_program("pagerank")) is directed
+        assert session.partitioned(make_program("cc")) is not directed
 
     def test_partition_cache(self):
-        g = get_prepared_graph("road-ca-mini", False, False)
-        a = get_partitioned(g, 4)
-        b = get_partitioned(g, 4)
-        assert a is b
-        assert get_partitioned(g, 8) is not a
+        a = session_for("road-ca-mini", 4)
+        assert session_for("road-ca-mini", 8) is not a
+        assert session_for("road-ca-mini", 4, partitioner="random") is not a
+        assert session_for("road-ca-mini", 4, seed=1) is not a
+
+    def test_clear_caches_closes_sessions(self):
+        session = session_for("road-ca-mini", 4)
+        clear_caches()
+        with pytest.raises(ConfigError, match="closed"):
+            session.run("cc")
+        assert session_for("road-ca-mini", 4) is not session
 
     def test_run_config_and_cache(self):
         cfg = ExperimentConfig("road-ca-mini", "cc", machines=4)
-        a = run_config(cfg)
-        b = run_config(cfg)
-        assert a is b
+        a = run_experiment(cfg)
+        b = run_experiment(cfg)
         assert a.stats.converged
+        # both ran on the one resident session, deterministically
+        assert session_for("road-ca-mini", 4).runs_completed == 2
+        assert a.stats.modeled_time_s == b.stats.modeled_time_s
 
     def test_run_config_unknown_engine(self):
-        cfg = ExperimentConfig("road-ca-mini", "cc", engine="bogus", machines=4)
+        cfg = ExperimentConfig(
+            "road-ca-mini", "cc", machines=4, run=RunConfig(engine="bogus")
+        )
         with pytest.raises(ConfigError):
-            run_config(cfg)
+            run_experiment(cfg)
+
+    def test_explicit_policy_on_eager_engine_fails_loudly(self):
+        cfg = ExperimentConfig(
+            "road-ca-mini", "cc", machines=4,
+            run=RunConfig(engine="powergraph-sync", policy="paper"),
+        )
+        with pytest.raises(ConfigError, match="eagerly coherent"):
+            run_experiment(cfg)
 
     def test_compare_row_fields(self):
         row = compare_lazy_vs_sync("road-ca-mini", "cc", machines=4)

@@ -304,3 +304,176 @@ class TestDashboardCompare:
     def test_neither_trace_nor_compare_rejected(self, capsys):
         assert main(["dashboard"]) == 2
         assert "required" in capsys.readouterr().err
+
+
+def _run_cli(argv, stdin=""):
+    """``main(argv)`` with stdin fed and stdout captured: (rc, stdout)."""
+    import contextlib
+    import io
+
+    out = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out):
+        mp.setattr("sys.stdin", io.StringIO(stdin))
+        rc = main(argv)
+    return rc, out.getvalue()
+
+
+class TestServingCli:
+    """The serve → analyze → report → dashboard → top → slo recipe."""
+
+    @pytest.fixture(scope="class")
+    def served(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("serve")
+        trace, telemetry = tmp / "serve.trace.jsonl", tmp / "telemetry.jsonl"
+        rc, out = _run_cli(
+            ["serve", "--graph", "road-ca-mini", "--machines", "8",
+             "--max-wait", "0.5", "--trace-out", str(trace),
+             "--telemetry-out", str(telemetry),
+             "--telemetry-interval", "0.2"],
+            stdin="bfs 0\nbfs 7\nppr 0,5\nbfs 0\n",
+        )
+        assert rc == 0
+        return out, str(trace), str(telemetry), tmp
+
+    def test_serve_answers_every_stdin_line(self, served):
+        import json
+
+        answers = [json.loads(line) for line in served[0].splitlines()]
+        assert [a["sources"] for a in answers] == [[0], [7], [0, 5], [0]]
+        assert all(a["converged"] for a in answers)
+
+    def test_analyze_serve_trace_is_exact(self, served, capsys):
+        assert main(["analyze", served[1]]) == 0
+        out = capsys.readouterr().out
+        assert "serve trace — 4 requests" in out
+        assert "latency reconstruction: exact for every request" in out
+        assert "shares sum bit-exactly" in out
+
+    def test_analyze_run_id_narrows_to_one_engine_run(self, served, capsys):
+        assert main(["analyze", served[1], "--run-id", "1"]) == 0
+        assert "critical-path analysis" in capsys.readouterr().out
+
+    def test_analyze_exits_3_when_exactness_fails(self, served, capsys):
+        import json
+
+        doctored = served[3] / "doctored.trace.jsonl"
+        with open(served[1]) as src, open(doctored, "w") as dst:
+            for line in src:
+                rec = json.loads(line)
+                if rec.get("name") == "serve.request":
+                    rec["attrs"]["latency_s"] += 1.0
+                dst.write(json.dumps(rec) + "\n")
+        assert main(["analyze", str(doctored)]) == 3
+        assert "exactness check FAILED" in capsys.readouterr().err
+
+    def test_removed_reader_flags_are_unknown(self, served):
+        for flag in ("--serve", "--mutations"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["analyze", served[1], flag])
+
+    def test_report_and_dashboard_read_a_serve_trace(self, served, capsys):
+        assert main(["report", served[1]]) == 0
+        html = served[3] / "serve.html"
+        assert main(["dashboard", served[1], "-o", str(html)]) == 0
+        assert html.read_text().startswith("<!DOCTYPE html>")
+
+    def test_top_and_report_read_telemetry(self, served, capsys):
+        assert main(["top", served[2]]) == 0
+        assert "queries 4  runs 2" in capsys.readouterr().out
+        assert main(["report", served[2]]) == 0
+        assert "service telemetry" in capsys.readouterr().out
+        assert main(["top", served[1]]) == 2  # a trace is not telemetry
+
+    def test_slo_gate(self, served, capsys):
+        assert main(["slo", served[2], "--p95-ms", "60000",
+                     "--max-queue-depth", "64"]) == 0
+        assert main(["slo", served[2], "--p95-ms", "0.0001"]) == 4
+        assert "SLO VIOLATION" in capsys.readouterr().out
+        assert main(["slo", served[2]]) == 2  # no threshold given
+
+    def test_query_repeat_hits_the_cache(self, capsys):
+        import json
+
+        rc = main(["query", "--algo", "bfs", "--source", "0", "--repeat", "2",
+                   "--machines", "8", "--json"])
+        assert rc == 0
+        rows = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
+        assert [r["cached"] for r in rows] == [False, True]
+
+
+class TestMutateCli:
+    BATCH = '{"add_edges": [[0, 17], [42, 7]], "remove_vertices": [9]}'
+
+    def test_mutate_stream_then_analyze(self, capsys, tmp_path):
+        import json
+
+        events = tmp_path / "mutate.events.jsonl"
+        rc = main(["mutate", "--graph", "road-ca-mini", "--machines", "8",
+                   "--algorithm", "pagerank", "--compare-cold",
+                   "--batch-json", self.BATCH, "--out", str(events)])
+        assert rc == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert printed == events.read_text().splitlines()
+        kinds = [json.loads(line)["event"] for line in printed]
+        assert kinds == ["run", "apply", "run"]
+        assert main(["analyze", str(events)]) == 0
+        out = capsys.readouterr().out
+        assert "mutation stream" in out and "totals: 1 batches" in out
+
+    def test_mutate_without_batches_exits_2(self, capsys):
+        assert main(["mutate", "--graph", "road-ca-mini"]) == 2
+        assert "no batches" in capsys.readouterr().err
+
+
+class TestAnalyzeCli:
+    @pytest.mark.parametrize("backend", [[], ["--backend", "process",
+                                              "--workers", "2"]])
+    def test_lens_run_report_analyze(self, capsys, tmp_path, backend):
+        import json
+
+        trace = tmp_path / "run.trace.jsonl"
+        assert main(
+            ["run", "--graph", "road-ca-mini", "--algorithm", "pagerank",
+             "--engine", "lazy-block", "--machines", "8", "--lens",
+             "--trace-out", str(trace)] + backend
+        ) == 0
+        assert main(["report", str(trace), "--strict"]) == 0
+        analysis = tmp_path / "run.analysis.json"
+        assert main(["analyze", str(trace), "--json-out", str(analysis)]) == 0
+        captured = capsys.readouterr()
+        assert "critical-path analysis" in captured.out
+        assert "analysis JSON written" in captured.err
+        assert json.loads(analysis.read_text())
+
+    def test_analyze_json_prints_the_document(self, capsys, tmp_path):
+        import json
+
+        trace = tmp_path / "run.trace.jsonl"
+        main(["run", "--graph", "road-ca-mini", "--algorithm", "cc",
+              "--machines", "4", "--trace-out", str(trace)])
+        capsys.readouterr()
+        assert main(["analyze", str(trace), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)
+
+
+class TestFiguresCli:
+    def test_figures_rewrites_the_committed_files(self, tmp_path, monkeypatch):
+        """The committed document through ``repro figures`` reproduces
+        ``results/`` byte for byte (rendering + serialization glue)."""
+        import json
+        import os
+
+        import repro.bench.persistence as persistence
+
+        results = os.path.join(
+            os.path.dirname(__file__), os.pardir, os.pardir, "results"
+        )
+        with open(os.path.join(results, "results.json")) as fh:
+            committed = json.load(fh)
+        monkeypatch.setattr(
+            persistence, "collect_all_figures", lambda: committed
+        )
+        assert main(["figures", "--out", str(tmp_path)]) == 0
+        for name in ("results.json", "RESULTS.md"):
+            with open(os.path.join(results, name)) as fh:
+                assert (tmp_path / name).read_text() == fh.read(), name

@@ -32,7 +32,7 @@ class TestLoading:
         assert name == "smoke"
         assert len(configs) == 3
         assert configs[0].machines == 4  # default applied
-        assert configs[1].engine == "powergraph-sync"
+        assert configs[1].run.engine == "powergraph-sync"
         assert configs[2].resolved_params() == {"k": 3}
 
     def test_missing_file(self):
@@ -95,8 +95,9 @@ class TestPolicyFields:
             }],
         }
         _, configs = load_experiment_file(write(tmp_path, doc))
-        assert configs[0].policy == "staleness"
-        assert configs[0].policy_opts == {"mass_floor": 0.3}
+        policy = configs[0].run.policy
+        assert policy.controller == "staleness"
+        assert dict(policy.options) == {"mass_floor": 0.3}
         _, results = run_experiment_file(write(tmp_path, doc))
         assert results[0][1].stats.converged
 
@@ -109,11 +110,17 @@ class TestPolicyFields:
 
     def test_named_policy_drives_the_harness(self, tmp_path):
         from repro.bench.configs import ExperimentConfig
-        from repro.bench.harness import run_config
+        from repro.bench.harness import run_experiment
+        from repro.runtime.run_config import RunConfig
 
-        base = dict(graph="road-ca-mini", algorithm="pagerank",
-                    engine="lazy-vertex", machines=4)
-        paper = run_config(ExperimentConfig(**base))
-        batched = run_config(ExperimentConfig(policy="batched", **base))
+        base = dict(graph="road-ca-mini", algorithm="pagerank", machines=4)
+        paper = run_experiment(
+            ExperimentConfig(run=RunConfig(engine="lazy-vertex"), **base)
+        )
+        batched = run_experiment(
+            ExperimentConfig(
+                run=RunConfig(engine="lazy-vertex", policy="batched"), **base
+            )
+        )
         # the batched controller coalesces partial exchanges
         assert batched.stats.coherency_points < paper.stats.coherency_points

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bench.configs import ExperimentConfig
+from repro.bench.experiment_file import _build_config
 from repro.core.policy import CoherencyPolicy, get_policy
 from repro.errors import ConfigError
 from repro.obs.tracer import Tracer
@@ -71,12 +71,6 @@ class TestEngineKwargs:
         with pytest.raises(ConfigError, match="eagerly coherent"):
             RunConfig(policy="paper").engine_kwargs(EAGER)
 
-    def test_lenient_mode_drops_policy_on_eager_engines(self):
-        kwargs = RunConfig(policy="paper").engine_kwargs(
-            EAGER, strict_policy=False
-        )
-        assert "controller" not in kwargs
-
     def test_lens_gated_on_engine_options(self):
         assert RunConfig(lens=True).engine_kwargs(LAZY)["lens"] is True
         opts = {"sample_size": 8}
@@ -102,47 +96,38 @@ class TestRemovedKnobs:
 
 
 class TestExperimentConfigBridge:
+    """Flat experiment-file keys -> the RunConfig an experiment carries."""
+
+    @staticmethod
+    def _run_config(**entry) -> RunConfig:
+        entry = {"graph": "road-ca-mini", "algorithm": "cc", **entry}
+        return _build_config(entry, {}, 0).run
+
     def test_named_policy_resolves_with_opts(self):
-        exp = ExperimentConfig(
-            graph="road-ca-mini", algorithm="cc", policy="staleness",
-            policy_opts={"max_delta_age": 2},
+        rc = self._run_config(
+            policy="staleness", policy_opts={"max_delta_age": 2}
         )
-        rc = exp.to_run_config()
         assert isinstance(rc.policy, CoherencyPolicy)
+        assert rc.policy.controller == "staleness"
         assert rc.policy.max_delta_age == 2
 
     def test_policy_opts_alone_overlay_the_paper_policy(self):
-        rc = ExperimentConfig(
-            graph="road-ca-mini", algorithm="cc",
-            policy_opts={"interval": "simple", "mode": "a2a"},
-        ).to_run_config()
+        rc = self._run_config(policy_opts={"interval": "simple", "mode": "a2a"})
         assert isinstance(rc.policy, CoherencyPolicy)
         assert rc.policy.interval == "simple"
         assert rc.policy.mode == "a2a"
 
     def test_no_policy_means_engine_default(self):
-        rc = ExperimentConfig(
-            graph="road-ca-mini", algorithm="cc"
-        ).to_run_config()
+        rc = self._run_config()
         assert rc.policy is None
-
-    def test_serial_backend_maps_to_engine_default(self):
-        rc = ExperimentConfig(
-            graph="road-ca-mini", algorithm="cc"
-        ).to_run_config()
-        assert rc.backend is None
-        rc = ExperimentConfig(
-            graph="road-ca-mini", algorithm="cc", backend="process", workers=2
-        ).to_run_config()
-        assert rc.backend == "process" and rc.workers == 2
+        assert rc.backend is None and rc.workers is None
 
     def test_lens_opts_imply_lens_and_params_resolve(self):
-        exp = ExperimentConfig(
-            graph="road-ca-mini", algorithm="pagerank",
-            lens_opts={"sample_size": 4}, params={"tolerance": 1e-5},
+        exp = _build_config(
+            {"graph": "road-ca-mini", "algorithm": "pagerank",
+             "lens_opts": {"sample_size": 4}, "params": {"tolerance": 1e-5}},
+            {}, 0,
         )
-        rc = exp.to_run_config()
-        assert rc.lens is True
-        assert rc.lens_opts == {"sample_size": 4}
+        assert exp.run.engine_kwargs(LAZY)["lens"] == {"sample_size": 4}
         # figure defaults overlaid with explicit params
-        assert rc.params == {"tolerance": 1e-5}
+        assert exp.resolved_params() == {"tolerance": 1e-5}

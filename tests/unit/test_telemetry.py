@@ -179,7 +179,7 @@ class TestRenderers:
             "queue_depth": 1, "inflight": 2, "window_s": 60.0,
             "cache": {"entries": 4, "capacity": 128}, "hit_rate": 0.25,
             "counters": {"serve.queries": 8.0, "serve.runs": 6.0},
-            "latency": {"count": 8, "p50": 0.01, "p95": 0.02, "p99": 0.03},
+            "latency": {"count": 8.0, "p50": 0.01, "p95": 0.02, "p99": 0.03},
             "classes": {"_all": {"count": 8, "hit_rate": 0.25,
                                  "p50_ms": 10.0, "p95_ms": 20.0,
                                  "p99_ms": 30.0}},
@@ -191,6 +191,9 @@ class TestRenderers:
         assert "seq 3" in text and "queue 1" in text
         assert "not spawned (serial backend)" in text
         assert "p95 20.000 ms" in text
+        # counters are floats on the wire; integral ones print as integers
+        assert "queries 8  runs 6  batches 0  fused 0" in text
+        assert "n=8" in text and "n=8.0" not in text
 
     def test_format_top_pool_heartbeat(self):
         tick = {
@@ -211,7 +214,9 @@ class TestRenderers:
         sink.close()
         summary = summarize_telemetry(load_telemetry(str(path)))
         assert summary["queue_depth_max"] == 2
+        summary["counters"]["serve.queries"] = 1234567.0
         text = format_service_report(summary)
+        assert "1234567" in text  # not 1.23457e+06
         assert "service telemetry" in text
         assert "cache entries" in text
         assert "final sliding window" in text

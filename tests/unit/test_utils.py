@@ -72,21 +72,9 @@ class TestTimer:
             time.sleep(0.01)
         assert t.elapsed >= 0.005
 
-    def test_laps(self):
-        t = Timer()
-        t.start()
-        t.lap("first")
-        t.stop()
-        assert "first" in t.laps
-        assert t.laps["first"] <= t.elapsed + 1e-6
-
     def test_stop_before_start(self):
         with pytest.raises(RuntimeError):
             Timer().stop()
-
-    def test_lap_before_start(self):
-        with pytest.raises(RuntimeError):
-            Timer().lap("x")
 
 
 class TestValidation:
