@@ -21,6 +21,11 @@ on) without re-running the full symmetrization: only unordered pairs
 whose multiplicity crossed zero — or whose min-weight changed — turn
 into removed/added edge pairs; everything else keeps its edge id slot.
 
+:func:`compose_edge_delta` folds the diffs of consecutive patches into
+the net ``(removed, inserted)`` edge ids between the first and the last
+graph — what a warm start after several batches is planned from,
+without ever comparing two graphs.
+
 Removal semantics: ``remove_edge(u, v)`` removes *all* parallel copies
 of the directed edge ``u→v`` present before the batch; additions are
 appended after removals, so remove+add of the same pair in one batch is
@@ -30,14 +35,20 @@ appended after removals, so remove+add of the same pair in one batch is
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import GraphError
 from repro.graph.digraph import DiGraph
 
-__all__ = ["MutationBatch", "EdgeDiff", "apply_batch", "symmetrized_patch"]
+__all__ = [
+    "MutationBatch",
+    "EdgeDiff",
+    "compose_edge_delta",
+    "apply_batch",
+    "symmetrized_patch",
+]
 
 
 @dataclass(frozen=True)
@@ -90,6 +101,32 @@ class EdgeDiff:
             f"added={self.num_added}, vertices="
             f"{self.num_vertices_before}->{self.num_vertices_after})"
         )
+
+
+def compose_edge_delta(
+    num_edges: int, steps: Iterable[Tuple[np.ndarray, int]]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Net edge delta of consecutive patches: ``(removed, inserted)``.
+
+    ``steps`` holds, oldest first, each patch's
+    ``(EdgeDiff.removed_eids, EdgeDiff.num_added)`` — all a kept ++
+    added layout needs to be replayed — starting from a graph with
+    ``num_edges`` edges. Returns the ids *in that first graph* of the
+    edges the last graph no longer has, and the ids *in the last graph*
+    of the edges the first one did not have, both ascending. An edge
+    added and removed again inside the span appears in neither; an edge
+    removed and re-added appears in both (the new copy is a new edge).
+    """
+    origin = np.arange(num_edges, dtype=np.int64)  # -1: born in the span
+    for removed_eids, num_added in steps:
+        keep = np.ones(origin.size, dtype=bool)
+        keep[removed_eids] = False
+        origin = np.concatenate(
+            [origin[keep], np.full(num_added, -1, dtype=np.int64)]
+        )
+    gone = np.ones(num_edges, dtype=bool)
+    gone[origin[origin >= 0]] = False
+    return np.flatnonzero(gone), np.flatnonzero(origin < 0)
 
 
 class MutationBatch:
@@ -333,7 +370,11 @@ class MutationBatch:
                 )
             keys = pairs[:, 0] * np.int64(n) + pairs[:, 1]
             edge_keys = graph.src * np.int64(n) + graph.dst
-            present = np.isin(keys, edge_keys)
+            # scan the edge array for the few removal keys, then look
+            # the keys up among the hits: |E| equality passes per key
+            # instead of hashing |E| edge keys to find a handful
+            hits = edge_keys[np.isin(edge_keys, keys)]
+            present = np.isin(keys, hits)
             if not present.all():
                 missing = [
                     self._remove[i]

@@ -8,12 +8,15 @@ mutation — the :class:`~repro.graph.mutation.EdgeDiff` old↔new edge-id
 correspondence makes that a gather — and places only the added edges,
 greedily: a machine already hosting both endpoints beats one hosting
 either endpoint beats the globally least-loaded machine. The
-materialization step still runs :meth:`PartitionedGraph.build` (it is
-the single source of truth for replica sets, masters and local
-renumbering), but :class:`PatchStats` reports which machines came out
-*structurally identical* — same vertex list, same local edge endpoints —
-so callers (the session layer) can keep those machines' cached CSR
-plans instead of rebuilding them.
+materialization step runs the full :meth:`PartitionedGraph.build` — the
+single source of truth for replica sets, masters and local renumbering,
+and a handful of array passes, so rebuilding every machine costs less
+than working out which ones could be skipped (a kept ++ added edge
+layout renumbers ``eglobal`` on every machine anyway).
+:class:`PatchStats` reports which machines came out *structurally
+identical* — same vertex list, same local edge endpoints — which
+licenses the session to keep those machines' cached CSR *plans*; their
+``MachineGraph`` s are rebuilt regardless.
 
 Carried assignments drift: deletions never remove a replica's original
 justification for the partitioner, and greedy insertion is myopic, so

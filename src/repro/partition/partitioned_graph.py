@@ -21,6 +21,18 @@ as needed; its messages are local writes everywhere and are **not**
 folded into ``deltaMsg`` (no double counting at coherency points).
 Dispatch is a fixpoint: adding a replica of ``v`` can widen the required
 span of parallel edges *into* ``v``.
+
+Construction
+------------
+:meth:`PartitionedGraph.build` is the one constructor, used by cold
+set-up and by every mutation patch alike, so it works on whole arrays:
+the replica sets are a sorted table of ``vertex * P + machine`` keys
+(one ``np.unique`` over both endpoints of every one-edge edge, whose
+counts double as the master scores), masters and local indices come
+from segment reductions over that table, and the only per-vertex Python
+left is the home-machine hash of vertices no one-edge edge touches.
+``tests/unit/test_build_pins.py`` pins every output array, dtype
+included, to what the per-vertex bitmask loops it replaced produced.
 """
 
 from __future__ import annotations
@@ -38,6 +50,13 @@ from repro.utils.rng import derive_seed
 __all__ = ["MachineGraph", "PartitionedGraph"]
 
 _HOME_SEED = 0xC0FFEE  # hash seed for edge-less vertices' home machines
+
+
+def _offsets(counts: np.ndarray) -> np.ndarray:
+    """CSR offsets (``counts.size + 1``, int64) of back-to-back segments."""
+    out = np.zeros(counts.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=out[1:])
+    return out
 
 
 @dataclass
@@ -135,7 +154,7 @@ class PartitionedGraph:
         if num_machines < 1:
             raise PartitionError(f"num_machines must be >= 1, got {num_machines}")
         if num_machines > 1024:
-            raise PartitionError("num_machines > 1024 not supported (bitmask replicas)")
+            raise PartitionError("num_machines > 1024 not supported")
         assignment = validate_assignment(graph, assignment, num_machines)
         n = graph.num_vertices
 
@@ -147,132 +166,126 @@ class PartitionedGraph:
             par[pe] = True
         parallel_eids_arr = np.flatnonzero(par).astype(np.int64)
 
-        # ---- base replica bitmasks from one-edge placements ------------
-        masks = [0] * n
-        one = ~par
-        src_one, dst_one, asg_one = graph.src[one], graph.dst[one], assignment[one]
-        if src_one.size:
-            for endpoint in (src_one, dst_one):
-                key = np.unique(endpoint * np.int64(num_machines) + asg_one)
-                for k in key.tolist():
-                    masks[k // num_machines] |= 1 << (k % num_machines)
+        # ---- sorted (vertex, machine) pair table of one-edge placements --
+        # key = vertex * P + machine over both endpoints of every
+        # one-edge edge; the multiplicity of a pair is the vertex's
+        # incident-edge count on that machine (the master score)
+        P = np.int64(num_machines)
+        one_ids = np.flatnonzero(~par).astype(np.int64)
+        asg_one = assignment[one_ids]
+        pair_keys, pair_score = np.unique(
+            np.concatenate([graph.src[one_ids], graph.dst[one_ids]]) * P
+            + np.concatenate([asg_one, asg_one]),
+            return_counts=True,
+        )
 
         # ---- home machines for vertices untouched by one-edge edges ----
         # (edge-less vertices, or endpoints of only-parallel edges)
-        for v in range(n):
-            if masks[v] == 0:
-                home = derive_seed(_HOME_SEED, str(v)) % num_machines
-                masks[v] = 1 << home
+        hosted = np.zeros(n, dtype=bool)
+        hosted[pair_keys // P] = True
+        lonely = np.flatnonzero(~hosted)
+        home_keys = lonely * P + np.array(
+            [derive_seed(_HOME_SEED, str(v)) % num_machines
+             for v in lonely.tolist()],
+            dtype=np.int64,
+        )
 
         # ---- parallel-edges dispatch fixpoint ---------------------------
-        p_src = graph.src[parallel_eids_arr].tolist()
-        p_dst = graph.dst[parallel_eids_arr].tolist()
-        changed = True
-        iters = 0
-        while changed:
-            changed = False
-            iters += 1
-            if iters > num_machines + len(p_src) + 2:  # pragma: no cover
-                raise PartitionError("parallel-edge dispatch failed to converge")
-            for s, t in zip(p_src, p_dst):
-                need = masks[t] | (masks[s] if bidirectional else 0)
-                if masks[s] | need != masks[s]:
-                    masks[s] |= need
-                    changed = True
-                if bidirectional and masks[t] | masks[s] != masks[t]:
-                    masks[t] |= masks[s]
-                    changed = True
+        # the least fixpoint of "source absorbs the target's machines"
+        # (both ways when bidirectional), so evaluation order is free:
+        # run it over one bool row per endpoint of a parallel edge
+        num_par = parallel_eids_arr.size
+        ends, row = np.unique(
+            np.concatenate(
+                [graph.src[parallel_eids_arr], graph.dst[parallel_eids_arr]]
+            ),
+            return_inverse=True,
+        )
+        src_row, dst_row = row[:num_par], row[num_par:]
+        row_of = np.full(n, -1, dtype=np.int64)
+        row_of[ends] = np.arange(ends.size)
+        base_keys = np.concatenate([pair_keys, home_keys])
+        base_row = row_of[base_keys // P]
+        on_end = base_row >= 0
+        seeded = np.zeros((ends.size, num_machines), dtype=bool)
+        seeded[base_row[on_end], base_keys[on_end] % P] = True
+        # per parallel edge, row ``take`` absorbs row ``give``
+        take, give = src_row, dst_row
+        if bidirectional:
+            take, give = (
+                np.concatenate([src_row, dst_row]),
+                np.concatenate([dst_row, src_row]),
+            )
+        by_taker = np.argsort(take, kind="stable")
+        takers, first = np.unique(take[by_taker], return_index=True)
+        givers = give[by_taker]  # takers[i] absorbs givers[first[i]:first[i+1]]
+        spans = seeded.copy()
+        while True:
+            held = spans[takers]
+            grown = held | np.logical_or.reduceat(spans[givers], first, axis=0)
+            if np.array_equal(grown, held):
+                break
+            spans[takers] = grown
+        new_row, new_machine = np.nonzero(spans & ~seeded)
 
-        # ---- replica CSR -------------------------------------------------
-        counts = np.array([bin(m).count("1") for m in masks], dtype=np.int64)
-        rep_indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=rep_indptr[1:])
-        rep_machines = np.empty(int(counts.sum()), dtype=np.int32)
-        pos = 0
-        for v in range(n):
-            m = masks[v]
-            while m:
-                low = m & -m
-                rep_machines[pos] = low.bit_length() - 1
-                pos += 1
-                m ^= low
-        # bit iteration emits machines in ascending order already
+        # ---- the full replica table: one-edge + home + dispatched pairs --
+        extra = np.sort(
+            np.concatenate([home_keys, ends[new_row] * P + new_machine])
+        )
+        at = np.searchsorted(pair_keys, extra)
+        keys = np.insert(pair_keys, at, extra)
+        score = np.insert(pair_score, at, 0)
+        rep_vertex = keys // P
+        rep_machines = (keys % P).astype(np.int32)  # ascending per vertex
+        counts = np.bincount(rep_vertex, minlength=n).astype(np.int64)
+        rep_indptr = _offsets(counts)
 
         # ---- master selection: machine with most one-edge incident edges
-        # per (vertex, machine), counted over one-edge endpoints
-        score = {}
-        if src_one.size:
-            both = np.concatenate([src_one, dst_one]) * np.int64(
-                num_machines
-            ) + np.concatenate([asg_one, asg_one])
-            uniq, cnt = np.unique(both, return_counts=True)
-            score = dict(zip(uniq.tolist(), cnt.tolist()))
-        master_of = np.empty(n, dtype=np.int32)
-        for v in range(n):
-            cand = rep_machines[rep_indptr[v] : rep_indptr[v + 1]]
-            best, best_score = int(cand[0]), -1
-            for mm in cand.tolist():
-                s = score.get(v * num_machines + mm, 0)
-                if s > best_score:
-                    best, best_score = mm, s
-            master_of[v] = best
+        # (lowest machine id among ties; dispatched/home replicas score 0)
+        top = np.repeat(np.maximum.reduceat(score, rep_indptr[:-1]), counts)
+        slot = np.where(score == top, np.arange(keys.size), keys.size)
+        master_of = rep_machines[np.minimum.reduceat(slot, rep_indptr[:-1])]
 
         # ---- per-machine vertex lists and local indices ------------------
-        order = np.argsort(rep_machines, kind="stable")
-        vert_of_rep = np.repeat(np.arange(n, dtype=np.int64), counts)
-        by_machine_verts = vert_of_rep[order]
-        by_machine_m = rep_machines[order]
-        starts = np.searchsorted(by_machine_m, np.arange(num_machines + 1))
-        machine_vertices: List[np.ndarray] = []
-        for m in range(num_machines):
-            verts = np.sort(by_machine_verts[starts[m] : starts[m + 1]])
-            machine_vertices.append(verts)
-
-        rep_local_idx = np.empty_like(rep_machines, dtype=np.int64)
-        for m in range(num_machines):
-            verts = machine_vertices[m]
-            sel = rep_machines == m
-            rep_local_idx[sel] = np.searchsorted(verts, vert_of_rep[sel])
+        # a stable sort by machine keeps each machine's vertices ascending
+        # (machine ids fit int16, whose stable sort is NumPy's radix sort)
+        order = np.argsort(rep_machines.astype(np.int16), kind="stable")
+        by_machine_verts = rep_vertex[order]
+        starts = _offsets(np.bincount(rep_machines, minlength=num_machines))
+        rep_local_idx = np.empty(keys.size, dtype=np.int64)
+        rep_local_idx[order] = (
+            np.arange(keys.size) - starts[rep_machines[order]]
+        )
 
         # ---- per-machine edge lists --------------------------------------
         weights = graph.edge_weights()
         out_deg = graph.out_degrees()
         machines: List[MachineGraph] = []
-        # one-edge edges grouped by machine
-        one_ids = np.flatnonzero(one).astype(np.int64)
-        one_order = np.argsort(assignment[one_ids], kind="stable")
-        one_sorted = one_ids[one_order]
-        one_m = assignment[one_sorted]
-        one_starts = np.searchsorted(one_m, np.arange(num_machines + 1))
-        # parallel copies grouped by machine
-        par_copy_eid: List[List[int]] = [[] for _ in range(num_machines)]
-        for idx, (s, t) in enumerate(zip(p_src, p_dst)):
-            span = masks[t] | (masks[s] if bidirectional else 0)
-            mm = span
-            while mm:
-                low = mm & -mm
-                par_copy_eid[low.bit_length() - 1].append(
-                    int(parallel_eids_arr[idx])
-                )
-                mm ^= low
+        # one-edge edges grouped by machine, ascending edge id within
+        one_sorted = one_ids[
+            np.argsort(asg_one.astype(np.int16), kind="stable")
+        ]
+        one_starts = _offsets(np.bincount(asg_one, minlength=num_machines))
+        # a parallel edge is copied wherever its target has a replica
+        # (at the fixpoint the bidirectional span is the same row)
+        copy_on = spans[dst_row]
+        local_of = np.empty(n, dtype=np.int64)  # global -> local, per machine
 
         for m in range(num_machines):
-            verts = machine_vertices[m]
+            verts = by_machine_verts[starts[m] : starts[m + 1]]
+            local_of[verts] = np.arange(verts.size)
             e_one = one_sorted[one_starts[m] : one_starts[m + 1]]
-            e_par = np.asarray(par_copy_eid[m], dtype=np.int64)
+            e_par = parallel_eids_arr[copy_on[:, m]]
             eids = np.concatenate([e_one, e_par])
             eparallel = np.zeros(eids.size, dtype=bool)
             eparallel[e_one.size :] = True
-            gsrc, gdst = graph.src[eids], graph.dst[eids]
-            esrc = np.searchsorted(verts, gsrc)
-            edst = np.searchsorted(verts, gdst)
             machines.append(
                 MachineGraph(
                     machine_id=m,
                     vertices=verts,
                     is_master=master_of[verts] == m,
-                    esrc=esrc.astype(np.int64),
-                    edst=edst.astype(np.int64),
+                    esrc=local_of[graph.src[eids]],
+                    edst=local_of[graph.dst[eids]],
                     eweight=weights[eids],
                     eparallel=eparallel,
                     eglobal=eids,

@@ -19,6 +19,14 @@ The engine then runs completely unchanged — same kernels, same
 coherency machinery — and re-converges from a frontier proportional to
 the mutation, not the graph.
 
+*Which* edges changed is an input, not something this module works out:
+:func:`plan_warm_start` takes the removed old edge ids and the inserted
+new edge ids, which the session composes from the
+:class:`~repro.graph.mutation.EdgeDiff` every patch already returns
+(:func:`~repro.graph.mutation.compose_edge_delta`).
+:func:`graph_delta`, which rediscovers them by comparing the two graphs
+edge by edge in Python, is kept as the test oracle only.
+
 Two correction plans, chosen by the program's algebra:
 
 **Idempotent (MIN/MAX — bfs, sssp, cc, msbfs).** Deleting an edge can
@@ -117,6 +125,15 @@ def graph_delta(
     old_graph: DiGraph, new_graph: DiGraph
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Multiset edge difference: ``(removed old eids, inserted new eids)``.
+
+    The **test oracle** for the delta :func:`plan_warm_start` is handed:
+    it rediscovers, in Python per edge over both graphs, what the
+    session composes from its recorded
+    :class:`~repro.graph.mutation.EdgeDiff` s
+    (:func:`~repro.graph.mutation.compose_edge_delta`). Nothing under
+    ``src/`` calls it; unit tests splat its result into
+    :func:`plan_warm_start`, and the benchmark's tracer watches it stay
+    at zero calls.
 
     Edges are matched by ``(src, dst)`` — plus weight when either graph
     is weighted, so a weight change counts as remove+insert (the warm
@@ -411,15 +428,22 @@ def plan_warm_start(
     old_graph: DiGraph,
     new_graph: DiGraph,
     old_state: Dict[str, np.ndarray],
+    removed: np.ndarray,
+    inserted: np.ndarray,
 ) -> WarmStartProgram:
     """Build the warm-start adapter for re-running ``program`` after a
     mutation.
 
     ``old_state`` is the converged global state (from
     :func:`collect_state`) of a run of ``program`` on ``old_graph``;
-    ``new_graph`` is the mutated graph. Dispatches on the program's
-    algebra: idempotent → taint/reset/reseed, invertible → signed
-    retroactive corrections.
+    ``new_graph`` is the mutated graph. ``removed`` are the ids in
+    ``old_graph`` of the edges ``new_graph`` lost and ``inserted`` the
+    ids in ``new_graph`` of the edges it gained — the session composes
+    them from the edge diffs its patches recorded
+    (:func:`~repro.graph.mutation.compose_edge_delta`); a replaced edge
+    may appear on both sides. Dispatches on the program's algebra:
+    idempotent → taint/reset/reseed, invertible → signed retroactive
+    corrections.
     """
     if not getattr(program, "supports_warm_start", False):
         raise AlgorithmError(
@@ -431,7 +455,6 @@ def plan_warm_start(
             "warm start requires stable vertex ids (the vertex set can "
             "only grow)"
         )
-    removed, inserted = graph_delta(old_graph, new_graph)
     if program.algebra.idempotent:
         return _plan_idempotent(
             program, old_graph, new_graph, old_state, removed, inserted

@@ -39,10 +39,13 @@ prepared graph variant via the edge-diff layout
 (:func:`~repro.graph.mutation.apply_batch` /
 :func:`~repro.graph.mutation.symmetrized_patch`), the vertex-cut via
 :func:`~repro.partition.dynamic.patch_partition` (kept edges stay on
-their machines; added edges placed greedily; λ reported per variant,
-with an optional multiplicative ``repartition_threshold`` valve), and
-the per-machine CSR plans only for the machines whose local graph
-actually changed. After a mutation, ``session.run(...,
+their machines; added edges placed greedily; the replica tables come
+from one vectorised :meth:`PartitionedGraph.build`; λ reported per
+variant, with an optional multiplicative ``repartition_threshold``
+valve), and the per-machine CSR plans only for the machines whose local
+graph actually changed. Every variant is validated and patched into
+locals first and committed together, so a batch that fails anywhere
+leaves the session as it was. After a mutation, ``session.run(...,
 incremental=True)`` warm-starts delta programs that opt in
 (``supports_warm_start``) from the previous fixpoint — reseeding the
 tainted/fresh slice and injecting boundary corrections via
@@ -50,6 +53,18 @@ tainted/fresh slice and injecting boundary corrections via
 as a cold run in a fraction of the supersteps
 (``tests/integration/test_dynamic_equivalence.py`` pins the matrix; the
 ``dynamic_stream`` workload of ``BENCHMARK.json`` prices it).
+
+The bookkeeping around a mutation follows the batch, not the graph:
+each patch already returns an exact
+:class:`~repro.graph.mutation.EdgeDiff`, so the session logs its
+O(batch) part per variant (``removed_eids`` and the number of added
+edges; the kept ids are the complement) and a warm start composes the
+entries since its fixpoint's ``graph_version`` into the
+``(removed, inserted)`` edge ids the planner needs
+(:func:`~repro.graph.mutation.compose_edge_delta`) — the two graphs are
+never compared. Fixpoint records are a small LRU (``_MAX_FIXPOINTS``):
+a serving session sees a new program parameterisation per query source
+and never runs incrementally, so an unbounded store would only grow.
 """
 
 from __future__ import annotations
@@ -63,7 +78,13 @@ from repro.api.vertex_program import DeltaProgram
 from repro.core.transmission import build_lazy_graph
 from repro.errors import ConfigError
 from repro.graph.digraph import DiGraph
-from repro.graph.mutation import MutationBatch, apply_batch, symmetrized_patch
+from repro.graph.mutation import (
+    EdgeDiff,
+    MutationBatch,
+    apply_batch,
+    compose_edge_delta,
+    symmetrized_patch,
+)
 from repro.obs.sinks import TRACE_FORMATS, export_trace
 from repro.obs.tracer import Tracer
 from repro.partition.dynamic import (
@@ -87,6 +108,11 @@ from repro.utils.rng import derive_seed, make_rng
 __all__ = ["GraphSession", "ApplyResult"]
 
 GraphKey = Tuple[bool, bool]  # (requires_symmetric, needs_weights)
+
+#: fixpoint records a session keeps (least recently run evicted first);
+#: an evicted program's next incremental run is the documented cold
+#: fallback
+_MAX_FIXPOINTS = 16
 
 
 def _key_name(key: GraphKey) -> str:
@@ -141,6 +167,22 @@ class ApplyResult:
                 name: stats.to_dict() for name, stats in self.patches.items()
             },
         }
+
+
+@dataclass
+class _StagedPatch:
+    """One variant's patched artifacts, held until every variant has
+    patched cleanly (``apply`` commits all of them or none)."""
+
+    base: DiGraph
+    graph: DiGraph
+    base_diff: EdgeDiff
+    graph_diff: EdgeDiff
+    pgraph: Optional[PartitionedGraph] = None
+    stats: Optional[PatchStats] = None
+    plans: Dict[Tuple[GraphKey, str], List[Any]] = field(default_factory=dict)
+    #: set when the repartition valve fired (a fresh partitioning event)
+    baseline_lambda: Optional[float] = None
 
 
 class GraphSession:
@@ -203,8 +245,13 @@ class GraphSession:
         #: every batch applied, in order — replayed when a variant is
         #: first prepared after mutations
         self._mutation_log: List[MutationBatch] = []
+        #: per variant, one ``(graph_version, removed_eids, num_added)``
+        #: per applied batch — O(batch) each — from which a warm start
+        #: composes the prepared graph's edge delta since its fixpoint
+        self._deltas: Dict[GraphKey, List[Tuple[int, np.ndarray, int]]] = {}
         #: program fingerprint -> {graph_version, graph, state}: the
-        #: converged fixpoint warm starts re-run from
+        #: converged fixpoint warm starts re-run from; insertion order is
+        #: recency, capped at ``_MAX_FIXPOINTS``
         self._fixpoints: Dict[Any, Dict[str, Any]] = {}
         self._pool = None  # lazy WorkerPool, created on first process run
         self._closed = False
@@ -312,11 +359,15 @@ class GraphSession:
         return self._plans[pkey]
 
     # ------------------------------------------------------------------
-    def _patch_variant(
+    def _stage_variant(
         self, key: GraphKey, batch: MutationBatch, next_version: int
-    ) -> Tuple[Any, Optional[PatchStats]]:
-        """Patch one cached graph variant in place; returns (base diff,
-        partition patch stats)."""
+    ) -> _StagedPatch:
+        """Patch one cached graph variant into a :class:`_StagedPatch`.
+
+        Reads the session, writes nothing: :meth:`apply` commits the
+        staged variants together. ``apply_batch`` validates the batch
+        against this variant's base — the one validation it gets.
+        """
         from repro.kernels import CSRPlan
 
         sym, _weighted = key
@@ -365,7 +416,7 @@ class GraphSession:
             new_prep = new_base
             pdiff = bdiff
 
-        pstats: Optional[PatchStats] = None
+        staged = _StagedPatch(new_base, new_prep, bdiff, pdiff)
         if key in self._pgraphs:
             new_pg, pstats = patch_partition(
                 self._pgraphs[key], new_prep, pdiff
@@ -379,7 +430,7 @@ class GraphSession:
                 pstats.lambda_after = float(new_pg.replication_factor)
                 # a refinement pass is a fresh partitioning event: the
                 # valve measures drift from it, not from session open
-                self._baseline_lambda[key] = float(new_pg.replication_factor)
+                staged.baseline_lambda = float(new_pg.replication_factor)
                 unchanged = frozenset()
             else:
                 unchanged = frozenset(pstats.machines_unchanged)
@@ -400,11 +451,10 @@ class GraphSession:
                             CSRPlan(mg.esrc, mg.num_local_vertices,
                                     dst=mg.edst)
                         )
-                self._plans[pkey] = new_plans
-            self._pgraphs[key] = new_pg
-        self._bases[key] = new_base
-        self._graphs[key] = new_prep
-        return bdiff, pstats
+                staged.plans[pkey] = new_plans
+            staged.pgraph = new_pg
+            staged.stats = pstats
+        return staged
 
     def apply(self, batch: MutationBatch) -> ApplyResult:
         """Apply one mutation batch to the resident graph.
@@ -415,9 +465,9 @@ class GraphSession:
         carries every surviving edge's assignment and only places the
         new edges, and per-machine CSR plans are rebuilt only for
         machines whose local graph actually changed. Fixpoint records
-        from earlier runs survive, which is what makes a subsequent
-        ``run(..., incremental=True)`` a warm start rather than a cold
-        one.
+        from earlier runs survive, and each variant's edge diff is
+        logged, which is what makes a subsequent ``run(...,
+        incremental=True)`` a warm start rather than a cold one.
 
         When :attr:`repartition_threshold` is set and a variant's λ
         drifted past ``baseline × threshold``, the worst-replicated
@@ -427,7 +477,9 @@ class GraphSession:
         with an edge ``split`` (parallel-edge dispatch is global — it
         cannot be patched locally) and
         :class:`~repro.errors.GraphError` when the batch does not fit
-        the graph; on error the session is unchanged.
+        the graph. Every variant is validated and patched before any is
+        committed: on error — from validation or from a patch — the
+        session is unchanged.
         """
         self._check_open()
         if not isinstance(batch, MutationBatch):
@@ -440,28 +492,37 @@ class GraphSession:
                 "split= (parallel-edges dispatch is global); open the "
                 "session without an edge split"
             )
-        # validate against every cached base before touching anything,
-        # so a bad batch cannot leave variants half-patched
-        for key in sorted(self._graphs):
-            base = self._bases[key]
-            vbatch = (
-                batch if base.weights is not None else batch.without_weights()
-            )
-            vbatch.validate(base)
-
+        # validate and patch every cached variant into locals before
+        # touching anything, so neither a bad batch nor a failing patch
+        # can leave variants at different versions
         next_version = self.graph_version + 1
+        staged = {
+            key: self._stage_variant(key, batch, next_version)
+            for key in sorted(self._graphs)
+        }
+
         patches: Dict[str, PatchStats] = {}
         edges_added = batch.num_added_edges
         edges_removed = 0
         # sorted keys put directed variants first: the reported
         # structural counts come from a directed base when one is cached
-        for i, key in enumerate(sorted(self._graphs)):
-            bdiff, pstats = self._patch_variant(key, batch, next_version)
+        for i, (key, patch) in enumerate(staged.items()):
             if i == 0:
-                edges_added = bdiff.num_added
-                edges_removed = bdiff.num_removed
-            if pstats is not None:
-                patches[_key_name(key)] = pstats
+                edges_added = patch.base_diff.num_added
+                edges_removed = patch.base_diff.num_removed
+            self._bases[key] = patch.base
+            self._graphs[key] = patch.graph
+            self._deltas.setdefault(key, []).append((
+                next_version,
+                patch.graph_diff.removed_eids,
+                patch.graph_diff.num_added,
+            ))
+            if patch.pgraph is not None:
+                self._pgraphs[key] = patch.pgraph
+                self._plans.update(patch.plans)
+                patches[_key_name(key)] = patch.stats
+            if patch.baseline_lambda is not None:
+                self._baseline_lambda[key] = patch.baseline_lambda
 
         self._mutation_log.append(batch)
         self.graph_version = next_version
@@ -592,7 +653,7 @@ class GraphSession:
             if record is not None:
                 warm = plan_warm_start(
                     program, record["graph"], self._graphs[key],
-                    record["state"],
+                    record["state"], *self._edge_delta_since(key, record),
                 )
 
         tracer = config.tracer
@@ -609,11 +670,14 @@ class GraphSession:
                           **kwargs)
         result = engine.run()
         if fingerprint is not None:
+            self._fixpoints.pop(fingerprint, None)  # re-insert as newest
             self._fixpoints[fingerprint] = {
                 "graph_version": self.graph_version,
                 "graph": self._graphs[key],
                 "state": collect_state(pgraph, engine.runtimes),
             }
+            if len(self._fixpoints) > _MAX_FIXPOINTS:
+                del self._fixpoints[next(iter(self._fixpoints))]
         if config.incremental:
             # annotated only on incremental requests so non-incremental
             # runs stay bit-identical to repro.run (stats included)
@@ -629,6 +693,20 @@ class GraphSession:
         self.runs_completed += 1
         self.last_result = result
         return result
+
+    def _edge_delta_since(
+        self, key: GraphKey, record: Dict[str, Any]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(removed, inserted)`` edge ids between a fixpoint record's
+        graph and the variant's current one, from the logged patches."""
+        return compose_edge_delta(
+            record["graph"].num_edges,
+            [
+                (removed_eids, num_added)
+                for version, removed_eids, num_added in self._deltas.get(key, ())
+                if version > record["graph_version"]
+            ],
+        )
 
     def _fingerprint(self, program, key: GraphKey) -> Any:
         """Hashable identity of a program's parameterization.
@@ -675,6 +753,7 @@ class GraphSession:
         self._pgraphs.clear()
         self._plans.clear()
         self._baseline_lambda.clear()
+        self._deltas.clear()
         self._fixpoints.clear()
         self.last_result = None
         self.last_apply = None

@@ -60,3 +60,93 @@ def test_parallel_edge_dispatch_invariants(graph, machines, n_parallel, seed):
     for e in parallel:
         s, t = int(graph.src[e]), int(graph.dst[e])
         assert set(pg.replicas_of(t)) <= set(pg.replicas_of(s))
+
+
+def _reference_build(graph, assignment, machines, parallel, bidirectional):
+    """``PartitionedGraph.build``'s rules spelled out per vertex and per
+    edge with Python sets — the loop the pair-table version replaced.
+
+    Returns ``(hosts per vertex, master per vertex, edge ids per
+    machine)``.
+    """
+    from collections import Counter
+
+    from repro.partition.partitioned_graph import _HOME_SEED
+    from repro.utils.rng import derive_seed
+
+    parallel = sorted(int(e) for e in parallel)
+    edges = list(zip(graph.src.tolist(), graph.dst.tolist()))
+    hosts = [set() for _ in range(graph.num_vertices)]
+    score = Counter()
+    for e, (s, t) in enumerate(edges):
+        if e not in parallel:
+            m = int(assignment[e])
+            hosts[s].add(m)
+            hosts[t].add(m)
+            score[s, m] += 1
+            score[t, m] += 1
+    for v, on in enumerate(hosts):
+        if not on:
+            on.add(derive_seed(_HOME_SEED, str(v)) % machines)
+    changed = True
+    while changed:  # dispatch fixpoint, Gauss-Seidel in edge-id order
+        changed = False
+        for e in parallel:
+            s, t = edges[e]
+            if not hosts[t] <= hosts[s]:
+                hosts[s] |= hosts[t]
+                changed = True
+            if bidirectional and not hosts[s] <= hosts[t]:
+                hosts[t] |= hosts[s]
+                changed = True
+    # most one-edge incident edges; max() keeps the first (lowest) of ties
+    master = [
+        max(sorted(on), key=lambda m, v=v: score[v, m])
+        for v, on in enumerate(hosts)
+    ]
+    machine_eids = [
+        [e for e in range(len(edges))
+         if e not in parallel and assignment[e] == m]
+        + [e for e in parallel if m in hosts[edges[e][1]]]
+        for m in range(machines)
+    ]
+    return hosts, master, machine_eids
+
+
+@given(
+    graph=random_graph(max_vertices=14, max_edges=40),
+    machines=st.integers(1, 5),
+    n_parallel=st.integers(0, 25),
+    bidirectional=st.booleans(),
+    seed=st.integers(0, 50),
+)
+@settings(max_examples=120, deadline=None)
+def test_build_matches_the_per_vertex_reference(
+    graph, machines, n_parallel, bidirectional, seed
+):
+    assignment = partition_graph(graph, machines, "random", seed=seed)
+    rng = np.random.default_rng(seed)
+    parallel = rng.choice(
+        graph.num_edges, size=min(n_parallel, graph.num_edges), replace=False
+    )
+    pg = PartitionedGraph.build(
+        graph, assignment, machines,
+        parallel_eids=parallel, bidirectional=bidirectional,
+    )
+    pg.validate()
+    hosts, master, machine_eids = _reference_build(
+        graph, assignment, machines, parallel, bidirectional
+    )
+    assert [pg.replicas_of(v).tolist() for v in range(graph.num_vertices)] \
+        == [sorted(on) for on in hosts]
+    assert pg.num_replicas.tolist() == [len(on) for on in hosts]
+    assert pg.master_of.tolist() == master
+    for m, mg in enumerate(pg.machines):
+        assert mg.vertices.tolist() == [
+            v for v, on in enumerate(hosts) if m in on
+        ]
+        assert mg.eglobal.tolist() == machine_eids[m]
+        assert mg.is_master.tolist() == [master[v] == m for v in mg.vertices]
+        assert mg.eparallel.tolist() == [
+            e in set(parallel.tolist()) for e in mg.eglobal.tolist()
+        ]

@@ -121,6 +121,24 @@ class TestValidation:
         with pytest.raises(GraphError):
             MutationBatch().add_edge(0, 3, weight=2.0).validate(graph)
 
+    def test_missing_removals_named_first_five_in_batch_order(self, graph):
+        absent = [(5, 0), (3, 0), (2, 1), (1, 0), (5, 4), (4, 3), (3, 2)]
+        batch = MutationBatch().remove_edge(0, 1)  # present
+        for i, pair in enumerate(absent):
+            batch.remove_edge(*pair)
+            if i == 2:
+                batch.remove_edge(4, 0)  # present, between the absent ones
+        with pytest.raises(GraphError) as err:
+            batch.validate(graph)
+        assert str(err.value) == (
+            "remove_edge targets not present in the graph: "
+            f"{absent[:5]}"
+        )
+
+    def test_removal_present_only_as_parallel_copies(self):
+        g = DiGraph(3, np.array([0, 0, 1]), np.array([1, 1, 2]))
+        MutationBatch().remove_edge(0, 1).remove_edge(0, 1).validate(g)
+
 
 class TestApplyBatch:
     def test_layout_is_kept_then_added(self, graph):

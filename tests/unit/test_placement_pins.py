@@ -1,10 +1,12 @@
 """Exact-placement pins for the greedy vertex-cut partitioners.
 
 The other partitioner tests check determinism, range and balance; none
-fixes *which* machine an edge lands on. Golden numbers, every
-``BENCH_*`` hash and the benchmark's modeled metrics all sit downstream
-of the placement, so any rewrite of the greedy loop must keep these
-SHA-256 digests of the ``int32`` assignment array byte for byte.
+fixes *which* machine an edge lands on. Golden numbers, the committed
+``results/`` figures and the benchmark's modeled metrics all sit
+downstream of the placement, so any rewrite of the greedy loop must keep
+these SHA-256 digests of the ``int32`` assignment array byte for byte.
+(``test_build_pins.py`` does the same for what
+``PartitionedGraph.build`` derives from a placement.)
 """
 
 import hashlib

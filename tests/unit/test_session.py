@@ -1,10 +1,13 @@
-"""GraphSession lifecycle: caching, validation, reset, close."""
+"""GraphSession lifecycle: caching, validation, reset, close — and the
+mutation path's bookkeeping (bounded fixpoints, delta log, atomic apply)."""
 
 import numpy as np
 import pytest
 
 import repro
+import repro.session as session_module
 from repro.errors import ConfigError
+from repro.graph.mutation import MutationBatch
 from repro.runtime.run_config import RunConfig
 from repro.session import GraphSession
 
@@ -120,3 +123,200 @@ class TestArtifactCaching:
         assert not session._graphs and not session._pgraphs
         assert not session._plans
         assert session.last_result is None
+
+
+def _fresh_batch(graph):
+    """Two removals + two insertions of pairs the graph does not have."""
+    present = set(zip(graph.src.tolist(), graph.dst.tolist()))
+    fresh = [
+        (u, v) for u in range(3, 40) for v in (u + 50, u + 90)
+        if (u, v) not in present and (v, u) not in present
+    ][:2]
+    return (
+        MutationBatch()
+        .remove_edge(int(graph.src[5]), int(graph.dst[5]))
+        .remove_edge(int(graph.src[300]), int(graph.dst[300]))
+        .add_edges(fresh)
+    )
+
+
+class TestFixpointStoreIsBounded:
+    def test_distinct_sources_evict_least_recently_run(self, session, er_graph):
+        cap = session_module._MAX_FIXPOINTS
+        for source in range(cap + 3):
+            session.run("bfs", source=source)
+        assert len(session._fixpoints) <= cap
+        assert session.artifact_stats()["fixpoints"] <= cap
+
+        session.apply(_fresh_batch(er_graph))
+        # source 0 was evicted: the documented cold fallback
+        evicted = session.run("bfs", source=0, incremental=True)
+        assert evicted.stats.extra["warm_start"] == 0
+        cold = session.run("bfs", source=0)
+        np.testing.assert_array_equal(evicted.values, cold.values)
+        # the most recently run source still warm-starts
+        kept = session.run("bfs", source=cap + 2, incremental=True)
+        assert kept.stats.extra["warm_start"] == 1
+        assert len(session._fixpoints) <= cap
+
+    def test_rerun_refreshes_recency(self, session):
+        cap = session_module._MAX_FIXPOINTS
+        session.run("bfs", source=0)
+        for source in range(1, cap):
+            session.run("bfs", source=source)
+        session.run("bfs", source=0)  # now the newest record
+        session.run("bfs", source=cap)  # evicts source 1, not source 0
+        session.apply(MutationBatch().add_edge(1, 7))
+        again = session.run("bfs", source=0, incremental=True)
+        assert again.stats.extra["warm_start"] == 1
+
+
+class TestWarmStartDeltaComesFromTheDiffs:
+    def test_incremental_run_never_calls_the_oracle(
+        self, session, er_graph, monkeypatch
+    ):
+        """Tier-1 form of the benchmark's ``runtime.warm_graph_delta_s``
+        == 0: planning takes the delta the patches recorded."""
+        from repro.runtime import warm_start
+
+        def boom(*_args, **_kwargs):
+            raise AssertionError("graph_delta is a test oracle")
+
+        session.run("bfs", source=0)
+        session.run("pagerank", tolerance=1e-4)
+        session.apply(_fresh_batch(er_graph))
+        monkeypatch.setattr(warm_start, "graph_delta", boom)
+        for alg, params in (
+            ("bfs", {"source": 0}), ("pagerank", {"tolerance": 1e-4}),
+        ):
+            inc = session.run(alg, incremental=True, **params)
+            assert inc.stats.extra["warm_start"] == 1
+
+    def test_threaded_delta_is_the_oracles_delta(
+        self, session, er_graph, monkeypatch
+    ):
+        """Across variants (directed, symmetric, synthetic weights) and
+        spans of one to three graph versions."""
+        from repro.runtime.warm_start import graph_delta
+
+        seen = []
+        real_plan = session_module.plan_warm_start
+
+        def checked(program, old, new, state, removed, inserted):
+            want_removed, want_inserted = graph_delta(old, new)
+            np.testing.assert_array_equal(removed, want_removed)
+            np.testing.assert_array_equal(inserted, want_inserted)
+            seen.append((program.name, removed.size, inserted.size))
+            return real_plan(program, old, new, state, removed, inserted)
+
+        monkeypatch.setattr(session_module, "plan_warm_start", checked)
+        runs = {
+            "bfs": {"source": 0}, "cc": {}, "sssp": {"source": 0},
+        }
+        for alg, params in runs.items():
+            session.run(alg, **params)
+        present = set(zip(er_graph.src.tolist(), er_graph.dst.tolist()))
+        fresh = iter(
+            (u, v) for u in range(60, 120) for v in range(u + 1, u + 9)
+            if (u, v) not in present and (v, u) not in present
+        )
+        # each program skips some versions, so plans span 1-3 of them
+        schedule = [("bfs",), ("bfs", "cc"), ("bfs", "cc", "sssp")]
+        for step, algs in enumerate(schedule):
+            e = 10 + 40 * step
+            session.apply(
+                MutationBatch()
+                .remove_edge(int(er_graph.src[e]), int(er_graph.dst[e]))
+                .add_edges([next(fresh), next(fresh)])
+            )
+            for alg in algs:
+                inc = session.run(alg, incremental=True, **runs[alg])
+                assert inc.stats.extra["warm_start"] == 1
+                cold = session.run(alg, **runs[alg])
+                np.testing.assert_array_equal(inc.values, cold.values)
+        assert [name for name, _, _ in seen] == [
+            "bfs", "bfs", "cc", "bfs", "cc", "sssp",
+        ]
+        assert all(gone and born for _, gone, born in seen)
+
+
+class TestApplyIsAtomic:
+    def test_failing_patch_leaves_the_session_unchanged(
+        self, session, er_graph, monkeypatch
+    ):
+        session.run("bfs", source=0)   # directed variant
+        session.run("cc")              # symmetric variant
+        session.apply(MutationBatch().add_edge(1, 7))  # a delta-log entry
+        assert len(session._graphs) == 2 and len(session._pgraphs) == 2
+
+        def snapshot():
+            return {
+                "version": session.graph_version,
+                "bases": {k: id(v) for k, v in session._bases.items()},
+                "graphs": {k: id(v) for k, v in session._graphs.items()},
+                "pgraphs": {k: id(v) for k, v in session._pgraphs.items()},
+                "plans": {k: id(v) for k, v in session._plans.items()},
+                "deltas": {k: len(v) for k, v in session._deltas.items()},
+                "lambda": dict(session._baseline_lambda),
+                "log": len(session._mutation_log),
+                "fixpoints": list(session._fixpoints),
+                "last_apply": session.last_apply,
+            }
+
+        before = snapshot()
+        real_patch = session_module.patch_partition
+        calls = []
+
+        def second_variant_fails(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise RuntimeError("patch failed")
+            return real_patch(*args, **kwargs)
+
+        batch = _fresh_batch(er_graph)
+        monkeypatch.setattr(
+            session_module, "patch_partition", second_variant_fails
+        )
+        with pytest.raises(RuntimeError, match="patch failed"):
+            session.apply(batch)
+        assert len(calls) == 2  # the first variant had already patched
+        assert snapshot() == before
+
+        monkeypatch.setattr(session_module, "patch_partition", real_patch)
+        applied = session.apply(batch)
+        assert applied.graph_version == before["version"] + 1
+        assert set(applied.patches) == {"directed", "symmetric"}
+        for alg, params in (("bfs", {"source": 0}), ("cc", {})):
+            inc = session.run(alg, incremental=True, **params)
+            assert inc.stats.extra["warm_start"] == 1
+            cold = session.run(alg, **params)
+            np.testing.assert_array_equal(inc.values, cold.values)
+
+    def test_validation_runs_once_per_cached_variant(
+        self, session, er_graph, monkeypatch
+    ):
+        session.run("bfs", source=0)
+        session.run("cc")
+        validated = []
+        real_validate = MutationBatch.validate
+
+        def counting(self, graph):
+            validated.append(graph)
+            return real_validate(self, graph)
+
+        monkeypatch.setattr(MutationBatch, "validate", counting)
+        session.apply(_fresh_batch(er_graph))
+        assert len(validated) == len(session._graphs) == 2
+
+    def test_bad_batch_changes_nothing(self, session, er_graph):
+        from repro.errors import GraphError
+
+        session.run("bfs", source=0)
+        session.run("cc")
+        graphs = {k: id(v) for k, v in session._graphs.items()}
+        absent = MutationBatch().add_edge(0, 1).remove_edge(0, 0)
+        with pytest.raises(GraphError, match="not present"):
+            session.apply(absent)
+        assert session.graph_version == 0
+        assert {k: id(v) for k, v in session._graphs.items()} == graphs
+        assert not session._mutation_log and not session._deltas

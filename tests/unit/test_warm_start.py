@@ -75,14 +75,19 @@ class TestPlanGating:
         g = erdos_renyi_graph(20, 60, seed=0)
         program = make_program("kcore")  # supports_warm_start=False
         with pytest.raises(AlgorithmError, match="supports_warm_start"):
-            plan_warm_start(program, g, g, {"vdata": np.zeros(20)})
+            plan_warm_start(
+                program, g, g, {"vdata": np.zeros(20)}, *graph_delta(g, g)
+            )
 
     def test_vertex_set_can_only_grow(self):
         big = erdos_renyi_graph(20, 60, seed=0)
         small = erdos_renyi_graph(10, 30, seed=0)
         program = make_program("bfs", source=0)
         with pytest.raises(AlgorithmError, match="vertex ids"):
-            plan_warm_start(program, big, small, {"vdata": np.zeros(20)})
+            plan_warm_start(
+                program, big, small, {"vdata": np.zeros(20)},
+                *graph_delta(big, small),
+            )
 
 
 class TestIdempotentPlan:
@@ -93,7 +98,9 @@ class TestIdempotentPlan:
         import repro
 
         F = repro.run(g, "bfs", machines=2, seed=0, source=0).values
-        warm = plan_warm_start(program, g, g, {"vdata": F})
+        warm = plan_warm_start(
+            program, g, g, {"vdata": F}, *graph_delta(g, g)
+        )
         assert warm.num_reseeded == 0
         assert warm.num_injections == 0
 
@@ -103,7 +110,9 @@ class TestIdempotentPlan:
         new = toy([0], [1], n=3)
         program = make_program("bfs", source=0)
         F = np.array([0.0, 1.0, 2.0])
-        warm = plan_warm_start(program, old, new, {"vdata": F})
+        warm = plan_warm_start(
+            program, old, new, {"vdata": F}, *graph_delta(old, new)
+        )
         mg = global_machine_graph(new)
         state = warm.make_state(mg)
         assert state["vdata"][2] == np.inf  # reseeded to cold init
@@ -114,7 +123,9 @@ class TestIdempotentPlan:
         new = toy([0, 1], [1, 2], n=3)
         program = make_program("bfs", source=0)
         F = np.array([0.0, 1.0, np.inf])
-        warm = plan_warm_start(program, old, new, {"vdata": F})
+        warm = plan_warm_start(
+            program, old, new, {"vdata": F}, *graph_delta(old, new)
+        )
         mg = global_machine_graph(new)
         inj = warm.initial_messages(mg, warm.make_state(mg))
         assert inj is not None
@@ -144,7 +155,9 @@ class TestInvertiblePlan:
         new = DiGraph(
             g.num_vertices, g.src[:-batch_removed], g.dst[:-batch_removed]
         )
-        warm = plan_warm_start(program, g, new, state)
+        warm = plan_warm_start(
+            program, g, new, state, *graph_delta(g, new)
+        )
         # every target of a removed edge (and of retained out-edges of
         # the out-degree-changed sources) may get a correction; nothing
         # else does
@@ -165,7 +178,9 @@ class TestWarmStartProgramAdapter:
         import repro
 
         F = repro.run(g, "bfs", machines=2, seed=0, source=0).values
-        return plan_warm_start(program, g, g, {"vdata": F}), g
+        return plan_warm_start(
+            program, g, g, {"vdata": F}, *graph_delta(g, g)
+        ), g
 
     def test_mirrors_base_facts(self):
         warm, _ = self._warm()
