@@ -141,6 +141,15 @@ class DeltaProgram(abc.ABC):
     operations over one machine's local arrays; the engines drive them
     identically whether coherency is eager or lazy.
 
+    The ``mg`` a hook receives may be a *block*: several consecutive
+    machines' local graphs laid back to back
+    (:attr:`~repro.partition.partitioned_graph.PartitionedGraph.blocks`).
+    Hooks must therefore treat local slots (and local edges)
+    independently of one another — elementwise over ``idx`` /
+    ``mg.vertices`` / the edge arrays, no reduction across slots — and
+    must not rely on ``mg.vertices`` being sorted or free of repeats (a
+    vertex replicated on two machines of a block has two slots).
+
     Class attributes
     ----------------
     name:

@@ -1,4 +1,4 @@
-"""One simulated machine: local state, a mailbox, a busy-time meter."""
+"""One simulated machine: local state and a mailbox."""
 
 from __future__ import annotations
 
@@ -16,13 +16,12 @@ class Machine:
     :attr:`mailbox` and accounts the traffic.
     """
 
-    __slots__ = ("machine_id", "state", "mailbox", "busy_s")
+    __slots__ = ("machine_id", "state", "mailbox")
 
     def __init__(self, machine_id: int) -> None:
         self.machine_id = machine_id
         self.state: Dict[str, Any] = {}
         self.mailbox: List[Tuple[int, Any]] = []  # (sender, payload)
-        self.busy_s: float = 0.0  # modeled compute since last barrier
 
     def drain_mailbox(self) -> List[Tuple[int, Any]]:
         """Return and clear all pending (sender, payload) messages."""

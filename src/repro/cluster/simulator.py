@@ -7,7 +7,8 @@ measurement honest:
 * all inter-machine data moves via :meth:`send` / bulk-exchange helpers,
   which count bytes and messages into :class:`RunStats` — local
   (same-machine) delivery is free, exactly like the paper's local writes;
-* modeled compute is charged per machine via :meth:`add_compute` and
+* modeled compute is charged per machine via :meth:`add_compute` (one
+  machine) or :meth:`add_compute_all` (every machine, array-wise) and
   folded into cluster time as the *maximum* across machines at each
   :meth:`barrier` (BSP semantics);
 * each :meth:`barrier` counts one global synchronization.
@@ -46,6 +47,8 @@ class ClusterSim:
         self.network = network or NetworkModel()
         self.stats = stats or RunStats()
         self.machines: List[Machine] = [Machine(m) for m in range(num_machines)]
+        #: modeled compute per machine since the last fold
+        self.busy_s = np.zeros(num_machines, dtype=np.float64)
 
     # ------------------------------------------------------------------
     # Compute accounting
@@ -54,11 +57,26 @@ class ClusterSim:
         self, machine_id: int, edge_ops: float, vertex_ops: float = 0.0
     ) -> None:
         """Charge modeled compute to one machine; counters updated."""
-        self.machines[machine_id].busy_s += self.network.compute_time(
+        self.busy_s[machine_id] += self.network.compute_time(
             edge_ops, vertex_ops
         )
         self.stats.edge_traversals += int(edge_ops)
         self.stats.vertex_updates += int(vertex_ops)
+
+    def add_compute_all(
+        self, edge_ops: np.ndarray, vertex_ops: np.ndarray
+    ) -> np.ndarray:
+        """Charge every machine at once (``int64[P]`` each, machine order).
+
+        Element for element the same IEEE operations, in the same
+        order, as one :meth:`add_compute` per machine. Returns the
+        seconds charged to each machine.
+        """
+        seconds = self.network.compute_time(edge_ops, vertex_ops)
+        self.busy_s += seconds
+        self.stats.edge_traversals += int(edge_ops.sum())
+        self.stats.vertex_updates += int(vertex_ops.sum())
+        return seconds
 
     def _fold_busy(self) -> float:
         """Max busy time across machines since last fold; meters reset.
@@ -67,12 +85,14 @@ class ClusterSim:
         BSP semantics the cluster waits for the busiest machine, so the
         gap between max and mean busy time is pure load-imbalance loss.
         """
-        busiest = max(m.busy_s for m in self.machines)
-        mean = sum(m.busy_s for m in self.machines) / self.num_machines
+        busy = self.busy_s.tolist()
+        busiest = max(busy)
+        # Python's left-to-right sum: np.sum is pairwise and would move
+        # busy_mean_total_s / compute_skew in the last bits
+        mean = sum(busy) / self.num_machines
         self.stats.busy_max_total_s += busiest
         self.stats.busy_mean_total_s += mean
-        for m in self.machines:
-            m.busy_s = 0.0
+        self.busy_s.fill(0.0)
         return busiest
 
     # ------------------------------------------------------------------

@@ -137,6 +137,10 @@ class CoherencyExchanger:
             # initial shared view = the initial vdata (identical on every
             # replica by the DeltaProgram.make_state contract)
             self._shared = [rt.values().astype(np.float64).copy() for rt in runtimes]
+        # fixed per partition: which slots have peers to inform, and
+        # which have none
+        self._replicated = [rt.mg.num_replicas > 1 for rt in runtimes]
+        self._solo = [~replicated for replicated in self._replicated]
 
     @property
     def mode_switches(self) -> int:
@@ -185,26 +189,25 @@ class CoherencyExchanger:
         cnt.fill(0)
 
         # ---- collect participants' deltas -----------------------------
-        # Stage per-machine (gids, deltas) then fold once: within one
-        # machine local gids are unique, and concatenation preserves the
-        # historical machine-order fold, so the single kernel pass is
-        # bit-identical to the old per-machine ufunc.at loop.
+        # Stage per-runtime (gids, deltas) then fold once: runtimes are
+        # blocks of consecutive machines in machine order with each
+        # machine's slots contiguous, so the concatenation lists every
+        # gid's contributions in machine order and the single kernel
+        # pass is bit-identical to a per-machine ufunc.at loop.
         part_idx: List[np.ndarray] = []
         staged_gids: List[np.ndarray] = []
         staged_deltas: List[np.ndarray] = []
         for mi, rt in enumerate(self.runtimes):
-            mask = rt.has_delta & (rt.mg.num_replicas > 1)
-            if self._shared is not None:
+            idx = np.flatnonzero(rt.has_delta & self._replicated[mi])
+            if self._shared is not None and idx.size:
                 # subsumption filter: a delta that does not strictly
                 # improve the last shared view carries no new information
-                improves = alg.combine(rt.delta_msg, self._shared[mi]) != self._shared[mi]
-                subsumed = np.flatnonzero(mask & ~improves)
-                if subsumed.size:
-                    rt.clear_deltas(subsumed)
-                mask = mask & improves
+                seen = self._shared[mi][idx]
+                improves = alg.combine(rt.delta_msg[idx], seen) != seen
+                rt.clear_deltas(idx[~improves])
+                idx = idx[improves]
             if participants is not None:
-                mask = mask & participants(rt)
-            idx = np.flatnonzero(mask)
+                idx = idx[participants(rt)[idx]]
             part_idx.append(idx)
             if idx.size:
                 staged_gids.append(rt.mg.vertices[idx])
@@ -219,14 +222,11 @@ class CoherencyExchanger:
                 # delta mass this exchange ships (monoid-measured)
                 self.lens.on_staged(alg.magnitude(all_deltas))
 
-        exchanged = np.flatnonzero(cnt > 0)
+        exchanged = np.flatnonzero(cnt)
         if exchanged.size == 0:
-            # still clear deltas of unreplicated vertices (they have no
-            # peers to inform; their messages were applied locally)
-            for rt, idx in zip(self.runtimes, part_idx):
-                solo = np.flatnonzero(rt.has_delta & (rt.mg.num_replicas == 1))
-                if solo.size:
-                    rt.clear_deltas(solo)
+            # still clear deltas of unreplicated vertices
+            for rt, solo in zip(self.runtimes, self._solo):
+                rt.clear_deltas(np.flatnonzero(rt.has_delta & solo))
             return ExchangeReport(
                 CommMode.ALL_TO_ALL, 0.0, 0, 0.0, 0.0, 0
             )
@@ -269,38 +269,32 @@ class CoherencyExchanger:
         for mi, (rt, idx) in enumerate(zip(self.runtimes, part_idx)):
             gids_all = rt.mg.vertices
             c = cnt[gids_all]
-            participated = np.zeros(rt.mg.num_local_vertices, dtype=bool)
-            participated[idx] = True
-            others = c - participated.astype(np.int64)
-            recv = np.flatnonzero(others > 0)
-            if recv.size:
-                tot = total[gids_all[recv]]
-                if use_inverse:
-                    own = np.where(
-                        participated[recv], rt.delta_msg[recv], ident
-                    )
-                    incoming = alg.inverse(tot, own)
-                else:
-                    # idempotent ⊕: re-folding own contribution is a no-op
-                    incoming = tot
-                rt.msg[recv] = alg.combine(rt.msg[recv], incoming)
-                rt.has_msg[recv] = True
-            # advance this replica's shared-view snapshot with everything
-            # exchanged for its vertices (participants' combined deltas)
-            if self._shared is not None:
-                touched = np.flatnonzero(c > 0)
-                if touched.size:
-                    shared = self._shared[mi]
-                    shared[touched] = alg.combine(
-                        shared[touched], total[gids_all[touched]]
-                    )
+            if use_inverse:
+                # each replica removes its own contribution from the total
+                participated = np.zeros(c.size, dtype=bool)
+                participated[idx] = True
+                recv = np.flatnonzero(c > participated)
+                own = np.where(participated[recv], rt.delta_msg[recv], ident)
+                incoming = alg.inverse(total[gids_all[recv]], own)
+            else:
+                # advance this replica's shared-view snapshot with
+                # everything exchanged for its vertices
+                touched = np.flatnonzero(c)
+                exchanged_here = total[gids_all[touched]]
+                shared = self._shared[mi]
+                shared[touched] = alg.combine(shared[touched], exchanged_here)
+                # a participant does not receive from itself — though
+                # with idempotent ⊕ re-folding its own delta is a no-op
+                c[idx] -= 1
+                others = c[touched] > 0
+                recv, incoming = touched[others], exchanged_here[others]
+            rt.msg[recv] = alg.combine(rt.msg[recv], incoming)
+            rt.has_msg[recv] = True
             # participants' deltas are now delivered; unreplicated
-            # vertices' deltas are dead weight either way
-            clear = np.flatnonzero(
-                participated | (rt.has_delta & (rt.mg.num_replicas == 1))
-            )
-            if clear.size:
-                rt.clear_deltas(clear)
+            # vertices have no peers to inform (their messages were
+            # applied locally), so theirs are dead weight either way
+            rt.clear_deltas(idx)
+            rt.clear_deltas(np.flatnonzero(rt.has_delta & self._solo[mi]))
 
         return ExchangeReport(
             mode=mode,

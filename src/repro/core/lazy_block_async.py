@@ -26,6 +26,8 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Optional, Union
 
+import numpy as np
+
 from repro.api.vertex_program import DeltaProgram
 from repro.cluster.network import NetworkModel
 from repro.comms import Delivery
@@ -108,24 +110,16 @@ class LazyBlockAsyncEngine(BaseEngine):
         Returns ``(did_work, modeled_iteration_seconds)`` where the time
         is the slowest machine's share (machines run concurrently).
         ``stage`` optionally accumulates per-machine ``(busy_s, edges,
-        applies)`` for the stage's ``machine-work`` trace instants.
+        applies)`` arrays for the stage's ``machine-work`` trace instants.
         """
-        worked = False
-        slowest = 0.0
-        results = self.backend.dispatch(
+        edges, applies = self.backend.dispatch_work(
             "apply_step", {"track_delta": True, "span": False}
         )
-        for m, res in enumerate(results):
-            if res["applies"]:
-                worked = True
-                self.sim.add_compute(m, res["edges"], res["applies"])
-                seconds = res["busy_s"]
-                slowest = max(slowest, seconds)
-                if stage is not None:
-                    stage[0][m] += seconds
-                    stage[1][m] += res["edges"]
-                    stage[2][m] += res["applies"]
-        return worked, slowest
+        busy = self.sim.add_compute_all(edges, applies)
+        if stage is not None:
+            for total, part in zip(stage, (busy, edges, applies)):
+                total += part
+        return bool(applies.any()), float(busy.max())
 
     def _local_stage(self, step: int) -> None:
         """Run the bounded local computation stage (Stage 1).
@@ -141,7 +135,9 @@ class LazyBlockAsyncEngine(BaseEngine):
         shards = self.shards
         nm = self.sim.num_machines
         stage = (
-            ([0.0] * nm, [0] * nm, [0] * nm) if self.tracer.enabled else None
+            (np.zeros(nm), np.zeros(nm, dtype=np.int64),
+             np.zeros(nm, dtype=np.int64))
+            if self.tracer.enabled else None
         )
         with self.tracer.span("local-computation", category="phase") as sp:
             budget = None
@@ -173,13 +169,13 @@ class LazyBlockAsyncEngine(BaseEngine):
                     break
             if stage is not None:
                 shards.tick()
-                busy, s_edges, s_applies = stage
+                busy, s_edges, s_applies = (a.tolist() for a in stage)
                 for m in range(nm):
                     if s_edges[m] or s_applies[m]:
                         shards.collectors[m].instant(
                             "machine-work",
                             machine=m, superstep=step,
-                            busy_s=busy[m], edges=int(s_edges[m]),
+                            busy_s=busy[m], edges=s_edges[m],
                             applies=s_applies[m], iterations=iters,
                         )
             shards.merge()
@@ -269,12 +265,10 @@ class LazyBlockAsyncEngine(BaseEngine):
 
                 # ---- data coherency point: Apply + Scatter ------------
                 with tracer.span("coherency-apply", category="phase"):
-                    results = self.backend.dispatch(
+                    sim.add_compute_all(*self.backend.dispatch_work(
                         "apply_step",
                         {"track_delta": True, "span": True, "superstep": step},
-                    )
-                    for m, res in enumerate(results):
-                        self.sim.add_compute(m, res["edges"], res["applies"])
+                    ))
                     self.shards.merge()
                 sim.stats.supersteps += 1
         return False

@@ -105,9 +105,10 @@ class LazyVertexAsyncEngine(BaseEngine):
             delivery=Delivery.ASYNC_PIPELINED,
             lens=self.lens,
         )
+        # staleness clocks, one array per runtime (block)
         self._age: List[np.ndarray] = [
-            np.zeros(mg.num_local_vertices, dtype=np.int64)
-            for mg in pgraph.machines
+            np.zeros(rt.mg.num_local_vertices, dtype=np.int64)
+            for rt in self.runtimes
         ]
 
     # ------------------------------------------------------------------
@@ -124,23 +125,21 @@ class LazyVertexAsyncEngine(BaseEngine):
         shards = self.shards
         tap = self._tap
         ev_ratio = self.pgraph.graph.ev_ratio
+        age_of = {
+            rt.mg.machine_id: age for rt, age in zip(self.runtimes, self._age)
+        }
         for step in range(self.max_supersteps):
             with tracer.span("superstep", category="superstep", superstep=step):
                 lens.begin_superstep(step)
                 # ---- continuous local processing (one round) -----------
                 with tracer.span("local-round", category="phase") as sp:
-                    round_edges = 0
-                    round_applies = 0
-                    results = self.backend.dispatch(
+                    edges, applies = self.backend.dispatch_work(
                         "apply_step",
                         {"track_delta": True, "span": True, "superstep": step},
                     )
-                    for m, res in enumerate(results):
-                        sim.add_compute(m, res["edges"], res["applies"])
-                        round_edges += res["edges"]
-                        round_applies += res["applies"]
+                    sim.add_compute_all(edges, applies)
                     shards.merge()
-                    sp.set(edges=round_edges, applies=round_applies)
+                    sp.set(edges=int(edges.sum()), applies=int(applies.sum()))
 
                 # ---- age deltas; stale ones trigger their own coherency
                 for rt, age in zip(self.runtimes, self._age):
@@ -177,7 +176,8 @@ class LazyVertexAsyncEngine(BaseEngine):
                         **signals.as_inputs(),
                     )
                     if directive.execute:
-                        def due(rt: MachineRuntime, _ages=self._age,
+                        # a block is known by its first machine
+                        def due(rt: MachineRuntime, _ages=age_of,
                                 _m=directive.min_age) -> np.ndarray:
                             return _ages[rt.mg.machine_id] >= _m
 

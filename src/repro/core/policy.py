@@ -132,7 +132,7 @@ class SignalTap:
         self.runtimes = list(runtimes)
         self.algebra = program.algebra
         # deterministic drift sample: a handful of replicated vertices
-        # mapped to their (machine, local index) replica slots
+        # mapped to their (runtime, local index) replica slots
         replicated = np.flatnonzero(pgraph.num_replicas > 1)
         if replicated.size > sample_size:
             rng = np.random.default_rng(seed)
@@ -174,7 +174,12 @@ class SignalTap:
         active: int,
         ages: Optional[List[np.ndarray]] = None,
     ) -> CoherencySignals:
-        """Snapshot all signals (``ages``: per-machine staleness clocks)."""
+        """Snapshot all signals (``ages``: per-runtime staleness clocks).
+
+        The pending mass is measured per machine and summed in machine
+        order — a runtime is a block of machines, and regrouping the
+        float sum would move controllers' decisions in the last bits.
+        """
         mass = 0.0
         count = 0
         stale = 0
@@ -182,7 +187,10 @@ class SignalTap:
             idx = np.flatnonzero(rt.has_delta)
             if idx.size == 0:
                 continue
-            mass += self.algebra.magnitude(rt.delta_msg[idx])
+            cuts = np.searchsorted(idx, rt.mg.machine_offsets).tolist()
+            for lo, hi in zip(cuts[:-1], cuts[1:]):
+                if hi > lo:
+                    mass += self.algebra.magnitude(rt.delta_msg[idx[lo:hi]])
             count += int(idx.size)
             if ages is not None:
                 stale = max(stale, int(ages[mi][idx].max()))

@@ -131,8 +131,12 @@ class CoherencyLens:
     Parameters
     ----------
     runtimes / pgraph / program:
-        The engine's per-machine runtimes, partitioned graph and delta
-        program (the lens only ever *reads* them).
+        The engine's runtimes (one per block of machines), partitioned
+        graph and delta program (the lens only ever *reads* them).
+        Readings stay per **machine**: each runtime is read through the
+        machine slices ``mg.machine_offsets`` marks, in machine order,
+        so every float is grouped exactly as with one runtime per
+        machine.
     tracer:
         Span tracer to emit instants through (``NULL_TRACER`` is fine —
         metrics still accumulate).
@@ -211,13 +215,25 @@ class CoherencyLens:
             np.zeros(rt.mg.num_local_vertices, dtype=np.int64)
             for rt in self.runtimes
         ]
+        # (runtime index, first slot, end slot) of every machine, in
+        # machine order, and where each runtime's machines start in it
+        self._machines: List = []
+        first: List[int] = []
+        for ri, rt in enumerate(self.runtimes):
+            first.append(len(self._machines))
+            offsets = rt.mg.machine_offsets.tolist()
+            self._machines += [
+                (ri, lo, hi) for lo, hi in zip(offsets[:-1], offsets[1:])
+            ]
         self._sample = self._pick_drift_sample(sample_size, seed)
         # the same sample keyed per machine: machine → [(slot, local idx)]
         # so a shard probe can read its drift contributions locally
-        self._sample_by_machine: List[List] = [[] for _ in self.runtimes]
+        self._sample_by_machine: List[List] = [[] for _ in self._machines]
         for slot, locs in enumerate(self._sample[1]):
-            for mi, li in locs:
-                self._sample_by_machine[mi].append((slot, li))
+            for ri, li in locs:
+                offsets = self.runtimes[ri].mg.machine_offsets
+                j = int(np.searchsorted(offsets, li, side="right")) - 1
+                self._sample_by_machine[first[ri] + j].append((slot, li))
         if stats is not None:
             m = stats.metrics
             self.h_staleness = m.histogram(
@@ -261,8 +277,9 @@ class CoherencyLens:
     def _pick_drift_sample(self, sample_size: int, seed: int):
         """Deterministic replicated-vertex sample → replica locations.
 
-        Returns ``(gids, [(machine, local_idx), ...] per gid)``; empty
-        when the partition has no replicated vertices (1 machine).
+        Returns ``(gids, [(runtime, local_idx), ...] per gid)`` in
+        machine order; empty when the partition has no replicated
+        vertices (1 machine).
         """
         replicated = np.flatnonzero(self.pgraph.num_replicas > 1)
         if replicated.size == 0:
@@ -284,16 +301,17 @@ class CoherencyLens:
     # ------------------------------------------------------------------
     # Measurements (all read-only)
     # ------------------------------------------------------------------
-    def _pending_mass(self, rt, mask: Optional[np.ndarray] = None) -> float:
-        sel = rt.has_delta if mask is None else (rt.has_delta & mask)
+    def _pending(
+        self, rt, lo: int, hi: int, mask: Optional[np.ndarray] = None
+    ) -> "tuple[float, int]":
+        """Pending ``(mass, count)`` of one machine's slots ``lo:hi``."""
+        sel = rt.has_delta[lo:hi]
+        if mask is not None:
+            sel = sel & mask[lo:hi]
         idx = np.flatnonzero(sel)
         if idx.size == 0:
-            return 0.0
-        return self.algebra.magnitude(rt.delta_msg[idx])
-
-    def _pending_count(self, rt, mask: Optional[np.ndarray] = None) -> int:
-        sel = rt.has_delta if mask is None else (rt.has_delta & mask)
-        return int(np.count_nonzero(sel))
+            return 0.0, 0
+        return self.algebra.magnitude(rt.delta_msg[lo:hi][idx]), int(idx.size)
 
     def sample_drift(self) -> float:
         """Max |master − mirror| value gap over the deterministic sample."""
@@ -339,8 +357,8 @@ class CoherencyLens:
             ages[rt.has_delta] += 1
             ages[~rt.has_delta] = 0
 
-    def _probe_shard(self, mi: int) -> "ProbeSample":
-        """One machine's probe contribution — reads only machine ``mi``.
+    def _probe_shard(self, machine: int) -> "ProbeSample":
+        """One machine's probe contribution — reads only that machine.
 
         This is the payload a process-parallel machine would ship to the
         merge point: scalar mass/pending/active readings, the bincount
@@ -349,23 +367,25 @@ class CoherencyLens:
         """
         from repro.obs.shards import ProbeSample
 
-        rt = self.runtimes[mi]
-        ages = self._ages[mi]
-        live = ages[rt.has_delta]
+        ri, lo, hi = self._machines[machine]
+        rt = self.runtimes[ri]
+        has_delta = rt.has_delta[lo:hi]
+        live = self._ages[ri][lo:hi][has_delta]
         counts = (
             np.bincount(live) if live.size else np.empty(0, dtype=np.int64)
         )
-        mine = self._sample_by_machine[mi]
+        mine = self._sample_by_machine[machine]
         if mine:
             vals = rt.values()
             drift_values = [(slot, float(vals[li])) for slot, li in mine]
         else:
             drift_values = []
+        mass, pending = self._pending(rt, lo, hi)
         return ProbeSample(
-            machine=mi,
-            mass=self._pending_mass(rt),
-            pending=self._pending_count(rt),
-            active=rt.num_active,
+            machine=machine,
+            mass=mass,
+            pending=pending,
+            active=int(np.count_nonzero(rt.has_msg[lo:hi])),
             stale_counts=counts,
             drift_values=drift_values,
         )
@@ -446,16 +466,18 @@ class CoherencyLens:
         self.probes += 1
         if self.sharded:
             self._merge_probe(
-                [self._probe_shard(mi) for mi in range(len(self.runtimes))]
+                [self._probe_shard(m) for m in range(len(self._machines))]
             )
             return
         # ---- legacy direct global read (the shard-equivalence oracle)
-        masses = [self._pending_mass(rt) for rt in self.runtimes]
-        pending = [self._pending_count(rt) for rt in self.runtimes]
+        masses, pending = zip(*(
+            self._pending(self.runtimes[ri], lo, hi)
+            for ri, lo, hi in self._machines
+        ))
         total_mass = float(sum(masses))
         stale_max = 0
-        for ages, rt in zip(self._ages, self.runtimes):
-            live = ages[rt.has_delta]
+        for ri, lo, hi in self._machines:
+            live = self._ages[ri][lo:hi][self.runtimes[ri].has_delta[lo:hi]]
             if live.size:
                 stale_max = max(stale_max, int(live.max()))
                 if self.h_staleness is not None:
@@ -543,13 +565,14 @@ class CoherencyLens:
         # two scalars and the fold below is the merge
         mass_after = 0.0
         count_after = 0
-        for rt in self.runtimes:
-            if full:
-                mask = None
-            else:
-                mask = due(rt) | (rt.mg.num_replicas == 1)
-            mass_after += self._pending_mass(rt, mask)
-            count_after += self._pending_count(rt, mask)
+        masks = [
+            None if full else due(rt) | (rt.mg.num_replicas == 1)
+            for rt in self.runtimes
+        ]
+        for ri, lo, hi in self._machines:
+            mass, count = self._pending(self.runtimes[ri], lo, hi, masks[ri])
+            mass_after += mass
+            count_after += count
         ok = count_after == 0 and mass_after == 0.0
         if not ok:
             self.invariant_breaks += 1

@@ -168,6 +168,24 @@ class MachineCollector:
         ))
         self._seq += 1
 
+    def closed_span(
+        self, name: str, host_t0: float, host_t1: float,
+        category: str = "machine", **attrs,
+    ) -> None:
+        """Record a span whose host interval the caller measured.
+
+        How a block call reports its machines: one call did the work of
+        all of them, so each machine's span carries that call's interval.
+        """
+        if not self.buffered:
+            self.tracer.emit_closed_span(name, category, host_t0, host_t1, attrs)
+            return
+        self.events.append((
+            self.epoch, self._seq, _SPAN, name, category,
+            host_t0, host_t1, attrs,
+        ))
+        self._seq += 1
+
     def _close_span(self, span: _BufferedSpan) -> None:
         self.events.append((
             self.epoch, self._seq, _SPAN, span.name, span.category,
@@ -217,7 +235,13 @@ class ShardedObs:
         return self.collectors[machine_id]
 
     def tick(self) -> None:
-        """Start a new pass epoch on every machine (local clocks only)."""
+        """Start a new pass epoch on every machine (local clocks only).
+
+        The clocks only order buffered events, and nothing buffers
+        under a disabled tracer — the hot path skips the P updates.
+        """
+        if not self.tracer.enabled:
+            return
         for c in self.collectors:
             c.tick()
 
@@ -233,6 +257,8 @@ class ShardedObs:
         of events merged (0 is the common fast path: passthrough mode,
         tracer off, or an empty pass).
         """
+        if not self.tracer.enabled:
+            return 0
         batch: List[Tuple] = []
         for c in self.collectors:
             if c.events:

@@ -33,12 +33,27 @@ from segment reductions over that table, and the only per-vertex Python
 left is the home-machine hash of vertices no one-edge edge touches.
 ``tests/unit/test_build_pins.py`` pins every output array, dtype
 included, to what the per-vertex bitmask loops it replaced produced.
+
+Blocks
+------
+Between coherency points machines are independent, so the host does not
+have to visit them one call at a time: :attr:`PartitionedGraph.blocks`
+groups *consecutive* machines into the runtime's unit of execution — a
+:class:`MachineGraph` that is the disjoint union of its machines' local
+graphs (local indices offset, edge order preserved) plus
+``machine_offsets``. Machines merge until a block holds
+``_BLOCK_EDGE_BUDGET`` local edges; a machine that big is a block of
+one and *is* its ``machines[m]`` entry. Every per-machine array is a
+slice of one flat allocation in machine order, so a merged block's
+arrays are views too — only its block-local ``esrc`` / ``edst`` are new
+memory. ``docs/performance.md`` ("Blocks") has the measurements behind
+the budget.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -51,6 +66,12 @@ __all__ = ["MachineGraph", "PartitionedGraph"]
 
 _HOME_SEED = 0xC0FFEE  # hash seed for edge-less vertices' home machines
 
+# Local edges a block may hold before the next machine starts a new one:
+# enough to amortise the fixed per-call cost of a sweep over many tiny
+# machines, small enough that the block's mailboxes stay cache-resident
+# (one flat runtime over big machines is *slower* — docs/performance.md).
+_BLOCK_EDGE_BUDGET = 1 << 15
+
 
 def _offsets(counts: np.ndarray) -> np.ndarray:
     """CSR offsets (``counts.size + 1``, int64) of back-to-back segments."""
@@ -59,12 +80,36 @@ def _offsets(counts: np.ndarray) -> np.ndarray:
     return out
 
 
+def _block_bounds(edge_counts: Sequence[int]) -> List[Tuple[int, int]]:
+    """Greedy ``[lo, hi)`` machine ranges under the block edge budget.
+
+    A block always takes at least one machine; the rule reads nothing
+    but the partition's local edge counts.
+    """
+    bounds = []
+    lo = load = 0
+    for m, edges in enumerate(edge_counts):
+        if m > lo and load + edges > _BLOCK_EDGE_BUDGET:
+            bounds.append((lo, m))
+            lo, load = m, 0
+        load += edges
+    bounds.append((lo, len(edge_counts)))
+    return bounds
+
+
 @dataclass
 class MachineGraph:
-    """One machine's share of the partitioned graph.
+    """One machine's share of the partitioned graph — or a block of them.
 
     All vertex fields are indexed by *local* vertex index; ``vertices``
     maps local → global. Edge arrays are aligned with each other.
+
+    A block (:attr:`PartitionedGraph.blocks`) lays consecutive machines
+    back to back: ``machine_id`` is its first machine and machine
+    ``machine_id + j`` owns the local slots
+    ``machine_offsets[j]:machine_offsets[j + 1]``. Its ``vertices`` are
+    ascending per machine, not overall, and a vertex replicated on two
+    of its machines appears twice. A plain machine is a block of one.
     """
 
     machine_id: int
@@ -78,6 +123,25 @@ class MachineGraph:
     out_deg_global: np.ndarray  # (n_local,) global out-degree of the vertex
     num_replicas: np.ndarray  # (n_local,) replica count of the vertex
 
+    def __post_init__(self) -> None:
+        # an attribute, deliberately not a dataclass field: the fields
+        # are exactly the per-machine arrays ``build`` materializes
+        # (``tests/unit/test_build_pins.py`` digests ``fields()``), and
+        # this is layout, overwritten only for a merged block
+        self.machine_offsets: np.ndarray = np.array(
+            [0, self.vertices.size], dtype=np.int64
+        )
+
+    @property
+    def num_machines(self) -> int:
+        """Machines laid out in this graph (1 unless it is a merged block)."""
+        return int(self.machine_offsets.size) - 1
+
+    @property
+    def machine_ids(self) -> range:
+        """Ids of the machines laid out in this graph, ascending."""
+        return range(self.machine_id, self.machine_id + self.num_machines)
+
     @property
     def num_local_vertices(self) -> int:
         return int(self.vertices.size)
@@ -87,8 +151,26 @@ class MachineGraph:
         return int(self.esrc.size)
 
     def global_to_local(self, gids: np.ndarray) -> np.ndarray:
-        """Map global vertex ids to local indices (ids must be present)."""
+        """Map global vertex ids to local indices.
+
+        Raises :class:`PartitionError` for an id this machine does not
+        host, and on a merged block, where a global id may sit on
+        several machines and ``vertices`` is not ascending overall.
+        """
+        if self.num_machines > 1:
+            raise PartitionError(
+                f"global_to_local is per machine; this is a block of "
+                f"{self.num_machines} machines"
+            )
+        gids = np.asarray(gids, dtype=np.int64)
         idx = np.searchsorted(self.vertices, gids)
+        # the sentinel answers for insertion points past the last vertex
+        missing = np.append(self.vertices, -1)[idx] != gids
+        if missing.any():
+            raise PartitionError(
+                f"vertex {int(gids[missing].flat[0])} has no replica on "
+                f"machine {self.machine_id}"
+            )
         return idx
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
@@ -96,6 +178,38 @@ class MachineGraph:
             f"MachineGraph(m={self.machine_id}, |V|={self.num_local_vertices}, "
             f"|E|={self.num_local_edges}, parallel={int(self.eparallel.sum())})"
         )
+
+
+def _machine_span(
+    flat: Dict[str, np.ndarray], lo: int, hi: int
+) -> MachineGraph:
+    """Machines ``[lo, hi)`` of a flat layout as one :class:`MachineGraph`.
+
+    Every field is a view of the flat arrays except a merged span's
+    ``esrc`` / ``edst``, which are renumbered block-locally (each
+    machine's local indices shifted by its offset in the block).
+    """
+    vs, es = flat["vstarts"], flat["estarts"]
+    v = slice(vs[lo], vs[hi])
+    e = slice(es[lo], es[hi])
+    esrc, edst = flat["esrc"][e], flat["edst"][e]
+    if hi - lo > 1:
+        shift = np.repeat(vs[lo:hi] - vs[lo], np.diff(es[lo : hi + 1]))
+        esrc, edst = esrc + shift, edst + shift
+    span = MachineGraph(
+        machine_id=lo,
+        vertices=flat["vertices"][v],
+        is_master=flat["is_master"][v],
+        esrc=esrc,
+        edst=edst,
+        eweight=flat["eweight"][e],
+        eparallel=flat["eparallel"][e],
+        eglobal=flat["eglobal"][e],
+        out_deg_global=flat["out_deg_global"][v],
+        num_replicas=flat["num_replicas"][v],
+    )
+    span.machine_offsets = vs[lo : hi + 1] - vs[lo]
+    return span
 
 
 @dataclass
@@ -113,6 +227,14 @@ class PartitionedGraph:
     parallel_eids: np.ndarray  # global ids of edges in parallel mode
     assignment: np.ndarray  # one-edge home machine per edge (parallel: -1)
     extra_stats: dict = field(default_factory=dict)
+    # the flat arrays every machine's fields are slices of, and the
+    # lazily built block list over them (dropped with the partition)
+    _flat: Dict[str, np.ndarray] = field(
+        default_factory=dict, repr=False, compare=False
+    )
+    _blocks: Optional[List[MachineGraph]] = field(
+        default=None, repr=False, compare=False
+    )
 
     # ------------------------------------------------------------------
     @property
@@ -125,6 +247,25 @@ class PartitionedGraph:
     def replicas_of(self, v: int) -> np.ndarray:
         """Machines hosting vertex ``v`` (sorted)."""
         return self.rep_machines[self.rep_indptr[v] : self.rep_indptr[v + 1]]
+
+    @property
+    def blocks(self) -> List[MachineGraph]:
+        """The runtime's units of execution, in ascending machine order.
+
+        Consecutive machines merged up to the block edge budget; each
+        machine is in exactly one block. A block of one is the
+        ``machines[m]`` object itself. Built on first use.
+        """
+        if self._blocks is None:
+            self._blocks = [
+                self.machines[lo]
+                if hi - lo == 1
+                else _machine_span(self._flat, lo, hi)
+                for lo, hi in _block_bounds(
+                    [mg.num_local_edges for mg in self.machines]
+                )
+            ]
+        return self._blocks
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -257,10 +398,11 @@ class PartitionedGraph:
             np.arange(keys.size) - starts[rep_machines[order]]
         )
 
-        # ---- per-machine edge lists --------------------------------------
+        # ---- per-machine arrays, laid out back to back -------------------
+        # every MachineGraph field is a slice of one flat allocation in
+        # machine order, so a block of consecutive machines slices the
+        # same arrays (see _machine_span)
         weights = graph.edge_weights()
-        out_deg = graph.out_degrees()
-        machines: List[MachineGraph] = []
         # one-edge edges grouped by machine, ascending edge id within
         one_sorted = one_ids[
             np.argsort(asg_one.astype(np.int16), kind="stable")
@@ -269,30 +411,40 @@ class PartitionedGraph:
         # a parallel edge is copied wherever its target has a replica
         # (at the fixpoint the bidirectional span is the same row)
         copy_on = spans[dst_row]
+        estarts = _offsets(np.diff(one_starts) + copy_on.sum(axis=0))
+        num_local_edges = int(estarts[-1])
+        eglobal = np.empty(num_local_edges, dtype=np.int64)
+        esrc = np.empty(num_local_edges, dtype=np.int64)
+        edst = np.empty(num_local_edges, dtype=np.int64)
+        eparallel = np.zeros(num_local_edges, dtype=bool)
         local_of = np.empty(n, dtype=np.int64)  # global -> local, per machine
-
         for m in range(num_machines):
             verts = by_machine_verts[starts[m] : starts[m + 1]]
             local_of[verts] = np.arange(verts.size)
             e_one = one_sorted[one_starts[m] : one_starts[m + 1]]
-            e_par = parallel_eids_arr[copy_on[:, m]]
-            eids = np.concatenate([e_one, e_par])
-            eparallel = np.zeros(eids.size, dtype=bool)
-            eparallel[e_one.size :] = True
-            machines.append(
-                MachineGraph(
-                    machine_id=m,
-                    vertices=verts,
-                    is_master=master_of[verts] == m,
-                    esrc=local_of[graph.src[eids]],
-                    edst=local_of[graph.dst[eids]],
-                    eweight=weights[eids],
-                    eparallel=eparallel,
-                    eglobal=eids,
-                    out_deg_global=out_deg[verts],
-                    num_replicas=counts[verts],
-                )
-            )
+            lo, hi = estarts[m], estarts[m + 1]
+            eids = eglobal[lo:hi]
+            eids[: e_one.size] = e_one
+            eids[e_one.size :] = parallel_eids_arr[copy_on[:, m]]
+            eparallel[lo + e_one.size : hi] = True
+            esrc[lo:hi] = local_of[graph.src[eids]]
+            edst[lo:hi] = local_of[graph.dst[eids]]
+        flat = {
+            "vstarts": starts,
+            "estarts": estarts,
+            "vertices": by_machine_verts,
+            "is_master": master_of[by_machine_verts] == rep_machines[order],
+            "out_deg_global": graph.out_degrees()[by_machine_verts],
+            "num_replicas": counts[by_machine_verts],
+            "esrc": esrc,
+            "edst": edst,
+            "eweight": weights[eglobal],
+            "eparallel": eparallel,
+            "eglobal": eglobal,
+        }
+        machines = [
+            _machine_span(flat, m, m + 1) for m in range(num_machines)
+        ]
 
         one_assign = assignment.astype(np.int32).copy()
         one_assign[par] = -1
@@ -307,6 +459,7 @@ class PartitionedGraph:
             num_replicas=counts,
             parallel_eids=parallel_eids_arr,
             assignment=one_assign,
+            _flat=flat,
         )
 
     # ------------------------------------------------------------------

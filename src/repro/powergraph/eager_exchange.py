@@ -35,9 +35,10 @@ from repro.comms import (
     delta_schema,
 )
 from repro.partition.partitioned_graph import PartitionedGraph
+from repro.runtime.machine_ops import eager_apply
 from repro.runtime.machine_runtime import MachineRuntime
 
-__all__ = ["EagerExchange", "EagerLegTraffic"]
+__all__ = ["EagerExchange", "EagerLegTraffic", "apply_and_charge"]
 
 
 @dataclass(frozen=True)
@@ -119,12 +120,16 @@ class EagerExchange:
             idx, accum = rt.take_ready()
             if idx.size == 0:
                 continue
-            gids = rt.mg.vertices[idx]
+            mg = rt.mg
+            gids = mg.vertices[idx]
             alg.combine_at(self._total, gids, accum)
             self._has[gids] = True
-            n_mirror = int(np.count_nonzero(~rt.mg.is_master[idx]))
-            gather_msgs += n_mirror
-            sent[rt.mg.machine_id] += n_mirror
+            # each machine of the block ships its own mirrors' accums
+            mirrors = idx[~mg.is_master[idx]]
+            gather_msgs += int(mirrors.size)
+            sent[mg.machine_id : mg.machine_id + mg.num_machines] += np.diff(
+                np.searchsorted(mirrors, mg.machine_offsets)
+            )
         # broadcast leg: every applied vertex's update reaches its other
         # replicas (charged to the master's machine)
         applied = np.flatnonzero(self._has)
@@ -163,28 +168,47 @@ class EagerExchange:
         """Price one unbatched round (volume × penalty + engine overhead)."""
         self.one_edge_ch.round(traffic.total_bytes)
 
-    def apply_all(self, track_delta: bool = False) -> List[tuple]:
+    def apply_all(self, track_delta: bool = False) -> np.ndarray:
         """Replay Apply+Scatter of the staged accums on every replica.
 
-        Returns per-machine ``(edges, applies)`` work tuples for the
-        caller to charge as compute. With a backend attached this runs
-        as the ``eager_apply`` op (advancing the shard epoch, exactly
-        like the legacy pre-loop ``shards.tick()``); the plane-less
-        staging mode used by unit tests keeps the inline loop.
+        Returns per-machine ``(edges, applies)`` rows (``int64[2, P]``)
+        for the caller to charge as compute. With a backend attached
+        this runs as the ``eager_apply`` op (advancing the shard epoch,
+        exactly like the legacy pre-loop ``shards.tick()``); the
+        plane-less staging mode used by unit tests runs it inline.
         """
         if self.backend is not None:
-            results = self.backend.dispatch(
+            return self.backend.dispatch_work(
                 "eager_apply", {"track_delta": track_delta}
             )
-            return [(res["edges"], res["applies"]) for res in results]
-        work = []
-        for rt in self.runtimes:
-            sel = self._has[rt.mg.vertices]
-            idx = np.flatnonzero(sel)
-            if idx.size:
-                accum = self._total[rt.mg.vertices[idx]]
-                edges, _ = rt.apply_and_scatter(idx, accum, track_delta)
-            else:
-                edges = 0
-            work.append((edges, int(idx.size)))
-        return work
+        return np.concatenate(
+            [
+                eager_apply(rt, self._has, self._total, track_delta)
+                for rt in self.runtimes
+            ],
+            axis=1,
+        )
+
+
+def apply_and_charge(engine, exchange: EagerExchange, step: int) -> None:
+    """The apply leg both eager engines share, inside their phase span.
+
+    Replays Apply+Scatter on every replica, reports each machine's work
+    as an ``apply-machine`` span and charges it as compute.
+    ``apply_all`` dispatches the ``eager_apply`` op, which advances the
+    shard epoch; the second tick opens the epoch for the parent-side
+    per-machine work spans.
+    """
+    edges, applies = exchange.apply_all(track_delta=False)
+    shards = engine.shards
+    shards.tick()
+    busy = engine.sim.add_compute_all(edges, applies)
+    if engine.tracer.enabled:
+        for machine_id, (e, a, b) in enumerate(
+            zip(edges.tolist(), applies.tolist(), busy.tolist())
+        ):
+            shards.collectors[machine_id].span(
+                "apply-machine", machine=machine_id, superstep=step,
+                edges=e, applies=a, busy_s=b,
+            ).end()
+    shards.merge()

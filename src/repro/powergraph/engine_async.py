@@ -28,7 +28,7 @@ execution's costs per round:
 from __future__ import annotations
 
 from repro.cluster.termination import TerminationDetector
-from repro.powergraph.eager_exchange import EagerExchange
+from repro.powergraph.eager_exchange import EagerExchange, apply_and_charge
 from repro.runtime.base_engine import BaseEngine
 
 __all__ = ["PowerGraphAsyncEngine"]
@@ -41,8 +41,6 @@ class PowerGraphAsyncEngine(BaseEngine):
 
     def _execute(self) -> bool:
         sim = self.sim
-        net = sim.network
-        shards = self.shards
         exchange = EagerExchange(
             self.pgraph, self.program, self.runtimes,
             plane=self.comms, fine_grained=True, backend=self.backend,
@@ -71,20 +69,7 @@ class PowerGraphAsyncEngine(BaseEngine):
                 detector.reset()
                 sent_total += traffic.total_msgs
                 with tracer.span("exchange-apply", category="phase") as sp:
-                    # apply_all dispatches eager_apply (epoch-advancing);
-                    # the second tick is for the parent-side work spans
-                    work = exchange.apply_all(track_delta=False)
-                    shards.tick()
-                    for machine_id, (edges, applies) in enumerate(work):
-                        if tracer.enabled:
-                            shards.collectors[machine_id].span(
-                                "apply-machine",
-                                machine=machine_id, superstep=step,
-                                edges=edges, applies=applies,
-                                busy_s=net.compute_time(edges, applies),
-                            ).end()
-                        sim.add_compute(machine_id, edges, applies)
-                    shards.merge()
+                    apply_and_charge(self, exchange, step)
                     # fine-grained comm: unbatched volume + engine overhead
                     exchange.charge_fine_grained_round(traffic)
                     sim.settle_async(traffic.sent_per_machine)

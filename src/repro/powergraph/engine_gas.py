@@ -122,10 +122,10 @@ class PowerGraphGASSyncEngine(BaseEngine):
     worker_runtime = "gas"
 
     def _make_runtimes(self) -> List[_GASMachine]:
-        plans = self._plans or [None] * self.pgraph.num_machines
+        machines = self.pgraph.machines
         return [
-            _GASMachine(mg, self.program, plans=plans[i])
-            for i, mg in enumerate(self.pgraph.machines)
+            _GASMachine(mg, self.program, plans=plans)
+            for mg, plans in zip(machines, self._unit_plans(machines))
         ]
 
     @property

@@ -10,7 +10,7 @@ superstep — replicas never diverge.
 
 from __future__ import annotations
 
-from repro.powergraph.eager_exchange import EagerExchange
+from repro.powergraph.eager_exchange import EagerExchange, apply_and_charge
 from repro.runtime.base_engine import BaseEngine
 
 __all__ = ["PowerGraphSyncEngine"]
@@ -23,9 +23,7 @@ class PowerGraphSyncEngine(BaseEngine):
 
     def _execute(self) -> bool:
         sim = self.sim
-        net = sim.network
         tracer = self.tracer
-        shards = self.shards
         exchange = EagerExchange(
             self.pgraph, self.program, self.runtimes, plane=self.comms,
             backend=self.backend,
@@ -45,22 +43,7 @@ class PowerGraphSyncEngine(BaseEngine):
 
                 # ---- apply on every replica + broadcast leg -----------
                 with tracer.span("apply", category="phase") as sp:
-                    # apply_all dispatches the eager_apply op (which
-                    # advances the shard epoch, replacing the legacy
-                    # pre-loop tick); the second tick opens the epoch
-                    # for the parent-side per-machine work spans
-                    work = exchange.apply_all(track_delta=False)
-                    shards.tick()
-                    for machine_id, (edges, applies) in enumerate(work):
-                        if tracer.enabled:
-                            shards.collectors[machine_id].span(
-                                "apply-machine",
-                                machine=machine_id, superstep=step,
-                                edges=edges, applies=applies,
-                                busy_s=net.compute_time(edges, applies),
-                            ).end()
-                        sim.add_compute(machine_id, edges, applies)
-                    shards.merge()
+                    apply_and_charge(self, exchange, step)
                     sp.set(bcast_msgs=traffic.bcast_msgs,
                            bcast_bytes=traffic.bcast_bytes)
                     exchange.ship_broadcast(traffic)  # sync #2 (replication)

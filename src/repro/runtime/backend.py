@@ -1,27 +1,33 @@
-"""Pluggable execution backends: where per-machine compute actually runs.
+"""Pluggable execution backends: where the runtimes' compute actually runs.
 
-Engines drive their machine loops through an :class:`ExecutionBackend`:
+Engines drive their runtimes — blocks of consecutive machines for the
+delta engines, single machines for GAS — through an
+:class:`ExecutionBackend`:
 
 * :class:`SerialBackend` — the default. Runs every op inline on the
-  engine thread, machine-ascending, exactly the legacy lockstep loop.
+  engine thread, runtime by runtime in ascending machine order.
 * :class:`~repro.runtime.process_backend.ProcessBackend` — a persistent
   pool of spawn-safe worker processes. Each worker owns a group of
-  machines whose runtime arrays live in ``multiprocessing.shared_memory``,
-  so the parent-side exchange plane / coherency / lens read and write the
-  *same* data the workers compute on; only op commands, small result
-  dicts, and :class:`MachineCollector` event buffers cross the process
+  runtimes whose arrays live in ``multiprocessing.shared_memory``, so
+  the parent-side exchange plane / coherency / lens read and write the
+  *same* data the workers compute on; only op commands, small results,
+  and :class:`MachineCollector` event buffers cross the process
   boundary at barriers and coherency points.
 
 The backend contract (see :mod:`repro.runtime.machine_ops`):
 
-* ``dispatch(op, payload)`` advances the shard epoch (it replaces the
-  ``shards.tick()`` that preceded every legacy machine loop), runs the
-  op on every machine, and returns the per-machine result dicts in
-  ascending machine order. All model-time folds stay with the engine.
+* ``dispatch(op, payload)`` advances the shard epoch, runs the op on
+  every runtime, and returns the handlers' results in runtime order
+  (= ascending machine order). ``dispatch_work`` is the delta engines'
+  form: the blocks' per-machine ``(edges, applies)`` rows concatenated
+  into ``int64[2, P]``. All model-time folds stay with the engine.
 * ``shared_array(key, ...)`` allocates a cross-machine array both sides
   can see (plain NumPy for serial, shared memory for processes).
 * Backends are single-use: ``bind()`` once to one engine, ``close()``
   when the run finishes (``BaseEngine.run`` does this in a finally).
+  ``close()`` lets go of the engine, so a finished engine and its
+  backend are not a reference cycle keeping the partition alive until
+  the cyclic collector runs.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.errors import ConfigError
+from repro.errors import BackendError, ConfigError
 from repro.kernels.stats import KernelStats
 from repro.runtime.machine_ops import OpContext, run_op
 
@@ -45,8 +51,25 @@ __all__ = [
 BACKEND_NAMES: Tuple[str, ...] = ("serial", "process")
 
 
+def op_contexts(runtimes, collectors, net, shared) -> List[OpContext]:
+    """One :class:`OpContext` per runtime, over per-machine collectors.
+
+    ``collectors`` maps machine id → collector (a list or a dict); each
+    runtime gets the collectors of the machines its graph covers.
+    """
+    return [
+        OpContext(
+            machine_id=rt.mg.machine_id,
+            collectors=[collectors[m] for m in rt.mg.machine_ids],
+            net=net,
+            shared=shared,
+        )
+        for rt in runtimes
+    ]
+
+
 class ExecutionBackend(abc.ABC):
-    """Where an engine's per-machine ops execute."""
+    """Where an engine's per-runtime ops execute."""
 
     name: str = "abstract"
 
@@ -60,8 +83,18 @@ class ExecutionBackend(abc.ABC):
     @abc.abstractmethod
     def dispatch(
         self, op: str, payload: Optional[Dict[str, Any]] = None
-    ) -> List[Dict[str, Any]]:
-        """Run ``op`` on every machine; results in ascending machine order."""
+    ) -> List[Any]:
+        """Run ``op`` on every runtime; results in runtime order."""
+
+    def dispatch_work(
+        self, op: str, payload: Optional[Dict[str, Any]] = None
+    ) -> np.ndarray:
+        """Run a delta op; per-machine ``(edges, applies)`` as ``int64[2, P]``.
+
+        Block order is machine order, so concatenating the blocks' rows
+        lines the columns up with machine ids.
+        """
+        return np.concatenate(self.dispatch(op, payload), axis=1)
 
     @abc.abstractmethod
     def shared_array(
@@ -86,29 +119,29 @@ class SerialBackend(ExecutionBackend):
     def __init__(self) -> None:
         super().__init__()
         self.shared: Dict[str, np.ndarray] = {}
+        self._ctxs: List[OpContext] = []
 
     def bind(self, engine) -> None:
         if self.engine is not None:
             raise ConfigError("backend is already bound to an engine")
         self.engine = engine
+        self._ctxs = op_contexts(
+            engine.runtimes, engine.shards.collectors, engine.sim.network,
+            self.shared,
+        )
 
     def dispatch(
         self, op: str, payload: Optional[Dict[str, Any]] = None
-    ) -> List[Dict[str, Any]]:
+    ) -> List[Any]:
         eng = self.engine
+        if eng is None:
+            raise BackendError("serial backend is closed (or was never bound)")
         eng.shards.tick()
-        net = eng.sim.network
-        results = []
-        for rt in eng.runtimes:
-            mid = rt.mg.machine_id
-            ctx = OpContext(
-                machine_id=mid,
-                collector=eng.shards.collectors[mid],
-                net=net,
-                shared=self.shared,
-            )
-            results.append(run_op(op, rt, ctx, payload or {}))
-        return results
+        payload = payload or {}
+        return [
+            run_op(op, rt, ctx, payload)
+            for rt, ctx in zip(eng.runtimes, self._ctxs)
+        ]
 
     def shared_array(self, key: str, shape, dtype, fill=None) -> np.ndarray:
         if key in self.shared:
@@ -127,7 +160,8 @@ class SerialBackend(ExecutionBackend):
         )
 
     def close(self) -> None:
-        pass
+        self.engine = None
+        self._ctxs = []
 
 
 def resolve_backend(

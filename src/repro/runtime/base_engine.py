@@ -28,17 +28,20 @@ class BaseEngine(abc.ABC):
 
     The constructor owns validation (program invariants, weighted-graph
     requirements, ``max_supersteps``), simulator + tracer setup, the
-    engine's :class:`~repro.comms.ExchangePlane`, and per-machine runtime
+    engine's :class:`~repro.comms.ExchangePlane`, and runtime
     construction (the :meth:`_make_runtimes` hook — delta engines get
-    :class:`MachineRuntime`, the classic GAS engine its own machine
-    state). Subclasses implement :meth:`_execute`, moving every byte
+    one :class:`MachineRuntime` per *block* of the partition, the
+    classic GAS engine its own state per machine). ``self.runtimes`` is
+    that list and the only one: what still needs machine identity reads
+    it off each runtime's ``mg.machine_offsets``.
+    Subclasses implement :meth:`_execute`, moving every byte
     through channels opened on ``self.comms``. ``run()`` wraps execution
     with stat/extra assembly, per-channel counter publication, result
     collection and the replica-agreement measurement.
     """
 
     name = "abstract-engine"
-    #: which per-machine runtime a backend worker should construct
+    #: which runtime a backend worker should construct per unit
     worker_runtime = "delta"
 
     def __init__(
@@ -76,20 +79,15 @@ class BaseEngine(abc.ABC):
         if self.tracer.enabled:
             self.tracer.bind_stats(self.sim.stats)
         self.comms = ExchangePlane(self.sim, tracer=self.tracer)
-        # optional per-machine cached CSR plans (one entry per machine,
-        # in machine order), supplied by a GraphSession so repeated runs
-        # skip the argsort-heavy plan construction; consumed by
-        # _make_runtimes
-        if plans is not None and len(plans) != pgraph.num_machines:
-            raise EngineError(
-                f"plans must have one entry per machine "
-                f"({len(plans)} != {pgraph.num_machines})"
-            )
+        # optional cached CSR plans (one entry per runtime unit, in
+        # order), supplied by a GraphSession so repeated runs skip the
+        # argsort-heavy plan construction; consumed by _make_runtimes
         self._plans = plans
         self.runtimes: List = list(self._make_runtimes())
         # per-machine observability shards (repro.obs.shards): machine
         # work spans / sweep instants buffer locally and fold into the
-        # tracer at barriers and coherency points
+        # tracer at barriers and coherency points. A block's own events
+        # (sweep-mode) ride on its first machine's collector.
         self.shards = ShardedObs(self.tracer, pgraph.num_machines)
         for rt in self.runtimes:
             if hasattr(rt, "obs"):
@@ -97,19 +95,30 @@ class BaseEngine(abc.ABC):
         # coherency lens (repro.obs.lens): the lazy engines swap in a
         # real CoherencyLens when asked; everything else keeps the no-op
         self.lens = NULL_LENS
-        # execution backend: where the per-machine ops actually run
+        # execution backend: where the runtimes' ops actually run
         # (inline by default; a worker pool for backend="process").
         # Bound last — a process backend snapshots runtime arrays into
         # shared memory and spawns its workers here.
         self.backend = resolve_backend(backend)
         self.backend.bind(self)
 
+    def _unit_plans(self, units: Sequence) -> Sequence:
+        """The caller's cached plans, checked against the runtime units."""
+        if self._plans is None:
+            return [None] * len(units)
+        if len(self._plans) != len(units):
+            raise EngineError(
+                f"plans must have one entry per runtime unit "
+                f"({len(self._plans)} != {len(units)})"
+            )
+        return self._plans
+
     def _make_runtimes(self) -> Sequence:
-        """Build per-machine runtime state (override for non-delta engines)."""
-        plans = self._plans or [None] * self.pgraph.num_machines
+        """Build one runtime per block (override for non-delta engines)."""
+        blocks = self.pgraph.blocks
         return [
-            MachineRuntime(mg, self.program, tracer=self.tracer, plan=plans[i])
-            for i, mg in enumerate(self.pgraph.machines)
+            MachineRuntime(block, self.program, tracer=self.tracer, plan=plan)
+            for block, plan in zip(blocks, self._unit_plans(blocks))
         ]
 
     # ------------------------------------------------------------------
@@ -121,11 +130,9 @@ class BaseEngine(abc.ABC):
         from the very first message on.
         """
         with self.tracer.span("bootstrap", category="phase"):
-            results = self.backend.dispatch(
+            self.sim.add_compute_all(*self.backend.dispatch_work(
                 "bootstrap", {"track_delta": track_delta}
-            )
-            for machine_id, res in enumerate(results):
-                self.sim.add_compute(machine_id, res["edges"], res["applies"])
+            ))
             self.shards.merge()
 
     def _globally_idle(self) -> bool:
@@ -137,10 +144,10 @@ class BaseEngine(abc.ABC):
         return sum(rt.num_active for rt in self.runtimes)
 
     def _kernel_stats(self) -> KernelStats:
-        """Merged per-kernel host timings across the machine runtimes.
+        """Merged per-kernel host timings across the runtimes.
 
         Delegated to the backend: worker pools hold the authoritative
-        per-machine stats in their own processes.
+        per-runtime stats in their own processes.
         """
         return self.backend.kernel_stats()
 
@@ -184,7 +191,8 @@ class BaseEngine(abc.ABC):
             )
         finally:
             # stop workers / release shared memory; runtime arrays are
-            # copied back so results stay valid after the pool is gone
+            # copied back so results stay valid after the pool is gone.
+            # close() also drops the backend's reference to this engine.
             self.backend.close()
 
     @abc.abstractmethod

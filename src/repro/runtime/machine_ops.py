@@ -1,45 +1,58 @@
-"""Per-machine compute operations, shared by every execution backend.
+"""Per-runtime compute operations, shared by every execution backend.
 
-Each engine's inner machine loop is a pure function of one machine's
-runtime state: take the staged messages, apply, scatter, report how much
-work happened. This module names those loops as *ops* so an
+Each engine's inner loop is a pure function of one runtime's state: take
+the staged messages, apply, scatter, report how much work happened. This
+module names those loops as *ops* so an
 :class:`~repro.runtime.backend.ExecutionBackend` can run them anywhere —
 inline on the engine thread (:class:`~repro.runtime.backend.SerialBackend`)
-or inside a worker process that owns the machine's arrays in shared
-memory (:class:`~repro.runtime.process_backend.ProcessBackend`).
+or inside a worker process that owns the runtime's arrays in shared
+memory (:class:`~repro.runtime.process_backend.ProcessBackend`). A delta
+engine's runtime is a *block* of consecutive machines
+(:class:`~repro.runtime.machine_runtime.MachineRuntime`); the GAS
+engine's is one machine.
 
 The contract that keeps backends bit-identical:
 
-* A handler may touch **only** its machine's runtime, the shared arrays
-  in ``ctx.shared``, and its machine's :class:`MachineCollector` — never
-  the tracer, the simulator, or another machine.
-* Every model-time charge (``ClusterSim.add_compute``, channel ledgers)
-  is folded by the *engine*, parent-side, from the handler's returned
-  dict, in ascending machine order — exactly the legacy loop order.
-* Observability events are emitted through ``ctx.collector`` with the
-  same names/attributes the legacy inline loops used, so the
+* A handler may touch **only** its own runtime, the shared arrays in
+  ``ctx.shared``, and the :class:`MachineCollector` of each machine it
+  covers — never the tracer, the simulator, or another runtime.
+* Every model-time charge (``ClusterSim.add_compute_all``, channel
+  ledgers) is folded by the *engine*, parent-side, from what the
+  handlers return, in ascending machine order. The delta ops return
+  per-machine ``(edges, applies)`` rows (``int64[2, k]``) for the ``k``
+  machines of their block; backends concatenate them in block order,
+  which is machine order (``ExecutionBackend.dispatch_work``).
+* Observability events are emitted through ``ctx.collectors`` with the
+  same names/attributes the per-machine loops used, so the
   ``(epoch, machine, seq)`` merge reproduces the serial record stream.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict
+from typing import Any, Callable, Dict, List
 
 import numpy as np
 
 __all__ = ["OpContext", "run_op", "OP_HANDLERS", "runtime_shared_arrays",
-           "set_runtime_array"]
+           "set_runtime_array", "eager_apply"]
 
 
 @dataclass
 class OpContext:
     """Everything a handler may touch besides its own runtime."""
 
-    machine_id: int
-    collector: Any  # MachineCollector (engine-side or worker-local)
+    machine_id: int  # first machine the runtime covers
+    # one MachineCollector (engine-side or worker-local) per covered machine
+    collectors: List[Any]
     net: Any  # NetworkModel (for deterministic busy_s attributes)
     shared: Dict[str, np.ndarray]  # backend-managed cross-machine arrays
+
+    @property
+    def collector(self) -> Any:
+        """The first (for a single-machine runtime: the) collector."""
+        return self.collectors[0]
 
 
 # ----------------------------------------------------------------------
@@ -47,7 +60,7 @@ class OpContext:
 # the parent (exchange plane, lens, coherency) and the worker (compute)
 
 def runtime_shared_arrays(rt) -> Dict[str, np.ndarray]:
-    """Enumerate the per-machine arrays both sides must see.
+    """Enumerate the per-runtime arrays both sides must see.
 
     Delta runtimes expose their mailbox arrays plus all state arrays;
     GAS runtimes only carry state (their mailboxes are the engine-level
@@ -78,52 +91,53 @@ def set_runtime_array(rt, key: str, arr: np.ndarray) -> None:
 # handlers
 
 
-def _op_bootstrap(rt, ctx: OpContext, payload: Dict[str, Any]) -> Dict[str, Any]:
+def _op_bootstrap(rt, ctx: OpContext, payload: Dict[str, Any]) -> np.ndarray:
     """Initial scatter: stage the seed deltas (BaseEngine._bootstrap body)."""
-    edges, applies = rt.bootstrap(payload["track_delta"])
-    return {"edges": edges, "applies": applies}
+    return rt.bootstrap(payload["track_delta"])
 
 
-def _op_apply_step(rt, ctx: OpContext, payload: Dict[str, Any]) -> Dict[str, Any]:
+def _op_apply_step(rt, ctx: OpContext, payload: Dict[str, Any]) -> np.ndarray:
     """Drain the mailbox and apply+scatter (the delta engines' inner loop).
 
-    ``span=True`` wraps the work in an ``apply-machine`` collector span
-    (the lazy engines' instrumented passes); ``span=False`` is the bare
-    micro-iteration used inside lazy-block local stages.
+    ``span=True`` reports the pass as one ``apply-machine`` collector
+    span per covered machine (the lazy engines' instrumented passes;
+    zero-work machines included, all carrying the block call's host
+    interval); ``span=False`` is the bare micro-iteration used inside
+    lazy-block local stages.
     """
-    track = payload["track_delta"]
+    t0 = time.perf_counter()
     idx, accum = rt.take_ready()
-    if payload.get("span"):
-        with ctx.collector.span(
-            "apply-machine", machine=ctx.machine_id,
-            superstep=payload["superstep"],
-        ) as msp:
-            edges, _ = rt.apply_and_scatter(idx, accum, track_delta=track)
-            msp.set(edges=edges, applies=int(idx.size),
-                    busy_s=ctx.net.compute_time(edges, int(idx.size)))
-    else:
-        edges, _ = rt.apply_and_scatter(idx, accum, track_delta=track)
-    return {
-        "edges": int(edges),
-        "applies": int(idx.size),
-        "busy_s": ctx.net.compute_time(edges, int(idx.size)),
-    }
+    work = rt.apply_and_scatter(idx, accum, track_delta=payload["track_delta"])
+    if payload.get("span") and ctx.collector.tracer.enabled:
+        t1 = time.perf_counter()
+        edges, applies = work.tolist()
+        busy = ctx.net.compute_time(work[0], work[1]).tolist()
+        for j, (machine, collector) in enumerate(
+            zip(rt.mg.machine_ids, ctx.collectors)
+        ):
+            collector.closed_span(
+                "apply-machine", t0, t1,
+                machine=machine, superstep=payload["superstep"],
+                edges=edges[j], applies=applies[j], busy_s=busy[j],
+            )
+    return work
 
 
-def _op_eager_apply(rt, ctx: OpContext, payload: Dict[str, Any]) -> Dict[str, Any]:
+def eager_apply(
+    rt, has: np.ndarray, total: np.ndarray, track_delta: bool
+) -> np.ndarray:
+    """Replay Apply+Scatter of the globally staged accums on one runtime."""
+    gids = rt.mg.vertices
+    idx = np.flatnonzero(has[gids])
+    return rt.apply_and_scatter(idx, total[gids[idx]], track_delta)
+
+
+def _op_eager_apply(rt, ctx: OpContext, payload: Dict[str, Any]) -> np.ndarray:
     """Apply the eagerly-combined accumulators (EagerExchange.apply_all leg)."""
-    has = ctx.shared["eager.has"]
-    total = ctx.shared["eager.total"]
-    sel = has[rt.mg.vertices]
-    idx = np.flatnonzero(sel)
-    if idx.size:
-        accum = total[rt.mg.vertices[idx]]
-        edges, _ = rt.apply_and_scatter(
-            idx, accum, track_delta=payload["track_delta"]
-        )
-    else:
-        edges = 0
-    return {"edges": int(edges), "applies": int(idx.size)}
+    return eager_apply(
+        rt, ctx.shared["eager.has"], ctx.shared["eager.total"],
+        payload["track_delta"],
+    )
 
 
 def _op_gas_gather(rt, ctx: OpContext, payload: Dict[str, Any]) -> Dict[str, Any]:
@@ -176,7 +190,7 @@ def _op_gas_apply(rt, ctx: OpContext, payload: Dict[str, Any]) -> Dict[str, Any]
     return {"applies": int(idx.size), "out_gids": out_gids}
 
 
-OP_HANDLERS: Dict[str, Callable[..., Dict[str, Any]]] = {
+OP_HANDLERS: Dict[str, Callable[..., Any]] = {
     "bootstrap": _op_bootstrap,
     "apply_step": _op_apply_step,
     "eager_apply": _op_eager_apply,
@@ -185,6 +199,6 @@ OP_HANDLERS: Dict[str, Callable[..., Dict[str, Any]]] = {
 }
 
 
-def run_op(op: str, rt, ctx: OpContext, payload: Dict[str, Any]) -> Dict[str, Any]:
-    """Run one named op against one machine runtime."""
+def run_op(op: str, rt, ctx: OpContext, payload: Dict[str, Any]) -> Any:
+    """Run one named op against one runtime (a block, or a GAS machine)."""
     return OP_HANDLERS[op](rt, ctx, payload or {})

@@ -1,4 +1,4 @@
-"""Per-machine runtime state and the vectorized graph operators.
+"""Per-block runtime state and the vectorized graph operators.
 
 This is the runtime half of the paper's §3.2 split: the engine-side
 variables kept for every replica ``v`` on every machine —
@@ -41,6 +41,19 @@ All ⊕-folds are bit-identical to the historical per-call-flatten +
 ``ufunc.at`` spelling (``mode="generic"`` pins that baseline). Sweep
 decisions are surfaced through the tracer (``sweep-mode`` instants on
 change) and per-kernel host timings accumulate in :attr:`kernel_stats`.
+
+Blocks
+------
+A runtime serves one *block* of consecutive machines
+(:attr:`~repro.partition.partitioned_graph.PartitionedGraph.blocks`):
+the machines' slots and edges sit back to back in one set of arrays, so
+one ``take_ready → apply → scatter`` advances every machine of the
+block. Slots of different machines are disjoint and concatenation keeps
+each machine's edge order, so every slot folds its messages in the same
+order as it would alone (the sweep modes' equivalence contract covers
+the rest). What the cluster model charges per machine — edges
+traversed, applies — is read back exactly from the sorted frontier and
+``mg.machine_offsets`` (:meth:`MachineRuntime.work_by_machine`).
 """
 
 from __future__ import annotations
@@ -65,7 +78,7 @@ _TRANSFORM_OPS = ("identity", "add", "divide")
 
 
 class MachineRuntime:
-    """One machine's buffers + kernels for one program run."""
+    """One block's buffers + kernels for one program run."""
 
     def __init__(
         self, mg: MachineGraph, program: DeltaProgram, tracer=None, plan=None
@@ -83,7 +96,7 @@ class MachineRuntime:
         self.has_delta = np.zeros(n, dtype=bool)
         # local out-CSR plan: edge order, per-source slices, per-target
         # counts and scratch — computed once, reused every scatter.
-        # A caller-provided plan (a GraphSession's per-machine cache)
+        # A caller-provided plan (a GraphSession's per-block cache)
         # must describe this exact machine graph; plans carry no
         # run-mutable state beyond reset-before-use scratch, so reuse
         # across sequential runs is bit-identical to rebuilding.
@@ -111,10 +124,11 @@ class MachineRuntime:
         self._seg_scratch = np.empty(n, dtype=np.float64)
         self.kernel_stats = KernelStats()
         self._last_sweep_mode: str = ""
-        # observability shard: machine-local events go through here so a
+        # observability shard: block-local events go through here so a
         # buffered collector can defer them to the next merge point; the
         # default is a passthrough onto the tracer (legacy inline path).
-        # BaseEngine swaps in its ShardedObs collector for this machine.
+        # BaseEngine swaps in its ShardedObs collector for the block's
+        # first machine.
         self.obs = MachineCollector(mg.machine_id, self.tracer, buffered=False)
 
     def _init_transform(self, program: DeltaProgram, mg: MachineGraph) -> None:
@@ -153,42 +167,76 @@ class MachineRuntime:
         """Vertices scheduled for Apply (pending messages)."""
         return int(np.count_nonzero(self.has_msg))
 
-    def bootstrap(self, track_delta: bool) -> Tuple[int, int]:
-        """Run the program's initial activation; returns (edges, applies)."""
+    def work_by_machine(
+        self, applied: np.ndarray, fired: np.ndarray, edges: int
+    ) -> np.ndarray:
+        """Exact per-machine work of one pass: ``int64[2, k]``.
+
+        Row 0 is the edges each of the block's ``k`` machines traversed
+        scattering ``fired``, row 1 its share of the ``applied``
+        vertices. Both index arrays must be sorted ascending; machine
+        boundaries are then one ``searchsorted`` each, O(frontier).
+        ``edges`` is the block total :meth:`scatter` returned.
+        """
+        offsets = self.mg.machine_offsets
+        if offsets.size == 2:
+            return np.array([[edges], [applied.size]], dtype=np.int64)
+        work = np.empty((2, offsets.size - 1), dtype=np.int64)
+        running = np.empty(fired.size + 1, dtype=np.int64)
+        running[0] = 0
+        np.cumsum(self.out_plan.counts[fired], out=running[1:])
+        cuts = running[fired.searchsorted(offsets)]
+        np.subtract(cuts[1:], cuts[:-1], out=work[0])
+        cuts = applied.searchsorted(offsets)
+        np.subtract(cuts[1:], cuts[:-1], out=work[1])
+        return work
+
+    def bootstrap(self, track_delta: bool) -> np.ndarray:
+        """Run the program's initial activation.
+
+        Returns per-machine ``(edges, applies)`` rows
+        (:meth:`work_by_machine`).
+        """
         init_delta, active = self.program.initial_scatter(self.mg, self.state)
         idx = np.flatnonzero(active)
         if init_delta is None:
             # activation without a message: Apply runs with identity accum
             self.has_msg[idx] = True
-            edges = 0
+            fired, edges = idx[:0], 0
         else:
-            edges = self.scatter(idx, init_delta[idx], track_delta)
+            fired, edges = idx, self.scatter(idx, init_delta[idx], track_delta)
+        work = self.work_by_machine(idx, fired, edges)
         # warm starts pre-stage replica-consistent inbox messages (a no-op
         # for ordinary programs); injected vertices are charged as applies
-        injected = self.inject_initial_messages()
-        return edges, int(idx.size) + injected
+        work[1] += self.inject_initial_messages()
+        return work
 
-    def inject_initial_messages(self) -> int:
+    def inject_initial_messages(self) -> np.ndarray:
         """Fold the program's pre-staged inbox messages (warm starts).
 
         Replica-consistent injections go straight into ``msg``/``has_msg``
         and never into ``deltaMsg`` — every replica stages the same
         value locally, so forwarding it at a coherency point would
-        double-count. Returns the number of injected vertices.
+        double-count. Returns the number of injected vertices on each
+        of the block's machines.
         """
+        offsets = self.mg.machine_offsets
         inj = self.program.initial_messages(self.mg, self.state)
         if inj is None:
-            return 0
+            return np.zeros(offsets.size - 1, dtype=np.int64)
         idx, accum = inj
         idx = np.asarray(idx, dtype=np.int64)
-        if idx.size == 0:
-            return 0
-        scatter_reduce(
-            self.algebra, self.msg, idx,
-            np.asarray(accum, dtype=np.float64),
+        if idx.size:
+            scatter_reduce(
+                self.algebra, self.msg, idx,
+                np.asarray(accum, dtype=np.float64),
+            )
+            self.has_msg[idx] = True
+        # the hook does not promise sorted indices
+        return np.bincount(
+            np.searchsorted(offsets, idx, side="right") - 1,
+            minlength=offsets.size - 1,
         )
-        self.has_msg[idx] = True
-        return int(idx.size)
 
     # ------------------------------------------------------------------
     def _edge_messages(
@@ -254,6 +302,7 @@ class MachineRuntime:
             self.obs.instant(
                 "sweep-mode",
                 machine=self.mg.machine_id,
+                machines=self.mg.num_machines,
                 mode=mode,
                 frontier_edges=total,
                 local_edges=plan.num_edges,
@@ -345,7 +394,7 @@ class MachineRuntime:
     def take_ready(self) -> Tuple[np.ndarray, np.ndarray]:
         """Drain the inbox: (local indices, combined accums); inbox cleared.
 
-        The accum array is a view into per-machine scratch, valid until
+        The accum array is a view into per-block scratch, valid until
         the next ``take_ready`` on this runtime — every engine consumes
         it immediately (Apply reads it within the same round).
         """
@@ -358,14 +407,18 @@ class MachineRuntime:
 
     def apply_and_scatter(
         self, idx: np.ndarray, accum: np.ndarray, track_delta: bool
-    ) -> Tuple[int, int]:
-        """Apply accums then scatter fired deltas; returns (edges, fires)."""
+    ) -> np.ndarray:
+        """Apply accums to ``idx`` (sorted), then scatter the fired deltas.
+
+        Returns per-machine ``(edges, applies)`` rows
+        (:meth:`work_by_machine`).
+        """
         if idx.size == 0:
-            return 0, 0
+            return self.work_by_machine(idx, idx, 0)
         delta_out, fire = self.program.apply(self.mg, self.state, idx, accum)
         fired = idx[fire]
         edges = self.scatter(fired, delta_out[fire], track_delta)
-        return edges, int(fired.size)
+        return self.work_by_machine(idx, fired, edges)
 
     def clear_deltas(self, idx: np.ndarray) -> None:
         """Reset ``deltaMsg`` after a coherency exchange."""
@@ -373,5 +426,5 @@ class MachineRuntime:
         self.has_delta[idx] = False
 
     def values(self) -> np.ndarray:
-        """Program result values for this machine's local vertices."""
+        """Program result values for this block's local vertices."""
         return self.program.values(self.mg, self.state)

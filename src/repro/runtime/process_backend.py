@@ -2,15 +2,17 @@
 
 Topology
 --------
-``ProcessBackend.bind(engine)`` re-backs every per-machine runtime array
-(message mailboxes and program state; see
+``ProcessBackend.bind(engine)`` re-backs every runtime array (message
+mailboxes and program state; see
 :func:`~repro.runtime.machine_ops.runtime_shared_arrays`) with a
 ``multiprocessing.shared_memory`` segment, then binds a persistent pool
 of worker processes (spawn context, so everything shipped at bind must
-be picklable). Machines are assigned round-robin: worker ``r`` owns
-every machine ``m`` with ``m % workers == r`` and builds its own
-:class:`MachineRuntime` / ``_GASMachine`` facades over the *same*
-segments. The parent keeps its runtime facades too — the exchange
+be picklable). The unit of ownership is the engine's runtime — a block
+of consecutive machines for the delta engines, one machine for GAS —
+assigned round-robin: worker ``r`` owns every runtime ``u`` with
+``u % workers == r`` and builds its own :class:`MachineRuntime` /
+``_GASMachine`` facades over the *same* segments (which are therefore
+per block). The parent keeps its runtime facades too — the exchange
 plane, coherency exchanger, lens, and signal taps all keep reading and
 writing the exact arrays the workers compute on, which is why every
 cross-machine code path stays byte-for-byte the serial code path.
@@ -19,22 +21,24 @@ Protocol
 --------
 One duplex pipe per worker. A freshly spawned worker idles until it
 receives ``("bind", init)`` — the per-run payload (bind rank, run seed,
-owned machines, machine graphs, program, kernel config, shared-memory
-specs) that used to travel as spawn arguments. Binding re-seeds the
-worker RNG from the run seed (`derive_seed(seed, "backend-worker-r")`,
-exactly what spawn-time seeding did — no RNG is consumed between spawn
-and bind, so warm-pool runs stay bit-identical to cold spawns), builds
-the runtimes, attaches the segments, and acks ``("ready", None)``.
+owned runtime units and their machine graphs, program, kernel config,
+shared-memory specs) that used to travel as spawn arguments. Binding
+re-seeds the worker RNG from the run seed
+(`derive_seed(seed, "backend-worker-r")`, exactly what spawn-time
+seeding did — no RNG is consumed between spawn and bind, so warm-pool
+runs stay bit-identical to cold spawns), builds the runtimes, attaches
+the segments, and acks ``("ready", None)``.
 
 ``dispatch(op, payload)`` advances the shard epoch, broadcasts
 ``("op", op, epoch, payload, announcements)`` (where announcements carry
-lazily-attached engine-level shared arrays such as the GAS frontier),
-and waits for every worker's reply. A worker runs the op on each owned
-machine in ascending order with its collector clock set to
-``(epoch, seq=0)``, and replies with the per-machine result dicts plus
-the raw :class:`MachineCollector` event tuples, which the parent appends
-to its own collectors — so the engine's next ``ShardedObs.merge()``
-interleaves them in exactly the serial ``(epoch, machine, seq)`` order.
+lazily-attached engine-level shared arrays such as the GAS frontier) to
+every worker that owns a runtime, and waits for each one's reply. A
+worker runs the op on each owned runtime in ascending order with the
+collector clocks of the machines it covers set to ``(epoch, seq=0)``,
+and replies with the per-runtime results plus the raw per-machine
+:class:`MachineCollector` event tuples, which the parent appends to its
+own collectors — so the engine's next ``ShardedObs.merge()`` interleaves
+them in exactly the serial ``(epoch, machine, seq)`` order.
 Strict request/reply sequencing means a worker is always quiescent
 between dispatches: the parent-side exchange legs that run between
 dispatches never race worker writes.
@@ -76,9 +80,8 @@ from repro.kernels.config import get_config, set_config
 from repro.kernels.stats import KernelStats
 from repro.obs.shards import MachineCollector
 from repro.obs.tracer import NULL_TRACER
-from repro.runtime.backend import ExecutionBackend
+from repro.runtime.backend import ExecutionBackend, op_contexts
 from repro.runtime.machine_ops import (
-    OpContext,
     run_op,
     runtime_shared_arrays,
     set_runtime_array,
@@ -124,12 +127,11 @@ def _worker_bind(init: Dict[str, Any]) -> Dict[str, Any]:  # pragma: no cover
     program = init["program"]
     tracer = _BufferTracer() if init["tracer_enabled"] else NULL_TRACER
     segments: List[shared_memory.SharedMemory] = []
-    runtimes: Dict[int, Any] = {}
+    runtimes: List[Any] = []
     collectors: Dict[int, MachineCollector] = {}
-    ctxs: Dict[int, OpContext] = {}
     shared: Dict[str, np.ndarray] = {}
-    for mid in init["machines"]:
-        mg = init["mgs"][mid]
+    for unit in init["units"]:
+        mg = init["mgs"][unit]
         if init["runtime_kind"] == "gas":
             from repro.powergraph.engine_gas import _GASMachine
 
@@ -138,25 +140,21 @@ def _worker_bind(init: Dict[str, Any]) -> Dict[str, Any]:  # pragma: no cover
             from repro.runtime.machine_runtime import MachineRuntime
 
             rt = MachineRuntime(mg, program)
-        for key, name, shape, dtype in init["shm"][mid]:
+        for key, name, shape, dtype in init["shm"][unit]:
             arr, shm = _attach_array(name, shape, dtype)
             if shm is not None:
                 segments.append(shm)
             set_runtime_array(rt, key, arr)
-        col = MachineCollector(mid, tracer, buffered=True)
+        for mid in mg.machine_ids:
+            collectors[mid] = MachineCollector(mid, tracer, buffered=True)
         if hasattr(rt, "obs"):
-            rt.obs = col
-        runtimes[mid] = rt
-        collectors[mid] = col
-        ctxs[mid] = OpContext(
-            machine_id=mid, collector=col,
-            net=init["network"], shared=shared,
-        )
+            rt.obs = collectors[mg.machine_id]
+        runtimes.append(rt)
     return {
-        "machines": init["machines"],
+        "units": init["units"],
         "runtimes": runtimes,
         "collectors": collectors,
-        "ctxs": ctxs,
+        "ctxs": op_contexts(runtimes, collectors, init["network"], shared),
         "shared": shared,
         "segments": segments,
     }
@@ -203,25 +201,27 @@ def _worker_main(conn) -> None:  # pragma: no cover
                         if shm is not None:
                             state["segments"].append(shm)
                         state["shared"][key] = arr
-                    replies = []
-                    for mid in state["machines"]:
-                        col = state["collectors"][mid]
+                    for col in state["collectors"].values():
                         col.epoch = epoch
                         col._seq = 0
-                        result = run_op(
-                            op, state["runtimes"][mid], state["ctxs"][mid],
-                            payload,
+                    results = [
+                        (unit, run_op(op, rt, ctx, payload))
+                        for unit, rt, ctx in zip(
+                            state["units"], state["runtimes"], state["ctxs"]
                         )
-                        events = list(col.events)
-                        col.events.clear()
-                        replies.append((mid, result, events))
-                    conn.send(("ok", replies))
+                    ]
+                    events = []
+                    for mid, col in state["collectors"].items():
+                        if col.events:
+                            events.append((mid, list(col.events)))
+                            col.events.clear()
+                    conn.send(("ok", (results, events)))
                 except Exception:
                     conn.send(("error", traceback.format_exc()))
             elif kind == "finalize":
                 stats = [
-                    (mid, getattr(state["runtimes"][mid], "kernel_stats", None))
-                    for mid in state["machines"]
+                    (unit, getattr(rt, "kernel_stats", None))
+                    for unit, rt in zip(state["units"], state["runtimes"])
                 ]
                 conn.send(("stats", stats))
             elif kind == "unbind":
@@ -365,7 +365,7 @@ class _Worker:
     rank: int
     proc: Any
     conn: Any
-    machines: List[int]
+    units: List[int]  # indices into engine.runtimes
 
 
 class ProcessBackend(ExecutionBackend):
@@ -422,49 +422,49 @@ class ProcessBackend(ExecutionBackend):
         return arr, shm.name
 
     def bind(self, engine) -> None:
-        if self.engine is not None:
+        if self.engine is not None or self._closed:
             raise ConfigError("backend is already bound to an engine")
         self.engine = engine
         t0 = time.perf_counter()
-        num_machines = engine.pgraph.num_machines
+        num_units = len(engine.runtimes)
         requested = self.workers or (os.cpu_count() or 1)
-        self.num_workers = max(1, min(requested, num_machines))
+        # capped at the machine count, not the unit count: ``workers=W``
+        # keeps meaning W pool members even when small machines merged
+        # into fewer blocks (the surplus own nothing and sit out ops)
+        self.num_workers = max(
+            1, min(requested, engine.pgraph.num_machines)
+        )
 
         # re-back every runtime array with a shared segment, in place:
         # the parent-side exchange/coherency/lens code keeps its views
-        shm_specs: Dict[int, List[_ArraySpec]] = {}
-        for rt in engine.runtimes:
-            mid = rt.mg.machine_id
+        shm_specs: List[List[_ArraySpec]] = []
+        for unit, rt in enumerate(engine.runtimes):
             specs: List[_ArraySpec] = []
             for key, arr in runtime_shared_arrays(rt).items():
                 view, name = self._new_segment(
-                    f"{mid}.{key}", arr.shape, arr.dtype, init_from=arr
+                    f"{unit}.{key}", arr.shape, arr.dtype, init_from=arr
                 )
                 set_runtime_array(rt, key, view)
                 self._runtime_views.append((rt, key, view))
                 specs.append((key, name, arr.shape, arr.dtype.str))
-            shm_specs[mid] = specs
+            shm_specs.append(specs)
 
         kind = getattr(engine, "worker_runtime", "delta")
-        mgs = {rt.mg.machine_id: rt.mg for rt in engine.runtimes}
         try:
             members = self._workers_pool.acquire(self.num_workers)
             for rank, (proc, conn) in enumerate(members):
-                owned = [
-                    m for m in range(num_machines)
-                    if m % self.num_workers == rank
-                ]
+                owned = list(range(rank, num_units, self.num_workers))
                 init = {
                     "rank": rank,
                     "seed": self.seed,
-                    "machines": owned,
-                    "mgs": {m: mgs[m] for m in owned},
+                    "units": owned,
+                    "mgs": {u: engine.runtimes[u].mg for u in owned},
                     "program": engine.program,
                     "runtime_kind": kind,
                     "network": engine.sim.network,
                     "kernel_config": get_config(),
                     "tracer_enabled": engine.tracer.enabled,
-                    "shm": {m: shm_specs[m] for m in owned},
+                    "shm": {u: shm_specs[u] for u in owned},
                 }
                 w = _Worker(rank, proc, conn, owned)
                 self._pool.append(w)
@@ -525,7 +525,7 @@ class ProcessBackend(ExecutionBackend):
     # ------------------------------------------------------------------
     def dispatch(
         self, op: str, payload: Optional[Dict[str, Any]] = None
-    ) -> List[Dict[str, Any]]:
+    ) -> List[Any]:
         if self._failed or self._closed:
             raise BackendError("process backend is closed or failed")
         self._workers_pool.note_op()
@@ -535,18 +535,18 @@ class ProcessBackend(ExecutionBackend):
         announcements = self._pending_ann
         self._pending_ann = []
         msg = ("op", op, epoch, payload or {}, announcements)
-        for w in self._pool:
+        owners = [w for w in self._pool if w.units]
+        for w in owners:
             self._send(w, msg)
-        results: Dict[int, Dict[str, Any]] = {}
-        for w in self._pool:
-            _, replies = self._recv(w, self.op_timeout)
-            for mid, result, events in replies:
-                results[mid] = result
-                if events:
-                    col = eng.shards.collectors[mid]
-                    col.events.extend(events)
-                    col._seq = max(col._seq, events[-1][1] + 1)
-        return [results[m] for m in range(eng.pgraph.num_machines)]
+        results: Dict[int, Any] = {}
+        for w in owners:
+            _, (unit_results, machine_events) = self._recv(w, self.op_timeout)
+            results.update(unit_results)
+            for mid, events in machine_events:
+                col = eng.shards.collectors[mid]
+                col.events.extend(events)
+                col._seq = max(col._seq, events[-1][1] + 1)
+        return [results[u] for u in range(len(eng.runtimes))]
 
     def shared_array(self, key: str, shape, dtype, fill=None) -> np.ndarray:
         if key in self.shared:
@@ -562,16 +562,16 @@ class ProcessBackend(ExecutionBackend):
     def kernel_stats(self) -> KernelStats:
         if self._failed or self._closed:
             raise BackendError("process backend is closed or failed")
-        per_machine: Dict[int, KernelStats] = {}
+        per_unit: Dict[int, KernelStats] = {}
         for w in self._pool:
             self._send(w, ("finalize",))
         for w in self._pool:
             _, stats = self._recv(w, self.op_timeout)
-            for mid, ks in stats:
+            for unit, ks in stats:
                 if ks is not None:
-                    per_machine[mid] = ks
+                    per_unit[unit] = ks
         merged = KernelStats.merged(
-            per_machine[m] for m in sorted(per_machine)
+            per_unit[u] for u in sorted(per_unit)
         )
         # parent facades run no kernels in process mode, but stay in the
         # fold so any parent-side staging cost is never silently dropped
@@ -632,6 +632,7 @@ class ProcessBackend(ExecutionBackend):
             set_runtime_array(rt, key, np.array(view, copy=True))
         self._runtime_views.clear()
         self.shared.clear()
+        self.engine = None  # a finished engine and its backend: no cycle
         for shm in self._segments:
             try:
                 shm.close()

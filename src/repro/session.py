@@ -13,9 +13,11 @@ almost all redundant work.
   *graph-level* — the graph, machine count, partitioner, edge split,
   seed — and lazily caches each derived artifact the first time a run
   needs it: the prepared graph per ``(symmetric, weighted)`` program
-  requirement, the partitioned graph, the per-machine
-  :class:`~repro.kernels.csr.CSRPlan` lists per worker-runtime kind,
-  and one warm :class:`~repro.runtime.process_backend.WorkerPool` for
+  requirement, the partitioned graph, the
+  :class:`~repro.kernels.csr.CSRPlan` lists per worker-runtime kind
+  (one plan per *block* of the partition for the delta engines, a pair
+  per machine for GAS), and one warm
+  :class:`~repro.runtime.process_backend.WorkerPool` for
   process-backend runs.
 * ``session.run(algorithm, ...)`` is everything *run-level*: a fresh
   engine constructed against the cached artifacts. Fresh construction
@@ -42,12 +44,12 @@ prepared graph variant via the edge-diff layout
 their machines; added edges placed greedily; the replica tables come
 from one vectorised :meth:`PartitionedGraph.build`; λ reported per
 variant, with an optional multiplicative ``repartition_threshold``
-valve), and the per-machine CSR plans only for the machines whose local
-graph actually changed. Every variant is validated and patched into
-locals first and committed together, so a batch that fails anywhere
-leaves the session as it was. After a mutation, ``session.run(...,
-incremental=True)`` warm-starts delta programs that opt in
-(``supports_warm_start``) from the previous fixpoint — reseeding the
+valve), and the CSR plans only for the blocks that cover a machine
+whose local graph actually changed. Every variant is validated and
+patched into locals first and committed together, so a batch that fails
+anywhere leaves the session as it was. After a mutation,
+``session.run(..., incremental=True)`` warm-starts delta programs that
+opt in (``supports_warm_start``) from the previous fixpoint — reseeding the
 tainted/fresh slice and injecting boundary corrections via
 :mod:`repro.runtime.warm_start` — and re-converges to the same fixpoint
 as a cold run in a fraction of the supersteps
@@ -113,6 +115,12 @@ GraphKey = Tuple[bool, bool]  # (requires_symmetric, needs_weights)
 #: an evicted program's next incremental run is the documented cold
 #: fallback
 _MAX_FIXPOINTS = 16
+
+
+def _runtime_units(kind: str, pgraph) -> List[Any]:
+    """What an engine family builds one runtime (and one plan) per:
+    blocks of machines for the delta engines, machines for GAS."""
+    return pgraph.machines if kind == "gas" else pgraph.blocks
 
 
 def _key_name(key: GraphKey) -> str:
@@ -335,27 +343,33 @@ class GraphSession:
             self._baseline_lambda[key] = float(pgraph.replication_factor)
         return self._pgraphs[key], key
 
-    def _plans_for(self, spec: EngineSpec, pgraph, key) -> List[Any]:
-        """Per-machine CSR plans for this engine family, built once."""
+    @staticmethod
+    def _build_plans(kind: str, pgraph, reuse=None) -> List[Any]:
+        """One CSR plan per runtime unit of ``kind`` over ``pgraph``.
+
+        The delta engines' unit is a block, GAS's a machine (an in/out
+        plan pair). ``reuse`` maps a unit's ``(first machine, machine
+        count)`` to a plan that is still valid for it.
+        """
         from repro.kernels import CSRPlan
 
-        kind = getattr(spec.cls, "worker_runtime", "delta")
-        pkey = (key, kind)
+        plans: List[Any] = []
+        for mg in _runtime_units(kind, pgraph):
+            plan = (reuse or {}).get((mg.machine_id, mg.num_machines))
+            if plan is None:
+                n = mg.num_local_vertices
+                if kind == "gas":
+                    plan = (CSRPlan(mg.edst, n), CSRPlan(mg.esrc, n))
+                else:
+                    plan = CSRPlan(mg.esrc, n, dst=mg.edst)
+            plans.append(plan)
+        return plans
+
+    def _plans_for(self, spec: EngineSpec, pgraph, key) -> List[Any]:
+        """CSR plans for this engine family's runtime units, built once."""
+        pkey = (key, getattr(spec.cls, "worker_runtime", "delta"))
         if pkey not in self._plans:
-            if kind == "gas":
-                plans: List[Any] = [
-                    (
-                        CSRPlan(mg.edst, mg.num_local_vertices),
-                        CSRPlan(mg.esrc, mg.num_local_vertices),
-                    )
-                    for mg in pgraph.machines
-                ]
-            else:
-                plans = [
-                    CSRPlan(mg.esrc, mg.num_local_vertices, dst=mg.edst)
-                    for mg in pgraph.machines
-                ]
-            self._plans[pkey] = plans
+            self._plans[pkey] = self._build_plans(pkey[1], pgraph)
         return self._plans[pkey]
 
     # ------------------------------------------------------------------
@@ -368,8 +382,6 @@ class GraphSession:
         staged variants together. ``apply_batch`` validates the batch
         against this variant's base — the one validation it gets.
         """
-        from repro.kernels import CSRPlan
-
         sym, _weighted = key
         old_base = self._bases[key]
         vbatch = (
@@ -434,24 +446,19 @@ class GraphSession:
                 unchanged = frozenset()
             else:
                 unchanged = frozenset(pstats.machines_unchanged)
+            # a unit's plan survives iff the new partition has a unit
+            # over the same machines and none of them changed
+            old_pg = self._pgraphs[key]
             for pkey in [pk for pk in self._plans if pk[0] == key]:
                 kind = pkey[1]
-                old_plans = self._plans[pkey]
-                new_plans: List[Any] = []
-                for i, mg in enumerate(new_pg.machines):
-                    if i in unchanged:
-                        new_plans.append(old_plans[i])
-                    elif kind == "gas":
-                        new_plans.append((
-                            CSRPlan(mg.edst, mg.num_local_vertices),
-                            CSRPlan(mg.esrc, mg.num_local_vertices),
-                        ))
-                    else:
-                        new_plans.append(
-                            CSRPlan(mg.esrc, mg.num_local_vertices,
-                                    dst=mg.edst)
-                        )
-                staged.plans[pkey] = new_plans
+                reuse = {
+                    (mg.machine_id, mg.num_machines): plan
+                    for mg, plan in zip(
+                        _runtime_units(kind, old_pg), self._plans[pkey]
+                    )
+                    if unchanged.issuperset(mg.machine_ids)
+                }
+                staged.plans[pkey] = self._build_plans(kind, new_pg, reuse)
             staged.pgraph = new_pg
             staged.stats = pstats
         return staged
@@ -463,10 +470,10 @@ class GraphSession:
         cached artifact — base and prepared graphs keep their edge-id
         layout (kept edges first, then additions), the vertex-cut
         carries every surviving edge's assignment and only places the
-        new edges, and per-machine CSR plans are rebuilt only for
-        machines whose local graph actually changed. Fixpoint records
-        from earlier runs survive, and each variant's edge diff is
-        logged, which is what makes a subsequent ``run(...,
+        new edges, and CSR plans are rebuilt only for the blocks
+        covering a machine whose local graph actually changed. Fixpoint
+        records from earlier runs survive, and each variant's edge diff
+        is logged, which is what makes a subsequent ``run(...,
         incremental=True)`` a warm start rather than a cold one.
 
         When :attr:`repartition_threshold` is set and a variant's λ

@@ -105,3 +105,33 @@ class TestProcessBackendCrashPath:
         for rt in eng.runtimes:
             assert rt.msg is not None
             rt.msg[:] = 0.0  # poke-able (would fail on a closed shm view)
+
+
+class TestFinishedEngineIsNotCyclicGarbage:
+    """``close()`` lets go of the engine: a finished engine and its
+    backend must not pin the partition (every machine graph, CSR plan
+    and runtime) until the cyclic collector happens to run."""
+
+    @pytest.mark.parametrize("backend", BACKEND_NAMES)
+    def test_partition_dies_with_the_engine(self, er_graph, backend):
+        import gc
+        import weakref
+
+        gc.collect()
+        gc.disable()
+        try:
+            kwargs = {"workers": 2} if backend == "process" else {}
+            eng = _make_engine(er_graph, resolve_backend(backend, **kwargs))
+            partition = weakref.ref(eng.pgraph)
+            eng.run()
+            assert eng.backend.engine is None
+            del eng
+            assert partition() is None
+        finally:
+            gc.enable()
+
+    def test_closed_serial_backend_says_so(self, er_graph):
+        eng = _make_engine(er_graph, None)
+        eng.run()
+        with pytest.raises(BackendError, match="closed"):
+            eng.backend.dispatch("bootstrap", {"track_delta": True})

@@ -110,6 +110,6 @@ class TestApplyAll:
         g, pg, prog, rts, ex = make_setup()
         set_msg(rts, 0, 0, 1.0)
         ex.collect()
-        work = ex.apply_all()
-        assert len(work) == 3
-        assert sum(applies for _, applies in work) >= 1
+        edges, applies = ex.apply_all()
+        assert edges.shape == applies.shape == (3,)  # one entry per machine
+        assert applies.sum() >= 1

@@ -62,25 +62,29 @@ class TestTakeReady:
 
 
 class TestApplyAndScatter:
+    # the return value is per-machine (edges, applies) rows; these
+    # runtimes hold one machine, so one column
     def test_fires_propagate(self, cc_rt):
-        edges, fires = cc_rt.apply_and_scatter(
+        work = cc_rt.apply_and_scatter(
             np.array([1]), np.array([0.0]), track_delta=False
         )
-        assert fires == 1
-        assert edges == 2  # vertex 1 connects to 0 and 2
+        # vertex 1 applied, fired, and connects to 0 and 2
+        assert work.tolist() == [[2], [1]]
         assert cc_rt.has_msg[0] and cc_rt.has_msg[2]
 
     def test_no_fire_no_scatter(self, cc_rt):
-        # label 9 does not improve vertex 1's label 1
-        edges, fires = cc_rt.apply_and_scatter(
+        # label 9 does not improve vertex 1's label 1: applied, not fired
+        work = cc_rt.apply_and_scatter(
             np.array([1]), np.array([9.0]), track_delta=False
         )
-        assert (edges, fires) == (0, 0)
+        assert work.tolist() == [[0], [1]]
+        assert cc_rt.num_active == 0
 
     def test_empty_idx(self, cc_rt):
-        assert cc_rt.apply_and_scatter(
+        work = cc_rt.apply_and_scatter(
             np.array([], dtype=int), np.array([]), False
-        ) == (0, 0)
+        )
+        assert work.tolist() == [[0], [0]]
 
 
 class TestParallelEdgeHandling:
@@ -99,7 +103,7 @@ class TestBootstrap:
         g = DiGraph(3, [0, 1, 2], [1, 2, 0])
         rt = runtime_for(g, PageRankDeltaProgram())
         edges, applies = rt.bootstrap(track_delta=True)
-        assert (edges, applies) == (3, 3)
+        assert (edges.tolist(), applies.tolist()) == ([3], [3])
         assert rt.has_msg.all() and rt.has_delta.all()
 
     def test_bootstrap_without_delta_tracking(self):
