@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from typing import Optional
 
+import numpy as np
+
 from repro.graph.digraph import DiGraph
 from repro.partition.base import partition_graph
 from repro.partition.edge_splitter import EdgeSplitConfig, select_parallel_edges
@@ -36,6 +38,7 @@ def build_lazy_graph(
     split_config: Optional[EdgeSplitConfig] = None,
     bidirectional: bool = False,
     seed: SeedLike = None,
+    assignment: Optional[np.ndarray] = None,
 ) -> PartitionedGraph:
     """Partition ``graph`` for LazyGraph execution (paper §4.1).
 
@@ -50,8 +53,18 @@ def build_lazy_graph(
     bidirectional:
         Dispatch parallel edges for bidirectional algorithms (copies on
         both endpoints' machines).
+    assignment:
+        A vertex-cut of this topology that already exists (one machine
+        id per edge, checked by ``validate_assignment`` in
+        :meth:`PartitionedGraph.build`): the partitioner is not run.
+        A placement depends on ``(num_vertices, src, dst,
+        num_machines, seed)`` only, so graphs that differ in weights
+        alone share one — a session cuts each topology once.
     """
-    assignment = partition_graph(graph, num_machines, partitioner, seed=seed)
+    if assignment is None:
+        assignment = partition_graph(
+            graph, num_machines, partitioner, seed=seed
+        )
     parallel = (
         select_parallel_edges(graph, num_machines, split_config)
         if split_config is not None

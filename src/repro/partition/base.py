@@ -2,12 +2,16 @@
 
 A *partitioner* is a function ``(graph, num_machines, seed) -> assignment``
 where ``assignment[e]`` is the machine id of edge ``e``. All partitioners
-in this package are deterministic given the seed.
+in this package are deterministic given the seed, and a placement is a
+function of the *topology* — ``(num_vertices, src, dst, num_machines,
+seed)`` — never of the edge weights: a session runs the partitioner once
+per topology and hands the assignment to every variant of the graph that
+differs in weights alone (:class:`~repro.session.GraphSession`).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict
+from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
@@ -23,7 +27,15 @@ _PARTITIONERS: Dict[str, PartitionerFn] = {}
 
 
 def register_partitioner(name: str, fn: PartitionerFn) -> None:
-    """Register a partitioner under ``name`` for :func:`partition_graph`."""
+    """Register a partitioner under ``name`` for :func:`partition_graph`.
+
+    ``fn(graph, num_machines, seed=..., **kwargs)`` returns one integer
+    machine id per edge. It must depend on ``graph.num_vertices``,
+    ``graph.src``, ``graph.dst``, ``num_machines`` and ``seed`` only —
+    not on ``graph.weights`` — because a session calls it once per
+    topology and shares the result between the weighted and unweighted
+    variants of a graph.
+    """
     if name in _PARTITIONERS:
         raise PartitionError(f"partitioner {name!r} already registered")
     _PARTITIONERS[name] = fn
@@ -34,6 +46,12 @@ def validate_assignment(
 ) -> np.ndarray:
     """Check that ``assignment`` maps every edge to a valid machine."""
     assignment = np.asarray(assignment)
+    if assignment.dtype.kind not in "iu":
+        # a float would be truncated (and NaN turned into a machine id)
+        # by the cast below; a bool is a mask, not a placement
+        raise PartitionError(
+            f"assignment must be an integer array, got dtype {assignment.dtype}"
+        )
     if assignment.shape != (graph.num_edges,):
         raise PartitionError(
             f"assignment must have one entry per edge ({graph.num_edges}), "
@@ -82,14 +100,15 @@ def _lazy_register_defaults() -> None:
     from repro.partition.oblivious_cut import oblivious_cut
     from repro.partition.random_cut import random_cut
 
-    for name, fn in [
+    defaults: List[Tuple[str, PartitionerFn]] = [
         ("random", random_cut),
         ("grid", grid_cut),
         ("coordinated", coordinated_cut),
         ("oblivious", oblivious_cut),
         ("hybrid", hybrid_cut),
         ("edge", edge_cut),
-    ]:
+    ]
+    for name, fn in defaults:
         if name not in _PARTITIONERS:
             register_partitioner(name, fn)
 

@@ -15,15 +15,27 @@ loop, :func:`_greedy_cut`, over per-loader approximations):
 4. else → least-loaded machine overall.
 
 The paper evaluates everything under this partitioner (§5.1), so it is
-the default throughout the library. Machine sets are kept as Python int
-bitmasks (P <= ~512), which makes the inherently sequential greedy loop
-cheap enough for the mini datasets.
+the default throughout the library — and every cold
+:class:`~repro.session.GraphSession` pays for it once per topology.
+
+The loop is inherently sequential: the rules keep loads balanced to a
+fraction of a percent, so each arg-min depends on every earlier
+placement and no chunk of edges can be placed ahead of the ones before
+it. What it can be is cheap per edge. Machine sets are Python int
+bitmasks (one bit per machine, so any ``P`` up to ``_MAX_MACHINES`` =
+1024, the same bound :meth:`PartitionedGraph.build` has; past 64
+machines they are multi-word ints and nothing else changes), "least
+loaded, ties by a seeded permutation" is one int compare
+(:func:`_greedy_cut`), and the edge list is streamed through the loop in
+fixed-size chunks. ``docs/performance.md`` ("Cold set-up") has the
+numbers, and the two forms of this loop that must not come back; the
+loop it replaced is the oracle in ``tests/greedy_cut_oracle.py``.
 """
 
 from __future__ import annotations
 
-from itertools import repeat
-from typing import Iterable
+import math
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -34,90 +46,148 @@ from repro.utils.rng import SeedLike, make_rng
 __all__ = ["coordinated_cut"]
 
 _MAX_MACHINES = 1024
+#: edges turned into Python ints at a time; bounds the loop's transient
+#: memory to the chunk, whatever the graph. Short on purpose: the lists
+#: stay cache-sized (the ``tolist()`` / write-back skeleton is cheapest
+#: at 2**11 .. 2**12) and resident memory stays at the old loop's
+#: (docs/performance.md, "Cold set-up")
+_CHUNK_EDGES = 1 << 11
+#: up to this many machines a candidate mask indexes a ``2**P``-entry
+#: table of its members; above it the set bits are scanned per edge
+_TABLE_MAX_MACHINES = 12
 
 
-def _least_loaded_in_mask(loads: np.ndarray, mask: int, order: np.ndarray) -> int:
-    """Least-loaded machine whose bit is set in ``mask``.
-
-    ``order`` is a fixed random permutation used for deterministic tie
-    breaking that doesn't always favour low machine ids.
-    """
-    best = -1
-    best_load = None
-    m = mask
-    while m:
-        low = m & -m
-        i = low.bit_length() - 1
-        m ^= low
-        load = (loads[i], order[i])
-        if best_load is None or load < best_load:
-            best_load = load
-            best = i
-    return best
-
-
-def _greedy_cut(
-    name: str,
-    graph: DiGraph,
-    num_machines: int,
-    rng: np.random.Generator,
-    balance_slack: float,
-    edges: Iterable[int],
-    loaders: Iterable[int],
-    num_loaders: int,
-) -> np.ndarray:
-    """The one greedy placement loop behind both vertex-cut variants.
-
-    ``edges`` is the visiting order and ``loaders`` names, per visited
-    edge, whose private ``A(v)`` map the rules consult and update.
-    Coordinated placement is the one-loader case (every edge sees the
-    single global map); oblivious placement gives each loading machine
-    its own. Loads, capacity and the remaining-degree counts are global
-    in both. The tie-break permutation is drawn here, after whatever the
-    caller drew for its visiting order.
-    """
+def _check_cut_args(name: str, num_machines: int, balance_slack: float) -> None:
+    """Reject what the greedy loop cannot place under, as the front-ends'
+    first step (``partition_graph`` only checks ``num_machines >= 1``)."""
+    if num_machines < 1:
+        raise PartitionError(f"num_machines must be >= 1, got {num_machines}")
     if num_machines > _MAX_MACHINES:
         raise PartitionError(
             f"{name} supports up to {_MAX_MACHINES} machines, got {num_machines}"
         )
+    if not (math.isfinite(balance_slack) and balance_slack >= 0):
+        raise PartitionError(
+            f"balance_slack must be finite and >= 0, got {balance_slack}"
+        )
+
+
+def _candidate_table(num_machines: int) -> List[Tuple[int, Tuple[int, ...]]]:
+    """``table[mask]`` = (lowest machine in ``mask``, the other members)."""
+    members: List[Tuple[int, ...]] = [()]
+    for m in range(num_machines):
+        members += [t + (m,) for t in members]
+    table: List[Tuple[int, Tuple[int, ...]]] = [(-1, ())]  # mask 0: never read
+    table += [(t[0], t[1:]) for t in members[1:]]
+    return table
+
+
+def _greedy_cut(
+    graph: DiGraph,
+    num_machines: int,
+    rng: np.random.Generator,
+    balance_slack: float,
+    edges: Optional[np.ndarray],
+    loaders: Optional[np.ndarray],
+    num_loaders: int,
+) -> np.ndarray:
+    """The one greedy placement loop behind both vertex-cut variants.
+
+    ``edges`` is the visiting order (edge ids; ``None`` = file order)
+    and ``loaders`` names, per visited edge, whose private ``A(v)`` map
+    the rules consult and update (``None`` = the one global map).
+    Coordinated placement is the one-loader case; oblivious placement
+    gives each loading machine its own. Loads, capacity and the
+    remaining-degree counts are global in both. The tie-break
+    permutation is drawn here, after whatever the caller drew for its
+    visiting order.
+
+    "Least loaded, ties by the permutation" is one integer per machine,
+    ``key[m] = load * P + tie_rank[m]``: ranks are distinct and below
+    ``P``, so comparing keys compares ``(load, rank)`` pairs exactly, a
+    placement is ``key[m] += P`` and a machine is full once its key
+    reaches ``capacity * P``. The per-edge body touches only Python
+    ints: endpoints arrive ``_CHUNK_EDGES`` at a time through
+    ``tolist()`` and placements leave through one array write per chunk.
+    """
     n_edges = graph.num_edges
     if n_edges == 0:
         return np.empty(0, dtype=np.int32)
 
-    tie_order = rng.permutation(num_machines)
-    loads = np.zeros(num_machines, dtype=np.int64)
-    all_mask = (1 << num_machines) - 1
-    capacity = max(1, int((1.0 + balance_slack) * n_edges / num_machines))
-    open_mask = all_mask  # machines with remaining capacity
+    P = num_machines
+    tie_rank = rng.permutation(P)
+    key: List[int] = tie_rank.tolist()  # load * P + tie rank, loads all 0
+    machine_of_rank: List[int] = np.argsort(tie_rank).tolist()
+    capacity = max(1, int((1.0 + balance_slack) * n_edges / P))
+    full = capacity * P
+    above_all = (n_edges + 1) * P  # no key gets here: load <= n_edges
+    open_mask = (1 << P) - 1  # machines with remaining capacity
+    table = _candidate_table(P) if P <= _TABLE_MAX_MACHINES else None
 
-    placed = [[0] * graph.num_vertices for _ in range(num_loaders)]  # A(v) bitmasks
-    remaining = graph.degrees().tolist()
+    n = graph.num_vertices
+    placed = [0] * (n * num_loaders)  # A(v) bitmasks, loader-major
+    remaining: List[int] = graph.degrees().tolist()
 
     src, dst = graph.src, graph.dst
     assignment = np.empty(n_edges, dtype=np.int32)
-    for e, mine in zip(edges, map(placed.__getitem__, loaders)):
-        u, v = int(src[e]), int(dst[e])
-        au, av = mine[u], mine[v]
-        inter = au & av & open_mask
-        auo, avo = au & open_mask, av & open_mask
-        if inter:
-            m = _least_loaded_in_mask(loads, inter, tie_order)
-        elif auo and avo:
-            cand = auo if remaining[u] >= remaining[v] else avo
-            m = _least_loaded_in_mask(loads, cand, tie_order)
-        elif auo or avo:
-            m = _least_loaded_in_mask(loads, auo | avo, tie_order)
+    for lo in range(0, n_edges, _CHUNK_EDGES):
+        chunk = slice(lo, lo + _CHUNK_EDGES)
+        ids = chunk if edges is None else edges[chunk]
+        us: List[int] = src[ids].tolist()
+        vs: List[int] = dst[ids].tolist()
+        if loaders is None:
+            slots_u, slots_v = us, vs
         else:
-            m = _least_loaded_in_mask(loads, open_mask or all_mask, tie_order)
-        assignment[e] = m
-        bit = 1 << m
-        mine[u] = au | bit
-        mine[v] = av | bit
-        loads[m] += 1
-        if loads[m] >= capacity:
-            open_mask &= ~bit
-        remaining[u] -= 1
-        remaining[v] -= 1
+            offset = loaders[chunk] * n
+            slots_u = (src[ids] + offset).tolist()
+            slots_v = (dst[ids] + offset).tolist()
+        out: List[int] = []
+        for u, v, su, sv in zip(us, vs, slots_u, slots_v):
+            au, av = placed[su], placed[sv]
+            cand = au & av & open_mask  # rule 1
+            if not cand:
+                au_open, av_open = au & open_mask, av & open_mask
+                if au_open and av_open:  # rule 2
+                    cand = au_open if remaining[u] >= remaining[v] else av_open
+                else:  # rule 3, or nothing: rule 4
+                    cand = au_open | av_open
+            if cand & (cand - 1):  # several candidates: least key wins
+                if table is not None:
+                    m, others = table[cand]
+                    best = key[m]
+                    for i in others:
+                        k = key[i]
+                        if k < best:
+                            best = k
+                            m = i
+                else:
+                    best = above_all
+                    while cand:
+                        low = cand & -cand
+                        cand ^= low
+                        i = low.bit_length() - 1
+                        k = key[i]
+                        if k < best:
+                            best = k
+                            m = i
+            elif cand:
+                m = cand.bit_length() - 1
+            else:
+                # rule 4, least loaded of the open machines (of all, once
+                # none is open): open keys are exactly those below
+                # ``full``, so either way it is the global minimum
+                m = machine_of_rank[min(key) % P]
+            out.append(m)
+            bit = 1 << m
+            placed[su] = au | bit
+            placed[sv] = av | bit
+            k = key[m] + P
+            key[m] = k
+            if k >= full:
+                open_mask &= ~bit
+            remaining[u] -= 1
+            remaining[v] -= 1
+        assignment[ids] = out
     return assignment
 
 
@@ -147,10 +217,9 @@ def coordinated_cut(
         vertex-cut enforces; without it the pure greedy rules snowball
         an entire locality-ordered graph onto one machine.
     """
+    _check_cut_args("coordinated_cut", num_machines, balance_slack)
     rng = make_rng(seed)
-    n_edges = graph.num_edges
-    edges = rng.permutation(n_edges).tolist() if shuffle_edges else range(n_edges)
+    edges = rng.permutation(graph.num_edges) if shuffle_edges else None
     return _greedy_cut(
-        "coordinated_cut", graph, num_machines, rng, balance_slack,
-        edges, repeat(0), 1,
+        graph, num_machines, rng, balance_slack, edges, None, 1
     )

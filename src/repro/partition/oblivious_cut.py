@@ -10,6 +10,10 @@ trade-off: loading is embarrassingly parallel, the replication factor is
 higher than coordinated-cut's (each loader re-discovers placements others
 already made).
 
+The front-end only builds the visiting order and the per-edge loader
+ids, as arrays; ``_greedy_cut`` streams them chunk by chunk next to the
+endpoints, and keeps the loaders' maps in one loader-major list.
+
 Included for the partitioner ablation
 (``benchmarks/bench_ablation_partitioners.py``): the paper evaluates on
 coordinated-cut, and the gap to oblivious shows how much of the λ budget
@@ -21,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graph.digraph import DiGraph
-from repro.partition.coordinated_cut import _greedy_cut
+from repro.partition.coordinated_cut import _check_cut_args, _greedy_cut
 from repro.utils.rng import SeedLike, make_rng
 
 __all__ = ["oblivious_cut"]
@@ -34,6 +38,7 @@ def oblivious_cut(
     balance_slack: float = 0.10,
 ) -> np.ndarray:
     """Greedy vertex-cut with per-loader (uncoordinated) placement state."""
+    _check_cut_args("oblivious_cut", num_machines, balance_slack)
     n_edges = graph.num_edges
     # contiguous chunks, visited round-robin (loaders run in parallel;
     # interleaving approximates their concurrent progress)
@@ -42,6 +47,6 @@ def oblivious_cut(
     turn = np.arange(n_edges) - bounds[loader]
     edges = np.lexsort((loader, turn))
     return _greedy_cut(
-        "oblivious_cut", graph, num_machines, make_rng(seed), balance_slack,
-        edges.tolist(), loader[edges].tolist(), num_machines,
+        graph, num_machines, make_rng(seed), balance_slack,
+        edges, loader[edges], num_machines,
     )

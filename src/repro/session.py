@@ -13,7 +13,9 @@ almost all redundant work.
   *graph-level* — the graph, machine count, partitioner, edge split,
   seed — and lazily caches each derived artifact the first time a run
   needs it: the prepared graph per ``(symmetric, weighted)`` program
-  requirement, the partitioned graph, the
+  requirement, the partitioned graph (the partitioner runs once per
+  *topology*: a variant that differs from an already-cut one in weights
+  alone takes its assignment and only builds its own tables), the
   :class:`~repro.kernels.csr.CSRPlan` lists per worker-runtime kind
   (one plan per *block* of the partition for the delta engines, a pair
   per machine for GAS), and one warm
@@ -121,6 +123,15 @@ def _runtime_units(kind: str, pgraph) -> List[Any]:
     """What an engine family builds one runtime (and one plan) per:
     blocks of machines for the delta engines, machines for GAS."""
     return pgraph.machines if kind == "gas" else pgraph.blocks
+
+
+def _same_topology(a: DiGraph, b: DiGraph) -> bool:
+    """Equal vertex count and edge lists (weights aside)."""
+    return (
+        a.num_vertices == b.num_vertices
+        and np.array_equal(a.src, b.src)
+        and np.array_equal(a.dst, b.dst)
+    )
 
 
 def _key_name(key: GraphKey) -> str:
@@ -250,6 +261,11 @@ class GraphSession:
         self._plans: Dict[Tuple[GraphKey, str], List[Any]] = {}
         #: λ the last from-scratch partitioning of each variant produced
         self._baseline_lambda: Dict[GraphKey, float] = {}
+        #: requires_symmetric -> the last partition cut from scratch at
+        #: the current ``graph_version``; a variant that differs from it
+        #: in weights alone takes its (read-only) assignment instead of
+        #: running the partitioner again
+        self._cold_cuts: Dict[bool, PartitionedGraph] = {}
         #: every batch applied, in order — replayed when a variant is
         #: first prepared after mutations
         self._mutation_log: List[MutationBatch] = []
@@ -334,11 +350,25 @@ class GraphSession:
             self._bases[key] = base
             self._graphs[key] = g
         if key not in self._pgraphs:
-            pgraph = build_lazy_graph(
-                self._graphs[key], self.machines,
-                partitioner=self.partitioner, split_config=self.split,
-                seed=self.seed,
+            g = self._graphs[key]
+            donor = self._cold_cuts.get(key[0])
+            # equality is checked, not assumed: a dataset may load a
+            # different edge list with weights than without
+            shared = (
+                donor.assignment
+                if donor is not None and _same_topology(donor.graph, g)
+                else None
             )
+            pgraph = build_lazy_graph(
+                g, self.machines,
+                partitioner=self.partitioner, split_config=self.split,
+                seed=self.seed, assignment=shared,
+            )
+            # a split partition's assignment has holes (-1 on the
+            # parallel edges), so only a split-free cut can be lent
+            if shared is None and pgraph.parallel_eids.size == 0:
+                pgraph.assignment.flags.writeable = False
+                self._cold_cuts[key[0]] = pgraph
             self._pgraphs[key] = pgraph
             self._baseline_lambda[key] = float(pgraph.replication_factor)
         return self._pgraphs[key], key
@@ -531,6 +561,9 @@ class GraphSession:
             if patch.baseline_lambda is not None:
                 self._baseline_lambda[key] = patch.baseline_lambda
 
+        # a variant first prepared after this batch is cut from scratch:
+        # a patched partition is not what a cold cut of its graph gives
+        self._cold_cuts.clear()
         self._mutation_log.append(batch)
         self.graph_version = next_version
         self.last_result = None
@@ -760,6 +793,7 @@ class GraphSession:
         self._pgraphs.clear()
         self._plans.clear()
         self._baseline_lambda.clear()
+        self._cold_cuts.clear()
         self._deltas.clear()
         self._fixpoints.clear()
         self.last_result = None

@@ -1,13 +1,19 @@
 """Property tests: partitioning invariants on random graphs."""
 
+import sys
+from unittest import mock
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graph.digraph import DiGraph
 from repro.partition.base import partition_graph
+from repro.partition.coordinated_cut import coordinated_cut
+from repro.partition.oblivious_cut import oblivious_cut
 from repro.partition.partitioned_graph import PartitionedGraph
 from repro.partition.replication import replication_factor
+from tests import greedy_cut_oracle as oracle
 
 
 @st.composite
@@ -150,3 +156,53 @@ def test_build_matches_the_per_vertex_reference(
         assert mg.eparallel.tolist() == [
             e in set(parallel.tolist()) for e in mg.eglobal.tolist()
         ]
+
+
+@st.composite
+def multigraph(draw, max_vertices=25, max_edges=120):
+    """Any edge list at all: self-loops, repeats, isolated vertices,
+    no edges, fewer edges than machines."""
+    n = draw(st.integers(1, max_vertices))
+    m = draw(st.integers(0, max_edges))
+    ends = st.lists(st.integers(0, n - 1), min_size=m, max_size=m)
+    return DiGraph(
+        n,
+        np.asarray(draw(ends), dtype=np.int64),
+        np.asarray(draw(ends), dtype=np.int64),
+    )
+
+
+# the module, not the function of the same name the package re-exports
+_cut_module = sys.modules["repro.partition.coordinated_cut"]
+
+_FRONT_ENDS = {
+    "coordinated": (
+        coordinated_cut, oracle.coordinated_cut, {},
+    ),
+    "coordinated-shuffled": (
+        coordinated_cut, oracle.coordinated_cut, {"shuffle_edges": True},
+    ),
+    "oblivious": (oblivious_cut, oracle.oblivious_cut, {}),
+}
+
+
+@given(
+    graph=multigraph(),
+    # both sides of the candidate-table cut-off, then one-word and
+    # big-int masks
+    machines=st.one_of(st.integers(1, 14), st.integers(1, 70)),
+    slack=st.sampled_from([0.0, 0.1, 1.0]),
+    front_end=st.sampled_from(sorted(_FRONT_ENDS)),
+    chunk=st.sampled_from([1, 7, _cut_module._CHUNK_EDGES]),
+    seed=st.integers(0, 100),
+)
+@settings(max_examples=300, deadline=None)
+def test_greedy_cut_matches_the_previous_loop(
+    graph, machines, slack, front_end, chunk, seed
+):
+    new, old, kwargs = _FRONT_ENDS[front_end]
+    with mock.patch.object(_cut_module, "_CHUNK_EDGES", chunk):
+        got = new(graph, machines, seed=seed, balance_slack=slack, **kwargs)
+    want = old(graph, machines, seed=seed, balance_slack=slack, **kwargs)
+    assert got.dtype == np.int32
+    assert got.tolist() == want.tolist()

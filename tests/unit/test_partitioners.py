@@ -1,19 +1,39 @@
 """Unit tests for the vertex-cut / edge-cut partitioners."""
 
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.errors import PartitionError
-from repro.partition.base import PARTITIONER_NAMES, partition_graph
+from repro.graph.digraph import DiGraph
+from repro.partition.base import (
+    PARTITIONER_NAMES,
+    _PARTITIONERS,
+    partition_graph,
+    register_partitioner,
+    validate_assignment,
+)
 from repro.partition.coordinated_cut import coordinated_cut
 from repro.partition.edge_cut import edge_cut
 from repro.partition.grid_cut import _grid_shape, grid_cut
 from repro.partition.hybrid_cut import hybrid_cut
+from repro.partition.oblivious_cut import oblivious_cut
 from repro.partition.random_cut import random_cut
 from repro.partition.replication import replication_factor
 
 
 ALL_PARTITIONERS = ["random", "grid", "coordinated", "oblivious", "hybrid", "edge"]
+
+
+@pytest.fixture
+def scratch_registry(monkeypatch):
+    """``register_partitioner`` has no inverse: register into a copy."""
+    monkeypatch.setattr(
+        sys.modules["repro.partition.base"], "_PARTITIONERS",
+        dict(_PARTITIONERS),
+    )
 
 
 class TestDispatch:
@@ -28,6 +48,31 @@ class TestDispatch:
     def test_invalid_machine_count(self, er_graph):
         with pytest.raises(PartitionError):
             partition_graph(er_graph, 0)
+
+    @pytest.mark.parametrize("bad", [
+        lambda n: np.full(n, 1.7),
+        lambda n: np.full(n, np.nan),
+        lambda n: np.ones(n, dtype=bool),
+    ], ids=["float", "nan", "bool"])
+    def test_non_integer_assignment_rejected(
+        self, er_graph, bad, scratch_registry
+    ):
+        """A float used to be truncated by the int32 cast (1.7 -> 1), a
+        NaN to pass the range check and become machine -2**31."""
+        assignment = bad(er_graph.num_edges)
+        with pytest.raises(PartitionError, match="integer array"):
+            validate_assignment(er_graph, assignment, 4)
+        register_partitioner("returns-bad", lambda g, p, seed=None: assignment)
+        with pytest.raises(PartitionError, match="integer array"):
+            partition_graph(er_graph, 4, "returns-bad")
+
+    def test_any_integer_dtype_is_accepted(self, er_graph, scratch_registry):
+        register_partitioner(
+            "all-on-two",
+            lambda g, p, seed=None: np.full(g.num_edges, 2, dtype=np.uint8),
+        )
+        asg = partition_graph(er_graph, 4, "all-on-two")
+        assert asg.dtype == np.int32 and np.all(asg == 2)
 
     @pytest.mark.parametrize("method", ALL_PARTITIONERS)
     def test_every_edge_assigned_in_range(self, er_graph, method):
@@ -83,10 +128,44 @@ class TestCoordinated:
             coordinated_cut(er_graph, 2000)
 
     def test_empty_graph(self):
-        from repro.graph.digraph import DiGraph
-
         asg = coordinated_cut(DiGraph(3, [], []), 4)
         assert asg.size == 0
+
+    @pytest.mark.parametrize("cut", [coordinated_cut, oblivious_cut])
+    @pytest.mark.parametrize("kwargs,match", [
+        ({"num_machines": 0}, "num_machines must be >= 1"),
+        ({"num_machines": -3}, "num_machines must be >= 1"),
+        ({"num_machines": 4, "balance_slack": float("nan")}, "balance_slack"),
+        ({"num_machines": 4, "balance_slack": float("inf")}, "balance_slack"),
+        ({"num_machines": 4, "balance_slack": -0.5}, "balance_slack"),
+    ])
+    def test_bad_arguments_are_partition_errors(self, er_graph, cut, kwargs, match):
+        """Called directly these were ZeroDivisionError / ValueError /
+        OverflowError, and a negative slack was silently accepted."""
+        with pytest.raises(PartitionError, match=match):
+            cut(er_graph, **kwargs)
+
+    def test_transient_memory_follows_the_chunk_not_the_graph(self):
+        """The loop turns edges into Python ints a chunk at a time; whole-
+        graph ``tolist()`` endpoint / result lists are ~60 MB of boxed
+        ints on the benchmark's 650k-edge graph, next to a resident
+        session (docs/performance.md, "Cold set-up")."""
+        chunk = sys.modules["repro.partition.coordinated_cut"]._CHUNK_EDGES
+        n_edges = 200_000
+        assert n_edges > 6 * chunk
+        ends = np.random.default_rng(0).integers(0, 2000, size=(2, n_edges))
+        graph = DiGraph(2000, ends[0], ends[1])
+        graph.degrees()  # in/out degrees are cached on the graph
+        tracemalloc.start()
+        try:
+            asg = coordinated_cut(graph, 8, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # measured 0.33 MB: two endpoint lists and the result list of
+        # this chunk and the last, plus ~0.15 MB that follows |V| and P;
+        # with the chunk set past the graph the same call takes 15.3 MB
+        assert peak - asg.nbytes < 512 * chunk
 
 
 class TestGrid:

@@ -5,11 +5,17 @@ import numpy as np
 import pytest
 
 import repro
+import repro.core.transmission as transmission
 import repro.session as session_module
-from repro.errors import ConfigError
+from repro.bench import harness
+from repro.core.transmission import build_lazy_graph
+from repro.errors import ConfigError, PartitionError
+from repro.graph.digraph import DiGraph
 from repro.graph.mutation import MutationBatch
+from repro.partition.edge_splitter import EdgeSplitConfig
 from repro.runtime.run_config import RunConfig
 from repro.session import GraphSession
+from tests.unit.test_build_pins import digest
 
 MACHINES = 4
 
@@ -138,6 +144,142 @@ def _fresh_batch(graph):
         .remove_edge(int(graph.src[300]), int(graph.dst[300]))
         .add_edges(fresh)
     )
+
+
+@pytest.fixture
+def cuts(monkeypatch):
+    """Calls into the partitioner through the seam the benchmark traces."""
+    calls = []
+    real = transmission.partition_graph
+
+    def counted(graph, *args, **kwargs):
+        calls.append(graph)
+        return real(graph, *args, **kwargs)
+
+    monkeypatch.setattr(transmission, "partition_graph", counted)
+    return calls
+
+
+def _assert_equals_unshared(session):
+    """Every cached partition is what cutting its own graph gives."""
+    for pgraph in session._pgraphs.values():
+        alone = build_lazy_graph(
+            pgraph.graph, session.machines, partitioner=session.partitioner,
+            split_config=session.split, seed=session.seed,
+        )
+        assert digest(pgraph) == digest(alone)
+
+
+class TestOneCutPerTopology:
+    def test_weight_variants_share_the_cut(self, session, cuts):
+        session.run("bfs", source=0)
+        session.run("ppr", seeds=[0])
+        session.run("sssp", source=0)  # same edges + synthetic weights
+        assert len(cuts) == 1
+        stats = session.artifact_stats()
+        assert (stats["prepared_graphs"], stats["partitioned_graphs"]) == (2, 2)
+        session.run("cc")  # symmetrized: another topology
+        assert len(cuts) == 2
+        stats = session.artifact_stats()
+        assert (stats["prepared_graphs"], stats["partitioned_graphs"]) == (3, 3)
+        _assert_equals_unshared(session)
+
+    def test_lent_assignment_is_read_only_and_copied(self, session):
+        session.run("bfs", source=0)
+        session.run("sssp", source=0)
+        lender = session._pgraphs[(False, False)]
+        borrower = session._pgraphs[(False, True)]
+        assert not lender.assignment.flags.writeable
+        assert not np.shares_memory(lender.assignment, borrower.assignment)
+        assert np.array_equal(lender.assignment, borrower.assignment)
+
+    def test_variant_first_prepared_after_a_mutation_is_cut_cold(
+        self, er_graph, session, cuts
+    ):
+        batch = _fresh_batch(er_graph)
+        session.run("bfs", source=0)
+        session.apply(batch)
+        session.run("sssp", source=0)
+        # the patched bfs partition is not a cold cut of the new graph
+        assert len(cuts) == 2
+        with GraphSession.open(er_graph, machines=MACHINES, seed=0) as fresh:
+            fresh.apply(batch)
+            fresh.run("sssp", source=0)
+            assert np.array_equal(
+                session._pgraphs[(False, True)].assignment,
+                fresh._pgraphs[(False, True)].assignment,
+            )
+            # two variants both first prepared after the batch do share
+            fresh.run("bfs", source=0)
+            assert len(cuts) == 3
+            _assert_equals_unshared(fresh)
+
+    def test_weighted_base_graph_shares(self, er_weighted, cuts):
+        with GraphSession.open(er_weighted, machines=MACHINES, seed=0) as s:
+            s.run("bfs", source=0)
+            s.run("sssp", source=0)  # the same DiGraph under both keys
+            assert len(cuts) == 1
+            _assert_equals_unshared(s)
+
+    @pytest.mark.parametrize("textra,expected_cuts", [(0.0, 1), (0.02, 2)])
+    def test_split_session_shares_or_falls_back(
+        self, er_graph, cuts, textra, expected_cuts
+    ):
+        """A split partition stores -1 on its parallel edges, so it is
+        lent only when the splitter selected nothing."""
+        split = EdgeSplitConfig(textra=textra)
+        with GraphSession.open(
+            er_graph, machines=MACHINES, split=split, seed=0
+        ) as s:
+            s.run("bfs", source=0)
+            s.run("sssp", source=0)
+            assert (s._pgraphs[(False, False)].parallel_eids.size > 0) \
+                == (textra > 0)
+            assert len(cuts) == expected_cuts
+            _assert_equals_unshared(s)
+
+    def test_harness_dataset_session_shares(self, cuts):
+        harness.clear_caches()
+        try:
+            s = harness.session_for("road-ca-mini", machines=8)
+            s.run("bfs", source=0)
+            s.run("sssp", source=0)  # the dataset is loaded a second time
+            assert len(cuts) == 1
+            _assert_equals_unshared(s)
+        finally:
+            harness.clear_caches()
+
+    def test_different_edge_lists_are_not_assumed_equal(
+        self, er_graph, er_weighted, cuts, monkeypatch
+    ):
+        """A dataset whose weighted load orders its edges differently."""
+        flipped = DiGraph(
+            er_weighted.num_vertices, er_weighted.src[::-1],
+            er_weighted.dst[::-1], er_weighted.weights[::-1],
+        )
+        monkeypatch.setattr(
+            "repro.graph.datasets.load_dataset",
+            lambda name, weighted=False: flipped if weighted else er_graph,
+        )
+        with GraphSession.open("two-loads", machines=MACHINES, seed=0) as s:
+            s.run("bfs", source=0)
+            s.run("sssp", source=0)
+            assert len(cuts) == 2
+            _assert_equals_unshared(s)
+
+    @pytest.mark.parametrize("bad,match", [
+        (lambda n: np.zeros(n - 1, dtype=np.int32), "one entry per edge"),
+        (lambda n: np.full(n, MACHINES, dtype=np.int32), r"must lie in \[0, 4\)"),
+        (lambda n: np.zeros(n, dtype=np.float64), "integer array"),
+    ], ids=["length", "range", "dtype"])
+    def test_build_lazy_graph_checks_a_given_assignment(
+        self, er_graph, cuts, bad, match
+    ):
+        with pytest.raises(PartitionError, match=match):
+            build_lazy_graph(
+                er_graph, MACHINES, assignment=bad(er_graph.num_edges)
+            )
+        assert not cuts
 
 
 class TestFixpointStoreIsBounded:
