@@ -7,17 +7,18 @@ Mirrors how the paper's toolkits are driven from the shell:
 * ``datasets`` — the Table 1 registry;
 * ``info``     — structural properties of one graph;
 * ``sweep``    — machine-count scaling series (a Fig 12 panel);
-* ``report``   — per-phase breakdown of a recorded execution trace,
-  with LensAuditor anomaly flags (``--strict`` exits 3 on anomalies);
-* ``analyze``  — critical-path / straggler analysis of a recorded trace
-  (per-superstep gating machine/channel, load imbalance vs λ); a merged
-  serve trace gets the request-waterfall / cost-attribution analysis and
-  a ``mutate --out`` stream the re-convergence / λ-drift table instead;
-* ``dashboard``— render a recorded trace as an offline HTML dashboard;
-* ``top``      — live (or one-shot) text view of a service telemetry
-  file written by ``serve --telemetry-out``;
-* ``slo``      — threshold gate over a telemetry file (p95 latency,
-  cache hit rate, queue depth); exits 4 on violation.
+* ``analyze``  — the one text reader of every recorded file; its
+  sections follow from the file's kind (``repro.obs.records``): a run
+  trace gets the per-phase / totals / decisions tables, then the
+  critical path and stragglers, with LensAuditor anomalies on stderr
+  (``--strict`` exits 3 on any); a merged serve trace the request
+  waterfalls / cost attribution and the service counters (exit 3 when
+  the exactness contracts fail); a telemetry file the service view
+  (``--follow`` tails it, ``--p95-ms`` / ``--min-hit-rate`` /
+  ``--max-queue-depth`` gate it, exit 4 on violation); a ``mutate
+  --out`` stream the re-convergence / λ-drift table;
+* ``dashboard``— render a run or serve trace as an offline HTML
+  dashboard.
 """
 
 from __future__ import annotations
@@ -173,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--telemetry-out", metavar="PATH",
             help="append service telemetry ticks (queue depth, hit "
                  "rate, latency quantiles, worker heartbeats) to PATH; "
-                 "view with 'repro top', gate with 'repro slo'",
+                 "view, tail and gate with 'repro analyze PATH'",
         )
         p.add_argument(
             "--telemetry-interval", type=float, default=1.0, metavar="S",
@@ -310,15 +311,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ana = sub.add_parser(
         "analyze",
-        help="analysis of a recorded file, by what it contains: "
-             "critical-path / straggler analysis of a run trace, "
-             "request waterfalls + cost attribution of a merged serve "
-             "trace, re-convergence + lambda drift of a mutation stream",
+        help="text analysis of a recorded file, by what it contains: "
+             "phase / totals / decision tables + critical path and "
+             "stragglers + audit of a run trace, request waterfalls + "
+             "cost attribution of a merged serve trace, the service "
+             "view (tail, SLO gate) of a telemetry file, re-convergence "
+             "+ lambda drift of a mutation stream",
     )
     p_ana.add_argument(
         "trace",
-        help="trace written by run/serve --trace-out, or the event "
-             "stream written by mutate --out",
+        help="file written by run/serve --trace-out, serve "
+             "--telemetry-out or mutate --out",
     )
     p_ana.add_argument(
         "--json", action="store_true",
@@ -335,18 +338,35 @@ def build_parser() -> argparse.ArgumentParser:
     p_ana.add_argument(
         "--run-id", type=int, metavar="N",
         help="narrow a merged serve trace to engine run N and print "
-             "that run's critical-path analysis (run ids: the serve "
-             "analysis' runs table)",
+             "that run's analysis (run ids: the serve analysis' runs "
+             "table)",
     )
-
-    p_rep = sub.add_parser(
-        "report",
-        help="per-phase time breakdown of a recorded trace (jsonl or chrome)",
-    )
-    p_rep.add_argument("trace", help="trace file written by run --trace-out")
-    p_rep.add_argument(
+    p_ana.add_argument(
         "--strict", action="store_true",
-        help="exit with code 3 when the LensAuditor flags any anomaly",
+        help="run trace: exit with code 3 when the LensAuditor flags "
+             "any anomaly",
+    )
+    p_ana.add_argument(
+        "--follow", action="store_true",
+        help="telemetry: block and re-render on every new tick "
+             "(Ctrl-C to stop)",
+    )
+    p_ana.add_argument(
+        "--ticks", type=int, default=0, metavar="N",
+        help="with --follow: exit after N ticks (0 = until interrupted)",
+    )
+    p_ana.add_argument(
+        "--p95-ms", type=float, metavar="MS",
+        help="telemetry gate (exit 4 on violation): max cumulative p95 "
+             "latency in milliseconds",
+    )
+    p_ana.add_argument(
+        "--min-hit-rate", type=float, metavar="X",
+        help="telemetry gate: min cumulative cache hit rate in [0, 1]",
+    )
+    p_ana.add_argument(
+        "--max-queue-depth", type=int, metavar="N",
+        help="telemetry gate: max sampled queue depth over all ticks",
     )
 
     p_dash = sub.add_parser(
@@ -355,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_dash.add_argument(
         "trace", nargs="?",
-        help="trace file written by run --trace-out",
+        help="trace file written by run/serve --trace-out",
     )
     p_dash.add_argument(
         "--compare", nargs=2, metavar=("A", "B"),
@@ -368,44 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_dash.add_argument(
         "-o", "--out", default="run.html", help="output HTML path",
-    )
-
-    p_top = sub.add_parser(
-        "top",
-        help="text view of a service telemetry file "
-             "(serve --telemetry-out); --follow tails it live",
-    )
-    p_top.add_argument(
-        "telemetry", help="telemetry JSONL written by serve --telemetry-out"
-    )
-    p_top.add_argument(
-        "--follow", action="store_true",
-        help="block and re-render on every new tick (Ctrl-C to stop)",
-    )
-    p_top.add_argument(
-        "--ticks", type=int, default=0, metavar="N",
-        help="with --follow: exit after N ticks (0 = until interrupted)",
-    )
-
-    p_slo = sub.add_parser(
-        "slo",
-        help="gate a telemetry file against SLO thresholds "
-             "(exits 4 on violation; CI-friendly)",
-    )
-    p_slo.add_argument(
-        "telemetry", help="telemetry JSONL written by serve --telemetry-out"
-    )
-    p_slo.add_argument(
-        "--p95-ms", type=float, metavar="MS",
-        help="max cumulative p95 latency in milliseconds",
-    )
-    p_slo.add_argument(
-        "--min-hit-rate", type=float, metavar="X",
-        help="min cumulative cache hit rate in [0, 1]",
-    )
-    p_slo.add_argument(
-        "--max-queue-depth", type=int, metavar="N",
-        help="max sampled queue depth over all ticks",
     )
     return parser
 
@@ -685,6 +667,7 @@ def _cmd_mutate(args) -> int:
     import json
 
     from repro.graph.mutation import MutationBatch
+    from repro.obs.records import RecordWriter, encode
     from repro.session import GraphSession
 
     batches = []
@@ -713,11 +696,12 @@ def _cmd_mutate(args) -> int:
         return 2
 
     params = _algorithm_params(args) if args.algorithm else {}
-    events = []
+    out = RecordWriter(args.out, "mutations") if args.out else None
 
     def emit(event):
-        events.append(event)
-        print(json.dumps(event))
+        print(encode(event))
+        if out is not None:
+            out.write(event)
 
     def run_record(result, mode):
         rec = {
@@ -762,10 +746,8 @@ def _cmd_mutate(args) -> int:
                     rec["cold_supersteps"] = cold.stats.supersteps
                     rec["cold_modeled_time_s"] = cold.stats.modeled_time_s
                 emit(rec)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            for event in events:
-                fh.write(json.dumps(event) + "\n")
+    if out is not None:
+        out.close()
         print(f"mutation stream written to {args.out}", file=sys.stderr)
     return 0
 
@@ -943,194 +925,164 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
-def _cmd_report(args) -> int:
-    from repro.obs.audit import LensAuditor
-    from repro.obs.report import format_report, load_trace, summarize_trace
-    from repro.obs.telemetry import (
-        format_service_report,
-        is_telemetry_file,
-        load_telemetry,
-        summarize_telemetry,
-    )
+def _read_recorded(command: str, path: str, kinds: tuple = ()):
+    """``load_trace`` for a reader command.
 
-    if is_telemetry_file(args.trace):
-        summary = summarize_telemetry(load_telemetry(args.trace))
-        print(format_service_report(summary))
-        return 0
-    trace = load_trace(args.trace)
-    print(format_report(summarize_trace(trace)))
-    untracked = trace.meta.get("untracked_charges") or {}
-    if sum(untracked.values()) > 0:
+    ``None``, after one line on stderr, when the file cannot be read as
+    an observability file or is of a kind ``command`` does not render
+    (``kinds`` empty: every kind is fine) — the caller exits 2.
+    """
+    from repro.obs.records import load_trace
+
+    try:
+        trace = load_trace(path)
+    except (OSError, ValueError) as exc:
+        print(f"{command}: {exc}", file=sys.stderr)
+        return None
+    if kinds and trace.kind not in kinds:
         print(
-            f"\nWARNING: {sum(untracked.values()):.6f}s of model-time "
-            f"charges were NOT attributed to any span "
-            f"({', '.join(f'{k}={v:.6f}s' for k, v in sorted(untracked.items()))}).\n"
-            f"WARNING: the per-phase table above does not tile the run; "
-            f"treat phase shares as lower bounds.",
+            f"{command}: {path} is a {trace.kind} file; {command} renders "
+            f"{' / '.join(kinds)} traces (read it with 'repro analyze')",
             file=sys.stderr,
         )
-    anomalies = LensAuditor(trace).audit()
-    for anomaly in anomalies:
-        print(str(anomaly), file=sys.stderr)
-    if getattr(args, "strict", False) and anomalies:
-        print(
-            f"strict mode: {len(anomalies)} anomaly(ies) flagged",
-            file=sys.stderr,
-        )
-        return 3
-    return 0
+        return None
+    return trace
 
 
 def _cmd_analyze(args) -> int:
     import json
 
-    from repro.obs.critical_path import analyze_trace, format_analysis
-    from repro.obs.mutation_report import (
-        analyze_mutation_stream,
-        format_mutation_analysis,
-        is_mutation_stream,
-        load_mutation_stream,
-    )
-    from repro.obs.report import load_trace
-    from repro.obs.request_trace import (
-        analyze_serve_trace,
-        format_serve_analysis,
-        is_serve_trace,
-    )
+    from repro.obs import critical_path, mutation_report, request_trace
+    from repro.obs.audit import LensAuditor
+    from repro.obs.records import iter_follow
+    from repro.obs.report import format_report, summarize_trace
+    from repro.obs.telemetry import check_slo, format_service, service_sample
 
-    # the file says which reader it needs: a mutate --out stream holds no
-    # trace records at all (its records carry "event"), a merged serve
-    # trace carries serve.request spans
-    trace = load_trace(args.trace)
-    events = (
-        [] if trace.spans or trace.instants
-        else load_mutation_stream(args.trace)
-    )
-    exact = True
-    if is_mutation_stream(events):
-        analysis = analyze_mutation_stream(events)
-        render = format_mutation_analysis
-    elif is_serve_trace(trace) and args.run_id is None:
-        analysis = analyze_serve_trace(trace)
-        render = format_serve_analysis
+    trace = _read_recorded("analyze", args.trace)
+    if trace is None:
+        return 2
+    thresholds = {
+        "p95_ms": args.p95_ms,
+        "min_hit_rate": args.min_hit_rate,
+        "max_queue_depth": args.max_queue_depth,
+    }
+    gated = any(v is not None for v in thresholds.values())
+    if (gated or args.follow) and trace.kind != "telemetry":
+        print(
+            f"analyze: --follow and the SLO thresholds read a telemetry "
+            f"file; {args.trace} is a {trace.kind} file",
+            file=sys.stderr,
+        )
+        return 2
+    if gated and args.follow:
+        print("analyze: --follow tails a live file and the SLO thresholds "
+              "gate a finished one; give one or the other", file=sys.stderr)
+        return 2
+    if args.follow:
+        try:
+            for seen, tick in enumerate(iter_follow(args.trace), start=1):
+                print(format_service(tick) + "\n")
+                if seen == args.ticks:
+                    break
+        except KeyboardInterrupt:
+            pass
+        return 0
+
+    # sections follow from the kind; `notes` go to stderr
+    status, notes = 0, []
+    if trace.kind == "telemetry":
+        analysis = service_sample(trace)
+        text = format_service(analysis)
+        if gated:
+            violations = check_slo(trace, **thresholds)
+            analysis = {**analysis, "slo_violations": violations}
+            text += "\n\n" + (
+                "\n".join(f"SLO VIOLATION: {v}" for v in violations)
+                or "slo: all thresholds satisfied"
+            )
+            status = 4 if violations else 0
+    elif trace.kind == "mutations":
+        analysis = mutation_report.analyze_mutation_stream(trace.events)
+        text = mutation_report.format_mutation_analysis(
+            analysis, max_rows=args.max_rows
+        )
+    elif trace.kind == "serve" and args.run_id is None:
+        analysis = request_trace.analyze_serve_trace(trace)
+        text = request_trace.format_serve_analysis(
+            analysis, max_rows=args.max_rows
+        )
+        sample = service_sample(trace)
+        if sample:
+            text += "\n\n" + format_service(sample)
         totals = analysis["totals"]
-        exact = totals["latency_exact"] and totals["attribution_exact"]
-    else:
-        analysis = analyze_trace(trace, run_id=args.run_id)
-        render = format_analysis
+        if not (totals["latency_exact"] and totals["attribution_exact"]):
+            notes.append(
+                "analyze: serve-trace exactness check FAILED (latency or "
+                "cost attribution does not reconstruct)"
+            )
+            status = 3
+    else:  # a run trace, or one engine run of a serve trace
+        if args.run_id is not None:
+            trace = critical_path.extract_run(trace, args.run_id)
+            if not trace.spans:
+                print(f"analyze: {args.trace} holds no engine run "
+                      f"{args.run_id}", file=sys.stderr)
+                return 2
+        analysis = critical_path.analyze_trace(trace)
+        analysis["report"] = summarize_trace(trace)
+        text = (
+            format_report(analysis["report"]) + "\n\n"
+            + critical_path.format_analysis(analysis, max_rows=args.max_rows)
+        )
+        untracked = trace.meta.get("untracked_charges") or {}
+        if sum(untracked.values()) > 0:
+            notes.append(
+                f"\nWARNING: {sum(untracked.values()):.6f}s of model-time "
+                f"charges were NOT attributed to any span "
+                f"({', '.join(f'{k}={v:.6f}s' for k, v in sorted(untracked.items()))}).\n"
+                f"WARNING: the per-phase table does not tile the run; "
+                f"treat phase shares as lower bounds."
+            )
+        anomalies = LensAuditor(trace).audit()
+        notes += [str(anomaly) for anomaly in anomalies]
+        if args.strict and anomalies:
+            notes.append(
+                f"strict mode: {len(anomalies)} anomaly(ies) flagged"
+            )
+            status = 3
     if args.json_out:
         with open(args.json_out, "w", encoding="utf-8") as fh:
             json.dump(analysis, fh, indent=2, sort_keys=True)
-    if args.json:
-        print(json.dumps(analysis, indent=2, sort_keys=True))
-    else:
-        print(render(analysis, max_rows=args.max_rows))
-    if args.json_out:
-        print(f"analysis JSON written to {args.json_out}", file=sys.stderr)
-    if not exact:
-        print(
-            "analyze: serve-trace exactness check FAILED (latency or "
-            "cost attribution does not reconstruct)",
-            file=sys.stderr,
-        )
-        return 3
-    return 0
+        notes.append(f"analysis JSON written to {args.json_out}")
+    print(json.dumps(analysis, indent=2, sort_keys=True) if args.json else text)
+    for line in notes:
+        print(line, file=sys.stderr)
+    return status
 
 
 def _cmd_dashboard(args) -> int:
     from repro.obs.dashboard import render_compare_dashboard, render_dashboard
-    from repro.obs.report import load_trace
 
     if args.compare and args.trace:
         print("dashboard: give either a trace or --compare, not both",
               file=sys.stderr)
         return 2
-    if args.compare:
-        labels = args.labels or [os.path.basename(p) for p in args.compare]
-        traces = [load_trace(p) for p in args.compare]
-        html_doc = render_compare_dashboard(traces, labels)
-    elif args.trace:
-        html_doc = render_dashboard(load_trace(args.trace))
-    else:
+    paths = args.compare or ([args.trace] if args.trace else [])
+    if not paths:
         print("dashboard: a trace file or --compare A B is required",
               file=sys.stderr)
         return 2
+    traces = [_read_recorded("dashboard", p, ("run", "serve")) for p in paths]
+    if any(trace is None for trace in traces):
+        return 2
+    if args.compare:
+        labels = args.labels or [os.path.basename(p) for p in args.compare]
+        html_doc = render_compare_dashboard(traces, labels)
+    else:
+        html_doc = render_dashboard(traces[0])
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(html_doc)
     print(f"dashboard written to {args.out} ({len(html_doc)} bytes)")
-    return 0
-
-
-def _cmd_top(args) -> int:
-    from repro.obs.telemetry import (
-        format_top,
-        is_telemetry_file,
-        iter_follow,
-        load_telemetry,
-    )
-
-    if not is_telemetry_file(args.telemetry):
-        print(
-            f"top: {args.telemetry} is not a service telemetry file "
-            f"(write one with 'repro serve --telemetry-out')",
-            file=sys.stderr,
-        )
-        return 2
-    if not args.follow:
-        data = load_telemetry(args.telemetry)
-        if not data["ticks"]:
-            print("top: no telemetry ticks yet", file=sys.stderr)
-            return 1
-        print(format_top(data["ticks"][-1], data["header"]))
-        return 0
-    seen = 0
-    try:
-        for tick in iter_follow(args.telemetry):
-            print(format_top(tick))
-            print()
-            seen += 1
-            if args.ticks and seen >= args.ticks:
-                break
-    except KeyboardInterrupt:
-        pass
-    return 0
-
-
-def _cmd_slo(args) -> int:
-    from repro.obs.telemetry import (
-        check_slo,
-        is_telemetry_file,
-        load_telemetry,
-    )
-
-    if not is_telemetry_file(args.telemetry):
-        print(
-            f"slo: {args.telemetry} is not a service telemetry file",
-            file=sys.stderr,
-        )
-        return 2
-    if (
-        args.p95_ms is None
-        and args.min_hit_rate is None
-        and args.max_queue_depth is None
-    ):
-        print(
-            "slo: give at least one threshold (--p95-ms / --min-hit-rate "
-            "/ --max-queue-depth)",
-            file=sys.stderr,
-        )
-        return 2
-    violations = check_slo(
-        load_telemetry(args.telemetry),
-        p95_ms=args.p95_ms,
-        min_hit_rate=args.min_hit_rate,
-        max_queue_depth=args.max_queue_depth,
-    )
-    if violations:
-        for v in violations:
-            print(f"SLO VIOLATION: {v}")
-        return 4
-    print("slo: all thresholds satisfied")
     return 0
 
 
@@ -1154,11 +1106,8 @@ _COMMANDS = {
     "figures": _cmd_figures,
     "validate": _cmd_validate,
     "experiment": _cmd_experiment,
-    "report": _cmd_report,
     "analyze": _cmd_analyze,
     "dashboard": _cmd_dashboard,
-    "top": _cmd_top,
-    "slo": _cmd_slo,
 }
 
 

@@ -96,7 +96,7 @@ class LazyVertexAsyncEngine(BaseEngine):
         )
         if lens:
             # lens may be True or a dict of CoherencyLens kwargs
-            # (sample_size/seed/rollup_after/rollup_every/sharded)
+            # (sample_size/seed/rollup_after/rollup_every)
             opts = lens if isinstance(lens, dict) else {}
             self.lens = CoherencyLens.for_engine(self, **opts)
         self.exchanger = CoherencyExchanger(

@@ -7,9 +7,14 @@ The observability layer the paper's counter-driven evaluation implies:
   clock, fed by every :class:`~repro.cluster.stats.RunStats` charge;
 * :mod:`repro.obs.metrics` — Counter/Gauge/Histogram registry that
   ``RunStats`` is built on;
+* :mod:`repro.obs.records` — the on-disk format of every observability
+  file (run trace, serve trace, telemetry, mutation stream): the one
+  :class:`RecordWriter` all four writers go through and the one
+  :func:`load_trace` every reader starts from;
 * :mod:`repro.obs.sinks` — in-memory (default), JSONL stream, and
   Chrome ``trace_event`` export (``chrome://tracing`` / Perfetto);
-* :mod:`repro.obs.report` — summarize a saved trace (``repro report``);
+* :mod:`repro.obs.report` — the per-phase / totals / decisions tables
+  of a run trace (the first sections of ``repro analyze``);
 * :mod:`repro.obs.shards` — per-machine collectors buffering each
   machine's events during a superstep, merged deterministically into the
   tracer's single stream at barriers / coherency points;
@@ -31,7 +36,8 @@ The observability layer the paper's counter-driven evaluation implies:
 * :mod:`repro.obs.telemetry` — the service telemetry plane: a
   background ticker sampling queue depth / cache hit rate /
   sliding-window latency quantiles / worker-pool heartbeats into
-  versioned JSONL (``repro top`` / ``repro slo``).
+  versioned JSONL, plus the one service view / rendering / SLO gate
+  ``repro analyze`` applies to it.
 """
 
 from repro.obs.audit import Anomaly, LensAuditor
@@ -52,12 +58,8 @@ from repro.obs.metrics import (
     MetricsRegistry,
 )
 from repro.obs.shards import MachineCollector, ProbeSample, ShardedObs
-from repro.obs.report import (
-    TraceData,
-    format_report,
-    load_trace,
-    summarize_trace,
-)
+from repro.obs.records import RecordWriter, TraceData, load_trace
+from repro.obs.report import format_report, summarize_trace
 from repro.obs.sinks import (
     ChromeTraceSink,
     InMemorySink,
@@ -71,16 +73,13 @@ from repro.obs.request_trace import (
     ServeTraceWriter,
     analyze_serve_trace,
     format_serve_analysis,
-    is_serve_trace,
     split_cost,
 )
 from repro.obs.telemetry import (
     TelemetrySink,
     check_slo,
-    format_top,
-    is_telemetry_file,
-    load_telemetry,
-    summarize_telemetry,
+    format_service,
+    service_sample,
 )
 from repro.obs.tracer import NULL_TRACER, NullTracer, Span, Tracer
 
@@ -101,6 +100,7 @@ __all__ = [
     "export_trace",
     "TRACE_FORMATS",
     "chrome_trace_document",
+    "RecordWriter",
     "TraceData",
     "load_trace",
     "summarize_trace",
@@ -122,11 +122,8 @@ __all__ = [
     "split_cost",
     "analyze_serve_trace",
     "format_serve_analysis",
-    "is_serve_trace",
     "TelemetrySink",
-    "load_telemetry",
-    "summarize_telemetry",
+    "service_sample",
+    "format_service",
     "check_slo",
-    "format_top",
-    "is_telemetry_file",
 ]

@@ -22,9 +22,9 @@ contradiction as an :class:`Anomaly`:
 
 The auditor is pure trace analysis — it runs identically on a live
 :class:`~repro.obs.tracer.Tracer` (via
-:func:`~repro.obs.report.trace_from_tracer`) and on a loaded trace
-file, and never needs the engine objects. ``repro report --strict``
-exits non-zero when any critical anomaly is found.
+:func:`~repro.obs.records.trace_from_tracer`) and on a loaded trace
+file, and never needs the engine objects. ``repro analyze --strict``
+exits non-zero when any anomaly is found.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List
 
-from repro.obs.report import TraceData, trace_from_tracer
+from repro.obs.records import TraceData, trace_from_tracer
 
 __all__ = ["Anomaly", "LensAuditor"]
 

@@ -18,8 +18,8 @@ Mapping
   how long the *simulator* spent, and on which machine's share.
 
 ``otherData`` embeds the run metadata including the full ``RunStats``
-dump, which is how ``repro report`` recovers sync/traffic totals from a
-Chrome-format file.
+dump. The document is an export only: no reader in this repo takes it
+back (``repro.obs.records.load_trace`` refuses it and says so).
 """
 
 from __future__ import annotations

@@ -34,17 +34,15 @@ Accounting invariant (asserted by the integration tests): bootstrap +
 Σ superstep widths + untracked charges = ``RunStats.modeled_time_s``.
 
 Entry points: :func:`analyze_trace` (dict, JSON-ready) and
-:func:`format_analysis` (the ``repro analyze`` text rendering). Both
-JSONL and Chrome traces work: with span ids the parent links are used
-directly; without (Chrome), nesting is recovered from emission order —
-children always close before their parent.
+:func:`format_analysis` (the ``repro analyze`` text rendering). Nesting
+follows the spans' ``id`` / ``parent`` links.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.obs.report import TraceData
+from repro.obs.records import TraceData
 
 __all__ = ["analyze_trace", "extract_run", "format_analysis"]
 
@@ -76,58 +74,26 @@ def _nest_spans(
     """Recover (bootstrap, supersteps-with-legs) from the span stream.
 
     Each superstep dict gains ``legs`` (its phase children, in emission
-    order) and each leg gains ``machine_spans``. When span ids are
-    present (JSONL / live tracer) parent links are used; otherwise
-    (Chrome) nesting falls out of emission order: span records are
-    emitted at close, so a child's record always precedes its parent's.
+    order) and each leg gains ``machine_spans``, both by parent link.
     """
-    have_ids = all(
-        "id" in s for s in trace.spans if s.get("cat") in ("superstep", "phase")
-    ) and bool(trace.spans)
     bootstrap = None
     supersteps: List[Dict[str, Any]] = []
-    if have_ids:
-        legs_by_parent: Dict[Any, List[Dict[str, Any]]] = {}
-        machines_by_parent: Dict[Any, List[Dict[str, Any]]] = {}
-        for s in trace.spans:
-            cat = s.get("cat")
-            if cat == "phase":
-                legs_by_parent.setdefault(s.get("parent"), []).append(s)
-            elif cat == "machine":
-                machines_by_parent.setdefault(s.get("parent"), []).append(s)
-        for s in trace.spans:
-            cat = s.get("cat")
-            if cat == "phase":
-                s["machine_spans"] = machines_by_parent.get(s.get("id"), [])
-                if s.get("parent") is None and s["name"] == "bootstrap":
-                    bootstrap = s
-            elif cat == "superstep":
-                s["legs"] = legs_by_parent.get(s.get("id"), [])
-                supersteps.append(s)
-        # a top-level bootstrap parented to nothing (parent id None)
-        if bootstrap is None:
-            for s in trace.spans:
-                if s.get("cat") == "phase" and s["name"] == "bootstrap":
-                    bootstrap = s
-                    break
-        return bootstrap, supersteps
-
-    pending_machines: List[Dict[str, Any]] = []
-    pending_phases: List[Dict[str, Any]] = []
+    legs_by_parent: Dict[Any, List[Dict[str, Any]]] = {}
+    machines_by_parent: Dict[Any, List[Dict[str, Any]]] = {}
     for s in trace.spans:
         cat = s.get("cat")
-        if cat == "machine":
-            pending_machines.append(s)
-        elif cat == "phase":
-            s["machine_spans"] = pending_machines
-            pending_machines = []
-            if s["name"] == "bootstrap":
+        if cat == "phase":
+            legs_by_parent.setdefault(s.get("parent"), []).append(s)
+        elif cat == "machine":
+            machines_by_parent.setdefault(s.get("parent"), []).append(s)
+    for s in trace.spans:
+        cat = s.get("cat")
+        if cat == "phase":
+            s["machine_spans"] = machines_by_parent.get(s.get("id"), [])
+            if bootstrap is None and s["name"] == "bootstrap":
                 bootstrap = s
-            else:
-                pending_phases.append(s)
         elif cat == "superstep":
-            s["legs"] = pending_phases
-            pending_phases = []
+            s["legs"] = legs_by_parent.get(s.get("id"), [])
             supersteps.append(s)
     return bootstrap, supersteps
 

@@ -1,7 +1,7 @@
 """Offline single-file HTML dashboard for one traced run.
 
-``repro dashboard run.trace.jsonl -o run.html`` turns a saved trace
-(JSONL or Chrome format) into a self-contained HTML page — inline SVG
+``repro dashboard run.trace.jsonl -o run.html`` turns a saved run or
+serve trace into a self-contained HTML page — inline SVG
 and CSS only, no JavaScript frameworks, no network fetches — that a
 reviewer can open from disk:
 
@@ -36,7 +36,7 @@ import math
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.audit import LensAuditor
-from repro.obs.report import TraceData
+from repro.obs.records import TraceData
 
 __all__ = ["render_dashboard", "render_compare_dashboard"]
 
@@ -355,13 +355,13 @@ def _anomaly_section(trace: TraceData) -> str:
 def _serving_section(trace: TraceData) -> str:
     """Service panel: request waterfalls + cost attribution (serve traces).
 
-    Rendered only when the trace carries ``serve.request`` spans (a
-    merged trace from ``repro serve --trace-out``); empty string
-    otherwise so batch-run dashboards are unchanged.
+    Rendered only for a ``serve`` trace (a merged trace from ``repro
+    serve --trace-out``); empty string otherwise so batch-run
+    dashboards are unchanged.
     """
-    from repro.obs.request_trace import analyze_serve_trace, is_serve_trace
+    from repro.obs.request_trace import analyze_serve_trace
 
-    if not is_serve_trace(trace):
+    if trace.kind != "serve":
         return ""
     a = analyze_serve_trace(trace)
     t = a["totals"]

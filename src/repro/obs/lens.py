@@ -158,12 +158,6 @@ class CoherencyLens:
         histograms and the decision audit log always stay complete —
         only the instant *timeline* is sampled, so the LensAuditor's
         decision/coherency reconciliation is unaffected.
-    sharded:
-        ``True`` (default) routes each probe through per-machine
-        :class:`~repro.obs.shards.ProbeSample` payloads folded at the
-        merge point — the process-parallel-ready discipline. ``False``
-        keeps the legacy direct global read; both are bit-identical
-        (asserted by the shard-equivalence tests).
     """
 
     enabled = True
@@ -180,7 +174,6 @@ class CoherencyLens:
         seed: int = 0,
         rollup_after: int = 10_000,
         rollup_every: int = 100,
-        sharded: bool = True,
     ) -> None:
         from repro.obs.tracer import NULL_TRACER
 
@@ -203,11 +196,6 @@ class CoherencyLens:
         self.rollup_after = rollup_after
         self.rollup_every = rollup_every
         self.rolled_up = 0  # probe instants suppressed by the rollup
-        # sharded=True routes each probe through per-machine ProbeSamples
-        # folded machine-ascending (the process-parallel-ready path);
-        # False keeps the legacy direct global read as the equivalence
-        # oracle. Both produce bit-identical metrics and instants.
-        self.sharded = sharded
         self.final_drift: Optional[float] = None
         self.invariant_breaks = 0
         # staleness ages: supersteps each replica's delta has been pending
@@ -391,7 +379,7 @@ class CoherencyLens:
         )
 
     def _merge_drift(self, samples) -> float:
-        """Fold the shards' drift-sample values (legacy op order).
+        """Fold the shards' drift-sample values.
 
         Per slot, contributions arrive machine-ascending — the same
         order :meth:`sample_drift`'s location lists were built in — so
@@ -419,10 +407,12 @@ class CoherencyLens:
 
     def _merge_probe(self, samples) -> None:
         """Fold per-machine :class:`ProbeSample` payloads into the
-        single-stream outputs, replaying the legacy global-read path's
-        float-operation order bit-for-bit: masses sum machine-ascending,
-        staleness histograms observe per machine in ascending-age order,
-        and drift folds per sample slot in machine order.
+        single-stream outputs, in the float-operation order of a direct
+        global read (``tests/lens_global_read_oracle.py`` holds that
+        reference; the shard-equivalence tests compare the two
+        bit-for-bit): masses sum machine-ascending, staleness histograms
+        observe per machine in ascending-age order, and drift folds per
+        sample slot in machine order.
         """
         masses = [s.mass for s in samples]
         pending = [s.pending for s in samples]
@@ -446,6 +436,8 @@ class CoherencyLens:
         active = int(sum(s.active for s in samples))
         tracer = self.tracer
         if tracer.enabled and not self._instants_due():
+            # rollup window: keep the timeline bounded on long runs
+            # (metrics above already accumulated this probe)
             self.rolled_up += 1
             return
         if tracer.enabled:
@@ -464,52 +456,9 @@ class CoherencyLens:
     def probe(self) -> None:
         """Per-superstep staleness/divergence gauges (pre-exchange)."""
         self.probes += 1
-        if self.sharded:
-            self._merge_probe(
-                [self._probe_shard(m) for m in range(len(self._machines))]
-            )
-            return
-        # ---- legacy direct global read (the shard-equivalence oracle)
-        masses, pending = zip(*(
-            self._pending(self.runtimes[ri], lo, hi)
-            for ri, lo, hi in self._machines
-        ))
-        total_mass = float(sum(masses))
-        stale_max = 0
-        for ri, lo, hi in self._machines:
-            live = self._ages[ri][lo:hi][self.runtimes[ri].has_delta[lo:hi]]
-            if live.size:
-                stale_max = max(stale_max, int(live.max()))
-                if self.h_staleness is not None:
-                    counts = np.bincount(live)
-                    for age_value in np.flatnonzero(counts):
-                        self.h_staleness.observe(
-                            float(age_value), int(counts[age_value])
-                        )
-        if self.h_pending is not None:
-            self.h_pending.observe(total_mass)
-        drift = self.sample_drift()
-        if self.g_drift is not None:
-            self.g_drift.set(drift)
-        active = int(sum(rt.num_active for rt in self.runtimes))
-        tracer = self.tracer
-        if tracer.enabled and not self._instants_due():
-            # rollup window: keep the timeline bounded on long runs
-            # (metrics above already accumulated this probe)
-            self.rolled_up += 1
-            return
-        if tracer.enabled:
-            tracer.counter("active_vertices", active)
-            tracer.instant(
-                "lens-probe",
-                superstep=self.superstep,
-                pending_mass=total_mass,
-                pending_replicas=int(sum(pending)),
-                staleness_max=stale_max,
-                drift_max=drift,
-                machine_mass=[float(m) for m in masses],
-            )
-        self._snapshot_channels()
+        self._merge_probe(
+            [self._probe_shard(m) for m in range(len(self._machines))]
+        )
 
     def _instants_due(self) -> bool:
         """Is this superstep inside the full-resolution window?"""

@@ -1,6 +1,7 @@
 """Mutation-stream analysis: re-convergence cost and λ drift over time.
 
-Consumes the JSONL event stream ``repro mutate --out`` emits — one
+Consumes the event stream ``repro mutate --out`` emits (a
+``mutations``-kind file of :mod:`repro.obs.records`) — one
 ``{"event": "apply", ...}`` record per applied batch, interleaved with
 ``{"event": "run", ...}`` records for the engine runs that re-converged
 after each — and distills the two questions the dynamic-graph story
@@ -13,38 +14,19 @@ hangs on:
   wandered from the baseline partitioning as mutations accumulated,
   and where the repartition valve fired.
 
-``repro analyze PATH`` prints the result (a file whose records carry
-``"event"`` is read as a mutation stream).
+``repro analyze PATH`` prints the result.
 """
 
 from __future__ import annotations
 
-import json
-from typing import Any, Dict, Iterable, List
+from typing import Any, Dict, List
 
 from repro.bench.reporting import format_table
 
 __all__ = [
-    "load_mutation_stream",
     "analyze_mutation_stream",
     "format_mutation_analysis",
 ]
-
-
-def load_mutation_stream(path: str) -> List[Dict[str, Any]]:
-    """Parse a mutation-stream JSONL file into its event records."""
-    events: List[Dict[str, Any]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            events.append(json.loads(line))
-    return events
-
-
-def is_mutation_stream(events: Iterable[Dict[str, Any]]) -> bool:
-    return any(e.get("event") == "apply" for e in events)
 
 
 def _worst_lambda(apply_ev: Dict[str, Any]) -> float:

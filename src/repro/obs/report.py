@@ -1,7 +1,7 @@
-"""Load a saved trace (JSONL or Chrome format) and summarize the run.
+"""Summarize one run's trace into the paper's tables.
 
-``repro report TRACE`` prints what the paper's figures are made of, for
-one run, straight from its trace file:
+The first sections ``repro analyze`` prints for a run trace are what the
+paper's figures are made of, for one run, straight from its trace file:
 
 * the per-phase modeled-time breakdown (gather/apply/scatter for the
   eager engines; local-computation/coherency for the lazy ones), whose
@@ -10,17 +10,16 @@ one run, straight from its trace file:
 * the interval-rule decision log (``turnOnLazy`` outcomes and the comm
   mode chosen at each coherency exchange).
 
-Both on-disk formats round-trip losslessly enough for this: the JSONL
-format is the tracer's native record stream; the Chrome format keeps
-phase durations as ``"X"`` event ``dur`` fields and the RunStats dump in
-``otherData``.
+The file itself is read by :func:`repro.obs.records.load_trace`;
+``TraceData`` / ``load_trace`` / ``trace_from_tracer`` are re-exported
+here under the import path they have always had.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
 from typing import Any, Dict, List
+
+from repro.obs.records import TraceData, load_trace, trace_from_tracer
 
 __all__ = [
     "TraceData",
@@ -30,130 +29,15 @@ __all__ = [
     "format_report",
 ]
 
-_US = 1e6
-
-
-@dataclass
-class TraceData:
-    """Normalized in-memory view of a saved trace."""
-
-    spans: List[Dict[str, Any]] = field(default_factory=list)
-    instants: List[Dict[str, Any]] = field(default_factory=list)
-    counters: List[Dict[str, Any]] = field(default_factory=list)
-    meta: Dict[str, Any] = field(default_factory=dict)
-
-    @property
-    def stats(self) -> Dict[str, Any]:
-        return self.meta.get("stats", {})
-
-    def phase_spans(self) -> List[Dict[str, Any]]:
-        return [s for s in self.spans if s.get("cat") == "phase"]
-
-
-def _load_jsonl(lines: List[str]) -> TraceData:
-    trace = TraceData()
-    for line in lines:
-        line = line.strip()
-        if not line:
-            continue
-        record = json.loads(line)
-        rtype = record.get("type")
-        if rtype == "span":
-            trace.spans.append(record)
-        elif rtype == "instant":
-            trace.instants.append(record)
-        elif rtype == "counter":
-            trace.counters.append(record)
-        elif rtype == "run_meta":
-            trace.meta.update(record.get("meta") or {})
-        # trace_header / unknown types: ignored (forward compatibility)
-    return trace
-
-
-def _load_chrome(doc: Dict[str, Any]) -> TraceData:
-    trace = TraceData()
-    trace.meta.update(doc.get("otherData") or {})
-    for event in doc.get("traceEvents", []):
-        ph = event.get("ph")
-        if ph == "X":
-            args = dict(event.get("args") or {})
-            charges = {}
-            for key in list(args):
-                if key.startswith("charge_") and key.endswith("_s"):
-                    charges[key[len("charge_"):-2]] = args.pop(key)
-            t0 = event.get("ts", 0.0) / _US
-            t1 = t0 + event.get("dur", 0.0) / _US
-            span = {
-                "type": "span",
-                "name": event.get("name"),
-                "cat": event.get("cat"),
-                "charges": charges,
-                "attrs": args,
-            }
-            if event.get("cat") == "machine":
-                span.update(host_t0=t0, host_t1=t1, model_t0=0.0, model_t1=0.0)
-            else:
-                span.update(model_t0=t0, model_t1=t1)
-            trace.spans.append(span)
-        elif ph == "i":
-            trace.instants.append({
-                "type": "instant",
-                "name": event.get("name"),
-                "model_t": event.get("ts", 0.0) / _US,
-                "attrs": dict(event.get("args") or {}),
-            })
-        elif ph == "C":
-            trace.counters.append({
-                "type": "counter",
-                "name": event.get("name"),
-                "model_t": event.get("ts", 0.0) / _US,
-                "value": (event.get("args") or {}).get("value", 0.0),
-            })
-    return trace
-
-
-def load_trace(path: str) -> TraceData:
-    """Read a trace file, auto-detecting JSONL vs Chrome JSON."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    stripped = text.lstrip()
-    if not stripped:
-        raise ValueError(f"{path}: empty trace file")
-    if stripped.startswith("{") and '"traceEvents"' in stripped[:4096]:
-        return _load_chrome(json.loads(text))
-    return _load_jsonl(text.splitlines())
-
-
-def trace_from_tracer(tracer) -> TraceData:
-    """Normalize a finished in-memory :class:`Tracer` into a TraceData.
-
-    The same view ``load_trace`` produces from a JSONL file — the
-    round-trip tests assert the two agree — so reports, audits and
-    dashboards run identically on live runs and saved traces.
-    """
-    trace = TraceData()
-    for record in tracer.records:
-        rtype = record.get("type")
-        if rtype == "span":
-            trace.spans.append(record)
-        elif rtype == "instant":
-            trace.instants.append(record)
-        elif rtype == "counter":
-            trace.counters.append(record)
-        elif rtype == "run_meta":
-            trace.meta.update(record.get("meta") or {})
-    if not trace.meta:
-        trace.meta.update(tracer.meta)
-    return trace
-
 
 # ----------------------------------------------------------------------
 def summarize_trace(trace: TraceData) -> Dict[str, Any]:
     """Aggregate a trace into the report's tables.
 
     Returns a dict with ``phases`` (ordered per-phase rows), ``totals``
-    (the RunStats dump), ``decisions`` (interval-rule log summary) and
-    ``modes`` (coherency-exchange wire-protocol counts).
+    (the RunStats dump), ``distributions`` (histogram quantiles),
+    ``decisions`` (interval-rule log summary) and ``modes``
+    (coherency-exchange wire-protocol counts).
     """
     phases: Dict[str, Dict[str, float]] = {}
     order: List[str] = []
@@ -198,26 +82,6 @@ def summarize_trace(trace: TraceData) -> Dict[str, Any]:
             "max": export.get("max", 0.0),
         })
 
-    # straggler / gating digest (full detail: ``repro analyze``)
-    from repro.obs.critical_path import analyze_trace
-
-    analysis = analyze_trace(trace)
-    gating: Dict[str, Any] = {}
-    stragglers = analysis.get("stragglers") or {}
-    if analysis["supersteps"]:
-        md = analysis.get("machines_detail") or {}
-        gating = {
-            "channels": analysis.get("gated_channels") or {},
-            "machines": {
-                m: count
-                for m, count in enumerate(md.get("gated_supersteps") or [])
-                if count
-            },
-            "straggler": stragglers.get("machine"),
-            "imbalance": stragglers.get("imbalance"),
-            "replication_factor": stragglers.get("replication_factor"),
-        }
-
     decisions = [
         i for i in trace.instants if i.get("name") == "interval-decision"
     ]
@@ -241,10 +105,6 @@ def summarize_trace(trace: TraceData) -> Dict[str, Any]:
             "lazy_off": len(decisions) - lazy_on,
         },
         "modes": modes,
-        "gating": gating,
-        # present when the trace came from a GraphService (serve
-        # --trace-out): the closing serve.* counter/histogram export
-        "service": trace.meta.get("service_stats") or {},
     }
 
 
@@ -323,49 +183,4 @@ def format_report(summary: Dict[str, Any]) -> str:
             f"{mode}×{count}" for mode, count in sorted(summary["modes"].items())
         )
         lines.append(f"coherency exchanges by mode: {mode_text}")
-
-    service = summary.get("service") or {}
-    if service:
-        srv_rows = []
-        for key in sorted(service):
-            value = service[key]
-            if isinstance(value, dict):
-                continue  # histograms render below
-            shown = round(value, 3) if isinstance(value, float) else value
-            srv_rows.append([key, shown])
-        lines.append(format_table(
-            ["counter", "value"], srv_rows,
-            title="service (serve.* counters at close)",
-        ))
-        latency = service.get("serve.latency_s")
-        if isinstance(latency, dict) and latency.get("count"):
-            lat_rows = [
-                [k, round(float(latency[k]) * 1e3, 3)]
-                for k in ("p50", "p95", "p99", "mean", "min", "max")
-                if k in latency
-            ]
-            lat_rows.append(["count", int(latency.get("count", 0))])
-            lines.append(format_table(
-                ["quantile", "ms"], lat_rows, title="service latency",
-            ))
-
-    gating = summary.get("gating") or {}
-    if gating:
-        parts = []
-        if gating.get("machines"):
-            parts.append("machines " + ", ".join(
-                f"{m}×{c}" for m, c in sorted(gating["machines"].items())
-            ))
-        if gating.get("channels"):
-            parts.append("channels " + ", ".join(
-                f"{ch}×{c}" for ch, c in sorted(gating["channels"].items())
-            ))
-        line = "supersteps gated by: " + "; ".join(parts)
-        imb = gating.get("imbalance")
-        if imb is not None and gating.get("straggler") is not None:
-            line += (
-                f"\nstraggler machine {gating['straggler']} — busy imbalance "
-                f"max/mean = {imb:.3f} (details: repro analyze)"
-            )
-        lines.append(line)
     return "\n\n".join(lines)

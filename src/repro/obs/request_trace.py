@@ -38,13 +38,11 @@ serve trace asserts it and prints the per-request waterfalls plus a
 
 from __future__ import annotations
 
-import json
-import os
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
+from repro.obs.records import RecordWriter
 from repro.obs.tracer import SERVE as SERVE_CATEGORY
 
 __all__ = [
@@ -53,7 +51,6 @@ __all__ = [
     "split_cost",
     "analyze_serve_trace",
     "format_serve_analysis",
-    "is_serve_trace",
 ]
 
 #: canonical order of a request's service legs; the waterfall sum and
@@ -147,37 +144,19 @@ class ServeTraceWriter:
     """Streams the merged service + engine trace as JSONL.
 
     Records use the tracer's span schema (``type``/``id``/``parent``/
-    ``host_t0``/``host_t1``/``attrs``) so :func:`repro.obs.report.
-    load_trace` reads the file unchanged; service spans carry
-    ``cat: "serve"``. All writes happen on the service's dispatcher
-    thread except :meth:`close` (guarded by a lock).
+    ``host_t0``/``host_t1``/``attrs``) under a ``serve``-profile trace
+    header, so :func:`repro.obs.records.load_trace` reads the file as
+    kind ``"serve"``; service spans carry ``cat: "serve"``. All writes
+    happen on the service's dispatcher thread except :meth:`close`
+    (the :class:`~repro.obs.records.RecordWriter` serialises the two).
     """
 
-    VERSION = 1
-
     def __init__(self, path: str) -> None:
-        self.path = str(path)
-        parent = os.path.dirname(self.path)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
-        self._fh = open(self.path, "w", encoding="utf-8")
-        self._lock = threading.Lock()
+        self._writer = RecordWriter(path, "serve")
+        self.path = self._writer.path
+        self._emit = self._writer.write
         self._next_id = 1
         self.epoch = time.perf_counter()
-        self._closed = False
-        self._write({
-            "type": "trace_header", "format": "repro-trace",
-            "version": self.VERSION, "profile": "serve",
-        })
-
-    # ------------------------------------------------------------------
-    def _write(self, obj: Dict[str, Any]) -> None:
-        self._fh.write(json.dumps(obj, sort_keys=True) + "\n")
-
-    def _emit(self, record: Dict[str, Any]) -> None:
-        with self._lock:
-            if not self._closed:
-                self._write(record)
 
     def _span(
         self,
@@ -346,27 +325,15 @@ class ServeTraceWriter:
 
     def close(self, meta: Optional[Dict[str, Any]] = None) -> None:
         """Write the trailing ``run_meta`` (service stats) and close."""
-        with self._lock:
-            if self._closed:
-                return
-            final = {"service": True}
-            final.update(meta or {})
-            self._write({"type": "run_meta", "meta": final})
-            self._closed = True
-            self._fh.close()
+        self._emit({
+            "type": "run_meta", "meta": {"service": True, **(meta or {})},
+        })
+        self._writer.close()
 
 
 # ----------------------------------------------------------------------
 # Analysis (``repro analyze`` on a merged serve trace)
 # ----------------------------------------------------------------------
-def is_serve_trace(trace: Any) -> bool:
-    """Whether a loaded :class:`TraceData` carries service-plane spans."""
-    return any(
-        s.get("cat") == SERVE_CATEGORY and s.get("name") == "serve.request"
-        for s in trace.spans
-    )
-
-
 def _quantile(sorted_values: List[float], q: float) -> float:
     if not sorted_values:
         return 0.0
@@ -391,7 +358,9 @@ def analyze_serve_trace(trace: Any) -> Dict[str, Any]:
       request/hit/fused counts, attributed engine cost and its share,
       and latency quantiles;
     * ``totals`` — request counts, total attributed cost vs total run
-      cost, and whether every exactness check passed.
+      cost, whether every exactness check passed, and ``cut_short``
+      (requests / runs a truncated file holds only part of; they are
+      left out of everything above).
     """
     legs_by_parent: Dict[Any, Dict[str, Dict[str, Any]]] = {}
     roots: List[Dict[str, Any]] = []
@@ -407,17 +376,23 @@ def analyze_serve_trace(trace: Any) -> Dict[str, Any]:
         elif name == "serve.engine-run":
             runs.append(s)
 
+    # a writer killed mid-record (load_trace drops the cut line) leaves
+    # a request without its four legs or a run without all its riders;
+    # those are counted, and the verdicts are over the complete ones
+    cut_short = 0
     requests: List[Dict[str, Any]] = []
     for root in sorted(
         roots, key=lambda s: (s.get("attrs") or {}).get("request_id", 0)
     ):
         attrs = root.get("attrs") or {}
         legs = legs_by_parent.get(root.get("id"), {})
+        if len(legs) < len(LEG_NAMES):
+            cut_short += 1
+            continue
         total = 0.0
         widths: Dict[str, float] = {}
         for name in LEG_NAMES:
-            leg = legs.get(name)
-            w = float((leg.get("attrs") or {}).get("dur_s", 0.0)) if leg else 0.0
+            w = float((legs[name].get("attrs") or {}).get("dur_s", 0.0))
             widths[name] = w
             total = total + w
         reported = float(attrs.get("latency_s", 0.0))
@@ -453,11 +428,12 @@ def analyze_serve_trace(trace: Any) -> Dict[str, Any]:
         attrs = run.get("attrs") or {}
         modeled = float(attrs.get("modeled_time_s", 0.0))
         member_ids = list(attrs.get("request_ids") or [])
+        if any(rid not in req_by_id for rid in member_ids):
+            cut_short += 1
+            continue
         attributed = 0.0
         for rid in member_ids:
-            row = req_by_id.get(rid)
-            if row is not None:
-                attributed = attributed + row["engine_cost_s"]
+            attributed = attributed + req_by_id[rid]["engine_cost_s"]
         total_run_cost += modeled
         run_rows.append({
             "run_id": attrs.get("run_id"),
@@ -518,6 +494,7 @@ def analyze_serve_trace(trace: Any) -> Dict[str, Any]:
                 1 for r in requests if r["outcome"] == "cancelled"
             ),
             "engine_runs": len(run_rows),
+            "cut_short": cut_short,
             "attributed_cost_s": total_cost,
             "run_cost_s": total_run_cost,
             "latency_exact": all(r["exact"] for r in requests),
@@ -541,6 +518,8 @@ def format_serve_analysis(
         f"serve trace — {t['requests']} requests, {t['engine_runs']} engine "
         f"runs, {t['cache_hits']} cache hits, {t['fused']} fused, "
         f"{t['errors']} errors, {t['cancelled']} cancelled"
+        + (f" ({t['cut_short']} more cut short by a truncated file)"
+           if t["cut_short"] else "")
     )
 
     reqs = analysis["requests"]

@@ -59,7 +59,7 @@ class ProbeSample:
     staleness-age bincount of its live deltas, and the machine's values
     at its slots of the deterministic drift sample (``(slot, value)``
     pairs). The lens merger folds these machine-ascending, replaying
-    the legacy global-read path's float operations in the same order —
+    a direct global read's float operations in the same order —
     which is what keeps the merged metrics and instants bit-identical.
     """
 

@@ -8,10 +8,11 @@ is :meth:`Sink.close`-d with the run metadata once the engine finishes.
   also always keeps an in-memory copy, so this exists mainly as the
   reference implementation and for fan-out tests.
 * :class:`JsonlSink` — streams one JSON object per line; the native
-  round-trippable on-disk format (``repro report`` reads it back).
+  round-trippable on-disk format (``repro analyze`` reads it back).
 * :class:`ChromeTraceSink` — buffers records and writes a Chrome
   ``trace_event`` JSON on close, loadable in ``chrome://tracing`` or
-  Perfetto (see :mod:`repro.obs.chrome`).
+  Perfetto (see :mod:`repro.obs.chrome`). An export only: no reader in
+  this repo takes it back.
 
 ``export_trace`` writes a finished tracer's records post-hoc in either
 format — the path the CLI's ``--trace-out``/``--trace-format`` takes.
@@ -24,6 +25,7 @@ import os
 from typing import Any, Dict, List, Optional
 
 from repro.obs.chrome import chrome_trace_document
+from repro.obs.records import RecordWriter
 
 __all__ = [
     "Sink",
@@ -69,25 +71,15 @@ class JsonlSink(Sink):
     normal stream, so the file is self-describing.
     """
 
-    VERSION = 1
-
     def __init__(self, path: str) -> None:
-        self.path = str(path)
-        parent = os.path.dirname(self.path)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
-        self._fh = open(self.path, "w", encoding="utf-8")
-        self._write({"type": "trace_header", "format": "repro-trace",
-                     "version": self.VERSION})
-
-    def _write(self, obj: Dict[str, Any]) -> None:
-        self._fh.write(json.dumps(obj, sort_keys=True) + "\n")
+        self._writer = RecordWriter(path, "run")
+        self.path = self._writer.path
 
     def emit(self, record: Dict[str, Any]) -> None:
-        self._write(record)
+        self._writer.write(record)
 
     def close(self, meta: Dict[str, Any]) -> None:
-        self._fh.close()
+        self._writer.close()
 
 
 class ChromeTraceSink(Sink):

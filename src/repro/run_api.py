@@ -137,8 +137,8 @@ def run(
         an engine without replica laziness is a :class:`ConfigError`.
     lens_opts:
         :class:`~repro.obs.lens.CoherencyLens` keyword overrides
-        (``sample_size`` / ``seed`` / ``rollup_after`` / ``rollup_every``
-        / ``sharded``). A non-empty dict implies ``lens=True``.
+        (``sample_size`` / ``seed`` / ``rollup_after`` /
+        ``rollup_every``). A non-empty dict implies ``lens=True``.
     backend:
         Execution backend: ``"serial"`` (default — inline lockstep) or
         ``"process"`` (a spawn-safe worker pool over shared-memory

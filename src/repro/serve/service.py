@@ -49,7 +49,7 @@ legs); opt-in observability rides on it with zero behavior change:
 * ``telemetry_out=`` attaches a :class:`~repro.obs.telemetry.
   TelemetrySink` ticker sampling queue depth, in-flight count, cache
   hit rate, sliding-window per-class latency quantiles and worker-pool
-  heartbeats (``repro top`` / ``repro slo``).
+  heartbeats (``repro analyze``: view, ``--follow``, SLO thresholds).
 
 Neither sink touches the ``serve.*`` metrics registry, so counters and
 answers are bit-identical whether observability is on or off.

@@ -9,10 +9,10 @@ between any two runs; everything else, including span ids, parent
 links, model-time stamps, charges, and the full RunStats dump with its
 lens histograms, must match exactly).
 
-Same discipline for the lens: ``sharded=True`` probes build per-machine
-:class:`ProbeSample` payloads and merge them; ``sharded=False`` is the
-legacy direct global read. Both must agree bit-for-bit and pass the
-:class:`LensAuditor` strict-clean.
+Same discipline for the lens: its probe builds per-machine
+:class:`ProbeSample` payloads and merges them; the direct global read
+it replaced lives on as ``tests/lens_global_read_oracle.py``. Both must
+agree bit-for-bit and pass the :class:`LensAuditor` strict-clean.
 
 On top of the merged traces, the critical-path analyzer must name a
 gating machine/channel for every superstep and its accounting must tile
@@ -23,11 +23,13 @@ import pytest
 
 from repro.obs.audit import LensAuditor
 from repro.obs.critical_path import analyze_trace
+from repro.obs.lens import CoherencyLens
 from repro.obs.report import trace_from_tracer
 from repro.obs.tracer import Tracer
 from repro.core.transmission import build_lazy_graph
 from repro.run_api import prepare_graph
 from repro.runtime.registry import engine_names, get_engine
+from tests.lens_global_read_oracle import global_read_probe
 
 MACHINES = 6
 ALGORITHMS = ("pagerank", "cc")
@@ -137,14 +139,11 @@ LENS_MATRIX = [
 @pytest.mark.parametrize("engine,alg", LENS_MATRIX)
 class TestLensShardingBitExact:
     def test_sharded_probe_identical_to_global_read(
-        self, engine, alg, er_graph
+        self, engine, alg, er_graph, monkeypatch
     ):
-        t_shard, _ = _run(
-            engine, alg, er_graph, buffered=True, lens={"sharded": True}
-        )
-        t_legacy, _ = _run(
-            engine, alg, er_graph, buffered=True, lens={"sharded": False}
-        )
+        t_shard, _ = _run(engine, alg, er_graph, buffered=True, lens=True)
+        monkeypatch.setattr(CoherencyLens, "probe", global_read_probe)
+        t_legacy, _ = _run(engine, alg, er_graph, buffered=True, lens=True)
         shard = [_scrub(r) for r in t_shard.records]
         legacy = [_scrub(r) for r in t_legacy.records]
         assert shard == legacy
@@ -152,8 +151,6 @@ class TestLensShardingBitExact:
     def test_auditor_strict_clean_on_sharded_run(
         self, engine, alg, er_graph
     ):
-        tracer, _ = _run(
-            engine, alg, er_graph, buffered=True, lens={"sharded": True}
-        )
+        tracer, _ = _run(engine, alg, er_graph, buffered=True, lens=True)
         anomalies = LensAuditor(trace_from_tracer(tracer)).audit()
         assert anomalies == [], [str(a) for a in anomalies]

@@ -1,13 +1,11 @@
 """Trace round-trip fidelity for every registered engine.
 
 A trace written to disk must summarize identically to the in-memory
-trace it came from — otherwise offline tooling (``repro report``,
+trace it came from — otherwise offline tooling (``repro analyze``,
 ``repro dashboard``) silently disagrees with what the run actually did.
 Parametrized over the engine registry so a newly registered engine is
 covered automatically.
 """
-
-import json
 
 import pytest
 
@@ -52,11 +50,19 @@ class TestJsonlRoundTrip:
 
 @pytest.mark.parametrize("engine", ENGINES)
 def test_chrome_export_loads_back(traced_runs, engine, tmp_path):
-    tracer = traced_runs[engine]
+    """The export loads back as the ``trace_event`` document a browser
+    reads, and that document carries the run; the repo's own readers do
+    not take it (Chrome is an export, not an input)."""
+    import json
+
     path = tmp_path / f"{engine}.trace.json"
-    export_trace(tracer, str(path), "chrome")
+    export_trace(traced_runs[engine], str(path), "chrome")
     doc = json.loads(path.read_text())
-    assert doc["traceEvents"]
-    trace = load_trace(str(path))
-    assert trace.meta["engine"] == engine
-    assert summarize_trace(trace)["total_phase_s"] > 0.0
+    assert doc["otherData"]["engine"] == engine
+    phase_us = sum(
+        e["dur"] for e in doc["traceEvents"]
+        if e["ph"] == "X" and e["cat"] == "phase"
+    )
+    assert phase_us > 0.0
+    with pytest.raises(ValueError, match="--trace-format jsonl"):
+        load_trace(str(path))

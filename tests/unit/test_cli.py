@@ -1,8 +1,12 @@
 """Unit tests for the command-line interface."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
+from tests.unit.test_records import PARENT_FILES
 
 
 class TestParser:
@@ -135,7 +139,7 @@ class TestLensCli:
     def test_report_on_clean_lens_trace(self, capsys, tmp_path):
         path = self._write_lens_trace(tmp_path)
         capsys.readouterr()
-        assert main(["report", str(path), "--strict"]) == 0
+        assert main(["analyze", str(path), "--strict"]) == 0
         captured = capsys.readouterr()
         assert "WARNING" not in captured.err
 
@@ -151,9 +155,9 @@ class TestLensCli:
                     rec["attrs"]["mass_after"] = 99.0
                 dst.write(json.dumps(rec) + "\n")
         capsys.readouterr()
-        assert main(["report", str(doctored)]) == 0  # warn-only by default
+        assert main(["analyze", str(doctored)]) == 0  # warn-only by default
         assert "pending-after-exchange" in capsys.readouterr().err
-        assert main(["report", str(doctored), "--strict"]) == 3
+        assert main(["analyze", str(doctored), "--strict"]) == 3
 
     def test_report_warns_on_untracked_charges(self, capsys, tmp_path):
         import json
@@ -165,7 +169,7 @@ class TestLensCli:
                 "engine": "x", "untracked_charges": {"comm": 0.5}}},
         ]
         path.write_text("".join(json.dumps(r) + "\n" for r in records))
-        assert main(["report", str(path)]) == 0
+        assert main(["analyze", str(path)]) == 0
         err = capsys.readouterr().err
         assert "WARNING" in err and "NOT attributed" in err
 
@@ -319,7 +323,7 @@ def _run_cli(argv, stdin=""):
 
 
 class TestServingCli:
-    """The serve → analyze → report → dashboard → top → slo recipe."""
+    """The serve → analyze (trace, telemetry, SLO gate) → dashboard recipe."""
 
     @pytest.fixture(scope="class")
     def served(self, tmp_path_factory):
@@ -353,6 +357,12 @@ class TestServingCli:
         assert main(["analyze", served[1], "--run-id", "1"]) == 0
         assert "critical-path analysis" in capsys.readouterr().out
 
+    def test_analyze_unknown_run_id_is_exit_2(self, served, capsys):
+        assert main(["analyze", served[1], "--run-id", "99"]) == 2
+        captured = capsys.readouterr()
+        assert "holds no engine run 99" in captured.err
+        assert captured.out == ""  # not an all-zero analysis
+
     def test_analyze_exits_3_when_exactness_fails(self, served, capsys):
         import json
 
@@ -372,24 +382,34 @@ class TestServingCli:
                 build_parser().parse_args(["analyze", served[1], flag])
 
     def test_report_and_dashboard_read_a_serve_trace(self, served, capsys):
-        assert main(["report", served[1]]) == 0
+        assert main(["analyze", served[1]]) == 0
+        # the closing serve.* counters go through the one service
+        # rendering: integral counters print as integers
+        out = capsys.readouterr().out
+        assert re.search(r"serve\.queries +4\n", out)
         html = served[3] / "serve.html"
         assert main(["dashboard", served[1], "-o", str(html)]) == 0
         assert html.read_text().startswith("<!DOCTYPE html>")
 
     def test_top_and_report_read_telemetry(self, served, capsys):
-        assert main(["top", served[2]]) == 0
-        assert "queries 4  runs 2" in capsys.readouterr().out
-        assert main(["report", served[2]]) == 0
-        assert "service telemetry" in capsys.readouterr().out
-        assert main(["top", served[1]]) == 2  # a trace is not telemetry
+        assert main(["analyze", served[2]]) == 0
+        out = capsys.readouterr().out
+        assert "queries 4  runs 2" in out
+        assert "service telemetry" in out
+        assert main(["analyze", served[2], "--follow", "--ticks", "1"]) == 0
+        assert "service telemetry — seq 0" in capsys.readouterr().out
+        # a trace is not telemetry
+        assert main(["analyze", served[1], "--follow"]) == 2
 
     def test_slo_gate(self, served, capsys):
-        assert main(["slo", served[2], "--p95-ms", "60000",
+        assert main(["analyze", served[2], "--p95-ms", "60000",
                      "--max-queue-depth", "64"]) == 0
-        assert main(["slo", served[2], "--p95-ms", "0.0001"]) == 4
+        assert main(["analyze", served[2], "--p95-ms", "0.0001"]) == 4
         assert "SLO VIOLATION" in capsys.readouterr().out
-        assert main(["slo", served[2]]) == 2  # no threshold given
+        # a threshold needs a telemetry file, and a finished one
+        assert main(["analyze", served[1], "--p95-ms", "1"]) == 2
+        assert "is a serve file" in capsys.readouterr().err
+        assert main(["analyze", served[2], "--p95-ms", "1", "--follow"]) == 2
 
     def test_query_repeat_hits_the_cache(self, capsys):
         import json
@@ -437,13 +457,16 @@ class TestAnalyzeCli:
              "--engine", "lazy-block", "--machines", "8", "--lens",
              "--trace-out", str(trace)] + backend
         ) == 0
-        assert main(["report", str(trace), "--strict"]) == 0
         analysis = tmp_path / "run.analysis.json"
-        assert main(["analyze", str(trace), "--json-out", str(analysis)]) == 0
+        assert main(["analyze", str(trace), "--strict",
+                     "--json-out", str(analysis)]) == 0
         captured = capsys.readouterr()
+        assert "per-phase modeled time" in captured.out
         assert "critical-path analysis" in captured.out
         assert "analysis JSON written" in captured.err
-        assert json.loads(analysis.read_text())
+        document = json.loads(analysis.read_text())
+        # today's top-level critical-path keys plus the report's dict
+        assert document["critical_path"] and document["report"]["phases"]
 
     def test_analyze_json_prints_the_document(self, capsys, tmp_path):
         import json
@@ -454,6 +477,124 @@ class TestAnalyzeCli:
         capsys.readouterr()
         assert main(["analyze", str(trace), "--json"]) == 0
         assert json.loads(capsys.readouterr().out)
+
+
+#: one file per kind, written by the parent commit's four writers
+RECORDED = {kind: str(path) for kind, path in PARENT_FILES.items()}
+#: the heading only that kind's `analyze` sections print
+HEADING = {
+    "run": "critical-path analysis —",
+    "serve": "serve trace —",
+    "telemetry": "service telemetry —",
+    "mutations": "mutation stream",
+}
+
+
+class TestReadersNeverAnswerTheWrongKindQuietly:
+    @pytest.mark.parametrize("kind", list(RECORDED))
+    def test_analyze_sections_follow_from_the_kind(self, kind, capsys):
+        # the parent answered a telemetry file with an all-zero
+        # critical-path analysis, and `report` answered a mutation
+        # stream with an empty phase table, both exit 0
+        assert main(["analyze", RECORDED[kind]]) == 0
+        out = capsys.readouterr().out
+        for other, heading in HEADING.items():
+            assert (heading in out) == (other == kind), (kind, other)
+        assert ("per-phase modeled time" in out) == (kind == "run")
+
+    @pytest.mark.parametrize("kind", ["telemetry", "mutations"])
+    def test_dashboard_names_the_kind_it_cannot_render(
+        self, kind, capsys, tmp_path
+    ):
+        # the parent wrote a 4 404-byte empty page and exited 0
+        page = tmp_path / "page.html"
+        assert main(["dashboard", RECORDED[kind], "-o", str(page)]) == 2
+        assert f"is a {kind} file" in capsys.readouterr().err
+        assert not page.exists()
+
+    @pytest.mark.parametrize("command", ["analyze", "dashboard"])
+    def test_unrecognisable_file_is_one_stderr_line(
+        self, command, capsys, tmp_path
+    ):
+        import json
+
+        from repro.obs import chrome_trace_document
+
+        junk = tmp_path / "junk.jsonl"
+        junk.write_text('{"neither": "a type", "nor": "an event"}\n')
+        chrome = tmp_path / "export.json"
+        chrome.write_text(json.dumps(chrome_trace_document([], {})))
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        for path in (junk, chrome, empty, tmp_path / "missing.jsonl"):
+            assert main([command, str(path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""  # never a table of zeros
+            assert captured.err.count("\n") == 1
+            assert captured.err.startswith(f"{command}: ")
+        assert main([command, str(chrome)]) == 2
+        assert "--trace-format jsonl" in capsys.readouterr().err
+
+    def test_threshold_or_follow_on_a_non_telemetry_file_exits_2(self, capsys):
+        for kind in ("run", "serve", "mutations"):
+            for flags in (["--p95-ms", "5"], ["--min-hit-rate", "0.1"],
+                          ["--max-queue-depth", "3"], ["--follow"]):
+                assert main(["analyze", RECORDED[kind], *flags]) == 2
+                assert f"is a {kind} file" in capsys.readouterr().err
+
+
+class TestOneDamagePolicy:
+    """A writer killed mid-write costs the record it was writing, loudly;
+    damage anywhere else is an error naming the line."""
+
+    @staticmethod
+    def _cut(tmp_path, kind, keep_lines, tail):
+        lines = Path(RECORDED[kind]).read_text().splitlines(keepends=True)
+        path = tmp_path / f"{kind}.cut.jsonl"
+        path.write_text("".join(lines[:keep_lines]) + tail)
+        return path
+
+    def test_serve_trace_cut_mid_record_still_analyses(self, capsys, tmp_path):
+        lines = Path(RECORDED["serve"]).read_text().splitlines()
+        # cut inside the last leg span of the second (last) request
+        last_leg = max(
+            i for i, line in enumerate(lines) if '"serve.serialize"' in line
+        )
+        path = self._cut(tmp_path, "serve", last_leg, lines[last_leg][:60])
+        assert main(["analyze", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert f"{path}:{last_leg + 1}: " in captured.err
+        assert "truncated final line dropped" in captured.err
+        # request 1 is whole; request 2 and the run it rode are cut short
+        assert "serve trace — 1 requests, 0 engine runs" in captured.out
+        assert "2 more cut short by a truncated file" in captured.out
+        assert "latency reconstruction: exact for every request" in captured.out
+
+    def test_telemetry_cut_mid_tick_still_renders(self, capsys, tmp_path):
+        path = self._cut(tmp_path, "telemetry", 2, '{"type": "telemetry", "se')
+        assert main(["analyze", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert f"{path}:3: " in captured.err
+        assert "1 ticks" in captured.out
+
+    @pytest.mark.parametrize("kind", ["serve", "telemetry"])
+    def test_corrupt_interior_line_fails_loudly(self, kind, capsys, tmp_path):
+        lines = Path(RECORDED[kind]).read_text().splitlines(keepends=True)
+        if kind == "telemetry":  # the fixture is two lines; make four
+            lines += [lines[1], lines[1]]
+        lines[2] = lines[2][:40] + "\n"
+        path = tmp_path / f"{kind}.corrupt.jsonl"
+        path.write_text("".join(lines))
+        assert main(["analyze", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{path}:3: malformed record" in captured.err
+        # the loader raises a ValueError that names the line, not a
+        # bare JSONDecodeError
+        from repro.obs import load_trace
+
+        with pytest.raises(ValueError, match=re.escape(f"{path}:3:")):
+            load_trace(str(path))
 
 
 class TestFiguresCli:

@@ -30,7 +30,7 @@ def _machine_span(id_, parent, machine, busy_s, superstep):
     return s
 
 
-def _make_trace(with_ids=True):
+def _make_trace():
     """Three supersteps covering each gating rule, in emission order."""
     spans = [
         _span(1, None, "bootstrap", "phase", 0.0, 0.1,
@@ -54,11 +54,6 @@ def _make_trace(with_ids=True):
               superstep=2),
         _span(11, None, "superstep", "superstep", 0.9, 0.9, superstep=2),
     ]
-    if not with_ids:
-        spans = [
-            {k: v for k, v in s.items() if k not in ("id", "parent")}
-            for s in spans
-        ]
     return TraceData(
         spans=spans,
         meta={
@@ -151,13 +146,6 @@ class TestAccounting:
         assert st["imbalance"] == pytest.approx(0.25 / 0.185)
         assert st["replication_factor"] == 1.5
         assert a["gated_channels"] == {"delta_a2a": 1, "control": 1}
-
-
-class TestOrderBasedFallback:
-    def test_chrome_style_trace_matches_id_based(self):
-        # Chrome traces carry no span ids; nesting is recovered from
-        # emission order (children close before parents)
-        assert analyze_trace(_make_trace(False)) == analyze_trace(_make_trace())
 
 
 class TestFormatting:

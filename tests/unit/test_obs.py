@@ -320,15 +320,6 @@ class TestChromeExport:
         for e in xs.values():
             assert e["ts"] >= 0.0 and e["dur"] >= 0.0
 
-    def test_chrome_trace_loads_back(self, tmp_path):
-        t = _traced_run()
-        path = tmp_path / "trace.json"
-        export_trace(t, str(path), "chrome")
-        trace = load_trace(str(path))
-        assert trace.meta["engine"] == "test"
-        summary = summarize_trace(trace)
-        assert summary["total_phase_s"] == pytest.approx(0.25)
-
 
 class TestChromeTraceSinkDirect:
     def test_sink_buffers_until_close(self, tmp_path):

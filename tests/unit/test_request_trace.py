@@ -19,7 +19,6 @@ from repro.obs.request_trace import (
     RequestContext,
     analyze_serve_trace,
     format_serve_analysis,
-    is_serve_trace,
     split_cost,
 )
 from repro.serve import GraphService
@@ -101,7 +100,7 @@ class TestServeTraceEndToEnd:
             first = svc.query("bfs", sources=[0])
             hit = svc.query("bfs", sources=[0])
         trace = load_trace(str(path))
-        assert is_serve_trace(trace)
+        assert trace.kind == "serve"
         analysis = analyze_serve_trace(trace)
         assert analysis["totals"]["latency_exact"]
         rows = {r["request_id"]: r for r in analysis["requests"]}

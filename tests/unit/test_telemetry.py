@@ -1,10 +1,10 @@
 """Service telemetry plane: schema, sliding windows, SLO gate, heartbeats.
 
-The telemetry file is a versioned JSONL stream a live ``repro top`` and
-an offline ``repro slo`` both consume; these tests pin the header/tick
-schema, the per-class sliding-window quantiles, the threshold gate's
-pass/violate behavior, and the worker-pool heartbeat fields the ticks
-embed.
+The telemetry file is a versioned JSONL stream ``repro analyze`` views,
+tails (``--follow``) and gates (the SLO thresholds); these tests pin the
+header/tick schema, the per-class sliding-window quantiles, the
+threshold gate's pass/violate behavior, the one service rendering, and
+the worker-pool heartbeat fields the ticks embed.
 """
 
 import json
@@ -12,18 +12,19 @@ import threading
 
 import pytest
 
-from repro.obs.telemetry import (
+from repro.obs.records import (
+    FORMAT_VERSION,
     TELEMETRY_FORMAT,
-    TELEMETRY_VERSION,
+    TraceData,
+    iter_follow,
+    load_trace,
+)
+from repro.obs.telemetry import (
     TelemetrySink,
     _ClassWindow,
     check_slo,
-    format_service_report,
-    format_top,
-    is_telemetry_file,
-    iter_follow,
-    load_telemetry,
-    summarize_telemetry,
+    format_service,
+    service_sample,
 )
 from repro.serve import GraphService
 from repro.session import GraphSession
@@ -94,7 +95,7 @@ class TestSinkFileFormat:
         header, ticks = lines[0], lines[1:]
         assert header["type"] == "telemetry_header"
         assert header["format"] == TELEMETRY_FORMAT
-        assert header["version"] == TELEMETRY_VERSION
+        assert header["version"] == FORMAT_VERSION
         assert header["interval_s"] == 10.0
         assert header["window_s"] == 30.0
         assert len(ticks) >= 2  # explicit tick + final tick on close
@@ -105,13 +106,14 @@ class TestSinkFileFormat:
         assert tick["classes"]["bfs"]["count"] == 1
         assert tick["classes"]["_all"]["count"] == 1
         assert tick["classes"]["bfs"]["p50_ms"] == 25.0
-        assert is_telemetry_file(str(path))
+        assert load_trace(str(path)).kind == "telemetry"
 
     def test_sniff_rejects_non_telemetry(self, tmp_path):
         other = tmp_path / "trace.jsonl"
         other.write_text('{"type": "trace_header", "format": "repro-trace"}\n')
-        assert not is_telemetry_file(str(other))
-        assert not is_telemetry_file(str(tmp_path / "missing.jsonl"))
+        assert load_trace(str(other)).kind == "run"
+        with pytest.raises(OSError):
+            load_trace(str(tmp_path / "missing.jsonl"))
 
     def test_load_drops_truncated_tail(self, tmp_path):
         path = tmp_path / "t.jsonl"
@@ -122,9 +124,9 @@ class TestSinkFileFormat:
         sink.close()
         with open(path, "a", encoding="utf-8") as fh:
             fh.write('{"type": "telemetry", "seq": 99, "trunc')
-        data = load_telemetry(str(path))
-        assert all(t["seq"] != 99 for t in data["ticks"])
-        assert data["header"]["format"] == TELEMETRY_FORMAT
+        data = load_trace(str(path))
+        assert all(t["seq"] != 99 for t in data.ticks)
+        assert data.meta["format"] == TELEMETRY_FORMAT
 
     def test_snapshot_errors_keep_ticker_alive(self, tmp_path):
         class Broken:
@@ -136,7 +138,7 @@ class TestSinkFileFormat:
         rec = sink.tick()
         sink.close()
         assert "error" in rec
-        assert load_telemetry(str(path))["ticks"]
+        assert load_trace(str(path)).ticks
 
 
 class TestSloGate:
@@ -148,7 +150,7 @@ class TestSloGate:
                 "hit_rate": hit_rate,
                 "latency": {"count": 4, "p95": p95_s},
             })
-        return {"header": {}, "ticks": ticks}
+        return TraceData(kind="telemetry", ticks=ticks)
 
     def test_pass(self):
         data = self._data()
@@ -169,10 +171,14 @@ class TestSloGate:
         )) == 3
 
     def test_empty_file_is_a_violation(self):
-        assert check_slo({"header": {}, "ticks": []}, p95_ms=1.0)
+        assert check_slo(TraceData(kind="telemetry"), p95_ms=1.0)
 
 
 class TestRenderers:
+    """One rendering for a live tick, a telemetry file's summary and a
+    serve trace's closing counters (the test names predate the merge of
+    ``format_top`` / ``format_service_report`` into it)."""
+
     def test_format_top_serial_backend(self):
         tick = {
             "type": "telemetry", "seq": 3, "uptime_s": 1.5,
@@ -187,7 +193,7 @@ class TestRenderers:
                         "prepared_graphs": 1, "plans": 1},
             "pool": None,
         }
-        text = format_top(tick)
+        text = format_service(tick)
         assert "seq 3" in text and "queue 1" in text
         assert "not spawned (serial backend)" in text
         assert "p95 20.000 ms" in text
@@ -203,7 +209,7 @@ class TestRenderers:
             "pool": {"spawned": 4, "idle": 4, "closed": False,
                      "ops_dispatched": 12, "last_op_age_s": 0.5},
         }
-        text = format_top(tick)
+        text = format_service(tick)
         assert "4 spawned, 4 idle, 12 ops, last op 0.5s ago" in text
 
     def test_service_report_renders(self, tmp_path):
@@ -212,14 +218,31 @@ class TestRenderers:
         sink.observe("bfs", 0.025, cached=True)
         sink.tick()
         sink.close()
-        summary = summarize_telemetry(load_telemetry(str(path)))
+        summary = service_sample(load_trace(str(path)))
         assert summary["queue_depth_max"] == 2
+        assert summary["ticks"] == 2 and summary["interval_s"] == 10.0
         summary["counters"]["serve.queries"] = 1234567.0
-        text = format_service_report(summary)
+        text = format_service(summary)
         assert "1234567" in text  # not 1.23457e+06
         assert "service telemetry" in text
-        assert "cache entries" in text
-        assert "final sliding window" in text
+        assert "2 ticks (interval 10.0s), max queue depth 2" in text
+        assert "cache 1/8" in text
+        assert "sliding window (60s)" in text
+
+    def test_serve_trace_closing_counters_render_the_same_way(self):
+        # the stats a serve trace's run_meta records at close reduce to
+        # the same view; no tick-only section is invented for them
+        trace = TraceData(kind="serve", meta={"service_stats": {
+            "serve.queries": 3.0, "serve.batches": 1.0,
+            "serve.cache_hit_rate": 0.5,
+            "serve.latency_s": {"count": 3.0, "p50": 0.01, "p95": 0.02},
+        }})
+        text = format_service(service_sample(trace))
+        assert "queries 3  runs 0  batches 1  fused 0  (hit rate 0.50)" in text
+        assert "serve.batches      1" in text and "1.000" not in text
+        assert "n=3" in text
+        assert "worker pool" not in text and "sliding window" not in text
+        assert service_sample(TraceData(kind="serve")) == {}
 
     def test_iter_follow_yields_and_stops(self, tmp_path):
         path = tmp_path / "t.jsonl"
@@ -270,9 +293,9 @@ class TestLiveServiceTelemetry:
         ) as svc:
             svc.query("bfs", sources=[0])
             svc.query("bfs", sources=[0])
-        data = load_telemetry(str(path))
-        assert data["ticks"], "no final tick written on close"
-        last = data["ticks"][-1]
+        data = load_trace(str(path))
+        assert data.ticks, "no final tick written on close"
+        last = data.ticks[-1]
         assert last["counters"]["serve.queries"] == 2.0
         assert last["hit_rate"] == 0.5
         assert last["classes"]["bfs"]["count"] == 2
