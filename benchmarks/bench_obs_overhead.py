@@ -4,18 +4,14 @@
 "what does switching it on cost" A/Bs live here, measured and gated
 in-run (nothing is committed from this script):
 
-**Engine tracing.** The sharded observability plane
-(:mod:`repro.obs.shards`) buffers every per-machine event locally and
-merges at barriers. Per engine, the median host wall time of the same
-run in three modes:
+**Engine tracing.** Per engine, the median host wall time of the same
+run in two modes:
 
-* ``off``        — ``trace=False`` (NullTracer; the baseline);
-* ``sharded``    — tracing on, buffered per-machine collectors merged at
-  barriers (the default);
-* ``passthrough``— tracing on, collectors in legacy passthrough mode
-  (every event written to the global tracer inline; the oracle path).
+* ``off`` — ``trace=False`` (NullTracer; the baseline);
+* ``on``  — a real ``Tracer``: every span, per-machine work event and
+  instant written inline.
 
-Gate: **sharded collection adds less than 10% host time versus
+Gate: **tracing on adds less than 10% host time versus
 ``trace=False``**.
 
 **Service telemetry.** The same warm point-query workload through fresh
@@ -43,7 +39,7 @@ from repro.serve import GraphService
 from repro.session import GraphSession
 
 ENGINES = ("lazy-block", "powergraph-sync")
-MODES = ("off", "sharded", "passthrough")
+MODES = ("off", "on")
 NUM_VERTICES = 50_000
 NUM_EDGES = 600_000
 MACHINES = 8
@@ -63,12 +59,7 @@ OVERHEAD_ROUNDS = 6
 
 def _run_once(spec, pg, mode: str) -> float:
     program = spec.make_program("pagerank", tolerance=1e-3)
-    if mode == "off":
-        engine = spec.cls(pg, program)
-    else:
-        engine = spec.cls(pg, program, tracer=Tracer())
-        if mode == "passthrough":
-            engine.shards.set_buffered(False)
+    engine = spec.cls(pg, program, tracer=Tracer() if mode == "on" else None)
     t0 = time.perf_counter()
     engine.run()
     return time.perf_counter() - t0
@@ -98,14 +89,9 @@ def measure(repeats: int = 5) -> dict:
                 "runs_s": [round(t, 4) for t in times],
             }
         base = rows["off"]["median_s"]
-        sharded_pct = 100.0 * (rows["sharded"]["median_s"] - base) / base
-        passthrough_pct = (
-            100.0 * (rows["passthrough"]["median_s"] - base) / base
-        )
+        trace_pct = 100.0 * (rows["on"]["median_s"] - base) / base
         out["engines"][name] = {
-            **rows,
-            "sharded_overhead_pct": round(sharded_pct, 2),
-            "passthrough_overhead_pct": round(passthrough_pct, 2),
+            **rows, "trace_overhead_pct": round(trace_pct, 2),
         }
     return out
 
@@ -188,8 +174,8 @@ def apply_gate(report: dict, gate_pct: float) -> bool:
     ok = True
     acceptance = {"threshold_pct": gate_pct}
     for name, row in report["engines"].items():
-        passed = row["sharded_overhead_pct"] < gate_pct
-        acceptance[f"{name}_sharded_lt_threshold"] = passed
+        passed = row["trace_overhead_pct"] < gate_pct
+        acceptance[f"{name}_trace_lt_threshold"] = passed
         ok = ok and passed
     telemetry = report["telemetry_overhead"]
     acceptance["telemetry_overhead_ok"] = (
@@ -210,7 +196,7 @@ def main(argv=None) -> int:
     )
     ap.add_argument(
         "--gate", type=float, default=DEFAULT_GATE_PCT,
-        help="max sharded overhead vs trace=False, percent (default 10)",
+        help="max tracing-on overhead vs trace=False, percent (default 10)",
     )
     args = ap.parse_args(argv)
     report = measure(repeats=args.repeats)
@@ -223,8 +209,7 @@ def main(argv=None) -> int:
     print(text)
     for name, row in report["engines"].items():
         print(
-            f"{name}: sharded {row['sharded_overhead_pct']:+.2f}% / "
-            f"passthrough {row['passthrough_overhead_pct']:+.2f}% "
+            f"{name}: tracing on {row['trace_overhead_pct']:+.2f}% "
             f"vs trace=False",
             file=sys.stderr,
         )
@@ -237,7 +222,7 @@ def main(argv=None) -> int:
     )
     if not ok:
         print(
-            f"GATE FAILED: sharded collection overhead exceeds "
+            f"GATE FAILED: tracing-on overhead exceeds "
             f"{args.gate:.1f}% or telemetry overhead exceeds "
             f"{telemetry['gate_pct']:.0f}% (see acceptance)",
             file=sys.stderr,

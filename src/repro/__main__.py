@@ -1,8 +1,4 @@
-"""``python -m repro`` entry point.
-
-Guarded so ``multiprocessing`` spawn workers (which re-import the main
-module as ``__mp_main__``) never re-run the CLI.
-"""
+"""``python -m repro`` entry point."""
 
 import sys
 

@@ -121,8 +121,7 @@ class DeltaAlgebra:
 
 
 def _abs_sum(v) -> float:
-    # module-level (not a lambda) so SUM_ALGEBRA stays picklable for
-    # spawn-based execution backends
+    # module-level (not a lambda) so SUM_ALGEBRA stays picklable
     return float(np.abs(v).sum())
 
 

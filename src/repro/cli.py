@@ -38,7 +38,6 @@ from repro.graph.properties import compute_properties
 from repro.core.policy import named_policy, policy_names
 from repro.obs.sinks import TRACE_FORMATS
 from repro.run_api import run
-from repro.runtime.backend import BACKEND_NAMES
 from repro.runtime.registry import engine_names
 
 POLICY_NAMES = policy_names()
@@ -121,16 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="lens sampling: probe cadence after the rollup point "
              "(default 100; implies --lens)",
     )
-    p_run.add_argument(
-        "--backend", choices=list(BACKEND_NAMES),
-        help="execution backend: serial (inline lockstep, default) or "
-             "process (shared-memory worker pool, bit-identical results)",
-    )
-    p_run.add_argument(
-        "--workers", type=int, metavar="N",
-        help="worker-process count for --backend process "
-             "(default: host CPU count, capped at the machine count)",
-    )
 
     def add_serving(p):
         p.add_argument(
@@ -158,8 +147,6 @@ def build_parser() -> argparse.ArgumentParser:
                  "sweep (fused, default) or only share identical queries "
                  "(exact)",
         )
-        p.add_argument("--backend", choices=list(BACKEND_NAMES))
-        p.add_argument("--workers", type=int, metavar="N")
         p.add_argument(
             "--top", type=int, default=0,
             help="include the top-N vertices in each answer",
@@ -173,8 +160,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--telemetry-out", metavar="PATH",
             help="append service telemetry ticks (queue depth, hit "
-                 "rate, latency quantiles, worker heartbeats) to PATH; "
-                 "view, tail and gate with 'repro analyze PATH'",
+                 "rate, latency quantiles) to PATH; view, tail and "
+                 "gate with 'repro analyze PATH'",
         )
         p.add_argument(
             "--telemetry-interval", type=float, default=1.0, metavar="S",
@@ -452,8 +439,6 @@ def _cmd_run(args) -> int:
         trace_format=getattr(args, "trace_format", None) or "jsonl",
         lens=getattr(args, "lens", False),
         lens_opts=_lens_cli_opts(args) or None,
-        backend=getattr(args, "backend", None),
-        workers=getattr(args, "workers", None),
         **kwargs,
     )
     print(f"{result.engine}/{result.algorithm} on {args.graph} "
@@ -489,8 +474,6 @@ def _open_service(args):
         max_wait=args.max_wait,
         cache_size=args.cache_size,
         batch_mode=args.batch_mode,
-        backend=args.backend,
-        workers=args.workers,
         trace_out=getattr(args, "trace_out", None),
         telemetry_out=getattr(args, "telemetry_out", None),
         telemetry_interval=getattr(args, "telemetry_interval", 1.0),

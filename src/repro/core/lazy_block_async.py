@@ -79,12 +79,11 @@ class LazyBlockAsyncEngine(BaseEngine):
         tracer=None,
         lens: "Union[bool, dict]" = False,
         controller: Optional[CoherencyController] = None,
-        backend=None,
         plans=None,
     ) -> None:
         super().__init__(
             pgraph, program, network, max_supersteps, trace, tracer,
-            backend=backend, plans=plans,
+            plans=plans,
         )
         self.controller = controller or PaperRuleController()
         self._tap = (
@@ -132,7 +131,6 @@ class LazyBlockAsyncEngine(BaseEngine):
         ``machine-work`` instant (micro-iterations have no per-machine
         spans — that would multiply the trace by the iteration count).
         """
-        shards = self.shards
         nm = self.sim.num_machines
         stage = (
             (np.zeros(nm), np.zeros(nm, dtype=np.int64),
@@ -151,10 +149,7 @@ class LazyBlockAsyncEngine(BaseEngine):
                 iters += 1
                 if budget is None:
                     # doLC(): measure the stage's first micro-iteration
-                    # online. The decision instant goes straight to the
-                    # tracer, so flush the shard buffers first to keep
-                    # the stream in emission order.
-                    shards.merge()
+                    # online
                     budget = self.controller.local_budget(seconds)
                     self.lens.decision(
                         "local_budget",
@@ -168,17 +163,15 @@ class LazyBlockAsyncEngine(BaseEngine):
                 if spent >= budget:
                     break
             if stage is not None:
-                shards.tick()
                 busy, s_edges, s_applies = (a.tolist() for a in stage)
                 for m in range(nm):
                     if s_edges[m] or s_applies[m]:
-                        shards.collectors[m].instant(
+                        self.tracer.instant(
                             "machine-work",
                             machine=m, superstep=step,
                             busy_s=busy[m], edges=s_edges[m],
                             applies=s_applies[m], iterations=iters,
                         )
-            shards.merge()
             sp.set(iterations=iters, est_compute_s=spent,
                    budget_s=budget if budget is not None else 0.0)
 
@@ -269,6 +262,5 @@ class LazyBlockAsyncEngine(BaseEngine):
                         "apply_step",
                         {"track_delta": True, "span": True, "superstep": step},
                     ))
-                    self.shards.merge()
                 sim.stats.supersteps += 1
         return False

@@ -78,12 +78,11 @@ class LazyVertexAsyncEngine(BaseEngine):
         tracer=None,
         lens: "Union[bool, dict]" = False,
         controller: Optional[CoherencyController] = None,
-        backend=None,
         plans=None,
     ) -> None:
         super().__init__(
             pgraph, program, network, max_supersteps, trace, tracer,
-            backend=backend, plans=plans,
+            plans=plans,
         )
         if max_delta_age < 1:
             raise EngineError(f"max_delta_age must be >= 1, got {max_delta_age}")
@@ -122,7 +121,6 @@ class LazyVertexAsyncEngine(BaseEngine):
         tracer = self.tracer
         lens = self.lens
         controller = self.controller
-        shards = self.shards
         tap = self._tap
         ev_ratio = self.pgraph.graph.ev_ratio
         age_of = {
@@ -138,7 +136,6 @@ class LazyVertexAsyncEngine(BaseEngine):
                         {"track_delta": True, "span": True, "superstep": step},
                     )
                     sim.add_compute_all(edges, applies)
-                    shards.merge()
                     sp.set(edges=int(edges.sum()), applies=int(applies.sum()))
 
                 # ---- age deltas; stale ones trigger their own coherency

@@ -34,7 +34,7 @@ class ConvergenceError(EngineError):
 
 
 class BackendError(EngineError):
-    """Raised when an execution backend (worker pool) fails or misbehaves."""
+    """Raised when an op is dispatched on a closed execution backend."""
 
 
 class AlgorithmError(ReproError):

@@ -15,9 +15,6 @@ The observability layer the paper's counter-driven evaluation implies:
   Chrome ``trace_event`` export (``chrome://tracing`` / Perfetto);
 * :mod:`repro.obs.report` — the per-phase / totals / decisions tables
   of a run trace (the first sections of ``repro analyze``);
-* :mod:`repro.obs.shards` — per-machine collectors buffering each
-  machine's events during a superstep, merged deterministically into the
-  tracer's single stream at barriers / coherency points;
 * :mod:`repro.obs.critical_path` — critical-path / straggler analysis
   of a trace (``repro analyze``): per-superstep gating machine/channel,
   load imbalance vs the replication factor λ;
@@ -35,9 +32,8 @@ The observability layer the paper's counter-driven evaluation implies:
   (``repro analyze`` on a serve trace);
 * :mod:`repro.obs.telemetry` — the service telemetry plane: a
   background ticker sampling queue depth / cache hit rate /
-  sliding-window latency quantiles / worker-pool heartbeats into
-  versioned JSONL, plus the one service view / rendering / SLO gate
-  ``repro analyze`` applies to it.
+  sliding-window latency quantiles into versioned JSONL, plus the one
+  service view / rendering / SLO gate ``repro analyze`` applies to it.
 """
 
 from repro.obs.audit import Anomaly, LensAuditor
@@ -57,7 +53,6 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
 )
-from repro.obs.shards import MachineCollector, ProbeSample, ShardedObs
 from repro.obs.records import RecordWriter, TraceData, load_trace
 from repro.obs.report import format_report, summarize_trace
 from repro.obs.sinks import (
@@ -107,9 +102,6 @@ __all__ = [
     "format_report",
     "analyze_trace",
     "format_analysis",
-    "MachineCollector",
-    "ShardedObs",
-    "ProbeSample",
     "CoherencyLens",
     "CoherencyDecision",
     "NullLens",

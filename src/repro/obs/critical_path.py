@@ -1,9 +1,9 @@
 """Critical-path / straggler analysis over a machine-attributed trace.
 
-The sharded observability plane (:mod:`repro.obs.shards`) stamps every
-per-machine work span with its machine id and modeled busy seconds
-(``busy_s``), and the lazy-block local stage emits per-machine
-``machine-work`` instants. This module reconstructs from such a trace:
+Engines stamp every per-machine work span with its machine id and
+modeled busy seconds (``busy_s``), and the lazy-block local stage emits
+per-machine ``machine-work`` instants. This module reconstructs from
+such a trace:
 
 * **per-superstep timelines** — each superstep's phase legs (gather /
   apply / scatter, local-computation / coherency, …) with their modeled
@@ -23,10 +23,8 @@ per-machine work span with its machine id and modeled busy seconds
   numbers together say which lever matters);
 * **host wall-clock columns** — the same per-machine busy totals and
   gating machines measured on the *host* clock (the width of each
-  machine span's ``host_t0``/``host_t1`` window). Under the serial
-  backend the two planes agree up to kernel constants; under the
-  process backend the host columns show the real parallel wall-clock
-  split across workers while the modeled columns stay bit-identical.
+  machine span's ``host_t0``/``host_t1`` window). The two planes
+  agree up to kernel constants.
   ``machine-work`` instants carry no host width, so lazy local-stage
   host time attributes to the enclosing spans only.
 
@@ -114,7 +112,7 @@ def _gating_machine(
 ) -> Tuple[Optional[int], float]:
     """Slowest machine on a leg: (machine id, busy_s), or (None, 0.0).
 
-    Busy seconds come from the shards' ``busy_s`` span attribute (or a
+    Busy seconds come from the work spans' ``busy_s`` attribute (or a
     ``machine-work`` instant for the lazy local stage); ties break to
     the lowest machine id, matching the simulator's deterministic folds.
     """

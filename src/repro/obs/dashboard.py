@@ -583,7 +583,7 @@ def _straggler_section(trace: TraceData, analysis: Dict[str, Any]) -> str:
     head = (
         '<section id="stragglers"><h2>Stragglers / load balance</h2>'
         '<p class="section-note">modeled busy seconds per machine '
-        "(from the shard collectors' work spans); hover for the number "
+        "(from the per-machine work spans); hover for the number "
         "of supersteps that machine gated</p>"
     )
     md = analysis.get("machines_detail") or {}

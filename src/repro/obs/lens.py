@@ -204,24 +204,14 @@ class CoherencyLens:
             for rt in self.runtimes
         ]
         # (runtime index, first slot, end slot) of every machine, in
-        # machine order, and where each runtime's machines start in it
+        # machine order
         self._machines: List = []
-        first: List[int] = []
         for ri, rt in enumerate(self.runtimes):
-            first.append(len(self._machines))
             offsets = rt.mg.machine_offsets.tolist()
             self._machines += [
                 (ri, lo, hi) for lo, hi in zip(offsets[:-1], offsets[1:])
             ]
         self._sample = self._pick_drift_sample(sample_size, seed)
-        # the same sample keyed per machine: machine → [(slot, local idx)]
-        # so a shard probe can read its drift contributions locally
-        self._sample_by_machine: List[List] = [[] for _ in self._machines]
-        for slot, locs in enumerate(self._sample[1]):
-            for ri, li in locs:
-                offsets = self.runtimes[ri].mg.machine_offsets
-                j = int(np.searchsorted(offsets, li, side="right")) - 1
-                self._sample_by_machine[first[ri] + j].append((slot, li))
         if stats is not None:
             m = stats.metrics
             self.h_staleness = m.histogram(
@@ -345,95 +335,31 @@ class CoherencyLens:
             ages[rt.has_delta] += 1
             ages[~rt.has_delta] = 0
 
-    def _probe_shard(self, machine: int) -> "ProbeSample":
-        """One machine's probe contribution — reads only that machine.
-
-        This is the payload a process-parallel machine would ship to the
-        merge point: scalar mass/pending/active readings, the bincount
-        of its live staleness ages, and its values at its slots of the
-        deterministic drift sample.
-        """
-        from repro.obs.shards import ProbeSample
-
-        ri, lo, hi = self._machines[machine]
-        rt = self.runtimes[ri]
-        has_delta = rt.has_delta[lo:hi]
-        live = self._ages[ri][lo:hi][has_delta]
-        counts = (
-            np.bincount(live) if live.size else np.empty(0, dtype=np.int64)
-        )
-        mine = self._sample_by_machine[machine]
-        if mine:
-            vals = rt.values()
-            drift_values = [(slot, float(vals[li])) for slot, li in mine]
-        else:
-            drift_values = []
-        mass, pending = self._pending(rt, lo, hi)
-        return ProbeSample(
-            machine=machine,
-            mass=mass,
-            pending=pending,
-            active=int(np.count_nonzero(rt.has_msg[lo:hi])),
-            stale_counts=counts,
-            drift_values=drift_values,
-        )
-
-    def _merge_drift(self, samples) -> float:
-        """Fold the shards' drift-sample values.
-
-        Per slot, contributions arrive machine-ascending — the same
-        order :meth:`sample_drift`'s location lists were built in — so
-        the min/max folds and the finite-gap comparisons replay the
-        direct path exactly.
-        """
-        nslots = len(self._sample[1])
-        if nslots == 0:
-            return 0.0
-        per_slot: List[List[float]] = [[] for _ in range(nslots)]
-        for s in samples:
-            for slot, v in s.drift_values:
-                per_slot[slot].append(v)
-        worst = 0.0
-        for vals in per_slot:
-            lo = np.inf
-            hi = -np.inf
-            for v in vals:
-                lo = min(lo, v)
-                hi = max(hi, v)
-            gap = hi - lo
-            if np.isfinite(gap) and gap > worst:
-                worst = gap
-        return float(worst)
-
-    def _merge_probe(self, samples) -> None:
-        """Fold per-machine :class:`ProbeSample` payloads into the
-        single-stream outputs, in the float-operation order of a direct
-        global read (``tests/lens_global_read_oracle.py`` holds that
-        reference; the shard-equivalence tests compare the two
-        bit-for-bit): masses sum machine-ascending, staleness histograms
-        observe per machine in ascending-age order, and drift folds per
-        sample slot in machine order.
-        """
-        masses = [s.mass for s in samples]
-        pending = [s.pending for s in samples]
+    def probe(self) -> None:
+        """Per-superstep staleness/divergence gauges (pre-exchange)."""
+        self.probes += 1
+        masses, pending = zip(*(
+            self._pending(self.runtimes[ri], lo, hi)
+            for ri, lo, hi in self._machines
+        ))
         total_mass = float(sum(masses))
         stale_max = 0
-        for s in samples:
-            counts = s.stale_counts
-            if counts.size:
-                # bincount's top index is the machine's max live age
-                stale_max = max(stale_max, int(counts.size - 1))
+        for ri, lo, hi in self._machines:
+            live = self._ages[ri][lo:hi][self.runtimes[ri].has_delta[lo:hi]]
+            if live.size:
+                stale_max = max(stale_max, int(live.max()))
                 if self.h_staleness is not None:
+                    counts = np.bincount(live)
                     for age_value in np.flatnonzero(counts):
                         self.h_staleness.observe(
                             float(age_value), int(counts[age_value])
                         )
         if self.h_pending is not None:
             self.h_pending.observe(total_mass)
-        drift = self._merge_drift(samples)
+        drift = self.sample_drift()
         if self.g_drift is not None:
             self.g_drift.set(drift)
-        active = int(sum(s.active for s in samples))
+        active = int(sum(rt.num_active for rt in self.runtimes))
         tracer = self.tracer
         if tracer.enabled and not self._instants_due():
             # rollup window: keep the timeline bounded on long runs
@@ -452,13 +378,6 @@ class CoherencyLens:
                 machine_mass=[float(m) for m in masses],
             )
         self._snapshot_channels()
-
-    def probe(self) -> None:
-        """Per-superstep staleness/divergence gauges (pre-exchange)."""
-        self.probes += 1
-        self._merge_probe(
-            [self._probe_shard(m) for m in range(len(self._machines))]
-        )
 
     def _instants_due(self) -> bool:
         """Is this superstep inside the full-resolution window?"""
@@ -508,10 +427,7 @@ class CoherencyLens:
         """
         self.exchanges += 1
         full = due is None
-        # per-machine readings folded machine-ascending: each (mass,
-        # count) pair reads one machine's state only, so this path is
-        # already shard-shaped — a process-parallel machine ships the
-        # two scalars and the fold below is the merge
+        # per-machine readings folded machine-ascending
         mass_after = 0.0
         count_after = 0
         masks = [

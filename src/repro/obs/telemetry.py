@@ -4,12 +4,10 @@ Request traces (:mod:`repro.obs.request_trace`) answer "why was *this*
 query slow"; this module answers "is the service healthy *now*". A
 :class:`TelemetrySink` attached to a running service samples its state
 on a background ticker — queue depth, in-flight requests, LRU cache
-size and hit rate, per-class latency quantiles over a sliding window,
-and :class:`~repro.runtime.process_backend.WorkerPool` liveness /
-last-op-age heartbeats — and appends one ``telemetry`` record per tick
-to an append-only ``service.telemetry.jsonl`` (a ``telemetry``-kind
-file of :mod:`repro.obs.records`, which owns the format and reads it
-back).
+size and hit rate, per-class latency quantiles over a sliding window —
+and appends one ``telemetry`` record per tick to an append-only
+``service.telemetry.jsonl`` (a ``telemetry``-kind file of
+:mod:`repro.obs.records`, which owns the format and reads it back).
 
 The reading side is one view and one rendering: :func:`service_sample`
 reduces either service-bearing file — a telemetry file's last tick, or
@@ -258,8 +256,9 @@ def format_service(sample: Dict[str, Any]) -> str:
     telemetry tick under ``analyze --follow`` — as text.
 
     Sections that need fields only a telemetry tick carries (queue,
-    sliding windows, worker pool, session) are left out for a serve
-    trace's closing counters.
+    sliding windows, session) are left out for a serve trace's closing
+    counters. A ``"pool"`` key (ticks written while there was a process
+    backend) is ignored.
     """
     from repro.bench.reporting import format_table
 
@@ -324,18 +323,6 @@ def format_service(sample: Dict[str, Any]) -> str:
             rows, title=f"sliding window ({sample.get('window_s', 0):.0f}s)",
         ))
     tail: List[str] = []
-    if "pool" in sample:
-        pool = sample["pool"]
-        if pool:
-            age = pool.get("last_op_age_s")
-            tail.append(
-                f"worker pool: {pool.get('spawned', 0)} spawned, "
-                f"{pool.get('idle', 0)} idle, "
-                f"{pool.get('ops_dispatched', 0)} ops, last op "
-                + (f"{age:.1f}s ago" if age is not None else "never")
-            )
-        else:
-            tail.append("worker pool: not spawned (serial backend)")
     sess = sample.get("session") or {}
     if sess:
         tail.append(

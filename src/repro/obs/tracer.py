@@ -130,9 +130,6 @@ class NullTracer:
     ) -> None:
         pass
 
-    def emit_instant_at(self, name, host_t, attrs) -> None:
-        pass
-
     def bind_stats(self, stats) -> None:
         pass
 
@@ -236,15 +233,15 @@ class Tracer:
         attrs: Dict[str, Any],
         charges: Optional[Dict[str, float]] = None,
     ) -> int:
-        """Record an already-closed span (the shard-merge entry point).
+        """Record a span whose host interval the caller measured.
 
-        Allocates the next span id and parents it to the innermost open
-        span, exactly as :meth:`span` would have at the event's original
-        position in the stream; host times are absolute
-        ``perf_counter`` readings captured at work time and converted to
+        How a block call reports its machines: one call did the work of
+        all of them, so each machine's span carries that call's
+        interval. Allocates the next span id and parents it to the
+        innermost open span, exactly as :meth:`span` would; host times
+        are absolute ``perf_counter`` readings, converted to
         epoch-relative here. Both model stamps read the current model
-        clock — the shard contract (no charges land between the buffered
-        work and its merge) makes that equal to the inline reading.
+        clock (no charge lands inside a machine pass).
         """
         parent = self._stack[-1].span_id if self._stack else None
         span_id = self._next_id
@@ -263,23 +260,6 @@ class Tracer:
             "attrs": attrs,
         })
         return span_id
-
-    def emit_instant_at(
-        self, name: str, host_t: float, attrs: Dict[str, Any]
-    ) -> None:
-        """Record an instant captured earlier on a machine shard.
-
-        ``host_t`` is the absolute work-time ``perf_counter`` reading;
-        the model stamp reads the current clock (see
-        :meth:`emit_closed_span` for why that is exact).
-        """
-        self._emit({
-            "type": "instant",
-            "name": name,
-            "host_t": host_t - self.host_epoch,
-            "model_t": self.model_now,
-            "attrs": attrs,
-        })
 
     def instant(self, name: str, **attrs) -> None:
         """A point event on both clocks (e.g. an interval-rule decision)."""

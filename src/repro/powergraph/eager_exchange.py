@@ -98,14 +98,8 @@ class EagerExchange:
                 self.gather_ch = plane.open(GATHER, schema, Delivery.BSP)
                 self.bcast_ch = plane.open(BROADCAST, schema, Delivery.BSP)
         n = pgraph.graph.num_vertices
-        if backend is not None:
-            # backend-visible staging: the apply leg runs where the
-            # machines run (worker processes for the process backend)
-            self._total = backend.shared_array("eager.total", (n,), np.float64)
-            self._has = backend.shared_array("eager.has", (n,), bool)
-        else:
-            self._total = np.empty(n, dtype=np.float64)
-            self._has = np.empty(n, dtype=bool)
+        self._total = np.empty(n, dtype=np.float64)
+        self._has = np.empty(n, dtype=bool)
 
     # ------------------------------------------------------------------
     def collect(self) -> EagerLegTraffic:
@@ -173,13 +167,14 @@ class EagerExchange:
 
         Returns per-machine ``(edges, applies)`` rows (``int64[2, P]``)
         for the caller to charge as compute. With a backend attached
-        this runs as the ``eager_apply`` op (advancing the shard epoch,
-        exactly like the legacy pre-loop ``shards.tick()``); the
-        plane-less staging mode used by unit tests runs it inline.
+        this runs as the ``eager_apply`` op; the plane-less staging mode
+        used by unit tests runs it inline.
         """
         if self.backend is not None:
             return self.backend.dispatch_work(
-                "eager_apply", {"track_delta": track_delta}
+                "eager_apply",
+                {"track_delta": track_delta, "has": self._has,
+                 "total": self._total},
             )
         return np.concatenate(
             [
@@ -195,20 +190,14 @@ def apply_and_charge(engine, exchange: EagerExchange, step: int) -> None:
 
     Replays Apply+Scatter on every replica, reports each machine's work
     as an ``apply-machine`` span and charges it as compute.
-    ``apply_all`` dispatches the ``eager_apply`` op, which advances the
-    shard epoch; the second tick opens the epoch for the parent-side
-    per-machine work spans.
     """
     edges, applies = exchange.apply_all(track_delta=False)
-    shards = engine.shards
-    shards.tick()
     busy = engine.sim.add_compute_all(edges, applies)
     if engine.tracer.enabled:
         for machine_id, (e, a, b) in enumerate(
             zip(edges.tolist(), applies.tolist(), busy.tolist())
         ):
-            shards.collectors[machine_id].span(
-                "apply-machine", machine=machine_id, superstep=step,
-                edges=e, applies=a, busy_s=b,
+            engine.tracer.span(
+                "apply-machine", category="machine", machine=machine_id,
+                superstep=step, edges=e, applies=a, busy_s=b,
             ).end()
-    shards.merge()

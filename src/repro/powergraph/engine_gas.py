@@ -119,7 +119,6 @@ class PowerGraphGASSyncEngine(BaseEngine):
     """
 
     name = "powergraph-gas-sync"
-    worker_runtime = "gas"
 
     def _make_runtimes(self) -> List[_GASMachine]:
         machines = self.pgraph.machines
@@ -146,18 +145,15 @@ class PowerGraphGASSyncEngine(BaseEngine):
         # pull semantics: an "active" vertex re-gathers its in-edges, so
         # the initial frontier must also cover the out-neighbours of the
         # initially-active vertices (they are who can see the seed data).
-        # The frontier and the staged accumulator live in backend shared
-        # arrays: the gather/apply ops read them wherever they run.
-        active = self.backend.shared_array("gas.active", (n,), bool, fill=False)
+        active = np.zeros(n, dtype=bool)
         for gm in self.runtimes:
             seed = prog.initially_active(gm.mg)
             active[gm.mg.vertices[seed]] = True
             active[gm.out_targets(np.flatnonzero(seed))] = True
 
-        total = self.backend.shared_array("gas.total", (n,), np.float64)
-        has = self.backend.shared_array("gas.has", (n,), bool)
+        total = np.empty(n, dtype=np.float64)
+        has = np.empty(n, dtype=bool)
         tracer = self.tracer
-        shards = self.shards
         for step in range(self.max_supersteps):
             if not active.any():
                 return True
@@ -168,7 +164,7 @@ class PowerGraphGASSyncEngine(BaseEngine):
                     has.fill(False)
                     gather_msgs = 0
                     results = self.backend.dispatch(
-                        "gas_gather", {"superstep": step}
+                        "gas_gather", {"superstep": step, "active": active}
                     )
                     for machine_id, res in enumerate(results):
                         sim.add_compute(machine_id, res["edges"], 0)
@@ -176,7 +172,6 @@ class PowerGraphGASSyncEngine(BaseEngine):
                             alg.combine_at(total, res["gids"], res["acc"])
                             has[res["gids"]] = True
                             gather_msgs += res["mirrors"]
-                    shards.merge()
                     vol1 = schema.bytes_for(gather_msgs)
                     sp.set(gather_msgs=gather_msgs, gather_bytes=vol1)
                     gather_ch.bsp_leg(vol1, gather_msgs)  # sync #1
@@ -191,7 +186,8 @@ class PowerGraphGASSyncEngine(BaseEngine):
                     bcast = int((self.pgraph.num_replicas[applied] - 1).sum())
                     next_active = np.zeros(n, dtype=bool)
                     results = self.backend.dispatch(
-                        "gas_apply", {"superstep": step}
+                        "gas_apply",
+                        {"superstep": step, "has": has, "total": total},
                     )
                     for machine_id, res in enumerate(results):
                         if res["applies"] == 0:
@@ -199,7 +195,6 @@ class PowerGraphGASSyncEngine(BaseEngine):
                         sim.add_compute(machine_id, 0, res["applies"])
                         if res["out_gids"].size:
                             next_active[res["out_gids"]] = True
-                    shards.merge()
                     vol2 = schema.bytes_for(bcast)
                     sp.set(bcast_msgs=bcast, bcast_bytes=vol2)
                     bcast_ch.bsp_leg(vol2, bcast)  # sync #2

@@ -9,8 +9,8 @@ invoked (``./sssp --graph road_USA --engine lazy``).
 Since the session refactor this module is a thin shell: ``run()`` opens
 a throwaway :class:`~repro.session.GraphSession`, runs once, and closes
 it. Long-lived callers (benchmark sweeps, the serving layer) hold a
-session open instead and amortize graph preparation, partitioning, CSR
-planning, and worker-pool spawning across runs.
+session open instead and amortize graph preparation, partitioning and
+CSR planning across runs.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from repro.graph.generators import attach_uniform_weights
 from repro.obs.tracer import Tracer
 from repro.partition.edge_splitter import EdgeSplitConfig
 from repro.powergraph.gas import GASProgram
-from repro.runtime.backend import ExecutionBackend
 from repro.runtime.registry import engine_names
 from repro.runtime.result import EngineResult
 from repro.runtime.run_config import RunConfig
@@ -89,8 +88,6 @@ def run(
     tracer: Optional[Tracer] = None,
     lens: bool = False,
     lens_opts: Optional[dict] = None,
-    backend: Union[str, ExecutionBackend, None] = None,
-    workers: Optional[int] = None,
     config: Optional[RunConfig] = None,
     **algorithm_params,
 ) -> EngineResult:
@@ -139,15 +136,6 @@ def run(
         :class:`~repro.obs.lens.CoherencyLens` keyword overrides
         (``sample_size`` / ``seed`` / ``rollup_after`` /
         ``rollup_every``). A non-empty dict implies ``lens=True``.
-    backend:
-        Execution backend: ``"serial"`` (default — inline lockstep) or
-        ``"process"`` (a spawn-safe worker pool over shared-memory
-        machine runtimes; bit-identical results, real wall-clock
-        parallelism), or an
-        :class:`~repro.runtime.backend.ExecutionBackend` instance.
-    workers:
-        Worker-process count for ``backend="process"`` (default: host
-        CPU count, capped at the machine count).
     config:
         A prebuilt :class:`~repro.runtime.run_config.RunConfig` carrying
         every run-level knob at once; mutually exclusive with the
@@ -157,7 +145,7 @@ def run(
 
     if config is None:
         # from_kwargs (not the bare constructor) so a stray removed knob
-        # in **algorithm_params raises the policy= migration ConfigError
+        # in **algorithm_params raises its migration ConfigError
         config = RunConfig.from_kwargs(
             engine=engine,
             policy=policy,
@@ -169,8 +157,6 @@ def run(
             tracer=tracer,
             lens=lens,
             lens_opts=lens_opts,
-            backend=backend,
-            workers=workers,
             **algorithm_params,
         )
     elif algorithm_params:

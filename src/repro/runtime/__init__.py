@@ -6,20 +6,14 @@ Both engine families (eager :mod:`repro.powergraph` and lazy
 (``vdata``, ``message[v]``, ``deltaMsg[v]``, ``isActive[v]``) and the
 vectorized Apply/Scatter kernels; :class:`EngineResult` assembles global
 results and exposes the replica-agreement check used to test the
-paper's §3.5 correctness theorem. Execution backends
-(:mod:`repro.runtime.backend`) decide *where* the per-machine ops run:
-inline (serial) or on a shared-memory worker pool (process).
+paper's §3.5 correctness theorem. Engines advance their runtimes
+through one seam, :meth:`repro.runtime.backend.SerialBackend.dispatch`.
 """
 
 from repro.runtime.machine_runtime import MachineRuntime
 from repro.runtime.result import EngineResult
 from repro.runtime.run_config import RunConfig
-from repro.runtime.backend import (
-    BACKEND_NAMES,
-    ExecutionBackend,
-    SerialBackend,
-    resolve_backend,
-)
+from repro.runtime.backend import SerialBackend
 from repro.runtime.base_engine import BaseEngine
 from repro.runtime.registry import (
     EngineSpec,
@@ -39,8 +33,5 @@ __all__ = [
     "engine_specs",
     "get_engine",
     "register",
-    "BACKEND_NAMES",
-    "ExecutionBackend",
     "SerialBackend",
-    "resolve_backend",
 ]

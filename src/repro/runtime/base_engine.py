@@ -11,10 +11,9 @@ from repro.comms import ExchangePlane
 from repro.errors import ConvergenceError, EngineError
 from repro.kernels import KernelStats
 from repro.obs.lens import NULL_LENS
-from repro.obs.shards import ShardedObs
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.partition.partitioned_graph import PartitionedGraph
-from repro.runtime.backend import ExecutionBackend, resolve_backend
+from repro.runtime.backend import SerialBackend
 from repro.runtime.machine_runtime import MachineRuntime
 from repro.runtime.result import EngineResult, collect_values, replica_disagreement
 
@@ -41,8 +40,6 @@ class BaseEngine(abc.ABC):
     """
 
     name = "abstract-engine"
-    #: which runtime a backend worker should construct per unit
-    worker_runtime = "delta"
 
     def __init__(
         self,
@@ -52,7 +49,6 @@ class BaseEngine(abc.ABC):
         max_supersteps: int = _DEFAULT_MAX_SUPERSTEPS,
         trace: bool = False,
         tracer: Optional[Tracer] = None,
-        backend: Optional[ExecutionBackend] = None,
         plans: Optional[Sequence] = None,
     ) -> None:
         program.validate()
@@ -84,23 +80,11 @@ class BaseEngine(abc.ABC):
         # argsort-heavy plan construction; consumed by _make_runtimes
         self._plans = plans
         self.runtimes: List = list(self._make_runtimes())
-        # per-machine observability shards (repro.obs.shards): machine
-        # work spans / sweep instants buffer locally and fold into the
-        # tracer at barriers and coherency points. A block's own events
-        # (sweep-mode) ride on its first machine's collector.
-        self.shards = ShardedObs(self.tracer, pgraph.num_machines)
-        for rt in self.runtimes:
-            if hasattr(rt, "obs"):
-                rt.obs = self.shards.collectors[rt.mg.machine_id]
         # coherency lens (repro.obs.lens): the lazy engines swap in a
         # real CoherencyLens when asked; everything else keeps the no-op
         self.lens = NULL_LENS
-        # execution backend: where the runtimes' ops actually run
-        # (inline by default; a worker pool for backend="process").
-        # Bound last — a process backend snapshots runtime arrays into
-        # shared memory and spawns its workers here.
-        self.backend = resolve_backend(backend)
-        self.backend.bind(self)
+        # the op seam: every pass over the runtimes is one dispatch
+        self.backend = SerialBackend(self)
 
     def _unit_plans(self, units: Sequence) -> Sequence:
         """The caller's cached plans, checked against the runtime units."""
@@ -133,7 +117,6 @@ class BaseEngine(abc.ABC):
             self.sim.add_compute_all(*self.backend.dispatch_work(
                 "bootstrap", {"track_delta": track_delta}
             ))
-            self.shards.merge()
 
     def _globally_idle(self) -> bool:
         """True when no machine has pending messages."""
@@ -144,12 +127,12 @@ class BaseEngine(abc.ABC):
         return sum(rt.num_active for rt in self.runtimes)
 
     def _kernel_stats(self) -> KernelStats:
-        """Merged per-kernel host timings across the runtimes.
-
-        Delegated to the backend: worker pools hold the authoritative
-        per-runtime stats in their own processes.
-        """
-        return self.backend.kernel_stats()
+        """Merged per-kernel host timings across the runtimes."""
+        return KernelStats.merged(
+            rt.kernel_stats
+            for rt in self.runtimes
+            if hasattr(rt, "kernel_stats")
+        )
 
     # ------------------------------------------------------------------
     def run(self) -> EngineResult:
@@ -190,9 +173,7 @@ class BaseEngine(abc.ABC):
                 trace=self.tracer if self.tracer.enabled else None,
             )
         finally:
-            # stop workers / release shared memory; runtime arrays are
-            # copied back so results stay valid after the pool is gone.
-            # close() also drops the backend's reference to this engine.
+            # drops the backend's reference to this engine (no cycle)
             self.backend.close()
 
     @abc.abstractmethod

@@ -68,7 +68,6 @@ from repro.errors import AlgorithmError
 from repro.kernels import CSRPlan, KernelStats, apply_segment_sums
 from repro.kernels.config import get_config
 from repro.kernels.segment_reduce import monoid_kind, scatter_reduce
-from repro.obs.shards import MachineCollector
 from repro.obs.tracer import NULL_TRACER
 from repro.partition.partitioned_graph import MachineGraph
 
@@ -124,12 +123,6 @@ class MachineRuntime:
         self._seg_scratch = np.empty(n, dtype=np.float64)
         self.kernel_stats = KernelStats()
         self._last_sweep_mode: str = ""
-        # observability shard: block-local events go through here so a
-        # buffered collector can defer them to the next merge point; the
-        # default is a passthrough onto the tracer (legacy inline path).
-        # BaseEngine swaps in its ShardedObs collector for the block's
-        # first machine.
-        self.obs = MachineCollector(mg.machine_id, self.tracer, buffered=False)
 
     def _init_transform(self, program: DeltaProgram, mg: MachineGraph) -> None:
         """Hoist the program's declarative edge transform, if any.
@@ -299,7 +292,7 @@ class MachineRuntime:
         )
         if mode != self._last_sweep_mode:
             self._last_sweep_mode = mode
-            self.obs.instant(
+            self.tracer.instant(
                 "sweep-mode",
                 machine=self.mg.machine_id,
                 machines=self.mg.num_machines,

@@ -2,9 +2,9 @@
 
 ``repro.run(...)`` grew ~20 keyword arguments, and every entry point
 used to re-implement the same kwarg-assembly dance (policy resolution,
-backend selection, lens gating). :class:`RunConfig` is the one place
-that logic lives: :meth:`RunConfig.engine_kwargs` is the single resolve
-path from a config to an engine constructor's keyword arguments, and
+lens gating). :class:`RunConfig` is the one place that logic lives:
+:meth:`RunConfig.engine_kwargs` is the single resolve path from a
+config to an engine constructor's keyword arguments, and
 :meth:`repro.session.GraphSession.run` is its only caller — ``run()``,
 the serving layer, the CLI and the bench harness
 (:class:`~repro.bench.configs.ExperimentConfig` carries a ``RunConfig``)
@@ -30,17 +30,26 @@ _DEFAULT_MAX_SUPERSTEPS = 100_000
 
 #: pre-PR-10 coherency knobs; naming one raises the migration ConfigError
 _REMOVED_KNOBS = ("interval", "coherency_mode", "max_delta_age")
+#: the process backend's selectors, removed with it
+_REMOVED_BACKEND_KNOBS = ("backend", "workers")
 
 
 def _reject_removed_knobs(kwargs: Dict[str, Any]) -> None:
-    """Fail loudly (with the ``policy=`` hint) on removed coherency knobs.
+    """Fail loudly on removed knobs, naming what replaced them.
 
-    Without this check a stray ``interval="simple"`` would silently fall
-    through to ``params`` and surface as an algorithm-constructor
-    TypeError far from the actual mistake.
+    Without this check a stray ``interval="simple"`` or
+    ``backend="process"`` would silently fall through to ``params`` and
+    surface as an algorithm-constructor TypeError far from the actual
+    mistake.
     """
     from repro.core.policy import resolve_policy
 
+    for knob in _REMOVED_BACKEND_KNOBS:
+        if kwargs.get(knob) is not None:
+            raise ConfigError(
+                f"{knob}= was removed with the process backend; every run "
+                f"executes inline, drop the argument"
+            )
     removed = {k: kwargs[k] for k in _REMOVED_KNOBS if kwargs.get(k) is not None}
     if removed:
         resolve_policy(
@@ -75,8 +84,6 @@ class RunConfig:
     tracer: Any = None  # Optional[Tracer]
     lens: Any = False  # bool | dict
     lens_opts: Optional[Dict[str, Any]] = None
-    backend: Any = None  # name | ExecutionBackend | None
-    workers: Optional[int] = None
     #: warm-start from the session's previous fixpoint for this program
     #: and inject per-mutation correction deltas (delta engines on a
     #: :class:`~repro.session.GraphSession`; falls back to a cold run
@@ -117,30 +124,18 @@ class RunConfig:
         return out
 
     # ------------------------------------------------------------------
-    def engine_kwargs(
-        self,
-        spec: Any,
-        seed: int = 0,
-        tracer: Any = None,
-        pool: Any = None,
-    ) -> Dict[str, Any]:
+    def engine_kwargs(self, spec: Any, tracer: Any = None) -> Dict[str, Any]:
         """The engine constructor kwargs this config resolves to.
 
-        * ``backend`` is resolved (and included) only when a backend or
-          worker count was requested — otherwise the engine constructs
-          its own default :class:`SerialBackend`;
         * the coherency policy is resolved from ``policy``; engines
           without a controller layer raise :class:`ConfigError` on an
           explicit policy;
         * the lens request is gated on the engine's declared options.
 
         ``tracer`` overrides ``self.tracer`` (sessions create a fresh
-        tracer per run); ``pool`` is an optional warm
-        :class:`~repro.runtime.process_backend.WorkerPool` for
-        ``backend="process"``.
+        tracer per run).
         """
         from repro.core.policy import resolve_policy
-        from repro.runtime.backend import resolve_backend
 
         kwargs: Dict[str, Any] = {
             "network": self.network,
@@ -150,10 +145,6 @@ class RunConfig:
         tracer = tracer if tracer is not None else self.tracer
         if tracer is not None:
             kwargs["tracer"] = tracer
-        if self.backend is not None or self.workers is not None:
-            kwargs["backend"] = resolve_backend(
-                self.backend, workers=self.workers, seed=seed, pool=pool
-            )
         pol, explicit = resolve_policy(self.policy)
         if "controller" in spec.options:
             kwargs["controller"] = pol.make_controller()

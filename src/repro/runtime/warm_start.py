@@ -185,8 +185,7 @@ class WarmStartProgram(DeltaProgram):
     Transparent to the engines: same algebra, same hooks, same results
     contract — only ``make_state`` (fixpoint overlay),
     ``initial_scatter`` (masked to reseeded vertices) and
-    ``initial_messages`` (correction injections) differ. Top-level and
-    array-valued so it pickles into spawn-based process backends.
+    ``initial_messages`` (correction injections) differ.
     """
 
     def __init__(

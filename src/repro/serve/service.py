@@ -10,7 +10,7 @@ workload needs:
 * **a request queue + dispatcher thread**: ``submit`` returns a
   :class:`concurrent.futures.Future` immediately; every engine run
   executes on the single dispatcher thread, so the session's cached
-  artifacts and warm worker pool are never raced;
+  artifacts are never raced;
 * **query batching**: requests are drained in windows of up to
   ``max_batch`` requests / ``max_wait`` seconds. Identical queries in a
   window always share one run (single-flight). In ``batch_mode="fused"``
@@ -48,8 +48,8 @@ legs); opt-in observability rides on it with zero behavior change:
   (:mod:`repro.obs.request_trace`; ``repro analyze``);
 * ``telemetry_out=`` attaches a :class:`~repro.obs.telemetry.
   TelemetrySink` ticker sampling queue depth, in-flight count, cache
-  hit rate, sliding-window per-class latency quantiles and worker-pool
-  heartbeats (``repro analyze``: view, ``--follow``, SLO thresholds).
+  hit rate and sliding-window per-class latency quantiles
+  (``repro analyze``: view, ``--follow``, SLO thresholds).
 
 Neither sink touches the ``serve.*`` metrics registry, so counters and
 answers are bit-identical whether observability is on or off.
@@ -180,7 +180,7 @@ class GraphService:
     session:
         An open session the service takes queries against (not owned:
         closing the service leaves the session open).
-    engine / policy / backend / workers:
+    engine / policy:
         Fixed run-level configuration every query runs under.
     max_batch / max_wait:
         Batching window: the dispatcher drains up to ``max_batch``
@@ -210,8 +210,6 @@ class GraphService:
         max_wait: float = 0.002,
         cache_size: int = 128,
         batch_mode: str = "fused",
-        backend: Any = None,
-        workers: Optional[int] = None,
         trace_out: Optional[str] = None,
         telemetry_out: Optional[str] = None,
         telemetry_interval: float = 1.0,
@@ -233,8 +231,6 @@ class GraphService:
         self.max_batch = max_batch
         self.max_wait = max_wait
         self.batch_mode = batch_mode
-        self.backend = backend
-        self.workers = workers
         self.cache_size = cache_size
         self._cache: "OrderedDict[Tuple, Dict[str, Any]]" = OrderedDict()
         self.metrics = MetricsRegistry()
@@ -341,8 +337,8 @@ class GraphService:
 
         Read-only: samples the queue, in-flight count, cache occupancy,
         cumulative ``serve.*`` counters/latency, and the session's
-        artifact + worker-pool heartbeats. Values are best-effort
-        snapshots (the dispatcher keeps running while we read).
+        artifact census. Values are best-effort snapshots (the
+        dispatcher keeps running while we read).
         """
         exported = self.metrics.export()
         counters = {
@@ -363,7 +359,6 @@ class GraphService:
             "hit_rate": hits / lookups if lookups else 0.0,
             "latency": latency if isinstance(latency, dict) else {},
             "session": self.session.artifact_stats(),
-            "pool": self.session.pool_heartbeat(),
         }
 
     def close(self, timeout: float = 30.0, mode: str = "drain") -> None:
@@ -536,7 +531,6 @@ class GraphService:
     ) -> EngineResult:
         config = RunConfig(
             engine=self.engine, policy=self.policy,
-            backend=self.backend, workers=self.workers,
             params=self._run_params(alg, srcs, params),
             tracer=tracer,
         )

@@ -1,11 +1,10 @@
 """Reentrant engine sessions: prepare a graph once, run many times.
 
 ``repro.run(...)`` pays the full pipeline on every call — dataset load,
-symmetrization/weights, vertex-cut partitioning, per-machine CSR plan
-construction, and (for ``backend="process"``) a worker-pool spawn. For
-one-shot experiments that is the right shape; for a serving workload
-("answer PPR queries against this graph until further notice") it is
-almost all redundant work.
+symmetrization/weights, vertex-cut partitioning and per-machine CSR
+plan construction. For one-shot experiments that is the right shape;
+for a serving workload ("answer PPR queries against this graph until
+further notice") it is almost all redundant work.
 
 :class:`GraphSession` splits the pipeline at its natural seam:
 
@@ -15,22 +14,20 @@ almost all redundant work.
   needs it: the prepared graph per ``(symmetric, weighted)`` program
   requirement, the partitioned graph (the partitioner runs once per
   *topology*: a variant that differs from an already-cut one in weights
-  alone takes its assignment and only builds its own tables), the
-  :class:`~repro.kernels.csr.CSRPlan` lists per worker-runtime kind
+  alone takes its assignment and only builds its own tables) and the
+  :class:`~repro.kernels.csr.CSRPlan` lists per program API
   (one plan per *block* of the partition for the delta engines, a pair
-  per machine for GAS), and one warm
-  :class:`~repro.runtime.process_backend.WorkerPool` for
-  process-backend runs.
+  per machine for GAS).
 * ``session.run(algorithm, ...)`` is everything *run-level*: a fresh
   engine constructed against the cached artifacts. Fresh construction
   **is** the reset — new program state, mailboxes, delta arrays,
   :class:`~repro.cluster.stats.RunStats`, exchange plane and channel
   ledgers every time — so N back-to-back ``session.run`` calls are
   bit-identical to N fresh ``repro.run`` calls (the session-equivalence
-  matrix test pins this, values + stats + trace streams, on both
-  backends). The cached artifacts are precisely the ones that carry no
-  run-mutable state: graphs and partitions are frozen inputs, CSR plans
-  reset their scratch before use, and pool workers re-bind per run.
+  matrix test pins this, values + stats + trace streams). The cached
+  artifacts are precisely the ones that carry no run-mutable state:
+  graphs and partitions are frozen inputs, CSR plans reset their
+  scratch before use.
 
 ``repro.run`` itself is now a thin open-run-close wrapper over one
 throwaway session, and the serving layer (:mod:`repro.serve`) keeps one
@@ -253,7 +250,7 @@ class GraphSession:
         self.last_apply: Optional[ApplyResult] = None
         # graph-requirement key (requires_symmetric, needs_weights) ->
         # base (as-loaded, mutations replayed) / prepared DiGraph /
-        # PartitionedGraph; plan key adds the worker-runtime kind
+        # PartitionedGraph; plan key adds the engine's program API
         # ("delta" | "gas")
         self._bases: Dict[GraphKey, DiGraph] = {}
         self._graphs: Dict[GraphKey, DiGraph] = {}
@@ -277,7 +274,6 @@ class GraphSession:
         #: converged fixpoint warm starts re-run from; insertion order is
         #: recency, capped at ``_MAX_FIXPOINTS``
         self._fixpoints: Dict[Any, Dict[str, Any]] = {}
-        self._pool = None  # lazy WorkerPool, created on first process run
         self._closed = False
 
     @classmethod
@@ -397,7 +393,7 @@ class GraphSession:
 
     def _plans_for(self, spec: EngineSpec, pgraph, key) -> List[Any]:
         """CSR plans for this engine family's runtime units, built once."""
-        pkey = (key, getattr(spec.cls, "worker_runtime", "delta"))
+        pkey = (key, spec.program_api)
         if pkey not in self._plans:
             self._plans[pkey] = self._build_plans(pkey[1], pgraph)
         return self._plans[pkey]
@@ -578,15 +574,6 @@ class GraphSession:
         self.last_apply = result
         return result
 
-    @property
-    def pool(self):
-        """The session's warm worker pool (created on first access)."""
-        from repro.runtime.process_backend import WorkerPool
-
-        if self._pool is None:
-            self._pool = WorkerPool()
-        return self._pool
-
     def artifact_stats(self) -> Dict[str, Any]:
         """Cached-artifact census for the service telemetry plane."""
         return {
@@ -600,17 +587,6 @@ class GraphSession:
             "fixpoints": len(self._fixpoints),
             "closed": self._closed,
         }
-
-    def pool_heartbeat(self) -> Optional[Dict[str, Any]]:
-        """The warm pool's liveness heartbeat, or None if never spawned.
-
-        Deliberately does *not* touch the lazy ``pool`` property — a
-        serial-backend session must not spawn workers just because the
-        telemetry ticker asked after them.
-        """
-        if self._pool is None:
-            return None
-        return self._pool.heartbeat()
 
     # ------------------------------------------------------------------
     def run(
@@ -699,10 +675,7 @@ class GraphSession:
         tracer = config.tracer
         if tracer is None and config.trace_out is not None:
             tracer = Tracer()
-        pool = self.pool if config.backend == "process" else None
-        kwargs = config.engine_kwargs(
-            spec, seed=self.seed, tracer=tracer, pool=pool
-        )
+        kwargs = config.engine_kwargs(spec, tracer=tracer)
         kwargs["plans"] = plans
 
         self.reset()
@@ -770,7 +743,7 @@ class GraphSession:
         return (key, base.name, tuple(parts))
 
     def reset(self) -> None:
-        """Drop per-run state, keep the cached graph artifacts + pool.
+        """Drop per-run state, keep the cached graph artifacts.
 
         Called implicitly at the start of every :meth:`run`; the heavy
         lifting is structural — engines are constructed fresh per run,
@@ -781,13 +754,10 @@ class GraphSession:
         self.last_result = None
 
     def close(self) -> None:
-        """Release the worker pool and cached artifacts (idempotent)."""
+        """Release the cached artifacts (idempotent)."""
         if self._closed:
             return
         self._closed = True
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
         self._bases.clear()
         self._graphs.clear()
         self._pgraphs.clear()

@@ -10,8 +10,8 @@ that from four sides:
   shapes, run with every machine alone, the default budget and
   everything in one block: values, ``modeled_time_s`` and the whole
   ``RunStats`` dump (minus the ``kernel_scatter/*`` extras, which count
-  sweeps per block by design) are equal; likewise under the process
-  backend and for a warm start after a mutation batch;
+  sweeps per block by design) are equal; likewise for a warm start
+  after a mutation batch;
 * a Hypothesis sweep over random graphs, machine counts and *arbitrary*
   splits of consecutive machines, plus the structural invariants of a
   block list;
@@ -43,7 +43,6 @@ from repro.partition.edge_splitter import EdgeSplitConfig
 from repro.partition.partitioned_graph import PartitionedGraph
 from repro.powergraph.eager_exchange import EagerExchange
 from repro.run_api import prepare_graph
-from repro.runtime.backend import resolve_backend
 from repro.runtime.registry import get_engine
 from repro.session import GraphSession
 
@@ -131,24 +130,6 @@ def test_block_boundaries_do_not_move_a_run(
     assert block_counts[0] == pg.num_machines and block_counts[2] == 1
     _assert_same_run(runs[0], runs[1])
     _assert_same_run(runs[0], runs[2])
-
-
-@pytest.mark.parametrize("engine,algorithm", [
-    ("lazy-block", "sssp"), ("lazy-vertex", "pagerank"),
-    ("powergraph-sync", "cc"), ("powergraph-async", "pagerank"),
-])
-def test_process_backend_over_any_block_split(engine, algorithm, monkeypatch):
-    _, serial = _run(engine, "road48", algorithm, tracer=Tracer())
-    # 48 blocks, then two; test_backend_equivalence runs over one block
-    for budget in (0, 1200):
-        monkeypatch.setattr(pgmod, "_BLOCK_EDGE_BUDGET", budget)
-        pg, process = _run(
-            engine, "road48", algorithm, tracer=Tracer(),
-            backend=resolve_backend("process", workers=2, seed=0),
-        )
-        if budget == 1200:
-            assert 1 < len(pg.blocks) < pg.num_machines
-        _assert_same_run(serial, process)
 
 
 @pytest.mark.parametrize("algorithm", ["bfs", "sssp", "pagerank"])

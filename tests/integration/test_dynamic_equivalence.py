@@ -14,9 +14,8 @@ patched graph in the same session —
   agree to O(tolerance) like any two orderings of the same asynchronous
   execution;
 
-and does so in no more supersteps than the cold run, under both the
-serial and the spawn-started process backend, with the coherency lens
-finding nothing to flag.
+and does so in no more supersteps than the cold run, with the coherency
+lens finding nothing to flag.
 
 Comparisons happen *within one session* on purpose: synthetic weights
 for patched graph versions are derived from the session seed and the
@@ -34,7 +33,6 @@ from repro.obs.tracer import Tracer
 from repro.session import GraphSession
 
 MACHINES = 6
-WORKERS = 2
 
 #: (algorithm, params) -> exact agreement expected
 EXACT = [
@@ -96,38 +94,6 @@ class TestBandReconvergence:
         err = float(np.max(np.abs(inc.values - cold.values)))
         assert err <= 50 * params["tolerance"], err
         assert inc.stats.supersteps <= cold.stats.supersteps
-
-
-class TestProcessBackend:
-    """Spawn-started worker pool: same matrix guarantees hold."""
-
-    @pytest.mark.parametrize("alg,params", [EXACT[0], EXACT[1]],
-                             ids=lambda p: str(p))
-    def test_exact_under_process_backend(self, alg, params):
-        _, inc, cold = _roundtrip(
-            alg, params, backend="process", workers=WORKERS
-        )
-        assert inc.stats.extra["warm_start"] == 1.0
-        np.testing.assert_array_equal(inc.values, cold.values)
-
-    def test_band_under_process_backend(self):
-        alg, params = BAND[0]
-        _, inc, cold = _roundtrip(
-            alg, params, backend="process", workers=WORKERS
-        )
-        assert inc.stats.extra["warm_start"] == 1.0
-        err = float(np.max(np.abs(inc.values - cold.values)))
-        assert err <= 50 * params["tolerance"], err
-
-    def test_process_incremental_identical_to_serial_incremental(self):
-        """The warm-start plan is backend-invariant, bit for bit."""
-        alg, params = EXACT[0]
-        _, inc_s, _ = _roundtrip(alg, params)
-        _, inc_p, _ = _roundtrip(
-            alg, params, backend="process", workers=WORKERS
-        )
-        np.testing.assert_array_equal(inc_s.values, inc_p.values)
-        assert inc_s.stats.supersteps == inc_p.stats.supersteps
 
 
 class TestLensClean:

@@ -2,17 +2,15 @@
 
 The tentpole guarantee of the reentrant-session refactor: reusing one
 :class:`~repro.session.GraphSession` — cached prepared graph, cached
-partition, cached per-machine CSR plans, and (for the process backend)
-one warm worker pool re-bound per run — changes *nothing* observable.
+partition, cached per-machine CSR plans — changes *nothing* observable.
 For every registered engine, back-to-back ``session.run`` calls must be
 bit-identical to the same sequence of fresh ``repro.run`` calls: vertex
 values, the full RunStats dump (per-channel byte ledgers included), and
 the trace stream record-for-record (host-clock stamps excepted).
 
 That holds because the cached artifacts carry no run-mutable state:
-graphs and partitions are frozen inputs, CSR plans reset their scratch
-before each use, and pool workers re-derive their RNG from the run seed
-at bind time.
+graphs and partitions are frozen inputs and CSR plans reset their
+scratch before each use.
 """
 
 import numpy as np
@@ -24,9 +22,7 @@ from repro.runtime.registry import engine_names, get_engine
 from repro.session import GraphSession
 
 MACHINES = 6
-WORKERS = 2
 N_SERIAL = 3
-N_PROCESS = 2
 ALGORITHMS = ("pagerank", "cc")
 MATRIX = [
     (engine, alg) for engine in engine_names() for alg in ALGORITHMS
@@ -67,9 +63,9 @@ def _assert_identical(fresh, reused, label):
         assert a == b, f"{label}: record #{i} diverged: {a} != {b}"
 
 
-def _matrix_case(engine, alg, er_graph, n, **extra):
+def _matrix_case(engine, alg, er_graph, n):
     """n fresh run() calls vs n runs through one resident session."""
-    kwargs = {**_kwargs(engine, alg), **extra}
+    kwargs = _kwargs(engine, alg)
     fresh = []
     for _ in range(n):
         tracer = Tracer()
@@ -96,34 +92,14 @@ class TestSessionReuseBitExact:
     ):
         _matrix_case(engine, alg, er_graph, N_SERIAL)
 
-    def test_process_session_identical_to_fresh_runs(
-        self, engine, alg, er_graph
-    ):
-        # each fresh run() spawns (and tears down) its own pool; the
-        # session binds one warm pool n times — same records either way
-        _matrix_case(
-            engine, alg, er_graph, N_PROCESS,
-            backend="process", workers=WORKERS,
-        )
-
-
-def test_session_pool_is_reused_across_process_runs(er_graph):
-    with GraphSession.open(er_graph, machines=MACHINES, seed=0) as session:
-        for _ in range(2):
-            session.run("cc", backend="process", workers=WORKERS)
-        assert session._pool is not None
-        assert session._pool.spawned == WORKERS
-        assert session._pool.idle_workers == WORKERS
-
 
 def test_session_mixes_engines_and_backends(er_graph):
-    """One session serves different engines / backends / graph shapes."""
+    """One session serves different engines / graph shapes."""
     with GraphSession.open(er_graph, machines=MACHINES, seed=0) as session:
         a = session.run("pagerank", engine="lazy-block", tolerance=1e-3)
         b = session.run("cc", engine="powergraph-sync")
         c = session.run(
             "pagerank", engine="powergraph-gas-sync", tolerance=1e-3,
-            backend="process", workers=WORKERS,
         )
         assert session.runs_completed == 3
     for got, alg, kwargs in (

@@ -31,6 +31,20 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--graph", "g", "--algorithm", "nope"])
 
+    @pytest.mark.parametrize("command", [
+        ["run", "--graph", "road-ca-mini", "--algorithm", "cc"],
+        ["serve", "--graph", "road-ca-mini"],
+        ["query", "--graph", "road-ca-mini", "--algo", "bfs", "--source", "0"],
+    ], ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("flag", [["--backend", "process"], ["--workers", "2"]],
+                             ids=lambda f: f[0])
+    def test_process_backend_flags_are_gone(self, command, flag, capsys):
+        build_parser().parse_args(command)
+        with pytest.raises(SystemExit) as exit_:
+            build_parser().parse_args(command + flag)
+        assert exit_.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_datasets(self, capsys):
@@ -446,16 +460,14 @@ class TestMutateCli:
 
 
 class TestAnalyzeCli:
-    @pytest.mark.parametrize("backend", [[], ["--backend", "process",
-                                              "--workers", "2"]])
-    def test_lens_run_report_analyze(self, capsys, tmp_path, backend):
+    def test_lens_run_report_analyze(self, capsys, tmp_path):
         import json
 
         trace = tmp_path / "run.trace.jsonl"
         assert main(
             ["run", "--graph", "road-ca-mini", "--algorithm", "pagerank",
              "--engine", "lazy-block", "--machines", "8", "--lens",
-             "--trace-out", str(trace)] + backend
+             "--trace-out", str(trace)]
         ) == 0
         analysis = tmp_path / "run.analysis.json"
         assert main(["analyze", str(trace), "--strict",

@@ -6,8 +6,6 @@ from repro.bench.experiment_file import _build_config
 from repro.core.policy import CoherencyPolicy, get_policy
 from repro.errors import ConfigError
 from repro.obs.tracer import Tracer
-from repro.runtime.backend import SerialBackend
-from repro.runtime.process_backend import ProcessBackend
 from repro.runtime.registry import get_engine
 from repro.runtime.run_config import RunConfig
 
@@ -27,7 +25,6 @@ class TestConstruction:
     def test_from_kwargs_defaults(self):
         cfg = RunConfig.from_kwargs()
         assert cfg.engine == "lazy-block"
-        assert cfg.backend is None and cfg.workers is None
         assert cfg.params == {}
 
     def test_with_overrides_replaces_and_overlays(self):
@@ -46,14 +43,6 @@ class TestEngineKwargs:
         assert "backend" not in kwargs
         assert kwargs["max_supersteps"] == 100_000
         assert "tracer" not in kwargs
-
-    def test_backend_resolved_when_requested(self):
-        kwargs = RunConfig(backend="serial").engine_kwargs(LAZY)
-        assert isinstance(kwargs["backend"], SerialBackend)
-        kwargs = RunConfig(backend="process", workers=2).engine_kwargs(LAZY)
-        backend = kwargs["backend"]
-        assert isinstance(backend, ProcessBackend)
-        backend.close()
 
     def test_tracer_argument_overrides_config(self):
         own, per_run = Tracer(), Tracer()
@@ -94,6 +83,17 @@ class TestRemovedKnobs:
         assert "coherency_mode" not in names
         assert "incremental" in names
 
+    @pytest.mark.parametrize("build", [
+        RunConfig.from_kwargs, RunConfig().with_overrides,
+    ], ids=["from_kwargs", "with_overrides"])
+    @pytest.mark.parametrize("knob", [
+        {"backend": "process"}, {"backend": "serial"}, {"workers": 2},
+    ], ids=str)
+    def test_process_backend_knobs_rejected_in_one_line(self, build, knob):
+        with pytest.raises(ConfigError, match="process backend") as err:
+            build(source=0, **knob)
+        assert "\n" not in str(err.value)
+
 
 class TestExperimentConfigBridge:
     """Flat experiment-file keys -> the RunConfig an experiment carries."""
@@ -120,7 +120,6 @@ class TestExperimentConfigBridge:
     def test_no_policy_means_engine_default(self):
         rc = self._run_config()
         assert rc.policy is None
-        assert rc.backend is None and rc.workers is None
 
     def test_lens_opts_imply_lens_and_params_resolve(self):
         exp = _build_config(

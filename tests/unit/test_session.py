@@ -83,6 +83,23 @@ class TestRunValidation:
                 ConnectedComponentsProgram(), engine="powergraph-gas-sync"
             )
 
+    @pytest.mark.parametrize("knob", [
+        {"backend": "process"}, {"backend": "serial"}, {"workers": 2},
+    ], ids=str)
+    def test_process_backend_knobs_fail_before_the_algorithm_sees_them(
+        self, session, er_graph, knob
+    ):
+        # not a RunConfig field any more: without the check the knob
+        # would reach ConnectedComponentsProgram(backend=...) as a TypeError
+        for call in (
+            lambda: session.run("cc", **knob),
+            lambda: session.run("cc", config=RunConfig(), **knob),
+            lambda: repro.run(er_graph, "cc", machines=MACHINES, **knob),
+        ):
+            with pytest.raises(ConfigError, match="process backend"):
+                call()
+        assert session.runs_completed == 0
+
     def test_config_object_and_overrides_compose(self, session, er_graph):
         base = RunConfig(engine="lazy-vertex")
         got = session.run("pagerank", config=base, tolerance=1e-3)
