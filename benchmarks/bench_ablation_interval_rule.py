@@ -13,8 +13,6 @@ strongest statement a reproduction can make about a learned component.
 
 import math
 
-import pytest
-
 from repro.algorithms import PageRankDeltaProgram, SSSPProgram
 from repro.bench.harness import session_for
 from repro.bench.reporting import format_table

@@ -16,7 +16,6 @@ Criteria:
 """
 
 import numpy as np
-import pytest
 
 from repro.algorithms import KCoreProgram
 from repro.bench.harness import session_for

@@ -22,7 +22,6 @@ Findings (asserted):
 """
 
 import numpy as np
-import pytest
 
 from repro.algorithms import ConnectedComponentsProgram
 from repro.bench.harness import session_for
@@ -78,7 +77,6 @@ def test_ablation_partitioners(benchmark, run_once):
     )
     for graph_name, (lams, speeds) in per_graph.items():
         by_lam = dict(zip(PARTITIONERS, lams))
-        by_speed = dict(zip(PARTITIONERS, speeds))
         # coordinated clearly beats the locality-blind vertex-cuts
         for blind in ("grid", "random"):
             assert by_lam["coordinated"] < by_lam[blind], (graph_name, by_lam)

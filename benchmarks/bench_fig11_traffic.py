@@ -14,7 +14,6 @@ Shape criteria:
 """
 
 import numpy as np
-import pytest
 
 from repro.bench.configs import FIG9_ALGORITHMS, FIG9_GRAPHS
 from repro.bench.persistence import fig9_10_11

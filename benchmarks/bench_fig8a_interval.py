@@ -9,8 +9,6 @@ time on every graph (the paper shows the adaptive strategy winning), and
 both lazy strategies beat never-lazy's sync count.
 """
 
-import pytest
-
 from repro.bench.configs import ExperimentConfig
 from repro.bench.harness import run_experiment
 from repro.bench.reporting import format_table

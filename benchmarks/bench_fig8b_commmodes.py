@@ -8,8 +8,6 @@ switch end-to-end: on every evaluation graph the dynamic policy's
 modeled time is within a hair of the better fixed mode.
 """
 
-import pytest
-
 from repro.bench.configs import ExperimentConfig
 from repro.bench.harness import run_experiment
 from repro.bench.reporting import format_series, format_table
@@ -38,8 +36,6 @@ def test_fig8b_fitted_curves(benchmark, run_once):
             title="Fig 8(b) — fitted communication-time curves",
         )
     )
-    # linear a2a: constant second difference ~ 0
-    diffs = [b - a for a, b in zip(a2a, a2a[1:])]
     # m2m polynomial with negative quadratic: marginal cost shrinks
     m2m_margins = [
         (m2m[i + 1] - m2m[i]) / (VOLUMES_MB[i + 1] - VOLUMES_MB[i])

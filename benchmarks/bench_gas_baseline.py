@@ -14,7 +14,6 @@ programs on the eager engine. Criteria:
 """
 
 import numpy as np
-import pytest
 
 from repro.algorithms import PageRankDeltaProgram, SSSPProgram
 from repro.bench.harness import session_for

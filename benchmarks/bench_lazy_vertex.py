@@ -16,7 +16,6 @@ paper would have:
 """
 
 import numpy as np
-import pytest
 
 from repro.bench.configs import ExperimentConfig
 from repro.bench.harness import run_experiment

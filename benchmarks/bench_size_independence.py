@@ -13,7 +13,6 @@ drivers; λ/class structure is.
 """
 
 import numpy as np
-import pytest
 
 from repro.algorithms import ConnectedComponentsProgram
 from repro.bench.reporting import format_table

@@ -44,7 +44,6 @@ def test_table1(benchmark, run_once):
         )
     )
     lam = {r[0]: r[5] for r in rows}
-    ev = {r[0]: r[4] for r in rows}
     benchmark.extra_info["lambda"] = lam
 
     # E/V within 35% of Table 1 for every analog

@@ -22,7 +22,7 @@ paying cluster latency for tail fragments.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 

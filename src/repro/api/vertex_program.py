@@ -121,7 +121,6 @@ class DeltaAlgebra:
 
 
 def _abs_sum(v) -> float:
-    # module-level (not a lambda) so SUM_ALGEBRA stays picklable
     return float(np.abs(v).sum())
 
 

@@ -48,7 +48,6 @@ _ALLOWED_KEYS = {
     "policy_opts",
     "seed",
     "lens",
-    "lens_opts",
     "params",
 }
 
@@ -72,7 +71,7 @@ def _build_config(entry: Dict, defaults: Dict, index: int) -> ExperimentConfig:
     for required in ("graph", "algorithm"):
         if required not in merged:
             raise ConfigError(f"experiment #{index}: missing {required!r}")
-    for key in ("params", "policy_opts", "lens_opts"):
+    for key in ("params", "policy_opts"):
         if not isinstance(merged.get(key, {}), dict):
             raise ConfigError(f"experiment #{index}: {key} must be an object")
     merged["policy"] = named_policy(

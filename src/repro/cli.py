@@ -110,16 +110,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="enable the coherency lens (lazy engines): replica "
              "staleness/divergence probes + the decision audit log",
     )
-    p_run.add_argument(
-        "--lens-rollup-after", type=int, metavar="N",
-        help="lens sampling: after superstep N, probe only every "
-             "--lens-rollup-every supersteps (implies --lens)",
-    )
-    p_run.add_argument(
-        "--lens-rollup-every", type=int, metavar="K",
-        help="lens sampling: probe cadence after the rollup point "
-             "(default 100; implies --lens)",
-    )
 
     def add_serving(p):
         p.add_argument(
@@ -415,15 +405,6 @@ def _resolve_cli_policy(args):
     return named_policy(args.policy, opts)
 
 
-def _lens_cli_opts(args) -> dict:
-    opts = {}
-    if getattr(args, "lens_rollup_after", None) is not None:
-        opts["rollup_after"] = args.lens_rollup_after
-    if getattr(args, "lens_rollup_every", None) is not None:
-        opts["rollup_every"] = args.lens_rollup_every
-    return opts
-
-
 def _cmd_run(args) -> int:
     kwargs = _algorithm_params(args)
     result = run(
@@ -438,7 +419,6 @@ def _cmd_run(args) -> int:
         trace_out=getattr(args, "trace_out", None),
         trace_format=getattr(args, "trace_format", None) or "jsonl",
         lens=getattr(args, "lens", False),
-        lens_opts=_lens_cli_opts(args) or None,
         **kwargs,
     )
     print(f"{result.engine}/{result.algorithm} on {args.graph} "

@@ -10,14 +10,14 @@ testbed (see DESIGN.md §2). It provides:
   model converting those counters into modeled wall-clock seconds,
   including the paper's fitted all-to-all / mirrors-to-master
   communication-time curves (§4.2.2);
-* :class:`~repro.cluster.simulator.ClusterSim` — P simulated machines
-  with mailboxes, bulk exchanges and barriers. All engine communication
-  flows through it, so the counters cannot be bypassed.
+* :class:`~repro.cluster.simulator.ClusterSim` — P simulated machines'
+  compute meters, bulk-exchange accounting and barriers. All engine
+  communication is reported to it (through the exchange plane's
+  channels), so the counters cannot be bypassed.
 """
 
-from repro.cluster.machine import Machine
 from repro.cluster.network import CommMode, NetworkModel
 from repro.cluster.simulator import ClusterSim
 from repro.cluster.stats import RunStats
 
-__all__ = ["Machine", "NetworkModel", "CommMode", "ClusterSim", "RunStats"]
+__all__ = ["NetworkModel", "CommMode", "ClusterSim", "RunStats"]

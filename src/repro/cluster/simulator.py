@@ -4,9 +4,12 @@ Every engine (eager PowerGraph baselines and the lazy LazyGraph engines)
 drives its machines through this object. The rules that keep the
 measurement honest:
 
-* all inter-machine data moves via :meth:`send` / bulk-exchange helpers,
-  which count bytes and messages into :class:`RunStats` — local
-  (same-machine) delivery is free, exactly like the paper's local writes;
+* the simulator is meters and counters, not a message router: engines
+  move replica data through vectorized staging arrays and report the
+  implied traffic through the exchange plane's channels
+  (:mod:`repro.comms`), which land in :meth:`bulk_transfer` and count
+  bytes and messages into :class:`RunStats` — local (same-machine)
+  delivery is free, exactly like the paper's local writes;
 * modeled compute is charged per machine via :meth:`add_compute` (one
   machine) or :meth:`add_compute_all` (every machine, array-wise) and
   folded into cluster time as the *maximum* across machines at each
@@ -20,11 +23,10 @@ synchronization and charges fine-grained message latencies.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
-from repro.cluster.machine import Machine
 from repro.cluster.network import CommMode, NetworkModel
 from repro.cluster.stats import RunStats
 from repro.errors import EngineError
@@ -33,7 +35,7 @@ __all__ = ["ClusterSim"]
 
 
 class ClusterSim:
-    """P simulated machines, a network model, and a stats ledger."""
+    """P machines' compute meters, a network model, and a stats ledger."""
 
     def __init__(
         self,
@@ -46,7 +48,6 @@ class ClusterSim:
         self.num_machines = num_machines
         self.network = network or NetworkModel()
         self.stats = stats or RunStats()
-        self.machines: List[Machine] = [Machine(m) for m in range(num_machines)]
         #: modeled compute per machine since the last fold
         self.busy_s = np.zeros(num_machines, dtype=np.float64)
 
@@ -98,26 +99,6 @@ class ClusterSim:
     # ------------------------------------------------------------------
     # Communication
     # ------------------------------------------------------------------
-    def send(
-        self, src: int, dst: int, payload: Any, nbytes: Optional[int] = None
-    ) -> None:
-        """Deliver ``payload`` from machine ``src`` to machine ``dst``.
-
-        Remote sends are counted (bytes + one message); same-machine
-        delivery is a free local write. ``nbytes`` defaults to the
-        payload's ``nbytes`` attribute (NumPy arrays).
-        """
-        if nbytes is None:
-            nbytes = getattr(payload, "nbytes", None)
-            if nbytes is None:
-                raise EngineError(
-                    "payload has no .nbytes; pass nbytes= explicitly"
-                )
-        if src != dst:
-            self.stats.comm_bytes += float(nbytes)
-            self.stats.comm_messages += 1
-        self.machines[dst].mailbox.append((src, payload))
-
     def bulk_transfer(self, nbytes: float, nmessages: int) -> None:
         """Account traffic of a vectorized bulk exchange.
 
@@ -189,8 +170,3 @@ class ClusterSim:
                 float(np.max(per_machine_messages))
             )
         self.stats.add_compute(busy)
-
-    # ------------------------------------------------------------------
-    def drain_all(self) -> Dict[int, List[Tuple[int, Any]]]:
-        """Drain every machine's mailbox (post-exchange delivery)."""
-        return {m.machine_id: m.drain_mailbox() for m in self.machines}

@@ -42,13 +42,12 @@ class _ProbeRecord:
 class TerminationDetector:
     """Four-counter termination detection over a :class:`ClusterSim`.
 
-    When given the exchange plane's ``control`` channel, probe traffic
-    is charged through it (so control bytes/rounds reconcile per-channel
-    against the run totals); without one it charges the simulator
-    directly — the standalone mode the unit tests exercise.
+    Probe traffic is charged through ``channel`` — the exchange plane's
+    ``control`` channel — so control bytes/rounds reconcile per-channel
+    against the run totals.
     """
 
-    def __init__(self, sim: ClusterSim, channel=None) -> None:
+    def __init__(self, sim: ClusterSim, channel) -> None:
         self.sim = sim
         self.channel = channel
         self.probes = 0
@@ -73,12 +72,8 @@ class TerminationDetector:
         self.probes += 1
         # control round: every machine answers the coordinator
         volume = PROBE_BYTES_PER_MACHINE * self.sim.num_machines
-        if self.channel is not None:
-            self.channel.transfer(volume, self.sim.num_machines)
-            self.channel.round(volume)
-        else:
-            self.sim.bulk_transfer(volume, self.sim.num_machines)
-            self.sim.exchange_round(volume)
+        self.channel.transfer(volume, self.sim.num_machines)
+        self.channel.round(volume)
         self.sim.stats.bump("termination_probes")
 
         record = _ProbeRecord(

@@ -40,7 +40,6 @@ from repro.core.policy import (
     CoherencySignals,
     ExchangeDirective,
     PaperRuleController,
-    SignalTap,
     StalenessController,
     controller_names,
     get_policy,
@@ -63,7 +62,6 @@ __all__ = [
     "CoherencyPolicy",
     "CoherencySignals",
     "ExchangeDirective",
-    "SignalTap",
     "PaperRuleController",
     "StalenessController",
     "BatchedController",

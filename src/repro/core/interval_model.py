@@ -28,7 +28,7 @@ from __future__ import annotations
 import abc
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from repro.errors import ConfigError
 

@@ -23,8 +23,7 @@ the graph's E/V ratio and the active-count trend.
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -36,11 +35,13 @@ from repro.core.policy import (
     CoherencyController,
     CoherencySignals,
     PaperRuleController,
-    SignalTap,
+    extended_signals,
 )
 from repro.obs.lens import CoherencyLens
 from repro.partition.partitioned_graph import PartitionedGraph
 from repro.runtime.base_engine import BaseEngine
+from repro.runtime.machine_runtime import MachineRuntime
+from repro.runtime.result import ReplicaReader
 
 __all__ = ["LazyBlockAsyncEngine"]
 
@@ -77,7 +78,7 @@ class LazyBlockAsyncEngine(BaseEngine):
         max_supersteps: int = 100_000,
         trace: bool = False,
         tracer=None,
-        lens: "Union[bool, dict]" = False,
+        lens: bool = False,
         controller: Optional[CoherencyController] = None,
         plans=None,
     ) -> None:
@@ -86,16 +87,17 @@ class LazyBlockAsyncEngine(BaseEngine):
             plans=plans,
         )
         self.controller = controller or PaperRuleController()
-        self._tap = (
-            SignalTap(self.runtimes, pgraph, program)
-            if self.controller.needs_signals
+        # the one reader of pending replica state, shared by the lens
+        # and a signal-driven controller; the paper path builds none
+        self.replicas = (
+            ReplicaReader(pgraph, self.runtimes, program.algebra)
+            if lens or self.controller.needs_signals
             else None
         )
         if lens:
-            # lens may be True or a dict of CoherencyLens kwargs
-            # (sample_size/seed/rollup_after/rollup_every)
-            opts = lens if isinstance(lens, dict) else {}
-            self.lens = CoherencyLens.for_engine(self, **opts)
+            self.lens = CoherencyLens(
+                self.replicas, self.tracer, self.sim.stats, self.comms
+            )
         self.exchanger = CoherencyExchanger(
             pgraph, program, self.runtimes, coherency_mode, self.sim.network,
             tracer=self.tracer, plane=self.comms, delivery=Delivery.BSP,
@@ -111,9 +113,7 @@ class LazyBlockAsyncEngine(BaseEngine):
         ``stage`` optionally accumulates per-machine ``(busy_s, edges,
         applies)`` arrays for the stage's ``machine-work`` trace instants.
         """
-        edges, applies = self.backend.dispatch_work(
-            "apply_step", {"track_delta": True, "span": False}
-        )
+        edges, applies = self.backend.dispatch_work(MachineRuntime.apply_step)
         busy = self.sim.add_compute_all(edges, applies)
         if stage is not None:
             for total, part in zip(stage, (busy, edges, applies)):
@@ -187,7 +187,7 @@ class LazyBlockAsyncEngine(BaseEngine):
         tracer = self.tracer
         lens = self.lens
         controller = self.controller
-        tap = self._tap
+        replicas = self.replicas if controller.needs_signals else None
         for step in range(self.max_supersteps):
             with tracer.span("superstep", category="superstep", superstep=step):
                 lens.begin_superstep(step)
@@ -201,8 +201,8 @@ class LazyBlockAsyncEngine(BaseEngine):
                 # extended controller signals must also read the
                 # *pre*-exchange state (the exchange clears the pending
                 # mass the controller is reasoning about); trend/active
-                # are patched in once known
-                ext = tap.read(step, ev_ratio, 0.0, 0) if tap else None
+                # join them once known
+                ext = {} if replicas is None else extended_signals(replicas)
 
                 # ---- Stage 2: data coherency --------------------------
                 with tracer.span("coherency", category="phase") as sp:
@@ -229,10 +229,7 @@ class LazyBlockAsyncEngine(BaseEngine):
                     trend = (prev_active - active) / prev_active
                 else:
                     trend = 0.0
-                if ext is not None:
-                    signals = replace(ext, trend=trend, active=active)
-                else:
-                    signals = CoherencySignals(step, ev_ratio, trend, active)
+                signals = CoherencySignals(step, ev_ratio, trend, active, **ext)
                 do_local = controller.turn_on_lazy(signals)
                 tracer.instant(
                     "interval-decision",
@@ -259,8 +256,7 @@ class LazyBlockAsyncEngine(BaseEngine):
                 # ---- data coherency point: Apply + Scatter ------------
                 with tracer.span("coherency-apply", category="phase"):
                     sim.add_compute_all(*self.backend.dispatch_work(
-                        "apply_step",
-                        {"track_delta": True, "span": True, "superstep": step},
+                        lambda rt: rt.apply_step(superstep=step)
                     ))
                 sim.stats.supersteps += 1
         return False

@@ -20,7 +20,7 @@ for lazy coherency in an asynchronous setting.
 
 from __future__ import annotations
 
-from typing import List, Optional, Union
+from typing import List, Optional
 
 import numpy as np
 
@@ -33,13 +33,14 @@ from repro.core.policy import (
     CoherencyController,
     CoherencySignals,
     PaperRuleController,
-    SignalTap,
+    extended_signals,
 )
 from repro.errors import EngineError
 from repro.obs.lens import CoherencyLens
 from repro.partition.partitioned_graph import PartitionedGraph
 from repro.runtime.base_engine import BaseEngine
 from repro.runtime.machine_runtime import MachineRuntime
+from repro.runtime.result import ReplicaReader
 
 __all__ = ["LazyVertexAsyncEngine"]
 
@@ -76,7 +77,7 @@ class LazyVertexAsyncEngine(BaseEngine):
         max_supersteps: int = 100_000,
         trace: bool = False,
         tracer=None,
-        lens: "Union[bool, dict]" = False,
+        lens: bool = False,
         controller: Optional[CoherencyController] = None,
         plans=None,
     ) -> None:
@@ -88,16 +89,17 @@ class LazyVertexAsyncEngine(BaseEngine):
             raise EngineError(f"max_delta_age must be >= 1, got {max_delta_age}")
         self.max_delta_age = max_delta_age
         self.controller = controller or PaperRuleController()
-        self._tap = (
-            SignalTap(self.runtimes, pgraph, program)
-            if self.controller.needs_signals
+        # the one reader of pending replica state, shared by the lens
+        # and a signal-driven controller; the paper path builds none
+        self.replicas = (
+            ReplicaReader(pgraph, self.runtimes, program.algebra)
+            if lens or self.controller.needs_signals
             else None
         )
         if lens:
-            # lens may be True or a dict of CoherencyLens kwargs
-            # (sample_size/seed/rollup_after/rollup_every)
-            opts = lens if isinstance(lens, dict) else {}
-            self.lens = CoherencyLens.for_engine(self, **opts)
+            self.lens = CoherencyLens(
+                self.replicas, self.tracer, self.sim.stats, self.comms
+            )
         self.exchanger = CoherencyExchanger(
             pgraph, program, self.runtimes, coherency_mode, self.sim.network,
             tracer=self.tracer, plane=self.comms,
@@ -113,7 +115,7 @@ class LazyVertexAsyncEngine(BaseEngine):
     # ------------------------------------------------------------------
     def _execute(self) -> bool:
         sim = self.sim
-        detector = TerminationDetector(sim, channel=self.comms.control)
+        detector = TerminationDetector(sim, self.comms.control)
         idle_flags = [True] * sim.num_machines
         sent_total = 0
         self._bootstrap(track_delta=True)
@@ -121,7 +123,7 @@ class LazyVertexAsyncEngine(BaseEngine):
         tracer = self.tracer
         lens = self.lens
         controller = self.controller
-        tap = self._tap
+        replicas = self.replicas if controller.needs_signals else None
         ev_ratio = self.pgraph.graph.ev_ratio
         age_of = {
             rt.mg.machine_id: age for rt, age in zip(self.runtimes, self._age)
@@ -132,8 +134,7 @@ class LazyVertexAsyncEngine(BaseEngine):
                 # ---- continuous local processing (one round) -----------
                 with tracer.span("local-round", category="phase") as sp:
                     edges, applies = self.backend.dispatch_work(
-                        "apply_step",
-                        {"track_delta": True, "span": True, "superstep": step},
+                        lambda rt: rt.apply_step(superstep=step)
                     )
                     sim.add_compute_all(edges, applies)
                     sp.set(edges=int(edges.sum()), applies=int(applies.sum()))
@@ -154,10 +155,10 @@ class LazyVertexAsyncEngine(BaseEngine):
                     # the controller decides this superstep's partial
                     # exchange: execute at some due-age floor, or defer
                     # and let the pending deltas keep coalescing
-                    if tap is not None:
-                        signals = tap.read(
-                            step, ev_ratio, 0.0,
-                            self._global_active_count(), ages=self._age,
+                    if replicas is not None:
+                        signals = CoherencySignals(
+                            step, ev_ratio, 0.0, self._global_active_count(),
+                            **extended_signals(replicas, self._age),
                         )
                     else:
                         signals = CoherencySignals(step, ev_ratio, 0.0, 0)

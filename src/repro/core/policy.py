@@ -6,9 +6,10 @@ features only — ``E/V`` and the active-count trend. The coherency lens
 the rule never sees: pending ``deltaMsg`` mass, replica staleness age,
 and master↔mirror drift. This module generalizes the interval model
 into a :class:`CoherencyController` protocol fed a per-superstep
-:class:`CoherencySignals` snapshot carrying all five signals, computed
-cheaply inline by a :class:`SignalTap` (not via the lens probes, so
-controllers work with ``lens=False``).
+:class:`CoherencySignals` snapshot carrying all five signals, measured
+through the engine's :class:`~repro.runtime.result.ReplicaReader` — the
+reader the lens probes use too, built without a lens when only a
+controller asks (so controllers work with ``lens=False``).
 
 Shipped controllers:
 
@@ -58,7 +59,7 @@ from repro.errors import ConfigError
 
 __all__ = [
     "CoherencySignals",
-    "SignalTap",
+    "extended_signals",
     "ExchangeDirective",
     "CoherencyController",
     "PaperRuleController",
@@ -111,99 +112,21 @@ class CoherencySignals:
         }
 
 
-class SignalTap:
-    """Cheap inline reader of the extended coherency signals.
+def extended_signals(reader, ages: Optional[List[np.ndarray]] = None) -> Dict:
+    """The lens-grade :class:`CoherencySignals` fields, measured now.
 
-    Unlike the lens probes this never touches the tracer or metrics —
-    it is the controller's private measurement path, available with
-    ``lens=False``. Engines construct one only when the controller
-    declares ``needs_signals``, so the default (paper) configuration
-    computes nothing extra.
+    ``reader`` is the engine's ``ReplicaReader``, ``ages`` its
+    per-runtime staleness clocks. The pending mass is the reader's
+    per-machine masses folded in machine order — regrouping the float
+    sum would move controllers' decisions in the last bits.
     """
-
-    def __init__(
-        self,
-        runtimes,
-        pgraph,
-        program,
-        sample_size: int = 8,
-        seed: int = 0,
-    ) -> None:
-        self.runtimes = list(runtimes)
-        self.algebra = program.algebra
-        # deterministic drift sample: a handful of replicated vertices
-        # mapped to their (runtime, local index) replica slots
-        replicated = np.flatnonzero(pgraph.num_replicas > 1)
-        if replicated.size > sample_size:
-            rng = np.random.default_rng(seed)
-            replicated = np.sort(
-                rng.choice(replicated, size=sample_size, replace=False)
-            )
-        pos = {int(g): i for i, g in enumerate(replicated)}
-        locations: List[List[Tuple[int, int]]] = [
-            [] for _ in range(replicated.size)
-        ]
-        for mi, rt in enumerate(self.runtimes):
-            for li, gid in enumerate(rt.mg.vertices):
-                slot = pos.get(int(gid))
-                if slot is not None:
-                    locations[slot].append((mi, li))
-        self._locations = locations
-
-    def drift_sample(self) -> float:
-        """Max master↔mirror value gap over the deterministic sample."""
-        worst = 0.0
-        values = [rt.values() for rt in self.runtimes]
-        for locs in self._locations:
-            lo = math.inf
-            hi = -math.inf
-            for mi, li in locs:
-                v = float(values[mi][li])
-                lo = min(lo, v)
-                hi = max(hi, v)
-            gap = hi - lo
-            if math.isfinite(gap) and gap > worst:
-                worst = gap
-        return worst
-
-    def read(
-        self,
-        superstep: int,
-        ev_ratio: float,
-        trend: float,
-        active: int,
-        ages: Optional[List[np.ndarray]] = None,
-    ) -> CoherencySignals:
-        """Snapshot all signals (``ages``: per-runtime staleness clocks).
-
-        The pending mass is measured per machine and summed in machine
-        order — a runtime is a block of machines, and regrouping the
-        float sum would move controllers' decisions in the last bits.
-        """
-        mass = 0.0
-        count = 0
-        stale = 0
-        for mi, rt in enumerate(self.runtimes):
-            idx = np.flatnonzero(rt.has_delta)
-            if idx.size == 0:
-                continue
-            cuts = np.searchsorted(idx, rt.mg.machine_offsets).tolist()
-            for lo, hi in zip(cuts[:-1], cuts[1:]):
-                if hi > lo:
-                    mass += self.algebra.magnitude(rt.delta_msg[idx[lo:hi]])
-            count += int(idx.size)
-            if ages is not None:
-                stale = max(stale, int(ages[mi][idx].max()))
-        return CoherencySignals(
-            superstep=superstep,
-            ev_ratio=float(ev_ratio),
-            trend=float(trend),
-            active=int(active),
-            pending_mass=float(mass),
-            pending_replicas=count,
-            staleness_max=stale,
-            drift_sample=self.drift_sample(),
-        )
+    masses, counts = reader.pending()
+    return {
+        "pending_mass": float(sum(masses)),
+        "pending_replicas": sum(counts),
+        "staleness_max": 0 if ages is None else reader.staleness_max(ages),
+        "drift_sample": reader.sample_drift(),
+    }
 
 
 # ----------------------------------------------------------------------
@@ -222,10 +145,6 @@ class ExchangeDirective:
     execute: bool
     min_age: int
     rule: str
-
-
-#: The deferral directive shared by all controllers.
-DEFER = ExchangeDirective(execute=False, min_age=0, rule="defer")
 
 
 class CoherencyController(abc.ABC):
@@ -576,36 +495,13 @@ register_policy("batched", CoherencyPolicy(controller="batched"))
 # ----------------------------------------------------------------------
 def resolve_policy(
     policy: Union[str, CoherencyPolicy, None] = None,
-    interval: Union[str, IntervalModel, None] = None,
-    coherency_mode: Optional[str] = None,
-    max_delta_age: Optional[int] = None,
 ) -> Tuple[CoherencyPolicy, bool]:
     """Resolve a ``policy`` value (name / instance / None) to a policy.
 
     Returns ``(policy, explicit)`` where ``explicit`` is True when the
     caller named a policy — the knob that is an error on engines without
     a coherency-controller layer.
-
-    The pre-PR-10 scattered knobs (``interval=`` / ``coherency_mode=`` /
-    ``max_delta_age=``) were removed after a deprecation cycle; passing
-    one raises :class:`ConfigError` with the ``policy=`` migration hint.
     """
-    if interval is not None:
-        raise ConfigError(
-            "run(interval=...) was removed; use "
-            "policy=CoherencyPolicy(interval=...) or a named --policy"
-        )
-    if coherency_mode is not None:
-        raise ConfigError(
-            "run(coherency_mode=...) was removed; use "
-            "policy=CoherencyPolicy(mode=...) or --policy-opt mode=..."
-        )
-    if max_delta_age is not None:
-        raise ConfigError(
-            "max_delta_age= was removed; use "
-            "policy=CoherencyPolicy(max_delta_age=...) or "
-            "--policy-opt max_delta_age=..."
-        )
     explicit = policy is not None
     if isinstance(policy, str):
         policy = get_policy(policy)

@@ -21,7 +21,7 @@ All generators are deterministic given ``seed`` and vectorized with NumPy.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 

@@ -8,11 +8,13 @@ and all behind an opt-in flag (``lens=True``) so the default hot path
 stays bit-identical:
 
 * **staleness & divergence probes** — once per superstep: per-machine
-  pending ``deltaMsg`` mass (monoid-measured through
-  :meth:`~repro.api.vertex_program.DeltaAlgebra.magnitude`), replica
-  staleness age (supersteps a delta has been pending), and
-  master↔mirror value drift on a deterministic sample of replicated
-  vertices;
+  pending ``deltaMsg`` mass, replica staleness age (supersteps a delta
+  has been pending), and master↔mirror value drift on a deterministic
+  sample of replicated vertices. The pending mass, the sample and the
+  full cross-replica gap are read through the engine's one
+  :class:`~repro.runtime.result.ReplicaReader` — the same object the
+  signal-driven controllers read, so the lens and a controller cannot
+  disagree about what is pending;
 * **coherency-decision audit log** — a structured
   :class:`CoherencyDecision` for every interval-rule evaluation
   (``turn_on_lazy`` / ``local_budget``) and one per executed coherency
@@ -48,6 +50,15 @@ __all__ = [
     "STALENESS_BUCKETS",
     "MASS_BUCKETS",
 ]
+
+#: Trace-size rollup for long runs: past superstep ``ROLLUP_AFTER`` only
+#: every ``ROLLUP_EVERY``-th superstep emits the per-superstep tracer
+#: instants (``lens-probe`` / ``channel-ledger``). Metrics histograms and
+#: the decision audit log always stay complete — only the instant
+#: *timeline* is sampled, so the LensAuditor's decision/coherency
+#: reconciliation is unaffected.
+ROLLUP_AFTER = 10_000
+ROLLUP_EVERY = 100
 
 #: Staleness-age histogram boundaries (supersteps a delta stayed pending).
 STALENESS_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
@@ -118,7 +129,7 @@ class NullLens:
     ) -> None:
         pass
 
-    def finish(self, converged: bool) -> None:
+    def finish(self, converged: bool, final_drift: float) -> None:
         pass
 
 
@@ -130,13 +141,10 @@ class CoherencyLens:
 
     Parameters
     ----------
-    runtimes / pgraph / program:
-        The engine's runtimes (one per block of machines), partitioned
-        graph and delta program (the lens only ever *reads* them).
-        Readings stay per **machine**: each runtime is read through the
-        machine slices ``mg.machine_offsets`` marks, in machine order,
-        so every float is grouped exactly as with one runtime per
-        machine.
+    reader:
+        The engine's :class:`~repro.runtime.result.ReplicaReader`: the
+        machine-slot table, per-machine pending mass and the drift
+        sample (the lens only ever *reads* the runtimes, through it).
     tracer:
         Span tracer to emit instants through (``NULL_TRACER`` is fine —
         metrics still accumulate).
@@ -148,39 +156,15 @@ class CoherencyLens:
         The engine's :class:`~repro.comms.ExchangePlane`; each probe
         snapshots the per-channel ledgers into the plane timeline and a
         ``channel-ledger`` instant so traffic lines up with decisions.
-    sample_size / seed:
-        Deterministic master↔mirror drift sample: up to ``sample_size``
-        replicated vertices drawn with a seeded generator.
-    rollup_after / rollup_every:
-        Trace-size rollup for long runs: past superstep ``rollup_after``
-        only every ``rollup_every``-th superstep emits the per-superstep
-        tracer instants (``lens-probe`` / ``channel-ledger``). Metrics
-        histograms and the decision audit log always stay complete —
-        only the instant *timeline* is sampled, so the LensAuditor's
-        decision/coherency reconciliation is unaffected.
     """
 
     enabled = True
 
-    def __init__(
-        self,
-        runtimes,
-        pgraph,
-        program,
-        tracer=None,
-        stats=None,
-        plane=None,
-        sample_size: int = 32,
-        seed: int = 0,
-        rollup_after: int = 10_000,
-        rollup_every: int = 100,
-    ) -> None:
+    def __init__(self, reader, tracer=None, stats=None, plane=None) -> None:
         from repro.obs.tracer import NULL_TRACER
 
-        self.runtimes = list(runtimes)
-        self.pgraph = pgraph
-        self.program = program
-        self.algebra = program.algebra
+        self.reader = reader
+        self.runtimes = reader.runtimes
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.stats = stats
         self.plane = plane
@@ -188,13 +172,6 @@ class CoherencyLens:
         self.exchanges = 0
         self.probes = 0
         self.superstep = -1
-        if rollup_after < 0 or rollup_every < 1:
-            raise ValueError(
-                f"rollup_after must be >= 0 and rollup_every >= 1, got "
-                f"{rollup_after}/{rollup_every}"
-            )
-        self.rollup_after = rollup_after
-        self.rollup_every = rollup_every
         self.rolled_up = 0  # probe instants suppressed by the rollup
         self.final_drift: Optional[float] = None
         self.invariant_breaks = 0
@@ -203,15 +180,6 @@ class CoherencyLens:
             np.zeros(rt.mg.num_local_vertices, dtype=np.int64)
             for rt in self.runtimes
         ]
-        # (runtime index, first slot, end slot) of every machine, in
-        # machine order
-        self._machines: List = []
-        for ri, rt in enumerate(self.runtimes):
-            offsets = rt.mg.machine_offsets.tolist()
-            self._machines += [
-                (ri, lo, hi) for lo, hi in zip(offsets[:-1], offsets[1:])
-            ]
-        self._sample = self._pick_drift_sample(sample_size, seed)
         if stats is not None:
             m = stats.metrics
             self.h_staleness = m.histogram(
@@ -237,95 +205,6 @@ class CoherencyLens:
             self.g_drift = None
 
     # ------------------------------------------------------------------
-    # Construction helpers
-    # ------------------------------------------------------------------
-    @classmethod
-    def for_engine(cls, engine, **kwargs) -> "CoherencyLens":
-        """Build a lens wired to a :class:`BaseEngine`'s run objects."""
-        return cls(
-            engine.runtimes,
-            engine.pgraph,
-            engine.program,
-            tracer=engine.tracer,
-            stats=engine.sim.stats,
-            plane=engine.comms,
-            **kwargs,
-        )
-
-    def _pick_drift_sample(self, sample_size: int, seed: int):
-        """Deterministic replicated-vertex sample → replica locations.
-
-        Returns ``(gids, [(runtime, local_idx), ...] per gid)`` in
-        machine order; empty when the partition has no replicated
-        vertices (1 machine).
-        """
-        replicated = np.flatnonzero(self.pgraph.num_replicas > 1)
-        if replicated.size == 0:
-            return np.empty(0, dtype=np.int64), []
-        if replicated.size > sample_size:
-            rng = np.random.default_rng(seed)
-            replicated = np.sort(
-                rng.choice(replicated, size=sample_size, replace=False)
-            )
-        locations: List[List] = [[] for _ in range(replicated.size)]
-        pos = {int(g): i for i, g in enumerate(replicated)}
-        for mi, rt in enumerate(self.runtimes):
-            for li, gid in enumerate(rt.mg.vertices):
-                slot = pos.get(int(gid))
-                if slot is not None:
-                    locations[slot].append((mi, li))
-        return replicated, locations
-
-    # ------------------------------------------------------------------
-    # Measurements (all read-only)
-    # ------------------------------------------------------------------
-    def _pending(
-        self, rt, lo: int, hi: int, mask: Optional[np.ndarray] = None
-    ) -> "tuple[float, int]":
-        """Pending ``(mass, count)`` of one machine's slots ``lo:hi``."""
-        sel = rt.has_delta[lo:hi]
-        if mask is not None:
-            sel = sel & mask[lo:hi]
-        idx = np.flatnonzero(sel)
-        if idx.size == 0:
-            return 0.0, 0
-        return self.algebra.magnitude(rt.delta_msg[lo:hi][idx]), int(idx.size)
-
-    def sample_drift(self) -> float:
-        """Max |master − mirror| value gap over the deterministic sample."""
-        gids, locations = self._sample
-        if gids.size == 0:
-            return 0.0
-        values = [rt.values() for rt in self.runtimes]
-        worst = 0.0
-        for locs in locations:
-            lo = np.inf
-            hi = -np.inf
-            for mi, li in locs:
-                v = float(values[mi][li])
-                lo = min(lo, v)
-                hi = max(hi, v)
-            gap = hi - lo
-            if np.isfinite(gap) and gap > worst:
-                worst = gap
-        return float(worst)
-
-    def full_drift(self) -> float:
-        """Max cross-replica value gap over *all* vertices (finish-time)."""
-        n = self.pgraph.graph.num_vertices
-        lo = np.full(n, np.inf)
-        hi = np.full(n, -np.inf)
-        for rt in self.runtimes:
-            vals = rt.values()
-            gids = rt.mg.vertices
-            np.minimum.at(lo, gids, vals)
-            np.maximum.at(hi, gids, vals)
-        with np.errstate(invalid="ignore"):
-            diff = hi - lo  # ∞−∞ → nan: replicas all at ∞ agree
-        finite = np.isfinite(diff)
-        return float(diff[finite].max()) if finite.any() else 0.0
-
-    # ------------------------------------------------------------------
     # Engine hooks
     # ------------------------------------------------------------------
     def begin_superstep(self, step: int) -> None:
@@ -338,25 +217,19 @@ class CoherencyLens:
     def probe(self) -> None:
         """Per-superstep staleness/divergence gauges (pre-exchange)."""
         self.probes += 1
-        masses, pending = zip(*(
-            self._pending(self.runtimes[ri], lo, hi)
-            for ri, lo, hi in self._machines
-        ))
+        masses, pending = self.reader.pending()
         total_mass = float(sum(masses))
-        stale_max = 0
-        for ri, lo, hi in self._machines:
-            live = self._ages[ri][lo:hi][self.runtimes[ri].has_delta[lo:hi]]
-            if live.size:
-                stale_max = max(stale_max, int(live.max()))
-                if self.h_staleness is not None:
-                    counts = np.bincount(live)
-                    for age_value in np.flatnonzero(counts):
-                        self.h_staleness.observe(
-                            float(age_value), int(counts[age_value])
-                        )
+        stale_max = self.reader.staleness_max(self._ages)
+        if self.h_staleness is not None:
+            for ages, rt in zip(self._ages, self.runtimes):
+                counts = np.bincount(ages[rt.has_delta])
+                for age_value in np.flatnonzero(counts):
+                    self.h_staleness.observe(
+                        float(age_value), int(counts[age_value])
+                    )
         if self.h_pending is not None:
             self.h_pending.observe(total_mass)
-        drift = self.sample_drift()
+        drift = self.reader.sample_drift()
         if self.g_drift is not None:
             self.g_drift.set(drift)
         active = int(sum(rt.num_active for rt in self.runtimes))
@@ -382,9 +255,8 @@ class CoherencyLens:
     def _instants_due(self) -> bool:
         """Is this superstep inside the full-resolution window?"""
         return (
-            self.superstep < self.rollup_after
-            or self.rollup_every == 1
-            or self.superstep % self.rollup_every == 0
+            self.superstep < ROLLUP_AFTER
+            or self.superstep % ROLLUP_EVERY == 0
         )
 
     def _snapshot_channels(self) -> None:
@@ -428,16 +300,13 @@ class CoherencyLens:
         self.exchanges += 1
         full = due is None
         # per-machine readings folded machine-ascending
-        mass_after = 0.0
-        count_after = 0
-        masks = [
-            None if full else due(rt) | (rt.mg.num_replicas == 1)
-            for rt in self.runtimes
-        ]
-        for ri, lo, hi in self._machines:
-            mass, count = self._pending(self.runtimes[ri], lo, hi, masks[ri])
-            mass_after += mass
-            count_after += count
+        masses, counts = self.reader.pending(
+            None if full else [
+                due(rt) | (rt.mg.num_replicas == 1) for rt in self.runtimes
+            ]
+        )
+        mass_after = sum(masses, 0.0)
+        count_after = sum(counts)
         ok = count_after == 0 and mass_after == 0.0
         if not ok:
             self.invariant_breaks += 1
@@ -461,11 +330,10 @@ class CoherencyLens:
                 mode=report.mode.value,
             )
 
-    def finish(self, converged: bool) -> None:
-        """Final drift measurement + summary publication (idempotent)."""
-        if self.final_drift is not None:
-            return
-        self.final_drift = self.full_drift()
+    def finish(self, converged: bool, final_drift: float) -> None:
+        """Publish the summary; ``final_drift`` is the run's full
+        cross-replica gap, measured once by ``BaseEngine.run``."""
+        self.final_drift = final_drift
         if self.stats is not None:
             self.stats.extra["lens.decisions"] = float(len(self.decisions))
             self.stats.extra["lens.exchanges"] = float(self.exchanges)

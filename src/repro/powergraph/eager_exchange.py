@@ -35,7 +35,6 @@ from repro.comms import (
     delta_schema,
 )
 from repro.partition.partitioned_graph import PartitionedGraph
-from repro.runtime.machine_ops import eager_apply
 from repro.runtime.machine_runtime import MachineRuntime
 
 __all__ = ["EagerExchange", "EagerLegTraffic", "apply_and_charge"]
@@ -70,8 +69,7 @@ class EagerExchange:
     :meth:`ship_broadcast`), while a ``fine_grained`` engine moves both
     legs' records one edge at a time over the ``one_edge`` channel
     (:meth:`ship_fine_grained` + :meth:`charge_fine_grained_round`).
-    Without a plane it only stages traffic — the mode used by unit tests
-    and the staging benchmarks.
+    Without a plane it only stages traffic — the mode used by unit tests.
     """
 
     def __init__(
@@ -81,12 +79,10 @@ class EagerExchange:
         runtimes: List[MachineRuntime],
         plane: Optional[ExchangePlane] = None,
         fine_grained: bool = False,
-        backend=None,
     ) -> None:
         self.pgraph = pgraph
         self.program = program
         self.runtimes = runtimes
-        self.backend = backend
         self.gather_ch = self.bcast_ch = self.one_edge_ch = None
         if plane is not None:
             schema = delta_schema(program)
@@ -105,7 +101,6 @@ class EagerExchange:
     def collect(self) -> EagerLegTraffic:
         """Drain all inboxes into the global accumulator; price the legs."""
         alg = self.program.algebra
-        n = self.pgraph.graph.num_vertices
         self._total.fill(alg.identity)
         self._has.fill(False)
         gather_msgs = 0
@@ -162,26 +157,16 @@ class EagerExchange:
         """Price one unbatched round (volume × penalty + engine overhead)."""
         self.one_edge_ch.round(traffic.total_bytes)
 
-    def apply_all(self, track_delta: bool = False) -> np.ndarray:
-        """Replay Apply+Scatter of the staged accums on every replica.
+    def apply_on(self, rt: MachineRuntime) -> np.ndarray:
+        """Replay Apply+Scatter of the staged accums on one runtime.
 
-        Returns per-machine ``(edges, applies)`` rows (``int64[2, P]``)
-        for the caller to charge as compute. With a backend attached
-        this runs as the ``eager_apply`` op; the plane-less staging mode
-        used by unit tests runs it inline.
+        Returns the runtime's per-machine ``(edges, applies)`` rows; the
+        engines dispatch this once per runtime (:func:`apply_and_charge`).
         """
-        if self.backend is not None:
-            return self.backend.dispatch_work(
-                "eager_apply",
-                {"track_delta": track_delta, "has": self._has,
-                 "total": self._total},
-            )
-        return np.concatenate(
-            [
-                eager_apply(rt, self._has, self._total, track_delta)
-                for rt in self.runtimes
-            ],
-            axis=1,
+        gids = rt.mg.vertices
+        idx = np.flatnonzero(self._has[gids])
+        return rt.apply_and_scatter(
+            idx, self._total[gids[idx]], track_delta=False
         )
 
 
@@ -191,7 +176,7 @@ def apply_and_charge(engine, exchange: EagerExchange, step: int) -> None:
     Replays Apply+Scatter on every replica, reports each machine's work
     as an ``apply-machine`` span and charges it as compute.
     """
-    edges, applies = exchange.apply_all(track_delta=False)
+    edges, applies = engine.backend.dispatch_work(exchange.apply_on)
     busy = engine.sim.add_compute_all(edges, applies)
     if engine.tracer.enabled:
         for machine_id, (e, a, b) in enumerate(

@@ -43,9 +43,9 @@ class PowerGraphAsyncEngine(BaseEngine):
         sim = self.sim
         exchange = EagerExchange(
             self.pgraph, self.program, self.runtimes,
-            plane=self.comms, fine_grained=True, backend=self.backend,
+            plane=self.comms, fine_grained=True,
         )
-        detector = TerminationDetector(sim, channel=self.comms.control)
+        detector = TerminationDetector(sim, self.comms.control)
         idle_flags = [True] * sim.num_machines
         sent_total = 0
         self._bootstrap(track_delta=False)

@@ -18,7 +18,8 @@ from typing import List
 import numpy as np
 
 from repro.comms import BROADCAST, GATHER, Delivery, value_schema
-from repro.kernels import CSRPlan, scatter_reduce
+from repro.kernels import CSRPlan, KernelStats, scatter_reduce
+from repro.obs.tracer import NULL_TRACER
 from repro.partition.partitioned_graph import MachineGraph
 from repro.powergraph.gas import GASProgram
 from repro.runtime.base_engine import BaseEngine
@@ -33,14 +34,19 @@ class _GASMachine:
     :class:`~repro.kernels.csr.CSRPlan` instances, so the flatten
     structures and scratch are built once and every per-superstep edge
     selection is frontier-adaptive (sparse range expansion vs a dense
-    full-CSR sweep).
+    full-CSR sweep). :meth:`gather_step` / :meth:`apply_step` are the
+    two per-superstep passes the engine dispatches; each reports itself
+    as one ``*-machine`` span (``network`` prices its ``busy_s``).
     """
 
     def __init__(
-        self, mg: MachineGraph, program: GASProgram, plans=None
+        self, mg: MachineGraph, program: GASProgram, plans=None,
+        tracer=NULL_TRACER, network=None,
     ) -> None:
         self.mg = mg
         self.program = program
+        self.tracer = tracer
+        self.network = network
         self.state = program.make_state(mg)
         n = mg.num_local_vertices
         # plans: an optional cached (in_plan, out_plan) pair from a
@@ -51,6 +57,7 @@ class _GASMachine:
             self.in_plan = CSRPlan(mg.edst, n)
             self.out_plan = CSRPlan(mg.esrc, n)
         self._acc_scratch = np.empty(n, dtype=np.float64)
+        self.kernel_stats = KernelStats()  # the pull kernels are not timed
 
     def values(self) -> np.ndarray:
         """Local per-replica values (the generic result-collection view)."""
@@ -68,8 +75,8 @@ class _GASMachine:
         """Pull over local in-edges of the active local vertices.
 
         Returns ``(local idx with in-edges, partial accums, edges pulled)``.
-        The accums are views into per-machine scratch, consumed by the
-        caller before the next gather. The in-plan is keyed by target,
+        The accums are copied out of the per-machine scratch (they
+        outlive the next gather). The in-plan is keyed by target,
         so the fold targets are the sorted keys themselves; a dense-full
         sweep reuses the plan's precomputed touched set.
         """
@@ -105,6 +112,43 @@ class _GASMachine:
             return np.empty(0, dtype=np.int64)
         return self.mg.vertices[self.mg.edst[e_sel]]
 
+    def gather_step(self, active: np.ndarray, superstep: int):
+        """The gather leg on this machine: pull over local in-edges.
+
+        Returns ``(edges, gids, partial accums, mirror count)``; the
+        engine folds the accums into the global accumulator in machine
+        order.
+        """
+        mg = self.mg
+        with self.tracer.span(
+            "gather-machine", category="machine", machine=mg.machine_id,
+            superstep=superstep,
+        ) as msp:
+            idx, acc, edges = self.gather(self.program, active[mg.vertices])
+            msp.set(edges=edges, busy_s=self.network.compute_time(edges, 0))
+        mirrors = int(np.count_nonzero(~mg.is_master[idx]))
+        return edges, mg.vertices[idx], acc, mirrors
+
+    def apply_step(self, has: np.ndarray, total: np.ndarray, superstep: int):
+        """The apply leg: combined accumulators onto every local replica.
+
+        Returns ``(applies, global ids the changed vertices activate)``.
+        """
+        mg = self.mg
+        idx = np.flatnonzero(has[mg.vertices])
+        if idx.size == 0:
+            return 0, idx
+        with self.tracer.span(
+            "apply-machine", category="machine", machine=mg.machine_id,
+            superstep=superstep,
+        ) as msp:
+            changed = self.program.apply(
+                mg, self.state, idx, total[mg.vertices[idx]]
+            )
+            msp.set(applies=int(idx.size),
+                    busy_s=self.network.compute_time(0, int(idx.size)))
+        return int(idx.size), self.out_targets(idx[changed])
+
 
 class PowerGraphGASSyncEngine(BaseEngine):
     """Eager BSP engine for classic pull-style GAS programs.
@@ -123,14 +167,12 @@ class PowerGraphGASSyncEngine(BaseEngine):
     def _make_runtimes(self) -> List[_GASMachine]:
         machines = self.pgraph.machines
         return [
-            _GASMachine(mg, self.program, plans=plans)
+            _GASMachine(
+                mg, self.program, plans=plans,
+                tracer=self.tracer, network=self.sim.network,
+            )
             for mg, plans in zip(machines, self._unit_plans(machines))
         ]
-
-    @property
-    def machines(self) -> List[_GASMachine]:
-        """Alias kept for the GAS benchmarks' direct machine access."""
-        return self.runtimes
 
     # ------------------------------------------------------------------
     def _execute(self) -> bool:
@@ -164,14 +206,16 @@ class PowerGraphGASSyncEngine(BaseEngine):
                     has.fill(False)
                     gather_msgs = 0
                     results = self.backend.dispatch(
-                        "gas_gather", {"superstep": step, "active": active}
+                        lambda gm: gm.gather_step(active, step)
                     )
-                    for machine_id, res in enumerate(results):
-                        sim.add_compute(machine_id, res["edges"], 0)
-                        if res["gids"].size:
-                            alg.combine_at(total, res["gids"], res["acc"])
-                            has[res["gids"]] = True
-                            gather_msgs += res["mirrors"]
+                    for machine_id, (edges, gids, acc, mirrors) in enumerate(
+                        results
+                    ):
+                        sim.add_compute(machine_id, edges, 0)
+                        if gids.size:
+                            alg.combine_at(total, gids, acc)
+                            has[gids] = True
+                            gather_msgs += mirrors
                     vol1 = schema.bytes_for(gather_msgs)
                     sp.set(gather_msgs=gather_msgs, gather_bytes=vol1)
                     gather_ch.bsp_leg(vol1, gather_msgs)  # sync #1
@@ -186,15 +230,13 @@ class PowerGraphGASSyncEngine(BaseEngine):
                     bcast = int((self.pgraph.num_replicas[applied] - 1).sum())
                     next_active = np.zeros(n, dtype=bool)
                     results = self.backend.dispatch(
-                        "gas_apply",
-                        {"superstep": step, "has": has, "total": total},
+                        lambda gm: gm.apply_step(has, total, step)
                     )
-                    for machine_id, res in enumerate(results):
-                        if res["applies"] == 0:
+                    for machine_id, (applies, out_gids) in enumerate(results):
+                        if applies == 0:
                             continue
-                        sim.add_compute(machine_id, 0, res["applies"])
-                        if res["out_gids"].size:
-                            next_active[res["out_gids"]] = True
+                        sim.add_compute(machine_id, 0, applies)
+                        next_active[out_gids] = True
                     vol2 = schema.bytes_for(bcast)
                     sp.set(bcast_msgs=bcast, bcast_bytes=vol2)
                     bcast_ch.bsp_leg(vol2, bcast)  # sync #2

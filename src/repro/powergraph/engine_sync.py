@@ -26,7 +26,6 @@ class PowerGraphSyncEngine(BaseEngine):
         tracer = self.tracer
         exchange = EagerExchange(
             self.pgraph, self.program, self.runtimes, plane=self.comms,
-            backend=self.backend,
         )
         self._bootstrap(track_delta=False)
 

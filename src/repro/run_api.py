@@ -87,7 +87,6 @@ def run(
     trace_format: str = "jsonl",
     tracer: Optional[Tracer] = None,
     lens: bool = False,
-    lens_opts: Optional[dict] = None,
     config: Optional[RunConfig] = None,
     **algorithm_params,
 ) -> EngineResult:
@@ -132,10 +131,6 @@ def run(
         engines: replica staleness/divergence probes and the
         coherency-decision audit log. Off by default; requesting it on
         an engine without replica laziness is a :class:`ConfigError`.
-    lens_opts:
-        :class:`~repro.obs.lens.CoherencyLens` keyword overrides
-        (``sample_size`` / ``seed`` / ``rollup_after`` /
-        ``rollup_every``). A non-empty dict implies ``lens=True``.
     config:
         A prebuilt :class:`~repro.runtime.run_config.RunConfig` carrying
         every run-level knob at once; mutually exclusive with the
@@ -156,7 +151,6 @@ def run(
             trace_format=trace_format,
             tracer=tracer,
             lens=lens,
-            lens_opts=lens_opts,
             **algorithm_params,
         )
     elif algorithm_params:

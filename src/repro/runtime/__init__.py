@@ -6,8 +6,12 @@ Both engine families (eager :mod:`repro.powergraph` and lazy
 (``vdata``, ``message[v]``, ``deltaMsg[v]``, ``isActive[v]``) and the
 vectorized Apply/Scatter kernels; :class:`EngineResult` assembles global
 results and exposes the replica-agreement check used to test the
-paper's §3.5 correctness theorem. Engines advance their runtimes
-through one seam, :meth:`repro.runtime.backend.SerialBackend.dispatch`.
+paper's §3.5 correctness theorem; what is still *pending* between
+replicas mid-run has one reader,
+:class:`repro.runtime.result.ReplicaReader`. Engines advance their
+runtimes one pass at a time: each pass is one
+:meth:`repro.runtime.backend.SerialBackend.dispatch` of a runtime's own
+step method.
 """
 
 from repro.runtime.machine_runtime import MachineRuntime

@@ -83,7 +83,7 @@ class BaseEngine(abc.ABC):
         # coherency lens (repro.obs.lens): the lazy engines swap in a
         # real CoherencyLens when asked; everything else keeps the no-op
         self.lens = NULL_LENS
-        # the op seam: every pass over the runtimes is one dispatch
+        # every pass over the runtimes is one dispatch
         self.backend = SerialBackend(self)
 
     def _unit_plans(self, units: Sequence) -> Sequence:
@@ -101,7 +101,10 @@ class BaseEngine(abc.ABC):
         """Build one runtime per block (override for non-delta engines)."""
         blocks = self.pgraph.blocks
         return [
-            MachineRuntime(block, self.program, tracer=self.tracer, plan=plan)
+            MachineRuntime(
+                block, self.program, tracer=self.tracer, plan=plan,
+                network=self.sim.network,
+            )
             for block, plan in zip(blocks, self._unit_plans(blocks))
         ]
 
@@ -115,7 +118,7 @@ class BaseEngine(abc.ABC):
         """
         with self.tracer.span("bootstrap", category="phase"):
             self.sim.add_compute_all(*self.backend.dispatch_work(
-                "bootstrap", {"track_delta": track_delta}
+                lambda rt: rt.bootstrap(track_delta)
             ))
 
     def _globally_idle(self) -> bool:
@@ -126,14 +129,6 @@ class BaseEngine(abc.ABC):
         """Total pending-apply vertices across machines (replica-counted)."""
         return sum(rt.num_active for rt in self.runtimes)
 
-    def _kernel_stats(self) -> KernelStats:
-        """Merged per-kernel host timings across the runtimes."""
-        return KernelStats.merged(
-            rt.kernel_stats
-            for rt in self.runtimes
-            if hasattr(rt, "kernel_stats")
-        )
-
     # ------------------------------------------------------------------
     def run(self) -> EngineResult:
         """Execute to convergence (or ``max_supersteps``) and collect results."""
@@ -142,12 +137,17 @@ class BaseEngine(abc.ABC):
             self.sim.stats.converged = converged
             # surface per-kernel host timings + sweep-mode counts (they ride
             # into traces through RunStats.to_dict)
-            for key, val in self._kernel_stats().as_extra().items():
-                self.sim.stats.extra[key] = val
+            self.sim.stats.extra.update(KernelStats.merged(
+                rt.kernel_stats for rt in self.runtimes
+            ).as_extra())
             # per-channel ledgers ride along the same way (comms.<name>.*)
             self.comms.publish(self.sim.stats)
-            # final drift measurement + lens.* summary extras (no-op when off)
-            self.lens.finish(converged)
+            if converged or self.lens.enabled:
+                # the one full cross-replica pass of the run: the result's
+                # disagreement and (lens on) the lens's final drift, next
+                # to its lens.* summary extras
+                disagreement = replica_disagreement(self.pgraph, self.runtimes)
+                self.lens.finish(converged, disagreement)
             if not converged:
                 raise ConvergenceError(
                     f"{self.name}/{self.program.name} did not converge within "
@@ -167,9 +167,7 @@ class BaseEngine(abc.ABC):
                 stats=self.sim.stats,
                 engine=self.name,
                 algorithm=self.program.name,
-                replica_max_disagreement=replica_disagreement(
-                    self.pgraph, self.runtimes
-                ),
+                replica_max_disagreement=disagreement,
                 trace=self.tracer if self.tracer.enabled else None,
             )
         finally:

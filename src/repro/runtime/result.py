@@ -1,9 +1,17 @@
-"""Engine run results: global values, stats, replica-agreement checks."""
+"""Engine run results: global values, stats, and the readers of replica state.
+
+:func:`collect_values` and :func:`replica_disagreement` assemble every
+run's result. :class:`ReplicaReader` is the one read-only view of what
+is *pending* between replicas mid-run — per-machine ``deltaMsg`` mass,
+staleness, sampled drift — shared by the coherency lens
+(:mod:`repro.obs.lens`) and the signal-driven controllers
+(:mod:`repro.core.policy`).
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -11,7 +19,14 @@ from repro.cluster.stats import RunStats
 from repro.partition.partitioned_graph import PartitionedGraph
 from repro.runtime.machine_runtime import MachineRuntime
 
-__all__ = ["EngineResult", "collect_values", "replica_disagreement"]
+__all__ = [
+    "EngineResult", "ReplicaReader", "collect_values", "replica_disagreement",
+]
+
+#: The deterministic master↔mirror drift sample: up to this many
+#: replicated vertices, drawn with this seed.
+DRIFT_SAMPLE_SIZE = 32
+DRIFT_SAMPLE_SEED = 0
 
 
 def collect_values(
@@ -27,6 +42,21 @@ def collect_values(
     return out
 
 
+def _max_gap(size: int, parts) -> float:
+    """Max finite ``max − min`` over ``size`` slots of ``(slots, values)`` parts."""
+    lo = np.full(size, np.inf)
+    hi = np.full(size, -np.inf)
+    for slots, vals in parts:
+        np.minimum.at(lo, slots, vals)
+        np.maximum.at(hi, slots, vals)
+    # inf-inf (all replicas at ∞, e.g. unreachable SSSP vertices) yields
+    # nan: those replicas agree by definition
+    with np.errstate(invalid="ignore"):
+        diff = hi - lo
+    finite = np.isfinite(diff)
+    return float(diff[finite].max()) if finite.any() else 0.0
+
+
 def replica_disagreement(
     pgraph: PartitionedGraph, runtimes: List[MachineRuntime]
 ) -> float:
@@ -36,19 +66,92 @@ def replica_disagreement(
     PageRank) after the final data coherency point — the engine test
     suite asserts it on every converged run.
     """
-    n = pgraph.graph.num_vertices
-    lo = np.full(n, np.inf)
-    hi = np.full(n, -np.inf)
-    for rt in runtimes:
-        vals = rt.values()
-        gids = rt.mg.vertices
-        np.minimum.at(lo, gids, vals)
-        np.maximum.at(hi, gids, vals)
-    with np.errstate(invalid="ignore"):
-        diff = hi - lo  # inf-inf (all replicas at ∞, e.g. unreachable
-        # SSSP vertices) yields nan: those replicas agree by definition
-    finite = np.isfinite(diff)
-    return float(diff[finite].max()) if finite.any() else 0.0
+    return _max_gap(
+        pgraph.graph.num_vertices,
+        ((rt.mg.vertices, rt.values()) for rt in runtimes),
+    )
+
+
+class ReplicaReader:
+    """Read-only view of a lazy engine's pending replica state.
+
+    Built once per engine, and only when a lens or a ``needs_signals``
+    controller asks — the paper-policy hot path has none. Readings stay
+    per **machine**: each runtime (a block of machines) is read through
+    the slices ``mg.machine_offsets`` marks, in machine order, so every
+    float is grouped exactly as with one runtime per machine
+    (non-default controllers decide on these floats).
+    """
+
+    def __init__(self, pgraph: PartitionedGraph, runtimes, algebra) -> None:
+        self.pgraph = pgraph
+        self.runtimes = list(runtimes)
+        self.algebra = algebra
+        #: (runtime index, first slot, end slot) of every machine, in
+        #: machine order
+        self.machines: List[Tuple[int, int, int]] = []
+        for ri, rt in enumerate(self.runtimes):
+            offsets = rt.mg.machine_offsets.tolist()
+            self.machines += [
+                (ri, lo, hi) for lo, hi in zip(offsets[:-1], offsets[1:])
+            ]
+        #: the deterministic drift sample: sorted global ids (none on a
+        #: 1-machine partition)
+        self.sample = np.flatnonzero(pgraph.num_replicas > 1)
+        if self.sample.size > DRIFT_SAMPLE_SIZE:
+            rng = np.random.default_rng(DRIFT_SAMPLE_SEED)
+            self.sample = np.sort(rng.choice(
+                self.sample, size=DRIFT_SAMPLE_SIZE, replace=False
+            ))
+        # per runtime, the sampled replicas it holds: (sample slot, local idx)
+        self._sample_slots = []
+        for rt in self.runtimes:
+            idx = np.flatnonzero(np.isin(rt.mg.vertices, self.sample))
+            slots = np.searchsorted(self.sample, rt.mg.vertices[idx])
+            self._sample_slots.append((slots, idx))
+
+    def pending(
+        self, masks: Optional[Sequence[np.ndarray]] = None
+    ) -> Tuple[List[float], List[int]]:
+        """Pending ``deltaMsg`` mass and count of every machine.
+
+        ``masks`` (one boolean array per runtime) narrows the reading to
+        the masked slots. The mass is monoid-measured
+        (:meth:`~repro.api.vertex_program.DeltaAlgebra.magnitude`); fold
+        the per-machine masses left to right to keep the total's bits.
+        """
+        masses: List[float] = []
+        counts: List[int] = []
+        for ri, lo, hi in self.machines:
+            rt = self.runtimes[ri]
+            sel = rt.has_delta[lo:hi]
+            if masks is not None:
+                sel = sel & masks[ri][lo:hi]
+            idx = np.flatnonzero(sel)
+            masses.append(
+                self.algebra.magnitude(rt.delta_msg[lo:hi][idx])
+                if idx.size else 0.0
+            )
+            counts.append(int(idx.size))
+        return masses, counts
+
+    def staleness_max(self, ages: Sequence[np.ndarray]) -> int:
+        """Oldest pending delta under the caller's per-runtime clocks."""
+        return max(
+            int(age[rt.has_delta].max(initial=0))
+            for rt, age in zip(self.runtimes, ages)
+        )
+
+    def sample_drift(self) -> float:
+        """Max |master − mirror| value gap over the deterministic sample."""
+        return _max_gap(self.sample.size, (
+            (slots, rt.values()[idx])
+            for rt, (slots, idx) in zip(self.runtimes, self._sample_slots)
+        ))
+
+    def full_gap(self) -> float:
+        """Max cross-replica value gap over *all* vertices."""
+        return replica_disagreement(self.pgraph, self.runtimes)
 
 
 @dataclass

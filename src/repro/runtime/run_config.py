@@ -13,8 +13,11 @@ all run through a session.
 The pre-PR-10 ``interval=`` / ``coherency_mode=`` shim fields were
 removed after their deprecation cycle; the coherency policy is the one
 knob (:class:`~repro.core.policy.CoherencyPolicy` or a registered
-name). Dynamic-graph knobs (``incremental``) live here too, so the
-session, serving layer and CLI share one config object.
+name). Every removed knob — those, the process backend's selectors,
+the lens's options — is one row of ``_REMOVED_KNOBS``, the only place
+that knows their migration messages. Dynamic-graph knobs (``incremental``)
+live here too, so the session, serving layer and CLI share one config
+object.
 """
 
 from __future__ import annotations
@@ -28,10 +31,24 @@ __all__ = ["RunConfig"]
 
 _DEFAULT_MAX_SUPERSTEPS = 100_000
 
-#: pre-PR-10 coherency knobs; naming one raises the migration ConfigError
-_REMOVED_KNOBS = ("interval", "coherency_mode", "max_delta_age")
-#: the process backend's selectors, removed with it
-_REMOVED_BACKEND_KNOBS = ("backend", "workers")
+#: removed knob -> the one-line hint naming what replaced it
+_BACKEND_REMOVED = (
+    "{knob}= was removed with the process backend; every run "
+    "executes inline, drop the argument"
+)
+_REMOVED_KNOBS = {
+    "backend": _BACKEND_REMOVED,
+    "workers": _BACKEND_REMOVED,
+    "interval": "run(interval=...) was removed; use "
+                "policy=CoherencyPolicy(interval=...) or a named --policy",
+    "coherency_mode": "run(coherency_mode=...) was removed; use "
+                      "policy=CoherencyPolicy(mode=...) or --policy-opt mode=...",
+    "max_delta_age": "max_delta_age= was removed; use "
+                     "policy=CoherencyPolicy(max_delta_age=...) or "
+                     "--policy-opt max_delta_age=...",
+    "lens_opts": "lens_opts= was removed: the lens has no options; "
+                 "pass lens=True",
+}
 
 
 def _reject_removed_knobs(kwargs: Dict[str, Any]) -> None:
@@ -42,22 +59,9 @@ def _reject_removed_knobs(kwargs: Dict[str, Any]) -> None:
     surface as an algorithm-constructor TypeError far from the actual
     mistake.
     """
-    from repro.core.policy import resolve_policy
-
-    for knob in _REMOVED_BACKEND_KNOBS:
+    for knob, hint in _REMOVED_KNOBS.items():
         if kwargs.get(knob) is not None:
-            raise ConfigError(
-                f"{knob}= was removed with the process backend; every run "
-                f"executes inline, drop the argument"
-            )
-    removed = {k: kwargs[k] for k in _REMOVED_KNOBS if kwargs.get(k) is not None}
-    if removed:
-        resolve_policy(
-            None,
-            removed.get("interval"),
-            removed.get("coherency_mode"),
-            removed.get("max_delta_age"),
-        )
+            raise ConfigError(hint.format(knob=knob))
 
 
 @dataclass
@@ -82,8 +86,7 @@ class RunConfig:
     trace_out: Optional[str] = None
     trace_format: str = "jsonl"
     tracer: Any = None  # Optional[Tracer]
-    lens: Any = False  # bool | dict
-    lens_opts: Optional[Dict[str, Any]] = None
+    lens: bool = False
     #: warm-start from the session's previous fixpoint for this program
     #: and inject per-mutation correction deltas (delta engines on a
     #: :class:`~repro.session.GraphSession`; falls back to a cold run
@@ -157,8 +160,8 @@ class RunConfig:
                 f"coherency policy (replicas are eagerly coherent)"
             )
         if "lens" in spec.options:
-            kwargs["lens"] = dict(self.lens_opts) if self.lens_opts else self.lens
-        elif self.lens or self.lens_opts:
+            kwargs["lens"] = self.lens
+        elif self.lens:
             raise ConfigError(
                 f"engine {spec.name!r} has no coherency lens (only the lazy "
                 f"engines defer replica coherency)"

@@ -8,7 +8,6 @@ traffic is conserved and consistent with the replica topology.
 
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from repro.algorithms import (

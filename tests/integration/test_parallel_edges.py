@@ -1,7 +1,6 @@
 """Parallel-edges transmission mode: correctness + traffic behaviour."""
 
 import numpy as np
-import pytest
 
 from repro.algorithms import (
     ConnectedComponentsProgram,

@@ -12,10 +12,8 @@ the information lands.
 """
 
 import numpy as np
-import pytest
 
 from repro.algorithms import ConnectedComponentsProgram
-from repro.api.vertex_program import MIN_ALGEBRA
 from repro.core.coherency import CoherencyExchanger
 from repro.graph.digraph import DiGraph
 from repro.partition.partitioned_graph import PartitionedGraph

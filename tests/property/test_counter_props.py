@@ -46,7 +46,6 @@ def test_sync_cost_structure_always_holds(data):
 @settings(max_examples=25, deadline=None)
 def test_lazy_never_syncs_more(data):
     graph, pg = data
-    sym_needed = False
     sync = PowerGraphSyncEngine(pg, SSSPProgram(0)).run()
     lazy = LazyBlockAsyncEngine(pg, SSSPProgram(0)).run()
     assert lazy.stats.global_syncs <= sync.stats.global_syncs

@@ -1,16 +1,18 @@
-"""The op seam: dispatch order and the engine/backend lifecycle."""
+"""One pass, one dispatch: order and the engine/backend lifecycle."""
 
 from __future__ import annotations
 
-import pytest
-
 import ast
+import importlib.util
+import inspect
+
+import pytest
 
 from repro.cli import build_parser
 from repro.core.transmission import build_lazy_graph
 from repro.errors import BackendError
 from repro.run_api import prepare_graph
-from repro.runtime import machine_ops
+from repro.runtime.backend import SerialBackend
 from repro.runtime.registry import get_engine
 from repro.runtime.run_config import RunConfig
 from tests.unit.test_records import SRC, _tree
@@ -29,14 +31,10 @@ def test_dispatch_returns_results_in_machine_order(er_graph, monkeypatch):
 
     monkeypatch.setattr(pgmod, "_BLOCK_EDGE_BUDGET", 0)  # a runtime per machine
     eng = _make_engine(er_graph)
-    monkeypatch.setitem(
-        machine_ops.OP_HANDLERS, "whoami",
-        lambda rt, ctx, payload: (rt.mg.machine_id, payload["tag"]),
-    )
-    assert eng.backend.dispatch("whoami", {"tag": "t"}) == [
+    assert eng.backend.dispatch(lambda rt: (rt.mg.machine_id, "t")) == [
         (m, "t") for m in range(4)
     ]
-    work = eng.backend.dispatch_work("bootstrap", {"track_delta": True})
+    work = eng.backend.dispatch_work(lambda rt: rt.bootstrap(True))
     assert work.shape == (2, 4)
 
 
@@ -65,7 +63,7 @@ class TestFinishedEngineIsNotCyclicGarbage:
         eng = _make_engine(er_graph)
         eng.run()
         with pytest.raises(BackendError, match="closed"):
-            eng.backend.dispatch("bootstrap", {"track_delta": True})
+            eng.backend.dispatch(lambda rt: rt.bootstrap(True))
 
 
 class TestOneExecutionPath:
@@ -91,6 +89,29 @@ class TestOneExecutionPath:
             if isinstance(n, ast.ClassDef)
         ]
         assert classes == ["SerialBackend"]
+
+    @pytest.mark.parametrize(
+        "module", ["repro.runtime.machine_ops", "repro.cluster.machine"]
+    )
+    def test_deleted_modules_stay_deleted(self, module):
+        assert importlib.util.find_spec(module) is None
+
+    def test_dispatch_takes_the_step_itself(self):
+        # no op name, no payload: one callable, applied to each runtime
+        for method in (SerialBackend.dispatch, SerialBackend.dispatch_work):
+            assert list(inspect.signature(method).parameters) == [
+                "self", "step",
+            ]
+
+    def test_lens_has_no_reader_of_its_own(self):
+        from repro.obs.lens import CoherencyLens
+
+        assert not {"sample_drift", "full_drift", "_pick_drift_sample"} & set(
+            vars(CoherencyLens)
+        )
+
+    def test_no_lens_options_on_the_run_config(self):
+        assert "lens_opts" not in RunConfig.field_names()
 
     def test_no_backend_selector_on_any_surface(self):
         assert not {"backend", "workers"} & set(RunConfig.field_names())

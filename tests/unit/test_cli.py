@@ -45,6 +45,19 @@ class TestParser:
         assert exit_.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", [
+        ["--lens-rollup-after", "10"], ["--lens-rollup-every", "0"],
+    ], ids=lambda f: f[0])
+    def test_lens_rollup_flags_are_gone(self, flag, capsys):
+        # the rollup is a constant; `--lens-rollup-every 0` used to be a
+        # bare ValueError traceback from the lens constructor
+        command = ["run", "--graph", "road-ca-mini", "--algorithm", "cc", "--lens"]
+        build_parser().parse_args(command)
+        with pytest.raises(SystemExit) as exit_:
+            build_parser().parse_args(command + flag)
+        assert exit_.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_datasets(self, capsys):

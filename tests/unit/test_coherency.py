@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.algorithms import ConnectedComponentsProgram, PageRankDeltaProgram
-from repro.api.vertex_program import DeltaAlgebra, DeltaProgram
-from repro.cluster.network import CommMode, NetworkModel
+from repro.api.vertex_program import DeltaAlgebra
+from repro.cluster.network import CommMode
 from repro.core.coherency import CoherencyExchanger
 from repro.errors import EngineError
 from repro.graph.digraph import DiGraph

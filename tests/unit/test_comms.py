@@ -3,7 +3,6 @@ per-channel accounting invariants of the ISSUE acceptance criteria
 (sum of per-channel bytes/messages/rounds/syncs == RunStats totals,
 for every engine in the registry)."""
 
-import numpy as np
 import pytest
 
 from repro.cluster.network import CommMode

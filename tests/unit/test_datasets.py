@@ -1,6 +1,5 @@
 """Unit tests for the Table 1 dataset registry."""
 
-import numpy as np
 import pytest
 
 from repro.errors import DatasetError

@@ -23,6 +23,11 @@ def make_setup():
     return g, pg, prog, rts, EagerExchange(pg, prog, rts)
 
 
+def apply_all(ex, rts):
+    """What ``SerialBackend.dispatch_work(ex.apply_on)`` does in an engine."""
+    return np.concatenate([ex.apply_on(rt) for rt in rts], axis=1)
+
+
 def set_msg(rts, machine, vertex, value):
     rt = rts[machine]
     idx = int(np.flatnonzero(rt.mg.vertices == vertex)[0])
@@ -89,7 +94,7 @@ class TestApplyAll:
         for m in machines:
             set_msg(rts, m, 1, 0.25)
         ex.collect()
-        ex.apply_all()
+        apply_all(ex, rts)
         vals = []
         for m in machines:
             rt = rts[m]
@@ -110,6 +115,6 @@ class TestApplyAll:
         g, pg, prog, rts, ex = make_setup()
         set_msg(rts, 0, 0, 1.0)
         ex.collect()
-        edges, applies = ex.apply_all()
+        edges, applies = apply_all(ex, rts)
         assert edges.shape == applies.shape == (3,)  # one entry per machine
         assert applies.sum() >= 1

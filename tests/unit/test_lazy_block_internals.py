@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.algorithms import ConnectedComponentsProgram, SSSPProgram
+from repro.algorithms import SSSPProgram
 from repro.core import (
     AdaptiveIntervalModel,
     LazyBlockAsyncEngine,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.api.vertex_program import MIN_ALGEBRA, SUM_ALGEBRA
-from repro.obs import NULL_TRACER, Tracer
+from repro.obs import Tracer
 from repro.obs.lens import (
     CoherencyDecision,
     CoherencyLens,
@@ -34,7 +34,7 @@ class TestNullLens:
         lens.probe()
         lens.on_staged(1.0)
         lens.decision("turn_on_lazy", "adaptive", "lazy-on", trend=0.1)
-        lens.finish(True)
+        lens.finish(True, 0.0)
         assert lens.enabled is False
         assert NULL_LENS.enabled is False
 
@@ -151,7 +151,7 @@ class TestDriftSampling:
         g = load_dataset("road-ca-mini")
         pg = build_lazy_graph(g, 1, seed=0)
         eng = LazyBlockAsyncEngine(pg, make_program("pagerank"), lens=True)
-        assert eng.lens.sample_drift() == 0.0
+        assert eng.replicas.sample_drift() == 0.0
         eng.run()
         assert eng.lens.final_drift == 0.0
 
@@ -165,10 +165,9 @@ class TestDriftSampling:
         pg = build_lazy_graph(g, 8, seed=0)
         a = LazyBlockAsyncEngine(pg, make_program("pagerank"), lens=True)
         b = LazyBlockAsyncEngine(pg, make_program("pagerank"), lens=True)
-        gids_a, _ = a.lens._sample
-        gids_b, _ = b.lens._sample
-        assert np.array_equal(gids_a, gids_b)
-        assert gids_a.size > 0
+        assert a.lens.reader is a.replicas  # the lens reads, never samples
+        assert np.array_equal(a.replicas.sample, b.replicas.sample)
+        assert a.replicas.sample.size > 0
 
     def test_finish_is_idempotent(self):
         result, tracer = _lens_run()
@@ -177,35 +176,36 @@ class TestDriftSampling:
 
 
 class TestTraceRollup:
-    """Long-run trace rollup: past ``rollup_after`` only every k-th
-    superstep emits the per-superstep instants; metrics and the decision
-    audit log always stay complete."""
+    """Long-run trace rollup: past ``ROLLUP_AFTER`` only every
+    ``ROLLUP_EVERY``-th superstep emits the per-superstep instants;
+    metrics and the decision audit log always stay complete. The two
+    are constants — the tests patch them down to mini-run size."""
 
-    def _fresh_lens(self, tracer, **kwargs):
+    def _fresh_lens(self, tracer, monkeypatch, rollup_after, rollup_every):
+        import repro.obs.lens as lens_mod
         from repro.algorithms import make_program
         from repro.core.transmission import build_lazy_graph
         from repro.graph.datasets import load_dataset
         from repro.runtime.machine_runtime import MachineRuntime
+        from repro.runtime.result import ReplicaReader
 
+        monkeypatch.setattr(lens_mod, "ROLLUP_AFTER", rollup_after)
+        monkeypatch.setattr(lens_mod, "ROLLUP_EVERY", rollup_every)
         g = load_dataset("road-ca-mini")
         pg = build_lazy_graph(g, 2, seed=0)
         prog = make_program("pagerank")
         rts = [MachineRuntime(mg, prog) for mg in pg.machines]
-        return CoherencyLens(rts, pg, prog, tracer=tracer, **kwargs)
+        return CoherencyLens(
+            ReplicaReader(pg, rts, prog.algebra), tracer=tracer
+        )
 
-    def test_invalid_parameters_rejected(self):
-        with pytest.raises(ValueError, match="rollup"):
-            self._fresh_lens(None, rollup_after=-1)
-        with pytest.raises(ValueError, match="rollup"):
-            self._fresh_lens(None, rollup_every=0)
-
-    def test_instants_sampled_past_the_threshold(self):
+    def test_instants_sampled_past_the_threshold(self, monkeypatch):
         tracer = Tracer()
-        lens = self._fresh_lens(tracer, rollup_after=5, rollup_every=3)
+        lens = self._fresh_lens(tracer, monkeypatch, 5, 3)
         for step in range(20):
             lens.begin_superstep(step)
             lens.probe()
-        lens.finish(True)
+        lens.finish(True, 0.0)
         probes = tracer.instants("lens-probe")
         # full resolution below 5, then steps 6, 9, 12, 15, 18
         assert [p["attrs"]["superstep"] for p in probes] == [
@@ -216,9 +216,9 @@ class TestTraceRollup:
         finals = tracer.instants("lens-final")
         assert finals[0]["attrs"]["rolled_up"] == 10
 
-    def test_metrics_complete_under_rollup(self):
+    def test_metrics_complete_under_rollup(self, monkeypatch):
         tracer = Tracer()
-        lens = self._fresh_lens(tracer, rollup_after=0, rollup_every=100)
+        lens = self._fresh_lens(tracer, monkeypatch, 0, 100)
         rt = lens.runtimes[0]
         rt.delta_msg[:2] = 1.0
         rt.has_delta[:2] = True
@@ -229,9 +229,9 @@ class TestTraceRollup:
         assert len(tracer.instants("lens-probe")) == 1
         assert lens.probes == 10
 
-    def test_decision_log_never_sampled(self):
+    def test_decision_log_never_sampled(self, monkeypatch):
         tracer = Tracer()
-        lens = self._fresh_lens(tracer, rollup_after=0, rollup_every=50)
+        lens = self._fresh_lens(tracer, monkeypatch, 0, 50)
         for step in range(8):
             lens.begin_superstep(step)
             lens.probe()

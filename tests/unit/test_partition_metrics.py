@@ -33,7 +33,7 @@ class TestMetrics:
     def test_volume_estimates_upper_bound_measured(self, er_graph):
         """The a-priori exchange estimate bounds any real exchange."""
         from repro.algorithms import ConnectedComponentsProgram
-        from repro.core import CoherencyExchanger, LazyBlockAsyncEngine
+        from repro.core import LazyBlockAsyncEngine
         from repro.core.transmission import build_lazy_graph
 
         sym = er_graph.symmetrized()

@@ -13,9 +13,9 @@ from repro.core.policy import (
     CoherencySignals,
     ExchangeDirective,
     PaperRuleController,
-    SignalTap,
     StalenessController,
     controller_names,
+    extended_signals,
     get_policy,
     make_controller,
     policy_names,
@@ -236,44 +236,39 @@ class TestResolvePolicy:
         assert pol.controller == "staleness"
         assert explicit is True
 
-    def test_removed_interval_raises_with_migration_hint(self):
-        with pytest.raises(ConfigError, match="CoherencyPolicy\\(interval"):
-            resolve_policy(interval="never")
+    def test_takes_the_policy_and_nothing_else(self):
+        import inspect
 
-    def test_removed_mode_raises_with_migration_hint(self):
-        with pytest.raises(ConfigError, match="mode=..."):
-            resolve_policy(coherency_mode="a2a")
-
-    def test_removed_max_delta_age_raises_with_migration_hint(self):
-        with pytest.raises(ConfigError, match="max_delta_age"):
-            resolve_policy(max_delta_age=4)
+        assert list(inspect.signature(resolve_policy).parameters) == ["policy"]
 
 
 class TestSignalTap:
+    """The extended signals the tap used to sample privately, measured
+    through the engine's one ``ReplicaReader`` (same numbers)."""
+
     @pytest.fixture(scope="class")
     def tap_setup(self):
         from repro.algorithms import make_program
         from repro.core.transmission import build_lazy_graph
         from repro.graph.datasets import load_dataset
         from repro.runtime.machine_runtime import MachineRuntime
+        from repro.runtime.result import ReplicaReader
 
         g = load_dataset("road-ca-mini")
         pg = build_lazy_graph(g, 4, seed=0)
         prog = make_program("pagerank")
         rts = [MachineRuntime(mg, prog) for mg in pg.machines]
-        return rts, pg, prog
+        return rts, pg, prog, lambda: ReplicaReader(pg, rts, prog.algebra)
 
     def test_quiet_cluster_reads_zero(self, tap_setup):
-        rts, pg, prog = tap_setup
-        tap = SignalTap(rts, pg, prog)
-        s = tap.read(0, pg.graph.ev_ratio, 0.0, 0)
+        rts, pg, prog, reader = tap_setup
+        s = CoherencySignals(0, 2.0, 0.0, 0, **extended_signals(reader()))
         assert s.pending_mass == 0.0
         assert s.pending_replicas == 0
         assert s.staleness_max == 0
 
     def test_pending_deltas_are_measured(self, tap_setup):
-        rts, pg, prog = tap_setup
-        tap = SignalTap(rts, pg, prog)
+        rts, pg, prog, reader = tap_setup
         rt = rts[0]
         rt.delta_msg[:3] = 2.0
         rt.has_delta[:3] = True
@@ -281,20 +276,53 @@ class TestSignalTap:
                 for r in rts]
         ages[0][:3] = 4
         try:
-            s = tap.read(1, pg.graph.ev_ratio, 0.0, 3, ages=ages)
+            s = CoherencySignals(1, 2.0, 0.0, 3, **extended_signals(reader(), ages))
             assert s.pending_mass == pytest.approx(6.0)
             assert s.pending_replicas == 3
             assert s.staleness_max == 4
+            masses, counts = reader().pending()
+            assert (masses[0], counts[0]) == (6.0, 3)
+            assert not any(masses[1:]) and not any(counts[1:])
         finally:
             rt.delta_msg[:3] = prog.algebra.identity
             rt.has_delta[:3] = False
 
     def test_drift_sample_is_deterministic(self, tap_setup):
-        rts, pg, prog = tap_setup
-        a = SignalTap(rts, pg, prog)
-        b = SignalTap(rts, pg, prog)
-        assert a._locations == b._locations
-        assert a.drift_sample() == b.drift_sample()
+        rts, pg, prog, reader = tap_setup
+        a, b = reader(), reader()
+        assert np.array_equal(a.sample, b.sample) and a.sample.size == 32
+        assert a.sample_drift() == b.sample_drift()
+
+    def test_one_full_pass_serves_the_result_and_the_lens(self, monkeypatch):
+        """A lens-on run measures the full cross-replica gap once: the
+        reader's gap, the lens's final drift and the result's
+        disagreement are one float."""
+        import repro.runtime.base_engine as base_engine
+        from repro.algorithms import make_program
+        from repro.core.lazy_block_async import LazyBlockAsyncEngine
+        from repro.core.transmission import build_lazy_graph
+        from repro.graph.datasets import load_dataset
+
+        calls = []
+        real = base_engine.replica_disagreement
+
+        def counted(pgraph, runtimes):
+            calls.append(1)
+            return real(pgraph, runtimes)
+
+        monkeypatch.setattr(base_engine, "replica_disagreement", counted)
+        pg = build_lazy_graph(load_dataset("road-ca-mini"), 8, seed=0)
+        eng = LazyBlockAsyncEngine(
+            pg, make_program("pagerank", tolerance=1e-3), lens=True
+        )
+        assert not hasattr(eng.lens, "full_drift")
+        result = eng.run()
+        assert len(calls) == 1
+        gap = eng.replicas.full_gap()
+        assert gap > 0.0  # tolerance-level float noise, not a trivial 0
+        assert eng.lens.final_drift == gap
+        assert result.replica_max_disagreement == gap
+        assert result.stats.extra["lens.final_drift"] == gap
 
 
 class TestShimRemoval:
@@ -318,6 +346,21 @@ class TestShimRemoval:
         with pytest.raises(ConfigError, match="mode=..."):
             run("road-ca-mini", "cc", engine="lazy-vertex",
                 machines=4, seed=0, coherency_mode="a2a")
+
+    @pytest.mark.parametrize("knob, hint", [
+        ({"interval": "never"}, "CoherencyPolicy\\(interval=...\\) or a named"),
+        ({"coherency_mode": "a2a"}, "--policy-opt mode=..."),
+        ({"max_delta_age": 4}, "--policy-opt max_delta_age=..."),
+        ({"lens_opts": {"rollup_every": 5}},
+         "the lens has no options; pass lens=True"),
+    ], ids=lambda v: next(iter(v)) if isinstance(v, dict) else "")
+    def test_removed_knobs_name_their_replacement(self, knob, hint):
+        # the one table of removed knobs, asserted where callers hit it
+        from repro.runtime.run_config import RunConfig
+
+        with pytest.raises(ConfigError, match=hint) as err:
+            RunConfig.from_kwargs(**knob)
+        assert "\n" not in str(err.value)
 
     def test_policy_interval_spelling_runs(self):
         from repro.run_api import run

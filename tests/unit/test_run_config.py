@@ -62,8 +62,6 @@ class TestEngineKwargs:
 
     def test_lens_gated_on_engine_options(self):
         assert RunConfig(lens=True).engine_kwargs(LAZY)["lens"] is True
-        opts = {"sample_size": 8}
-        assert RunConfig(lens_opts=opts).engine_kwargs(LAZY)["lens"] == opts
         with pytest.raises(ConfigError, match="no coherency lens"):
             RunConfig(lens=True).engine_kwargs(EAGER)
 
@@ -94,6 +92,22 @@ class TestRemovedKnobs:
             build(source=0, **knob)
         assert "\n" not in str(err.value)
 
+    @pytest.mark.parametrize("build", [
+        RunConfig.from_kwargs, RunConfig().with_overrides,
+    ], ids=["from_kwargs", "with_overrides"])
+    def test_lens_opts_rejected_in_one_line(self, build):
+        with pytest.raises(ConfigError, match="the lens has no options") as err:
+            build(lens=True, lens_opts={"rollup_every": 5})
+        assert "\n" not in str(err.value)
+        assert "lens_opts" not in RunConfig.field_names()
+
+    def test_lens_opts_is_not_an_experiment_file_key(self):
+        with pytest.raises(ConfigError, match="unknown keys \\['lens_opts'\\]"):
+            _build_config(
+                {"graph": "road-ca-mini", "algorithm": "pagerank",
+                 "lens_opts": {"rollup_every": 5}}, {}, 0,
+            )
+
 
 class TestExperimentConfigBridge:
     """Flat experiment-file keys -> the RunConfig an experiment carries."""
@@ -121,12 +135,12 @@ class TestExperimentConfigBridge:
         rc = self._run_config()
         assert rc.policy is None
 
-    def test_lens_opts_imply_lens_and_params_resolve(self):
+    def test_lens_flag_and_params_resolve(self):
         exp = _build_config(
             {"graph": "road-ca-mini", "algorithm": "pagerank",
-             "lens_opts": {"sample_size": 4}, "params": {"tolerance": 1e-5}},
+             "lens": True, "params": {"tolerance": 1e-5}},
             {}, 0,
         )
-        assert exp.run.engine_kwargs(LAZY)["lens"] == {"sample_size": 4}
+        assert exp.run.engine_kwargs(LAZY)["lens"] is True
         # figure defaults overlaid with explicit params
         assert exp.resolved_params() == {"tolerance": 1e-5}

@@ -51,37 +51,6 @@ class TestClusterSim:
         sim.barrier()
         assert sim.stats.compute_time_s == pytest.approx(1.0)
 
-    def test_local_send_free(self):
-        sim = ClusterSim(2)
-        sim.send(0, 0, np.zeros(4))
-        assert sim.stats.comm_bytes == 0.0
-        assert sim.stats.comm_messages == 0
-        assert len(sim.machines[0].mailbox) == 1
-
-    def test_remote_send_counted(self):
-        sim = ClusterSim(2)
-        payload = np.zeros(4)
-        sim.send(0, 1, payload)
-        assert sim.stats.comm_bytes == payload.nbytes
-        assert sim.stats.comm_messages == 1
-
-    def test_send_requires_size(self):
-        sim = ClusterSim(2)
-        with pytest.raises(EngineError, match="nbytes"):
-            sim.send(0, 1, object())
-
-    def test_send_explicit_size(self):
-        sim = ClusterSim(2)
-        sim.send(0, 1, {"k": 1}, nbytes=100)
-        assert sim.stats.comm_bytes == 100
-
-    def test_drain_all(self):
-        sim = ClusterSim(2)
-        sim.send(0, 1, np.zeros(1))
-        boxes = sim.drain_all()
-        assert len(boxes[1]) == 1
-        assert len(sim.machines[1].mailbox) == 0
-
     def test_bulk_transfer(self):
         sim = ClusterSim(4)
         sim.bulk_transfer(1e4, 25)

@@ -4,12 +4,13 @@ import pytest
 
 from repro.cluster.simulator import ClusterSim
 from repro.cluster.termination import PROBE_BYTES_PER_MACHINE, TerminationDetector
+from repro.comms import ExchangePlane
 
 
 @pytest.fixture()
 def setup():
     sim = ClusterSim(4)
-    return sim, TerminationDetector(sim)
+    return sim, TerminationDetector(sim, ExchangePlane(sim).control)
 
 
 class TestDetector:

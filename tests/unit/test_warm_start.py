@@ -137,9 +137,6 @@ class TestIdempotentPlan:
 class TestInvertiblePlan:
     def test_corrections_only_touch_affected_targets(self):
         g = erdos_renyi_graph(40, 200, seed=5)
-        import repro
-
-        res = repro.run(g, "pagerank", machines=2, seed=0, tolerance=1e-4)
         program = make_program("pagerank", tolerance=1e-4)
         # capture full state via a session-style global view
         pgraph = build_lazy_graph(g, 2, seed=0)
