@@ -16,11 +16,7 @@ import math
 from repro.algorithms import PageRankDeltaProgram, SSSPProgram
 from repro.bench.harness import session_for
 from repro.bench.reporting import format_table
-from repro.core import (
-    AdaptiveIntervalModel,
-    LazyBlockAsyncEngine,
-    PaperRuleController,
-)
+from repro.core import CoherencyPolicy, LazyBlockAsyncEngine
 
 EV_GRID = (0.0, 5.0, 10.0, 30.0)  # 0 ⇒ E/V arm never fires; 30 ⇒ always
 TREND_GRID = (-1.0, 0.0, 0.07, 0.5, math.inf)  # -1 ⇒ always; inf ⇒ never
@@ -34,14 +30,16 @@ MACHINES = 24
 
 def _run_policy(ev_t, trend_t):
     total = 0.0
-    model = AdaptiveIntervalModel(ev_threshold=ev_t, trend_threshold=trend_t)
+    policy = CoherencyPolicy(
+        options=(("ev_threshold", ev_t), ("trend_threshold", trend_t))
+    )
     for graph_name, alg in WORKLOADS:
         if alg == "sssp":
             prog = SSSPProgram(0)
         else:
             prog = PageRankDeltaProgram(tolerance=1e-3)
         pg = session_for(graph_name, MACHINES).partitioned(prog)
-        r = LazyBlockAsyncEngine(pg, prog, controller=PaperRuleController(model)).run()
+        r = LazyBlockAsyncEngine(pg, prog, policy=policy).run()
         total += r.stats.modeled_time_s
     return total
 

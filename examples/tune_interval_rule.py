@@ -17,7 +17,7 @@ methodology on the mini workloads:
 
 import repro
 from repro.bench import PAPER_INTERVAL_RULE, format_table
-from repro.core.interval_model import fit_interval_rule
+from repro.core.policy import CoherencySignals, fit_interval_rule
 
 
 def harvest_samples():
@@ -63,13 +63,14 @@ def main() -> None:
         ev_candidates=[2.5, 5.0, 10.0, 15.0, 25.0],
         trend_candidates=[0.0, 0.03, 0.07, 0.15, 0.5],
     )
+    fitted = rule.make_controller()
     errors = sum(
         1
         for ev, tr, label in samples
-        if rule.turn_on_lazy(ev, tr) != label
+        if fitted.turn_on_lazy(CoherencySignals(0, ev, tr, 0)) != label
     )
-    print(f"\nfitted rule : E/V <= {rule.ev_threshold}"
-          f"  or  trend >= {rule.trend_threshold}"
+    print(f"\nfitted rule : E/V <= {fitted.ev_threshold}"
+          f"  or  trend >= {fitted.trend_threshold}"
           f"   ({errors}/{len(samples)} misclassified)")
     print(f"paper's rule: E/V <= {PAPER_INTERVAL_RULE['ev_threshold']:.0f}"
           f"  or  trend >= {PAPER_INTERVAL_RULE['trend_threshold']}")
@@ -79,7 +80,7 @@ def main() -> None:
     for graph, alg in (("road-usa-mini", "sssp"), ("twitter-mini", "pagerank")):
         total_fit += repro.run(
             graph, alg, machines=24,
-            policy=repro.CoherencyPolicy(interval=rule),
+            policy=rule,
         ).stats.modeled_time_s
         total_paper += repro.run(graph, alg, machines=24).stats.modeled_time_s
     print(f"\nbasket time — fitted: {total_fit:.3f}s, paper rule: {total_paper:.3f}s")

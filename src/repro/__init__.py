@@ -22,24 +22,15 @@ from repro.api import DeltaAlgebra, DeltaProgram, MAX_ALGEBRA, MIN_ALGEBRA, SUM_
 from repro.algorithms import make_program, program_names
 from repro.cluster import ClusterSim, CommMode, NetworkModel, RunStats
 from repro.core import (
-    AdaptiveIntervalModel,
     BatchedController,
     CoherencyController,
     CoherencyPolicy,
     CoherencySignals,
     LazyBlockAsyncEngine,
     LazyVertexAsyncEngine,
-    NeverLazyModel,
-    PaperRuleController,
-    SimpleIntervalModel,
     StalenessController,
     build_lazy_graph,
     controller_names,
-    get_policy,
-    make_controller,
-    make_interval_model,
-    policy_names,
-    register_policy,
 )
 from repro.errors import ReproError
 from repro.graph import DiGraph, dataset_info, dataset_names, load_dataset
@@ -119,21 +110,12 @@ __all__ = [
     "Channel",
     "Delivery",
     "PayloadSchema",
-    "AdaptiveIntervalModel",
-    "SimpleIntervalModel",
-    "NeverLazyModel",
-    "make_interval_model",
     "CoherencyController",
     "CoherencyPolicy",
     "CoherencySignals",
-    "PaperRuleController",
     "StalenessController",
     "BatchedController",
-    "make_controller",
     "controller_names",
-    "register_policy",
-    "get_policy",
-    "policy_names",
     "NetworkModel",
     "CommMode",
     "ClusterSim",

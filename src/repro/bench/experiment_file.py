@@ -59,8 +59,8 @@ def _build_config(entry: Dict, defaults: Dict, index: int) -> ExperimentConfig:
     if removed:
         raise ConfigError(
             f"experiment #{index}: {sorted(removed)} were removed; use "
-            f'"policy" / "policy_opts" (e.g. "policy_opts": '
-            f'{{"interval": "simple", "mode": "a2a"}})'
+            f'"policy" / "policy_opts" (e.g. "policy": "simple", '
+            f'"policy_opts": {{"mode": "a2a"}})'
         )
     unknown = set(merged) - _ALLOWED_KEYS
     if unknown:

@@ -35,12 +35,12 @@ from repro.bench.harness import compare_lazy_vs_sync, session_for
 from repro.bench.reporting import format_series, format_table
 from repro.graph.datasets import dataset_info, dataset_names, load_dataset
 from repro.graph.properties import compute_properties
-from repro.core.policy import named_policy, policy_names
+from repro.core.policy import controller_names, named_policy
 from repro.obs.sinks import TRACE_FORMATS
 from repro.run_api import run
 from repro.runtime.registry import engine_names
 
-POLICY_NAMES = policy_names()
+POLICY_NAMES = controller_names()
 
 __all__ = ["main", "build_parser"]
 
@@ -83,8 +83,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_run.add_argument(
         "--policy", choices=list(POLICY_NAMES),
-        help="named coherency policy (controller + interval + wire mode "
-             "+ max_delta_age in one knob; lazy engines)",
+        help="named coherency policy (its controller + wire mode + "
+             "max_delta_age in one knob; lazy engines)",
     )
     p_run.add_argument(
         "--policy-opt", action="append", metavar="K=V", default=[],

@@ -80,7 +80,7 @@ class RunStats:
         constructed with ``trace=True``): dicts with the superstep
         index, active count, cumulative syncs/bytes/modeled time, and
         engine-specific fields. Powers convergence plots and the
-        adaptive interval model's offline analysis.
+        adaptive interval rule's offline analysis.
     """
 
     global_syncs: int = 0

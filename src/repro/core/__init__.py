@@ -13,24 +13,16 @@ coherency points (paper §3). This package provides:
   coherency triggered by delta age;
 * :class:`CoherencyExchanger` — the delta exchange in both all-to-all
   and mirrors-to-master modes with the paper's §4.2.2 dynamic switch;
-* the adaptive interval model (§4.2.1) deciding when lazy mode turns on
-  and how long a local stage may run;
-* the coherency-controller layer (:mod:`repro.core.policy`)
-  generalizing the interval model: pluggable
-  :class:`CoherencyController` strategies fed a per-superstep
-  :class:`CoherencySignals` snapshot, unified behind the
-  :class:`CoherencyPolicy` knob;
+* the coherency controllers (:mod:`repro.core.policy`): the paper's
+  adaptive rule (§4.2.1) deciding when lazy mode turns on and how long
+  a local stage may run is :class:`CoherencyController`; every other
+  named policy is a subclass fed the same per-superstep
+  :class:`CoherencySignals` snapshot, chosen by one
+  :class:`CoherencyPolicy` value;
 * :func:`build_lazy_graph` — one-call partition + edge-split pipeline.
 """
 
 from repro.core.coherency import CoherencyExchanger, ExchangeReport
-from repro.core.interval_model import (
-    AdaptiveIntervalModel,
-    IntervalModel,
-    NeverLazyModel,
-    SimpleIntervalModel,
-    make_interval_model,
-)
 from repro.core.lazy_block_async import LazyBlockAsyncEngine
 from repro.core.lazy_vertex_async import LazyVertexAsyncEngine
 from repro.core.policy import (
@@ -39,13 +31,8 @@ from repro.core.policy import (
     CoherencyPolicy,
     CoherencySignals,
     ExchangeDirective,
-    PaperRuleController,
     StalenessController,
     controller_names,
-    get_policy,
-    make_controller,
-    policy_names,
-    register_policy,
     resolve_policy,
 )
 from repro.core.transmission import build_lazy_graph
@@ -53,23 +40,13 @@ from repro.core.transmission import build_lazy_graph
 __all__ = [
     "CoherencyExchanger",
     "ExchangeReport",
-    "IntervalModel",
-    "AdaptiveIntervalModel",
-    "SimpleIntervalModel",
-    "NeverLazyModel",
-    "make_interval_model",
     "CoherencyController",
     "CoherencyPolicy",
     "CoherencySignals",
     "ExchangeDirective",
-    "PaperRuleController",
     "StalenessController",
     "BatchedController",
-    "make_controller",
     "controller_names",
-    "register_policy",
-    "get_policy",
-    "policy_names",
     "resolve_policy",
     "LazyBlockAsyncEngine",
     "LazyVertexAsyncEngine",

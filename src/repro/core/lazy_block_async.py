@@ -7,7 +7,7 @@ Execution alternates two stages:
   data — replicas of a vertex drift apart, new local views become
   visible to local neighbours immediately, and one-edge messages
   accumulate into ``deltaMsg``. No communication, no synchronization.
-  The stage is bounded by the interval model's ``doLC()`` budget
+  The stage is bounded by the controller's ``doLC()`` budget
   (``3·T`` of the stage's first micro-iteration by default) or ends at
   local quiescence.
 * **data coherency stage**: one delta exchange (all-to-all or
@@ -23,7 +23,7 @@ the graph's E/V ratio and the active-count trend.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
@@ -32,10 +32,10 @@ from repro.cluster.network import NetworkModel
 from repro.comms import Delivery
 from repro.core.coherency import CoherencyExchanger
 from repro.core.policy import (
-    CoherencyController,
+    CoherencyPolicy,
     CoherencySignals,
-    PaperRuleController,
     extended_signals,
+    resolve_policy,
 )
 from repro.obs.lens import CoherencyLens
 from repro.partition.partitioned_graph import PartitionedGraph
@@ -53,14 +53,11 @@ class LazyBlockAsyncEngine(BaseEngine):
 
     Parameters
     ----------
-    controller:
-        A :class:`~repro.core.policy.CoherencyController` deciding the
-        coherency points from the full :class:`CoherencySignals`
-        snapshot (default: the paper rule under the adaptive interval
-        model; pass ``PaperRuleController(model)`` for another
-        ``turnOnLazy``/``doLC`` strategy).
-    coherency_mode:
-        ``"dynamic"`` (paper default), ``"a2a"`` or ``"m2m"``.
+    policy:
+        The :class:`~repro.core.policy.CoherencyPolicy` (or its name)
+        deciding the coherency points and the exchange's wire mode
+        (default: the paper rule, ``"dynamic"`` mode). The engine builds
+        its own controller from it.
     lens:
         Enable the coherency lens (:mod:`repro.obs.lens`): staleness/
         divergence probes and the decision audit log. Off by default —
@@ -74,19 +71,19 @@ class LazyBlockAsyncEngine(BaseEngine):
         pgraph: PartitionedGraph,
         program: DeltaProgram,
         network: Optional[NetworkModel] = None,
-        coherency_mode: str = "dynamic",
+        policy: Union[str, CoherencyPolicy, None] = None,
         max_supersteps: int = 100_000,
         trace: bool = False,
         tracer=None,
         lens: bool = False,
-        controller: Optional[CoherencyController] = None,
         plans=None,
     ) -> None:
         super().__init__(
             pgraph, program, network, max_supersteps, trace, tracer,
             plans=plans,
         )
-        self.controller = controller or PaperRuleController()
+        self.policy = resolve_policy(policy)
+        self.controller = self.policy.make_controller()
         # the one reader of pending replica state, shared by the lens
         # and a signal-driven controller; the paper path builds none
         self.replicas = (
@@ -99,7 +96,7 @@ class LazyBlockAsyncEngine(BaseEngine):
                 self.replicas, self.tracer, self.sim.stats, self.comms
             )
         self.exchanger = CoherencyExchanger(
-            pgraph, program, self.runtimes, coherency_mode, self.sim.network,
+            pgraph, program, self.runtimes, self.policy.mode, self.sim.network,
             tracer=self.tracer, plane=self.comms, delivery=Delivery.BSP,
             lens=self.lens,
         )

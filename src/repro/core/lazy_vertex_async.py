@@ -20,7 +20,7 @@ for lazy coherency in an asynchronous setting.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Union
 
 import numpy as np
 
@@ -30,12 +30,11 @@ from repro.cluster.termination import TerminationDetector
 from repro.comms import Delivery
 from repro.core.coherency import CoherencyExchanger, no_participants
 from repro.core.policy import (
-    CoherencyController,
+    CoherencyPolicy,
     CoherencySignals,
-    PaperRuleController,
     extended_signals,
+    resolve_policy,
 )
-from repro.errors import EngineError
 from repro.obs.lens import CoherencyLens
 from repro.partition.partitioned_graph import PartitionedGraph
 from repro.runtime.base_engine import BaseEngine
@@ -50,16 +49,15 @@ class LazyVertexAsyncEngine(BaseEngine):
 
     Parameters
     ----------
-    max_delta_age:
-        A replica's pending delta is exchanged once it is this many
-        local rounds old. 1 = exchange every round (most coherent);
-        larger values trade staleness for fewer exchanges.
-    controller:
-        A :class:`~repro.core.policy.CoherencyController` whose
-        ``partial_exchange`` directive can defer or widen each
-        superstep's partial exchange (default: the paper rule — every
-        due replica triggers its own exchange, bit-identical to the
-        pre-controller engine).
+    policy:
+        The :class:`~repro.core.policy.CoherencyPolicy` (or its name).
+        Its ``max_delta_age`` is the age, in local rounds, at which a
+        replica's pending delta comes due (1 = exchange every round,
+        most coherent; larger values trade staleness for fewer
+        exchanges); its controller's ``partial_exchange`` directive can
+        defer or widen each superstep's partial exchange (default: the
+        paper rule — every due replica triggers its own exchange). The
+        engine builds its own controller from it.
     lens:
         Enable the coherency lens (:mod:`repro.obs.lens`): staleness/
         divergence probes and the decision audit log. Off by default.
@@ -72,23 +70,19 @@ class LazyVertexAsyncEngine(BaseEngine):
         pgraph: PartitionedGraph,
         program: DeltaProgram,
         network: Optional[NetworkModel] = None,
-        coherency_mode: str = "dynamic",
-        max_delta_age: int = 3,
+        policy: Union[str, CoherencyPolicy, None] = None,
         max_supersteps: int = 100_000,
         trace: bool = False,
         tracer=None,
         lens: bool = False,
-        controller: Optional[CoherencyController] = None,
         plans=None,
     ) -> None:
         super().__init__(
             pgraph, program, network, max_supersteps, trace, tracer,
             plans=plans,
         )
-        if max_delta_age < 1:
-            raise EngineError(f"max_delta_age must be >= 1, got {max_delta_age}")
-        self.max_delta_age = max_delta_age
-        self.controller = controller or PaperRuleController()
+        self.policy = resolve_policy(policy)
+        self.controller = self.policy.make_controller()
         # the one reader of pending replica state, shared by the lens
         # and a signal-driven controller; the paper path builds none
         self.replicas = (
@@ -101,7 +95,7 @@ class LazyVertexAsyncEngine(BaseEngine):
                 self.replicas, self.tracer, self.sim.stats, self.comms
             )
         self.exchanger = CoherencyExchanger(
-            pgraph, program, self.runtimes, coherency_mode, self.sim.network,
+            pgraph, program, self.runtimes, self.policy.mode, self.sim.network,
             tracer=self.tracer, plane=self.comms,
             delivery=Delivery.ASYNC_PIPELINED,
             lens=self.lens,
@@ -123,6 +117,7 @@ class LazyVertexAsyncEngine(BaseEngine):
         tracer = self.tracer
         lens = self.lens
         controller = self.controller
+        max_delta_age = self.policy.max_delta_age
         replicas = self.replicas if controller.needs_signals else None
         ev_ratio = self.pgraph.graph.ev_ratio
         age_of = {
@@ -163,7 +158,7 @@ class LazyVertexAsyncEngine(BaseEngine):
                     else:
                         signals = CoherencySignals(step, ev_ratio, 0.0, 0)
                     directive = controller.partial_exchange(
-                        signals, self.max_delta_age
+                        signals, max_delta_age
                     )
                     lens.decision(
                         "partial_exchange",
@@ -206,7 +201,7 @@ class LazyVertexAsyncEngine(BaseEngine):
                             due=None if idle else due,
                             rule="idle-drain" if idle else directive.rule,
                             controller=controller.name,
-                            max_delta_age=self.max_delta_age,
+                            max_delta_age=max_delta_age,
                         )
                         for rt, age in zip(self.runtimes, self._age):
                             age[~rt.has_delta] = 0

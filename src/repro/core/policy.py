@@ -1,60 +1,64 @@
-"""The coherency-controller layer: pluggable coherency-point policies.
+"""The coherency decision: one controller per named policy (paper §4.2.1).
 
-The paper's adaptive rule (§4.2.1) decides coherency points from two
-features only — ``E/V`` and the active-count trend. The coherency lens
-(PR 4) showed that laziness actually trades away *measurable* quantities
-the rule never sees: pending ``deltaMsg`` mass, replica staleness age,
-and master↔mirror drift. This module generalizes the interval model
-into a :class:`CoherencyController` protocol fed a per-superstep
-:class:`CoherencySignals` snapshot carrying all five signals, measured
-through the engine's :class:`~repro.runtime.result.ReplicaReader` — the
-reader the lens probes use too, built without a lens when only a
-controller asks (so controllers work with ``lens=False``).
+How long may replica coherency be delayed? The paper trains a
+decision-tree classifier over two features and reports the learned rule;
+:class:`CoherencyController` implements that rule directly (the
+trainable machinery is :func:`fit_interval_rule`, for the ablation):
 
-Shipped controllers:
+* **turnOnLazy()** — lazy mode turns on iff
+  ``E/V <= 10  or  trend >= 0.07``, where
+  ``trend = (cnt_{t-1} − cnt_t) / cnt_{t-1}`` is the relative decrease
+  of the active-vertex count between coherency points. Intuition: poor
+  locality (high E/V) in the *ascent* phase (growing frontier) needs
+  frequent synchronization; descent phases and local graphs do not.
+* **doLC()** — a local computation stage may run for at most
+  ``3·T``, where ``T`` is the modeled time of the stage's first
+  micro-iteration (measured online).
 
-* :class:`PaperRuleController` (``"paper"``, the default) — wraps an
-  :class:`~repro.core.interval_model.IntervalModel` and reproduces the
-  paper's behaviour bit-identically (it never requests the extended
-  signals, so the default hot path computes nothing new);
-* :class:`StalenessController` (``"staleness"``) — accumulated-delta-
-  magnitude driven (cf. *Maiter* / *Delayed Asynchronous Iterative
-  Graph Algorithms*): on LazyVertexAsync it delays partial exchanges
-  while the pending mass decays below a fraction of its running peak
-  (shipping dribbles of mass is what inflates the sync count), bounded
-  by a hard staleness-age cap; on LazyBlockAsync it keeps lazy mode on
-  through the decay phase for the same reason;
-* :class:`BatchedController` (``"batched"``) — LazyVertexAsync
-  partial-exchange batching: instead of letting each replica trigger
-  its own exchange as it comes due, coalesce — wait until the *oldest*
-  pending delta reaches ``max_delta_age``, then ship **everything**
-  pending in one partial exchange. No delta waits longer than the same
-  ``max_delta_age`` bound, but exchanges fire ~``max_delta_age``×
-  less often.
+Controllers are fed a per-superstep :class:`CoherencySignals` snapshot.
+Beyond the paper's two features it can carry the lens-grade signals the
+rule never sees — pending ``deltaMsg`` mass, replica staleness age and
+master↔mirror drift — measured through the engine's
+:class:`~repro.runtime.result.ReplicaReader` only when the controller
+asks (so the paper path computes nothing new, and controllers work with
+``lens=False``).
 
-The user-facing knob is :class:`CoherencyPolicy`: one typed dataclass
-collapsing the previously scattered coherency arguments (``interval``,
-``coherency_mode``, ``max_delta_age``) plus the controller choice and
-its options. Policies are registered by name (:func:`register_policy` /
-:func:`get_policy`) so ``repro.run(policy="staleness")``, the CLI's
-``--policy`` and an experiment file's ``"policy"`` key all share one
-vocabulary.
+A policy name *is* a controller name; ``_CONTROLLERS`` is the whole
+vocabulary:
+
+* ``"paper"`` (the default) — :class:`CoherencyController`, the rule
+  above; on LazyVertexAsync every replica whose delta is
+  ``max_delta_age`` local rounds old triggers its own exchange;
+* ``"simple"`` / ``"never"`` — Fig 8(a)'s strawmen: lazy always on with
+  every local stage run to quiescence / lazy never on (isolates the
+  3-syncs→1-sync saving from laziness);
+* ``"staleness"`` — accumulated-delta-magnitude driven (cf. *Maiter* /
+  *Delayed Asynchronous Iterative Graph Algorithms*): on LazyVertexAsync
+  it delays partial exchanges while the pending mass decays below a
+  fraction of its running peak, bounded by a hard staleness-age cap; on
+  LazyBlockAsync it keeps lazy mode on through the decay phase;
+* ``"batched"`` — LazyVertexAsync partial-exchange batching: wait until
+  the *oldest* pending delta reaches ``max_delta_age``, then ship
+  **everything** pending in one exchange.
+
+:class:`CoherencyPolicy` is the one value every entry point passes —
+``repro.run(policy=...)``, the CLI's ``--policy`` / ``--policy-opt``, an
+experiment file's ``"policy"`` / ``"policy_opts"`` and the lazy engines'
+``policy=``: a controller name, the exchange's wire mode,
+``max_delta_age`` and the controller's numeric options.
 """
 
 from __future__ import annotations
 
-import abc
+import inspect
 import math
 from dataclasses import dataclass, replace
-from typing import Dict, List, Mapping, Optional, Tuple, Union
+from typing import (
+    Any, Dict, List, Mapping, Optional, Sequence, Tuple, Type, Union,
+)
 
 import numpy as np
 
-from repro.core.interval_model import (
-    AdaptiveIntervalModel,
-    IntervalModel,
-    make_interval_model,
-)
 from repro.errors import ConfigError
 
 __all__ = [
@@ -62,17 +66,15 @@ __all__ = [
     "extended_signals",
     "ExchangeDirective",
     "CoherencyController",
-    "PaperRuleController",
+    "SimpleController",
+    "NeverLazyController",
     "StalenessController",
     "BatchedController",
     "CoherencyPolicy",
-    "make_controller",
     "controller_names",
-    "register_policy",
-    "get_policy",
     "named_policy",
-    "policy_names",
     "resolve_policy",
+    "fit_interval_rule",
 ]
 
 
@@ -147,33 +149,49 @@ class ExchangeDirective:
     rule: str
 
 
-class CoherencyController(abc.ABC):
-    """Strategy deciding both engines' coherency points.
+class CoherencyController:
+    """The paper's coherency rule — the ``"paper"`` policy.
 
-    One controller instance lives for one engine run (controllers may
-    keep cross-superstep state such as running peaks); build a fresh one
-    per run via :meth:`CoherencyPolicy.make_controller`.
+    LazyBlockAsync asks :meth:`turn_on_lazy` (``E/V <= ev_threshold or
+    trend >= trend_threshold``) and :meth:`local_budget`
+    (``budget_multiplier`` × the stage's first micro-iteration);
+    LazyVertexAsync asks :meth:`partial_exchange` (every replica due at
+    ``max_delta_age`` triggers its own exchange). Other policies are
+    subclasses overriding what they change. One instance lives for one
+    engine run (controllers may keep cross-superstep state such as
+    running peaks); an engine builds its own through
+    :meth:`CoherencyPolicy.make_controller`.
     """
 
-    name = "abstract"
-    #: Request the extended (mass/staleness/drift) signals. The default
-    #: controller leaves this off so the paper path stays bit-identical
-    #: *and* computation-identical.
+    name = "paper"
+    #: label used in the decision audit log's ``rule`` field
+    rule_name = "adaptive"
+    #: Request the extended (mass/staleness/drift) signals. The paper
+    #: rule leaves this off so its path stays bit-identical *and*
+    #: computation-identical.
     needs_signals = False
 
-    @property
-    def rule_name(self) -> str:
-        """Label used in the decision audit log's ``rule`` field."""
-        return self.name
+    def __init__(
+        self,
+        ev_threshold: float = 10.0,
+        trend_threshold: float = 0.07,
+        budget_multiplier: float = 3.0,
+    ) -> None:
+        self.ev_threshold = ev_threshold
+        self.trend_threshold = trend_threshold
+        self.budget_multiplier = budget_multiplier
 
     # ---- LazyBlockAsync hooks ----------------------------------------
-    @abc.abstractmethod
     def turn_on_lazy(self, signals: CoherencySignals) -> bool:
         """Should the next superstep run a local computation stage?"""
+        return (
+            signals.ev_ratio <= self.ev_threshold
+            or signals.trend >= self.trend_threshold
+        )
 
-    @abc.abstractmethod
     def local_budget(self, first_iteration_time: float) -> float:
         """Max modeled seconds a local stage may run (∞ = quiescence)."""
+        return self.budget_multiplier * first_iteration_time
 
     # ---- LazyVertexAsync hook ----------------------------------------
     def partial_exchange(
@@ -184,29 +202,34 @@ class CoherencyController(abc.ABC):
         return ExchangeDirective(True, max_delta_age, "max-delta-age")
 
 
-class PaperRuleController(CoherencyController):
-    """The paper's behaviour behind the controller protocol (default).
+class SimpleController(CoherencyController):
+    """Fig 8(a)'s strawman: always lazy, local stages run to quiescence."""
 
-    Wraps an :class:`IntervalModel` (adaptive by default) for the
-    LazyBlockAsync decisions and keeps LazyVertexAsync's per-replica
-    ``max_delta_age`` trigger. Bit-identical to the pre-controller
-    engines — the golden-number pins hold under this controller.
-    """
+    name = rule_name = "simple"
 
-    name = "paper"
-
-    def __init__(self, interval_model: Optional[IntervalModel] = None) -> None:
-        self.interval_model = interval_model or AdaptiveIntervalModel()
-
-    @property
-    def rule_name(self) -> str:
-        return self.interval_model.name
+    def __init__(self) -> None:  # reads neither feature: no options
+        pass
 
     def turn_on_lazy(self, signals: CoherencySignals) -> bool:
-        return self.interval_model.turn_on_lazy(signals.ev_ratio, signals.trend)
+        return True
 
     def local_budget(self, first_iteration_time: float) -> float:
-        return self.interval_model.local_budget(first_iteration_time)
+        return math.inf
+
+
+class NeverLazyController(CoherencyController):
+    """Coherency at every superstep (no local stages at all)."""
+
+    name = rule_name = "never"
+
+    def __init__(self) -> None:  # reads neither feature: no options
+        pass
+
+    def turn_on_lazy(self, signals: CoherencySignals) -> bool:
+        return False
+
+    def local_budget(self, first_iteration_time: float) -> float:
+        return 0.0
 
 
 class StalenessController(CoherencyController):
@@ -222,14 +245,16 @@ class StalenessController(CoherencyController):
     the same signal keeps lazy mode on through the decay phase.
     """
 
-    name = "staleness"
+    name = rule_name = "staleness"
     needs_signals = True
 
     def __init__(
         self,
-        interval_model: Optional[IntervalModel] = None,
         mass_floor: float = 0.5,
         age_cap_factor: float = 2.0,
+        ev_threshold: float = 10.0,
+        trend_threshold: float = 0.07,
+        budget_multiplier: float = 3.0,
     ) -> None:
         if not 0.0 < mass_floor <= 1.0:
             raise ConfigError(
@@ -241,7 +266,7 @@ class StalenessController(CoherencyController):
                 f"staleness controller: age_cap_factor must be >= 1, "
                 f"got {age_cap_factor}"
             )
-        self.interval_model = interval_model or AdaptiveIntervalModel()
+        super().__init__(ev_threshold, trend_threshold, budget_multiplier)
         self.mass_floor = float(mass_floor)
         self.age_cap_factor = float(age_cap_factor)
         self._peak_mass = 0.0
@@ -251,11 +276,9 @@ class StalenessController(CoherencyController):
         return 0.0 < pending_mass < self.mass_floor * self._peak_mass
 
     def turn_on_lazy(self, signals: CoherencySignals) -> bool:
-        base = self.interval_model.turn_on_lazy(signals.ev_ratio, signals.trend)
-        return base or self._decaying(signals.pending_mass)
-
-    def local_budget(self, first_iteration_time: float) -> float:
-        return self.interval_model.local_budget(first_iteration_time)
+        return super().turn_on_lazy(signals) or self._decaying(
+            signals.pending_mass
+        )
 
     def partial_exchange(
         self, signals: CoherencySignals, max_delta_age: int
@@ -282,22 +305,13 @@ class BatchedController(CoherencyController):
     younger than ``max_delta_age``, then ship *every* pending delta in
     one exchange. The staleness bound is unchanged — no delta ever waits
     more than ``max_delta_age`` local rounds — but the exchange count
-    drops by roughly that factor. On LazyBlockAsync it falls back to the
-    paper rule (there is nothing to batch: Algorithm 1 already runs one
-    full exchange per superstep).
+    drops by roughly that factor. On LazyBlockAsync it is the paper rule
+    (there is nothing to batch: Algorithm 1 already runs one full
+    exchange per superstep).
     """
 
-    name = "batched"
+    name = rule_name = "batched"
     needs_signals = True
-
-    def __init__(self, interval_model: Optional[IntervalModel] = None) -> None:
-        self.interval_model = interval_model or AdaptiveIntervalModel()
-
-    def turn_on_lazy(self, signals: CoherencySignals) -> bool:
-        return self.interval_model.turn_on_lazy(signals.ev_ratio, signals.trend)
-
-    def local_budget(self, first_iteration_time: float) -> float:
-        return self.interval_model.local_budget(first_iteration_time)
 
     def partial_exchange(
         self, signals: CoherencySignals, max_delta_age: int
@@ -307,66 +321,61 @@ class BatchedController(CoherencyController):
         return ExchangeDirective(False, 0, "batch-accumulate")
 
 
-_CONTROLLERS: Dict[str, type] = {
-    "paper": PaperRuleController,
-    "staleness": StalenessController,
-    "batched": BatchedController,
+_CONTROLLERS: Dict[str, Type[CoherencyController]] = {
+    cls.name: cls
+    for cls in (
+        CoherencyController, SimpleController, NeverLazyController,
+        StalenessController, BatchedController,
+    )
 }
 
 
 def controller_names() -> Tuple[str, ...]:
-    """All known controller names, sorted."""
+    """Every policy name (= controller name), sorted."""
     return tuple(sorted(_CONTROLLERS))
 
 
-def make_controller(
-    name: str,
-    interval_model: Optional[IntervalModel] = None,
-    **options,
-) -> CoherencyController:
-    """Build a fresh controller by name (controllers are stateful)."""
-    try:
-        cls = _CONTROLLERS[name]
-    except KeyError:
-        raise ConfigError(
-            f"unknown coherency controller {name!r}; known: "
-            f"{', '.join(controller_names())}"
-        ) from None
-    try:
-        return cls(interval_model=interval_model, **options)
-    except TypeError as exc:
-        raise ConfigError(
-            f"controller {name!r} rejected options {sorted(options)}: {exc}"
-        ) from None
-
-
 # ----------------------------------------------------------------------
-# The unified policy knob
+# The policy value
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class CoherencyPolicy:
     """Every coherency knob in one typed, hashable value.
 
-    Collapses the previously scattered arguments — ``run()``'s
-    ``interval``/``coherency_mode`` and the engines' ``max_delta_age`` —
-    plus the controller choice and its numeric options. Accepted by
-    :func:`repro.run` (``policy=``), the CLI (``--policy`` /
-    ``--policy-opt k=v``) and experiment files (``"policy"`` /
-    ``"policy_opts"``).
+    ``controller`` names the decision rule (one of
+    :func:`controller_names`), ``mode`` the exchange's wire mode
+    (``"dynamic"``, ``"a2a"`` or ``"m2m"``), ``max_delta_age``
+    LazyVertexAsync's due age, and ``options`` the controller's numeric
+    constructor arguments — checked here, so a bad option fails when the
+    policy is built rather than when a run starts.
     """
 
     controller: str = "paper"
-    interval: Union[str, IntervalModel] = "adaptive"
     mode: str = "dynamic"
     max_delta_age: int = 3
     options: Tuple[Tuple[str, float], ...] = ()
 
     def __post_init__(self) -> None:
-        if self.controller not in _CONTROLLERS:
+        cls = _CONTROLLERS.get(self.controller)
+        if cls is None:
             raise ConfigError(
-                f"unknown coherency controller {self.controller!r}; known: "
-                f"{', '.join(controller_names())}"
+                f"unknown coherency policy {self.controller!r}; known "
+                f"controllers: {', '.join(controller_names())}"
             )
+        valid = list(inspect.signature(cls).parameters)
+        unknown = sorted(set(dict(self.options)) - set(valid))
+        if unknown:
+            raise ConfigError(
+                f"coherency policy {self.controller!r} has no option "
+                f"{', '.join(unknown)}; its options: "
+                f"{', '.join(valid) or 'none'} (policy fields: controller, "
+                f"mode, max_delta_age)"
+            )
+        for key, value in self.options:
+            if not isinstance(value, (int, float)):
+                raise ConfigError(
+                    f"policy option {key!r} must be numeric, got {value!r}"
+                )
         if self.mode not in ("dynamic", "a2a", "m2m"):
             raise ConfigError(
                 f"unknown coherency mode {self.mode!r}; known: dynamic, a2a, m2m"
@@ -375,95 +384,36 @@ class CoherencyPolicy:
             raise ConfigError(
                 f"max_delta_age must be >= 1, got {self.max_delta_age}"
             )
-
-    # ------------------------------------------------------------------
-    def make_interval_model(self) -> IntervalModel:
-        if isinstance(self.interval, IntervalModel):
-            return self.interval
-        return make_interval_model(self.interval)
+        self.make_controller()  # the controller checks the option values
 
     def make_controller(self) -> CoherencyController:
         """A fresh (per-run) controller configured by this policy."""
-        return make_controller(
-            self.controller,
-            interval_model=self.make_interval_model(),
-            **dict(self.options),
-        )
+        return _CONTROLLERS[self.controller](**dict(self.options))
 
-    def apply_opts(self, opts: Mapping[str, object]) -> "CoherencyPolicy":
+    def apply_opts(self, opts: Mapping[str, Any]) -> "CoherencyPolicy":
         """Overlay ``--policy-opt``-style key=value overrides.
 
-        The policy's own fields (``controller``, ``interval``, ``mode``,
+        The policy's own fields (``controller``, ``mode``,
         ``max_delta_age``) are recognized by name; anything else becomes
         a numeric controller option.
         """
-        pol = self
+        changed: Dict[str, Any] = {}
+        options: Dict[str, Any] = dict(self.options)
         for key, value in opts.items():
-            if key == "controller":
-                pol = replace(pol, controller=str(value))
-            elif key == "interval":
-                pol = replace(pol, interval=str(value))
-            elif key == "mode":
-                pol = replace(pol, mode=str(value))
+            if key in ("controller", "mode"):
+                changed[key] = str(value)
             elif key == "max_delta_age":
-                pol = replace(pol, max_delta_age=int(value))
+                changed[key] = int(value)
             else:
                 try:
-                    numeric = float(value)
+                    options[key] = float(value)
                 except (TypeError, ValueError):
-                    raise ConfigError(
-                        f"policy option {key!r} must be numeric, got {value!r}"
-                    ) from None
-                merged = dict(pol.options)
-                merged[key] = numeric
-                pol = replace(pol, options=tuple(sorted(merged.items())))
-        return pol
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-serializable form (bench outputs, experiment reports)."""
-        interval = (
-            self.interval.name
-            if isinstance(self.interval, IntervalModel)
-            else self.interval
-        )
-        return {
-            "controller": self.controller,
-            "interval": interval,
-            "mode": self.mode,
-            "max_delta_age": self.max_delta_age,
-            "options": dict(self.options),
-        }
-
-
-_POLICIES: Dict[str, CoherencyPolicy] = {}
-
-
-def register_policy(name: str, policy: CoherencyPolicy) -> CoherencyPolicy:
-    """Add a named policy to the registry (name must be unused)."""
-    if name in _POLICIES:
-        raise ConfigError(f"policy {name!r} is already registered")
-    if not isinstance(policy, CoherencyPolicy):
-        raise ConfigError(
-            f"policy {name!r} must be a CoherencyPolicy, got "
-            f"{type(policy).__name__}"
-        )
-    _POLICIES[name] = policy
-    return policy
-
-
-def get_policy(name: str) -> CoherencyPolicy:
-    """Look a policy up by name (:class:`ConfigError` if unknown)."""
-    try:
-        return _POLICIES[name]
-    except KeyError:
-        raise ConfigError(
-            f"unknown coherency policy {name!r}; known: "
-            f"{', '.join(policy_names())}"
-        ) from None
+                    options[key] = value  # rejected by name or type on build
+        return replace(self, options=tuple(sorted(options.items())), **changed)
 
 
 def named_policy(
-    name: Optional[str], opts: Mapping[str, object]
+    name: Optional[str], opts: Mapping[str, Any]
 ) -> Optional[CoherencyPolicy]:
     """A flat ``name`` + ``opts`` pair (``--policy`` / ``--policy-opt``,
     an experiment file's ``policy`` / ``policy_opts``) as one policy.
@@ -473,37 +423,55 @@ def named_policy(
     """
     if not name and not opts:
         return None
-    return get_policy(name or "paper").apply_opts(opts)
+    return CoherencyPolicy(controller=name or "paper").apply_opts(opts)
 
 
-def policy_names() -> Tuple[str, ...]:
-    """All registered policy names, sorted."""
-    return tuple(sorted(_POLICIES))
-
-
-# Builtin vocabulary: the paper rule and its Fig 8(a) strawmen, plus the
-# two signal-driven controllers this layer introduces.
-register_policy("paper", CoherencyPolicy())
-register_policy("simple", CoherencyPolicy(interval="simple"))
-register_policy("never", CoherencyPolicy(interval="never"))
-register_policy("staleness", CoherencyPolicy(controller="staleness"))
-register_policy("batched", CoherencyPolicy(controller="batched"))
-
-
-# ----------------------------------------------------------------------
-# Policy resolution (the run()/harness path)
-# ----------------------------------------------------------------------
 def resolve_policy(
     policy: Union[str, CoherencyPolicy, None] = None,
-) -> Tuple[CoherencyPolicy, bool]:
-    """Resolve a ``policy`` value (name / instance / None) to a policy.
+) -> CoherencyPolicy:
+    """A ``policy`` value (name / instance / None) as a policy; ``None``
+    is the paper rule."""
+    if isinstance(policy, CoherencyPolicy):
+        return policy
+    return CoherencyPolicy(controller=policy or "paper")
 
-    Returns ``(policy, explicit)`` where ``explicit`` is True when the
-    caller named a policy — the knob that is an error on engines without
-    a coherency-controller layer.
+
+# ----------------------------------------------------------------------
+# Trainable variant (decision stumps, as in the paper's methodology)
+# ----------------------------------------------------------------------
+def fit_interval_rule(
+    samples: Sequence[Tuple[float, float, bool]],
+    ev_candidates: Optional[Sequence[float]] = None,
+    trend_candidates: Optional[Sequence[float]] = None,
+) -> CoherencyPolicy:
+    """Learn (ev_threshold, trend_threshold) from labelled observations.
+
+    ``samples`` are ``(ev_ratio, trend, lazy_was_beneficial)`` tuples —
+    e.g. produced by running both interval settings over a grid of
+    workloads. The rule family is the paper's disjunction
+    ``E/V <= a or trend >= b``; we grid-search the (a, b) pair with the
+    fewest misclassifications (ties: smallest a then largest b, i.e. the
+    most conservative rule). Returns the ``"paper"`` policy with the
+    fitted thresholds as options.
     """
-    explicit = policy is not None
-    if isinstance(policy, str):
-        policy = get_policy(policy)
-    pol = policy if policy is not None else get_policy("paper")
-    return pol, explicit
+    if not samples:
+        raise ConfigError("fit_interval_rule needs at least one sample")
+    evs = sorted({s[0] for s in samples})
+    trends = sorted({s[1] for s in samples})
+    ev_candidates = list(ev_candidates) if ev_candidates else evs
+    trend_candidates = list(trend_candidates) if trend_candidates else trends
+    best: Optional[Tuple[int, float, float]] = None
+    for a in ev_candidates:
+        for b in trend_candidates:
+            errors = sum(
+                1
+                for ev, tr, label in samples
+                if ((ev <= a) or (tr >= b)) != label
+            )
+            key = (errors, a, -b)
+            if best is None or key < (best[0], best[1], -best[2]):
+                best = (errors, a, b)
+    assert best is not None
+    return CoherencyPolicy(
+        options=(("ev_threshold", best[1]), ("trend_threshold", best[2]))
+    )

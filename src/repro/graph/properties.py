@@ -1,6 +1,6 @@
 """Whole-graph structural properties (Table 1 columns and more).
 
-These are used by the Table 1 benchmark, by the adaptive interval model
+These are used by the Table 1 benchmark, by the adaptive interval rule
 (E/V ratio feature, §4.2.1) and by tests that validate generator output
 against the intended class signature (road = high diameter & flat
 degrees, social = heavy-tailed degrees).

@@ -80,7 +80,7 @@ class CoherencyDecision:
         exchange — the audit invariant is that the count of these
         equals ``RunStats.coherency_points``).
     rule:
-        Name of the rule that decided (interval-model name,
+        Name of the rule that decided (the controller's ``rule_name``,
         ``"max-delta-age"``, ``"idle-drain"``).
     verdict:
         Human-readable outcome (``"lazy-on"``, ``"exchange"``, …).

@@ -108,10 +108,10 @@ def run(
         One of :data:`ENGINE_NAMES` (the engine registry,
         :mod:`repro.runtime.registry`).
     policy:
-        The coherency policy: a registered name
-        (:func:`repro.policy_names` — ``"paper"``, ``"staleness"``,
-        ``"batched"``, …) or a :class:`~repro.core.policy.CoherencyPolicy`
-        instance. Collapses the controller choice, interval model, wire
+        The coherency policy: a name (:func:`repro.controller_names` —
+        ``"paper"``, ``"simple"``, ``"never"``, ``"staleness"``,
+        ``"batched"``) or a :class:`~repro.core.policy.CoherencyPolicy`
+        instance. Collapses the controller choice and its options, wire
         mode and ``max_delta_age`` into one value; lazy engines only.
         Default: the ``"paper"`` policy (bit-identical to the paper's
         rule). The pre-PR-10 ``interval=``/``coherency_mode=`` keywords

@@ -119,7 +119,7 @@ def _ensure_builtin() -> None:
         name="lazy-block",
         cls=LazyBlockAsyncEngine,
         family="lazy",
-        options=("coherency_mode", "lens", "controller"),
+        options=("policy", "lens"),
         description="LazyGraph bulk engine (Algorithm 1: local stages + "
                     "coherency points)",
     ))
@@ -127,7 +127,7 @@ def _ensure_builtin() -> None:
         name="lazy-vertex",
         cls=LazyVertexAsyncEngine,
         family="lazy",
-        options=("coherency_mode", "max_delta_age", "lens", "controller"),
+        options=("policy", "lens"),
         description="LazyGraph per-vertex asynchronous engine (Algorithm 2)",
     ))
 

@@ -12,8 +12,8 @@ all run through a session.
 
 The pre-PR-10 ``interval=`` / ``coherency_mode=`` shim fields were
 removed after their deprecation cycle; the coherency policy is the one
-knob (:class:`~repro.core.policy.CoherencyPolicy` or a registered
-name). Every removed knob — those, the process backend's selectors,
+knob (:class:`~repro.core.policy.CoherencyPolicy` or a policy name).
+Every removed knob — those, the process backend's selectors,
 the lens's options — is one row of ``_REMOVED_KNOBS``, the only place
 that knows their migration messages. Dynamic-graph knobs (``incremental``)
 live here too, so the session, serving layer and CLI share one config
@@ -39,8 +39,8 @@ _BACKEND_REMOVED = (
 _REMOVED_KNOBS = {
     "backend": _BACKEND_REMOVED,
     "workers": _BACKEND_REMOVED,
-    "interval": "run(interval=...) was removed; use "
-                "policy=CoherencyPolicy(interval=...) or a named --policy",
+    "interval": 'run(interval=...) was removed; use policy="simple" '
+                '(or "never" / "paper") or --policy simple',
     "coherency_mode": "run(coherency_mode=...) was removed; use "
                       "policy=CoherencyPolicy(mode=...) or --policy-opt mode=...",
     "max_delta_age": "max_delta_age= was removed; use "
@@ -130,8 +130,8 @@ class RunConfig:
     def engine_kwargs(self, spec: Any, tracer: Any = None) -> Dict[str, Any]:
         """The engine constructor kwargs this config resolves to.
 
-        * the coherency policy is resolved from ``policy``; engines
-          without a controller layer raise :class:`ConfigError` on an
+        * the coherency policy is resolved from ``policy`` and passed
+          through; engines without one raise :class:`ConfigError` on an
           explicit policy;
         * the lens request is gated on the engine's declared options.
 
@@ -148,16 +148,12 @@ class RunConfig:
         tracer = tracer if tracer is not None else self.tracer
         if tracer is not None:
             kwargs["tracer"] = tracer
-        pol, explicit = resolve_policy(self.policy)
-        if "controller" in spec.options:
-            kwargs["controller"] = pol.make_controller()
-            kwargs["coherency_mode"] = pol.mode
-            if "max_delta_age" in spec.options:
-                kwargs["max_delta_age"] = pol.max_delta_age
-        elif explicit:
+        if "policy" in spec.options:
+            kwargs["policy"] = resolve_policy(self.policy)
+        elif self.policy is not None:
             raise ConfigError(
-                f"engine {spec.name!r} does not take an interval model / "
-                f"coherency policy (replicas are eagerly coherent)"
+                f"engine {spec.name!r} does not take a coherency policy "
+                f"(replicas are eagerly coherent)"
             )
         if "lens" in spec.options:
             kwargs["lens"] = self.lens

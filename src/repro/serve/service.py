@@ -72,6 +72,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.request_trace import RequestContext, ServeTraceWriter, split_cost
 from repro.obs.telemetry import TelemetrySink
 from repro.obs.tracer import Tracer
+from repro.runtime.registry import get_engine
 from repro.runtime.result import EngineResult
 from repro.runtime.run_config import RunConfig
 from repro.session import ApplyResult, GraphSession
@@ -181,7 +182,9 @@ class GraphService:
         An open session the service takes queries against (not owned:
         closing the service leaves the session open).
     engine / policy:
-        Fixed run-level configuration every query runs under.
+        Fixed run-level configuration every query runs under, resolved
+        here: an unknown engine or policy, or a policy on an eager
+        engine, raises :class:`ConfigError` before any thread starts.
     max_batch / max_wait:
         Batching window: the dispatcher drains up to ``max_batch``
         queued requests, waiting at most ``max_wait`` seconds for
@@ -225,9 +228,13 @@ class GraphService:
             raise ConfigError(
                 f"batch_mode must be 'fused' or 'exact', got {batch_mode!r}"
             )
+        # None on an eager engine; the resolved policy on a lazy one
+        self.policy = RunConfig(policy=policy).engine_kwargs(
+            get_engine(engine)
+        ).get("policy")
+        self._policy_key = repr(self.policy)
         self.session = session
         self.engine = engine
-        self.policy = policy
         self.max_batch = max_batch
         self.max_wait = max_wait
         self.batch_mode = batch_mode
@@ -482,16 +489,13 @@ class GraphService:
         self._inflight -= 1
         pending.future.set_result(result)
 
-    def _policy_key(self) -> str:
-        return repr(self.policy)
-
     def _run_key(
         self, program: str, params: Tuple[Tuple[str, Any], ...],
         sources: Tuple[int, ...],
     ) -> Tuple:
         return (
             self.session.graph_version, self.engine, program,
-            repr(params), sources, self._policy_key(),
+            repr(params), sources, self._policy_key,
         )
 
     def _canonical(self, req: QueryRequest) -> Tuple[str, Tuple[int, ...]]:

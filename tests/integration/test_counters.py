@@ -59,12 +59,7 @@ class TestLazyEngineCosts:
         assert r.stats.local_iterations > 0
 
     def test_never_model_disables_local_stages(self, pg):
-        from repro.core import NeverLazyModel, PaperRuleController
-
-        r = LazyBlockAsyncEngine(
-            pg, SSSPProgram(0),
-            controller=PaperRuleController(NeverLazyModel()),
-        ).run()
+        r = LazyBlockAsyncEngine(pg, SSSPProgram(0), policy="never").run()
         assert r.stats.local_iterations == 0
 
     def test_mode_switch_counter_present(self, pg):

@@ -22,12 +22,7 @@ from repro.algorithms import (
     pagerank_reference,
     sssp_reference,
 )
-from repro.core import (
-    LazyBlockAsyncEngine,
-    PaperRuleController,
-    build_lazy_graph,
-    make_interval_model,
-)
+from repro.core import CoherencyPolicy, LazyBlockAsyncEngine, build_lazy_graph
 from repro.errors import AlgorithmError
 from repro.runtime.registry import engine_specs
 
@@ -122,22 +117,30 @@ class TestEveryMachineCount:
 class TestEveryCoherencyMode:
     def test_sssp(self, er_weighted, mode):
         pg = build_lazy_graph(er_weighted, 6, seed=1)
-        result = LazyBlockAsyncEngine(pg, SSSPProgram(0), coherency_mode=mode).run()
+        result = LazyBlockAsyncEngine(
+            pg, SSSPProgram(0), policy=CoherencyPolicy(mode=mode)
+        ).run()
         assert_matches(result, sssp_reference(er_weighted, 0))
 
     def test_kcore(self, er_symmetric, mode):
         pg = build_lazy_graph(er_symmetric, 6, seed=1)
-        result = LazyBlockAsyncEngine(pg, KCoreProgram(k=4), coherency_mode=mode).run()
+        result = LazyBlockAsyncEngine(
+            pg, KCoreProgram(k=4), policy=CoherencyPolicy(mode=mode)
+        ).run()
         assert_matches(result, kcore_reference(er_symmetric, 4))
 
 
-@pytest.mark.parametrize("interval", ["adaptive", "simple", "never"])
+# interval strategy -> the named policy that runs it
+STRATEGIES = {"adaptive": "paper", "simple": "simple", "never": "never"}
+
+
+@pytest.mark.parametrize("interval", list(STRATEGIES))
 class TestEveryIntervalStrategy:
     def test_sssp(self, er_weighted, interval):
         pg = build_lazy_graph(er_weighted, 6, seed=1)
         result = LazyBlockAsyncEngine(
             pg, SSSPProgram(0),
-            controller=PaperRuleController(make_interval_model(interval)),
+            policy=STRATEGIES[interval],
         ).run()
         assert_matches(result, sssp_reference(er_weighted, 0))
 
@@ -145,7 +148,7 @@ class TestEveryIntervalStrategy:
         pg = build_lazy_graph(er_symmetric, 6, seed=1)
         result = LazyBlockAsyncEngine(
             pg, ConnectedComponentsProgram(),
-            controller=PaperRuleController(make_interval_model(interval)),
+            policy=STRATEGIES[interval],
         ).run()
         assert_matches(result, cc_reference(er_symmetric))
 

@@ -16,7 +16,11 @@ from repro.algorithms import (
     kcore_reference,
     sssp_reference,
 )
-from repro.core import LazyBlockAsyncEngine, LazyVertexAsyncEngine
+from repro.core import (
+    CoherencyPolicy,
+    LazyBlockAsyncEngine,
+    LazyVertexAsyncEngine,
+)
 from repro.graph.digraph import DiGraph
 from repro.partition.base import partition_graph
 from repro.partition.partitioned_graph import PartitionedGraph
@@ -78,7 +82,9 @@ def test_lazy_block_kcore_with_random_parallel_edges(data, k):
 @settings(max_examples=25, deadline=None)
 def test_lazy_vertex_bfs_any_delta_age(data, age):
     graph, pg = data
-    r = LazyVertexAsyncEngine(pg, BFSProgram(0), max_delta_age=age).run()
+    r = LazyVertexAsyncEngine(
+        pg, BFSProgram(0), policy=CoherencyPolicy(max_delta_age=age)
+    ).run()
     ref = bfs_reference(graph, 0)
     finite = np.isfinite(ref)
     assert np.array_equal(np.isfinite(r.values), finite)

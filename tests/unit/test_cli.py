@@ -263,17 +263,24 @@ class TestPolicyCli:
             )
 
     def test_policy_opt_interval_replaces_the_flag(self):
+        # the strategies are named policies now: --policy simple runs,
+        # --policy-opt interval=... is an unknown option
         rc = main(
             ["run", "--graph", "road-ca-mini", "--algorithm",
              "pagerank", "--machines", "4", "--engine", "lazy-block",
-             "--policy-opt", "interval=simple"]
+             "--policy", "simple"]
         )
         assert rc == 0
+        from repro.errors import ConfigError
+
+        with pytest.raises(ConfigError, match="has no option interval"):
+            main(["run", "--algorithm", "pagerank", "--engine",
+                  "lazy-block", "--policy-opt", "interval=simple"])
 
     def test_policy_rejected_on_eager_engine(self):
         from repro.errors import ConfigError
 
-        with pytest.raises(ConfigError, match="interval"):
+        with pytest.raises(ConfigError, match="eagerly coherent"):
             main(
                 ["run", "--graph", "road-ca-mini", "--algorithm",
                  "pagerank", "--machines", "4", "--engine",

@@ -1,25 +1,27 @@
-"""Unit tests for the coherency-controller layer (repro.core.policy)."""
+"""Unit tests for the coherency controllers and the policy value
+(repro.core.policy), the paper's adaptive interval rule (§4.2.1)
+included."""
 
+import inspect
+import math
 import warnings
 
 import numpy as np
 import pytest
 
-import repro.core.policy as policy_mod
-from repro.core.interval_model import AdaptiveIntervalModel, NeverLazyModel
 from repro.core.policy import (
     BatchedController,
+    CoherencyController,
     CoherencyPolicy,
     CoherencySignals,
     ExchangeDirective,
-    PaperRuleController,
+    NeverLazyController,
+    SimpleController,
     StalenessController,
     controller_names,
     extended_signals,
-    get_policy,
-    make_controller,
-    policy_names,
-    register_policy,
+    fit_interval_rule,
+    named_policy,
     resolve_policy,
 )
 from repro.errors import ConfigError
@@ -29,6 +31,10 @@ def _signals(**overrides):
     base = dict(superstep=0, ev_ratio=2.0, trend=0.0, active=10)
     base.update(overrides)
     return CoherencySignals(**base)
+
+
+def _lazy(controller, ev_ratio, trend):
+    return controller.turn_on_lazy(_signals(ev_ratio=ev_ratio, trend=trend))
 
 
 class TestCoherencySignals:
@@ -50,24 +56,98 @@ class TestCoherencySignals:
         assert s.staleness_max == 0
 
 
+class TestAdaptiveRule:
+    def test_paper_disjunction(self):
+        m = CoherencyController()
+        # E/V <= 10 -> lazy regardless of trend (road graphs)
+        assert _lazy(m, 2.4, -0.5)
+        # high E/V, ascending frontier -> eager
+        assert not _lazy(m, 23.8, -0.1)
+        # high E/V, descending >= 7% -> lazy
+        assert _lazy(m, 23.8, 0.08)
+
+    def test_boundaries_inclusive(self):
+        m = CoherencyController()
+        assert _lazy(m, 10.0, 0.0)
+        assert _lazy(m, 11.0, 0.07)
+        assert not _lazy(m, 10.01, 0.069)
+
+    def test_budget_is_3t(self):
+        m = CoherencyController()
+        assert m.local_budget(0.5) == pytest.approx(1.5)
+
+    def test_custom_thresholds(self):
+        m = CoherencyController(ev_threshold=5.0, budget_multiplier=2.0)
+        assert not _lazy(m, 6.0, 0.0)
+        assert m.local_budget(1.0) == 2.0
+
+
+class TestOtherStrategies:
+    def test_simple_always_on_unbounded(self):
+        m = SimpleController()
+        assert _lazy(m, 100.0, -1.0)
+        assert math.isinf(m.local_budget(1.0))
+
+    def test_never(self):
+        m = NeverLazyController()
+        assert not _lazy(m, 1.0, 1.0)
+        assert m.local_budget(1.0) == 0.0
+
+    def test_factory(self):
+        rules = {
+            name: CoherencyPolicy(name).make_controller().rule_name
+            for name in ("paper", "simple", "never")
+        }
+        assert rules == {"paper": "adaptive", "simple": "simple",
+                         "never": "never"}
+        with pytest.raises(ConfigError):
+            CoherencyPolicy("bogus")
+
+
+class TestFitting:
+    def test_recovers_separable_rule(self):
+        # ground truth: lazy good iff ev <= 8 or trend >= 0.1
+        samples = []
+        for ev in (2.0, 5.0, 8.0, 12.0, 20.0):
+            for trend in (-0.2, 0.0, 0.1, 0.3):
+                samples.append((ev, trend, ev <= 8 or trend >= 0.1))
+        rule = fit_interval_rule(samples).make_controller()
+        for ev, trend, label in samples:
+            assert _lazy(rule, ev, trend) == label
+
+    def test_requires_samples(self):
+        with pytest.raises(ConfigError):
+            fit_interval_rule([])
+
+    def test_candidate_grids_honoured(self):
+        samples = [(2.0, 0.0, True), (20.0, 0.0, False)]
+        rule = fit_interval_rule(
+            samples, ev_candidates=[10.0], trend_candidates=[0.5]
+        )
+        assert rule.controller == "paper"
+        assert dict(rule.options) == {
+            "ev_threshold": 10.0, "trend_threshold": 0.5,
+        }
+
+
 class TestPaperRuleController:
-    def test_delegates_to_the_interval_model(self):
-        c = PaperRuleController()
-        assert isinstance(c.interval_model, AdaptiveIntervalModel)
-        assert c.rule_name == "adaptive"
+    def test_base_controller_is_the_paper_rule(self):
+        c = CoherencyController()
+        assert (c.name, c.rule_name) == ("paper", "adaptive")
         assert c.needs_signals is False
         # the paper rule: E/V <= 10 turns lazy mode on
         assert c.turn_on_lazy(_signals(ev_ratio=2.0)) is True
         assert c.turn_on_lazy(_signals(ev_ratio=50.0, trend=0.0)) is False
 
     def test_default_partial_exchange_is_the_age_trigger(self):
-        d = PaperRuleController().partial_exchange(_signals(), 3)
+        d = CoherencyController().partial_exchange(_signals(), 3)
         assert d == ExchangeDirective(True, 3, "max-delta-age")
 
-    def test_custom_interval_model_names_the_rule(self):
-        c = PaperRuleController(NeverLazyModel())
-        assert c.rule_name == "never"
-        assert c.turn_on_lazy(_signals(ev_ratio=1.0)) is False
+    def test_strawmen_name_their_rule(self):
+        for cls in (SimpleController, NeverLazyController):
+            c = cls()
+            assert c.name == c.rule_name == CoherencyPolicy(c.name).controller
+        assert NeverLazyController().turn_on_lazy(_signals(ev_ratio=1.0)) is False
 
 
 class TestStalenessController:
@@ -108,6 +188,12 @@ class TestStalenessController:
     def test_requests_the_extended_signals(self):
         assert StalenessController.needs_signals is True
 
+    def test_inherits_the_paper_thresholds(self):
+        c = StalenessController(ev_threshold=5.0, budget_multiplier=2.0)
+        assert c.rule_name == "staleness"
+        assert not c.turn_on_lazy(_signals(ev_ratio=6.0, trend=0.0))
+        assert c.local_budget(1.0) == 2.0
+
 
 class TestBatchedController:
     def test_accumulates_until_the_oldest_delta_is_due(self):
@@ -125,29 +211,31 @@ class TestBatchedController:
 
 class TestMakeController:
     def test_round_trip_by_name(self):
-        assert set(controller_names()) == {"paper", "staleness", "batched"}
+        assert set(controller_names()) == {
+            "paper", "simple", "never", "staleness", "batched",
+        }
         for name in controller_names():
-            c = make_controller(name)
+            c = CoherencyPolicy(name).make_controller()
             assert c.name == name
 
     def test_unknown_name_rejected(self):
-        with pytest.raises(ConfigError, match="unknown coherency controller"):
-            make_controller("bogus")
+        with pytest.raises(ConfigError, match="unknown coherency policy"):
+            CoherencyPolicy("bogus")
 
     def test_unknown_options_rejected(self):
-        with pytest.raises(ConfigError, match="rejected options"):
-            make_controller("paper", nonsense=1.0)
+        with pytest.raises(ConfigError, match="has no option nonsense"):
+            CoherencyPolicy(options=(("nonsense", 1.0),))
 
     def test_options_forwarded(self):
-        c = make_controller("staleness", mass_floor=0.25)
-        assert c.mass_floor == 0.25
+        pol = CoherencyPolicy("staleness", options=(("mass_floor", 0.25),))
+        assert pol.make_controller().mass_floor == 0.25
 
 
 class TestCoherencyPolicy:
     def test_defaults_mirror_the_paper(self):
         pol = CoherencyPolicy()
-        assert (pol.controller, pol.interval, pol.mode, pol.max_delta_age) \
-            == ("paper", "adaptive", "dynamic", 3)
+        assert (pol.controller, pol.mode, pol.max_delta_age, pol.options) \
+            == ("paper", "dynamic", 3, ())
 
     def test_validation(self):
         with pytest.raises(ConfigError, match="controller"):
@@ -174,71 +262,125 @@ class TestCoherencyPolicy:
         assert pol.make_controller().mass_floor == 0.3
 
     def test_apply_opts_routes_fields_and_options(self):
-        pol = get_policy("staleness").apply_opts({
+        base = CoherencyPolicy("staleness")
+        pol = base.apply_opts({
             "max_delta_age": 5, "mode": "a2a", "mass_floor": 0.25,
         })
         assert pol.max_delta_age == 5
         assert pol.mode == "a2a"
         assert dict(pol.options)["mass_floor"] == 0.25
-        # the original registered policy is untouched (frozen dataclass)
-        assert get_policy("staleness").max_delta_age == 3
+        # the original policy is untouched (frozen dataclass)
+        assert base.max_delta_age == 3
 
     def test_apply_opts_rejects_non_numeric_controller_options(self):
         with pytest.raises(ConfigError, match="numeric"):
-            CoherencyPolicy().apply_opts({"mass_floor": "lots"})
+            CoherencyPolicy("staleness").apply_opts({"mass_floor": "lots"})
 
-    def test_to_dict_round_trips_names(self):
-        pol = CoherencyPolicy(controller="batched", max_delta_age=4)
-        d = pol.to_dict()
-        assert d["controller"] == "batched"
-        assert d["max_delta_age"] == 4
-        assert CoherencyPolicy(**{**d, "options": tuple()}) is not None
+
+class TestOptionsCheckedWhenBuilt:
+    """A bad option fails as the policy is built, in one line naming the
+    valid options — not after the graph is loaded and partitioned."""
+
+    @pytest.mark.parametrize("name, opts, valid", [
+        ("staleness", {"mass_flor": 0.3}, "mass_floor, age_cap_factor"),
+        ("paper", {"mass_floor": 0.3}, "ev_threshold, trend_threshold"),
+        (None, {"interval": "simple"}, "ev_threshold, trend_threshold"),
+        ("simple", {"ev_threshold": 5.0}, "options: none"),
+    ], ids=["typo", "other-policy", "interval", "no-options"])
+    def test_unknown_option_lists_the_valid_names(self, name, opts, valid):
+        with pytest.raises(ConfigError, match="has no option") as err:
+            named_policy(name, opts)
+        assert valid in str(err.value)
+        assert "\n" not in str(err.value)
+
+    def test_option_values_checked_too(self):
+        with pytest.raises(ConfigError, match="mass_floor must be"):
+            CoherencyPolicy("staleness", options=(("mass_floor", 2.0),))
+
+    @pytest.mark.parametrize("opt", ["mass_flor=0.3", "interval=simple"])
+    def test_cli_fails_before_the_run_starts(self, monkeypatch, opt):
+        import repro.cli as cli
+
+        def started(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(cli, "run", started)
+        with pytest.raises(ConfigError, match="has no option"):
+            cli.main(["run", "--algo", "cc", "--engine", "lazy-vertex",
+                      "--policy", "staleness", "--policy-opt", opt])
 
 
 class TestPolicyRegistry:
     def test_builtin_vocabulary(self):
-        assert {"paper", "simple", "never", "staleness", "batched"} <= set(
-            policy_names()
+        assert controller_names() == (
+            "batched", "never", "paper", "simple", "staleness",
         )
-        assert get_policy("never").interval == "never"
-        assert get_policy("batched").controller == "batched"
+        assert CoherencyPolicy("never").make_controller().rule_name == "never"
+        assert isinstance(
+            CoherencyPolicy("batched").make_controller(), BatchedController
+        )
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ConfigError, match="unknown coherency policy"):
-            get_policy("bogus")
+            resolve_policy("bogus")
 
-    def test_register_round_trip(self):
-        name = "test-policy-tmp"
-        try:
-            pol = register_policy(name, CoherencyPolicy(max_delta_age=7))
-            assert get_policy(name) is pol
-            assert name in policy_names()
-            with pytest.raises(ConfigError, match="already registered"):
-                register_policy(name, CoherencyPolicy())
-        finally:
-            policy_mod._POLICIES.pop(name, None)
+    def test_cli_policy_choices_are_the_controller_names(self):
+        from repro.cli import build_parser
 
-    def test_register_rejects_non_policies(self):
-        with pytest.raises(ConfigError, match="CoherencyPolicy"):
-            register_policy("test-bad-tmp", "paper")
+        (sub,) = [a for a in build_parser()._actions
+                  if getattr(a, "dest", "") == "command"]
+        flags = [a for p in sub.choices.values() for a in p._actions
+                 if "--policy" in a.option_strings]
+        assert len(flags) >= 3  # run, serve, query
+        for flag in flags:
+            assert tuple(flag.choices) == controller_names()
+
+    def test_interval_model_module_is_gone(self):
+        import importlib.util
+
+        assert importlib.util.find_spec("repro.core.interval_model") is None
+
+    def test_deleted_names_stay_deleted(self):
+        import repro
+        import repro.core
+        import repro.core.policy as policy_mod
+
+        gone = {"IntervalModel", "AdaptiveIntervalModel",
+                "SimpleIntervalModel", "NeverLazyModel", "make_interval_model",
+                "register_policy", "get_policy", "policy_names",
+                "PaperRuleController", "make_controller"}
+        for module in (repro, repro.core, policy_mod):
+            assert not gone & set(vars(module)), module.__name__
+        assert not {"interval", "to_dict", "make_interval_model"} & set(
+            dir(CoherencyPolicy)
+        )
+
+    @pytest.mark.parametrize("engine", ["lazy-block", "lazy-vertex"])
+    def test_lazy_engines_take_one_policy_argument(self, engine):
+        from repro.runtime.registry import get_engine
+
+        spec = get_engine(engine)
+        params = set(inspect.signature(spec.cls).parameters)
+        assert "policy" in params
+        assert not {"controller", "coherency_mode", "max_delta_age"} & params
+        assert spec.options == ("policy", "lens")
 
 
 class TestResolvePolicy:
     def test_defaults_to_the_paper_policy_silently(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            pol, explicit = resolve_policy()
-        assert pol == get_policy("paper")
-        assert explicit is False
+            pol = resolve_policy()
+        assert pol == CoherencyPolicy("paper") == CoherencyPolicy()
 
     def test_policy_name_resolves_through_the_registry(self):
-        pol, explicit = resolve_policy(policy="staleness")
-        assert pol.controller == "staleness"
-        assert explicit is True
+        assert resolve_policy(policy="staleness") == CoherencyPolicy(
+            controller="staleness"
+        )
+        pol = CoherencyPolicy("batched", max_delta_age=4)
+        assert resolve_policy(pol) is pol
 
     def test_takes_the_policy_and_nothing_else(self):
-        import inspect
-
         assert list(inspect.signature(resolve_policy).parameters) == ["policy"]
 
 
@@ -336,7 +478,7 @@ class TestShimRemoval:
     def test_interval_kwarg_is_a_config_error(self):
         from repro.run_api import run
 
-        with pytest.raises(ConfigError, match="CoherencyPolicy\\(interval"):
+        with pytest.raises(ConfigError, match='use policy="simple"'):
             run("road-ca-mini", "pagerank", engine="lazy-block",
                 machines=4, seed=0, interval="simple")
 
@@ -348,7 +490,7 @@ class TestShimRemoval:
                 machines=4, seed=0, coherency_mode="a2a")
 
     @pytest.mark.parametrize("knob, hint", [
-        ({"interval": "never"}, "CoherencyPolicy\\(interval=...\\) or a named"),
+        ({"interval": "never"}, 'use policy="simple" .* or --policy simple'),
         ({"coherency_mode": "a2a"}, "--policy-opt mode=..."),
         ({"max_delta_age": 4}, "--policy-opt max_delta_age=..."),
         ({"lens_opts": {"rollup_every": 5}},
@@ -367,7 +509,7 @@ class TestShimRemoval:
 
         r = run("road-ca-mini", "pagerank", engine="lazy-block",
                 machines=4, seed=0,
-                policy=CoherencyPolicy(interval="simple"))
+                policy="simple")
         assert r.stats.supersteps > 0
 
     def test_default_run_equals_explicit_paper_policy(self):
@@ -385,6 +527,6 @@ class TestShimRemoval:
     def test_policy_rejected_on_eager_engines(self):
         from repro.run_api import run
 
-        with pytest.raises(ConfigError, match="interval"):
+        with pytest.raises(ConfigError, match="eagerly coherent"):
             run("road-ca-mini", "pagerank", engine="powergraph-sync",
                 machines=4, seed=0, policy="staleness")

@@ -27,7 +27,7 @@ class TestLookup:
         spec = get_engine("lazy-block")
         assert spec.name == "lazy-block"
         assert spec.family == "lazy"
-        assert "controller" in spec.options
+        assert "policy" in spec.options
 
     def test_unknown_engine_lists_known(self):
         with pytest.raises(ConfigError, match="unknown engine 'nope'; known:"):

@@ -34,12 +34,12 @@ class TestRun:
             repro.run(er_graph, "pagerank", engine="bogus", machines=2)
 
     def test_removed_interval_kwarg_raises(self, er_graph):
-        with pytest.raises(ConfigError, match="CoherencyPolicy\\(interval"):
+        with pytest.raises(ConfigError, match='use policy="simple"'):
             repro.run(er_graph, "pagerank", machines=2, interval="simple")
 
     def test_never_interval_via_policy(self, er_graph):
         r = repro.run(er_graph, "pagerank", machines=2,
-                      policy=repro.CoherencyPolicy(interval="never"))
+                      policy="never")
         assert r.stats.local_iterations == 0
 
     def test_every_engine_runs(self, er_weighted):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.bench.experiment_file import _build_config
-from repro.core.policy import CoherencyPolicy, get_policy
+from repro.core.policy import CoherencyPolicy
 from repro.errors import ConfigError
 from repro.obs.tracer import Tracer
 from repro.runtime.registry import get_engine
@@ -51,10 +51,15 @@ class TestEngineKwargs:
         assert cfg.engine_kwargs(LAZY, tracer=per_run)["tracer"] is per_run
 
     def test_policy_folded_for_controller_engines(self):
-        pol = get_policy("paper")
-        kwargs = RunConfig(policy=pol).engine_kwargs(LAZY)
-        assert kwargs["coherency_mode"] == pol.mode
-        assert kwargs["controller"] is not None
+        pol = CoherencyPolicy("staleness", mode="a2a")
+        assert RunConfig(policy=pol).engine_kwargs(LAZY)["policy"] is pol
+        # by name or by default: resolved to the policy value
+        assert RunConfig(policy="never").engine_kwargs(LAZY)["policy"] == \
+            CoherencyPolicy("never")
+        assert RunConfig().engine_kwargs(LAZY)["policy"] == CoherencyPolicy()
+        assert not {"controller", "coherency_mode", "max_delta_age"} & set(
+            RunConfig().engine_kwargs(get_engine("lazy-vertex"))
+        )
 
     def test_explicit_policy_rejected_on_eager_engines(self):
         with pytest.raises(ConfigError, match="eagerly coherent"):
@@ -68,7 +73,7 @@ class TestEngineKwargs:
 
 class TestRemovedKnobs:
     def test_from_kwargs_rejects_removed_interval(self):
-        with pytest.raises(ConfigError, match="CoherencyPolicy\\(interval"):
+        with pytest.raises(ConfigError, match='use policy="simple"'):
             RunConfig.from_kwargs(interval="simple")
 
     def test_with_overrides_rejects_removed_mode(self):
@@ -126,9 +131,12 @@ class TestExperimentConfigBridge:
         assert rc.policy.max_delta_age == 2
 
     def test_policy_opts_alone_overlay_the_paper_policy(self):
-        rc = self._run_config(policy_opts={"interval": "simple", "mode": "a2a"})
+        rc = self._run_config(
+            policy_opts={"ev_threshold": 5.0, "mode": "a2a"}
+        )
         assert isinstance(rc.policy, CoherencyPolicy)
-        assert rc.policy.interval == "simple"
+        assert rc.policy.controller == "paper"
+        assert dict(rc.policy.options) == {"ev_threshold": 5.0}
         assert rc.policy.mode == "a2a"
 
     def test_no_policy_means_engine_default(self):

@@ -172,6 +172,32 @@ class TestLifecycleAndErrors:
             with pytest.raises(ConfigError):
                 GraphService(session, **kwargs)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"policy": "bogus"}, "unknown coherency policy"),
+        ({"engine": "nope"}, "unknown engine"),
+        ({"engine": "powergraph-sync", "policy": "paper"},
+         "eagerly coherent"),
+    ], ids=["policy", "engine", "policy-on-eager"])
+    def test_engine_and_policy_rejected_at_construction(
+        self, session, kwargs, message
+    ):
+        import threading
+
+        before = set(threading.enumerate())
+        with pytest.raises(ConfigError, match=message):
+            GraphService(session, **kwargs)
+        assert not set(threading.enumerate()) - before  # no dispatcher
+
+    def test_resolved_policy_keys_the_cache(self, session):
+        with GraphService(session, max_wait=0.0) as default, \
+                GraphService(session, max_wait=0.0, policy="paper") as named:
+            assert default.policy == named.policy == repro.CoherencyPolicy()
+            assert default._run_key("cc", (), ()) == named._run_key(
+                "cc", (), ()
+            )
+        with GraphService(session, engine="powergraph-sync") as eager:
+            assert eager.policy is None
+
     def test_multi_source_bfs_rejected_with_guidance(self, service):
         fut = service.submit("bfs", sources=[0, 1])
         with pytest.raises(ConfigError, match="msbfs"):
