@@ -204,6 +204,11 @@ class RunStats:
             stats.extra = ExtraView(stats.metrics)
         return stats
 
+    def copy(self) -> "RunStats":
+        """An independent snapshot: the :meth:`to_dict` round trip
+        without the JSON (no timeline, no bound tracer)."""
+        return type(self).from_dict(self.to_dict())
+
     # ------------------------------------------------------------------
     def summary(self) -> str:
         """One-line human-readable digest (used by examples and benches)."""

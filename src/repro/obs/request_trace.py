@@ -146,9 +146,10 @@ class ServeTraceWriter:
     Records use the tracer's span schema (``type``/``id``/``parent``/
     ``host_t0``/``host_t1``/``attrs``) under a ``serve``-profile trace
     header, so :func:`repro.obs.records.load_trace` reads the file as
-    kind ``"serve"``; service spans carry ``cat: "serve"``. All writes
-    happen on the service's dispatcher thread except :meth:`close`
-    (the :class:`~repro.obs.records.RecordWriter` serialises the two).
+    kind ``"serve"``; service spans carry ``cat: "serve"``. The writer
+    is not thread-safe (span ids come from an unlocked counter): the
+    service calls it under its own lock, from the dispatcher and from
+    client threads answering cache hits.
     """
 
     def __init__(self, path: str) -> None:

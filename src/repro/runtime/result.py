@@ -191,7 +191,7 @@ class EngineResult:
 
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-serializable dump (caches, wire transfer, archives).
+        """JSON-serializable dump (wire transfer, archives).
 
         ``values`` become a plain list (floats round-trip exactly
         through Python's repr, and non-strict ``json`` handles the

@@ -23,10 +23,30 @@ workload needs:
   fusion visible, and ``batch_mode="exact"`` turns it off for callers
   that need per-source isolation;
 * **an LRU result cache** keyed on ``(graph version, engine, program,
-  params, source set, policy)``, holding serialized results
-  (:meth:`EngineResult.to_dict`) so cached entries share no mutable
-  arrays with what was handed out; hits are rebuilt fresh via
-  ``from_dict``.
+  params, source set, policy)``. An entry is the run's result with its
+  values copied once into a read-only ``float64`` array
+  (``flags.writeable = False``) and its stats detached
+  (:meth:`~repro.cluster.stats.RunStats.copy`). Every caller — a hit,
+  or each rider of a shared run — gets a fresh writable
+  ``values.copy()``, so no answer shares an array with another answer
+  or with the cache.
+
+**Hits do not queue.** ``submit`` canonicalises the request and looks
+its key up on the caller's thread; a hit resolves the future before
+``submit`` returns, with zero-width batch and run legs and zero engine
+cost. The lookup is skipped while a mutation is queued or applying:
+``submit_mutation`` counts one up, and the dispatcher counts it down
+once ``session.apply`` returns or raises. A query submitted behind a
+mutation therefore still waits for it in the FIFO, and any later hit
+is keyed on the post-mutation graph version. A request that does not
+canonicalise goes through the queue and fails on the dispatcher, like
+every other error. ``serve.batches`` counts dispatcher batches only; a
+submit-time hit rides none.
+
+One lock guards what client threads share with the dispatcher: the
+LRU, the ``serve.*`` counters and in-flight count, the latency
+histogram, and the trace and telemetry sinks. Engine runs and array
+copies happen outside it.
 
 The resident graph accepts **mutations in-band**:
 ``submit_mutation(batch)`` / ``mutate(batch)`` enqueue a
@@ -63,8 +83,10 @@ import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import Future
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from repro.errors import ConfigError
 from repro.graph.mutation import MutationBatch
@@ -173,6 +195,28 @@ class _PendingMutation:
 _STOP = object()
 
 
+def _frozen(result: EngineResult) -> EngineResult:
+    """The LRU's copy of ``result``: read-only float64 values, detached
+    stats, no trace."""
+    values = np.array(result.values, dtype=np.float64)
+    values.flags.writeable = False
+    return replace(
+        result, values=values, stats=result.stats.copy(), trace=None
+    )
+
+
+def _thawed(entry: EngineResult) -> EngineResult:
+    """One caller's independent, writable copy of an LRU entry."""
+    return replace(entry, values=entry.values.copy(), stats=entry.stats.copy())
+
+
+def _close_legs(ctx: RequestContext, now: float) -> None:
+    """Stamp every leg boundary the request has not reached with ``now``."""
+    for stamp in ("t_dispatch", "t_run0", "t_run1"):
+        if getattr(ctx, stamp) == 0.0:
+            setattr(ctx, stamp, now)
+
+
 class GraphService:
     """Resident query service over one :class:`GraphSession`.
 
@@ -239,7 +283,13 @@ class GraphService:
         self.max_wait = max_wait
         self.batch_mode = batch_mode
         self.cache_size = cache_size
-        self._cache: "OrderedDict[Tuple, Dict[str, Any]]" = OrderedDict()
+        self._cache: "OrderedDict[Tuple, EngineResult]" = OrderedDict()
+        # guards the cache, counters, histogram, in-flight and barrier
+        # counts, and the sinks: client threads answer hits themselves
+        self._lock = threading.Lock()
+        # mutations submitted and not yet applied (or failed): while
+        # nonzero, submit() leaves every query to the FIFO
+        self._mutations_queued = 0
         self.metrics = MetricsRegistry()
         self._latency = self.metrics.histogram(
             "serve.latency_s",
@@ -274,7 +324,11 @@ class GraphService:
     def submit(
         self, algorithm: str, sources: Sequence[int] = (), **params: Any
     ) -> "Future[ServedResult]":
-        """Enqueue one query; resolve its answer asynchronously."""
+        """Enqueue one query; resolve its answer asynchronously.
+
+        A cache hit is answered on the calling thread: its future is
+        resolved when this returns.
+        """
         if self._closed:
             raise ConfigError("service is closed")
         req = QueryRequest.make(algorithm, sources, **params)
@@ -284,9 +338,12 @@ class GraphService:
             algorithm=algorithm,
             sources=tuple(int(s) for s in sources),
         )
-        self.metrics.counter("serve.queries").inc()
-        self._inflight += 1
-        self._queue.put(_Pending(req, fut, submitted_at=ctx.t_enqueue, ctx=ctx))
+        pending = _Pending(req, fut, submitted_at=ctx.t_enqueue, ctx=ctx)
+        with self._lock:
+            self.metrics.counter("serve.queries").inc()
+            self._inflight += 1
+        if not self._serve_hit(pending):
+            self._queue.put(pending)
         return fut
 
     def query(
@@ -319,8 +376,10 @@ class GraphService:
                 f"got {type(batch).__name__}"
             )
         fut: "Future[ApplyResult]" = Future()
-        self.metrics.counter("serve.mutations").inc()
-        self._inflight += 1
+        with self._lock:
+            self.metrics.counter("serve.mutations").inc()
+            self._inflight += 1
+            self._mutations_queued += 1
         self._queue.put(_PendingMutation(batch, fut))
         return fut
 
@@ -332,7 +391,8 @@ class GraphService:
 
     def stats(self) -> Dict[str, Any]:
         """Service counters + latency summary (JSON-serializable)."""
-        out = self.metrics.export()
+        with self._lock:
+            out = self.metrics.export()
         hits = out.get("serve.cache_hits", 0.0)
         misses = out.get("serve.cache_misses", 0.0)
         total = hits + misses
@@ -347,7 +407,10 @@ class GraphService:
         artifact census. Values are best-effort snapshots (the
         dispatcher keeps running while we read).
         """
-        exported = self.metrics.export()
+        with self._lock:
+            exported = self.metrics.export()
+            inflight = self._inflight
+            entries = len(self._cache)
         counters = {
             k: v for k, v in exported.items() if not isinstance(v, dict)
         }
@@ -357,9 +420,9 @@ class GraphService:
         lookups = hits + misses
         return {
             "queue_depth": self._queue.qsize(),
-            "inflight": self._inflight,
+            "inflight": inflight,
             "cache": {
-                "entries": len(self._cache),
+                "entries": entries,
                 "capacity": self.cache_size,
             },
             "counters": counters,
@@ -392,7 +455,7 @@ class GraphService:
         self._dispatcher.join(timeout)
         # the submit/close race can enqueue requests behind _STOP; the
         # dispatcher never sees them, so resolve them here on the
-        # closing thread (the dispatcher is gone — no concurrency)
+        # closing thread (the dispatcher is gone)
         leftovers: List[_Pending] = []
         while True:
             try:
@@ -431,7 +494,7 @@ class GraphService:
         self.close()
 
     # ------------------------------------------------------------------
-    # dispatcher internals (single thread; owns cache + session.run)
+    # dispatcher internals (single thread; owns session.run)
     def _dispatch_loop(self) -> None:
         while True:
             try:
@@ -479,14 +542,20 @@ class GraphService:
                 self._apply_mutation(tail)
 
     def _apply_mutation(self, pending: _PendingMutation) -> None:
+        # the barrier lifts once apply returns or raises: by then the
+        # graph version (part of every cache key) is final
         try:
             result = self.session.apply(pending.batch)
         except Exception as exc:
-            self._inflight -= 1
+            with self._lock:
+                self._mutations_queued -= 1
+                self._inflight -= 1
             pending.future.set_exception(exc)
             return
-        self.metrics.counter("serve.mutations_applied").inc()
-        self._inflight -= 1
+        with self._lock:
+            self._mutations_queued -= 1
+            self._inflight -= 1
+            self.metrics.counter("serve.mutations_applied").inc()
         pending.future.set_result(result)
 
     def _run_key(
@@ -538,25 +607,66 @@ class GraphService:
             params=self._run_params(alg, srcs, params),
             tracer=tracer,
         )
-        self.metrics.counter("serve.runs").inc()
+        self._count("serve.runs")
         return self.session.run(alg, config=config)
 
-    def _cache_get(self, key: Tuple) -> Optional[EngineResult]:
-        if self.cache_size == 0:
-            return None
-        entry = self._cache.get(key)
-        if entry is None:
-            return None
-        self._cache.move_to_end(key)
-        return EngineResult.from_dict(entry)
+    def _count(self, name: str) -> None:
+        with self._lock:
+            self.metrics.counter(name).inc()
 
-    def _cache_put(self, key: Tuple, result: EngineResult) -> None:
+    # the two LRU operations run with self._lock held
+    def _cache_get(self, key: Tuple) -> Optional[EngineResult]:
+        entry = self._cache.get(key)
+        if entry is not None:
+            self._cache.move_to_end(key)
+        return entry
+
+    def _cache_put(self, key: Tuple, entry: EngineResult) -> None:
         if self.cache_size == 0:
             return
-        self._cache[key] = result.to_dict()
+        self._cache[key] = entry
         self._cache.move_to_end(key)
         while len(self._cache) > self.cache_size:
             self._cache.popitem(last=False)
+
+    def _serve_hit(self, pending: _Pending) -> bool:
+        """Answer ``pending`` from the LRU on the calling thread.
+
+        False — the dispatcher takes it — while a mutation is queued or
+        applying, on a miss, and for a request that does not
+        canonicalise (the dispatcher fails it).
+        """
+        try:
+            alg, srcs = self._canonical(pending.request)
+        except Exception:
+            return False
+        with self._lock:
+            if self._mutations_queued:
+                return False
+            key = self._run_key(alg, pending.request.params, srcs)
+            entry = self._cache_get(key)
+            if entry is None:
+                return False
+            self.metrics.counter("serve.cache_hits").inc()
+        self._finish_hit(pending, key, srcs, entry)
+        return True
+
+    def _finish_hit(
+        self, pending: _Pending, key: Tuple, srcs: Tuple[int, ...],
+        entry: EngineResult,
+    ) -> None:
+        if pending.ctx is not None:
+            # zero-width run leg: an LRU hit pays no engine time
+            _close_legs(pending.ctx, time.perf_counter())
+            pending.ctx.cache_key = repr(key)
+            pending.ctx.engine_cost_s = 0.0
+        self._finish(
+            pending,
+            ServedResult(
+                result=_thawed(entry), request=pending.request, cached=True,
+                sources_served=srcs, cache_key=repr(key),
+            ),
+        )
 
     # ------------------------------------------------------------------
     # request lifecycle terminals: every accepted request leaves through
@@ -565,60 +675,64 @@ class GraphService:
         self, pending: _Pending, served: ServedResult
     ) -> None:
         ctx = pending.ctx
-        if ctx is not None:
-            ctx.t_done = time.perf_counter()
-            ctx.outcome = "ok"
-            served.latency_s = ctx.latency_s
-            served.request_id = ctx.request_id
-            served.engine_cost_s = ctx.engine_cost_s
-            served.cache_key = ctx.cache_key
-            ctx.cached = served.cached
-            ctx.batched = served.batched
-            ctx.batch_size = served.batch_size
-            ctx.sources_served = served.sources_served
-            if self._trace is not None:
-                self._trace.record_request(ctx)
-            if self._telemetry is not None:
-                self._telemetry.observe(
-                    ctx.algorithm, served.latency_s, served.cached
-                )
-        else:
-            served.latency_s = time.perf_counter() - pending.submitted_at
-        self._inflight -= 1
-        self._latency.observe(served.latency_s)
+        with self._lock:
+            if ctx is not None:
+                ctx.t_done = time.perf_counter()
+                ctx.outcome = "ok"
+                served.latency_s = ctx.latency_s
+                served.request_id = ctx.request_id
+                served.engine_cost_s = ctx.engine_cost_s
+                served.cache_key = ctx.cache_key
+                ctx.cached = served.cached
+                ctx.batched = served.batched
+                ctx.batch_size = served.batch_size
+                ctx.sources_served = served.sources_served
+                if self._trace is not None:
+                    self._trace.record_request(ctx)
+                if self._telemetry is not None:
+                    self._telemetry.observe(
+                        ctx.algorithm, served.latency_s, served.cached
+                    )
+            else:
+                served.latency_s = time.perf_counter() - pending.submitted_at
+            self._inflight -= 1
+            self._latency.observe(served.latency_s)
         pending.future.set_result(served)
 
     def _fail(self, pending: _Pending, exc: BaseException) -> None:
         ctx = pending.ctx
-        if ctx is not None:
-            now = time.perf_counter()
-            for stamp in ("t_dispatch", "t_run0", "t_run1"):
-                if getattr(ctx, stamp) == 0.0:
-                    setattr(ctx, stamp, now)
-            ctx.t_done = now
-            ctx.outcome = "error"
-            ctx.error = repr(exc)
-            if self._trace is not None:
-                self._trace.record_request(ctx)
-        self._inflight -= 1
+        with self._lock:
+            if ctx is not None:
+                now = time.perf_counter()
+                _close_legs(ctx, now)
+                ctx.t_done = now
+                ctx.outcome = "error"
+                ctx.error = repr(exc)
+                if self._trace is not None:
+                    self._trace.record_request(ctx)
+            self._inflight -= 1
         pending.future.set_exception(exc)
 
-    def _cancel_pending(self, pending: _Pending) -> None:
+    def _cancel_pending(
+        self, pending: Union[_Pending, _PendingMutation]
+    ) -> None:
+        """Cancel a queued query or mutation (``close(mode="cancel")``)."""
         ctx = pending.ctx
-        if ctx is not None:
-            now = time.perf_counter()
-            for stamp in ("t_dispatch", "t_run0", "t_run1"):
-                if getattr(ctx, stamp) == 0.0:
-                    setattr(ctx, stamp, now)
-            ctx.t_done = now
-            ctx.outcome = "cancelled"
-            if self._trace is not None:
-                self._trace.record_request(ctx)
-        self._inflight -= 1
+        with self._lock:
+            if ctx is not None:
+                now = time.perf_counter()
+                _close_legs(ctx, now)
+                ctx.t_done = now
+                ctx.outcome = "cancelled"
+                if self._trace is not None:
+                    self._trace.record_request(ctx)
+            if isinstance(pending, _PendingMutation):
+                self._mutations_queued -= 1
+            self._inflight -= 1
         pending.future.cancel()
 
     def _serve_batch(self, batch: List[_Pending]) -> None:
-        self.metrics.counter("serve.batches").inc()
+        self._count("serve.batches")
         batch_id = next(self._batch_ids)
         t_dispatch = time.perf_counter()
         for p in batch:
@@ -635,25 +749,15 @@ class GraphService:
                 self._fail(p, exc)
                 continue
             key = self._run_key(alg, p.request.params, srcs)
-            hit = self._cache_get(key)
-            if hit is not None:
-                self.metrics.counter("serve.cache_hits").inc()
-                if p.ctx is not None:
-                    # zero-width run leg: an LRU hit pays no engine time
-                    t_hit = time.perf_counter()
-                    p.ctx.t_run0 = t_hit
-                    p.ctx.t_run1 = t_hit
-                    p.ctx.cache_key = repr(key)
-                    p.ctx.engine_cost_s = 0.0
-                self._finish(
-                    p,
-                    ServedResult(
-                        result=hit, request=p.request, cached=True,
-                        sources_served=srcs, cache_key=repr(key),
-                    ),
-                )
+            with self._lock:
+                entry = self._cache_get(key)
+                self.metrics.counter(
+                    "serve.cache_misses" if entry is None
+                    else "serve.cache_hits"
+                ).inc()
+            if entry is not None:
+                self._finish_hit(p, key, srcs, entry)
                 continue
-            self.metrics.counter("serve.cache_misses").inc()
             groups.setdefault(key, []).append(p)
             plans[key] = (alg, srcs, p.request.params_dict)
 
@@ -672,11 +776,12 @@ class GraphService:
             except Exception as exc:
                 t_run1 = time.perf_counter()
                 if self._trace is not None:
-                    self._trace.record_run(
-                        run_id, batch_id, alg, srcs,
-                        [m.ctx.request_id for m in members if m.ctx],
-                        t_run0, t_run1, error=repr(exc),
-                    )
+                    with self._lock:
+                        self._trace.record_run(
+                            run_id, batch_id, alg, srcs,
+                            [m.ctx.request_id for m in members if m.ctx],
+                            t_run0, t_run1, error=repr(exc),
+                        )
                 for p in members:
                     if p.ctx is not None:
                         p.ctx.run_id = run_id
@@ -685,19 +790,25 @@ class GraphService:
                     self._fail(p, exc)
                 continue
             t_run1 = time.perf_counter()
-            self._cache_put(key, result)
+            entry = _frozen(result)
             fused = len({m.request for m in members}) > 1
             # cost attribution: the run's modeled engine time splits
             # across its riders, summing back bit-exactly (split_cost)
             shares = split_cost(
                 float(result.stats.modeled_time_s), len(members)
             )
-            if self._trace is not None:
-                self._trace.record_run(
-                    run_id, batch_id, alg, srcs,
-                    [m.ctx.request_id for m in members if m.ctx],
-                    t_run0, t_run1, result=result, tracer=run_tracer,
-                )
+            with self._lock:
+                self._cache_put(key, entry)
+                if fused:
+                    self.metrics.counter("serve.fused_queries").inc(
+                        len(members)
+                    )
+                if self._trace is not None:
+                    self._trace.record_run(
+                        run_id, batch_id, alg, srcs,
+                        [m.ctx.request_id for m in members if m.ctx],
+                        t_run0, t_run1, result=result, tracer=run_tracer,
+                    )
             for p, share in zip(members, shares):
                 if p.ctx is not None:
                     p.ctx.run_id = run_id
@@ -707,11 +818,10 @@ class GraphService:
                 self._finish(
                     p,
                     ServedResult(
-                        # hand out independent copies so callers can
-                        # mutate freely without corrupting siblings
+                        # riders of a shared run each get their own
+                        # copy, so callers can mutate freely
                         result=(
-                            result if len(members) == 1
-                            else EngineResult.from_dict(result.to_dict())
+                            result if len(members) == 1 else _thawed(entry)
                         ),
                         request=p.request,
                         batched=fused,
@@ -720,8 +830,6 @@ class GraphService:
                         engine_cost_s=share,
                     ),
                 )
-                if fused:
-                    self.metrics.counter("serve.fused_queries").inc()
 
     def _fuse(
         self,
@@ -751,10 +859,10 @@ class GraphService:
                     out_groups[key] = groups[key]
                     out_plans[key] = plans[key]
                 continue
-            fused_alg = family[0]
+            program = family[0]
             union: set = set()
             members: List[_Pending] = []
-            params: Dict[str, Any] = {}
+            params = {}
             for key in keys:
                 alg, srcs, p = plans[key]
                 union.update(srcs)
@@ -765,7 +873,7 @@ class GraphService:
                 }
             fsrcs = tuple(sorted(union))
             fparams = tuple(sorted(params.items()))
-            fkey = self._run_key(fused_alg, fparams, fsrcs)
+            fkey = self._run_key(program, fparams, fsrcs)
             out_groups.setdefault(fkey, []).extend(members)
-            out_plans[fkey] = (fused_alg, fsrcs, params)
+            out_plans[fkey] = (program, fsrcs, params)
         return out_groups, out_plans

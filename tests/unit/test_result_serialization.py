@@ -1,9 +1,10 @@
 """EngineResult serialization: exact JSON round-trips.
 
-The serving layer stores cached answers as ``to_dict()`` payloads and
-rebuilds them with ``from_dict()``, so the round-trip must be exact —
-values bit-for-bit, the full RunStats dump (counters, histogram
-summaries, per-channel extras) key-for-key.
+``to_dict()`` is the wire format: an answer shipped as JSON and rebuilt
+with ``from_dict()`` must round-trip exactly — values bit-for-bit, the
+full RunStats dump (counters, histogram summaries, per-channel extras)
+key-for-key. (The serving cache holds read-only arrays, not these
+payloads.)
 """
 
 import json

@@ -2,14 +2,22 @@
 
 Fused answers must be bit-identical to a fresh ``repro.run`` of the
 union multi-source program; cache hits must be equal to (and share no
-arrays with) the miss that populated them.
+arrays with) the miss that populated them. Hits resolve inside
+``submit`` unless a mutation is pending, and stay exact with many
+client threads and every sink on.
 """
+
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 import repro
 from repro.errors import ConfigError
+from repro.graph.mutation import MutationBatch, apply_batch
+from repro.obs.records import load_trace
+from repro.obs.request_trace import analyze_serve_trace
 from repro.serve import GraphService, QueryRequest
 from repro.serve.service import _Pending
 from repro.session import GraphSession
@@ -159,6 +167,156 @@ class TestCache:
         with GraphService(session, cache_size=0, max_wait=0.0) as svc:
             svc.query("bfs", sources=[0])
             assert not svc.query("bfs", sources=[0]).cached
+
+    def test_entries_are_read_only_float64_arrays(self, service):
+        single = service.query("bfs", sources=[4])
+        _serve_direct(service, _pending("bfs", [0]), _pending("bfs", [7]))
+        assert len(service._cache) == 2
+        for entry in service._cache.values():
+            assert isinstance(entry.values, np.ndarray)
+            assert entry.values.dtype == np.float64
+            assert not entry.values.flags.writeable
+            assert entry.trace is None
+            assert not np.shares_memory(entry.values, single.result.values)
+
+    def test_fused_riders_share_no_memory(self, service):
+        a, b = _serve_direct(
+            service, _pending("bfs", [0]), _pending("bfs", [7])
+        )
+        assert a.batched and b.batched
+        assert not np.shares_memory(a.result.values, b.result.values)
+        (entry,) = service._cache.values()
+        for rider in (a, b):
+            assert not np.shares_memory(rider.result.values, entry.values)
+            assert rider.result.values.flags.writeable
+            assert rider.result.stats is not entry.stats
+        want = b.result.values.copy()
+        a.result.values[:] = -1.0
+        hit = service.query("msbfs", sources=[0, 7])
+        assert hit.cached
+        assert np.array_equal(hit.result.values, want)
+        assert np.array_equal(b.result.values, want)
+
+
+class TestSubmitTimeHits:
+    """A hit resolves inside ``submit``, unless a mutation is pending."""
+
+    def test_hit_resolves_before_submit_returns(self, service):
+        service.query("bfs", sources=[0])
+        batches = service.stats()["serve.batches"]
+        fut = service.submit("bfs", sources=[0])
+        assert fut.done()
+        served = fut.result(timeout=0)
+        assert served.cached and served.engine_cost_s == 0.0
+        # a submit-time hit rides no dispatcher batch
+        assert service.stats()["serve.batches"] == batches
+
+    def test_mutation_barrier_holds_on_the_fast_path(
+        self, service, session, er_graph, monkeypatch
+    ):
+        started, release = threading.Event(), threading.Event()
+        apply = session.apply
+
+        def gated(batch):
+            started.set()
+            assert release.wait(60)
+            return apply(batch)
+
+        monkeypatch.setattr(session, "apply", gated)
+        service.query("bfs", sources=[0])  # bfs(0) is now cached
+        batch = MutationBatch().add_edge(0, 150)
+        mutation = service.submit_mutation(batch)
+        fut = service.submit("bfs", sources=[0])
+        assert not fut.done()
+        assert started.wait(60)
+        # the dispatcher is inside apply: only it can answer fut
+        assert not fut.done()
+        release.set()
+        assert mutation.result(timeout=60).graph_version == 1
+        served = fut.result(timeout=60)
+        assert not served.cached
+        patched, _ = apply_batch(er_graph, batch)
+        want = repro.run(patched, "bfs", machines=MACHINES, seed=0, source=0)
+        assert np.array_equal(served.result.values, want.values)
+        assert served.result.values[150] == 1.0
+
+    def test_failed_mutation_releases_the_barrier(
+        self, service, session, monkeypatch
+    ):
+        def broken(batch):
+            raise RuntimeError("injected apply failure")
+
+        monkeypatch.setattr(session, "apply", broken)
+        service.query("bfs", sources=[0])
+        with pytest.raises(RuntimeError, match="injected"):
+            service.mutate(MutationBatch().add_edge(0, 150), timeout=60)
+        assert service._mutations_queued == 0
+        fut = service.submit("bfs", sources=[0])
+        assert fut.done() and fut.result(timeout=0).cached
+
+
+class TestConcurrentClients:
+    """Client threads answering hits race the dispatcher under one lock."""
+
+    HOT = [
+        ("bfs", 0), ("bfs", 7), ("ppr", 2), ("ppr", 9), ("sssp", 3),
+        ("msbfs", 11),
+    ]
+    THREADS = 4
+    PER_THREAD = 150
+
+    def test_many_threads_with_observability(self, session, tmp_path):
+        trace_path = tmp_path / "serve.trace.jsonl"
+        futures = [[] for _ in range(self.THREADS)]
+
+        def client(i):
+            for q in range(self.PER_THREAD):
+                alg, src = self.HOT[(i + q) % len(self.HOT)]
+                fut = svc.submit(alg, sources=[src])
+                fut.result(timeout=120)
+                futures[i].append(fut)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # more preemption: races show up
+        try:
+            with GraphService(
+                session, max_wait=0.001, trace_out=str(trace_path),
+                telemetry_out=str(tmp_path / "service.telemetry.jsonl"),
+                telemetry_interval=0.05,
+            ) as svc:
+                threads = [
+                    threading.Thread(target=client, args=(i,))
+                    for i in range(self.THREADS)
+                ]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=300)
+                    assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(switch)
+        everything = [f for per in futures for f in per]
+        assert len(everything) == self.THREADS * self.PER_THREAD
+        assert all(f.done() and f.exception() is None for f in everything)
+        stats = svc.stats()
+        assert stats["serve.queries"] == len(everything)
+        assert stats["serve.queries"] == (
+            stats["serve.cache_hits"] + stats["serve.cache_misses"]
+        )
+        assert stats["serve.cache_hits"] > 0
+        assert svc._inflight == 0
+
+        trace = load_trace(str(trace_path))
+        ids = [s["id"] for s in trace.spans]
+        assert len(ids) == len(set(ids))
+        analysis = analyze_serve_trace(trace)
+        assert analysis["totals"]["requests"] == len(everything)
+        assert analysis["totals"]["latency_exact"]
+        assert analysis["totals"]["attribution_exact"]
+        hits = [r for r in analysis["requests"] if r["cached"]]
+        assert len(hits) == stats["serve.cache_hits"]
+        assert all(r["run_s"] == 0.0 for r in hits)
+        assert all(r["engine_cost_s"] == 0.0 for r in hits)
 
 
 class TestLifecycleAndErrors:
