@@ -94,10 +94,12 @@ class PersonalizedPageRankProgram(DeltaProgram):
     ) -> Tuple[np.ndarray, np.ndarray]:
         change = self.damping * accum
         state["vdata"][idx] += change
-        state["pending"][idx] += change
+        # one gather and one write-back of pending (idx is duplicate-free)
         pending = state["pending"][idx]
+        pending += change
         fire = np.abs(pending) > self.tolerance
         delta_out = np.where(fire, pending, 0.0)
+        # the fired mass has been handed to scatter; reset those vertices
         state["pending"][idx] = np.where(fire, 0.0, pending)
         return delta_out, fire
 
@@ -110,5 +112,6 @@ class PersonalizedPageRankProgram(DeltaProgram):
         return delta_per_edge / mg.out_deg_global[mg.esrc[edge_sel]]
 
     def edge_transform(self, mg: MachineGraph):
-        # the divisor edge_message gathers per call, hoisted once per run
-        return ("divide", mg.out_deg_global[mg.esrc])
+        # edge_message's divisor depends only on the source: divide the
+        # frontier's out-deltas once instead of every edge's copy
+        return ("divide_source", mg.out_deg_global)

@@ -243,23 +243,26 @@ class DeltaProgram(abc.ABC):
     ) -> Optional[Tuple[str, Optional[np.ndarray]]]:
         """Declarative form of :meth:`edge_message` for kernel fusion.
 
-        When the per-edge transform is a fixed elementwise op against a
-        per-edge operand that does not change over the run, returning
-        ``(op, operand)`` lets the runtime hoist the operand into the
-        machine's cached CSR plan (in sorted edge order) and fuse the
-        transform into the sweep, skipping :meth:`edge_message`'s
-        per-call edge gathers. Supported ops:
+        When the per-edge transform is a fixed elementwise op against an
+        operand that does not change over the run, returning
+        ``(op, operand)`` lets the runtime hoist the operand once and
+        fuse the transform into the sweep, skipping
+        :meth:`edge_message`'s per-call edge gathers. Supported ops:
 
         * ``("identity", None)`` — message is the delta unchanged;
         * ``("add", x)`` — ``delta + x`` (scalar or per-local-edge array);
-        * ``("divide", x)`` — ``delta / x`` (scalar or per-local-edge
-          array).
+        * ``("divide_source", x)`` — ``delta / x[source]`` with ``x`` a
+          per-source array of shape ``(mg.num_local_vertices,)``, indexed
+          by the edge's local source slot. The runtime divides each
+          fired out-delta once, before expanding it to the source's
+          edges. Entries of slots without local edges are never read.
 
         The contract is **bit-identity**: for every edge selection ``e``
         and payload ``d``, ``edge_message(mg, e, d)`` must equal the
-        declared op applied with ``operand[e]``, bit for bit (the ops
-        are evaluated with the same ufunc either way). Return ``None``
-        (the default) to keep the general ``edge_message`` path.
+        declared op applied with ``operand[e]`` (``operand[mg.esrc[e]]``
+        for ``divide_source``), bit for bit (the ops are evaluated with
+        the same ufunc either way). Return ``None`` (the default) to
+        keep the general ``edge_message`` path.
         """
         return None
 

@@ -119,8 +119,7 @@ class CSRPlan:
         edges in the same order.
         """
         cfg = get_config()
-        starts = self.indptr[idx]
-        counts = self.indptr[idx + 1] - starts
+        counts = self.counts[idx]
         total = int(counts.sum())
         if total == 0:
             return SPARSE, self._arange[:0], counts, 0
@@ -130,7 +129,8 @@ class CSRPlan:
             and total >= cfg.dense_sweep_fraction * self.num_edges
         )
         if not dense_ok:
-            return SPARSE, self._expand(starts, counts, total), counts, total
+            pos = self._expand(self.indptr[idx], counts, total)
+            return SPARSE, pos, counts, total
         if total == self.num_edges:
             return DENSE_FULL, None, None, total
         mask = self._mask_scratch

@@ -28,11 +28,14 @@ switch) with zero per-call index arithmetic. Three further fusions make
 the dense sweep fast:
 
 * programs that declare an :meth:`~repro.api.vertex_program.DeltaProgram.
-  edge_transform` get their per-edge operand hoisted into sorted edge
-  order once, so the per-call edge-id gather and ``edge_message`` call
-  disappear;
+  edge_transform` skip the per-call edge-id gather and ``edge_message``
+  call: a per-edge operand is hoisted into sorted edge order once, and a
+  per-source one (PageRank's ``Δ / outDeg``) is applied to the
+  |frontier| out-deltas *before* they are expanded to edges;
 * the parallel-edge mask is pre-inverted (and skipped entirely when no
-  parallel edges exist, the common case);
+  parallel edges exist, the common case); a tracked partial dense sweep
+  over one-edge-only edges marks its targets once, in one ``bool[n]``
+  touched mask OR-ed into both ``has_msg`` and ``has_delta``;
 * a full sweep folds each target segment **once** and applies the
   segment aggregates to both ``msg`` and ``deltaMsg``
   (fold-once/apply-twice, see :mod:`repro.kernels.segment_reduce`).
@@ -78,7 +81,7 @@ from repro.partition.partitioned_graph import MachineGraph
 
 __all__ = ["MachineRuntime"]
 
-_TRANSFORM_OPS = ("identity", "add", "divide")
+_TRANSFORM_OPS = ("identity", "add", "divide_source")
 
 
 class MachineRuntime:
@@ -125,24 +128,31 @@ class MachineRuntime:
         self._kind = monoid_kind(self.algebra)
         self._init_transform(program, mg)
         # reusable scratch: take_ready accums, dense-sweep per-source
-        # deltas (only fired sources' slots are ever read back), and the
-        # per-target segment aggregates of the fold-once/apply-twice path
+        # deltas (only fired sources' slots are ever read back), the
+        # per-target segment aggregates of the fold-once/apply-twice path,
+        # and the dense sweep's touched-target mask
         self._accum_scratch = np.empty(n, dtype=np.float64)
         self._delta_scratch = np.empty(n, dtype=np.float64)
         self._seg_scratch = np.empty(n, dtype=np.float64)
+        self._touched_scratch = np.empty(n, dtype=bool)
         self.kernel_stats = KernelStats()
         self._last_sweep_mode: str = ""
 
     def _init_transform(self, program: DeltaProgram, mg: MachineGraph) -> None:
         """Hoist the program's declarative edge transform, if any.
 
-        Array operands are re-ordered into the plan's sorted edge order
-        once, so ``scatter`` applies the transform positionally with no
-        per-call edge-id gather.
+        Per-edge array operands are re-ordered into the plan's sorted
+        edge order once, so ``scatter`` applies the transform
+        positionally with no per-call edge-id gather. A per-source
+        (``divide_source``) operand stays in slot order; slots without
+        local edges never have their quotient read, so their divisor is
+        stored as 1 — a bootstrap that fires a dangling vertex divides
+        by a real number instead of raising on 0.
         """
         tf = program.edge_transform(mg)
         self._tf_op: Optional[str] = None
         self._tf_operand = None
+        self._src_divisor: Optional[np.ndarray] = None
         if tf is None:
             return
         op, operand = tf
@@ -152,7 +162,16 @@ class MachineRuntime:
                 f"(expected one of {_TRANSFORM_OPS})"
             )
         self._tf_op = op
-        if operand is None or np.ndim(operand) == 0:
+        if op == "divide_source":
+            operand = np.asarray(operand)
+            if operand.shape != (self.out_plan.num_slots,):
+                raise AlgorithmError(
+                    f"{program.name}: divide_source operand must be "
+                    f"per-source (one per local vertex), got shape "
+                    f"{operand.shape}"
+                )
+            self._src_divisor = np.where(self.out_plan.counts > 0, operand, 1)
+        elif operand is None or np.ndim(operand) == 0:
             self._tf_operand = operand
         else:
             operand = np.asarray(operand)
@@ -249,20 +268,19 @@ class MachineRuntime:
         Uses the hoisted transform when the program declared one (no
         edge-id gather); falls back to ``edge_message`` otherwise.
         ``pos`` of ``None`` means "every local edge in sorted order".
+        A per-source transform was already applied by :meth:`scatter`.
         """
         op = self._tf_op
         if op is None or get_config().mode == "generic":
             plan = self.out_plan
             e_sel = plan.eorder if pos is None else plan.eorder[pos]
             return self.program.edge_message(self.mg, e_sel, delta_per_edge)
-        if op == "identity":
+        if op == "identity" or op == "divide_source":
             return delta_per_edge
         x = self._tf_operand
         if isinstance(x, np.ndarray) and pos is not None:
             x = x[pos]
-        if op == "add":
-            return delta_per_edge + x
-        return delta_per_edge / x
+        return delta_per_edge + x
 
     def scatter(
         self, idx: np.ndarray, delta_out: np.ndarray, track_delta: bool
@@ -286,6 +304,11 @@ class MachineRuntime:
         mode, pos, counts, total = plan.select(idx)
         if total == 0:
             return 0
+        divisor = self._src_divisor
+        if divisor is not None and get_config().mode != "generic":
+            # one divide per frontier vertex instead of per edge: the same
+            # operands through the same IEEE op, so bit-identical
+            delta_out = delta_out / divisor[idx]
         if counts is not None:  # sparse: expand payload per-vertex range
             delta_per_edge = np.repeat(delta_out, counts)
         else:  # dense: payload via a full per-source slot array
@@ -315,15 +338,26 @@ class MachineRuntime:
         else:
             tgt = plan.dst_sorted[pos]
             kernel = scatter_reduce(self.algebra, self.msg, tgt, msgv)
-            self.has_msg[tgt] = True
-            if track_delta:
-                if one_edge_mask is None:
-                    t1, m1 = tgt, msgv
-                else:
-                    t1, m1 = tgt[one_edge_mask], msgv[one_edge_mask]
-                if t1.size:
-                    scatter_reduce(self.algebra, self.delta_msg, t1, m1)
-                    self.has_delta[t1] = True
+            if mode == "dense" and track_delta and one_edge_mask is None:
+                # mark the targets once and OR the mask into both flag
+                # arrays (an O(n) OR beats a second |edges| index write
+                # here; sparse wavefronts keep their index writes)
+                scatter_reduce(self.algebra, self.delta_msg, tgt, msgv)
+                touched = self._touched_scratch
+                touched.fill(False)
+                touched[tgt] = True
+                self.has_msg |= touched
+                self.has_delta |= touched
+            else:
+                self.has_msg[tgt] = True
+                if track_delta:
+                    if one_edge_mask is None:
+                        t1, m1 = tgt, msgv
+                    else:
+                        t1, m1 = tgt[one_edge_mask], msgv[one_edge_mask]
+                    if t1.size:
+                        scatter_reduce(self.algebra, self.delta_msg, t1, m1)
+                        self.has_delta[t1] = True
         self.kernel_stats.add(f"scatter/{mode}/{kernel}", time.perf_counter() - t0)
         return total
 

@@ -267,6 +267,16 @@ class TestEdgeTransformValidation:
         with pytest.raises(AlgorithmError, match="per-local-edge"):
             _runtime(g, Bad())
 
+    def test_wrong_source_operand_shape_raises(self):
+        class Bad(PageRankDeltaProgram):
+            def edge_transform(self, mg):
+                # per-edge, where divide_source takes one per local vertex
+                return ("divide_source", mg.out_deg_global[mg.esrc])
+
+        g = DiGraph(3, [0, 1], [1, 2])
+        with pytest.raises(AlgorithmError, match="per-source"):
+            _runtime(g, Bad())
+
     def test_transform_matches_edge_message(self):
         # the hoisted divide transform must reproduce edge_message bits
         g = DiGraph(4, [0, 0, 1, 2], [1, 2, 3, 3])
@@ -280,6 +290,59 @@ class TestEdgeTransformValidation:
             rt2.scatter(frontier, deltas, track_delta=False)
         assert fast.view(np.int64).tolist() == \
             rt2.msg.view(np.int64).tolist()
+
+
+class TestSweepModeFlags:
+    """Sparse, dense and dense-full scatters leave identical buffers.
+
+    The dense sweep over one-edge-only edges marks its targets through a
+    shared touched mask; with parallel edges it must keep flagging
+    ``has_delta`` only where a one-edge message landed."""
+
+    # 0..5 each reach the next three around a ring (edges 0..17), and
+    # 0,1 -> 6, 2,4 -> 7 (edges 18..21); marked parallel, those last four
+    # are the only way into 6 and 7
+    SRC = np.r_[np.repeat(np.arange(6), 3), 0, 1, 2, 4]
+    DST = np.r_[(np.repeat(np.arange(6), 3) + np.tile([1, 2, 3], 6)) % 6,
+                6, 6, 7, 7]
+
+    def _scatter(self, program, frontier, fraction, parallel):
+        g = DiGraph(8, self.SRC, self.DST)
+        pg = PartitionedGraph.build(
+            g, np.zeros(g.num_edges, dtype=np.int32), 1,
+            parallel_eids=parallel,
+        )
+        with configured(dense_min_edges=1, dense_sweep_fraction=fraction):
+            rt = MachineRuntime(pg.machines[0], program)
+            rt.scatter(frontier, np.linspace(0.5, 2.0, frontier.size), True)
+        return rt
+
+    @pytest.mark.parametrize(
+        "program", [PageRankDeltaProgram(), ConnectedComponentsProgram()],
+        ids=["sum", "min"],
+    )
+    @pytest.mark.parametrize(
+        "parallel", [None, np.arange(18, 22)], ids=["one-edge", "parallel"]
+    )
+    @pytest.mark.parametrize(
+        "frontier,dense_mode",
+        [(np.array([0, 1, 2, 4]), "dense"), (np.arange(8), "dense-full")],
+        ids=["partial", "full"],
+    )
+    def test_modes_leave_identical_buffers(
+        self, program, parallel, frontier, dense_mode
+    ):
+        # a fraction above 1 never sweeps densely; 0 always does
+        sparse = self._scatter(program, frontier, 2.0, parallel)
+        dense = self._scatter(program, frontier, 0.0, parallel)
+        assert sparse._last_sweep_mode == "sparse"
+        assert dense._last_sweep_mode == dense_mode
+        for name in ("msg", "delta_msg", "has_msg", "has_delta"):
+            a, b = getattr(sparse, name), getattr(dense, name)
+            assert a.tobytes() == b.tobytes(), name
+        assert dense.has_msg[[6, 7]].all()
+        # reached only over parallel edges: a message but no deltaMsg
+        assert dense.has_delta[6] == dense.has_delta[7] == (parallel is None)
 
 
 class TestTakeReadyScratch:

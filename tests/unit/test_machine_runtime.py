@@ -1,10 +1,18 @@
 """Unit tests for the per-machine runtime kernels."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-from repro.algorithms import ConnectedComponentsProgram, PageRankDeltaProgram
+from repro.algorithms import (
+    ConnectedComponentsProgram,
+    PageRankDeltaProgram,
+    PersonalizedPageRankProgram,
+)
+from repro.core import LazyBlockAsyncEngine, LazyVertexAsyncEngine, build_lazy_graph
 from repro.graph.digraph import DiGraph
+from repro.kernels import configured
 from repro.partition.partitioned_graph import PartitionedGraph
 from repro.runtime.machine_runtime import MachineRuntime
 
@@ -117,3 +125,50 @@ class TestBootstrap:
         cc_rt.clear_deltas(np.array([1]))
         assert not cc_rt.has_delta[1]
         assert cc_rt.delta_msg[1] == cc_rt.algebra.identity
+
+
+class TestDanglingSources:
+    """PageRank / PPR divide each fired out-delta by the source's global
+    out-degree once, before it is expanded to edges. A dangling
+    (zero-out-degree) vertex still fires — every vertex at PageRank's
+    bootstrap, a dangling seed at PPR's — so its divisor must never be
+    a 0 the runtime actually divides by."""
+
+    @staticmethod
+    def _graph():
+        # vertices 40..59 have no out-edges; 55..59 have no edges at all
+        rng = np.random.default_rng(3)
+        src = rng.integers(0, 40, size=200)
+        dst = rng.integers(0, 55, size=200)
+        keep = src != dst
+        return DiGraph(60, src[keep], dst[keep])
+
+    @pytest.mark.parametrize(
+        "engine_cls", [LazyBlockAsyncEngine, LazyVertexAsyncEngine]
+    )
+    @pytest.mark.parametrize(
+        "make_program",
+        [
+            lambda: PageRankDeltaProgram(tolerance=1e-4),
+            # seeds 41 and 57 are dangling (57 is isolated)
+            lambda: PersonalizedPageRankProgram([0, 41, 57]),
+        ],
+        ids=["pagerank", "ppr"],
+    )
+    def test_no_fp_error_and_generic_bits(self, engine_cls, make_program):
+        pg = build_lazy_graph(self._graph(), 3, seed=1)
+        values = {}
+        for mode in ("auto", "generic"):
+            # dense_min_edges=1 lets the auto run take its dense sweeps
+            with configured(mode=mode, dense_min_edges=1), \
+                    np.errstate(all="raise"), warnings.catch_warnings():
+                warnings.simplefilter("error")
+                eng = engine_cls(pg, make_program())
+                result = eng.run()
+            for rt in eng.runtimes:
+                for buf in (rt.msg, rt.delta_msg, *rt.state.values()):
+                    assert np.isfinite(buf).all()
+            assert np.isfinite(result.values).all()
+            values[mode] = result.values
+        assert values["auto"].view(np.int64).tolist() == \
+            values["generic"].view(np.int64).tolist()
