@@ -29,6 +29,7 @@ from typing import Iterator, Optional, Tuple
 import numpy as np
 
 from repro.errors import GraphError
+from repro.utils.keysort import stable_argsort
 
 __all__ = ["DiGraph"]
 
@@ -40,6 +41,13 @@ def _as_edge_array(arr, name: str) -> np.ndarray:
     if out.size and not np.issubdtype(out.dtype, np.integer):
         raise GraphError(f"{name} must be integer, got dtype {out.dtype}")
     return out.astype(np.int64, copy=False)
+
+
+def _run_starts(sorted_keys: np.ndarray) -> np.ndarray:
+    """Index of the first element of each run of equal sorted keys."""
+    return np.flatnonzero(
+        np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1]))
+    )
 
 
 class DiGraph:
@@ -168,9 +176,15 @@ class DiGraph:
     # ------------------------------------------------------------------
     def _build_csr(self, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Group edge ids by ``keys`` (src for out-CSR, dst for in-CSR)."""
-        order = np.argsort(keys, kind="stable").astype(np.int64)
-        counts = np.bincount(keys, minlength=self.num_vertices)
-        indptr = np.zeros(self.num_vertices + 1, dtype=np.int64)
+        n = self.num_vertices
+        if keys.size and (keys.min() < 0 or keys.max() >= n):
+            raise GraphError(
+                f"CSR keys must lie in [0, {n}), found range "
+                f"[{keys.min()}, {keys.max()}]"
+            )
+        order = stable_argsort(keys, n)
+        counts = np.bincount(keys, minlength=n)
+        indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])
         return indptr, order
 
@@ -229,11 +243,42 @@ class DiGraph:
             name=f"{self.name}.rev" if self.name else "",
         )
 
+    def pair_table(
+        self, scale: Optional[int] = None
+    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """Unordered-pair keys and, on a weighted graph, min weight per pair.
+
+        The keys are ``min(u, v) * scale + max(u, v)`` over every edge
+        but self-loops, sorted and deduplicated; ``scale`` defaults to
+        ``num_vertices`` and must be at least it. The weights (``None``
+        on an unweighted graph) are aligned with the keys.
+        """
+        scale = np.int64(max(self.num_vertices if scale is None else scale, 1))
+        u = np.minimum(self.src, self.dst)
+        v = np.maximum(self.src, self.dst)
+        keep = u != v
+        keys = u[keep] * scale + v[keep]
+        if keys.size == 0:
+            return keys, (None if self.weights is None else np.empty(0))
+        if self.weights is None:
+            # keys only: NumPy's default (unstable) sort, not a plain
+            # np.unique, which is ~25x slower on NumPy 2.4
+            sorted_keys = np.sort(keys)
+            return sorted_keys[_run_starts(sorted_keys)], None
+        # the min weight per pair reads each pair's run in edge order
+        order = stable_argsort(keys, int(scale) ** 2)
+        sorted_keys = keys[order]
+        starts = _run_starts(sorted_keys)
+        sorted_w = self.weights[keep][order]
+        return sorted_keys[starts], np.minimum.reduceat(sorted_w, starts)
+
     def to_undirected_edges(self) -> Tuple[np.ndarray, np.ndarray]:
         """Symmetrized, deduplicated edge arrays (u < v canonical order).
 
         Self-loops are dropped. Useful for k-core/CC on graphs supplied as
         directed edge lists, matching the usual treatment of SNAP datasets.
+        ``algorithms/reference.py`` builds its k-core oracle on this, so it
+        keeps NumPy's own ``np.unique`` rather than :meth:`pair_table`.
         """
         u = np.minimum(self.src, self.dst)
         v = np.maximum(self.src, self.dst)
@@ -253,24 +298,12 @@ class DiGraph:
         each direction of an edge keeps the minimum weight seen for the
         unordered pair).
         """
-        u, v = self.to_undirected_edges()
+        keys, minw = self.pair_table()
+        scale = np.int64(max(self.num_vertices, 1))
+        u, v = keys // scale, keys % scale
         src = np.concatenate([u, v])
         dst = np.concatenate([v, u])
-        weights = None
-        if self.weights is not None:
-            # min weight per unordered pair, replicated in both directions
-            key_fwd = np.minimum(self.src, self.dst) * np.int64(
-                self.num_vertices
-            ) + np.maximum(self.src, self.dst)
-            order = np.argsort(key_fwd, kind="stable")
-            sorted_keys = key_fwd[order]
-            sorted_w = self.weights[order]
-            uniq_keys, starts = np.unique(sorted_keys, return_index=True)
-            minw = np.minimum.reduceat(sorted_w, starts)
-            pair_key = u * np.int64(self.num_vertices) + v
-            lookup = dict(zip(uniq_keys.tolist(), minw.tolist()))
-            w_half = np.array([lookup[k] for k in pair_key.tolist()])
-            weights = np.concatenate([w_half, w_half])
+        weights = None if minw is None else np.concatenate([minw, minw])
         return DiGraph(
             self.num_vertices,
             src,

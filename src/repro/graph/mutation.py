@@ -457,30 +457,6 @@ def apply_batch(
 
 
 # ----------------------------------------------------------------------
-def _pair_table(
-    graph: DiGraph, scale: np.int64
-) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """Unordered-pair keys (u<v, self-loops dropped) + min weight per pair.
-
-    Returns ``(sorted unique keys, min_weights aligned with keys)``;
-    weights entry is ``None`` for unweighted graphs.
-    """
-    u = np.minimum(graph.src, graph.dst)
-    v = np.maximum(graph.src, graph.dst)
-    keep = u != v
-    keys = u[keep] * scale + v[keep]
-    if keys.size == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, (np.empty(0) if graph.weights is not None else None)
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    uniq, starts = np.unique(sorted_keys, return_index=True)
-    if graph.weights is None:
-        return uniq, None
-    sorted_w = graph.weights[keep][order]
-    return uniq, np.minimum.reduceat(sorted_w, starts)
-
-
 def symmetrized_patch(
     old_sym: DiGraph,
     old_base: DiGraph,
@@ -506,8 +482,8 @@ def symmetrized_patch(
     """
     n_after = new_base.num_vertices
     scale = np.int64(max(n_after, 1))
-    old_keys, old_w = _pair_table(old_base, scale)
-    new_keys, new_w = _pair_table(new_base, scale)
+    old_keys, old_w = old_base.pair_table(scale)
+    new_keys, new_w = new_base.pair_table(scale)
 
     gone = ~np.isin(old_keys, new_keys)
     born = ~np.isin(new_keys, old_keys)

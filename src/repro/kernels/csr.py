@@ -26,7 +26,9 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from repro.errors import GraphError
 from repro.kernels.config import get_config
+from repro.utils.keysort import stable_argsort
 
 __all__ = ["CSRPlan"]
 
@@ -54,13 +56,19 @@ class CSRPlan:
     def __init__(
         self, key: np.ndarray, n: int, dst: Optional[np.ndarray] = None
     ) -> None:
-        order = np.argsort(key, kind="stable").astype(np.int64)
+        if key.size and (key.min() < 0 or key.max() >= n):
+            raise GraphError(
+                f"CSR keys must lie in [0, {n}), found range "
+                f"[{key.min()}, {key.max()}]"
+            )
+        order = stable_argsort(key, n)
         self.eorder = order
         self.key_sorted = key[order]
-        self.indptr = np.searchsorted(
-            self.key_sorted, np.arange(n + 1)
-        ).astype(np.int64)
-        self.counts = np.diff(self.indptr)
+        self.counts = np.bincount(key, minlength=n).astype(
+            np.int64, copy=False
+        )
+        self.indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(self.counts, out=self.indptr[1:])
         self.num_slots = n
         self.num_edges = int(order.size)
         # slots that own at least one edge — the full sweep's touched set

@@ -27,10 +27,12 @@ Construction
 :meth:`PartitionedGraph.build` is the one constructor, used by cold
 set-up and by every mutation patch alike, so it works on whole arrays:
 the replica sets are a sorted table of ``vertex * P + machine`` keys
-(one ``np.unique`` over both endpoints of every one-edge edge, whose
-counts double as the master scores), masters and local indices come
-from segment reductions over that table, and the only per-vertex Python
-left is the home-machine hash of vertices no one-edge edge touches.
+(one :func:`~repro.utils.keysort.unique_counts` over both endpoints of
+every one-edge edge, whose counts double as the master scores), masters
+and local indices come from segment reductions over that table and
+width-sized stable sorts (:mod:`repro.utils.keysort`), and the only
+per-vertex Python left is the home-machine hash of vertices no one-edge
+edge touches.
 ``tests/unit/test_build_pins.py`` pins every output array, dtype
 included, to what the per-vertex bitmask loops it replaced produced.
 
@@ -60,6 +62,7 @@ import numpy as np
 from repro.errors import PartitionError
 from repro.graph.digraph import DiGraph
 from repro.partition.base import validate_assignment
+from repro.utils.keysort import stable_argsort, unique_counts
 from repro.utils.rng import derive_seed
 
 __all__ = ["MachineGraph", "PartitionedGraph"]
@@ -314,10 +317,10 @@ class PartitionedGraph:
         P = np.int64(num_machines)
         one_ids = np.flatnonzero(~par).astype(np.int64)
         asg_one = assignment[one_ids]
-        pair_keys, pair_score = np.unique(
+        pair_keys, pair_score = unique_counts(
             np.concatenate([graph.src[one_ids], graph.dst[one_ids]]) * P
             + np.concatenate([asg_one, asg_one]),
-            return_counts=True,
+            n * num_machines,
         )
 
         # ---- home machines for vertices untouched by one-edge edges ----
@@ -357,8 +360,9 @@ class PartitionedGraph:
                 np.concatenate([src_row, dst_row]),
                 np.concatenate([dst_row, src_row]),
             )
-        by_taker = np.argsort(take, kind="stable")
-        takers, first = np.unique(take[by_taker], return_index=True)
+        by_taker = stable_argsort(take, ends.size)
+        takers, per_taker = unique_counts(take, ends.size)
+        first = _offsets(per_taker)[:-1]
         givers = give[by_taker]  # takers[i] absorbs givers[first[i]:first[i+1]]
         spans = seeded.copy()
         while True:
@@ -389,8 +393,7 @@ class PartitionedGraph:
 
         # ---- per-machine vertex lists and local indices ------------------
         # a stable sort by machine keeps each machine's vertices ascending
-        # (machine ids fit int16, whose stable sort is NumPy's radix sort)
-        order = np.argsort(rep_machines.astype(np.int16), kind="stable")
+        order = stable_argsort(rep_machines, num_machines)
         by_machine_verts = rep_vertex[order]
         starts = _offsets(np.bincount(rep_machines, minlength=num_machines))
         rep_local_idx = np.empty(keys.size, dtype=np.int64)
@@ -404,9 +407,7 @@ class PartitionedGraph:
         # same arrays (see _machine_span)
         weights = graph.edge_weights()
         # one-edge edges grouped by machine, ascending edge id within
-        one_sorted = one_ids[
-            np.argsort(asg_one.astype(np.int16), kind="stable")
-        ]
+        one_sorted = one_ids[stable_argsort(asg_one, num_machines)]
         one_starts = _offsets(np.bincount(asg_one, minlength=num_machines))
         # a parallel edge is copied wherever its target has a replica
         # (at the fixpoint the bidirectional span is the same row)

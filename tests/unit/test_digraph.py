@@ -96,6 +96,16 @@ class TestAdjacency:
         assert indptr[-1] == er_graph.num_edges
         assert sorted(eids.tolist()) == list(range(er_graph.num_edges))
 
+    def test_csr_rejects_out_of_range_keys(self):
+        # arrays edited after construction bypass the constructor's check
+        g = DiGraph(3, [0, 1], [1, 2])
+        g.src[0] = 3
+        with pytest.raises(GraphError, match=r"\[0, 3\)"):
+            g.out_csr()
+        g.dst[1] = -1
+        with pytest.raises(GraphError, match=r"\[0, 3\)"):
+            g.in_csr()
+
     def test_has_edge(self, tiny_graph):
         assert tiny_graph.has_edge(0, 1)
         assert not tiny_graph.has_edge(1, 0)
@@ -124,6 +134,15 @@ class TestTransforms:
         sym = g.symmetrized()
         assert not sym.has_edge(0, 0)
         assert sym.num_edges == 2  # 1<->2 both ways
+
+    def test_symmetrized_keeps_min_weight_per_pair(self):
+        # pairs 0-1 (weights 5, 3) and 1-2 (4, 7); the self-loop drops
+        g = DiGraph(3, [0, 1, 1, 2, 2], [1, 0, 2, 1, 2],
+                    weights=[5.0, 3.0, 4.0, 7.0, 1.0])
+        sym = g.symmetrized()
+        assert sym.src.tolist() == [0, 1, 1, 2]
+        assert sym.dst.tolist() == [1, 2, 0, 1]
+        assert sym.weights.tolist() == [3.0, 4.0, 3.0, 4.0]
 
     def test_symmetrized_in_equals_out_degree(self, er_graph):
         sym = er_graph.symmetrized()

@@ -7,7 +7,7 @@ import pytest
 
 from repro.algorithms import ConnectedComponentsProgram, PageRankDeltaProgram
 from repro.api.vertex_program import MAX_ALGEBRA, MIN_ALGEBRA, SUM_ALGEBRA
-from repro.errors import AlgorithmError, ConfigError
+from repro.errors import AlgorithmError, ConfigError, GraphError
 from repro.graph.digraph import DiGraph
 from repro.kernels import (
     CSRPlan,
@@ -94,6 +94,28 @@ class TestCSRPlan:
         assert p.nonempty_slots.tolist() == [0, 2]
         # stable order: original edge ids 1,3 (src 0) then 0,2 (src 2)
         assert p.eorder.tolist() == [1, 3, 0, 2]
+
+    @pytest.mark.parametrize(
+        "n, m", [(1, 5), (3, 0), (1000, 4000), (2**16, 3000), (2**16 + 7, 3000)]
+    )
+    def test_plan_matches_numpy_spelling(self, n, m):
+        # the argsort + searchsorted construction the plan replaced, on
+        # both sides of the uint16 width boundary
+        key = np.random.default_rng(n).integers(0, n, m)
+        p = CSRPlan(key, n)
+        order = np.argsort(key, kind="stable")
+        indptr = np.searchsorted(key[order], np.arange(n + 1))
+        assert p.eorder.dtype == p.indptr.dtype == p.counts.dtype == np.int64
+        assert np.array_equal(p.eorder, order)
+        assert np.array_equal(p.key_sorted, key[order])
+        assert np.array_equal(p.indptr, indptr)
+        assert np.array_equal(p.counts, np.diff(indptr))
+
+    @pytest.mark.parametrize("bad", [3, -1])
+    def test_out_of_range_key_raises(self, bad):
+        # a key outside [0, n) would desynchronise counts and eorder
+        with pytest.raises(GraphError, match=r"\[0, 3\)"):
+            CSRPlan(np.array([0, bad, 2]), 3)
 
     def test_flatten_matches_naive(self):
         p = self.plan()
