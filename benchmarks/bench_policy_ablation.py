@@ -22,7 +22,7 @@ import numpy as np
 from repro.algorithms import PageRankDeltaProgram
 from repro.algorithms.reference import pagerank_reference
 from repro.obs.audit import LensAuditor
-from repro.obs.report import trace_from_tracer
+from repro.obs.records import trace_from_tracer
 from repro.obs.tracer import Tracer
 from repro.run_api import prepare_graph, run
 

@@ -16,9 +16,8 @@ Mirrors how the paper's toolkits are driven from the shell:
   the exactness contracts fail); a telemetry file the service view
   (``--follow`` tails it, ``--p95-ms`` / ``--min-hit-rate`` /
   ``--max-queue-depth`` gate it, exit 4 on violation); a ``mutate
-  --out`` stream the re-convergence / λ-drift table;
-* ``dashboard``— render a run or serve trace as an offline HTML
-  dashboard.
+  --out`` stream the re-convergence / λ-drift table; two run traces
+  (``analyze A B``) their totals and coherency decisions side by side.
 """
 
 from __future__ import annotations
@@ -289,16 +288,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_ana = sub.add_parser(
         "analyze",
         help="text analysis of a recorded file, by what it contains: "
-             "phase / totals / decision tables + critical path and "
-             "stragglers + audit of a run trace, request waterfalls + "
-             "cost attribution of a merged serve trace, the service "
-             "view (tail, SLO gate) of a telemetry file, re-convergence "
-             "+ lambda drift of a mutation stream",
+             "phase / totals / decision tables + critical path, lens "
+             "timeline and stragglers + audit of a run trace, request "
+             "waterfalls + cost attribution of a merged serve trace, the "
+             "service view (tail, SLO gate) of a telemetry file, "
+             "re-convergence + lambda drift of a mutation stream; two "
+             "run traces' totals side by side",
     )
     p_ana.add_argument(
-        "trace",
+        "trace", nargs="+",
         help="file written by run/serve --trace-out, serve "
-             "--telemetry-out or mutate --out",
+             "--telemetry-out or mutate --out; or two run traces (A B) "
+             "to compare",
     )
     p_ana.add_argument(
         "--json", action="store_true",
@@ -346,26 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="telemetry gate: max sampled queue depth over all ticks",
     )
 
-    p_dash = sub.add_parser(
-        "dashboard",
-        help="render a recorded trace as a self-contained HTML dashboard",
-    )
-    p_dash.add_argument(
-        "trace", nargs="?",
-        help="trace file written by run/serve --trace-out",
-    )
-    p_dash.add_argument(
-        "--compare", nargs=2, metavar=("A", "B"),
-        help="overlay two traces (convergence, traffic, decision "
-             "timelines) instead of rendering one",
-    )
-    p_dash.add_argument(
-        "--labels", nargs=2, metavar=("LA", "LB"),
-        help="series labels for --compare (default: the file names)",
-    )
-    p_dash.add_argument(
-        "-o", "--out", default="run.html", help="output HTML path",
-    )
     return parser
 
 
@@ -888,41 +869,35 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
-def _read_recorded(command: str, path: str, kinds: tuple = ()):
-    """``load_trace`` for a reader command.
-
-    ``None``, after one line on stderr, when the file cannot be read as
-    an observability file or is of a kind ``command`` does not render
-    (``kinds`` empty: every kind is fine) — the caller exits 2.
-    """
-    from repro.obs.records import load_trace
-
-    try:
-        trace = load_trace(path)
-    except (OSError, ValueError) as exc:
-        print(f"{command}: {exc}", file=sys.stderr)
-        return None
-    if kinds and trace.kind not in kinds:
-        print(
-            f"{command}: {path} is a {trace.kind} file; {command} renders "
-            f"{' / '.join(kinds)} traces (read it with 'repro analyze')",
-            file=sys.stderr,
-        )
-        return None
-    return trace
-
-
 def _cmd_analyze(args) -> int:
     import json
 
     from repro.obs import critical_path, mutation_report, request_trace
     from repro.obs.audit import LensAuditor
-    from repro.obs.records import iter_follow
-    from repro.obs.report import format_report, summarize_trace
+    from repro.obs.records import iter_follow, load_trace
+    from repro.obs.report import format_comparison, format_report, summarize_trace
     from repro.obs.telemetry import check_slo, format_service, service_sample
 
-    trace = _read_recorded("analyze", args.trace)
-    if trace is None:
+    if len(args.trace) > 2:
+        print(f"analyze: reads one file, or two run traces (A B); got "
+              f"{len(args.trace)} files", file=sys.stderr)
+        return 2
+    traces = []
+    for path in args.trace:
+        try:
+            trace = load_trace(path)
+        except (OSError, ValueError) as exc:
+            print(f"analyze: {exc}", file=sys.stderr)
+            return 2
+        if len(args.trace) == 2 and trace.kind != "run":
+            print(f"analyze: {path} is a {trace.kind} file; analyze A B "
+                  f"compares two run traces", file=sys.stderr)
+            return 2
+        traces.append(trace)
+    path, trace = args.trace[0], traces[0]
+    if len(traces) == 2 and (args.strict or args.run_id is not None):
+        print("analyze: --strict and --run-id read one file, not A B",
+              file=sys.stderr)
         return 2
     thresholds = {
         "p95_ms": args.p95_ms,
@@ -933,7 +908,7 @@ def _cmd_analyze(args) -> int:
     if (gated or args.follow) and trace.kind != "telemetry":
         print(
             f"analyze: --follow and the SLO thresholds read a telemetry "
-            f"file; {args.trace} is a {trace.kind} file",
+            f"file; {path} is a {trace.kind} file",
             file=sys.stderr,
         )
         return 2
@@ -943,7 +918,7 @@ def _cmd_analyze(args) -> int:
         return 2
     if args.follow:
         try:
-            for seen, tick in enumerate(iter_follow(args.trace), start=1):
+            for seen, tick in enumerate(iter_follow(path), start=1):
                 print(format_service(tick) + "\n")
                 if seen == args.ticks:
                     break
@@ -953,7 +928,12 @@ def _cmd_analyze(args) -> int:
 
     # sections follow from the kind; `notes` go to stderr
     status, notes = 0, []
-    if trace.kind == "telemetry":
+    if len(traces) == 2:
+        labels = [os.path.basename(p) for p in args.trace]
+        summaries = [summarize_trace(t) for t in traces]
+        analysis = {"labels": labels, "runs": summaries}
+        text = format_comparison(summaries, labels)
+    elif trace.kind == "telemetry":
         analysis = service_sample(trace)
         text = format_service(analysis)
         if gated:
@@ -988,7 +968,7 @@ def _cmd_analyze(args) -> int:
         if args.run_id is not None:
             trace = critical_path.extract_run(trace, args.run_id)
             if not trace.spans:
-                print(f"analyze: {args.trace} holds no engine run "
+                print(f"analyze: {path} holds no engine run "
                       f"{args.run_id}", file=sys.stderr)
                 return 2
         analysis = critical_path.analyze_trace(trace)
@@ -1023,32 +1003,6 @@ def _cmd_analyze(args) -> int:
     return status
 
 
-def _cmd_dashboard(args) -> int:
-    from repro.obs.dashboard import render_compare_dashboard, render_dashboard
-
-    if args.compare and args.trace:
-        print("dashboard: give either a trace or --compare, not both",
-              file=sys.stderr)
-        return 2
-    paths = args.compare or ([args.trace] if args.trace else [])
-    if not paths:
-        print("dashboard: a trace file or --compare A B is required",
-              file=sys.stderr)
-        return 2
-    traces = [_read_recorded("dashboard", p, ("run", "serve")) for p in paths]
-    if any(trace is None for trace in traces):
-        return 2
-    if args.compare:
-        labels = args.labels or [os.path.basename(p) for p in args.compare]
-        html_doc = render_compare_dashboard(traces, labels)
-    else:
-        html_doc = render_dashboard(traces[0])
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(html_doc)
-    print(f"dashboard written to {args.out} ({len(html_doc)} bytes)")
-    return 0
-
-
 def _cmd_figures(args) -> int:
     from repro.bench.persistence import write_results
 
@@ -1070,7 +1024,6 @@ _COMMANDS = {
     "validate": _cmd_validate,
     "experiment": _cmd_experiment,
     "analyze": _cmd_analyze,
-    "dashboard": _cmd_dashboard,
 }
 
 

@@ -14,18 +14,18 @@ The observability layer the paper's counter-driven evaluation implies:
 * :mod:`repro.obs.sinks` — in-memory (default), JSONL stream, and
   Chrome ``trace_event`` export (``chrome://tracing`` / Perfetto);
 * :mod:`repro.obs.report` — the per-phase / totals / decisions tables
-  of a run trace (the first sections of ``repro analyze``);
+  of a run trace (the first sections of ``repro analyze``) and the
+  side-by-side totals of two runs (``repro analyze A B``);
 * :mod:`repro.obs.critical_path` — critical-path / straggler analysis
-  of a trace (``repro analyze``): per-superstep gating machine/channel,
-  load imbalance vs the replication factor λ;
+  of a trace (``repro analyze``): per-superstep gating machine/channel
+  plus the lens timeline (pending mass, drift, staleness, channel
+  bytes, active vertices), load imbalance vs the replication factor λ;
 * :mod:`repro.obs.lens` — the coherency lens: replica-staleness and
   divergence probes plus the coherency-decision audit log for the lazy
   engines (opt-in via ``lens=True``);
 * :mod:`repro.obs.audit` — :class:`LensAuditor` invariant checks over a
   finished trace (untracked charges, pending-mass leaks, final drift,
   ledger reconciliation);
-* :mod:`repro.obs.dashboard` — offline single-file HTML run dashboard
-  (``repro dashboard``);
 * :mod:`repro.obs.request_trace` — request-scoped tracing for the
   serving layer: per-request ``serve.*`` spans joined to engine run
   spans in one merged trace, with bit-exact cost attribution
@@ -39,7 +39,6 @@ The observability layer the paper's counter-driven evaluation implies:
 from repro.obs.audit import Anomaly, LensAuditor
 from repro.obs.chrome import chrome_trace_document
 from repro.obs.critical_path import analyze_trace, format_analysis
-from repro.obs.dashboard import render_dashboard
 from repro.obs.lens import (
     NULL_LENS,
     CoherencyDecision,
@@ -108,7 +107,6 @@ __all__ = [
     "NULL_LENS",
     "LensAuditor",
     "Anomaly",
-    "render_dashboard",
     "RequestContext",
     "ServeTraceWriter",
     "split_cost",

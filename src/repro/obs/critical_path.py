@@ -26,7 +26,13 @@ such a trace:
   machine span's ``host_t0``/``host_t1`` window). The two planes
   agree up to kernel constants.
   ``machine-work`` instants carry no host width, so lazy local-stage
-  host time attributes to the enclosing spans only.
+  host time attributes to the enclosing spans only;
+* **the per-superstep timeline** — each row also carries its superstep's
+  ``lens-probe`` fields (``pending_mass``, ``pending_replicas``,
+  ``staleness_max``, ``drift_max``), its cumulative ``channel-ledger``
+  bytes (``channel_bytes``), its executed coherency ``exchanges`` and
+  ``active``: the last ``active_vertices`` sample inside the span, less
+  the one the next superstep's lens probe took on their shared boundary.
 
 Accounting invariant (asserted by the integration tests): bootstrap +
 Σ superstep widths + untracked charges = ``RunStats.modeled_time_s``.
@@ -38,11 +44,15 @@ follows the spans' ``id`` / ``parent`` links.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.obs.records import TraceData
 
 __all__ = ["analyze_trace", "extract_run", "format_analysis"]
+
+#: the ``lens-probe`` attributes a superstep row carries verbatim
+_LENS_FIELDS = ("pending_mass", "pending_replicas", "staleness_max", "drift_max")
 
 #: phase-leg name → the channel that prices its barrier/traffic when the
 #: leg itself carries no mode attribute (see _leg_channel)
@@ -96,14 +106,13 @@ def _nest_spans(
     return bootstrap, supersteps
 
 
-def _machine_work(trace: TraceData) -> Dict[int, List[Dict[str, Any]]]:
-    """``machine-work`` instants (lazy local stages) keyed by superstep."""
+def _by_step(trace: TraceData, name: str) -> Dict[int, List[Dict[str, Any]]]:
+    """The ``name`` instants' attrs (plus ``model_t``) keyed by superstep."""
     out: Dict[int, List[Dict[str, Any]]] = {}
     for inst in trace.instants:
-        if inst.get("name") != "machine-work":
-            continue
-        attrs = inst.get("attrs") or {}
-        out.setdefault(int(attrs.get("superstep", -1)), []).append(attrs)
+        if inst.get("name") == name:
+            attrs = {"model_t": inst.get("model_t"), **(inst.get("attrs") or {})}
+            out.setdefault(int(attrs.get("superstep", -1)), []).append(attrs)
     return out
 
 
@@ -181,7 +190,12 @@ def analyze_trace(
     stats = trace.stats
     num_machines = int(meta.get("machines", 0) or 0)
     bootstrap, steps = _nest_spans(trace)
-    work_by_step = _machine_work(trace)
+    work_by_step = _by_step(trace, "machine-work")
+    probes = _by_step(trace, "lens-probe")
+    ledgers = _by_step(trace, "channel-ledger")
+    decisions = _by_step(trace, "coherency-decision")
+    samples = [c for c in trace.counters if c.get("name") == "active_vertices"]
+    sample_t = [float(c.get("model_t", 0.0)) for c in samples]
     untracked = meta.get("untracked_charges") or {}
     untracked_s = float(sum(untracked.values()))
     bootstrap_s = (
@@ -307,11 +321,31 @@ def analyze_trace(
             }
         else:
             host_gate = None
+        # the lens samples first thing in a superstep, so a sample on the
+        # boundary with the next superstep may be that one's probe
+        t0, t1 = float(ss["model_t0"]), float(ss["model_t1"])
+        last = bisect_right(sample_t, t1)
+        if any(p["model_t"] == t1 for p in probes.get(step + 1, [])):
+            last -= 1
+        probe = probes.get(step, [{}])[-1]
+        ledger = ledgers.get(step, [{}])[-1]
         rows.append({
             "superstep": step, "model_s": width, "self_s": self_s,
-            "model_t0": float(ss["model_t0"]),
-            "model_t1": float(ss["model_t1"]),
+            "model_t0": t0, "model_t1": t1,
             "gating": gate, "host_gating": host_gate, "legs": legs,
+            **{key: probe.get(key) for key in _LENS_FIELDS},
+            "channel_bytes": {
+                key[: -len(".bytes")]: value for key, value in ledger.items()
+                if key.endswith(".bytes")
+            },
+            "exchanges": sum(
+                1 for d in decisions.get(step, [])
+                if (d.get("kind"), d.get("verdict")) == ("coherency", "exchange")
+            ),
+            "active": (
+                int(samples[last - 1]["value"])
+                if last > bisect_left(sample_t, t0) else None
+            ),
         })
 
     # bootstrap busy/machine attribution (its sweep instants carry no
@@ -392,6 +426,12 @@ def _gate_label(gate: Dict[str, Any]) -> str:
     return f"channel {gate.get('channel', '?')}"
 
 
+def _cell(value: Any) -> Any:
+    if value is None:
+        return "-"
+    return f"{value:.4g}" if isinstance(value, float) else value
+
+
 def format_analysis(analysis: Dict[str, Any], max_rows: int = 40) -> str:
     """Render an analysis dict as the ``repro analyze`` text report."""
     from repro.bench.reporting import format_table
@@ -433,6 +473,7 @@ def format_analysis(analysis: Dict[str, Any], max_rows: int = 40) -> str:
     step_rows = []
     shown = steps if len(steps) <= max_rows else steps[:max_rows]
     have_host = any(row.get("host_gating") for row in steps)
+    have_lens = any(row.get("pending_mass") is not None for row in steps)
     for row in shown:
         cells = [
             row["superstep"], round(row["model_s"], 6),
@@ -441,14 +482,25 @@ def format_analysis(analysis: Dict[str, Any], max_rows: int = 40) -> str:
         if have_host:
             hg = row.get("host_gating")
             cells.append(f"machine {hg['machine']}" if hg else "-")
+        if have_lens:
+            cells += [_cell(row[key]) for key in _LENS_FIELDS] + [
+                int(sum(row["channel_bytes"].values())),
+                row["exchanges"],
+                _cell(row["active"]),
+            ]
         step_rows.append(cells)
     if step_rows:
-        title = "per-superstep gating"
+        title = "per-superstep gating" + (" + lens timeline" if have_lens else "")
         if len(steps) > len(shown):
             title += f" (first {len(shown)} of {len(steps)})"
         headers = ["superstep", "model_s", "gating leg", "gated by"]
         if have_host:
             headers.append("host gate")
+        if have_lens:
+            headers += [
+                "pending mass", "pending", "stale", "drift", "bytes",
+                "exchanges", "active",
+            ]
         lines.append(format_table(headers, step_rows, title=title))
 
     md = analysis.get("machines_detail") or {}

@@ -173,8 +173,8 @@ def trace_from_tracer(tracer: Any) -> TraceData:
     """Normalize a finished in-memory :class:`Tracer` into a TraceData.
 
     The same view ``load_trace`` produces from a JSONL file — the
-    round-trip tests assert the two agree — so reports, audits and
-    dashboards run identically on live runs and saved traces.
+    round-trip tests assert the two agree — so reports, audits and the
+    critical-path analysis run identically on live runs and saved traces.
     """
     trace = TraceData()
     for record in tracer.records:

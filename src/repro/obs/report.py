@@ -10,24 +10,37 @@ paper's figures are made of, for one run, straight from its trace file:
 * the interval-rule decision log (``turnOnLazy`` outcomes and the comm
   mode chosen at each coherency exchange).
 
-The file itself is read by :func:`repro.obs.records.load_trace`;
-``TraceData`` / ``load_trace`` / ``trace_from_tracer`` are re-exported
-here under the import path they have always had.
+:func:`format_comparison` sets two runs' totals and coherency-decision
+counts side by side (``repro analyze A B``). The file itself is read by
+:func:`repro.obs.records.load_trace`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Sequence
 
-from repro.obs.records import TraceData, load_trace, trace_from_tracer
+from repro.obs.records import TraceData
 
-__all__ = [
-    "TraceData",
-    "load_trace",
-    "trace_from_tracer",
-    "summarize_trace",
-    "format_report",
-]
+__all__ = ["summarize_trace", "format_report", "format_comparison"]
+
+#: RunStats key -> label: the "run totals" rows, one run or two
+_TOTALS = (
+    ("modeled_time_s", "modeled time (s)"),
+    ("global_syncs", "global syncs"),
+    ("comm_bytes", "traffic (bytes)"),
+    ("comm_messages", "messages"),
+    ("comm_rounds", "comm rounds"),
+    ("supersteps", "supersteps"),
+    ("coherency_points", "coherency points"),
+    ("local_iterations", "local iterations"),
+    ("edge_traversals", "edge traversals"),
+    ("vertex_updates", "vertex updates"),
+    ("converged", "converged"),
+)
+
+
+def _total(value: Any) -> Any:
+    return round(value, 6) if isinstance(value, float) else value
 
 
 # ----------------------------------------------------------------------
@@ -36,8 +49,9 @@ def summarize_trace(trace: TraceData) -> Dict[str, Any]:
 
     Returns a dict with ``phases`` (ordered per-phase rows), ``totals``
     (the RunStats dump), ``distributions`` (histogram quantiles),
-    ``decisions`` (interval-rule log summary) and ``modes``
-    (coherency-exchange wire-protocol counts).
+    ``decisions`` (interval-rule log summary), ``modes``
+    (coherency-exchange wire-protocol counts) and ``coherency_decisions``
+    (lens audit-log entries counted by ``"kind / verdict"``).
     """
     phases: Dict[str, Dict[str, float]] = {}
     order: List[str] = []
@@ -87,10 +101,15 @@ def summarize_trace(trace: TraceData) -> Dict[str, Any]:
     ]
     lazy_on = sum(1 for d in decisions if (d.get("attrs") or {}).get("do_local"))
     modes: Dict[str, int] = {}
+    audited: Dict[str, int] = {}
     for i in trace.instants:
+        attrs = i.get("attrs") or {}
         if i.get("name") == "coherency-exchange":
-            mode = (i.get("attrs") or {}).get("mode", "?")
+            mode = attrs.get("mode", "?")
             modes[mode] = modes.get(mode, 0) + 1
+        elif i.get("name") == "coherency-decision":
+            key = f"{attrs.get('kind', '?')} / {attrs.get('verdict', '?')}"
+            audited[key] = audited.get(key, 0) + 1
 
     return {
         "engine": trace.meta.get("engine", "?"),
@@ -105,6 +124,7 @@ def summarize_trace(trace: TraceData) -> Dict[str, Any]:
             "lazy_off": len(decisions) - lazy_on,
         },
         "modes": modes,
+        "coherency_decisions": audited,
     }
 
 
@@ -134,25 +154,9 @@ def format_report(summary: Dict[str, Any]) -> str:
 
     stats = summary["totals"]
     if stats:
-        total_rows = []
-        for key, label in (
-            ("modeled_time_s", "modeled time (s)"),
-            ("global_syncs", "global syncs"),
-            ("comm_bytes", "traffic (bytes)"),
-            ("comm_messages", "messages"),
-            ("comm_rounds", "comm rounds"),
-            ("supersteps", "supersteps"),
-            ("coherency_points", "coherency points"),
-            ("local_iterations", "local iterations"),
-            ("edge_traversals", "edge traversals"),
-            ("vertex_updates", "vertex updates"),
-            ("converged", "converged"),
-        ):
-            if key in stats:
-                value = stats[key]
-                if isinstance(value, float):
-                    value = round(value, 6)
-                total_rows.append([label, value])
+        total_rows = [
+            [label, _total(stats[key])] for key, label in _TOTALS if key in stats
+        ]
         lines.append(format_table(
             ["metric", "value"], total_rows, title="run totals (RunStats)",
         ))
@@ -183,4 +187,34 @@ def format_report(summary: Dict[str, Any]) -> str:
             f"{mode}×{count}" for mode, count in sorted(summary["modes"].items())
         )
         lines.append(f"coherency exchanges by mode: {mode_text}")
+    return "\n\n".join(lines)
+
+
+def format_comparison(
+    summaries: Sequence[Dict[str, Any]], labels: Sequence[str]
+) -> str:
+    """Runs' totals and coherency-decision counts side by side, one
+    column per run (``repro analyze A B``); ``-`` where a run lacks one."""
+    from repro.bench.reporting import format_table
+
+    lines = ["run comparison — " + " vs ".join(
+        f"{label} ({s['engine']}/{s['algorithm']})"
+        for label, s in zip(labels, summaries)
+    )]
+    rows = [
+        [name, *(_total(s["totals"].get(key, "-")) for s in summaries)]
+        for key, name in _TOTALS
+        if any(key in s["totals"] for s in summaries)
+    ]
+    lines.append(format_table(
+        ["metric", *labels], rows, title="run totals (RunStats)",
+    ))
+    decided = sorted({k for s in summaries for k in s["coherency_decisions"]})
+    if decided:
+        lines.append(format_table(
+            ["kind / verdict", *labels],
+            [[k, *(s["coherency_decisions"].get(k, 0) for s in summaries)]
+             for k in decided],
+            title="coherency decisions (lens audit log)",
+        ))
     return "\n\n".join(lines)

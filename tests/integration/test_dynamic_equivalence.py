@@ -28,7 +28,7 @@ import pytest
 from repro.graph.generators import erdos_renyi_graph
 from repro.graph.mutation import MutationBatch
 from repro.obs.audit import LensAuditor
-from repro.obs.report import trace_from_tracer
+from repro.obs.records import trace_from_tracer
 from repro.obs.tracer import Tracer
 from repro.session import GraphSession
 

@@ -22,7 +22,7 @@ import pytest
 
 from repro.obs import Tracer
 from repro.obs.audit import LensAuditor
-from repro.obs.report import trace_from_tracer
+from repro.obs.records import trace_from_tracer
 from repro.run_api import run
 
 ENGINES = ["lazy-block", "lazy-vertex"]

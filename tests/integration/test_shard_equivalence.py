@@ -27,7 +27,7 @@ import pytest
 
 from repro.obs.audit import LensAuditor
 from repro.obs.critical_path import analyze_trace
-from repro.obs.report import trace_from_tracer
+from repro.obs.records import trace_from_tracer
 from repro.obs.tracer import Tracer
 from repro.core.transmission import build_lazy_graph
 from repro.run_api import prepare_graph

@@ -1,8 +1,8 @@
 """Trace round-trip fidelity for every registered engine.
 
 A trace written to disk must summarize identically to the in-memory
-trace it came from — otherwise offline tooling (``repro analyze``,
-``repro dashboard``) silently disagrees with what the run actually did.
+trace it came from — otherwise the offline reader (``repro analyze``)
+silently disagrees with what the run actually did.
 Parametrized over the engine registry so a newly registered engine is
 covered automatically.
 """
@@ -10,7 +10,7 @@ covered automatically.
 import pytest
 
 from repro.obs import Tracer, export_trace, load_trace, summarize_trace
-from repro.obs.report import trace_from_tracer
+from repro.obs.records import trace_from_tracer
 from repro.run_api import run
 from repro.runtime.registry import engine_names
 

@@ -200,16 +200,6 @@ class TestLensCli:
         err = capsys.readouterr().err
         assert "WARNING" in err and "NOT attributed" in err
 
-    def test_dashboard_command_writes_html(self, capsys, tmp_path):
-        path = self._write_lens_trace(tmp_path)
-        out = tmp_path / "run.html"
-        assert main(["dashboard", str(path), "-o", str(out)]) == 0
-        html_doc = out.read_text()
-        assert html_doc.startswith("<!DOCTYPE html>")
-        assert 'id="convergence"' in html_doc
-        assert 'id="machine-timeline"' in html_doc
-        assert "dashboard written" in capsys.readouterr().out
-
 
 class TestPolicyCli:
     def test_run_with_named_policy(self, capsys):
@@ -288,62 +278,6 @@ class TestPolicyCli:
             )
 
 
-class TestDashboardCompare:
-    def _trace(self, tmp_path, policy, name):
-        path = tmp_path / name
-        rc = main(
-            ["run", "--graph", "road-ca-mini", "--algorithm", "pagerank",
-             "--machines", "4", "--engine", "lazy-vertex", "--lens",
-             "--policy", policy, "--trace-out", str(path)]
-        )
-        assert rc == 0
-        return path
-
-    def test_compare_two_traces(self, capsys, tmp_path):
-        a = self._trace(tmp_path, "paper", "a.jsonl")
-        b = self._trace(tmp_path, "batched", "b.jsonl")
-        out = tmp_path / "cmp.html"
-        capsys.readouterr()
-        assert main(
-            ["dashboard", "--compare", str(a), str(b), "-o", str(out)]
-        ) == 0
-        html_doc = out.read_text()
-        assert html_doc.startswith("<!DOCTYPE html>")
-        assert 'id="compare-summary"' in html_doc
-        assert 'id="convergence"' in html_doc
-        assert 'id="traffic"' in html_doc
-        assert 'id="decisions"' in html_doc
-        # default labels are the trace file names
-        assert "a.jsonl" in html_doc and "b.jsonl" in html_doc
-        # still fully offline: no scripts, stylesheets or CDNs
-        assert "<script" not in html_doc
-        assert "http://" not in html_doc and "https://" not in html_doc
-        assert "<link" not in html_doc
-        assert "dashboard written" in capsys.readouterr().out
-
-    def test_compare_custom_labels(self, tmp_path):
-        a = self._trace(tmp_path, "paper", "a.jsonl")
-        b = self._trace(tmp_path, "staleness", "b.jsonl")
-        out = tmp_path / "cmp.html"
-        assert main(
-            ["dashboard", "--compare", str(a), str(b),
-             "--labels", "baseline", "candidate", "-o", str(out)]
-        ) == 0
-        html_doc = out.read_text()
-        assert "baseline" in html_doc and "candidate" in html_doc
-
-    def test_trace_and_compare_together_rejected(self, capsys, tmp_path):
-        a = self._trace(tmp_path, "paper", "a.jsonl")
-        assert main(
-            ["dashboard", str(a), "--compare", str(a), str(a)]
-        ) == 2
-        assert "not both" in capsys.readouterr().err
-
-    def test_neither_trace_nor_compare_rejected(self, capsys):
-        assert main(["dashboard"]) == 2
-        assert "required" in capsys.readouterr().err
-
-
 def _run_cli(argv, stdin=""):
     """``main(argv)`` with stdin fed and stdout captured: (rc, stdout)."""
     import contextlib
@@ -357,7 +291,7 @@ def _run_cli(argv, stdin=""):
 
 
 class TestServingCli:
-    """The serve → analyze (trace, telemetry, SLO gate) → dashboard recipe."""
+    """The serve → analyze (trace, telemetry, SLO gate) recipe."""
 
     @pytest.fixture(scope="class")
     def served(self, tmp_path_factory):
@@ -415,15 +349,12 @@ class TestServingCli:
             with pytest.raises(SystemExit):
                 build_parser().parse_args(["analyze", served[1], flag])
 
-    def test_report_and_dashboard_read_a_serve_trace(self, served, capsys):
+    def test_analyze_prints_serve_counters_as_integers(self, served, capsys):
         assert main(["analyze", served[1]]) == 0
         # the closing serve.* counters go through the one service
         # rendering: integral counters print as integers
         out = capsys.readouterr().out
         assert re.search(r"serve\.queries +4\n", out)
-        html = served[3] / "serve.html"
-        assert main(["dashboard", served[1], "-o", str(html)]) == 0
-        assert html.read_text().startswith("<!DOCTYPE html>")
 
     def test_top_and_report_read_telemetry(self, served, capsys):
         assert main(["analyze", served[2]]) == 0
@@ -534,20 +465,7 @@ class TestReadersNeverAnswerTheWrongKindQuietly:
             assert (heading in out) == (other == kind), (kind, other)
         assert ("per-phase modeled time" in out) == (kind == "run")
 
-    @pytest.mark.parametrize("kind", ["telemetry", "mutations"])
-    def test_dashboard_names_the_kind_it_cannot_render(
-        self, kind, capsys, tmp_path
-    ):
-        # the parent wrote a 4 404-byte empty page and exited 0
-        page = tmp_path / "page.html"
-        assert main(["dashboard", RECORDED[kind], "-o", str(page)]) == 2
-        assert f"is a {kind} file" in capsys.readouterr().err
-        assert not page.exists()
-
-    @pytest.mark.parametrize("command", ["analyze", "dashboard"])
-    def test_unrecognisable_file_is_one_stderr_line(
-        self, command, capsys, tmp_path
-    ):
+    def test_unrecognisable_file_is_one_stderr_line(self, capsys, tmp_path):
         import json
 
         from repro.obs import chrome_trace_document
@@ -559,12 +477,12 @@ class TestReadersNeverAnswerTheWrongKindQuietly:
         empty = tmp_path / "empty.jsonl"
         empty.write_text("")
         for path in (junk, chrome, empty, tmp_path / "missing.jsonl"):
-            assert main([command, str(path)]) == 2
+            assert main(["analyze", str(path)]) == 2
             captured = capsys.readouterr()
             assert captured.out == ""  # never a table of zeros
             assert captured.err.count("\n") == 1
-            assert captured.err.startswith(f"{command}: ")
-        assert main([command, str(chrome)]) == 2
+            assert captured.err.startswith("analyze: ")
+        assert main(["analyze", str(chrome)]) == 2
         assert "--trace-format jsonl" in capsys.readouterr().err
 
     def test_threshold_or_follow_on_a_non_telemetry_file_exits_2(self, capsys):
@@ -573,6 +491,88 @@ class TestReadersNeverAnswerTheWrongKindQuietly:
                           ["--max-queue-depth", "3"], ["--follow"]):
                 assert main(["analyze", RECORDED[kind], *flags]) == 2
                 assert f"is a {kind} file" in capsys.readouterr().err
+
+
+class TestTimelineAndComparison:
+    """The per-superstep lens timeline of a run trace, and ``analyze A B``
+    setting two run traces side by side."""
+
+    @staticmethod
+    def _trace(tmp_path, name, *flags):
+        path = tmp_path / name
+        assert main(["run", "--graph", "road-ca-mini", "--algorithm",
+                     "pagerank", "--machines", "4", *flags,
+                     "--trace-out", str(path)]) == 0
+        return str(path)
+
+    def test_eager_trace_prints_no_lens_columns(self, capsys, tmp_path):
+        import json
+
+        path = self._trace(tmp_path, "sync.jsonl", "--engine", "powergraph-sync")
+        capsys.readouterr()
+        assert main(["analyze", path]) == 0
+        out = capsys.readouterr().out
+        assert "per-superstep gating" in out
+        assert "lens timeline" not in out and "pending mass" not in out
+        # the JSON rows carry the timeline keys, empty
+        assert main(["analyze", path, "--json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["supersteps"]
+        assert rows
+        for row in rows:
+            assert row["pending_mass"] is None and row["drift_max"] is None
+            assert row["channel_bytes"] == {} and row["exchanges"] == 0
+
+    def test_max_rows_bounds_the_timeline(self, capsys, tmp_path):
+        path = self._trace(tmp_path, "lens.jsonl", "--engine", "lazy-block", "--lens")
+        capsys.readouterr()
+        assert main(["analyze", path, "--max-rows", "2"]) == 0
+        table = re.search(
+            r"per-superstep gating \+ lens timeline \(first 2 of \d+\)\n(.*?)\n\n",
+            capsys.readouterr().out, re.S,
+        ).group(1).splitlines()
+        assert len(table) == 4  # header, rule, two rows
+        for column in ("pending mass", "drift", "bytes", "exchanges", "active"):
+            assert column in table[0]
+
+    def test_a_b_sets_two_runs_side_by_side(self, capsys, tmp_path):
+        import json
+
+        from repro.obs.records import load_trace
+
+        paths = [
+            self._trace(tmp_path, f"{policy}.jsonl", "--engine", "lazy-vertex",
+                        "--lens", "--policy", policy)
+            for policy in ("paper", "batched")
+        ]
+        points = [load_trace(p).stats["coherency_points"] for p in paths]
+        assert points[0] != points[1]
+        capsys.readouterr()
+        assert main(["analyze", *paths]) == 0
+        out = capsys.readouterr().out
+        assert "paper.jsonl" in out and "batched.jsonl" in out
+        for label in ("coherency points", "coherency / exchange"):
+            row = re.search(rf"{label} +(\d+) +(\d+)\n", out)
+            assert [int(n) for n in row.groups()] == points
+        assert main(["analyze", *paths, "--json"]) == 0
+        document = json.loads(capsys.readouterr().out)
+        assert document["labels"] == ["paper.jsonl", "batched.jsonl"]
+        assert [r["totals"]["coherency_points"] for r in document["runs"]] == points
+
+    @pytest.mark.parametrize("kind", ["serve", "telemetry"])
+    def test_a_b_refuses_a_file_that_is_not_a_run_trace(self, kind, capsys):
+        for pair in ([RECORDED["run"], RECORDED[kind]],
+                     [RECORDED[kind], RECORDED["run"]]):
+            assert main(["analyze", *pair]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.count("\n") == 1
+            assert f"is a {kind} file" in captured.err
+
+    def test_a_third_file_is_refused(self, capsys):
+        assert main(["analyze", *[RECORDED["run"]] * 3]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "3 files" in captured.err
 
 
 class TestOneDamagePolicy:

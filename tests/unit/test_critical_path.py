@@ -5,13 +5,16 @@ dominated leg gates on its slowest machine, a comm/sync leg on its
 priced channel, a settle leg (compute charge, no machine spans of its
 own) on the superstep's running straggler, and an all-idle superstep on
 the control barrier. The integration matrix checks the same invariants
-on real engine traces.
+on real engine traces; the timeline columns are checked against the
+lens records of real lazy-engine runs.
 """
 
 import pytest
 
+from repro.obs import Tracer
 from repro.obs.critical_path import analyze_trace, format_analysis
-from repro.obs.report import TraceData
+from repro.obs.records import TraceData, trace_from_tracer
+from repro.run_api import run
 
 
 def _span(id_, parent, name, cat, t0, t1, charges=None, **attrs):
@@ -165,3 +168,78 @@ class TestFormatting:
         a = analyze_trace(TraceData(meta={"stats": {"modeled_time_s": 0.0}}))
         assert a["supersteps"] == []
         assert "critical-path analysis" in format_analysis(a)
+
+
+def _lens_run(engine, trace):
+    """Lens-on PageRank on road-ca-mini, 4 machines: (TraceData, RunStats)."""
+    tracer = Tracer()
+    result = run("road-ca-mini", "pagerank", engine=engine, machines=4,
+                 seed=0, tracer=tracer, lens=True, trace=trace)
+    return trace_from_tracer(tracer), result.stats
+
+
+def _named(trace, name):
+    return [i["attrs"] for i in trace.instants if i["name"] == name]
+
+
+LAZY = ["lazy-block", "lazy-vertex"]
+
+
+class TestTimeline:
+    """The timeline columns equal the records they are read from."""
+
+    @pytest.mark.parametrize("engine", LAZY)
+    def test_rows_carry_the_lens_records_verbatim(self, engine):
+        trace, _ = _lens_run(engine, trace=False)
+        rows = analyze_trace(trace)["supersteps"]
+        spans = [s for s in trace.spans if s["cat"] == "superstep"]
+        assert [r["superstep"] for r in rows] == [
+            s["attrs"]["superstep"] for s in spans
+        ]
+        probes = {p["superstep"]: p for p in _named(trace, "lens-probe")}
+        ledgers = {g["superstep"]: g for g in _named(trace, "channel-ledger")}
+        assert set(probes) == set(ledgers) == {r["superstep"] for r in rows}
+        for row in rows:
+            probe, ledger = probes[row["superstep"]], ledgers[row["superstep"]]
+            for key in ("pending_mass", "pending_replicas", "staleness_max",
+                        "drift_max"):
+                assert row[key] == probe[key]
+            assert row["channel_bytes"] == {
+                key[: -len(".bytes")]: value for key, value in ledger.items()
+                if key.endswith(".bytes")
+            }
+            assert row["channel_bytes"]
+        executed = [
+            d["superstep"] for d in _named(trace, "coherency-decision")
+            if d["kind"] == "coherency" and d["verdict"] == "exchange"
+        ]
+        assert [r["exchanges"] for r in rows] == [
+            executed.count(r["superstep"]) for r in rows
+        ]
+        assert sum(r["exchanges"] for r in rows) > 0
+        # lens alone samples active once per superstep, at its probe
+        samples = [c["value"] for c in trace.counters
+                   if c["name"] == "active_vertices"]
+        assert len(samples) == len(rows)
+        assert [r["active"] for r in rows] == samples
+
+    @pytest.mark.parametrize("engine", LAZY)
+    def test_active_is_the_post_exchange_sample(self, engine):
+        # trace=True adds RunStats.snapshot's post-exchange sample beside
+        # the lens's pre-exchange one: two per superstep, sharing the
+        # model-clock boundary with the next superstep's probe
+        trace, stats = _lens_run(engine, trace=True)
+        rows = analyze_trace(trace)["supersteps"]
+        spans = [s for s in trace.spans if s["cat"] == "superstep"]
+        samples = [c for c in trace.counters if c["name"] == "active_vertices"]
+        assert len(samples) == 2 * len(spans) == 2 * len(rows)
+        assert [r["superstep"] for r in rows] == [
+            s["attrs"]["superstep"] for s in spans
+        ]
+        assert len(stats.timeline) == len(rows)
+        assert [r["active"] for r in rows] == [
+            entry["active"] for entry in stats.timeline
+        ]
+        assert [r["active"] for r in rows] != [
+            c["value"] for c in samples[::2]  # not the pre-exchange probe
+        ]

@@ -337,7 +337,8 @@ class TestReportDistributions:
     """Histogram quantiles (p50/p95/p99) surface in the trace report."""
 
     def test_histogram_exports_summarized(self):
-        from repro.obs.report import TraceData, format_report
+        from repro.obs.records import TraceData
+        from repro.obs.report import format_report
 
         trace = TraceData(meta={"stats": {"metrics": {
             "lens.staleness": {
@@ -355,7 +356,8 @@ class TestReportDistributions:
         assert "p95" in text and "lens.staleness" in text
 
     def test_no_histograms_no_section(self):
-        from repro.obs.report import TraceData, format_report
+        from repro.obs.records import TraceData
+        from repro.obs.report import format_report
 
         trace = TraceData(meta={"stats": {"metrics": {"gauge_only": 1.0}}})
         summary = summarize_trace(trace)
@@ -363,7 +365,7 @@ class TestReportDistributions:
         assert "distributions" not in format_report(summary)
 
     def test_lens_run_report_carries_quantiles(self):
-        from repro.obs.report import trace_from_tracer
+        from repro.obs.records import trace_from_tracer
         from repro.run_api import run
 
         tracer = Tracer()

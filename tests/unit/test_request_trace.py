@@ -13,7 +13,7 @@ import math
 
 import pytest
 
-from repro.obs.report import load_trace
+from repro.obs.records import load_trace
 from repro.obs.request_trace import (
     LEG_NAMES,
     RequestContext,
