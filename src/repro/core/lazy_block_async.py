@@ -191,6 +191,10 @@ class LazyBlockAsyncEngine(BaseEngine):
                 # ---- Stage 1: local computation -----------------------
                 if do_local:
                     self._local_stage(step)
+                # only the lens and signal-driven controllers read the
+                # staleness clock: the paper path never ticks it
+                if self.replicas is not None:
+                    self.backend.dispatch(MachineRuntime.tick_delta_age)
 
                 # pre-exchange reading: how much divergence did the local
                 # stage build up before this coherency point repairs it
@@ -206,6 +210,8 @@ class LazyBlockAsyncEngine(BaseEngine):
                     report = self.exchanger.exchange()
                     self.exchanger.deliver(report)  # one round + one barrier
                     sim.stats.coherency_points += 1
+                    if self.replicas is not None and not report.empty:
+                        self.backend.dispatch(MachineRuntime.reset_delta_age)
                     sp.set(mode=report.mode.value,
                            volume_bytes=report.volume_bytes,
                            exchanged=report.vertices_exchanged)

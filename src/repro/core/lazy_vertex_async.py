@@ -20,9 +20,7 @@ for lazy coherency in an asynchronous setting.
 
 from __future__ import annotations
 
-from typing import List, Optional, Union
-
-import numpy as np
+from typing import Optional, Union
 
 from repro.api.vertex_program import DeltaProgram
 from repro.cluster.network import NetworkModel
@@ -100,11 +98,6 @@ class LazyVertexAsyncEngine(BaseEngine):
             delivery=Delivery.ASYNC_PIPELINED,
             lens=self.lens,
         )
-        # staleness clocks, one array per runtime (block)
-        self._age: List[np.ndarray] = [
-            np.zeros(rt.mg.num_local_vertices, dtype=np.int64)
-            for rt in self.runtimes
-        ]
 
     # ------------------------------------------------------------------
     def _execute(self) -> bool:
@@ -120,9 +113,6 @@ class LazyVertexAsyncEngine(BaseEngine):
         max_delta_age = self.policy.max_delta_age
         replicas = self.replicas if controller.needs_signals else None
         ev_ratio = self.pgraph.graph.ev_ratio
-        age_of = {
-            rt.mg.machine_id: age for rt, age in zip(self.runtimes, self._age)
-        }
         for step in range(self.max_supersteps):
             with tracer.span("superstep", category="superstep", superstep=step):
                 lens.begin_superstep(step)
@@ -135,9 +125,7 @@ class LazyVertexAsyncEngine(BaseEngine):
                     sp.set(edges=int(edges.sum()), applies=int(applies.sum()))
 
                 # ---- age deltas; stale ones trigger their own coherency
-                for rt, age in zip(self.runtimes, self._age):
-                    age[rt.has_delta] += 1
-                    age[~rt.has_delta] = 0
+                self.backend.dispatch(MachineRuntime.tick_delta_age)
 
                 # pre-exchange reading: staleness ages + the pending mass
                 # the due replicas are about to ship
@@ -153,7 +141,7 @@ class LazyVertexAsyncEngine(BaseEngine):
                     if replicas is not None:
                         signals = CoherencySignals(
                             step, ev_ratio, 0.0, self._global_active_count(),
-                            **extended_signals(replicas, self._age),
+                            **extended_signals(replicas),
                         )
                     else:
                         signals = CoherencySignals(step, ev_ratio, 0.0, 0)
@@ -169,10 +157,8 @@ class LazyVertexAsyncEngine(BaseEngine):
                         **signals.as_inputs(),
                     )
                     if directive.execute:
-                        # a block is known by its first machine
-                        def due(rt: MachineRuntime, _ages=age_of,
-                                _m=directive.min_age) -> np.ndarray:
-                            return _ages[rt.mg.machine_id] >= _m
+                        def due(rt: MachineRuntime, _m=directive.min_age):
+                            return rt.delta_age >= _m
 
                 with tracer.span("partial-coherency", category="phase") as sp:
                     if idle:
@@ -203,8 +189,7 @@ class LazyVertexAsyncEngine(BaseEngine):
                             controller=controller.name,
                             max_delta_age=max_delta_age,
                         )
-                        for rt, age in zip(self.runtimes, self._age):
-                            age[~rt.has_delta] = 0
+                        self.backend.dispatch(MachineRuntime.reset_delta_age)
                     # transfers pipeline behind local processing (§3.4)
                     sim.settle_async_overlapped(comm_seconds)
                     sp.set(mode=report.mode.value,

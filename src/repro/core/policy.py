@@ -54,10 +54,8 @@ import inspect
 import math
 from dataclasses import dataclass, replace
 from typing import (
-    Any, Dict, List, Mapping, Optional, Sequence, Tuple, Type, Union,
+    Any, Dict, Mapping, Optional, Sequence, Tuple, Type, Union,
 )
-
-import numpy as np
 
 from repro.errors import ConfigError
 
@@ -114,19 +112,18 @@ class CoherencySignals:
         }
 
 
-def extended_signals(reader, ages: Optional[List[np.ndarray]] = None) -> Dict:
+def extended_signals(reader) -> Dict:
     """The lens-grade :class:`CoherencySignals` fields, measured now.
 
-    ``reader`` is the engine's ``ReplicaReader``, ``ages`` its
-    per-runtime staleness clocks. The pending mass is the reader's
-    per-machine masses folded in machine order — regrouping the float
-    sum would move controllers' decisions in the last bits.
+    ``reader`` is the engine's ``ReplicaReader``. The pending mass is the
+    reader's per-machine masses folded in machine order — regrouping the
+    float sum would move controllers' decisions in the last bits.
     """
     masses, counts = reader.pending()
     return {
         "pending_mass": float(sum(masses)),
         "pending_replicas": sum(counts),
-        "staleness_max": 0 if ages is None else reader.staleness_max(ages),
+        "staleness_max": reader.staleness_max(),
         "drift_sample": reader.sample_drift(),
     }
 

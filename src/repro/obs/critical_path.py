@@ -31,8 +31,7 @@ such a trace:
   ``lens-probe`` fields (``pending_mass``, ``pending_replicas``,
   ``staleness_max``, ``drift_max``), its cumulative ``channel-ledger``
   bytes (``channel_bytes``), its executed coherency ``exchanges`` and
-  ``active``: the last ``active_vertices`` sample inside the span, less
-  the one the next superstep's lens probe took on their shared boundary.
+  ``active``: the last ``active_vertices`` sample inside the span.
 
 Accounting invariant (asserted by the integration tests): bootstrap +
 Σ superstep widths + untracked charges = ``RunStats.modeled_time_s``.
@@ -321,12 +320,8 @@ def analyze_trace(
             }
         else:
             host_gate = None
-        # the lens samples first thing in a superstep, so a sample on the
-        # boundary with the next superstep may be that one's probe
         t0, t1 = float(ss["model_t0"]), float(ss["model_t1"])
         last = bisect_right(sample_t, t1)
-        if any(p["model_t"] == t1 for p in probes.get(step + 1, [])):
-            last -= 1
         probe = probes.get(step, [{}])[-1]
         ledger = ledgers.get(step, [{}])[-1]
         rows.append({

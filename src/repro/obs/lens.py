@@ -175,11 +175,6 @@ class CoherencyLens:
         self.rolled_up = 0  # probe instants suppressed by the rollup
         self.final_drift: Optional[float] = None
         self.invariant_breaks = 0
-        # staleness ages: supersteps each replica's delta has been pending
-        self._ages = [
-            np.zeros(rt.mg.num_local_vertices, dtype=np.int64)
-            for rt in self.runtimes
-        ]
         if stats is not None:
             m = stats.metrics
             self.h_staleness = m.histogram(
@@ -208,21 +203,18 @@ class CoherencyLens:
     # Engine hooks
     # ------------------------------------------------------------------
     def begin_superstep(self, step: int) -> None:
-        """Advance the staleness clocks at the top of a superstep."""
+        """Record the superstep the next readings belong to."""
         self.superstep = step
-        for ages, rt in zip(self._ages, self.runtimes):
-            ages[rt.has_delta] += 1
-            ages[~rt.has_delta] = 0
 
     def probe(self) -> None:
         """Per-superstep staleness/divergence gauges (pre-exchange)."""
         self.probes += 1
         masses, pending = self.reader.pending()
         total_mass = float(sum(masses))
-        stale_max = self.reader.staleness_max(self._ages)
+        stale_max = self.reader.staleness_max()
         if self.h_staleness is not None:
-            for ages, rt in zip(self._ages, self.runtimes):
-                counts = np.bincount(ages[rt.has_delta])
+            for rt in self.runtimes:
+                counts = np.bincount(rt.delta_age[rt.has_delta])
                 for age_value in np.flatnonzero(counts):
                     self.h_staleness.observe(
                         float(age_value), int(counts[age_value])
@@ -232,7 +224,6 @@ class CoherencyLens:
         drift = self.reader.sample_drift()
         if self.g_drift is not None:
             self.g_drift.set(drift)
-        active = int(sum(rt.num_active for rt in self.runtimes))
         tracer = self.tracer
         if tracer.enabled and not self._instants_due():
             # rollup window: keep the timeline bounded on long runs
@@ -240,7 +231,6 @@ class CoherencyLens:
             self.rolled_up += 1
             return
         if tracer.enabled:
-            tracer.counter("active_vertices", active)
             tracer.instant(
                 "lens-probe",
                 superstep=self.superstep,

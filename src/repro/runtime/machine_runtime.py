@@ -105,6 +105,9 @@ class MachineRuntime:
         self.has_msg = np.zeros(n, dtype=bool)
         self.delta_msg = np.full(n, ident, dtype=np.float64)
         self.has_delta = np.zeros(n, dtype=bool)
+        # the one staleness clock: supersteps each pending delta has
+        # waited unshipped (tick_delta_age / reset_delta_age)
+        self.delta_age = np.zeros(n, dtype=np.int64)
         # local out-CSR plan: edge order, per-source slices, per-target
         # counts and scratch — computed once, reused every scatter.
         # A caller-provided plan (a GraphSession's per-block cache)
@@ -489,6 +492,23 @@ class MachineRuntime:
         """Reset ``deltaMsg`` after a coherency exchange."""
         self.delta_msg[idx] = self.algebra.identity
         self.has_delta[idx] = False
+
+    def tick_delta_age(self) -> None:
+        """Age the pending deltas by one superstep, after its local work;
+        a slot without a delta reads 0."""
+        self.delta_age += self.has_delta
+        self.delta_age[~self.has_delta] = 0
+
+    def reset_delta_age(self) -> None:
+        """After an exchange that shipped something: zero every slot it
+        left without a delta.
+
+        Not after an empty exchange, and not in ``clear_deltas``: a delta
+        the subsumption filter drops while nothing ships keeps its age,
+        and a delta arriving there before the next tick inherits it —
+        LazyVertexAsync's due sets depend on that.
+        """
+        self.delta_age[~self.has_delta] = 0
 
     def values(self) -> np.ndarray:
         """Program result values for this block's local vertices."""

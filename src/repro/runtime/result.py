@@ -135,11 +135,10 @@ class ReplicaReader:
             counts.append(int(idx.size))
         return masses, counts
 
-    def staleness_max(self, ages: Sequence[np.ndarray]) -> int:
-        """Oldest pending delta under the caller's per-runtime clocks."""
+    def staleness_max(self) -> int:
+        """Age of the oldest pending delta (``MachineRuntime.delta_age``)."""
         return max(
-            int(age[rt.has_delta].max(initial=0))
-            for rt, age in zip(self.runtimes, ages)
+            int(rt.delta_age[rt.has_delta].max(initial=0)) for rt in self.runtimes
         )
 
     def sample_drift(self) -> float:

@@ -10,8 +10,9 @@ engine × algorithm, the record count and the sha256 of the stream that
 commit produced (host-clock timestamps excepted — they are real wall
 time and differ between any two runs; everything else, including span
 ids, parent links, model-time stamps, charges, and the full RunStats
-dump with its lens histograms, is digested). Regenerate only by checking
-out that parent and calling :func:`record_pins` there.
+dump with its lens histograms, is digested). The four lazy-engine cells
+were later re-recorded on purpose when the staleness clock became one
+runtime array (see :func:`record_pins`).
 
 On top of the traces, the :class:`LensAuditor` must be strict-clean, the
 critical-path analyzer must name a gating machine/channel for every
@@ -77,7 +78,20 @@ def observe(engine, alg, er_graph):
     return [hashlib.sha256(blob).hexdigest(), len(records)]
 
 
-def record_pins():  # pragma: no cover - run by hand on the parent commit
+def record_pins():  # pragma: no cover - run by hand
+    """Rewrite every cell from the checked-out code.
+
+    The six eager-engine cells hold commit ``650b908``'s stream: run this
+    on that commit to regenerate them, and keep only those cells.
+    The four lazy-engine cells were recorded on the commit that made
+    ``MachineRuntime.delta_age`` the one staleness clock, not on its
+    parent, because that commit changes their streams on purpose: the
+    lens's ``active_vertices`` counter (one per probe) is gone —
+    ``RunStats.snapshot`` is the one emitter — and ``lens-probe``
+    ``staleness_max`` and the ``lens.staleness`` histogram read the
+    runtime clock instead of the lens's own. A record-by-record diff
+    against the parent showed no other difference.
+    """
     from repro.graph.generators import erdos_renyi_graph
 
     er_graph = erdos_renyi_graph(200, 900, seed=11)  # conftest's er_graph

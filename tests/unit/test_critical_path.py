@@ -217,29 +217,24 @@ class TestTimeline:
             executed.count(r["superstep"]) for r in rows
         ]
         assert sum(r["exchanges"] for r in rows) > 0
-        # lens alone samples active once per superstep, at its probe
-        samples = [c["value"] for c in trace.counters
-                   if c["name"] == "active_vertices"]
-        assert len(samples) == len(rows)
-        assert [r["active"] for r in rows] == samples
+        # active samples come from RunStats.snapshot (trace=True) only:
+        # the lens alone writes none
+        assert not [c for c in trace.counters if c["name"] == "active_vertices"]
+        assert [r["active"] for r in rows] == [None] * len(rows)
 
     @pytest.mark.parametrize("engine", LAZY)
     def test_active_is_the_post_exchange_sample(self, engine):
-        # trace=True adds RunStats.snapshot's post-exchange sample beside
-        # the lens's pre-exchange one: two per superstep, sharing the
-        # model-clock boundary with the next superstep's probe
+        # trace=True: RunStats.snapshot's post-exchange sample, one per
+        # superstep, is the only active_vertices emitter
         trace, stats = _lens_run(engine, trace=True)
         rows = analyze_trace(trace)["supersteps"]
         spans = [s for s in trace.spans if s["cat"] == "superstep"]
         samples = [c for c in trace.counters if c["name"] == "active_vertices"]
-        assert len(samples) == 2 * len(spans) == 2 * len(rows)
+        assert len(samples) == len(spans) == len(rows)
         assert [r["superstep"] for r in rows] == [
             s["attrs"]["superstep"] for s in spans
         ]
         assert len(stats.timeline) == len(rows)
         assert [r["active"] for r in rows] == [
             entry["active"] for entry in stats.timeline
-        ]
-        assert [r["active"] for r in rows] != [
-            c["value"] for c in samples[::2]  # not the pre-exchange probe
-        ]
+        ] == [c["value"] for c in samples]

@@ -6,6 +6,8 @@ deletion-heavy change leaves behind — an import nothing reads any more
 (F401) and a local that is assigned and never read (F841) — are scanned
 here with the stdlib ``ast`` module over the same trees the lint job
 covers (``benchmarks/e2e`` is the benchmark's own and is not edited).
+A third scan pins one owner of the staleness clock: under ``src/`` only
+``MachineRuntime`` writes ``delta_age``, and nothing keeps its own ages.
 """
 
 from __future__ import annotations
@@ -141,6 +143,31 @@ def test_no_dead_locals():
     assert not found, "\n".join(found)
 
 
+def delta_age_writes(path: Path) -> list:
+    """Stores into a ``delta_age`` attribute or an item of it (``+=``
+    included), and any ``_age`` / ``_ages`` attribute: a second clock."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        attr = node.value if isinstance(node, ast.Subscript) else node
+        if isinstance(attr, ast.Attribute) and (
+            attr.attr in ("_age", "_ages")
+            or attr.attr == "delta_age" and isinstance(node.ctx, ast.Store)
+        ):
+            found.append(f"{path.relative_to(ROOT)}:{node.lineno} {attr.attr}")
+    return sorted(set(found))
+
+
+def test_one_staleness_clock_owner():
+    owner = ROOT / "src" / "repro" / "runtime" / "machine_runtime.py"
+    found = [
+        hit for path in FILES
+        if path.parts[len(ROOT.parts)] == "src" and path != owner
+        for hit in delta_age_writes(path)
+    ]
+    assert not found, "\n".join(found)
+    assert delta_age_writes(owner)
+
+
 @pytest.mark.parametrize("source, finder, expected", [
     ("import os\nimport sys\nprint(sys.argv)\n", unused_imports, ["os"]),
     ("from typing import List\nx: 'List[int]' = []\n", unused_imports, []),
@@ -149,8 +176,11 @@ def test_no_dead_locals():
     ("def f():\n    n = 1\n    return lambda: n\n", dead_locals, []),
     ("def f():\n    a, b = 1, 2\n    return a\n", dead_locals, []),
     ("def f():\n    class C:\n        attr = 1\n    return C\n", dead_locals, []),
+    ("rt.delta_age[m] = 0\nrt.delta_age += 1\n", delta_age_writes,
+     ["delta_age", "delta_age"]),
+    ("due = rt.delta_age >= 3\nself._ages = []\n", delta_age_writes, ["_ages"]),
 ], ids=["unused", "string-annotation", "dunder-all", "dead", "closure", "tuple",
-        "class-attribute"])
+        "class-attribute", "clock-write", "clock-read-and-copy"])
 def test_the_scanner_itself(tmp_path, monkeypatch, source, finder, expected):
     monkeypatch.setitem(globals(), "ROOT", tmp_path)
     path = tmp_path / "mod.py"

@@ -141,6 +141,58 @@ class TestLensOnEngines:
                 machines=4, seed=0, lens=True)
 
 
+class TestStalenessClock:
+    """The lens and the controllers read ``MachineRuntime.delta_age``, the
+    clock LazyVertexAsync's due sets are cut from (lens-on PageRank on
+    road-ca-mini, 4 machines)."""
+
+    def _decisions(self, tracer, kind):
+        return [d["attrs"] for d in tracer.instants("coherency-decision")
+                if d["attrs"]["kind"] == kind]
+
+    def _run(self, engine, policy=None):
+        tracer = Tracer()
+        run("road-ca-mini", "pagerank", engine=engine, machines=4, seed=0,
+            tracer=tracer, lens=True, policy=policy)
+        return tracer
+
+    def test_lazy_block_never_reads_older_than_one(self):
+        # every superstep ends in a full exchange: nothing outlives one
+        stale = [p["attrs"]["staleness_max"]
+                 for p in self._run("lazy-block").instants("lens-probe")]
+        assert max(stale) == 1
+
+    def test_lazy_vertex_probe_reads_the_age_it_ships(self):
+        tracer = self._run("lazy-vertex")
+        stale = {p["attrs"]["superstep"]: p["attrs"]["staleness_max"]
+                 for p in tracer.instants("lens-probe")}
+        shipped = [d for d in self._decisions(tracer, "coherency")
+                   if d["rule"] == "max-delta-age" and d["verdict"] == "exchange"]
+        assert shipped
+        for d in shipped:
+            assert stale[d["superstep"]] >= d["max_delta_age"] == 3
+
+    def test_lazy_block_controller_reads_the_clock(self):
+        tracer = self._run("lazy-block", policy="staleness")
+        pending = [d for d in self._decisions(tracer, "turn_on_lazy")
+                   if d["pending_replicas"] > 0]
+        assert pending
+        assert {d["staleness_max"] for d in pending} == {1}
+
+    def test_paper_path_without_lens_never_ticks(self):
+        from repro.algorithms import make_program
+        from repro.core.lazy_block_async import LazyBlockAsyncEngine
+        from repro.core.transmission import build_lazy_graph
+        from repro.graph.datasets import load_dataset
+
+        pg = build_lazy_graph(load_dataset("road-ca-mini"), 4, seed=0)
+        eng = LazyBlockAsyncEngine(pg, make_program("pagerank"))
+        eng.run()
+        assert eng.replicas is None
+        assert eng.sim.stats.local_iterations > 0
+        assert not any(rt.delta_age.any() for rt in eng.runtimes)
+
+
 class TestDriftSampling:
     def test_single_machine_has_no_replicas_to_sample(self):
         from repro.core.transmission import build_lazy_graph

@@ -127,6 +127,49 @@ class TestBootstrap:
         assert cc_rt.delta_msg[1] == cc_rt.algebra.identity
 
 
+class TestDeltaAge:
+    """The staleness clock: ``tick_delta_age`` ages pending deltas and
+    zeroes the rest; ``reset_delta_age`` (after an exchange that shipped
+    something) zeroes slots left without a delta."""
+
+    def _pending(self, rt, slots):
+        rt.has_delta[:] = False
+        rt.has_delta[slots] = True
+
+    def test_starts_at_zero(self, cc_rt):
+        assert cc_rt.delta_age.dtype == np.int64
+        assert not cc_rt.delta_age.any()
+
+    def test_tick_ages_pending_and_zeroes_the_rest(self, cc_rt):
+        self._pending(cc_rt, [1, 2])
+        cc_rt.tick_delta_age()
+        cc_rt.tick_delta_age()
+        assert cc_rt.delta_age.tolist() == [0, 2, 2, 0]
+        self._pending(cc_rt, [2, 3])
+        cc_rt.tick_delta_age()
+        assert cc_rt.delta_age.tolist() == [0, 0, 3, 1]
+
+    def test_reset_zeroes_only_slots_without_a_delta(self, cc_rt):
+        self._pending(cc_rt, [1, 2])
+        cc_rt.tick_delta_age()
+        cc_rt.clear_deltas(np.array([1]))  # shipped; 2 stays pending
+        cc_rt.reset_delta_age()
+        assert cc_rt.delta_age.tolist() == [0, 0, 1, 0]
+
+    def test_a_delta_cleared_by_an_empty_exchange_keeps_its_age(self, cc_rt):
+        # no reset after an exchange that shipped nothing, and none in
+        # clear_deltas: a delta arriving before the next tick inherits
+        # the age (LazyVertexAsync's due sets are defined by this)
+        self._pending(cc_rt, [1])
+        cc_rt.tick_delta_age()
+        cc_rt.tick_delta_age()
+        cc_rt.clear_deltas(np.array([1]))
+        assert cc_rt.delta_age[1] == 2
+        self._pending(cc_rt, [1])
+        cc_rt.tick_delta_age()
+        assert cc_rt.delta_age[1] == 3
+
+
 class TestDanglingSources:
     """PageRank / PPR divide each fired out-delta by the source's global
     out-degree once, before it is expanded to edges. A dangling

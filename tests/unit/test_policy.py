@@ -414,11 +414,10 @@ class TestSignalTap:
         rt = rts[0]
         rt.delta_msg[:3] = 2.0
         rt.has_delta[:3] = True
-        ages = [np.zeros(r.mg.num_local_vertices, dtype=np.int64)
-                for r in rts]
-        ages[0][:3] = 4
+        rt.delta_age[:3] = 4
+        rt.delta_age[3] = 9  # no pending delta there: not read
         try:
-            s = CoherencySignals(1, 2.0, 0.0, 3, **extended_signals(reader(), ages))
+            s = CoherencySignals(1, 2.0, 0.0, 3, **extended_signals(reader()))
             assert s.pending_mass == pytest.approx(6.0)
             assert s.pending_replicas == 3
             assert s.staleness_max == 4
@@ -428,6 +427,7 @@ class TestSignalTap:
         finally:
             rt.delta_msg[:3] = prog.algebra.identity
             rt.has_delta[:3] = False
+            rt.delta_age[:4] = 0
 
     def test_drift_sample_is_deterministic(self, tap_setup):
         rts, pg, prog, reader = tap_setup
