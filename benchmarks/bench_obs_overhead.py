@@ -4,8 +4,9 @@
 "what does switching it on cost" A/Bs live here, measured and gated
 in-run (nothing is committed from this script):
 
-**Engine tracing.** Per engine, the median host wall time of the same
-run in two modes:
+**Engine tracing.** Per engine, the same run in two modes, timed in
+back-to-back off/on pairs (first mode alternating); the overhead is the
+median of the pairs' ratios:
 
 * ``off`` — ``trace=False`` (NullTracer; the baseline);
 * ``on``  — a real ``Tracer``: every span, per-machine work event and
@@ -14,11 +15,16 @@ run in two modes:
 Gate: **tracing on adds less than 10% host time versus
 ``trace=False``**.
 
-**Service telemetry.** The same warm point-query workload through fresh
-:class:`~repro.serve.GraphService` instances over one resident session,
-bare vs ``telemetry_out`` (the always-on health plane) vs ``trace_out``
-as well (per-investigation request tracing; reported, not gated). Gate:
-**telemetry-on warm p50 within 5% of telemetry-off**.
+**Service telemetry and request tracing.** The same warm point-query
+workload through fresh :class:`~repro.serve.GraphService` instances over
+one resident session, queried back to back: bare vs ``telemetry_out``
+(the always-on health plane) vs ``trace_out`` (request tracing: one
+record per request, one per engine run holding that run's engine
+trace). Gates: **telemetry on adds at most 5% to a request's warm
+latency**, and **request tracing adds less than 15%**. Request tracing
+is engine tracing (about 5% on these short bfs runs) plus encoding each
+run's ~240 engine records into its run record (about 4%), so it cannot
+meet the engine-tracing bound of 10% with room for host noise.
 
 Run: ``python benchmarks/bench_obs_overhead.py [--out report.json]``.
 """
@@ -51,10 +57,12 @@ SERVE_EDGES = 150_000
 SERVE_ENGINE = "lazy-block"
 #: distinct cache-miss sources (the cache is per-service: nothing hits)
 MISS_SOURCES = (0, 101, 202, 303)
-#: max warm-p50 regression with the telemetry ticker on
+#: max warm-latency cost of the telemetry ticker
 TELEMETRY_OVERHEAD_GATE_PCT = 5.0
-#: alternating off/on rounds over the miss sources (drift-cancelling)
-OVERHEAD_ROUNDS = 6
+#: max warm-latency cost of request tracing (see the module docstring)
+REQUEST_TRACE_GATE_PCT = 15.0
+#: rounds over the miss sources, modes in rotating order (drift-cancelling)
+OVERHEAD_ROUNDS = 10
 
 
 def _run_once(spec, pg, mode: str) -> float:
@@ -74,24 +82,35 @@ def measure(repeats: int = 5) -> dict:
             "machines": MACHINES,
             "algorithm": "pagerank",
             "repeats": repeats,
-            "statistic": "median (1 warmup run discarded)",
+            "statistic": "median of back-to-back on/off ratios "
+                         "(1 warmup run per mode discarded)",
         },
         "engines": {},
     }
     for name in ENGINES:
         spec = get_engine(name)
-        rows = {}
         for mode in MODES:
             _run_once(spec, pg, mode)  # warmup (JIT-less, but caches)
-            times = sorted(_run_once(spec, pg, mode) for _ in range(repeats))
-            rows[mode] = {
-                "median_s": statistics.median(times),
-                "runs_s": [round(t, 4) for t in times],
+        times: dict = {mode: [] for mode in MODES}
+        ratios = []
+        for i in range(repeats):
+            # one off/on pair per repeat, first mode alternating, so a
+            # change in host speed lands on both sides of a ratio
+            for mode in MODES if i % 2 == 0 else MODES[::-1]:
+                times[mode].append(_run_once(spec, pg, mode))
+            ratios.append(times["on"][-1] / times["off"][-1])
+        rows = {
+            mode: {
+                "median_s": statistics.median(ts),
+                "runs_s": [round(t, 4) for t in sorted(ts)],
             }
-        base = rows["off"]["median_s"]
-        trace_pct = 100.0 * (rows["on"]["median_s"] - base) / base
+            for mode, ts in times.items()
+        }
         out["engines"][name] = {
-            **rows, "trace_overhead_pct": round(trace_pct, 2),
+            **rows,
+            "trace_overhead_pct": round(
+                100.0 * (statistics.median(ratios) - 1.0), 2
+            ),
         }
     return out
 
@@ -107,66 +126,67 @@ def measure_telemetry(rounds: int = OVERHEAD_ROUNDS) -> dict:
 
 
 def _telemetry_overhead(session, sources, rounds: int) -> dict:
-    """Warm p50 with the telemetry ticker off vs on.
+    """Warm latency with the telemetry ticker and request tracing on
+    vs off.
 
-    Each round opens one bare service, one with ``telemetry_out`` (the
-    always-on production health plane — this is the gated comparison),
-    and one with ``trace_out`` as well (full request tracing with
-    per-run engine span streams — a per-investigation debug tool, so
-    its cost is reported but not gated). All services serve the same
-    distinct-source workload against the same warm session (all engine
-    runs — the cache is per-service, so nothing hits), and rounds
-    alternate modes so host drift cancels instead of biasing one.
+    Each round opens three services over the same warm session: a bare
+    one, one with ``telemetry_out`` (the always-on production health
+    plane) and one with ``trace_out`` (request tracing, each engine
+    run's trace included), so each plane is charged its own cost.
+    Every source is then queried on all three back to back, in an order
+    that rotates with the round and the source, so each on/off pair
+    shares one moment of host load and no mode always goes first. All
+    queries are engine runs: the cache is per-service and each service
+    sees a source once.
     """
-    lat: dict = {"off": {}, "telemetry": {}, "trace": {}}
+    modes = ("off", "telemetry", "trace")
+    lat: dict = {mode: {} for mode in modes}
     with tempfile.TemporaryDirectory(prefix="repro-bench-obs-") as tmp:
         for r in range(rounds):
-            for mode in ("off", "telemetry", "trace"):
+            services = {}
+            for mode in modes:
                 kwargs = {}
-                if mode in ("telemetry", "trace"):
+                if mode == "telemetry":
                     kwargs["telemetry_out"] = os.path.join(
-                        tmp, f"{mode}{r}.telemetry.jsonl"
+                        tmp, f"{r}.telemetry.jsonl"
                     )
                 if mode == "trace":
                     kwargs["trace_out"] = os.path.join(
-                        tmp, f"{mode}{r}.trace.jsonl"
+                        tmp, f"{r}.trace.jsonl"
                     )
-                with GraphService(
+                services[mode] = GraphService(
                     session, engine=SERVE_ENGINE, max_wait=0.0, **kwargs
-                ) as svc:
-                    for s in sources:
-                        served = svc.query("bfs", sources=[s])
-                        assert not served.cached
-                        lat[mode][(r, s)] = served.latency_s
+                )
+            for i, s in enumerate(sources):
+                k = (r + i) % len(modes)
+                for mode in modes[k:] + modes[:k]:
+                    served = services[mode].query("bfs", sources=[s])
+                    assert not served.cached
+                    lat[mode][(r, s)] = served.latency_s
+            for svc in services.values():
+                svc.close()
 
     def p50(mode):
         return statistics.median(lat[mode].values())
 
     def paired_overhead_pct(mode):
-        # per source, take the best (min) latency across rounds in each
-        # mode and compare those: host noise is additive and positive
-        # (scheduler preemptions, cache evictions), so the per-source
-        # min converges on the true cost where a p50-vs-p50 comparison
-        # keeps the jitter; the median across sources then summarizes
-        per_source = {}
-        for (r, s), v in lat[mode].items():
-            per_source[s] = min(v, per_source.get(s, float("inf")))
-        per_source_off = {}
-        for (r, s), v in lat["off"].items():
-            per_source_off[s] = min(v, per_source_off.get(s, float("inf")))
-        ratios = [v / per_source_off[s] for s, v in per_source.items()]
+        # each (round, source) pair ran back to back, so host drift
+        # cancels in its ratio; the median over pairs drops the pairs a
+        # preemption landed in
+        ratios = [v / lat["off"][key] for key, v in lat[mode].items()]
         return 100.0 * (statistics.median(ratios) - 1.0)
 
     return {
         "queries_per_mode": len(lat["off"]),
-        "statistic": "median over sources of best-of-rounds on/off ratio",
+        "statistic": "median over (round, source) of back-to-back on/off "
+                     "latency ratios",
         "p50_off_ms": round(p50("off") * 1e3, 3),
         "p50_on_ms": round(p50("telemetry") * 1e3, 3),
         "overhead_pct": round(paired_overhead_pct("telemetry"), 2),
         "gate_pct": TELEMETRY_OVERHEAD_GATE_PCT,
-        # full request tracing streams every engine span; informational
         "trace_p50_ms": round(p50("trace") * 1e3, 3),
         "trace_overhead_pct": round(paired_overhead_pct("trace"), 2),
+        "trace_gate_pct": REQUEST_TRACE_GATE_PCT,
     }
 
 
@@ -181,7 +201,11 @@ def apply_gate(report: dict, gate_pct: float) -> bool:
     acceptance["telemetry_overhead_ok"] = (
         telemetry["overhead_pct"] <= telemetry["gate_pct"]
     )
+    acceptance["request_trace_overhead_ok"] = (
+        telemetry["trace_overhead_pct"] < telemetry["trace_gate_pct"]
+    )
     ok = ok and acceptance["telemetry_overhead_ok"]
+    ok = ok and acceptance["request_trace_overhead_ok"]
     acceptance["all_ok"] = ok
     report["acceptance"] = acceptance
     return ok
@@ -217,14 +241,16 @@ def main(argv=None) -> int:
     print(
         f"service: telemetry {telemetry['overhead_pct']:+.2f}% "
         f"(gate {telemetry['gate_pct']:.0f}%) / request tracing "
-        f"{telemetry['trace_overhead_pct']:+.2f}% vs bare warm p50",
+        f"{telemetry['trace_overhead_pct']:+.2f}% "
+        f"(gate {telemetry['trace_gate_pct']:.0f}%) vs a bare service",
         file=sys.stderr,
     )
     if not ok:
         print(
             f"GATE FAILED: tracing-on overhead exceeds "
-            f"{args.gate:.1f}% or telemetry overhead exceeds "
-            f"{telemetry['gate_pct']:.0f}% (see acceptance)",
+            f"{args.gate:.1f}%, telemetry overhead exceeds "
+            f"{telemetry['gate_pct']:.0f}% or request tracing exceeds "
+            f"{telemetry['trace_gate_pct']:.0f}% (see acceptance)",
             file=sys.stderr,
         )
         return 1

@@ -11,7 +11,7 @@ Mirrors how the paper's toolkits are driven from the shell:
   sections follow from the file's kind (``repro.obs.records``): a run
   trace gets the per-phase / totals / decisions tables, then the
   critical path and stragglers, with LensAuditor anomalies on stderr
-  (``--strict`` exits 3 on any); a merged serve trace the request
+  (``--strict`` exits 3 on any); a serve trace the request
   waterfalls / cost attribution and the service counters (exit 3 when
   the exactness contracts fail); a telemetry file the service view
   (``--follow`` tails it, ``--p95-ms`` / ``--min-hit-rate`` /
@@ -142,9 +142,9 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--trace-out", metavar="PATH",
-            help="write the merged request trace (service spans joined "
-                 "to engine run spans) to PATH; analyze with "
-                 "'repro analyze PATH'",
+            help="write the serve trace (one record per request, one "
+                 "per engine run with its engine trace) to PATH; analyze "
+                 "with 'repro analyze PATH'",
         )
         p.add_argument(
             "--telemetry-out", metavar="PATH",
@@ -290,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="text analysis of a recorded file, by what it contains: "
              "phase / totals / decision tables + critical path, lens "
              "timeline and stragglers + audit of a run trace, request "
-             "waterfalls + cost attribution of a merged serve trace, the "
+             "waterfalls + cost attribution of a serve trace, the "
              "service view (tail, SLO gate) of a telemetry file, "
              "re-convergence + lambda drift of a mutation stream; two "
              "run traces' totals side by side",
@@ -315,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_ana.add_argument(
         "--run-id", type=int, metavar="N",
-        help="narrow a merged serve trace to engine run N and print "
+        help="narrow a serve trace to engine run N and print "
              "that run's analysis (run ids: the serve analysis' runs "
              "table)",
     )
@@ -950,7 +950,11 @@ def _cmd_analyze(args) -> int:
             analysis, max_rows=args.max_rows
         )
     elif trace.kind == "serve" and args.run_id is None:
-        analysis = request_trace.analyze_serve_trace(trace)
+        try:
+            analysis = request_trace.analyze_serve_trace(trace)
+        except ValueError as exc:
+            print(f"analyze: {path}: {exc}", file=sys.stderr)
+            return 2
         text = request_trace.format_serve_analysis(
             analysis, max_rows=args.max_rows
         )

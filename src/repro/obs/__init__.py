@@ -27,9 +27,10 @@ The observability layer the paper's counter-driven evaluation implies:
   finished trace (untracked charges, pending-mass leaks, final drift,
   ledger reconciliation);
 * :mod:`repro.obs.request_trace` — request-scoped tracing for the
-  serving layer: per-request ``serve.*`` spans joined to engine run
-  spans in one merged trace, with bit-exact cost attribution
-  (``repro analyze`` on a serve trace);
+  serving layer: one ``serve.request`` record per request and one
+  ``serve.engine-run`` record per engine run (holding that run's own
+  trace), with bit-exact cost attribution (``repro analyze`` on a
+  serve trace);
 * :mod:`repro.obs.telemetry` — the service telemetry plane: a
   background ticker sampling queue depth / cache hit rate /
   sliding-window latency quantiles into versioned JSONL, plus the one

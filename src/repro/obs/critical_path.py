@@ -146,45 +146,31 @@ def _gating_machine(
 
 
 def extract_run(trace: TraceData, run_id: int) -> TraceData:
-    """One engine run's sub-trace out of a merged serve trace.
+    """One engine run of a serve trace, as its own run trace.
 
-    The serve-trace writer (:mod:`repro.obs.request_trace`) stamps every
-    merged engine record with its ``run_id`` and folds each run's
-    ``run_meta`` into a ``run-meta`` instant. This reverses that: the
-    returned :class:`TraceData` holds only that run's engine spans /
-    instants / counters plus its original meta, so the standard
-    critical-path analysis applies to one served run exactly as it does
-    to a standalone ``--trace-out`` file.
+    The serve-trace writer (:mod:`repro.obs.request_trace`) nests each
+    run's :class:`~repro.obs.tracer.Tracer` records verbatim in that
+    run's ``serve.engine-run`` record; replaying them through
+    :meth:`TraceData.add` (as :func:`~repro.obs.records.trace_from_tracer`
+    does) gives the trace a standalone ``--trace-out`` file of the run
+    loads as. An unknown ``run_id`` gives an empty trace.
     """
     sub = TraceData()
     for span in trace.spans:
-        attrs = span.get("attrs") or {}
-        if span.get("cat") != "serve" and attrs.get("run_id") == run_id:
-            sub.spans.append(span)
-    for inst in trace.instants:
-        attrs = inst.get("attrs") or {}
-        if attrs.get("run_id") != run_id:
-            continue
-        if inst.get("name") == "run-meta":
-            sub.meta.update(attrs.get("meta") or {})
-        else:
-            sub.instants.append(inst)
-    sub.counters = list(trace.counters)
+        if (span.get("name") == "serve.engine-run"
+                and (span.get("attrs") or {}).get("run_id") == run_id):
+            for record in span.get("records") or ():
+                sub.add(record)
     return sub
 
 
-def analyze_trace(
-    trace: TraceData, run_id: Optional[int] = None
-) -> Dict[str, Any]:
+def analyze_trace(trace: TraceData) -> Dict[str, Any]:
     """Critical-path / straggler analysis of one run's trace.
 
     Returns a JSON-serializable dict; see the module docstring for the
-    semantics of each section. ``run_id`` narrows a merged serve trace
-    (``repro serve --trace-out``) to one engine run via
-    :func:`extract_run` before analyzing.
+    semantics of each section. A served run is analyzed through
+    :func:`extract_run`.
     """
-    if run_id is not None:
-        trace = extract_run(trace, run_id)
     meta = trace.meta
     stats = trace.stats
     num_machines = int(meta.get("machines", 0) or 0)

@@ -31,7 +31,21 @@ __all__ = [
     "RestoredSummary",
     "MetricsRegistry",
     "ExtraView",
+    "nearest_rank",
 ]
+
+
+def nearest_rank(sorted_values: Sequence[float], q: float) -> float:
+    """The sample at rank ``int(q * n)`` of ``sorted_values`` (clamped).
+
+    The one quantile over raw samples: the serve-trace analyzer and the
+    telemetry windows both use it, so their quantiles agree byte for
+    byte. An empty sample reads 0.0.
+    """
+    if not sorted_values:
+        return 0.0
+    idx = min(int(q * len(sorted_values)), len(sorted_values) - 1)
+    return sorted_values[idx]
 
 
 class Metric:

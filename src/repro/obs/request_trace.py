@@ -4,34 +4,33 @@ A batch run has one trace; a serving workload has *requests* — many
 small queries riding shared engine runs, caches, and batching windows.
 This module gives each :meth:`repro.serve.GraphService.submit` a
 :class:`RequestContext` (request id + the host timestamps of its four
-service legs) and writes one **merged JSONL trace** joining the service
-plane to the engine plane:
+service legs) and writes a **serve trace** of two record kinds:
 
-* per request, four service spans that tile submit-to-completion host
-  time exactly — ``serve.queue`` (enqueue → dispatch), ``serve.batch``
-  (dispatch → run start: canonicalization, cache lookup, fusion
-  planning), ``serve.run`` (the engine run, zero-width on cache hits)
-  and ``serve.serialize`` (run end → answer handed out) — under one
-  ``serve.request`` root span carrying the request's outcome;
-* per engine run, one ``serve.engine-run`` span whose children are the
-  run's own :class:`~repro.obs.tracer.Tracer` records (span ids
-  offset, top-level run spans re-parented, host clocks rebased onto
-  the service epoch), so a served query's trace drills from its
-  ``serve.run`` leg through ``run_id`` into superstep/phase/machine
-  spans;
+* one ``serve.request`` record per request, carrying the widths of its
+  four legs, which tile submit-to-completion host time exactly —
+  ``queue_s`` (enqueue → dispatch), ``batch_s`` (dispatch → run start:
+  canonicalization, cache lookup, fusion planning), ``run_s`` (the
+  engine run, zero on cache hits) and ``handout_s`` (run end → answer
+  handed out: freeze into the LRU, copy per rider, write the run
+  record) — plus its outcome and cost attribution;
+* one ``serve.engine-run`` record per engine run, holding the run's own
+  :class:`~repro.obs.tracer.Tracer` stream verbatim under ``records``,
+  so ``repro analyze --run-id N`` reads one served run exactly as it
+  reads a standalone ``--trace-out`` file
+  (:func:`repro.obs.critical_path.extract_run`);
 * **cost attribution**: a fused / single-flight run's modeled engine
   cost is split across the riding requests with :func:`split_cost`,
   whose shares sum *bit-exactly* back to the run's modeled time; cache
   hits record the ``(graph_version, engine, program, …)`` artifact key
   they hit and attribute zero engine cost.
 
-Exactness contract: each leg span stores its width (``dur_s``) as the
-float difference of the two ``perf_counter`` stamps that bound it, and
-the root span stores ``latency_s`` as the left-to-right sum of the four
-widths — the same expression :attr:`RequestContext.latency_s` computes
-and :class:`~repro.serve.ServedResult` reports. JSON round-trips floats
+Exactness contract: each leg width is the float difference of the two
+``perf_counter`` stamps that bound it, and ``latency_s`` is the
+left-to-right sum of the four widths — the same expression
+:attr:`RequestContext.latency_s` computes and
+:class:`~repro.serve.ServedResult` reports. JSON round-trips floats
 exactly, so :func:`analyze_serve_trace` reproduces every request's
-end-to-end latency bit-for-bit from its spans (``repro analyze`` on a
+end-to-end latency bit-for-bit from its record (``repro analyze`` on a
 serve trace asserts it and prints the per-request waterfalls plus a
 "cost by query class" table).
 """
@@ -42,6 +41,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
+from repro.obs.metrics import nearest_rank
 from repro.obs.records import RecordWriter
 from repro.obs.tracer import SERVE as SERVE_CATEGORY
 
@@ -53,9 +53,9 @@ __all__ = [
     "format_serve_analysis",
 ]
 
-#: canonical order of a request's service legs; the waterfall sum and
-#: ``RequestContext.latency_s`` both add widths in exactly this order
-LEG_NAMES = ("serve.queue", "serve.batch", "serve.run", "serve.serialize")
+#: a request's leg widths in canonical order; ``RequestContext.latency_s``
+#: and the analyzer's re-sum both add them in exactly this order
+LEGS = ("queue_s", "batch_s", "run_s", "handout_s")
 
 
 def split_cost(total: float, n: int) -> List[float]:
@@ -88,7 +88,9 @@ class RequestContext:
     at the leg boundaries; each leg's width is the float difference of
     its two stamps, and :attr:`latency_s` is their left-to-right sum —
     the service reports exactly this number, and the trace analyzer
-    reproduces it exactly from the written spans.
+    reproduces it exactly from the written record. The service writes
+    each fact about a request here once; :class:`~repro.serve.
+    ServedResult` and the trace record both read it.
     """
 
     request_id: int
@@ -123,77 +125,51 @@ class RequestContext:
         return self.t_run1 - self.t_run0
 
     @property
-    def serialize_s(self) -> float:
+    def handout_s(self) -> float:
         return self.t_done - self.t_run1
 
     @property
     def latency_s(self) -> float:
         """Sum of the four leg widths, in canonical leg order."""
-        return self.queue_s + self.batch_s + self.run_s + self.serialize_s
+        return self.queue_s + self.batch_s + self.run_s + self.handout_s
 
     def leg_widths(self) -> Dict[str, float]:
-        return {
-            "serve.queue": self.queue_s,
-            "serve.batch": self.batch_s,
-            "serve.run": self.run_s,
-            "serve.serialize": self.serialize_s,
-        }
+        return {leg: getattr(self, leg) for leg in LEGS}
 
 
 class ServeTraceWriter:
-    """Streams the merged service + engine trace as JSONL.
+    """Streams a serve trace as JSONL: one record per request and one
+    per engine run.
 
-    Records use the tracer's span schema (``type``/``id``/``parent``/
-    ``host_t0``/``host_t1``/``attrs``) under a ``serve``-profile trace
-    header, so :func:`repro.obs.records.load_trace` reads the file as
-    kind ``"serve"``; service spans carry ``cat: "serve"``. The writer
-    is not thread-safe (span ids come from an unlocked counter): the
-    service calls it under its own lock, from the dispatcher and from
-    client threads answering cache hits.
+    Both are ``span`` records with ``cat: "serve"`` under a
+    ``serve``-profile trace header, so :func:`repro.obs.records.load_trace`
+    reads the file as kind ``"serve"``; ``host_t0`` / ``host_t1`` place a
+    record on the service timeline (seconds since the writer opened).
+    A record needs no id, so the writer keeps no counter, and
+    :class:`~repro.obs.records.RecordWriter` serialises writes: the
+    dispatcher and client threads answering cache hits call it without
+    the service lock.
     """
 
     def __init__(self, path: str) -> None:
         self._writer = RecordWriter(path, "serve")
         self.path = self._writer.path
-        self._emit = self._writer.write
-        self._next_id = 1
         self.epoch = time.perf_counter()
 
-    def _span(
-        self,
-        name: str,
-        t0: float,
-        t1: float,
-        parent: Optional[int] = None,
-        dur_s: Optional[float] = None,
-        **attrs: Any,
-    ) -> int:
-        """Emit one closed service span; returns its id.
-
-        ``dur_s`` is the exact width (difference of the bounding
-        ``perf_counter`` stamps); the epoch-relative ``host_t0/t1``
-        fields place the span on the shared timeline but are *not* the
-        exactness carrier — ``attrs["dur_s"]`` is.
-        """
-        span_id = self._next_id
-        self._next_id += 1
-        attrs["dur_s"] = dur_s if dur_s is not None else (t1 - t0)
-        self._emit({
+    def _record(
+        self, name: str, t0: float, t1: float, attrs: Dict[str, Any],
+        **fields: Any,
+    ) -> None:
+        self._writer.write({
             "type": "span",
-            "id": span_id,
-            "parent": parent,
             "name": name,
             "cat": SERVE_CATEGORY,
             "host_t0": t0 - self.epoch,
             "host_t1": t1 - self.epoch,
-            "model_t0": 0.0,
-            "model_t1": 0.0,
-            "charges": {},
             "attrs": attrs,
+            **fields,
         })
-        return span_id
 
-    # ------------------------------------------------------------------
     def record_run(
         self,
         run_id: int,
@@ -206,12 +182,14 @@ class ServeTraceWriter:
         result: Any = None,
         tracer: Any = None,
         error: Optional[str] = None,
-    ) -> int:
-        """One ``serve.engine-run`` span + the run's merged engine spans.
+    ) -> None:
+        """One ``serve.engine-run`` record holding the run's own trace.
 
         ``request_ids`` lists the riding requests in attribution order —
         the order their :func:`split_cost` shares were assigned, which
-        is the order the analyzer re-sums them in.
+        is the order the analyzer re-sums them in. ``records`` is the
+        run's :class:`~repro.obs.tracer.Tracer` stream, verbatim (its
+        ``run_meta`` included; empty for a run that raised).
         """
         attrs: Dict[str, Any] = {
             "run_id": run_id,
@@ -219,6 +197,7 @@ class ServeTraceWriter:
             "algorithm": algorithm,
             "sources": list(sources),
             "request_ids": list(request_ids),
+            "dur_s": t_run1 - t_run0,
         }
         if result is not None:
             attrs["modeled_time_s"] = float(result.stats.modeled_time_s)
@@ -227,69 +206,16 @@ class ServeTraceWriter:
             attrs["converged"] = bool(result.stats.converged)
         if error is not None:
             attrs["error"] = error
-        span_id = self._span("serve.engine-run", t_run0, t_run1, **attrs)
-        if tracer is not None and getattr(tracer, "records", None):
-            self._merge_engine_records(tracer, span_id, run_id)
-        return span_id
+        self._record(
+            "serve.engine-run", t_run0, t_run1, attrs,
+            records=tracer.records if tracer is not None else [],
+        )
 
-    def _merge_engine_records(
-        self, tracer: Any, parent_id: int, run_id: int
-    ) -> None:
-        """Re-emit one engine tracer's stream under an engine-run span.
-
-        Span ids are offset into this writer's id space, top-level run
-        spans re-parent to ``parent_id``, and host stamps rebase from
-        the engine tracer's epoch onto the service epoch. Model-clock
-        stamps pass through unchanged (each run's model clock starts at
-        zero). The run's ``run_meta`` record is folded into a
-        ``run-meta`` instant rather than a trace-level meta record so N
-        runs in one file cannot clobber each other's stats.
-        """
-        offset = self._next_id
-        shift = tracer.host_epoch - self.epoch
-        max_id = 0
-        for rec in tracer.records:
-            rtype = rec.get("type")
-            if rtype == "span":
-                r = dict(rec)
-                max_id = max(max_id, int(rec["id"]))
-                r["id"] = int(rec["id"]) + offset
-                r["parent"] = (
-                    int(rec["parent"]) + offset
-                    if rec.get("parent") is not None else parent_id
-                )
-                r["host_t0"] = rec["host_t0"] + shift
-                r["host_t1"] = rec["host_t1"] + shift
-                attrs = dict(r.get("attrs") or {})
-                attrs["run_id"] = run_id
-                r["attrs"] = attrs
-                self._emit(r)
-            elif rtype == "instant":
-                r = dict(rec)
-                if "host_t" in r:
-                    r["host_t"] = rec["host_t"] + shift
-                attrs = dict(r.get("attrs") or {})
-                attrs["run_id"] = run_id
-                r["attrs"] = attrs
-                self._emit(r)
-            elif rtype == "counter":
-                self._emit(dict(rec))
-            elif rtype == "run_meta":
-                self._emit({
-                    "type": "instant",
-                    "name": "run-meta",
-                    "host_t": tracer.host_epoch - self.epoch,
-                    "model_t": 0.0,
-                    "attrs": {"run_id": run_id, "meta": rec.get("meta") or {}},
-                })
-        self._next_id = offset + max_id + 1
-
-    def record_request(self, ctx: RequestContext) -> int:
-        """The four leg spans + the ``serve.request`` root for one request."""
-        root_attrs: Dict[str, Any] = {
+    def record_request(self, ctx: RequestContext) -> None:
+        """One ``serve.request`` record: outcome, legs and attribution."""
+        attrs: Dict[str, Any] = {
             "request_id": ctx.request_id,
             "algorithm": ctx.algorithm,
-            "class": ctx.algorithm,
             "sources": list(ctx.sources),
             "sources_served": list(ctx.sources_served),
             "outcome": ctx.outcome,
@@ -299,56 +225,33 @@ class ServeTraceWriter:
             "batch_size": ctx.batch_size,
             "run_id": ctx.run_id,
             "engine_cost_s": ctx.engine_cost_s,
+            **ctx.leg_widths(),
             "latency_s": ctx.latency_s,
         }
         if ctx.cache_key is not None:
-            root_attrs["cache_key"] = ctx.cache_key
+            attrs["cache_key"] = ctx.cache_key
         if ctx.error is not None:
-            root_attrs["error"] = ctx.error
-        root = self._span(
-            "serve.request", ctx.t_enqueue, ctx.t_done, dur_s=ctx.latency_s,
-            **root_attrs,
-        )
-        bounds = {
-            "serve.queue": (ctx.t_enqueue, ctx.t_dispatch),
-            "serve.batch": (ctx.t_dispatch, ctx.t_run0),
-            "serve.run": (ctx.t_run0, ctx.t_run1),
-            "serve.serialize": (ctx.t_run1, ctx.t_done),
-        }
-        widths = ctx.leg_widths()
-        for name in LEG_NAMES:
-            t0, t1 = bounds[name]
-            self._span(
-                name, t0, t1, parent=root, dur_s=widths[name],
-                request_id=ctx.request_id, run_id=ctx.run_id,
-            )
-        return root
+            attrs["error"] = ctx.error
+        self._record("serve.request", ctx.t_enqueue, ctx.t_done, attrs)
 
     def close(self, meta: Optional[Dict[str, Any]] = None) -> None:
         """Write the trailing ``run_meta`` (service stats) and close."""
-        self._emit({
+        self._writer.write({
             "type": "run_meta", "meta": {"service": True, **(meta or {})},
         })
         self._writer.close()
 
 
 # ----------------------------------------------------------------------
-# Analysis (``repro analyze`` on a merged serve trace)
+# Analysis (``repro analyze`` on a serve trace)
 # ----------------------------------------------------------------------
-def _quantile(sorted_values: List[float], q: float) -> float:
-    if not sorted_values:
-        return 0.0
-    idx = min(int(q * len(sorted_values)), len(sorted_values) - 1)
-    return sorted_values[idx]
-
-
 def analyze_serve_trace(trace: Any) -> Dict[str, Any]:
-    """Per-request waterfalls + cost attribution from a merged serve trace.
+    """Per-request waterfalls + cost attribution from a serve trace.
 
     Returns a JSON-serializable dict:
 
     * ``requests`` — one row per request in request-id order: the four
-      leg widths, ``latency_s`` (re-summed from the leg spans in
+      leg widths, ``latency_s`` (re-summed from those widths in
       canonical order — bit-identical to what the service reported,
       asserted via ``exact``), outcome, cache/batch flags, attributed
       engine cost and artifact key;
@@ -360,46 +263,38 @@ def analyze_serve_trace(trace: Any) -> Dict[str, Any]:
       and latency quantiles;
     * ``totals`` — request counts, total attributed cost vs total run
       cost, whether every exactness check passed, and ``cut_short``
-      (requests / runs a truncated file holds only part of; they are
-      left out of everything above).
+      (runs a truncated file lost some riders of; they are left out of
+      everything above).
+
+    Raises :class:`ValueError` on a trace from the per-leg writer
+    (``serve.request`` records without leg widths) rather than reading
+    its widths as zeros.
     """
-    legs_by_parent: Dict[Any, Dict[str, Dict[str, Any]]] = {}
     roots: List[Dict[str, Any]] = []
     runs: List[Dict[str, Any]] = []
     for s in trace.spans:
         if s.get("cat") != SERVE_CATEGORY:
             continue
-        name = s.get("name")
-        if name == "serve.request":
-            roots.append(s)
-        elif name in LEG_NAMES:
-            legs_by_parent.setdefault(s.get("parent"), {})[name] = s
-        elif name == "serve.engine-run":
-            runs.append(s)
+        if s.get("name") == "serve.request":
+            roots.append(s.get("attrs") or {})
+        elif s.get("name") == "serve.engine-run":
+            runs.append(s.get("attrs") or {})
 
-    # a writer killed mid-record (load_trace drops the cut line) leaves
-    # a request without its four legs or a run without all its riders;
-    # those are counted, and the verdicts are over the complete ones
-    cut_short = 0
     requests: List[Dict[str, Any]] = []
-    for root in sorted(
-        roots, key=lambda s: (s.get("attrs") or {}).get("request_id", 0)
-    ):
-        attrs = root.get("attrs") or {}
-        legs = legs_by_parent.get(root.get("id"), {})
-        if len(legs) < len(LEG_NAMES):
-            cut_short += 1
-            continue
+    for attrs in sorted(roots, key=lambda a: a.get("request_id", 0)):
+        if any(leg not in attrs for leg in LEGS):
+            raise ValueError(
+                f"request {attrs.get('request_id')} has no leg widths: the "
+                f"trace was written in the old per-leg layout (a root span "
+                f"plus four leg spans per request); record it again"
+            )
         total = 0.0
-        widths: Dict[str, float] = {}
-        for name in LEG_NAMES:
-            w = float((legs[name].get("attrs") or {}).get("dur_s", 0.0))
-            widths[name] = w
-            total = total + w
+        for leg in LEGS:
+            total = total + float(attrs[leg])
         reported = float(attrs.get("latency_s", 0.0))
         requests.append({
             "request_id": attrs.get("request_id"),
-            "class": attrs.get("class", attrs.get("algorithm", "?")),
+            "class": attrs.get("algorithm", "?"),
             "algorithm": attrs.get("algorithm", "?"),
             "sources": attrs.get("sources", []),
             "sources_served": attrs.get("sources_served", []),
@@ -410,23 +305,20 @@ def analyze_serve_trace(trace: Any) -> Dict[str, Any]:
             "run_id": attrs.get("run_id"),
             "engine_cost_s": float(attrs.get("engine_cost_s", 0.0)),
             "cache_key": attrs.get("cache_key"),
-            "queue_s": widths["serve.queue"],
-            "batch_s": widths["serve.batch"],
-            "run_s": widths["serve.run"],
-            "serialize_s": widths["serve.serialize"],
+            **{leg: float(attrs[leg]) for leg in LEGS},
             "latency_s": total,
             "reported_latency_s": reported,
             "exact": total == reported,
         })
 
-    # per-run attribution conservation, re-summed in attribution order
+    # per-run attribution conservation, re-summed in attribution order;
+    # a writer killed mid-record (load_trace drops the cut line) can
+    # leave a run without all its riders: counted, and left out
     req_by_id = {r["request_id"]: r for r in requests}
+    cut_short = 0
     run_rows: List[Dict[str, Any]] = []
     total_run_cost = 0.0
-    for run in sorted(
-        runs, key=lambda s: (s.get("attrs") or {}).get("run_id", 0)
-    ):
-        attrs = run.get("attrs") or {}
+    for attrs in sorted(runs, key=lambda a: a.get("run_id", 0)):
         modeled = float(attrs.get("modeled_time_s", 0.0))
         member_ids = list(attrs.get("request_ids") or [])
         if any(rid not in req_by_id for rid in member_ids):
@@ -447,7 +339,7 @@ def analyze_serve_trace(trace: Any) -> Dict[str, Any]:
             "modeled_time_s": modeled,
             "attributed_s": attributed,
             "attribution_exact": attributed == modeled,
-            "host_s": float((attrs or {}).get("dur_s", 0.0)),
+            "host_s": float(attrs.get("dur_s", 0.0)),
             "supersteps": attrs.get("supersteps"),
             "error": attrs.get("error"),
         })
@@ -476,8 +368,8 @@ def analyze_serve_trace(trace: Any) -> Dict[str, Any]:
             "cost_share": (
                 c["engine_cost_s"] / total_cost if total_cost > 0 else 0.0
             ),
-            "latency_p50_s": _quantile(lat, 0.50),
-            "latency_p95_s": _quantile(lat, 0.95),
+            "latency_p50_s": nearest_rank(lat, 0.50),
+            "latency_p95_s": nearest_rank(lat, 0.95),
             "latency_max_s": lat[-1] if lat else 0.0,
         }
 
@@ -533,7 +425,7 @@ def format_serve_analysis(
         rows.append([
             r["request_id"], r["class"],
             round(r["queue_s"] * 1e3, 3), round(r["batch_s"] * 1e3, 3),
-            round(r["run_s"] * 1e3, 3), round(r["serialize_s"] * 1e3, 3),
+            round(r["run_s"] * 1e3, 3), round(r["handout_s"] * 1e3, 3),
             round(r["latency_s"] * 1e3, 3),
             round(r["engine_cost_s"] * 1e3, 3),
             how, "yes" if r["exact"] else "NO",
@@ -543,7 +435,7 @@ def format_serve_analysis(
         if len(reqs) > len(shown):
             title += f" — first {len(shown)} of {len(reqs)}"
         lines.append(format_table(
-            ["req", "class", "queue", "batch", "run", "serialize",
+            ["req", "class", "queue", "batch", "run", "handout",
              "latency", "cost", "how", "exact"],
             rows, title=title,
         ))

@@ -29,8 +29,8 @@ import time
 from collections import deque
 from typing import Any, Dict, List, Optional
 
+from repro.obs.metrics import nearest_rank
 from repro.obs.records import RecordWriter, TraceData
-from repro.obs.request_trace import _quantile
 
 __all__ = [
     "TelemetrySink",
@@ -71,7 +71,7 @@ class _ClassWindow:
             "hit_rate": hits / n if n else 0.0,
         }
         for q in WINDOW_QUANTILES:
-            out[f"p{int(q * 100)}_ms"] = _quantile(lats, q) * 1e3
+            out[f"p{int(q * 100)}_ms"] = nearest_rank(lats, q) * 1e3
         return out
 
 

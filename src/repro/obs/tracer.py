@@ -35,10 +35,9 @@ from typing import Any, Dict, List, Optional
 __all__ = ["Tracer", "NullTracer", "Span", "NULL_TRACER", "PHASE", "SERVE"]
 
 PHASE = "phase"  # the category whose modeled durations tile the run
-SERVE = "serve"  # service-plane spans (request legs / engine-run roots)
-# in a merged serve trace (repro.obs.request_trace); engine-analysis
-# passes (report / critical path) skip this category, serve analysis
-# (repro analyze on a serve trace) reads only it
+SERVE = "serve"  # a serve trace's request / engine-run records
+# (repro.obs.request_trace); serve analysis (repro analyze on a serve
+# trace) reads only this category
 
 
 class Span:

@@ -44,9 +44,9 @@ every other error. ``serve.batches`` counts dispatcher batches only; a
 submit-time hit rides none.
 
 One lock guards what client threads share with the dispatcher: the
-LRU, the ``serve.*`` counters and in-flight count, the latency
-histogram, and the trace and telemetry sinks. Engine runs and array
-copies happen outside it.
+LRU, the ``serve.*`` counters and in-flight count, and the latency
+histogram. Engine runs, array copies and sink writes happen outside it
+(the trace and telemetry sinks serialise their own writes).
 
 The resident graph accepts **mutations in-band**:
 ``submit_mutation(batch)`` / ``mutate(batch)`` enqueue a
@@ -58,14 +58,16 @@ graph. Cache invalidation is free because ``graph_version`` is part of
 the result-cache key; the CLI verb is ``mutate {json}`` on the
 ``repro serve`` stdin protocol.
 
-Every request carries a :class:`~repro.obs.request_trace.RequestContext`
-(request id + the host timestamps of its queue/batch/run/serialize
-legs); opt-in observability rides on it with zero behavior change:
+Every query carries a :class:`~repro.obs.request_trace.RequestContext`
+(request id, the host timestamps of its queue/batch/run/handout legs,
+how it was served and what it cost), written once per fact and read by
+both the :class:`ServedResult` and the trace; opt-in observability
+rides on it with zero behavior change:
 
-* ``trace_out=`` streams a **merged request trace** — service spans
-  joined to each engine run's own tracer stream, with fused/single-
-  flight engine cost split bit-exactly across riding requests
-  (:mod:`repro.obs.request_trace`; ``repro analyze``);
+* ``trace_out=`` streams a **serve trace** — one record per request and
+  one per engine run (holding that run's own tracer stream), with
+  fused/single-flight engine cost split bit-exactly across riding
+  requests (:mod:`repro.obs.request_trace`; ``repro analyze``);
 * ``telemetry_out=`` attaches a :class:`~repro.obs.telemetry.
   TelemetrySink` ticker sampling queue depth, in-flight count, cache
   hit rate and sliding-window per-class latency quantiles
@@ -83,7 +85,7 @@ import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import Future
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -147,7 +149,7 @@ class ServedResult:
     ``sources_served`` is then the union source set the sweep ran over
     (equal to the request's own sources otherwise). ``cached`` marks
     LRU hits. ``latency_s`` is submit-to-completion wall time — the
-    left-to-right sum of the request's queue/batch/run/serialize leg
+    left-to-right sum of the request's queue/batch/run/handout leg
     widths, so it matches the traced waterfall bit-for-bit.
     ``request_id`` names this request across the trace and telemetry
     planes; ``engine_cost_s`` is the share of engine modeled time
@@ -172,8 +174,7 @@ class ServedResult:
 class _Pending:
     request: QueryRequest
     future: Future
-    submitted_at: float = field(default_factory=time.perf_counter)
-    ctx: Optional[RequestContext] = None
+    ctx: RequestContext
 
 
 @dataclass
@@ -182,14 +183,12 @@ class _PendingMutation:
 
     Queue order is the consistency contract: queries submitted before
     the mutation answer against the old graph version, queries after it
-    against the new one. ``ctx`` stays ``None`` — mutations are not
-    engine runs and take no waterfall trace.
+    against the new one. Mutations are not engine runs and take no
+    trace record.
     """
 
     batch: MutationBatch
     future: Future
-    submitted_at: float = field(default_factory=time.perf_counter)
-    ctx: Optional[RequestContext] = None
 
 
 _STOP = object()
@@ -240,7 +239,7 @@ class GraphService:
         multi-source sweep; ``"exact"`` only ever shares runs between
         *identical* queries.
     trace_out:
-        Path for the merged request trace JSONL (None disables request
+        Path for the serve trace JSONL (None disables request
         tracing; see :mod:`repro.obs.request_trace`).
     telemetry_out / telemetry_interval / telemetry_window:
         Path for the append-only service telemetry JSONL (None disables
@@ -333,12 +332,11 @@ class GraphService:
             raise ConfigError("service is closed")
         req = QueryRequest.make(algorithm, sources, **params)
         fut: "Future[ServedResult]" = Future()
-        ctx = RequestContext(
+        pending = _Pending(req, fut, RequestContext(
             request_id=next(self._req_ids),
             algorithm=algorithm,
-            sources=tuple(int(s) for s in sources),
-        )
-        pending = _Pending(req, fut, submitted_at=ctx.t_enqueue, ctx=ctx)
+            sources=req.sources,
+        ))
         with self._lock:
             self.metrics.counter("serve.queries").inc()
             self._inflight += 1
@@ -655,61 +653,56 @@ class GraphService:
         self, pending: _Pending, key: Tuple, srcs: Tuple[int, ...],
         entry: EngineResult,
     ) -> None:
-        if pending.ctx is not None:
-            # zero-width run leg: an LRU hit pays no engine time
-            _close_legs(pending.ctx, time.perf_counter())
-            pending.ctx.cache_key = repr(key)
-            pending.ctx.engine_cost_s = 0.0
-        self._finish(
-            pending,
-            ServedResult(
-                result=_thawed(entry), request=pending.request, cached=True,
-                sources_served=srcs, cache_key=repr(key),
-            ),
-        )
+        ctx = pending.ctx
+        # zero-width run leg: an LRU hit pays no engine time
+        _close_legs(ctx, time.perf_counter())
+        ctx.cached = True
+        ctx.cache_key = repr(key)
+        ctx.sources_served = srcs
+        self._finish(pending, _thawed(entry))
 
     # ------------------------------------------------------------------
     # request lifecycle terminals: every accepted request leaves through
     # exactly one of _finish / _fail / _cancel_pending
-    def _finish(
-        self, pending: _Pending, served: ServedResult
+    def _end_request(
+        self, ctx: RequestContext, outcome: str, error: Optional[str] = None
     ) -> None:
+        """Stamp a request's end (and every leg it never reached) and
+        write its trace record."""
+        ctx.t_done = time.perf_counter()
+        _close_legs(ctx, ctx.t_done)
+        ctx.outcome = outcome
+        ctx.error = error
+        if self._trace is not None:
+            self._trace.record_request(ctx)
+
+    def _finish(self, pending: _Pending, result: EngineResult) -> None:
         ctx = pending.ctx
+        self._end_request(ctx, "ok")
+        served = ServedResult(
+            result=result,
+            request=pending.request,
+            cached=ctx.cached,
+            batched=ctx.batched,
+            sources_served=ctx.sources_served,
+            batch_size=ctx.batch_size,
+            latency_s=ctx.latency_s,
+            request_id=ctx.request_id,
+            engine_cost_s=ctx.engine_cost_s,
+            cache_key=ctx.cache_key,
+        )
+        if self._telemetry is not None:
+            self._telemetry.observe(
+                ctx.algorithm, served.latency_s, served.cached
+            )
         with self._lock:
-            if ctx is not None:
-                ctx.t_done = time.perf_counter()
-                ctx.outcome = "ok"
-                served.latency_s = ctx.latency_s
-                served.request_id = ctx.request_id
-                served.engine_cost_s = ctx.engine_cost_s
-                served.cache_key = ctx.cache_key
-                ctx.cached = served.cached
-                ctx.batched = served.batched
-                ctx.batch_size = served.batch_size
-                ctx.sources_served = served.sources_served
-                if self._trace is not None:
-                    self._trace.record_request(ctx)
-                if self._telemetry is not None:
-                    self._telemetry.observe(
-                        ctx.algorithm, served.latency_s, served.cached
-                    )
-            else:
-                served.latency_s = time.perf_counter() - pending.submitted_at
             self._inflight -= 1
             self._latency.observe(served.latency_s)
         pending.future.set_result(served)
 
     def _fail(self, pending: _Pending, exc: BaseException) -> None:
-        ctx = pending.ctx
+        self._end_request(pending.ctx, "error", repr(exc))
         with self._lock:
-            if ctx is not None:
-                now = time.perf_counter()
-                _close_legs(ctx, now)
-                ctx.t_done = now
-                ctx.outcome = "error"
-                ctx.error = repr(exc)
-                if self._trace is not None:
-                    self._trace.record_request(ctx)
             self._inflight -= 1
         pending.future.set_exception(exc)
 
@@ -717,15 +710,9 @@ class GraphService:
         self, pending: Union[_Pending, _PendingMutation]
     ) -> None:
         """Cancel a queued query or mutation (``close(mode="cancel")``)."""
-        ctx = pending.ctx
+        if isinstance(pending, _Pending):
+            self._end_request(pending.ctx, "cancelled")
         with self._lock:
-            if ctx is not None:
-                now = time.perf_counter()
-                _close_legs(ctx, now)
-                ctx.t_done = now
-                ctx.outcome = "cancelled"
-                if self._trace is not None:
-                    self._trace.record_request(ctx)
             if isinstance(pending, _PendingMutation):
                 self._mutations_queued -= 1
             self._inflight -= 1
@@ -736,9 +723,8 @@ class GraphService:
         batch_id = next(self._batch_ids)
         t_dispatch = time.perf_counter()
         for p in batch:
-            if p.ctx is not None:
-                p.ctx.t_dispatch = t_dispatch
-                p.ctx.batch_id = batch_id
+            p.ctx.t_dispatch = t_dispatch
+            p.ctx.batch_id = batch_id
         # pass 1: cache hits answer immediately; misses group for runs
         groups: "OrderedDict[Tuple, List[_Pending]]" = OrderedDict()
         plans: Dict[Tuple, Tuple[str, Tuple[int, ...], Dict[str, Any]]] = {}
@@ -769,6 +755,7 @@ class GraphService:
         for key, members in groups.items():
             alg, srcs, params = plans[key]
             run_id = next(self._run_ids)
+            request_ids = [m.ctx.request_id for m in members]
             run_tracer = Tracer() if self._trace is not None else None
             t_run0 = time.perf_counter()
             try:
@@ -776,17 +763,14 @@ class GraphService:
             except Exception as exc:
                 t_run1 = time.perf_counter()
                 if self._trace is not None:
-                    with self._lock:
-                        self._trace.record_run(
-                            run_id, batch_id, alg, srcs,
-                            [m.ctx.request_id for m in members if m.ctx],
-                            t_run0, t_run1, error=repr(exc),
-                        )
+                    self._trace.record_run(
+                        run_id, batch_id, alg, srcs, request_ids,
+                        t_run0, t_run1, error=repr(exc),
+                    )
                 for p in members:
-                    if p.ctx is not None:
-                        p.ctx.run_id = run_id
-                        p.ctx.t_run0 = t_run0
-                        p.ctx.t_run1 = t_run1
+                    p.ctx.run_id = run_id
+                    p.ctx.t_run0 = t_run0
+                    p.ctx.t_run1 = t_run1
                     self._fail(p, exc)
                 continue
             t_run1 = time.perf_counter()
@@ -803,32 +787,24 @@ class GraphService:
                     self.metrics.counter("serve.fused_queries").inc(
                         len(members)
                     )
-                if self._trace is not None:
-                    self._trace.record_run(
-                        run_id, batch_id, alg, srcs,
-                        [m.ctx.request_id for m in members if m.ctx],
-                        t_run0, t_run1, result=result, tracer=run_tracer,
-                    )
+            if self._trace is not None:
+                self._trace.record_run(
+                    run_id, batch_id, alg, srcs, request_ids,
+                    t_run0, t_run1, result=result, tracer=run_tracer,
+                )
             for p, share in zip(members, shares):
-                if p.ctx is not None:
-                    p.ctx.run_id = run_id
-                    p.ctx.t_run0 = t_run0
-                    p.ctx.t_run1 = t_run1
-                    p.ctx.engine_cost_s = share
+                ctx = p.ctx
+                ctx.run_id = run_id
+                ctx.t_run0 = t_run0
+                ctx.t_run1 = t_run1
+                ctx.batched = fused
+                ctx.batch_size = len(members)
+                ctx.sources_served = srcs
+                ctx.engine_cost_s = share
+                # riders of a shared run each get their own copy, so
+                # callers can mutate freely
                 self._finish(
-                    p,
-                    ServedResult(
-                        # riders of a shared run each get their own
-                        # copy, so callers can mutate freely
-                        result=(
-                            result if len(members) == 1 else _thawed(entry)
-                        ),
-                        request=p.request,
-                        batched=fused,
-                        sources_served=srcs,
-                        batch_size=len(members),
-                        engine_cost_s=share,
-                    ),
+                    p, result if len(members) == 1 else _thawed(entry)
                 )
 
     def _fuse(

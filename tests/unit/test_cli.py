@@ -588,19 +588,46 @@ class TestOneDamagePolicy:
 
     def test_serve_trace_cut_mid_record_still_analyses(self, capsys, tmp_path):
         lines = Path(RECORDED["serve"]).read_text().splitlines()
-        # cut inside the last leg span of the second (last) request
-        last_leg = max(
-            i for i, line in enumerate(lines) if '"serve.serialize"' in line
+        # cut inside the second (last) request's one record
+        last = max(
+            i for i, line in enumerate(lines) if '"serve.request"' in line
         )
-        path = self._cut(tmp_path, "serve", last_leg, lines[last_leg][:60])
+        path = self._cut(tmp_path, "serve", last, lines[last][:60])
         assert main(["analyze", str(path)]) == 0
         captured = capsys.readouterr()
-        assert f"{path}:{last_leg + 1}: " in captured.err
+        assert f"{path}:{last + 1}: " in captured.err
         assert "truncated final line dropped" in captured.err
-        # request 1 is whole; request 2 and the run it rode are cut short
+        # request 1 is whole; request 2 is the dropped line, and the run
+        # it rode is cut short
         assert "serve trace — 1 requests, 0 engine runs" in captured.out
-        assert "2 more cut short by a truncated file" in captured.out
+        assert "1 more cut short by a truncated file" in captured.out
         assert "latency reconstruction: exact for every request" in captured.out
+
+    def test_old_per_leg_serve_trace_is_refused(self, capsys, tmp_path):
+        import json
+
+        # a request as the per-leg writer wrote it: a root span without
+        # leg widths (its four leg spans beside it)
+        path = tmp_path / "old.serve.jsonl"
+        records = [
+            {"type": "trace_header", "format": "repro-trace",
+             "version": 1, "profile": "serve"},
+            {"type": "span", "id": 1, "parent": None, "cat": "serve",
+             "name": "serve.request",
+             "attrs": {"request_id": 1, "algorithm": "bfs",
+                       "outcome": "ok", "latency_s": 0.5, "dur_s": 0.5}},
+        ] + [
+            {"type": "span", "id": 2 + i, "parent": 1, "cat": "serve",
+             "name": name, "attrs": {"request_id": 1, "dur_s": 0.125}}
+            for i, name in enumerate(("serve.queue", "serve.batch",
+                                      "serve.run", "serve.serialize"))
+        ]
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        assert main(["analyze", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # not an all-zero waterfall
+        assert captured.err.count("\n") == 1
+        assert "old per-leg layout" in captured.err
 
     def test_telemetry_cut_mid_tick_still_renders(self, capsys, tmp_path):
         path = self._cut(tmp_path, "telemetry", 2, '{"type": "telemetry", "se')

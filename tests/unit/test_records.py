@@ -6,8 +6,14 @@ These tests keep it that way (the ``test_no_field_on_both_config_types``
 pattern): an AST scan that fails when a second reader, a second header
 writer or one of the deleted loaders / renderings grows back, the exact
 command surface, and a round trip per kind — through today's writers and
-through files the *parent commit's* writers produced
-(``tests/data/parent_*``, generated by running commit ``8511722``).
+through recorded files (``tests/data/parent_*``). The run, telemetry and
+mutation files were produced by running commit ``8511722``. The serve
+file was re-recorded on purpose when the serve trace became one record
+per request and one per engine run, with
+``printf 'ppr 0\nppr 0\n' | repro serve --graph road-ca-mini
+--machines 2 --max-wait 0.5 --trace-out tests/data/parent_serve.trace.jsonl``;
+a file from the older per-leg writer still loads, and ``repro analyze``
+refuses it (exit 2).
 """
 
 import ast

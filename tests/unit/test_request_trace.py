@@ -1,11 +1,13 @@
 """Request-scoped tracing: exact latency reconstruction + cost splits.
 
 The serve trace's contract is bit-exactness: every request's reported
-latency must be reproducible from its four leg spans, and every engine
-run's modeled time must be reproducible from its riders' attributed
-shares. These tests drive a real :class:`GraphService` with
-``trace_out`` and assert both invariants on the written file, plus the
-:func:`split_cost` arithmetic in isolation.
+latency must be reproducible from the four leg widths in its one
+record, and every engine run's modeled time must be reproducible from
+its riders' attributed shares. These tests drive a real
+:class:`GraphService` with ``trace_out`` and assert both invariants on
+the written file, the file's shape (one record per request, one per
+engine run holding that run's own trace), plus the :func:`split_cost`
+arithmetic in isolation.
 """
 
 import json
@@ -13,16 +15,16 @@ import math
 
 import pytest
 
+from repro.obs.critical_path import analyze_trace, extract_run
 from repro.obs.records import load_trace
 from repro.obs.request_trace import (
-    LEG_NAMES,
+    LEGS,
     RequestContext,
     analyze_serve_trace,
     format_serve_analysis,
     split_cost,
 )
 from repro.serve import GraphService
-from repro.serve.service import _Pending  # noqa: F401  (idiom reference)
 from repro.session import GraphSession
 
 MACHINES = 4
@@ -78,9 +80,9 @@ class TestRequestContext:
         ctx.t_run1 = ctx.t_run0 + 0.5
         ctx.t_done = ctx.t_run1 + 0.0625
         widths = ctx.leg_widths()
-        assert list(widths) == list(LEG_NAMES)
+        assert list(widths) == list(LEGS)
         acc = 0.0
-        for name in LEG_NAMES:
+        for name in LEGS:
             acc = acc + widths[name]
         assert ctx.latency_s == acc
 
@@ -90,7 +92,7 @@ class TestRequestContext:
         ctx.t_run0 = ctx.t_run1 = ctx.t_dispatch + 0.01
         ctx.t_done = ctx.t_run1 + 0.02
         assert ctx.run_s == 0.0
-        assert ctx.latency_s == ctx.queue_s + ctx.batch_s + ctx.serialize_s
+        assert ctx.latency_s == ctx.queue_s + ctx.batch_s + ctx.handout_s
 
 
 class TestServeTraceEndToEnd:
@@ -116,17 +118,14 @@ class TestServeTraceEndToEnd:
             from repro.serve import QueryRequest
             from repro.serve.service import _Pending as P
 
-            batch = [
-                P(QueryRequest.make("bfs", [0]), Future()),
-                P(QueryRequest.make("bfs", [7]), Future()),
-                P(QueryRequest.make("bfs", [11]), Future()),
-            ]
-            for p in batch:
-                p.ctx = RequestContext(
+            batch = []
+            for source in (0, 7, 11):
+                req = QueryRequest.make("bfs", [source])
+                batch.append(P(req, Future(), RequestContext(
                     request_id=next(svc._req_ids),
-                    algorithm=p.request.algorithm,
-                    sources=p.request.sources,
-                )
+                    algorithm=req.algorithm,
+                    sources=req.sources,
+                )))
                 svc._inflight += 1
             svc._serve_batch(batch)
             served = [p.future.result(timeout=0) for p in batch]
@@ -163,31 +162,77 @@ class TestServeTraceEndToEnd:
             rows[miss.request_id]["engine_cost_s"]
         )
 
-    def test_engine_spans_join_under_run_id(self, session, tmp_path):
+    def test_run_record_holds_the_runs_own_trace(self, session, tmp_path):
+        from repro.obs import Tracer
+
+        captured = []
+
+        class Capturing(Tracer):
+            def __init__(self):
+                super().__init__()
+                captured.append(self)
+
+        svc, path = _traced_service(session, tmp_path)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("repro.serve.service.Tracer", Capturing)
+            with svc:
+                served = svc.query("bfs", sources=[0])
+        (tracer,) = captured
+        trace = load_trace(str(path))
+        (run,) = [s for s in trace.spans if s["name"] == "serve.engine-run"]
+        assert served.request_id in run["attrs"]["request_ids"]
+        # the run's Tracer stream, verbatim: no id offset, no re-parent,
+        # no clock rebase, no run_id tag, run_meta kept in place
+        assert run["records"] == json.loads(json.dumps(tracer.records))
+        assert run["records"][-1]["type"] == "run_meta"
+        # `--run-id` reads it as a standalone run trace: the
+        # critical-path accounting tiles the run's modeled time
+        sub = extract_run(trace, run["attrs"]["run_id"])
+        assert sub.spans and sub.kind == "run"
+        analysis = analyze_trace(sub)
+        modeled = run["attrs"]["modeled_time_s"]
+        assert analysis["total_modeled_s"] == modeled
+        assert (
+            analysis["bootstrap_s"] + analysis["supersteps_s"]
+            + analysis["untracked_s"]
+        ) == pytest.approx(modeled, rel=1e-9, abs=1e-12)
+        assert extract_run(trace, run["attrs"]["run_id"] + 1).spans == []
+
+    def test_one_record_per_request_and_per_run(self, session, tmp_path):
         svc, path = _traced_service(session, tmp_path)
         with svc:
-            served = svc.query("bfs", sources=[0])
+            served = [
+                svc.query("bfs", sources=[0]),   # run 1
+                svc.query("bfs", sources=[0]),   # hit
+                svc.query("ppr", sources=[3]),   # run 2
+                svc.query("bfs", sources=[5]),   # run 3
+                svc.query("ppr", sources=[3]),   # hit
+            ]
         trace = load_trace(str(path))
-        run_spans = [
-            s for s in trace.spans
-            if s.get("cat") == "serve" and s["name"] == "serve.engine-run"
-        ]
-        assert len(run_spans) == 1
-        run_span = run_spans[0]
-        run_id = run_span["attrs"]["run_id"]
-        assert served.request_id in run_span["attrs"]["request_ids"]
-        # the engine's own records appear, tagged and re-parented
-        engine = [
-            s for s in trace.spans
-            if s.get("cat") != "serve"
-            and (s.get("attrs") or {}).get("run_id") == run_id
-        ]
-        assert engine, "no engine spans merged into the serve trace"
-        top = [s for s in engine if s.get("parent") == run_span["id"]]
-        assert top, "engine roots not re-parented under serve.engine-run"
-        # ids were offset into the writer's id space: all unique
-        ids = [s["id"] for s in trace.spans]
-        assert len(ids) == len(set(ids))
+        # every record after the header is a request, a run or run_meta
+        assert trace.instants == [] and trace.counters == []
+        names = [s["name"] for s in trace.spans]
+        assert sorted(names) == sorted(
+            ["serve.request"] * 5 + ["serve.engine-run"] * 3
+        )
+        requests = [s["attrs"] for s in trace.spans
+                    if s["name"] == "serve.request"]
+        assert sorted(r["request_id"] for r in requests) == sorted(
+            s.request_id for s in served
+        )
+        for attrs in requests:
+            assert set(LEGS) <= set(attrs)
+
+    def test_old_per_leg_layout_is_refused(self, session, tmp_path):
+        svc, path = _traced_service(session, tmp_path)
+        with svc:
+            svc.query("bfs", sources=[0])
+        trace = load_trace(str(path))
+        for span in trace.spans:
+            for leg in LEGS:
+                span["attrs"].pop(leg, None)
+        with pytest.raises(ValueError, match="old per-leg layout"):
+            analyze_serve_trace(trace)
 
     def test_error_requests_marked_in_trace(self, session, tmp_path):
         svc, path = _traced_service(session, tmp_path)

@@ -17,7 +17,7 @@ import repro
 from repro.errors import ConfigError
 from repro.graph.mutation import MutationBatch, apply_batch
 from repro.obs.records import load_trace
-from repro.obs.request_trace import analyze_serve_trace
+from repro.obs.request_trace import RequestContext, analyze_serve_trace
 from repro.serve import GraphService, QueryRequest
 from repro.serve.service import _Pending
 from repro.session import GraphSession
@@ -43,7 +43,10 @@ def service(session):
 
 
 def _pending(algorithm, sources=(), **params):
-    return _Pending(QueryRequest.make(algorithm, sources, **params), Future())
+    req = QueryRequest.make(algorithm, sources, **params)
+    return _Pending(req, Future(), RequestContext(
+        request_id=0, algorithm=algorithm, sources=req.sources,
+    ))
 
 
 def _serve_direct(service, *pendings):
@@ -307,8 +310,10 @@ class TestConcurrentClients:
         assert svc._inflight == 0
 
         trace = load_trace(str(trace_path))
-        ids = [s["id"] for s in trace.spans]
-        assert len(ids) == len(set(ids))
+        # concurrent writers lose no record and duplicate none
+        ids = [s["attrs"]["request_id"] for s in trace.spans
+               if s["name"] == "serve.request"]
+        assert sorted(ids) == sorted(f.result().request_id for f in everything)
         analysis = analyze_serve_trace(trace)
         assert analysis["totals"]["requests"] == len(everything)
         assert analysis["totals"]["latency_exact"]
@@ -421,7 +426,6 @@ class TestGracefulClose:
         svc = GraphService(session, max_wait=0.0)
         svc.query("bfs", sources=[0])  # quiesce the dispatcher
         racer = _pending("bfs", [7])
-        racer.ctx = None
         svc._closed = True  # submit() now rejects; queue still accepts
         svc._queue.put(racer)
         svc._closed = False

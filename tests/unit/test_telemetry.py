@@ -68,6 +68,18 @@ class TestClassWindow:
         assert snap["p95_ms"] == 40.0
         assert snap["p99_ms"] == 40.0
 
+    def test_one_nearest_rank_quantile_for_telemetry_and_analyze(self):
+        from repro.obs import request_trace, telemetry
+        from repro.obs.metrics import nearest_rank
+
+        assert telemetry.nearest_rank is nearest_rank
+        assert request_trace.nearest_rank is nearest_rank
+        values = [0.010, 0.020, 0.030, 0.040]
+        assert [nearest_rank(values, q) for q in (0.0, 0.5, 0.95, 1.0)] == [
+            0.010, 0.030, 0.040, 0.040,
+        ]
+        assert nearest_rank([], 0.5) == 0.0
+
     def test_old_events_age_out(self):
         win = _ClassWindow(window_s=10.0)
         win.observe(0.0, 1.0, cached=False)
