@@ -6,8 +6,11 @@ from a grouped-by-key edge list. Doing that per call with
 arithmetic and allocates fresh buffers every round; a :class:`CSRPlan`
 precomputes everything that depends only on the graph — the stable edge
 order, the per-key slices, the key/value arrays in sorted order, the
-per-target counts of a full sweep — plus reusable scratch, at
-machine-runtime construction.
+per-target counts of a full sweep — plus reusable slot-sized scratch,
+at machine-runtime construction. Per edge a plan keeps exactly the
+stable order, the sorted keys and (with ``dst``) the sorted targets: a
+session holds its plans as long as the partition, so the sparse
+flatten's ``arange`` is built per call rather than cached per edge.
 
 :meth:`CSRPlan.select` is the push/pull-style mode switch: when the
 frontier's edges cover enough of the local CSR (the
@@ -73,7 +76,6 @@ class CSRPlan:
         self.num_edges = int(order.size)
         # slots that own at least one edge — the full sweep's touched set
         self.nonempty_slots = np.flatnonzero(self.counts > 0)
-        self._arange = np.arange(self.num_edges, dtype=np.int64)
         self._mask_scratch = np.zeros(n, dtype=bool)
         self.dst_sorted: Optional[np.ndarray] = None
         self.dst_counts_full: Optional[np.ndarray] = None
@@ -93,10 +95,13 @@ class CSRPlan:
     ) -> np.ndarray:
         """Edge positions of the per-vertex ranges ``[starts, starts+counts)``."""
         if total == 0:
-            return self._arange[:0]
-        base = np.repeat(starts, counts)
-        reps = np.repeat(np.cumsum(counts) - counts, counts)
-        return base + (self._arange[:total] - reps)
+            return np.empty(0, dtype=np.int64)
+        # an edge's position is its range's start plus its rank in the
+        # range, i.e. (start - the range's first output slot) repeated,
+        # plus the output slot: one repeat and one in-place add
+        pos = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+        pos += np.arange(total, dtype=np.int64)
+        return pos
 
     def flatten(self, idx: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Sparse expansion: positions (into sorted order) of ``idx``'s
@@ -130,7 +135,7 @@ class CSRPlan:
         counts = self.counts[idx]
         total = int(counts.sum())
         if total == 0:
-            return SPARSE, self._arange[:0], counts, 0
+            return SPARSE, np.empty(0, dtype=np.int64), counts, 0
         dense_ok = (
             cfg.mode != "generic"
             and self.num_edges >= cfg.dense_min_edges

@@ -43,13 +43,17 @@ have to visit them one call at a time: :attr:`PartitionedGraph.blocks`
 groups *consecutive* machines into the runtime's unit of execution — a
 :class:`MachineGraph` that is the disjoint union of its machines' local
 graphs (local indices offset, edge order preserved) plus
-``machine_offsets``. Machines merge until a block holds
-``_BLOCK_EDGE_BUDGET`` local edges; a machine that big is a block of
-one and *is* its ``machines[m]`` entry. Every per-machine array is a
-slice of one flat allocation in machine order, so a merged block's
-arrays are views too — only its block-local ``esrc`` / ``edst`` are new
-memory. ``docs/performance.md`` ("Blocks") has the measurements behind
-the budget.
+``machine_offsets``. Consecutive machines merge greedily while the
+block stays within ``_BLOCK_EDGE_BUDGET`` (2¹⁷) local edges, so the rule
+is a property of machine size alone: many small machines share a call,
+a machine past half the budget can only share with a smaller
+neighbour, and one past the budget is always a block of one — which
+*is* its ``machines[m]`` entry. Every per-machine array is a slice of
+one flat allocation in machine order, so a merged block's arrays are
+views too — only its block-local ``esrc`` / ``edst`` are new memory
+(16 B per local edge, kept while the partition lives).
+``docs/performance.md`` ("Blocks") has the measurements behind the
+budget.
 """
 
 from __future__ import annotations
@@ -70,10 +74,13 @@ __all__ = ["MachineGraph", "PartitionedGraph"]
 _HOME_SEED = 0xC0FFEE  # hash seed for edge-less vertices' home machines
 
 # Local edges a block may hold before the next machine starts a new one:
-# enough to amortise the fixed per-call cost of a sweep over many tiny
-# machines, small enough that the block's mailboxes stay cache-resident
-# (one flat runtime over big machines is *slower* — docs/performance.md).
-_BLOCK_EDGE_BUDGET = 1 << 15
+# enough that small machines (the service graph's 8 x 21k, a road grid's
+# 48 x 1.2k) pay a sweep's fixed per-call cost once per block, small
+# enough that two machines past 2**16 edges, which amortise their own
+# call, never share one and keep cache-sized mailboxes (one flat runtime
+# over big machines is *slower*, and 2**18 costs memory —
+# docs/performance.md).
+_BLOCK_EDGE_BUDGET = 1 << 17
 
 
 def _offsets(counts: np.ndarray) -> np.ndarray:

@@ -7,8 +7,9 @@ single value, modeled second or per-machine counter. This module pins
 that from four sides:
 
 * the matrix — every delta engine × six programs × four partition
-  shapes, run with every machine alone, the default budget and
-  everything in one block: values, ``modeled_time_s`` and the whole
+  shapes, run with every machine alone, a mid budget that cuts the
+  shape into a few merged blocks, the default budget and everything in
+  one block: values, ``modeled_time_s`` and the whole
   ``RunStats`` dump (minus the ``kernel_scatter/*`` extras, which count
   sweeps per block by design) are equal; likewise for a warm start
   after a mutation batch;
@@ -58,8 +59,6 @@ ALGORITHMS = {
     "kcore": {"k": 3},
     "ppr": {"seeds": (0, 5), "tolerance": 1e-3},
 }
-#: every machine alone / the default / everything in one block
-BUDGETS = (0, pgmod._BLOCK_EDGE_BUDGET, 1 << 62)
 
 # name -> (graph factory, machines, edge split)
 SHAPES = {
@@ -71,6 +70,17 @@ SHAPES = {
         EdgeSplitConfig(textra=0.5, teps=50_000),
     ),
 }
+#: a budget that cuts each shape into a few merged blocks (more than
+#: one, fewer than its machines) for every program; the default budget
+#: is one block on all of them
+MID_BUDGETS = {"road48": 1 << 9, "powerlaw8": 1 << 13, "tiny4": 10,
+               "split8": 1 << 12}
+
+
+def _budgets(shape):
+    """Every machine alone / a few merged blocks / the default /
+    everything in one block."""
+    return (0, MID_BUDGETS[shape], pgmod._BLOCK_EDGE_BUDGET, 1 << 62)
 
 
 def _scrub(obj):
@@ -122,14 +132,15 @@ def test_block_boundaries_do_not_move_a_run(
     engine, algorithm, shape, monkeypatch
 ):
     runs, block_counts = [], []
-    for budget in BUDGETS:
+    for budget in _budgets(shape):
         monkeypatch.setattr(pgmod, "_BLOCK_EDGE_BUDGET", budget)
         pg, result = _run(engine, shape, algorithm)
         runs.append(result)
         block_counts.append(len(pg.blocks))
-    assert block_counts[0] == pg.num_machines and block_counts[2] == 1
-    _assert_same_run(runs[0], runs[1])
-    _assert_same_run(runs[0], runs[2])
+    assert block_counts[0] == pg.num_machines and block_counts[-1] == 1
+    assert 1 < block_counts[1] < pg.num_machines
+    for run in runs[1:]:
+        _assert_same_run(runs[0], run)
 
 
 @pytest.mark.parametrize("algorithm", ["bfs", "sssp", "pagerank"])
@@ -142,7 +153,7 @@ def test_warm_start_over_any_block_split(algorithm, monkeypatch):
         .remove_edge(int(graph.src[700]), int(graph.dst[700]))
     )
     outcomes = []
-    for budget in BUDGETS:
+    for budget in _budgets("road48"):
         monkeypatch.setattr(pgmod, "_BLOCK_EDGE_BUDGET", budget)
         with GraphSession.open(graph, machines=48, seed=0) as session:
             cold = session.run(algorithm, **ALGORITHMS[algorithm])
@@ -235,16 +246,25 @@ def test_any_split_of_consecutive_machines(case, engine, algorithm):
 
 
 def test_default_budget_merges_small_machines_only():
-    small, _ = _partition("road48", "sssp")
-    big = PartitionedGraph.build(
-        g := powerlaw_graph(20_000, 150_000, seed=1),
-        partition_graph(g, 4, "random", seed=1), 4,
-    )
-    for pg in (small, big):
+    budget = pgmod._BLOCK_EDGE_BUDGET
+    g = powerlaw_graph(20_000, 150_000, seed=1)
+    # a machine past half the budget amortises its own call: two of
+    # them overflow a block, so each stays alone and *is* its machine
+    big = PartitionedGraph.build(g, partition_graph(g, 2, "random", seed=1), 2)
+    # the service shape (the benchmarks' serve / mutation graph on the
+    # session's default cut): 8 machines of ~21k edges, merged greedily
+    service = build_lazy_graph(g, 8, seed=0)
+    road, _ = _partition("road48", "sssp")
+    for pg in (big, service, road):
         _assert_block_invariants(pg)
-    assert len(small.blocks) == 1
-    assert min(mg.num_local_edges for mg in big.machines) > 1 << 15
+    assert min(mg.num_local_edges for mg in big.machines) > budget // 2
     assert all(b is mg for b, mg in zip(big.blocks, big.machines))
+    assert max(mg.num_local_edges for mg in service.machines) < budget // 4
+    assert [(b.machine_id, b.num_machines) for b in service.blocks] == [
+        (0, 6), (6, 2)
+    ]
+    assert all(b.num_local_edges <= budget for b in service.blocks)
+    assert len(road.blocks) == 1
 
 
 def test_global_to_local_refuses_absent_ids_and_merged_blocks(monkeypatch):

@@ -170,7 +170,25 @@ class TestCSRPlan:
         p = self.plan()
         mode, pos, counts, total = p.select(np.array([1]))
         assert (mode, total) == ("sparse", 0)
-        assert pos.size == 0
+        assert pos.size == 0 and pos.dtype == np.int64
+
+    def test_plan_holds_three_per_edge_arrays(self):
+        # a plan lives as long as its session's partition and a merged
+        # block's plan covers up to 2**17 edges: per edge it keeps the
+        # stable order, the sorted keys and the sorted targets, nothing
+        # else (no cached positions), plus O(slots)
+        n, m = 500, 20_000
+        rng = np.random.default_rng(7)
+        p = CSRPlan(rng.integers(0, n, m), n, dst=rng.integers(0, n, m))
+        arrays = {
+            name: a for name, a in vars(p).items()
+            if isinstance(a, np.ndarray)
+        }
+        per_edge = sorted(k for k, a in arrays.items() if a.size >= m)
+        assert per_edge == ["dst_sorted", "eorder", "key_sorted"]
+        assert all(arrays[k].itemsize == 8 for k in per_edge)
+        per_slot = sum(a.nbytes for a in arrays.values()) - 24 * m
+        assert per_slot <= 48 * (n + 1)
 
 
 # ----------------------------------------------------------------------
