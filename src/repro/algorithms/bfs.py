@@ -12,22 +12,19 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.api.vertex_program import DeltaProgram, MIN_ALGEBRA
+from repro.algorithms.apply_rules import MinRelaxProgram
 from repro.errors import AlgorithmError
 from repro.partition.partitioned_graph import MachineGraph
 
 __all__ = ["BFSProgram"]
 
 
-class BFSProgram(DeltaProgram):
+class BFSProgram(MinRelaxProgram):
     """Hop distance from ``source`` (∞ for unreachable vertices)."""
 
     name = "bfs"
-    algebra = MIN_ALGEBRA
-    delta_bytes = 16
     requires_symmetric = False
     needs_weights = False
-    supports_warm_start = True
 
     def __init__(self, source: int = 0) -> None:
         if source < 0:
@@ -44,18 +41,6 @@ class BFSProgram(DeltaProgram):
     ) -> Tuple[Optional[np.ndarray], np.ndarray]:
         active = mg.vertices == self.source
         return np.where(active, 0.0, np.inf), active
-
-    def apply(
-        self,
-        mg: MachineGraph,
-        state: Dict[str, np.ndarray],
-        idx: np.ndarray,
-        accum: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        level = state["vdata"]
-        improved = accum < level[idx]
-        level[idx] = np.minimum(level[idx], accum)
-        return level[idx], improved
 
     def edge_message(
         self,

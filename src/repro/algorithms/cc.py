@@ -16,21 +16,18 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.api.vertex_program import DeltaProgram, MIN_ALGEBRA
+from repro.algorithms.apply_rules import MinRelaxProgram
 from repro.partition.partitioned_graph import MachineGraph
 
 __all__ = ["ConnectedComponentsProgram"]
 
 
-class ConnectedComponentsProgram(DeltaProgram):
+class ConnectedComponentsProgram(MinRelaxProgram):
     """Minimum-label propagation over an undirected graph."""
 
     name = "cc"
-    algebra = MIN_ALGEBRA
-    delta_bytes = 16
     requires_symmetric = True
     needs_weights = False
-    supports_warm_start = True
 
     # ------------------------------------------------------------------
     def make_state(self, mg: MachineGraph) -> Dict[str, np.ndarray]:
@@ -42,18 +39,6 @@ class ConnectedComponentsProgram(DeltaProgram):
     ) -> Tuple[Optional[np.ndarray], np.ndarray]:
         active = np.ones(mg.num_local_vertices, dtype=bool)
         return state["vdata"].copy(), active
-
-    def apply(
-        self,
-        mg: MachineGraph,
-        state: Dict[str, np.ndarray],
-        idx: np.ndarray,
-        accum: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        labels = state["vdata"]
-        improved = accum < labels[idx]
-        labels[idx] = np.minimum(labels[idx], accum)
-        return labels[idx], improved
 
     def edge_message(
         self,

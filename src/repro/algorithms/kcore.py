@@ -70,17 +70,17 @@ class KCoreProgram(DeltaProgram):
         idx: np.ndarray,
         accum: np.ndarray,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        core = state["vdata"]
-        deleted = state["deleted"]
-        already_gone = deleted[idx]
-        core[idx] -= np.where(already_gone, 0.0, accum)
-        newly_dead = ~already_gone & (core[idx] < self.k)
-        if np.any(newly_dead):
-            sel = idx[newly_dead]
-            deleted[sel] = True
-            core[sel] = 0.0
-        delta_out = np.ones(idx.size, dtype=np.float64)
-        return delta_out, newly_dead
+        # deleted vertices keep core 0 and ignore further decrements
+        live = np.flatnonzero(~state["deleted"][idx])
+        sel = idx[live]
+        core = state["vdata"][sel] - accum[live]
+        dead = np.flatnonzero(core < self.k)
+        core[dead] = 0.0
+        state["vdata"][sel] = core
+        state["deleted"][sel[dead]] = True
+        newly_dead = np.zeros(idx.size, dtype=bool)
+        newly_dead[live[dead]] = True
+        return np.ones(idx.size, dtype=np.float64), newly_dead
 
     def edge_message(
         self,

@@ -15,22 +15,19 @@ from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
-from repro.api.vertex_program import DeltaProgram, MIN_ALGEBRA
+from repro.algorithms.apply_rules import MinRelaxProgram
 from repro.errors import AlgorithmError
 from repro.partition.partitioned_graph import MachineGraph
 
 __all__ = ["MultiSourceBFSProgram"]
 
 
-class MultiSourceBFSProgram(DeltaProgram):
+class MultiSourceBFSProgram(MinRelaxProgram):
     """Hop distance to the nearest source (∞ for unreachable vertices)."""
 
     name = "msbfs"
-    algebra = MIN_ALGEBRA
-    delta_bytes = 16
     requires_symmetric = False
     needs_weights = False
-    supports_warm_start = True
 
     def __init__(self, sources: Iterable[int] = (0,)) -> None:
         srcs = np.unique(np.asarray(list(sources), dtype=np.int64))
@@ -52,18 +49,6 @@ class MultiSourceBFSProgram(DeltaProgram):
     ) -> Tuple[Optional[np.ndarray], np.ndarray]:
         active = np.isin(mg.vertices, self.sources)
         return np.where(active, 0.0, np.inf), active
-
-    def apply(
-        self,
-        mg: MachineGraph,
-        state: Dict[str, np.ndarray],
-        idx: np.ndarray,
-        accum: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        level = state["vdata"]
-        improved = accum < level[idx]
-        level[idx] = np.minimum(level[idx], accum)
-        return level[idx], improved
 
     def edge_message(
         self,

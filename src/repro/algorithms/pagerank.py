@@ -21,14 +21,13 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.api.vertex_program import DeltaProgram, SUM_ALGEBRA
-from repro.errors import AlgorithmError
+from repro.algorithms.apply_rules import DampedSumProgram
 from repro.partition.partitioned_graph import MachineGraph
 
 __all__ = ["PageRankDeltaProgram"]
 
 
-class PageRankDeltaProgram(DeltaProgram):
+class PageRankDeltaProgram(DampedSumProgram):
     """PageRank via delta propagation.
 
     Parameters
@@ -42,19 +41,9 @@ class PageRankDeltaProgram(DeltaProgram):
     """
 
     name = "pagerank"
-    algebra = SUM_ALGEBRA
-    delta_bytes = 16
-    requires_symmetric = False
-    needs_weights = False
-    supports_warm_start = True
 
     def __init__(self, damping: float = 0.85, tolerance: float = 1e-3) -> None:
-        if not 0.0 < damping < 1.0:
-            raise AlgorithmError(f"damping must be in (0, 1), got {damping}")
-        if tolerance <= 0.0:
-            raise AlgorithmError(f"tolerance must be > 0, got {tolerance}")
-        self.damping = damping
-        self.tolerance = tolerance
+        super().__init__(damping, tolerance)
 
     # ------------------------------------------------------------------
     def make_state(self, mg: MachineGraph) -> Dict[str, np.ndarray]:
@@ -79,37 +68,3 @@ class PageRankDeltaProgram(DeltaProgram):
         )
         active = np.ones(mg.num_local_vertices, dtype=bool)
         return init_delta, active
-
-    def apply(
-        self,
-        mg: MachineGraph,
-        state: Dict[str, np.ndarray],
-        idx: np.ndarray,
-        accum: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        change = self.damping * accum
-        state["vdata"][idx] += change
-        # one gather and one write-back of pending (idx is duplicate-free)
-        pending = state["pending"][idx]
-        pending += change
-        fire = np.abs(pending) > self.tolerance
-        delta_out = np.where(fire, pending, 0.0)
-        # the fired mass has been handed to scatter; reset those vertices
-        state["pending"][idx] = np.where(fire, 0.0, pending)
-        return delta_out, fire
-
-    def edge_message(
-        self,
-        mg: MachineGraph,
-        edge_sel: np.ndarray,
-        delta_per_edge: np.ndarray,
-    ) -> np.ndarray:
-        out_deg = mg.out_deg_global[mg.esrc[edge_sel]]
-        # vertices with zero out-degree never scatter (no out-edges exist),
-        # so out_deg > 0 wherever this is evaluated
-        return delta_per_edge / out_deg
-
-    def edge_transform(self, mg: MachineGraph):
-        # edge_message's divisor depends only on the source: divide the
-        # frontier's out-deltas once instead of every edge's copy
-        return ("divide_source", mg.out_deg_global)

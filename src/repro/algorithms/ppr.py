@@ -19,14 +19,14 @@ from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
-from repro.api.vertex_program import DeltaProgram, SUM_ALGEBRA
+from repro.algorithms.apply_rules import DampedSumProgram
 from repro.errors import AlgorithmError
 from repro.partition.partitioned_graph import MachineGraph
 
 __all__ = ["PersonalizedPageRankProgram"]
 
 
-class PersonalizedPageRankProgram(DeltaProgram):
+class PersonalizedPageRankProgram(DampedSumProgram):
     """Seeded PageRank via delta propagation.
 
     Parameters
@@ -38,11 +38,6 @@ class PersonalizedPageRankProgram(DeltaProgram):
     """
 
     name = "ppr"
-    algebra = SUM_ALGEBRA
-    delta_bytes = 16
-    requires_symmetric = False
-    needs_weights = False
-    supports_warm_start = True
 
     def __init__(
         self,
@@ -55,13 +50,8 @@ class PersonalizedPageRankProgram(DeltaProgram):
             raise AlgorithmError("ppr needs at least one seed vertex")
         if seed_list[0] < 0:
             raise AlgorithmError(f"seed ids must be >= 0, got {seed_list[0]}")
-        if not 0.0 < damping < 1.0:
-            raise AlgorithmError(f"damping must be in (0, 1), got {damping}")
-        if tolerance <= 0.0:
-            raise AlgorithmError(f"tolerance must be > 0, got {tolerance}")
+        super().__init__(damping, tolerance)
         self.seeds = np.asarray(seed_list, dtype=np.int64)
-        self.damping = damping
-        self.tolerance = tolerance
 
     # ------------------------------------------------------------------
     def _base_rank(self, mg: MachineGraph) -> np.ndarray:
@@ -84,34 +74,3 @@ class PersonalizedPageRankProgram(DeltaProgram):
         # total scattered mass telescopes to each vertex's final rank
         base = self._base_rank(mg)
         return base, base > 0
-
-    def apply(
-        self,
-        mg: MachineGraph,
-        state: Dict[str, np.ndarray],
-        idx: np.ndarray,
-        accum: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        change = self.damping * accum
-        state["vdata"][idx] += change
-        # one gather and one write-back of pending (idx is duplicate-free)
-        pending = state["pending"][idx]
-        pending += change
-        fire = np.abs(pending) > self.tolerance
-        delta_out = np.where(fire, pending, 0.0)
-        # the fired mass has been handed to scatter; reset those vertices
-        state["pending"][idx] = np.where(fire, 0.0, pending)
-        return delta_out, fire
-
-    def edge_message(
-        self,
-        mg: MachineGraph,
-        edge_sel: np.ndarray,
-        delta_per_edge: np.ndarray,
-    ) -> np.ndarray:
-        return delta_per_edge / mg.out_deg_global[mg.esrc[edge_sel]]
-
-    def edge_transform(self, mg: MachineGraph):
-        # edge_message's divisor depends only on the source: divide the
-        # frontier's out-deltas once instead of every edge's copy
-        return ("divide_source", mg.out_deg_global)

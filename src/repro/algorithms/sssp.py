@@ -18,22 +18,19 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.api.vertex_program import DeltaProgram, MIN_ALGEBRA
+from repro.algorithms.apply_rules import MinRelaxProgram
 from repro.errors import AlgorithmError
 from repro.partition.partitioned_graph import MachineGraph
 
 __all__ = ["SSSPProgram"]
 
 
-class SSSPProgram(DeltaProgram):
+class SSSPProgram(MinRelaxProgram):
     """Shortest paths from ``source`` over non-negative edge weights."""
 
     name = "sssp"
-    algebra = MIN_ALGEBRA
-    delta_bytes = 16
     requires_symmetric = False
     needs_weights = True
-    supports_warm_start = True
 
     def __init__(self, source: int = 0) -> None:
         if source < 0:
@@ -53,19 +50,6 @@ class SSSPProgram(DeltaProgram):
         active = mg.vertices == self.source
         delta = np.where(active, 0.0, np.inf)
         return delta, active
-
-    def apply(
-        self,
-        mg: MachineGraph,
-        state: Dict[str, np.ndarray],
-        idx: np.ndarray,
-        accum: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        dist = state["vdata"]
-        improved = accum < dist[idx]
-        dist[idx] = np.minimum(dist[idx], accum)
-        # out-delta is the (new) distance; only improved vertices push
-        return dist[idx], improved
 
     def edge_message(
         self,

@@ -215,8 +215,11 @@ class DeltaProgram(abc.ABC):
         """Paper ``Apply``: fold ``accum`` into the vertices ``idx``.
 
         Must update ``state`` in place and return ``(delta_out, fire)``,
-        both aligned with ``idx``: ``delta_out[k]`` is the new out-delta
-        of vertex ``idx[k]`` and ``fire[k]`` says whether it scatters.
+        both aligned with ``idx``: ``fire[k]`` says whether vertex
+        ``idx[k]`` scatters, and ``delta_out[k]`` is its new out-delta.
+        ``delta_out`` is read only where ``fire``; its other entries may
+        hold anything (the shared rules in
+        :mod:`repro.algorithms.apply_rules` leave them unmasked).
         The update must satisfy the iterative-equation contract: the
         final state depends only on the multiset of accums folded in,
         not on their grouping or order.

@@ -121,9 +121,7 @@ class CoherencyExchanger:
             self.m2m_ch = plane.open(
                 DELTA_M2M, schema, delivery, comm_mode=CommMode.MIRRORS_TO_MASTER
             )
-        n = pgraph.graph.num_vertices
-        self._total = np.empty(n, dtype=np.float64)
-        self._cnt = np.zeros(n, dtype=np.int64)
+        self._total = np.empty(pgraph.graph.num_vertices, dtype=np.float64)
         self._switches = 0
         self._last_mode: Optional[CommMode] = None
         # Subsumption filter (idempotent ⊕ only): the shared view as of
@@ -183,53 +181,55 @@ class CoherencyExchanger:
         (the LazyBlockAsync full exchange).
         """
         alg = self.program.algebra
-        ident = alg.identity
-        total, cnt = self._total, self._cnt
-        total.fill(ident)
-        cnt.fill(0)
 
         # ---- collect participants' deltas -----------------------------
         # Stage per-runtime (gids, deltas) then fold once: runtimes are
         # blocks of consecutive machines in machine order with each
         # machine's slots contiguous, so the concatenation lists every
         # gid's contributions in machine order and the single kernel
-        # pass is bit-identical to a per-machine ufunc.at loop.
+        # pass is bit-identical to a per-machine ufunc.at loop. Index
+        # plumbing stays on NumPy's fast paths: bool flatnonzero plus
+        # gathers, never an int flatnonzero or a mask compress
+        # (docs/performance.md, "NumPy fast paths").
         part_idx: List[np.ndarray] = []
-        staged_gids: List[np.ndarray] = []
-        staged_deltas: List[np.ndarray] = []
+        part_deltas: List[np.ndarray] = []
         for mi, rt in enumerate(self.runtimes):
             idx = np.flatnonzero(rt.has_delta & self._replicated[mi])
+            deltas = rt.delta_msg[idx]
             if self._shared is not None and idx.size:
                 # subsumption filter: a delta that does not strictly
                 # improve the last shared view carries no new information
                 seen = self._shared[mi][idx]
-                improves = alg.combine(rt.delta_msg[idx], seen) != seen
-                rt.clear_deltas(idx[~improves])
-                idx = idx[improves]
-            if participants is not None:
-                idx = idx[participants(rt)[idx]]
+                improves = alg.combine(deltas, seen) != seen
+                keep = np.flatnonzero(improves)
+                if keep.size < idx.size:
+                    rt.clear_deltas(idx[np.flatnonzero(~improves)])
+                    idx, deltas = idx[keep], deltas[keep]
+            if participants is not None and idx.size:
+                keep = np.flatnonzero(participants(rt)[idx])
+                idx, deltas = idx[keep], deltas[keep]
             part_idx.append(idx)
-            if idx.size:
-                staged_gids.append(rt.mg.vertices[idx])
-                staged_deltas.append(rt.delta_msg[idx])
-        if staged_gids:
-            all_gids = np.concatenate(staged_gids)
-            all_deltas = np.concatenate(staged_deltas)
-            scatter_reduce(alg, total, all_gids, all_deltas)
-            # replica counts are pure integer sums — no ⊕ semantics needed
-            cnt[:] = np.bincount(all_gids, minlength=cnt.size)
-            if self.lens.enabled:
-                # delta mass this exchange ships (monoid-measured)
-                self.lens.on_staged(alg.magnitude(all_deltas))
-
-        exchanged = np.flatnonzero(cnt)
-        if exchanged.size == 0:
+            part_deltas.append(deltas)
+        all_gids = np.concatenate(
+            [rt.mg.vertices[idx] for rt, idx in zip(self.runtimes, part_idx)]
+        )
+        if all_gids.size == 0:
             # still clear deltas of unreplicated vertices
             for rt, solo in zip(self.runtimes, self._solo):
                 rt.clear_deltas(np.flatnonzero(rt.has_delta & solo))
             return ExchangeReport(
                 CommMode.ALL_TO_ALL, 0.0, 0, 0.0, 0.0, 0
             )
+        all_deltas = np.concatenate(part_deltas)
+        total = self._total
+        total.fill(alg.identity)
+        scatter_reduce(alg, total, all_gids, all_deltas)
+        # replica counts are pure integer sums — no ⊕ semantics needed
+        cnt = np.bincount(all_gids, minlength=total.size)
+        if self.lens.enabled:
+            # delta mass this exchange ships (monoid-measured)
+            self.lens.on_staged(alg.magnitude(all_deltas))
+        exchanged = np.flatnonzero(cnt > 0)
 
         # ---- price both wire protocols (paper's volume equations) -----
         nrep = self.pgraph.num_replicas[exchanged]
@@ -265,28 +265,33 @@ class CoherencyExchanger:
         )
 
         # ---- deliver: every replica folds the others' combined delta --
-        use_inverse = not alg.idempotent
         for mi, (rt, idx) in enumerate(zip(self.runtimes, part_idx)):
             gids_all = rt.mg.vertices
             c = cnt[gids_all]
-            if use_inverse:
-                # each replica removes its own contribution from the total
-                participated = np.zeros(c.size, dtype=bool)
-                participated[idx] = True
-                recv = np.flatnonzero(c > participated)
-                own = np.where(participated[recv], rt.delta_msg[recv], ident)
+            if self._shared is None:
+                # a replica receives when another replica contributed,
+                # and removes its own contribution from the total: its
+                # deltaMsg (identity wherever has_delta is unset), or
+                # nothing if it keeps a delta this partial exchange left
+                # pending — such a slot is still flagged once the
+                # participants' flags are down
+                c[idx] -= 1
+                recv = np.flatnonzero(c > 0)
+                rt.has_delta[idx] = False
+                own = rt.delta_msg[recv]
+                own[np.flatnonzero(rt.has_delta[recv])] = alg.identity
                 incoming = alg.inverse(total[gids_all[recv]], own)
             else:
                 # advance this replica's shared-view snapshot with
                 # everything exchanged for its vertices
-                touched = np.flatnonzero(c)
+                touched = np.flatnonzero(c > 0)
                 exchanged_here = total[gids_all[touched]]
                 shared = self._shared[mi]
                 shared[touched] = alg.combine(shared[touched], exchanged_here)
                 # a participant does not receive from itself — though
                 # with idempotent ⊕ re-folding its own delta is a no-op
                 c[idx] -= 1
-                others = c[touched] > 0
+                others = np.flatnonzero(c[touched] > 0)
                 recv, incoming = touched[others], exchanged_here[others]
             rt.msg[recv] = alg.combine(rt.msg[recv], incoming)
             rt.has_msg[recv] = True

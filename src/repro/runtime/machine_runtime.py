@@ -6,7 +6,10 @@ variables kept for every replica ``v`` on every machine —
 * ``state`` (program arrays incl. ``vdata[v]``),
 * ``msg`` / ``has_msg``      — ``message[v]``, the ⊕-accumulated inbox,
 * ``delta_msg`` / ``has_delta`` — ``deltaMsg[v]``, the one-edge-received
-  accumulation forwarded at coherency points,
+  accumulation forwarded at coherency points (``delta_msg`` holds the
+  ⊕-identity wherever ``has_delta`` is unset: every fold sets the flag
+  and ``clear_deltas`` resets both; the exchange's ``Inverse`` delivery
+  relies on it),
 * ``has_msg`` doubling as ``isActive[v]`` (a vertex with a pending
   message is exactly a vertex scheduled to run Apply)
 
@@ -357,7 +360,8 @@ class MachineRuntime:
                     if one_edge_mask is None:
                         t1, m1 = tgt, msgv
                     else:
-                        t1, m1 = tgt[one_edge_mask], msgv[one_edge_mask]
+                        k = np.flatnonzero(one_edge_mask)
+                        t1, m1 = tgt[k], msgv[k]
                     if t1.size:
                         scatter_reduce(self.algebra, self.delta_msg, t1, m1)
                         self.has_delta[t1] = True
@@ -425,9 +429,10 @@ class MachineRuntime:
 
     def _fold_delta_subset(self, one_edge_mask: np.ndarray, msgv: np.ndarray):
         """deltaMsg fold for a full sweep that crossed parallel edges."""
-        t1 = self.out_plan.dst_sorted[one_edge_mask]
-        if t1.size:
-            scatter_reduce(self.algebra, self.delta_msg, t1, msgv[one_edge_mask])
+        k = np.flatnonzero(one_edge_mask)
+        if k.size:
+            t1 = self.out_plan.dst_sorted[k]
+            scatter_reduce(self.algebra, self.delta_msg, t1, msgv[k])
             self.has_delta[t1] = True
 
     def take_ready(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -455,8 +460,10 @@ class MachineRuntime:
         if idx.size == 0:
             return self.work_by_machine(idx, idx, 0)
         delta_out, fire = self.program.apply(self.mg, self.state, idx, accum)
-        fired = idx[fire]
-        edges = self.scatter(fired, delta_out[fire], track_delta)
+        # delta_out is read only where fire (the DeltaProgram.apply contract)
+        k = np.flatnonzero(fire)
+        fired = idx[k]
+        edges = self.scatter(fired, delta_out[k], track_delta)
         return self.work_by_machine(idx, fired, edges)
 
     def apply_step(self, superstep: Optional[int] = None) -> np.ndarray:
@@ -496,8 +503,9 @@ class MachineRuntime:
     def tick_delta_age(self) -> None:
         """Age the pending deltas by one superstep, after its local work;
         a slot without a delta reads 0."""
+        # unmasked ufuncs: a bool-mask assignment is several times slower
         self.delta_age += self.has_delta
-        self.delta_age[~self.has_delta] = 0
+        self.delta_age *= self.has_delta
 
     def reset_delta_age(self) -> None:
         """After an exchange that shipped something: zero every slot it
@@ -508,7 +516,7 @@ class MachineRuntime:
         and a delta arriving there before the next tick inherits it —
         LazyVertexAsync's due sets depend on that.
         """
-        self.delta_age[~self.has_delta] = 0
+        self.delta_age *= self.has_delta
 
     def values(self) -> np.ndarray:
         """Program result values for this block's local vertices."""

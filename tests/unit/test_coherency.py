@@ -87,6 +87,86 @@ class TestFullExchange:
         assert not m1.has_delta[j2]
 
 
+    @pytest.mark.parametrize(
+        "prog", [PageRankDeltaProgram(), ConnectedComponentsProgram()],
+        ids=["sum", "min"],
+    )
+    def test_exchange_after_a_staged_one_stays_empty(self, prog):
+        # no state of the first exchange (replica counts, own-delta
+        # scratch) may leak into a second that stages nothing
+        g, pg, rts = two_machine_setup(prog)
+        ex = CoherencyExchanger(pg, prog, rts)
+        m0 = rts[0]
+        i1 = int(np.flatnonzero(m0.mg.vertices == 1)[0])
+        m0.delta_msg[i1] = 0.5
+        m0.has_delta[i1] = True
+        assert ex.exchange().vertices_exchanged == 1
+        for rt in rts:
+            rt.take_ready()
+        report = ex.exchange()
+        assert report.empty
+        assert report.vertices_exchanged == 0
+        for rt in rts:
+            assert not rt.has_msg.any()
+
+    def test_repeated_sum_exchanges_remove_only_own_delta(self):
+        prog = PageRankDeltaProgram()
+        g, pg, rts = two_machine_setup(prog)
+        ex = CoherencyExchanger(pg, prog, rts)
+        slots = [int(np.flatnonzero(rt.mg.vertices == 1)[0]) for rt in rts]
+        for vals in ([0.25, 0.75], [0.0, 2.0], [4.0, 0.0]):
+            for rt, i, v in zip(rts, slots, vals):
+                if v:
+                    rt.delta_msg[i] = v
+                    rt.has_delta[i] = True
+            ex.exchange()
+            got = [float(rt.msg[i]) for rt, i in zip(rts, slots)]
+            assert got == [vals[1], vals[0]]
+            for rt in rts:
+                rt.take_ready()
+
+    def test_partial_sum_exchange_keeps_a_held_delta_out(self):
+        # m1's delta stays pending (not a participant): m1 receives m0's
+        # delta whole, removing nothing of its own
+        prog = PageRankDeltaProgram()
+        g, pg, rts = two_machine_setup(prog)
+        slots = [int(np.flatnonzero(rt.mg.vertices == 1)[0]) for rt in rts]
+        for rt, i, v in zip(rts, slots, (0.25, 0.75)):
+            rt.delta_msg[i] = v
+            rt.has_delta[i] = True
+        ex = CoherencyExchanger(pg, prog, rts)
+        report = ex.exchange(participants=lambda rt: np.full(
+            rt.mg.num_local_vertices, rt is rts[0]))
+        assert report.vertices_exchanged == 1
+        m0, m1 = rts
+        assert not m0.has_msg[slots[0]] and not m0.has_delta[slots[0]]
+        assert m1.has_msg[slots[1]] and m1.msg[slots[1]] == 0.25
+        assert m1.has_delta[slots[1]] and m1.delta_msg[slots[1]] == 0.75
+
+    @pytest.mark.parametrize("engine", ["lazy-block", "lazy-vertex"])
+    def test_delta_msg_is_identity_where_no_delta(self, engine, monkeypatch):
+        # the Inverse delivery reads a replica's own contribution from
+        # deltaMsg, which must hold the identity wherever has_delta is
+        # unset — checked before every exchange of real runs
+        import repro
+        from repro.graph.generators import powerlaw_graph
+
+        seen = {"exchanges": 0}
+        inner = CoherencyExchanger.exchange
+
+        def checked(self, participants=None):
+            ident = np.float64(self.program.algebra.identity).view(np.int64)
+            for rt in self.runtimes:
+                assert (rt.delta_msg[~rt.has_delta].view(np.int64) == ident).all()
+            seen["exchanges"] += 1
+            return inner(self, participants)
+
+        monkeypatch.setattr(CoherencyExchanger, "exchange", checked)
+        repro.run(powerlaw_graph(300, 2_000, seed=3), "pagerank",
+                  engine=engine, machines=4, tolerance=1e-4)
+        assert seen["exchanges"] > 3
+
+
 class TestVolumes:
     def test_paper_volume_equations(self):
         prog = PageRankDeltaProgram()
