@@ -17,6 +17,9 @@ loop, :func:`_greedy_cut`, over per-loader approximations):
 The paper evaluates everything under this partitioner (§5.1), so it is
 the default throughout the library — and every cold
 :class:`~repro.session.GraphSession` pays for it once per topology.
+Mutation-time edges run the same cascade: :func:`_greedy_cut`'s resume
+entry (``loads=`` / ``masks=``) starts from the carried cut, which is
+how :func:`~repro.partition.dynamic.patch_partition` places a batch.
 
 The loop is inherently sequential: the rules keep loads balanced to a
 fraction of a percent, so each arg-min depends on every earlier
@@ -55,6 +58,8 @@ _CHUNK_EDGES = 1 << 11
 #: up to this many machines a candidate mask indexes a ``2**P``-entry
 #: table of its members; above it the set bits are scanned per edge
 _TABLE_MAX_MACHINES = 12
+#: capacity headroom ε, the default of every greedy placement
+_BALANCE_SLACK = 0.10
 
 
 def _check_cut_args(name: str, num_machines: int, balance_slack: float) -> None:
@@ -90,6 +95,9 @@ def _greedy_cut(
     edges: Optional[np.ndarray],
     loaders: Optional[np.ndarray],
     num_loaders: int,
+    *,
+    loads: Optional[np.ndarray] = None,
+    masks: Optional[List[int]] = None,
 ) -> np.ndarray:
     """The one greedy placement loop behind both vertex-cut variants.
 
@@ -109,6 +117,11 @@ def _greedy_cut(
     reaches ``capacity * P``. The per-edge body touches only Python
     ints: endpoints arrive ``_CHUNK_EDGES`` at a time through
     ``tolist()`` and placements leave through one array write per chunk.
+
+    Resume entry: ``loads`` (edges per machine) and ``masks`` (each
+    vertex's ``A(v)``) replace the cold start's zeros; capacity counts
+    the carried edges, and a machine already full starts closed. Resume
+    is single-loader only.
     """
     n_edges = graph.num_edges
     if n_edges == 0:
@@ -116,16 +129,17 @@ def _greedy_cut(
 
     P = num_machines
     tie_rank = rng.permutation(P)
-    key: List[int] = tie_rank.tolist()  # load * P + tie rank, loads all 0
+    carried = 0 if loads is None else int(loads.sum())
+    key: List[int] = (tie_rank if loads is None else loads * P + tie_rank).tolist()
     machine_of_rank: List[int] = np.argsort(tie_rank).tolist()
-    capacity = max(1, int((1.0 + balance_slack) * n_edges / P))
+    capacity = max(1, int((1.0 + balance_slack) * (carried + n_edges) / P))
     full = capacity * P
-    above_all = (n_edges + 1) * P  # no key gets here: load <= n_edges
-    open_mask = (1 << P) - 1  # machines with remaining capacity
+    above_all = (carried + n_edges + 1) * P  # no key gets here: load <= carried + n_edges
+    open_mask = sum(1 << m for m, k in enumerate(key) if k < full)  # machines with room
     table = _candidate_table(P) if P <= _TABLE_MAX_MACHINES else None
 
     n = graph.num_vertices
-    placed = [0] * (n * num_loaders)  # A(v) bitmasks, loader-major
+    placed = [0] * (n * num_loaders) if masks is None else list(masks)  # A(v), loader-major
     remaining: List[int] = graph.degrees().tolist()
 
     src, dst = graph.src, graph.dst
@@ -196,7 +210,7 @@ def coordinated_cut(
     num_machines: int,
     seed: SeedLike = None,
     shuffle_edges: bool = False,
-    balance_slack: float = 0.10,
+    balance_slack: float = _BALANCE_SLACK,
 ) -> np.ndarray:
     """Greedy coordinated vertex-cut assignment.
 

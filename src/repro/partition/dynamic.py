@@ -6,28 +6,30 @@ scratch is almost entirely redundant work. :func:`patch_partition`
 instead *carries* the surviving edges' machine assignment across the
 mutation — the :class:`~repro.graph.mutation.EdgeDiff` old↔new edge-id
 correspondence makes that a gather — and places only the added edges,
-greedily: a machine already hosting both endpoints beats one hosting
-either endpoint beats the globally least-loaded machine. The
-materialization step runs the full :meth:`PartitionedGraph.build` — the
-single source of truth for replica sets, masters and local renumbering,
-and a handful of array passes, so rebuilding every machine costs less
-than working out which ones could be skipped (a kept ++ added edge
-layout renumbers ``eglobal`` on every machine anyway).
-:class:`PatchStats` reports which machines came out *structurally
-identical* — same vertex list, same local edge endpoints — which
-licenses the session to keep those machines' cached CSR *plans*; their
-``MachineGraph`` s are rebuilt regardless.
+with the same ``_greedy_cut`` cascade a cold cut runs, resumed from the
+carried loads and replica sets. The materialization step runs the full
+:meth:`PartitionedGraph.build` — the single source of truth for replica
+sets, masters and local renumbering, and a handful of array passes, so
+rebuilding every machine costs less than working out which ones could
+be skipped (a kept ++ added edge layout renumbers ``eglobal`` on every
+machine anyway). :class:`PatchStats` reports which machines came out
+*structurally identical* — same vertex list, same local edge endpoints
+— which licenses the session to keep those machines' cached CSR
+*plans*; their ``MachineGraph`` s are rebuilt regardless.
 
 Carried assignments drift: deletions never remove a replica's original
-justification for the partitioner, and greedy insertion is myopic, so
-the replication factor λ creeps upward over a long mutation stream.
-:func:`repartition_worst` is the xDGP-style pressure valve — pick the
-vertices with the most replicas and consolidate each one's edges onto
-the machine that already hosts the most of them — triggered by the
-session's ``repartition_threshold`` knob when λ drifts past its budget.
+justification for the partitioner, and the resumed cascade sees only the
+batch, so the replication factor λ creeps upward over a long mutation
+stream. :func:`repartition_worst` is the xDGP-style pressure valve —
+pick the vertices with the most replicas and consolidate each one's
+edges onto the machine that already hosts the most of them — triggered
+by the session's ``repartition_threshold`` knob when λ drifts past its
+budget.
 
 Parallel-edges mode (edge-splitter sessions) is not patchable: the
-dispatch fixpoint is global, so dynamic sessions refuse it up front.
+splitter ranks edges against whole-graph degree percentiles and a
+budget, and a patch carries no assignment for parallel edges (they
+hold −1), so dynamic sessions refuse it up front.
 """
 
 from __future__ import annotations
@@ -40,7 +42,10 @@ import numpy as np
 from repro.errors import ConfigError
 from repro.graph.digraph import DiGraph
 from repro.graph.mutation import EdgeDiff
+from repro.partition.coordinated_cut import _BALANCE_SLACK, _greedy_cut
 from repro.partition.partitioned_graph import PartitionedGraph
+from repro.partition.replication import replica_csr
+from repro.utils.rng import make_rng
 
 __all__ = [
     "PatchStats",
@@ -49,6 +54,8 @@ __all__ = [
     "repartition_if_needed",
 ]
 
+_PLACE_SEED = 0x5EED  # tie-rank seed of every mutation-time placement
+
 
 @dataclass
 class PatchStats:
@@ -56,7 +63,7 @@ class PatchStats:
 
     num_machines: int
     edges_carried: int  # kept edges whose assignment survived
-    edges_placed: int  # added edges placed greedily
+    edges_placed: int  # added edges placed by the resumed cascade
     edges_removed: int
     lambda_before: float  # replication factor before the mutation
     lambda_after: float  # replication factor after the patch
@@ -93,34 +100,6 @@ class PatchStats:
         }
 
 
-def _machines_hosting(pgraph: PartitionedGraph, v: int) -> np.ndarray:
-    if v >= pgraph.graph.num_vertices:
-        return np.empty(0, dtype=np.int32)
-    return pgraph.replicas_of(v)
-
-
-def _greedy_place(
-    pgraph: PartitionedGraph,
-    added_src: np.ndarray,
-    added_dst: np.ndarray,
-    load: np.ndarray,
-) -> np.ndarray:
-    """One home machine per added edge; mutates ``load`` as it places."""
-    out = np.empty(added_src.size, dtype=np.int64)
-    for i, (u, v) in enumerate(zip(added_src.tolist(), added_dst.tolist())):
-        mu = _machines_hosting(pgraph, u)
-        mv = _machines_hosting(pgraph, v)
-        both = np.intersect1d(mu, mv)
-        cand = both if both.size else np.union1d(mu, mv)
-        if cand.size:
-            m = int(cand[np.argmin(load[cand])])
-        else:
-            m = int(np.argmin(load))
-        out[i] = m
-        load[m] += 1
-    return out
-
-
 def patch_partition(
     old_pgraph: PartitionedGraph,
     new_graph: DiGraph,
@@ -137,8 +116,9 @@ def patch_partition(
     if old_pgraph.parallel_eids.size:
         raise ConfigError(
             "dynamic mutation does not support parallel-edges sessions "
-            "(the edge-splitter dispatch is global); open the session "
-            "without split="
+            "(the splitter ranks edges against whole-graph degrees and a "
+            "budget, and a patch has no assignment for parallel edges); "
+            "open the session without split="
         )
     if diff.num_kept + diff.num_added != new_graph.num_edges:
         raise ConfigError(
@@ -147,8 +127,22 @@ def patch_partition(
         )
     P = old_pgraph.num_machines
     carried = old_pgraph.assignment[diff.kept_eids].astype(np.int64)
-    load = np.bincount(carried, minlength=P).astype(np.int64)
-    placed = _greedy_place(old_pgraph, diff.added_src, diff.added_dst, load)
+    # the batch as a graph over its endpoints; each one's A(v) is its
+    # replica set (none for a vertex this batch adds)
+    ends, local = np.unique(
+        np.concatenate([diff.added_src, diff.added_dst]), return_inverse=True
+    )
+    ip, rm = old_pgraph.rep_indptr, old_pgraph.rep_machines
+    masks = [
+        sum(1 << m for m in rm[ip[v]:ip[v + 1]].tolist())
+        if v < old_pgraph.graph.num_vertices else 0
+        for v in ends.tolist()
+    ]
+    placed = _greedy_cut(
+        DiGraph(ends.size, local[: diff.num_added], local[diff.num_added:]),
+        P, make_rng(_PLACE_SEED), _BALANCE_SLACK, None, None, 1,
+        loads=np.bincount(carried, minlength=P), masks=masks,
+    )
     assignment = np.concatenate([carried, placed])
     new_pgraph = PartitionedGraph.build(new_graph, assignment, P)
 
@@ -192,15 +186,7 @@ def repartition_worst(
     if graph.num_edges == 0 or max_vertices <= 0:
         return assignment, []
     # distinct machines per vertex over incident edges (both endpoints)
-    n = graph.num_vertices
-    keys = np.concatenate(
-        [
-            graph.src * np.int64(num_machines) + assignment,
-            graph.dst * np.int64(num_machines) + assignment,
-        ]
-    )
-    uniq = np.unique(keys)
-    spread = np.bincount((uniq // num_machines).astype(np.int64), minlength=n)
+    spread = np.diff(replica_csr(graph, assignment, num_machines)[0])
     worst = np.argsort(-spread, kind="stable")[:max_vertices]
     moved: List[int] = []
     for v in worst.tolist():

@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graph.digraph import DiGraph
-from repro.partition.coordinated_cut import _check_cut_args, _greedy_cut
+from repro.partition.coordinated_cut import _BALANCE_SLACK, _check_cut_args, _greedy_cut
 from repro.utils.rng import SeedLike, make_rng
 
 __all__ = ["oblivious_cut"]
@@ -35,7 +35,7 @@ def oblivious_cut(
     graph: DiGraph,
     num_machines: int,
     seed: SeedLike = None,
-    balance_slack: float = 0.10,
+    balance_slack: float = _BALANCE_SLACK,
 ) -> np.ndarray:
     """Greedy vertex-cut with per-loader (uncoordinated) placement state."""
     _check_cut_args("oblivious_cut", num_machines, balance_slack)

@@ -40,8 +40,9 @@ prepared graph variant via the edge-diff layout
 (:func:`~repro.graph.mutation.apply_batch` /
 :func:`~repro.graph.mutation.symmetrized_patch`), the vertex-cut via
 :func:`~repro.partition.dynamic.patch_partition` (kept edges stay on
-their machines; added edges placed greedily; the replica tables come
-from one vectorised :meth:`PartitionedGraph.build`; λ reported per
+their machines; added edges go through the same ``_greedy_cut``
+cascade a cold cut runs, resumed; the replica tables come from one
+vectorised :meth:`PartitionedGraph.build`; λ reported per
 variant, with an optional multiplicative ``repartition_threshold``
 valve), and the CSR plans only for the blocks that cover a machine
 whose local graph actually changed. Every variant is validated and
@@ -507,8 +508,9 @@ class GraphSession:
         vertices are consolidated before plans are rebuilt.
 
         Raises :class:`~repro.errors.ConfigError` for sessions opened
-        with an edge ``split`` (parallel-edge dispatch is global — it
-        cannot be patched locally) and
+        with an edge ``split`` (the splitter ranks edges against
+        whole-graph degree percentiles and a budget, and a patch carries
+        no assignment for parallel edges) and
         :class:`~repro.errors.GraphError` when the batch does not fit
         the graph. Every variant is validated and patched before any is
         committed: on error — from validation or from a patch — the
@@ -522,8 +524,9 @@ class GraphSession:
         if self.split is not None:
             raise ConfigError(
                 "dynamic mutation does not support sessions opened with "
-                "split= (parallel-edges dispatch is global); open the "
-                "session without an edge split"
+                "split= (the splitter ranks edges against whole-graph "
+                "degrees and a budget, and a patch has no assignment for "
+                "parallel edges); open the session without an edge split"
             )
         # validate and patch every cached variant into locals before
         # touching anything, so neither a bad batch nor a failing patch

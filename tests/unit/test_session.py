@@ -399,6 +399,22 @@ class TestWarmStartDeltaComesFromTheDiffs:
         assert all(gone and born for _, gone, born in seen)
 
 
+def _artifacts(session):
+    """Identity of every cached artifact, to check a refused apply."""
+    return {
+        "version": session.graph_version,
+        "bases": {k: id(v) for k, v in session._bases.items()},
+        "graphs": {k: id(v) for k, v in session._graphs.items()},
+        "pgraphs": {k: id(v) for k, v in session._pgraphs.items()},
+        "plans": {k: id(v) for k, v in session._plans.items()},
+        "deltas": {k: len(v) for k, v in session._deltas.items()},
+        "lambda": dict(session._baseline_lambda),
+        "log": len(session._mutation_log),
+        "fixpoints": list(session._fixpoints),
+        "last_apply": session.last_apply,
+    }
+
+
 class TestApplyIsAtomic:
     def test_failing_patch_leaves_the_session_unchanged(
         self, session, er_graph, monkeypatch
@@ -408,21 +424,7 @@ class TestApplyIsAtomic:
         session.apply(MutationBatch().add_edge(1, 7))  # a delta-log entry
         assert len(session._graphs) == 2 and len(session._pgraphs) == 2
 
-        def snapshot():
-            return {
-                "version": session.graph_version,
-                "bases": {k: id(v) for k, v in session._bases.items()},
-                "graphs": {k: id(v) for k, v in session._graphs.items()},
-                "pgraphs": {k: id(v) for k, v in session._pgraphs.items()},
-                "plans": {k: id(v) for k, v in session._plans.items()},
-                "deltas": {k: len(v) for k, v in session._deltas.items()},
-                "lambda": dict(session._baseline_lambda),
-                "log": len(session._mutation_log),
-                "fixpoints": list(session._fixpoints),
-                "last_apply": session.last_apply,
-            }
-
-        before = snapshot()
+        before = _artifacts(session)
         real_patch = session_module.patch_partition
         calls = []
 
@@ -439,7 +441,7 @@ class TestApplyIsAtomic:
         with pytest.raises(RuntimeError, match="patch failed"):
             session.apply(batch)
         assert len(calls) == 2  # the first variant had already patched
-        assert snapshot() == before
+        assert _artifacts(session) == before
 
         monkeypatch.setattr(session_module, "patch_partition", real_patch)
         applied = session.apply(batch)
@@ -450,6 +452,20 @@ class TestApplyIsAtomic:
             assert inc.stats.extra["warm_start"] == 1
             cold = session.run(alg, **params)
             np.testing.assert_array_equal(inc.values, cold.values)
+
+    def test_split_session_refuses_apply_and_changes_nothing(self, er_graph):
+        with GraphSession.open(
+            er_graph, machines=MACHINES, seed=0,
+            split=EdgeSplitConfig(textra=0.02),
+        ) as s:
+            s.run("bfs", source=0)
+            s.run("cc")
+            assert all(pg.parallel_eids.size > 0 for pg in s._pgraphs.values())
+            before = _artifacts(s)
+            with pytest.raises(ConfigError, match="whole-graph degree"):
+                s.apply(_fresh_batch(er_graph))
+            assert _artifacts(s) == before
+            assert s.graph_version == 0
 
     def test_validation_runs_once_per_cached_variant(
         self, session, er_graph, monkeypatch
