@@ -9,8 +9,9 @@ back-to-back off/on pairs (first mode alternating); the overhead is the
 median of the pairs' ratios:
 
 * ``off`` — ``trace=False`` (NullTracer; the baseline);
-* ``on``  — a real ``Tracer``: every span, per-machine work event and
-  instant written inline.
+* ``on``  — a real ``Tracer``: every span and instant written inline,
+  and one columnar ``machine-work`` record per compute pass (per-machine
+  columns plus a host stamp per runtime, taken only with a tracer on).
 
 Gate: **tracing on adds less than 10% host time versus
 ``trace=False``**.
@@ -22,9 +23,11 @@ one resident session, queried back to back: bare vs ``telemetry_out``
 record per request, one per engine run holding that run's engine
 trace). Gates: **telemetry on adds at most 5% to a request's warm
 latency**, and **request tracing adds less than 15%**. Request tracing
-is engine tracing (about 5% on these short bfs runs) plus encoding each
-run's ~240 engine records into its run record (about 4%), so it cannot
-meet the engine-tracing bound of 10% with room for host noise.
+is engine tracing (about 4% on these ~35 ms bfs runs) plus encoding each
+run's ~115 engine records into its run record (about 2.2 ms, 6–7%; one
+``machine-work`` record per compute pass, whose per-machine columns are
+over half of those bytes), so it cannot meet the engine-tracing bound
+of 10% with room for host noise.
 
 Run: ``python benchmarks/bench_obs_overhead.py [--out report.json]``.
 """

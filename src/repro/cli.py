@@ -975,7 +975,11 @@ def _cmd_analyze(args) -> int:
                 print(f"analyze: {path} holds no engine run "
                       f"{args.run_id}", file=sys.stderr)
                 return 2
-        analysis = critical_path.analyze_trace(trace)
+        try:
+            analysis = critical_path.analyze_trace(trace)
+        except ValueError as exc:
+            print(f"analyze: {path}: {exc}", file=sys.stderr)
+            return 2
         analysis["report"] = summarize_trace(trace)
         text = (
             format_report(analysis["report"]) + "\n\n"

@@ -10,9 +10,9 @@ measurement honest:
   (:mod:`repro.comms`), which land in :meth:`bulk_transfer` and count
   bytes and messages into :class:`RunStats` — local (same-machine)
   delivery is free, exactly like the paper's local writes;
-* modeled compute is charged per machine via :meth:`add_compute` (one
-  machine) or :meth:`add_compute_all` (every machine, array-wise) and
-  folded into cluster time as the *maximum* across machines at each
+* modeled compute is charged to every machine at once, array-wise, via
+  :meth:`add_compute_all` (one call per compute pass) and folded into
+  cluster time as the *maximum* across machines at each
   :meth:`barrier` (BSP semantics);
 * each :meth:`barrier` counts one global synchronization.
 
@@ -54,24 +54,15 @@ class ClusterSim:
     # ------------------------------------------------------------------
     # Compute accounting
     # ------------------------------------------------------------------
-    def add_compute(
-        self, machine_id: int, edge_ops: float, vertex_ops: float = 0.0
-    ) -> None:
-        """Charge modeled compute to one machine; counters updated."""
-        self.busy_s[machine_id] += self.network.compute_time(
-            edge_ops, vertex_ops
-        )
-        self.stats.edge_traversals += int(edge_ops)
-        self.stats.vertex_updates += int(vertex_ops)
-
     def add_compute_all(
         self, edge_ops: np.ndarray, vertex_ops: np.ndarray
     ) -> np.ndarray:
         """Charge every machine at once (``int64[P]`` each, machine order).
 
-        Element for element the same IEEE operations, in the same
-        order, as one :meth:`add_compute` per machine. Returns the
-        seconds charged to each machine.
+        Each machine's meter grows by ``NetworkModel.compute_time`` of
+        its own counts; an idle machine gains ``0.0``, which leaves its
+        meter's bits unchanged. Returns the seconds charged to each
+        machine.
         """
         seconds = self.network.compute_time(edge_ops, vertex_ops)
         self.busy_s += seconds

@@ -93,7 +93,7 @@ class Channel:
     """
 
     __slots__ = (
-        "sim", "tracer", "name", "schema", "delivery", "comm_mode",
+        "sim", "name", "schema", "delivery", "comm_mode",
         "bytes_sent", "messages_sent", "rounds", "syncs",
     )
 
@@ -104,12 +104,8 @@ class Channel:
         schema: PayloadSchema,
         delivery: Delivery,
         comm_mode: Optional[CommMode] = None,
-        tracer=None,
     ) -> None:
-        from repro.obs.tracer import NULL_TRACER
-
         self.sim = sim
-        self.tracer = tracer if tracer is not None else NULL_TRACER
         self.name = name
         self.schema = schema
         self.delivery = delivery
@@ -142,11 +138,6 @@ class Channel:
         """
         sim = self.sim
         self.rounds += 1
-        if self.tracer.enabled:
-            self.tracer.instant(
-                "channel-round", channel=self.name, bytes=float(volume_bytes),
-                delivery=self.delivery.value,
-            )
         if self.delivery is Delivery.BSP:
             if self.comm_mode is None:
                 sim.exchange_round(volume_bytes)

@@ -28,9 +28,8 @@ __all__ = ["ExchangePlane"]
 class ExchangePlane:
     """Registry of one run's exchange channels over a ``ClusterSim``."""
 
-    def __init__(self, sim, tracer=None) -> None:
+    def __init__(self, sim) -> None:
         self.sim = sim
-        self.tracer = tracer
         self._channels: Dict[str, Channel] = {}
         #: Per-superstep ledger snapshots (filled by :meth:`snapshot`,
         #: driven by the coherency lens); cumulative counters, so the
@@ -52,10 +51,7 @@ class ExchangePlane:
             raise EngineError(
                 f"channel {name!r} is already open on this exchange plane"
             )
-        ch = Channel(
-            self.sim, name, schema, delivery,
-            comm_mode=comm_mode, tracer=self.tracer,
-        )
+        ch = Channel(self.sim, name, schema, delivery, comm_mode=comm_mode)
         self._channels[name] = ch
         return ch
 

@@ -25,8 +25,6 @@ from __future__ import annotations
 
 from typing import Optional, Union
 
-import numpy as np
-
 from repro.api.vertex_program import DeltaProgram
 from repro.cluster.network import NetworkModel
 from repro.comms import Delivery
@@ -102,20 +100,16 @@ class LazyBlockAsyncEngine(BaseEngine):
         )
 
     # ------------------------------------------------------------------
-    def _local_micro_iteration(self, stage=None) -> "tuple[bool, float]":
+    def _local_micro_iteration(self, step: int) -> "tuple[bool, float]":
         """One Apply+Scatter sweep on every machine; local writes only.
 
-        Returns ``(did_work, modeled_iteration_seconds)`` where the time
-        is the slowest machine's share (machines run concurrently).
-        ``stage`` optionally accumulates per-machine ``(busy_s, edges,
-        applies)`` arrays for the stage's ``machine-work`` trace instants.
+        Returns ``(sent, modeled_iteration_seconds)``: whether the sweep
+        sent any local message — without one nothing is pending, the
+        stage is locally quiescent — and the slowest machine's share of
+        the time (machines run concurrently).
         """
-        edges, applies = self.backend.dispatch_work(MachineRuntime.apply_step)
-        busy = self.sim.add_compute_all(edges, applies)
-        if stage is not None:
-            for total, part in zip(stage, (busy, edges, applies)):
-                total += part
-        return bool(applies.any()), float(busy.max())
+        edges, _, busy = self._compute_pass(MachineRuntime.apply_step, step)
+        return bool(edges.any()), float(busy.max())
 
     def _local_stage(self, step: int) -> None:
         """Run the bounded local computation stage (Stage 1).
@@ -124,24 +118,18 @@ class LazyBlockAsyncEngine(BaseEngine):
         accumulate and fold at the next coherency barrier (BSP max
         semantics) — so the span carries the stage's slowest-machine
         estimate in ``est_compute_s`` instead of a modeled width. With
-        tracing on, each machine's stage total rides out as one
-        ``machine-work`` instant (micro-iterations have no per-machine
-        spans — that would multiply the trace by the iteration count).
+        tracing on, each micro-iteration is one ``machine-work`` record
+        under the span. The stage ends at the budget or at local
+        quiescence, found without an idle sweep: nothing pending at the
+        start, or a sweep that sent no message.
         """
-        nm = self.sim.num_machines
-        stage = (
-            (np.zeros(nm), np.zeros(nm, dtype=np.int64),
-             np.zeros(nm, dtype=np.int64))
-            if self.tracer.enabled else None
-        )
         with self.tracer.span("local-computation", category="phase") as sp:
             budget = None
             spent = 0.0
             iters = 0
-            for _ in range(_MAX_LOCAL_ITERS):
-                worked, seconds = self._local_micro_iteration(stage)
-                if not worked:
-                    break  # local quiescence: nothing left to do anywhere
+            pending = not self._globally_idle()
+            while pending and iters < _MAX_LOCAL_ITERS:
+                pending, seconds = self._local_micro_iteration(step)
                 self.sim.stats.local_iterations += 1
                 iters += 1
                 if budget is None:
@@ -159,16 +147,6 @@ class LazyBlockAsyncEngine(BaseEngine):
                 spent += seconds
                 if spent >= budget:
                     break
-            if stage is not None:
-                busy, s_edges, s_applies = (a.tolist() for a in stage)
-                for m in range(nm):
-                    if s_edges[m] or s_applies[m]:
-                        self.tracer.instant(
-                            "machine-work",
-                            machine=m, superstep=step,
-                            busy_s=busy[m], edges=s_edges[m],
-                            applies=s_applies[m], iterations=iters,
-                        )
             sp.set(iterations=iters, est_compute_s=spent,
                    budget_s=budget if budget is not None else 0.0)
 
@@ -258,8 +236,6 @@ class LazyBlockAsyncEngine(BaseEngine):
 
                 # ---- data coherency point: Apply + Scatter ------------
                 with tracer.span("coherency-apply", category="phase"):
-                    sim.add_compute_all(*self.backend.dispatch_work(
-                        lambda rt: rt.apply_step(superstep=step)
-                    ))
+                    self._compute_pass(MachineRuntime.apply_step, step)
                 sim.stats.supersteps += 1
         return False

@@ -118,10 +118,9 @@ class LazyVertexAsyncEngine(BaseEngine):
                 lens.begin_superstep(step)
                 # ---- continuous local processing (one round) -----------
                 with tracer.span("local-round", category="phase") as sp:
-                    edges, applies = self.backend.dispatch_work(
-                        lambda rt: rt.apply_step(superstep=step)
+                    edges, applies, _ = self._compute_pass(
+                        MachineRuntime.apply_step, step
                     )
-                    sim.add_compute_all(edges, applies)
                     sp.set(edges=int(edges.sum()), applies=int(applies.sum()))
 
                 # ---- age deltas; stale ones trigger their own coherency

@@ -3,8 +3,9 @@
 The observability layer the paper's counter-driven evaluation implies:
 
 * :mod:`repro.obs.tracer` — nested spans (superstep → phase →
-  per-machine work) on both the host clock and the modeled cluster
-  clock, fed by every :class:`~repro.cluster.stats.RunStats` charge;
+  compute pass, one ``machine-work`` span with per-machine columns) on
+  both the host clock and the modeled cluster clock, fed by every
+  :class:`~repro.cluster.stats.RunStats` charge;
 * :mod:`repro.obs.metrics` — Counter/Gauge/Histogram registry that
   ``RunStats`` is built on;
 * :mod:`repro.obs.records` — the on-disk format of every observability

@@ -1,9 +1,12 @@
 """Critical-path / straggler analysis over a machine-attributed trace.
 
-Engines stamp every per-machine work span with its machine id and
-modeled busy seconds (``busy_s``), and the lazy-block local stage emits
-per-machine ``machine-work`` instants. This module reconstructs from
-such a trace:
+Every compute pass of every engine is one ``machine-work`` span
+(category ``machine``, ``BaseEngine._compute_pass``) under the phase
+span it ran in: columns ``edges`` / ``applies`` / ``busy_s`` (modeled
+seconds), one entry per machine, and ``host_s``, one ``[first machine,
+host seconds]`` pair per runtime. A leg's per-machine work is the sum of
+its passes' columns; nothing expands them back into per-machine
+records. This module reconstructs from such a trace:
 
 * **per-superstep timelines** — each superstep's phase legs (gather /
   apply / scatter, local-computation / coherency, …) with their modeled
@@ -21,12 +24,11 @@ such a trace:
   predictor: a vertex-cut that lowers λ lowers exchange volume, but a
   *skewed* cut shifts the gate to one straggler machine — the two
   numbers together say which lever matters);
-* **host wall-clock columns** — the same per-machine busy totals and
-  gating machines measured on the *host* clock (the width of each
-  machine span's ``host_t0``/``host_t1`` window). The two planes
-  agree up to kernel constants.
-  ``machine-work`` instants carry no host width, so lazy local-stage
-  host time attributes to the enclosing spans only;
+* **host wall-clock columns, per runtime** — busy totals, shares and
+  gated supersteps on the *host* clock, for the unit the host actually
+  steps: a runtime (one block of consecutive machines, or one machine),
+  named by its machines (``machines 0–47``). With one machine per
+  runtime these are per-machine columns;
 * **the per-superstep timeline** — each row also carries its superstep's
   ``lens-probe`` fields (``pending_mass``, ``pending_replicas``,
   ``staleness_max``, ``drift_max``), its cumulative ``channel-ledger``
@@ -75,28 +77,51 @@ def _leg_channel(name: str, attrs: Dict[str, Any]) -> str:
     return _LEG_CHANNELS.get(name, "control")
 
 
+def _check_writer(trace: TraceData) -> None:
+    """Refuse a trace from the per-machine writer.
+
+    Before the columnar ``machine-work`` span, a run trace held one
+    ``machine``-category span per machine and pass (``apply-machine`` /
+    ``gather-machine``) and lazy-block ``machine-work`` *instants*; read
+    as today's records its machine sections would come out empty.
+    """
+    old = sum(
+        1 for s in trace.spans
+        if s.get("cat") == "machine" and s.get("name") != "machine-work"
+    ) + sum(1 for i in trace.instants if i.get("name") == "machine-work")
+    if old:
+        raise ValueError(
+            f"the trace was written by the per-machine writer ({old} "
+            f"per-machine spans or machine-work instants, not one "
+            f"machine-work span per compute pass); record it again"
+        )
+
+
 def _nest_spans(
     trace: TraceData,
 ) -> Tuple[Optional[Dict[str, Any]], List[Dict[str, Any]]]:
     """Recover (bootstrap, supersteps-with-legs) from the span stream.
 
     Each superstep dict gains ``legs`` (its phase children, in emission
-    order) and each leg gains ``machine_spans``, both by parent link.
+    order) and each leg gains ``work`` (its ``machine-work`` records),
+    both by parent link.
     """
     bootstrap = None
     supersteps: List[Dict[str, Any]] = []
     legs_by_parent: Dict[Any, List[Dict[str, Any]]] = {}
-    machines_by_parent: Dict[Any, List[Dict[str, Any]]] = {}
+    work_by_parent: Dict[Any, List[Dict[str, Any]]] = {}
     for s in trace.spans:
         cat = s.get("cat")
         if cat == "phase":
             legs_by_parent.setdefault(s.get("parent"), []).append(s)
         elif cat == "machine":
-            machines_by_parent.setdefault(s.get("parent"), []).append(s)
+            work_by_parent.setdefault(s.get("parent"), []).append(
+                s.get("attrs") or {}
+            )
     for s in trace.spans:
         cat = s.get("cat")
         if cat == "phase":
-            s["machine_spans"] = machines_by_parent.get(s.get("id"), [])
+            s["work"] = work_by_parent.get(s.get("id"), [])
             if bootstrap is None and s["name"] == "bootstrap":
                 bootstrap = s
         elif cat == "superstep":
@@ -115,34 +140,26 @@ def _by_step(trace: TraceData, name: str) -> Dict[int, List[Dict[str, Any]]]:
     return out
 
 
-def _gating_machine(
-    leg: Dict[str, Any], work: List[Dict[str, Any]]
-) -> Tuple[Optional[int], float]:
-    """Slowest machine on a leg: (machine id, busy_s), or (None, 0.0).
+def _leg_busy(work: List[Dict[str, Any]]) -> List[float]:
+    """Per-machine modeled busy seconds of a leg's passes, summed in
+    pass order (how the simulator's meters accumulate them)."""
+    busy = [0.0] * len(work[0]["busy_s"]) if work else []
+    for attrs in work:
+        for m, b in enumerate(attrs["busy_s"]):
+            busy[m] += b
+    return busy
 
-    Busy seconds come from the work spans' ``busy_s`` attribute (or a
-    ``machine-work`` instant for the lazy local stage); ties break to
-    the lowest machine id, matching the simulator's deterministic folds.
-    """
-    best: Optional[int] = None
-    best_busy = 0.0
-    rows: List[Dict[str, Any]] = [
-        (s.get("attrs") or {}) for s in leg.get("machine_spans", [])
-    ]
-    if leg["name"] == "local-computation":
-        rows += work
-    for attrs in rows:
-        busy = float(attrs.get("busy_s", 0.0))
-        machine = attrs.get("machine")
-        if machine is None:
-            continue
-        if busy > best_busy or best is None:
-            if busy > best_busy:
-                best = int(machine)
-                best_busy = busy
-            elif best is None:
-                best = int(machine)
-    return best, best_busy
+
+def _runtime_machines(trace: TraceData) -> Dict[int, List[int]]:
+    """Runtime (first machine) -> ``[first, last]`` machine, read off
+    the first ``machine-work`` record (a run's runtimes never change)."""
+    for s in trace.spans:
+        if s.get("cat") == "machine":
+            attrs = s["attrs"]
+            firsts = [first for first, _ in attrs["host_s"]]
+            ends = firsts[1:] + [len(attrs["busy_s"])]
+            return {f: [f, end - 1] for f, end in zip(firsts, ends)}
+    return {}
 
 
 def extract_run(trace: TraceData, run_id: int) -> TraceData:
@@ -169,13 +186,14 @@ def analyze_trace(trace: TraceData) -> Dict[str, Any]:
 
     Returns a JSON-serializable dict; see the module docstring for the
     semantics of each section. A served run is analyzed through
-    :func:`extract_run`.
+    :func:`extract_run`. Raises :class:`ValueError` on a trace from the
+    per-machine writer.
     """
+    _check_writer(trace)
     meta = trace.meta
     stats = trace.stats
     num_machines = int(meta.get("machines", 0) or 0)
     bootstrap, steps = _nest_spans(trace)
-    work_by_step = _by_step(trace, "machine-work")
     probes = _by_step(trace, "lens-probe")
     ledgers = _by_step(trace, "channel-ledger")
     decisions = _by_step(trace, "coherency-decision")
@@ -190,33 +208,28 @@ def analyze_trace(trace: TraceData) -> Dict[str, Any]:
     busy_total: Dict[int, float] = {}
     host_busy_total: Dict[int, float] = {}
     gated_machine: Dict[int, int] = {}
-    host_gated_machine: Dict[int, int] = {}
+    host_gated: Dict[int, int] = {}
     gated_channel: Dict[str, int] = {}
     leg_totals: Dict[str, Dict[str, float]] = {}
     leg_order: List[str] = []
     rows: List[Dict[str, Any]] = []
     supersteps_s = 0.0
+    runtimes = _runtime_machines(trace)
 
     for ss in steps:
         ss_attrs = ss.get("attrs") or {}
         step = int(ss_attrs.get("superstep", len(rows)))
         width = float(ss["model_t1"] - ss["model_t0"])
         supersteps_s += width
-        work = work_by_step.get(step, [])
         # per-machine busy accumulated across this superstep's legs so
         # far: the settle legs (coherency / partial-coherency) carry the
         # compute charge for work done in *earlier* sibling legs, so a
-        # compute-dominated leg with no machine spans of its own is
-        # gated by the superstep's running straggler
+        # compute-dominated leg with no passes of its own is gated by
+        # the superstep's running straggler
         step_busy: Dict[int, float] = {}
-        for attrs in work:
-            m = int(attrs.get("machine", -1))
-            busy = float(attrs.get("busy_s", 0.0))
-            busy_total[m] = busy_total.get(m, 0.0) + busy
-            step_busy[m] = step_busy.get(m, 0.0) + busy
+        step_host: Dict[int, float] = {}
         legs: List[Dict[str, Any]] = []
         child_s = 0.0
-        step_host_busy: Dict[int, float] = {}
         for leg in ss.get("legs", []):
             name = leg["name"]
             model_s = float(leg["model_t1"] - leg["model_t0"])
@@ -226,41 +239,43 @@ def analyze_trace(trace: TraceData) -> Dict[str, Any]:
             comm_s = float(charges.get("comm", 0.0))
             sync_s = float(charges.get("sync", 0.0))
             attrs = leg.get("attrs") or {}
-            machine, busy = _gating_machine(leg, work)
-            for sp in leg.get("machine_spans", []):
-                a = sp.get("attrs") or {}
-                if a.get("machine") is not None:
-                    m = int(a["machine"])
-                    b = float(a.get("busy_s", 0.0))
-                    busy_total[m] = busy_total.get(m, 0.0) + b
-                    step_busy[m] = step_busy.get(m, 0.0) + b
-                    hb = float(
-                        sp.get("host_t1", 0.0) or 0.0
-                    ) - float(sp.get("host_t0", 0.0) or 0.0)
-                    if hb > 0.0:
-                        host_busy_total[m] = host_busy_total.get(m, 0.0) + hb
-                        step_host_busy[m] = step_host_busy.get(m, 0.0) + hb
+            # the leg's slowest machine over its summed passes; ties
+            # break to the lowest machine id, like the simulator's folds
+            leg_busy = _leg_busy(leg["work"])
+            machine: Optional[int] = None
+            machine_busy = 0.0
+            if leg_busy:
+                machine_busy = max(leg_busy)
+                machine = leg_busy.index(machine_busy)
+            for m, b in enumerate(leg_busy):
+                busy_total[m] = busy_total.get(m, 0.0) + b
+                step_busy[m] = step_busy.get(m, 0.0) + b
+            for pass_attrs in leg["work"]:
+                for first, hb in pass_attrs["host_s"]:
+                    host_busy_total[first] = host_busy_total.get(first, 0.0) + hb
+                    step_host[first] = step_host.get(first, 0.0) + hb
             channel = _leg_channel(name, attrs)
             if machine is None and compute_s >= comm_s + sync_s and step_busy:
                 # a settle leg: charge came from earlier legs' machines
                 machine = min(
                     step_busy, key=lambda m: (-step_busy[m], m)
                 )
-                busy = step_busy[machine]
+                machine_busy = step_busy[machine]
             # who gates this leg: on a compute-dominated leg the BSP max
             # fold waits on the slowest machine; comm/sync-priced legs
             # wait on their channel. Compute-dominated with no machine
             # attribution (an all-idle leg) falls back to the channel.
             if machine is not None and compute_s >= comm_s + sync_s:
                 gate: Dict[str, Any] = {
-                    "kind": "machine", "machine": machine, "busy_s": busy,
+                    "kind": "machine", "machine": machine,
+                    "busy_s": machine_busy,
                 }
             else:
                 gate = {"kind": "channel", "channel": channel}
             row = {
                 "name": name, "model_s": model_s, "compute_s": compute_s,
                 "comm_s": comm_s, "sync_s": sync_s,
-                "machine": machine, "machine_busy_s": busy,
+                "machine": machine, "machine_busy_s": machine_busy,
                 "channel": channel, "gating": gate,
             }
             legs.append(row)
@@ -290,22 +305,16 @@ def analyze_trace(trace: TraceData) -> Dict[str, Any]:
             gated_channel[gate["channel"]] = (
                 gated_channel.get(gate["channel"], 0) + 1
             )
-        # host-clock gating machine: who actually burned the most host
-        # wall-clock inside this superstep's machine spans (None when no
-        # span carried a host width — e.g. an all-idle superstep)
-        if step_host_busy:
-            host_machine = min(
-                step_host_busy, key=lambda m: (-step_host_busy[m], m)
-            )
-            host_gated_machine[host_machine] = (
-                host_gated_machine.get(host_machine, 0) + 1
-            )
-            host_gate: Optional[Dict[str, Any]] = {
-                "machine": host_machine,
-                "host_busy_s": step_host_busy[host_machine],
+        # host-clock gate: the runtime that burned the most host
+        # wall-clock in this superstep's passes (None without a pass)
+        host_gate: Optional[Dict[str, Any]] = None
+        if step_host:
+            first = min(step_host, key=lambda f: (-step_host[f], f))
+            host_gated[first] = host_gated.get(first, 0) + 1
+            host_gate = {
+                "machines": runtimes[first],
+                "host_busy_s": step_host[first],
             }
-        else:
-            host_gate = None
         t0, t1 = float(ss["model_t0"]), float(ss["model_t1"])
         last = bisect_right(sample_t, t1)
         probe = probes.get(step, [{}])[-1]
@@ -329,26 +338,19 @@ def analyze_trace(trace: TraceData) -> Dict[str, Any]:
             ),
         })
 
-    # bootstrap busy/machine attribution (its sweep instants carry no
-    # busy seconds; the compute charge folds at the first barrier)
+    # the bootstrap pass stays out of the per-machine columns: its
+    # compute charge folds at superstep 0's first barrier
     total_modeled_s = float(stats.get("modeled_time_s", 0.0))
     accounted_s = bootstrap_s + supersteps_s + untracked_s
 
     machines_section: Dict[str, Any] = {}
     stragglers: Dict[str, Any] = {}
+    host_runtimes: List[Dict[str, Any]] = []
     if num_machines:
         busy = [busy_total.get(m, 0.0) for m in range(num_machines)]
-        host_busy = [host_busy_total.get(m, 0.0) for m in range(num_machines)]
         total_busy = sum(busy)
-        total_host = sum(host_busy)
-        mean_busy = total_busy / num_machines if num_machines else 0.0
-        max_busy = max(busy) if busy else 0.0
-        argmax = busy.index(max_busy) if busy else None
-        mean_host = total_host / num_machines if num_machines else 0.0
-        max_host = max(host_busy) if host_busy else 0.0
-        host_argmax = (
-            host_busy.index(max_host) if total_host > 0 else None
-        )
+        mean_busy = total_busy / num_machines
+        max_busy = max(busy)
         machines_section = {
             "busy_s": busy,
             "share": [
@@ -357,26 +359,30 @@ def analyze_trace(trace: TraceData) -> Dict[str, Any]:
             "gated_supersteps": [
                 gated_machine.get(m, 0) for m in range(num_machines)
             ],
-            "host_busy_s": host_busy,
-            "host_share": [
-                (b / total_host if total_host > 0 else 0.0)
-                for b in host_busy
-            ],
-            "host_gated_supersteps": [
-                host_gated_machine.get(m, 0) for m in range(num_machines)
-            ],
         }
+        # the host clock per runtime: the unit the host steps
+        host = [host_busy_total.get(first, 0.0) for first in runtimes]
+        total_host = sum(host)
+        max_host = max(host, default=0.0)
+        mean_host = total_host / len(host) if host else 0.0
+        host_runtimes = [
+            {"machines": machines, "host_busy_s": hb,
+             "host_share": hb / total_host if total_host > 0 else 0.0,
+             "host_gated_supersteps": host_gated.get(first, 0)}
+            for (first, machines), hb in zip(runtimes.items(), host)
+        ]
         stragglers = {
-            "machine": argmax,
+            "machine": busy.index(max_busy),
             "max_busy_s": max_busy,
             "mean_busy_s": mean_busy,
             "imbalance": (max_busy / mean_busy) if mean_busy > 0 else 1.0,
-            "host_machine": host_argmax,
+            "host_machines": (
+                host_runtimes[host.index(max_host)]["machines"]
+                if total_host > 0 else None
+            ),
             "host_max_busy_s": max_host,
             "host_mean_busy_s": mean_host,
-            "host_imbalance": (
-                (max_host / mean_host) if mean_host > 0 else 1.0
-            ),
+            "host_imbalance": max_host / mean_host if mean_host > 0 else 1.0,
             "compute_skew": stats.get("compute_skew"),
             "replication_factor": meta.get("replication_factor"),
         }
@@ -396,6 +402,7 @@ def analyze_trace(trace: TraceData) -> Dict[str, Any]:
         ],
         "supersteps": rows,
         "machines_detail": machines_section,
+        "host_runtimes": host_runtimes,
         "stragglers": stragglers,
         "gated_channels": gated_channel,
     }
@@ -405,6 +412,12 @@ def _gate_label(gate: Dict[str, Any]) -> str:
     if gate.get("kind") == "machine":
         return f"machine {gate['machine']}"
     return f"channel {gate.get('channel', '?')}"
+
+
+def _runtime_label(machines: List[int]) -> str:
+    """A runtime by its machines: ``machine 3`` or ``machines 0–47``."""
+    first, last = machines
+    return f"machine {first}" if first == last else f"machines {first}–{last}"
 
 
 def _cell(value: Any) -> Any:
@@ -462,7 +475,7 @@ def format_analysis(analysis: Dict[str, Any], max_rows: int = 40) -> str:
         ]
         if have_host:
             hg = row.get("host_gating")
-            cells.append(f"machine {hg['machine']}" if hg else "-")
+            cells.append(_runtime_label(hg["machines"]) if hg else "-")
         if have_lens:
             cells += [_cell(row[key]) for key in _LENS_FIELDS] + [
                 int(sum(row["channel_bytes"].values())),
@@ -486,27 +499,23 @@ def format_analysis(analysis: Dict[str, Any], max_rows: int = 40) -> str:
 
     md = analysis.get("machines_detail") or {}
     if md.get("busy_s"):
-        host_busy = md.get("host_busy_s") or []
-        have_host = any(b > 0.0 for b in host_busy)
-        m_rows = []
-        for m, b in enumerate(md["busy_s"]):
-            cells = [
-                m, round(b, 6), round(100.0 * md["share"][m], 1),
-                md["gated_supersteps"][m],
-            ]
-            if have_host:
-                cells += [
-                    round(host_busy[m], 6),
-                    round(100.0 * md["host_share"][m], 1),
-                    md["host_gated_supersteps"][m],
-                ]
-            m_rows.append(cells)
-        headers = ["machine", "busy_s", "share %", "gated supersteps"]
-        if have_host:
-            headers += ["host_busy_s", "host %", "host gated"]
+        m_rows = [
+            [m, round(b, 6), round(100.0 * md["share"][m], 1),
+             md["gated_supersteps"][m]]
+            for m, b in enumerate(md["busy_s"])
+        ]
         lines.append(format_table(
-            headers, m_rows, title="per-machine load (modeled | host clock)"
-            if have_host else "per-machine load",
+            ["machine", "busy_s", "share %", "gated supersteps"], m_rows,
+            title="per-machine load",
+        ))
+    runtimes = analysis.get("host_runtimes") or []
+    if any(r["host_busy_s"] > 0.0 for r in runtimes):
+        lines.append(format_table(
+            ["runtime", "host_busy_s", "host %", "host gated"],
+            [[_runtime_label(r["machines"]), round(r["host_busy_s"], 6),
+              round(100.0 * r["host_share"], 1), r["host_gated_supersteps"]]
+             for r in runtimes],
+            title="per-runtime load (host clock)",
         ))
 
     st = analysis.get("stragglers") or {}
@@ -514,16 +523,16 @@ def format_analysis(analysis: Dict[str, Any], max_rows: int = 40) -> str:
         imb = st.get("imbalance")
         skew = st.get("compute_skew")
         lam = st.get("replication_factor")
-        host_m = st.get("host_machine")
+        host_m = st.get("host_machines")
         parts = [
             f"straggler: machine {st.get('machine')}"
             f" (busy {st.get('max_busy_s', 0.0):.6f}s,"
             f" mean {st.get('mean_busy_s', 0.0):.6f}s)",
             f"imbalance max/mean = {imb:.3f}" if imb is not None else "",
             (
-                f"host-clock straggler: machine {host_m}"
+                f"host-clock straggler: {_runtime_label(host_m)}"
                 f" (host busy {st.get('host_max_busy_s', 0.0):.6f}s,"
-                f" mean {st.get('host_mean_busy_s', 0.0):.6f}s,"
+                f" mean per runtime {st.get('host_mean_busy_s', 0.0):.6f}s,"
                 f" imbalance {st.get('host_imbalance', 1.0):.3f})"
                 if host_m is not None else ""
             ),

@@ -3,7 +3,8 @@
 Every engine drives a :class:`Tracer` through a single handle on
 :class:`~repro.runtime.base_engine.BaseEngine`. Spans nest —
 superstep → phase (gather / apply / scatter, local-computation,
-coherency) → per-machine work — and each records
+coherency) → compute pass (one ``machine-work`` span holding the pass's
+per-machine columns) — and each records
 
 * **host time** (``time.perf_counter``): how long the simulator itself
   took, and
@@ -234,13 +235,13 @@ class Tracer:
     ) -> int:
         """Record a span whose host interval the caller measured.
 
-        How a block call reports its machines: one call did the work of
-        all of them, so each machine's span carries that call's
-        interval. Allocates the next span id and parents it to the
-        innermost open span, exactly as :meth:`span` would; host times
-        are absolute ``perf_counter`` readings, converted to
-        epoch-relative here. Both model stamps read the current model
-        clock (no charge lands inside a machine pass).
+        How a compute pass reports itself once it is over (the
+        ``machine-work`` record, ``BaseEngine._compute_pass``).
+        Allocates the next span id and parents it to the innermost open
+        span, exactly as :meth:`span` would; host times are absolute
+        ``perf_counter`` readings, converted to epoch-relative here.
+        Both model stamps read the current model clock (no charge lands
+        inside a compute pass).
         """
         parent = self._stack[-1].span_id if self._stack else None
         span_id = self._next_id

@@ -37,7 +37,7 @@ from repro.comms import (
 from repro.partition.partitioned_graph import PartitionedGraph
 from repro.runtime.machine_runtime import MachineRuntime
 
-__all__ = ["EagerExchange", "EagerLegTraffic", "apply_and_charge"]
+__all__ = ["EagerExchange", "EagerLegTraffic"]
 
 
 @dataclass(frozen=True)
@@ -161,7 +161,8 @@ class EagerExchange:
         """Replay Apply+Scatter of the staged accums on one runtime.
 
         Returns the runtime's per-machine ``(edges, applies)`` rows; the
-        engines dispatch this once per runtime (:func:`apply_and_charge`).
+        engines run it as their apply leg's compute pass
+        (``BaseEngine._compute_pass``).
         """
         gids = rt.mg.vertices
         idx = np.flatnonzero(self._has[gids])
@@ -169,20 +170,3 @@ class EagerExchange:
             idx, self._total[gids[idx]], track_delta=False
         )
 
-
-def apply_and_charge(engine, exchange: EagerExchange, step: int) -> None:
-    """The apply leg both eager engines share, inside their phase span.
-
-    Replays Apply+Scatter on every replica, reports each machine's work
-    as an ``apply-machine`` span and charges it as compute.
-    """
-    edges, applies = engine.backend.dispatch_work(exchange.apply_on)
-    busy = engine.sim.add_compute_all(edges, applies)
-    if engine.tracer.enabled:
-        for machine_id, (e, a, b) in enumerate(
-            zip(edges.tolist(), applies.tolist(), busy.tolist())
-        ):
-            engine.tracer.span(
-                "apply-machine", category="machine", machine=machine_id,
-                superstep=step, edges=e, applies=a, busy_s=b,
-            ).end()

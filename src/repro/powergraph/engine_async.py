@@ -28,7 +28,7 @@ execution's costs per round:
 from __future__ import annotations
 
 from repro.cluster.termination import TerminationDetector
-from repro.powergraph.eager_exchange import EagerExchange, apply_and_charge
+from repro.powergraph.eager_exchange import EagerExchange
 from repro.runtime.base_engine import BaseEngine
 
 __all__ = ["PowerGraphAsyncEngine"]
@@ -69,7 +69,7 @@ class PowerGraphAsyncEngine(BaseEngine):
                 detector.reset()
                 sent_total += traffic.total_msgs
                 with tracer.span("exchange-apply", category="phase") as sp:
-                    apply_and_charge(self, exchange, step)
+                    self._compute_pass(exchange.apply_on, step)
                     # fine-grained comm: unbatched volume + engine overhead
                     exchange.charge_fine_grained_round(traffic)
                     sim.settle_async(traffic.sent_per_machine)

@@ -19,7 +19,6 @@ import numpy as np
 
 from repro.comms import BROADCAST, GATHER, Delivery, value_schema
 from repro.kernels import CSRPlan, KernelStats, scatter_reduce
-from repro.obs.tracer import NULL_TRACER
 from repro.partition.partitioned_graph import MachineGraph
 from repro.powergraph.gas import GASProgram
 from repro.runtime.base_engine import BaseEngine
@@ -35,18 +34,13 @@ class _GASMachine:
     structures and scratch are built once and every per-superstep edge
     selection is frontier-adaptive (sparse range expansion vs a dense
     full-CSR sweep). :meth:`gather_step` / :meth:`apply_step` are the
-    two per-superstep passes the engine dispatches; each reports itself
-    as one ``*-machine`` span (``network`` prices its ``busy_s``).
+    two per-superstep passes the engine dispatches as compute passes
+    (``BaseEngine._compute_pass``).
     """
 
-    def __init__(
-        self, mg: MachineGraph, program: GASProgram, plans=None,
-        tracer=NULL_TRACER, network=None,
-    ) -> None:
+    def __init__(self, mg: MachineGraph, program: GASProgram, plans=None) -> None:
         self.mg = mg
         self.program = program
-        self.tracer = tracer
-        self.network = network
         self.state = program.make_state(mg)
         n = mg.num_local_vertices
         # plans: an optional cached (in_plan, out_plan) pair from a
@@ -112,7 +106,7 @@ class _GASMachine:
             return np.empty(0, dtype=np.int64)
         return self.mg.vertices[self.mg.edst[e_sel]]
 
-    def gather_step(self, active: np.ndarray, superstep: int):
+    def gather_step(self, active: np.ndarray):
         """The gather leg on this machine: pull over local in-edges.
 
         Returns ``(edges, gids, partial accums, mirror count)``; the
@@ -120,16 +114,11 @@ class _GASMachine:
         order.
         """
         mg = self.mg
-        with self.tracer.span(
-            "gather-machine", category="machine", machine=mg.machine_id,
-            superstep=superstep,
-        ) as msp:
-            idx, acc, edges = self.gather(self.program, active[mg.vertices])
-            msp.set(edges=edges, busy_s=self.network.compute_time(edges, 0))
+        idx, acc, edges = self.gather(self.program, active[mg.vertices])
         mirrors = int(np.count_nonzero(~mg.is_master[idx]))
         return edges, mg.vertices[idx], acc, mirrors
 
-    def apply_step(self, has: np.ndarray, total: np.ndarray, superstep: int):
+    def apply_step(self, has: np.ndarray, total: np.ndarray):
         """The apply leg: combined accumulators onto every local replica.
 
         Returns ``(applies, global ids the changed vertices activate)``.
@@ -138,15 +127,9 @@ class _GASMachine:
         idx = np.flatnonzero(has[mg.vertices])
         if idx.size == 0:
             return 0, idx
-        with self.tracer.span(
-            "apply-machine", category="machine", machine=mg.machine_id,
-            superstep=superstep,
-        ) as msp:
-            changed = self.program.apply(
-                mg, self.state, idx, total[mg.vertices[idx]]
-            )
-            msp.set(applies=int(idx.size),
-                    busy_s=self.network.compute_time(0, int(idx.size)))
+        changed = self.program.apply(
+            mg, self.state, idx, total[mg.vertices[idx]]
+        )
         return int(idx.size), self.out_targets(idx[changed])
 
 
@@ -167,10 +150,7 @@ class PowerGraphGASSyncEngine(BaseEngine):
     def _make_runtimes(self) -> List[_GASMachine]:
         machines = self.pgraph.machines
         return [
-            _GASMachine(
-                mg, self.program, plans=plans,
-                tracer=self.tracer, network=self.sim.network,
-            )
+            _GASMachine(mg, self.program, plans=plans)
             for mg, plans in zip(machines, self._unit_plans(machines))
         ]
 
@@ -204,14 +184,16 @@ class PowerGraphGASSyncEngine(BaseEngine):
                 with tracer.span("gather", category="phase") as sp:
                     total.fill(alg.identity)
                     has.fill(False)
+                    gathered = []
+
+                    def gather(gm):
+                        edges, gids, acc, mirrors = gm.gather_step(active)
+                        gathered.append((gids, acc, mirrors))
+                        return np.array([[edges], [0]])
+
+                    self._compute_pass(gather, step)
                     gather_msgs = 0
-                    results = self.backend.dispatch(
-                        lambda gm: gm.gather_step(active, step)
-                    )
-                    for machine_id, (edges, gids, acc, mirrors) in enumerate(
-                        results
-                    ):
-                        sim.add_compute(machine_id, edges, 0)
+                    for gids, acc, mirrors in gathered:
                         if gids.size:
                             alg.combine_at(total, gids, acc)
                             has[gids] = True
@@ -229,14 +211,13 @@ class PowerGraphGASSyncEngine(BaseEngine):
                     applied = np.flatnonzero(has)
                     bcast = int((self.pgraph.num_replicas[applied] - 1).sum())
                     next_active = np.zeros(n, dtype=bool)
-                    results = self.backend.dispatch(
-                        lambda gm: gm.apply_step(has, total, step)
-                    )
-                    for machine_id, (applies, out_gids) in enumerate(results):
-                        if applies == 0:
-                            continue
-                        sim.add_compute(machine_id, 0, applies)
+
+                    def apply(gm):
+                        applies, out_gids = gm.apply_step(has, total)
                         next_active[out_gids] = True
+                        return np.array([[0], [applies]])
+
+                    self._compute_pass(apply, step)
                     vol2 = schema.bytes_for(bcast)
                     sp.set(bcast_msgs=bcast, bcast_bytes=vol2)
                     bcast_ch.bsp_leg(vol2, bcast)  # sync #2

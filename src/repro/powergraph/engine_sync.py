@@ -10,7 +10,7 @@ superstep — replicas never diverge.
 
 from __future__ import annotations
 
-from repro.powergraph.eager_exchange import EagerExchange, apply_and_charge
+from repro.powergraph.eager_exchange import EagerExchange
 from repro.runtime.base_engine import BaseEngine
 
 __all__ = ["PowerGraphSyncEngine"]
@@ -42,7 +42,7 @@ class PowerGraphSyncEngine(BaseEngine):
 
                 # ---- apply on every replica + broadcast leg -----------
                 with tracer.span("apply", category="phase") as sp:
-                    apply_and_charge(self, exchange, step)
+                    self._compute_pass(exchange.apply_on, step)
                     sp.set(bcast_msgs=traffic.bcast_msgs,
                            bcast_bytes=traffic.bcast_bytes)
                     exchange.ship_broadcast(traffic)  # sync #2 (replication)

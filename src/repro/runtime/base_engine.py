@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import abc
-from typing import List, Optional, Sequence
+import time
+from typing import Callable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.cluster.network import NetworkModel
 from repro.cluster.simulator import ClusterSim
@@ -74,7 +77,7 @@ class BaseEngine(abc.ABC):
             self.tracer = NULL_TRACER
         if self.tracer.enabled:
             self.tracer.bind_stats(self.sim.stats)
-        self.comms = ExchangePlane(self.sim, tracer=self.tracer)
+        self.comms = ExchangePlane(self.sim)
         # optional cached CSR plans (one entry per runtime unit, in
         # order), supplied by a GraphSession so repeated runs skip the
         # argsort-heavy plan construction; consumed by _make_runtimes
@@ -101,10 +104,7 @@ class BaseEngine(abc.ABC):
         """Build one runtime per block (override for non-delta engines)."""
         blocks = self.pgraph.blocks
         return [
-            MachineRuntime(
-                block, self.program, tracer=self.tracer, plan=plan,
-                network=self.sim.network,
-            )
+            MachineRuntime(block, self.program, tracer=self.tracer, plan=plan)
             for block, plan in zip(blocks, self._unit_plans(blocks))
         ]
 
@@ -117,9 +117,46 @@ class BaseEngine(abc.ABC):
         from the very first message on.
         """
         with self.tracer.span("bootstrap", category="phase"):
-            self.sim.add_compute_all(*self.backend.dispatch_work(
-                lambda rt: rt.bootstrap(track_delta)
-            ))
+            self._compute_pass(lambda rt: rt.bootstrap(track_delta))
+
+    def _compute_pass(
+        self,
+        step: Callable[..., np.ndarray],
+        superstep: Optional[int] = None,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Run one compute pass on every runtime and charge it.
+
+        The one per-machine compute charge of every engine: ``step(rt)``
+        returns its runtime's ``(edges, applies)`` rows
+        (:meth:`MachineRuntime.work_by_machine`), the pass is charged
+        through ``ClusterSim.add_compute_all`` and ``(edges, applies,
+        busy_s)`` come back, ``int64[P]`` / ``float64[P]`` in machine
+        order. With a tracer on, the pass is one closed ``machine-work``
+        span (category ``machine``) under the open phase span, holding
+        those three columns plus ``host_s``: one ``[first machine,
+        host seconds]`` pair per runtime, the unit the host steps.
+        """
+        if not self.tracer.enabled:
+            edges, applies = self.backend.dispatch_work(step)
+            return edges, applies, self.sim.add_compute_all(edges, applies)
+        host: List[List] = []
+
+        def timed(rt):
+            t0 = time.perf_counter()
+            work = step(rt)
+            host.append([rt.mg.machine_id, time.perf_counter() - t0])
+            return work
+
+        t0 = time.perf_counter()
+        edges, applies = self.backend.dispatch_work(timed)
+        t1 = time.perf_counter()
+        busy = self.sim.add_compute_all(edges, applies)
+        self.tracer.emit_closed_span("machine-work", "machine", t0, t1, {
+            "superstep": superstep, "edges": edges.tolist(),
+            "applies": applies.tolist(), "busy_s": busy.tolist(),
+            "host_s": host,
+        })
+        return edges, applies, busy
 
     def _globally_idle(self) -> bool:
         """True when no machine has pending messages."""

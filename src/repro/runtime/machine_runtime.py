@@ -62,9 +62,11 @@ traversed, applies — is read back exactly from the sorted frontier and
 ``mg.machine_offsets`` (:meth:`MachineRuntime.work_by_machine`).
 
 One pass of a lazy engine's inner loop is :meth:`MachineRuntime.apply_step`,
-dispatched once per runtime. A step touches only its own runtime and
-the tracer; every model-time charge is folded by the engine from the
-rows the steps return, in machine order.
+dispatched once per runtime. A step touches only its own runtime (and
+the tracer, for ``sweep-mode`` instants); every model-time charge and
+the pass's one ``machine-work`` trace record are written by the engine
+(``BaseEngine._compute_pass``) from the rows the steps return, in
+machine order.
 """
 
 from __future__ import annotations
@@ -92,15 +94,11 @@ class MachineRuntime:
 
     def __init__(
         self, mg: MachineGraph, program: DeltaProgram, tracer=None, plan=None,
-        network=None,
     ) -> None:
         self.mg = mg
         self.program = program
         self.algebra = program.algebra
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        # the engine's NetworkModel: prices the busy_s attribute of the
-        # apply-machine spans (only read when the tracer is enabled)
-        self.network = network
         self.state: Dict[str, np.ndarray] = program.make_state(mg)
         n = mg.num_local_vertices
         ident = self.algebra.identity
@@ -466,34 +464,16 @@ class MachineRuntime:
         edges = self.scatter(fired, delta_out[k], track_delta)
         return self.work_by_machine(idx, fired, edges)
 
-    def apply_step(self, superstep: Optional[int] = None) -> np.ndarray:
+    def apply_step(self) -> np.ndarray:
         """Drain the inbox and apply+scatter: one pass of a lazy engine's
         inner loop (one-edge messages fold into ``deltaMsg``).
 
-        Given a ``superstep`` the pass is reported as one
-        ``apply-machine`` span per covered machine (zero-work machines
-        included, all carrying the block call's host interval), emitted
-        here rather than after the dispatch so each runtime's spans stay
-        interleaved with its own ``sweep-mode`` instants. Without one
-        this is the bare micro-iteration of the lazy-block local stage.
+        Returns per-machine ``(edges, applies)`` rows
+        (:meth:`work_by_machine`); the engine charges and traces the
+        pass (``BaseEngine._compute_pass``).
         """
-        spans = superstep is not None and self.tracer.enabled
-        if spans:
-            t0 = time.perf_counter()
         idx, accum = self.take_ready()
-        work = self.apply_and_scatter(idx, accum, track_delta=True)
-        if spans:
-            t1 = time.perf_counter()
-            edges, applies = work.tolist()
-            busy = self.network.compute_time(work[0], work[1]).tolist()
-            for j, machine in enumerate(self.mg.machine_ids):
-                self.tracer.emit_closed_span(
-                    "apply-machine", "machine", t0, t1,
-                    {"machine": machine, "superstep": superstep,
-                     "edges": edges[j], "applies": applies[j],
-                     "busy_s": busy[j]},
-                )
-        return work
+        return self.apply_and_scatter(idx, accum, track_delta=True)
 
     def clear_deltas(self, idx: np.ndarray) -> None:
         """Reset ``deltaMsg`` after a coherency exchange."""

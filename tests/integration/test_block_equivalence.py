@@ -19,7 +19,9 @@ that from four sides:
 * per-machine accounting and the per-machine trace events against
   numbers recorded from the one-runtime-per-machine code this design
   replaced (``tests/data/block_pins.json``; regenerate only by checking
-  out that parent and calling :func:`record_pins` there);
+  out that parent and calling :func:`record_pins` there — the columnar
+  ``machine-work`` records are folded back into that code's
+  per-machine events, :func:`_per_machine_events`);
 * which cached block plans survive ``session.apply``.
 """
 
@@ -293,7 +295,45 @@ PIN_SHAPES = {
 }
 ACCOUNTING = ("busy_max_total_s", "busy_mean_total_s", "compute_skew",
               "edge_traversals", "vertex_updates", "modeled_time_s")
-MACHINE_EVENTS = ("apply-machine", "machine-work")
+
+
+def _per_machine_events(tracer):
+    """The ``machine-work`` records as the per-machine writer's tuples.
+
+    The pins were recorded when every pass wrote one ``apply-machine``
+    span per machine and the lazy-block local stage one ``machine-work``
+    instant per machine that worked, holding the stage's sums. Folded
+    back the same way: a local stage's passes are summed per machine
+    (in pass order) and idle machines skipped, the bootstrap pass (which
+    wrote nothing then) is skipped, every other pass is one tuple per
+    machine.
+    """
+    names = {r["id"]: r["name"] for r in tracer.spans()}
+    events, stages = [], {}
+    for record in tracer.spans("machine"):
+        attrs = record["attrs"]
+        leg = names[record["parent"]]
+        columns = list(zip(attrs["edges"], attrs["applies"], attrs["busy_s"]))
+        if leg == "bootstrap":
+            continue
+        if leg != "local-computation":
+            events += [
+                ("apply-machine", m, attrs["superstep"], e, a, b)
+                for m, (e, a, b) in enumerate(columns)
+            ]
+            continue
+        _, sums = stages.setdefault(
+            record["parent"], (attrs["superstep"], [[0, 0, 0.0] for _ in columns])
+        )
+        for total, column in zip(sums, columns):
+            for k in range(3):
+                total[k] += column[k]
+    for step, sums in stages.values():
+        events += [
+            ("machine-work", m, step, e, a, b)
+            for m, (e, a, b) in enumerate(sums) if e or a
+        ]
+    return events
 
 
 def observe(shape, engine, algorithm):
@@ -319,14 +359,7 @@ def observe(shape, engine, algorithm):
             pg, program, tracer=tracer, **kwargs
         ).run()
     stats = result.stats.to_dict()
-    events = sorted(
-        (r["name"],) + tuple(
-            r["attrs"].get(k) for k in
-            ("machine", "superstep", "edges", "applies", "busy_s")
-        )
-        for r in tracer.records
-        if r.get("name") in MACHINE_EVENTS
-    )
+    events = sorted(_per_machine_events(tracer))
     mass = [p["attrs"]["machine_mass"] for p in tracer.instants("lens-probe")]
     assert all(len(row) == machines for row in sent + mass)
     return {

@@ -1,6 +1,6 @@
 """One record stream: every engine's trace, pinned to the parent's.
 
-Machine events (per-machine work spans, ``sweep-mode`` instants) and
+Machine events (``machine-work`` passes, ``sweep-mode`` instants) and
 lens probes are written to the run's tracer inline, in machine order.
 Until commit ``650b908`` there was a second way — per-machine buffered
 collectors merged by ``(epoch, machine, seq)`` at barriers, and a lens
@@ -10,14 +10,14 @@ engine × algorithm, the record count and the sha256 of the stream that
 commit produced (host-clock timestamps excepted — they are real wall
 time and differ between any two runs; everything else, including span
 ids, parent links, model-time stamps, charges, and the full RunStats
-dump with its lens histograms, is digested). The four lazy-engine cells
-were later re-recorded on purpose when the staleness clock became one
-runtime array (see :func:`record_pins`).
+dump with its lens histograms, is digested). The cells were later
+re-recorded on purpose, twice (see :func:`record_pins`).
 
 On top of the traces, the :class:`LensAuditor` must be strict-clean, the
 critical-path analyzer must name a gating machine/channel for every
 superstep and its accounting must tile ``RunStats.modeled_time_s``
-exactly.
+exactly, and the ``machine-work`` records — one per compute pass, the
+one per-machine writer — must add up to the run's work counters.
 """
 
 import hashlib
@@ -81,16 +81,19 @@ def observe(engine, alg, er_graph):
 def record_pins():  # pragma: no cover - run by hand
     """Rewrite every cell from the checked-out code.
 
-    The six eager-engine cells hold commit ``650b908``'s stream: run this
-    on that commit to regenerate them, and keep only those cells.
-    The four lazy-engine cells were recorded on the commit that made
-    ``MachineRuntime.delta_age`` the one staleness clock, not on its
-    parent, because that commit changes their streams on purpose: the
-    lens's ``active_vertices`` counter (one per probe) is gone —
-    ``RunStats.snapshot`` is the one emitter — and ``lens-probe``
-    ``staleness_max`` and the ``lens.staleness`` histogram read the
-    runtime clock instead of the lens's own. A record-by-record diff
-    against the parent showed no other difference.
+    Every cell was last recorded on the commit that made each compute
+    pass one columnar ``machine-work`` span, because that commit changes
+    every stream on purpose: the per-machine ``apply-machine`` /
+    ``gather-machine`` spans, lazy-block's ``machine-work`` instants and
+    the ``channel-round`` instants are gone, and one ``machine-work``
+    span per pass (bootstrap included) takes the place of the first
+    two. Removing those records from both its stream and its parent's
+    and renumbering the span ids in order left the two streams equal,
+    record by record. Before that, the four lazy-engine cells were
+    re-recorded when ``MachineRuntime.delta_age`` became the one
+    staleness clock (the lens's own ``active_vertices`` counter went,
+    and ``staleness_max`` read the runtime clock), and the six
+    eager-engine cells held commit ``650b908``'s stream.
     """
     from repro.graph.generators import erdos_renyi_graph
 
@@ -132,6 +135,26 @@ class TestCriticalPathOnRealTraces:
             total, rel=1e-9, abs=1e-12
         )
         assert analysis["total_modeled_s"] == pytest.approx(total)
+
+
+@pytest.mark.parametrize("engine,alg", MATRIX)
+def test_machine_work_records_add_up_to_the_run(engine, alg, er_graph):
+    tracer, result = _run(engine, alg, er_graph)
+    work = tracer.spans("machine")
+    assert {r["name"] for r in work} == {"machine-work"}
+    # a bootstrap pass (every engine but the pull engine has one)
+    # writes one too
+    parents = {r["id"]: r["name"] for r in tracer.spans()}
+    if "bootstrap" in parents.values():
+        assert parents[work[0]["parent"]] == "bootstrap"
+    for column, counter in (("edges", "edge_traversals"),
+                            ("applies", "vertex_updates")):
+        assert sum(sum(r["attrs"][column]) for r in work) == getattr(
+            result.stats, counter
+        )
+    for r in work:
+        assert len(r["attrs"]["busy_s"]) == MACHINES
+        assert r["model_t0"] == r["model_t1"]
 
 
 LENS_MATRIX = [

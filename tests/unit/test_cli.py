@@ -455,11 +455,22 @@ HEADING = {
 
 class TestReadersNeverAnswerTheWrongKindQuietly:
     @pytest.mark.parametrize("kind", list(RECORDED))
-    def test_analyze_sections_follow_from_the_kind(self, kind, capsys):
+    def test_analyze_sections_follow_from_the_kind(
+        self, kind, capsys, tmp_path
+    ):
         # the parent answered a telemetry file with an all-zero
         # critical-path analysis, and `report` answered a mutation
-        # stream with an empty phase table, both exit 0
-        assert main(["analyze", RECORDED[kind]]) == 0
+        # stream with an empty phase table, both exit 0. The recorded
+        # run trace is the per-machine writer's, which analyze refuses
+        # (TestOneDamagePolicy): the run kind reads a fresh one.
+        path = RECORDED[kind]
+        if kind == "run":
+            path = str(tmp_path / "run.jsonl")
+            assert main(["run", "--graph", "road-ca-mini", "--algorithm",
+                         "pagerank", "--machines", "4",
+                         "--trace-out", path]) == 0
+            capsys.readouterr()
+        assert main(["analyze", path]) == 0
         out = capsys.readouterr().out
         for other, heading in HEADING.items():
             assert (heading in out) == (other == kind), (kind, other)
@@ -628,6 +639,16 @@ class TestOneDamagePolicy:
         assert captured.out == ""  # not an all-zero waterfall
         assert captured.err.count("\n") == 1
         assert "old per-leg layout" in captured.err
+
+    def test_per_machine_run_trace_is_refused(self, capsys):
+        # the recorded run trace holds 4 apply-machine spans and 2
+        # machine-work instants: the writer before one machine-work span
+        # per compute pass, whose machine sections would read as empty
+        assert main(["analyze", RECORDED["run"]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "per-machine writer (6 " in captured.err
 
     def test_telemetry_cut_mid_tick_still_renders(self, capsys, tmp_path):
         path = self._cut(tmp_path, "telemetry", 2, '{"type": "telemetry", "se')

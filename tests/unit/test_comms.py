@@ -176,18 +176,20 @@ class TestChannelAccountingReconciles:
             assert eng.comms.control.bytes_sent == 0.0
 
 
-class TestChannelRoundInstants:
-    def test_traced_rounds_name_their_channel(self, er_weighted):
+class TestChannelRoundLedger:
+    def test_rounds_name_their_channel(self, er_weighted):
         from repro.core import LazyBlockAsyncEngine
         from repro.algorithms import SSSPProgram
 
         pg = build_lazy_graph(er_weighted, 6, seed=1)
-        eng = LazyBlockAsyncEngine(pg, SSSPProgram(0), trace=True)
+        eng = LazyBlockAsyncEngine(pg, SSSPProgram(0))
         r = eng.run()
-        rounds = r.trace.instants("channel-round")
-        assert len(rounds) == r.stats.comm_rounds
-        names = {ev["attrs"]["channel"] for ev in rounds}
-        assert names <= {"gather", "broadcast", "delta_a2a", "delta_m2m",
-                         "one_edge", "control"}
-        for ev in rounds:
-            assert ev["attrs"]["delivery"] == "bsp"
+        rounds = {
+            ch.name: ch.rounds for ch in eng.comms.channels() if ch.rounds
+        }
+        assert set(rounds) <= {"gather", "broadcast", "delta_a2a",
+                               "delta_m2m", "one_edge", "control"}
+        assert sum(rounds.values()) == r.stats.comm_rounds
+        for name in rounds:
+            assert r.stats.extra[f"comms.{name}.rounds"] == rounds[name]
+            assert eng.comms.get(name).delivery is Delivery.BSP

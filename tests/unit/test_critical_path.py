@@ -25,11 +25,17 @@ def _span(id_, parent, name, cat, t0, t1, charges=None, **attrs):
     }
 
 
-def _machine_span(id_, parent, machine, busy_s, superstep):
-    # machine spans live on the host clock; model stamps are degenerate
-    s = _span(id_, parent, "work-machine", "machine", 0.0, 0.0,
-              machine=machine, busy_s=busy_s, superstep=superstep)
-    s.update(host_t0=0.0, host_t1=busy_s)
+def _pass(id_, parent, busy_s, superstep, host_s=None):
+    """One compute pass's ``machine-work`` record: per-machine columns,
+    and host seconds per runtime (here: one runtime per machine, each
+    taking its machine's modeled seconds)."""
+    if host_s is None:
+        host_s = [[m, b] for m, b in enumerate(busy_s)]
+    s = _span(id_, parent, "machine-work", "machine", 0.0, 0.0,
+              superstep=superstep, busy_s=list(busy_s),
+              edges=[0] * len(busy_s), applies=[0] * len(busy_s),
+              host_s=host_s)
+    s.update(host_t0=0.0, host_t1=sum(h for _, h in host_s))
     return s
 
 
@@ -40,8 +46,7 @@ def _make_trace():
               {"compute": 0.1}),
         # superstep 0: compute-dominated gather (machine 1 slower) wins
         # over a comm-priced apply leg
-        _machine_span(2, 3, machine=0, busy_s=0.12, superstep=0),
-        _machine_span(4, 3, machine=1, busy_s=0.25, superstep=0),
+        _pass(2, 3, busy_s=[0.12, 0.25], superstep=0),
         _span(3, 7, "gather", "phase", 0.1, 0.35,
               {"compute": 0.2, "comm": 0.05}, superstep=0),
         _span(5, 7, "apply", "phase", 0.35, 0.5,
@@ -99,10 +104,13 @@ class TestGatingRules:
             assert ("machine" in gate) or ("channel" in gate)
 
     def test_settle_leg_falls_back_to_running_straggler(self):
-        # a compute-charged leg with no machine spans inherits the
-        # superstep's accumulated per-machine busy (machine-work instants)
+        # a compute-charged leg with no passes of its own inherits the
+        # superstep's accumulated per-machine busy (the local stage's
+        # passes, summed)
         trace = TraceData(
             spans=[
+                _pass(4, 1, busy_s=[0.25, 0.05], superstep=0),
+                _pass(5, 1, busy_s=[0.1, 0.1], superstep=0),
                 _span(1, 2, "local-computation", "phase", 0.0, 0.0, {},
                       superstep=0),
                 _span(3, 2, "coherency", "phase", 0.0, 0.4,
@@ -111,12 +119,6 @@ class TestGatingRules:
                 _span(2, None, "superstep", "superstep", 0.0, 0.4,
                       superstep=0),
             ],
-            instants=[
-                {"type": "instant", "name": "machine-work",
-                 "attrs": {"machine": 0, "superstep": 0, "busy_s": 0.35}},
-                {"type": "instant", "name": "machine-work",
-                 "attrs": {"machine": 1, "superstep": 0, "busy_s": 0.15}},
-            ],
             meta={"machines": 2, "stats": {"modeled_time_s": 0.4}},
         )
         a = analyze_trace(trace)
@@ -124,6 +126,60 @@ class TestGatingRules:
         assert gate["kind"] == "machine"
         assert gate["machine"] == 0
         assert gate["busy_s"] == pytest.approx(0.35)
+
+
+    def test_a_leg_without_work_has_no_gating_machine(self):
+        a = analyze_trace(_make_trace())
+        legs = {leg["name"]: leg for leg in a["supersteps"][0]["legs"]}
+        assert legs["gather"]["machine"] == 1
+        assert legs["apply"]["machine"] is None
+
+
+class TestPerMachineWriterIsRefused:
+    @pytest.mark.parametrize("record", [
+        {"type": "span", "id": 9, "parent": 3, "name": "apply-machine",
+         "cat": "machine", "model_t0": 0.0, "model_t1": 0.0,
+         "attrs": {"machine": 0, "busy_s": 0.1}},
+        {"type": "instant", "name": "machine-work",
+         "attrs": {"machine": 0, "superstep": 0, "busy_s": 0.1}},
+    ])
+    def test_old_records_raise(self, record):
+        trace = _make_trace()
+        trace.add(record)
+        with pytest.raises(ValueError, match="per-machine writer"):
+            analyze_trace(trace)
+
+
+class TestHostClockPerRuntime:
+    def _block_trace(self):
+        # four machines in two runtimes (0–2 and 3): the host steps the
+        # runtimes, so host time is per runtime
+        trace = _make_trace()
+        trace.meta["machines"] = 4
+        trace.spans[1] = _pass(2, 3, busy_s=[0.12, 0.25, 0.0, 0.01],
+                               superstep=0, host_s=[[0, 0.5], [3, 0.1]])
+        return trace
+
+    def test_host_columns_name_runtimes(self):
+        a = analyze_trace(self._block_trace())
+        assert a["supersteps"][0]["host_gating"] == {
+            "machines": [0, 2], "host_busy_s": 0.5,
+        }
+        assert [r["machines"] for r in a["host_runtimes"]] == [[0, 2], [3, 3]]
+        assert [r["host_gated_supersteps"] for r in a["host_runtimes"]] == [
+            1, 0,
+        ]
+        assert a["stragglers"]["host_machines"] == [0, 2]
+        assert a["stragglers"]["host_imbalance"] == pytest.approx(0.5 / 0.3)
+        # the modeled columns stay per machine
+        assert a["machines_detail"]["busy_s"] == [0.12, 0.25, 0.0, 0.01]
+        text = format_analysis(a)
+        assert "host-clock straggler: machines 0–2" in text
+        assert "per-runtime load (host clock)" in text
+
+    def test_one_machine_per_runtime_reads_as_machines(self):
+        text = format_analysis(analyze_trace(_make_trace()))
+        assert "host-clock straggler: machine 1 " in text
 
 
 class TestAccounting:

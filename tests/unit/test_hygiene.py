@@ -8,6 +8,9 @@ here with the stdlib ``ast`` module over the same trees the lint job
 covers (``benchmarks/e2e`` is the benchmark's own and is not edited).
 A third scan pins one owner of the staleness clock: under ``src/`` only
 ``MachineRuntime`` writes ``delta_age``, and nothing keeps its own ages.
+A fourth pins one writer of per-machine work records: one tracer call
+under ``src/`` writes a ``machine``-category record
+(``BaseEngine._compute_pass``, one ``machine-work`` span per pass).
 """
 
 from __future__ import annotations
@@ -168,6 +171,42 @@ def test_one_staleness_clock_owner():
     assert delta_age_writes(owner)
 
 
+def machine_record_writes(path: Path) -> list:
+    """Tracer calls (``span`` / ``emit_closed_span`` / ``instant``) that
+    write a ``machine``-category record or one named ``machine-work``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("span", "emit_closed_span", "instant")
+        ):
+            continue
+        args = node.args[:2] + [
+            kw.value for kw in node.keywords if kw.arg == "category"
+        ]
+        for arg in args:
+            if isinstance(arg, ast.Constant) and arg.value in (
+                "machine", "machine-work"
+            ):
+                found.append(
+                    f"{path.relative_to(ROOT)}:{node.lineno} {arg.value}"
+                )
+                break
+    return found
+
+
+def test_one_machine_record_writer():
+    found = [
+        hit for path in FILES
+        if path.parts[len(ROOT.parts)] == "src"
+        for hit in machine_record_writes(path)
+    ]
+    assert [hit.split(":")[0] for hit in found] == [
+        "src/repro/runtime/base_engine.py"
+    ], found
+
+
 @pytest.mark.parametrize("source, finder, expected", [
     ("import os\nimport sys\nprint(sys.argv)\n", unused_imports, ["os"]),
     ("from typing import List\nx: 'List[int]' = []\n", unused_imports, []),
@@ -179,8 +218,13 @@ def test_one_staleness_clock_owner():
     ("rt.delta_age[m] = 0\nrt.delta_age += 1\n", delta_age_writes,
      ["delta_age", "delta_age"]),
     ("due = rt.delta_age >= 3\nself._ages = []\n", delta_age_writes, ["_ages"]),
+    ("t.span('w', category='machine')\nt.instant('machine-work', m=0)\n"
+     "t.emit_closed_span('w', 'machine', 0, 1, {})\n"
+     "t.span('p', category='phase')\nt.instant('sweep-mode')\n",
+     machine_record_writes, ["machine", "machine-work", "machine"]),
 ], ids=["unused", "string-annotation", "dunder-all", "dead", "closure", "tuple",
-        "class-attribute", "clock-write", "clock-read-and-copy"])
+        "class-attribute", "clock-write", "clock-read-and-copy",
+        "machine-writer"])
 def test_the_scanner_itself(tmp_path, monkeypatch, source, finder, expected):
     monkeypatch.setitem(globals(), "ROOT", tmp_path)
     path = tmp_path / "mod.py"

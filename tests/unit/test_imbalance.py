@@ -1,5 +1,6 @@
 """Unit tests for the compute-skew (load imbalance) ledger."""
 
+import numpy as np
 import pytest
 
 import repro
@@ -7,17 +8,24 @@ from repro.cluster.simulator import ClusterSim
 from repro.graph.generators import powerlaw_graph
 
 
+def _charge(sim, machine, edge_ops):
+    """Charge ``edge_ops`` edge traversals to one machine, the rest idle."""
+    edges = np.zeros(sim.num_machines)
+    edges[machine] = edge_ops
+    sim.add_compute_all(edges, np.zeros(sim.num_machines))
+
+
 class TestSkewLedger:
     def test_balanced_work_has_skew_one(self):
         sim = ClusterSim(4)
         for m in range(4):
-            sim.add_compute(m, 1000)
+            _charge(sim, m, 1000)
         sim.barrier()
         assert sim.stats.compute_skew == pytest.approx(1.0)
 
     def test_single_hot_machine(self):
         sim = ClusterSim(4)
-        sim.add_compute(0, 1000)
+        _charge(sim, 0, 1000)
         sim.barrier()
         # max = 1000/teps, mean = 250/teps
         assert sim.stats.compute_skew == pytest.approx(4.0)
@@ -29,10 +37,10 @@ class TestSkewLedger:
 
     def test_accumulates_across_folds(self):
         sim = ClusterSim(2)
-        sim.add_compute(0, 100)
+        _charge(sim, 0, 100)
         sim.barrier()
-        sim.add_compute(0, 100)
-        sim.add_compute(1, 100)
+        _charge(sim, 0, 100)
+        _charge(sim, 1, 100)
         sim.barrier()
         # fold 1: max 100, mean 50; fold 2: max 100, mean 100
         assert sim.stats.compute_skew == pytest.approx(200 / 150)

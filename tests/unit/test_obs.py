@@ -244,8 +244,14 @@ def _traced_run():
         with t.span("gather", category="phase") as sp:
             stats.add_comm(0.25)
             sp.set(msgs=10)
-        with t.span("work", category="machine", machine=1):
-            pass
+        # one compute pass over two runtimes: machines 0–1, machine 2
+        t.emit_closed_span("machine-work", "machine", t.host_epoch,
+                           t.host_epoch + 0.003, {
+                               "superstep": 0, "edges": [4, 0, 2],
+                               "applies": [1, 0, 1],
+                               "busy_s": [0.5, 0.0, 0.25],
+                               "host_s": [[0, 0.002], [2, 0.001]],
+                           })
     t.instant("decision", do_local=True)
     t.counter("active_vertices", 42)
     t.finish(engine="test", algorithm="unit", stats=stats.to_dict())
@@ -310,14 +316,28 @@ class TestChromeExport:
     def test_span_axes(self):
         t = _traced_run()
         doc = chrome_trace_document(t.records, t.meta)
-        xs = {e["name"]: e for e in doc["traceEvents"] if e["ph"] == "X"}
-        # phase span -> modeled-cluster-time axis, machine span -> host axis
-        assert xs["gather"]["pid"] == CLUSTER_PID
-        assert xs["work"]["pid"] == HOST_PID
-        assert xs["work"]["tid"] == 1  # tid = machine id
-        assert xs["gather"]["args"]["charge_comm_s"] == 0.25
+        xs = [e for e in doc["traceEvents"] if e["ph"] == "X"]
+        (gather,) = [e for e in xs if e["name"] == "gather"]
+        # phase span -> modeled-cluster-time axis
+        assert gather["pid"] == CLUSTER_PID
+        assert gather["args"]["charge_comm_s"] == 0.25
+        # a compute pass -> one host-axis event per runtime, end to end,
+        # tid = the runtime's first machine, args its columns' slice
+        work = [e for e in xs if e["name"] == "machine-work"]
+        assert [(e["pid"], e["tid"]) for e in work] == [
+            (HOST_PID, 0), (HOST_PID, 2),
+        ]
+        assert work[0]["dur"] == pytest.approx(2000.0)
+        assert work[1]["ts"] == pytest.approx(work[0]["ts"] + 2000.0)
+        assert work[0]["args"]["edges"] == [4, 0]
+        assert work[1]["args"]["busy_s"] == [0.25]
+        threads = {
+            e["tid"]: e["args"]["name"] for e in doc["traceEvents"]
+            if e["name"] == "thread_name"
+        }
+        assert threads == {0: "machines 0–1", 2: "machine 2"}
         # ts/dur are non-negative microseconds
-        for e in xs.values():
+        for e in xs:
             assert e["ts"] >= 0.0 and e["dur"] >= 0.0
 
 

@@ -8,6 +8,13 @@ from repro.cluster.stats import RunStats
 from repro.errors import EngineError
 
 
+def _charge(sim, machine, edge_ops):
+    """Charge ``edge_ops`` edge traversals to one machine, the rest idle."""
+    edges = np.zeros(sim.num_machines)
+    edges[machine] = edge_ops
+    sim.add_compute_all(edges, np.zeros(sim.num_machines))
+
+
 class TestStats:
     def test_time_breakdown_sums(self):
         s = RunStats()
@@ -37,8 +44,8 @@ class TestClusterSim:
 
     def test_compute_accounting(self):
         sim = ClusterSim(3)
-        sim.add_compute(0, sim.network.teps)  # 1 second on machine 0
-        sim.add_compute(1, sim.network.teps / 2)
+        _charge(sim, 0, sim.network.teps)  # 1 second on machine 0
+        _charge(sim, 1, sim.network.teps / 2)
         sim.barrier()
         # barrier folds the busiest machine only (BSP max semantics)
         assert sim.stats.compute_time_s == pytest.approx(1.0)
@@ -46,7 +53,7 @@ class TestClusterSim:
 
     def test_busy_meters_reset_after_barrier(self):
         sim = ClusterSim(2)
-        sim.add_compute(0, sim.network.teps)
+        _charge(sim, 0, sim.network.teps)
         sim.barrier()
         sim.barrier()
         assert sim.stats.compute_time_s == pytest.approx(1.0)
@@ -66,7 +73,7 @@ class TestClusterSim:
 
     def test_settle_async_no_sync(self):
         sim = ClusterSim(2)
-        sim.add_compute(0, sim.network.teps)
+        _charge(sim, 0, sim.network.teps)
         sim.settle_async(np.array([10, 0]))
         assert sim.stats.global_syncs == 0
         assert sim.stats.compute_time_s > 1.0  # includes message overhead
