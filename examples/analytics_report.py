@@ -37,7 +37,7 @@ def main() -> None:
         [round(float(pr.values[v]), 3) for v in top],
         width=30,
     ))
-    print(timeline_plot(pr.stats.timeline, width=50))
+    print(timeline_plot(pr.trace, width=50))
 
     # ---- communities: connected components + k-core ----------------------
     cc = repro.run(name, "cc", machines=24)

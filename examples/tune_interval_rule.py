@@ -6,7 +6,8 @@ with a decision tree over observed executions. This example repeats the
 methodology on the mini workloads:
 
 1. trace adaptive runs over the dataset basket and harvest the
-   per-coherency-point feature samples (E/V, trend);
+   per-coherency-point feature samples (E/V, trend) from their
+   ``interval-decision`` instants;
 2. label each sample by whether laziness pays *there*: lazy-on runs of
    the same workload must beat lazy-off runs for its phase to count;
 3. fit the rule family with ``fit_interval_rule`` and compare the
@@ -37,15 +38,14 @@ def harvest_samples():
         beneficial = always.stats.modeled_time_s < never.stats.modeled_time_s
         traced = repro.run(graph, alg, policy="paper", machines=24, trace=True)
         ev = repro.load_dataset(graph).ev_ratio
-        n = 0
-        for entry in traced.stats.timeline:
-            if "trend" in entry:
-                # ascent phases (negative trend) only pay off when the
-                # whole workload is lazy-friendly (low E/V)
-                label = beneficial and (ev <= 10 or entry["trend"] >= 0)
-                samples.append((ev, entry["trend"], label))
-                n += 1
-        rows.append([graph, alg, round(ev, 1), beneficial, n])
+        decisions = traced.trace.instants("interval-decision")
+        for decision in decisions:
+            trend = decision["attrs"]["trend"]
+            # ascent phases (negative trend) only pay off when the
+            # whole workload is lazy-friendly (low E/V)
+            label = beneficial and (ev <= 10 or trend >= 0)
+            samples.append((ev, trend, label))
+        rows.append([graph, alg, round(ev, 1), beneficial, len(decisions)])
     print(
         format_table(
             ["graph", "algorithm", "E/V", "lazy beneficial", "samples"],

@@ -1,9 +1,9 @@
 """Plain-text plotting for run traces (no plotting dependencies).
 
-Terminal-friendly sparklines and bar charts over
-:attr:`~repro.cluster.stats.RunStats.timeline` entries — enough to *see*
-a run's convergence behaviour (the active-count ascent/descent that
-drives the §4.2.1 trend feature) without matplotlib.
+Terminal-friendly sparklines and bar charts, and a panel over a run's
+trace (the ``active`` attribute of its ``superstep`` spans) — enough to
+*see* a run's convergence behaviour (the active-count ascent/descent
+that drives the §4.2.1 trend feature) without matplotlib.
 """
 
 from __future__ import annotations
@@ -65,25 +65,39 @@ def bar_chart(
     return "\n".join(lines)
 
 
-def timeline_plot(timeline: Sequence[dict], width: int = 60) -> str:
-    """Summarize an engine trace: active counts + cumulative time.
+def timeline_plot(trace, width: int = 60) -> str:
+    """Summarize a run's trace: active counts + cumulative modeled time.
 
-    Expects the entries produced by running an engine with
-    ``trace=True``. Returns a small multi-line text panel.
+    ``trace`` is the run's :class:`~repro.obs.tracer.Tracer`
+    (``result.trace`` of a run with ``trace=True``). Each ``superstep``
+    span that carries ``active`` is one column, placed at the span's end
+    on the model clock. Lazy-block's ``interval-decision`` instants add
+    a ``lazy`` row: the local-stage verdict in force after each
+    superstep. Returns a small multi-line text panel.
     """
-    if not timeline:
+    steps = [] if trace is None else [
+        s for s in trace.spans("superstep") if "active" in s["attrs"]
+    ]
+    if not steps:
         return "(no trace recorded — run with trace=True)"
-    actives = [e.get("active", 0) for e in timeline]
-    times = [e.get("modeled_time_s", 0.0) for e in timeline]
+    actives = [s["attrs"]["active"] for s in steps]
+    times = [s["model_t1"] for s in steps]
     lines = [
-        f"supersteps: {len(timeline)}   "
+        f"supersteps: {len(steps)}   "
         f"peak active: {max(actives)}   "
         f"final time: {times[-1]:.4f}s",
         f"active  {sparkline(actives, width)}",
         f"time    {sparkline(times, width)}",
     ]
-    if any("trend" in e for e in timeline):
-        lazy_on = ["+" if e.get("do_local") else "." for e in timeline]
+    verdicts = {
+        i["attrs"]["superstep"]: i["attrs"]["do_local"]
+        for i in trace.instants("interval-decision")
+    }
+    if verdicts:
+        lazy_on, on = [], False
+        for s in steps:
+            on = verdicts.get(s["attrs"]["superstep"], on)
+            lazy_on.append("+" if on else ".")
         if len(lazy_on) > width:
             step = len(lazy_on) / width
             lazy_on = [lazy_on[int(i * step)] for i in range(width)]

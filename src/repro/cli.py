@@ -94,7 +94,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--top", type=int, default=0, help="print top-N vertices")
     p_run.add_argument(
         "--trace", action="store_true",
-        help="record and plot the per-superstep convergence trace",
+        help="trace the run and plot its per-superstep active counts "
+             "and modeled time (the superstep spans' 'active')",
     )
     p_run.add_argument(
         "--trace-out", metavar="PATH",
@@ -410,7 +411,7 @@ def _cmd_run(args) -> int:
     if getattr(args, "trace", False):
         from repro.bench.plots import timeline_plot
 
-        print(timeline_plot(result.stats.timeline))
+        print(timeline_plot(result.trace))
     if args.top:
         order = np.argsort(result.values)[::-1][: args.top]
         rows = [[int(v), round(float(result.values[v]), 4)] for v in order]

@@ -17,19 +17,23 @@ Since the observability refactor, ``RunStats`` is built on the
   view over ``extra.*`` registry counters (``bump`` increments one);
 * every model-time charge (``add_compute``/``add_comm``/``add_sync``)
   is forwarded to a bound :class:`~repro.obs.tracer.Tracer`, which is
-  how spans learn their modeled durations;
-* ``trace=True`` timeline snapshots share one schema across all engines
-  (``superstep``/``global_syncs``/``comm_bytes``/``modeled_time_s``/
-  ``active`` plus engine-specific fields) and are mirrored to the
-  tracer as counter samples.
+  how spans learn their modeled durations.
+
+``RunStats`` holds run totals only. What happened *per superstep* is
+the trace's: each ``superstep`` span carries ``active`` (the engine's
+active-vertex count when tracing is on) next to the phase spans and
+instants that carry the rest.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Any, Dict, List
+from typing import TYPE_CHECKING, Any, Dict, Optional
 
 from repro.obs.metrics import ExtraView, MetricsRegistry
+
+if TYPE_CHECKING:
+    from repro.obs.tracer import Tracer
 
 __all__ = ["RunStats"]
 
@@ -75,12 +79,6 @@ class RunStats:
         The run's :class:`~repro.obs.metrics.MetricsRegistry` (created
         per instance). ``extra`` is a dict-compatible view over its
         ``extra.*`` counters.
-    timeline:
-        Optional per-superstep snapshots (engines populate it when
-        constructed with ``trace=True``): dicts with the superstep
-        index, active count, cumulative syncs/bytes/modeled time, and
-        engine-specific fields. Powers convergence plots and the
-        adaptive interval rule's offline analysis.
     """
 
     global_syncs: int = 0
@@ -103,12 +101,11 @@ class RunStats:
     def __post_init__(self) -> None:
         self.metrics = MetricsRegistry()
         self.extra = ExtraView(self.metrics)
-        self.timeline: List[Dict] = []
-        self._tracer = None
+        self._tracer: Optional[Tracer] = None
 
     # ------------------------------------------------------------------
-    def bind_tracer(self, tracer) -> None:
-        """Route every model-time charge and snapshot to ``tracer``.
+    def bind_tracer(self, tracer: Tracer) -> None:
+        """Route every model-time charge to ``tracer``.
 
         Called by :meth:`repro.obs.tracer.Tracer.bind_stats`; engines
         bind through :class:`~repro.runtime.base_engine.BaseEngine`.
@@ -154,27 +151,6 @@ class RunStats:
             return 1.0
         return self.busy_max_total_s / self.busy_mean_total_s
 
-    def snapshot(self, active: int, **fields_) -> Dict:
-        """Append a timeline entry (cumulative counters + caller fields).
-
-        ``active`` is mandatory — it is the one engine-state field every
-        engine can report, and the uniform-schema contract the trace
-        tests assert: every entry carries ``superstep``,
-        ``global_syncs``, ``comm_bytes``, ``modeled_time_s``, ``active``.
-        """
-        entry = {
-            "superstep": self.supersteps,
-            "global_syncs": self.global_syncs,
-            "comm_bytes": self.comm_bytes,
-            "modeled_time_s": self.modeled_time_s,
-            "active": int(active),
-        }
-        entry.update(fields_)
-        self.timeline.append(entry)
-        if self._tracer is not None:
-            self._tracer.counter("active_vertices", int(active))
-        return entry
-
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
         """JSON-serializable dump: counters + registry + derived skew."""
@@ -192,9 +168,7 @@ class RunStats:
         back through :meth:`MetricsRegistry.from_export` (so ``extra``
         keeps working — its ``extra.*`` counters live in the registry,
         and the exported ``extra`` dict is redundant with them);
-        ``compute_skew`` is derived and ignored. The ``timeline`` is a
-        trace artifact and is not serialized — a restored instance has
-        an empty one.
+        ``compute_skew`` is derived and ignored.
         """
         known = {f.name for f in fields(cls)}
         stats = cls(**{k: v for k, v in data.items() if k in known})
@@ -206,7 +180,7 @@ class RunStats:
 
     def copy(self) -> "RunStats":
         """An independent snapshot: the :meth:`to_dict` round trip
-        without the JSON (no timeline, no bound tracer)."""
+        without the JSON (no bound tracer)."""
         return type(self).from_dict(self.to_dict())
 
     # ------------------------------------------------------------------

@@ -15,7 +15,7 @@ reconciles channel-by-channel against :class:`RunStats`.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.cluster.network import CommMode
 from repro.comms.channels import CONTROL, Channel, Delivery
@@ -31,10 +31,6 @@ class ExchangePlane:
     def __init__(self, sim) -> None:
         self.sim = sim
         self._channels: Dict[str, Channel] = {}
-        #: Per-superstep ledger snapshots (filled by :meth:`snapshot`,
-        #: driven by the coherency lens); cumulative counters, so the
-        #: per-superstep traffic of a channel is the first difference.
-        self.timeline: List[Dict[str, Any]] = []
         #: Control plane: termination probes and barrier-only syncs.
         self.control = self.open(CONTROL, CONTROL_SCHEMA, Delivery.BSP)
 
@@ -69,18 +65,6 @@ class ExchangePlane:
         return tuple(self._channels.values())
 
     # ------------------------------------------------------------------
-    def snapshot(self, superstep: int) -> Dict[str, Any]:
-        """Append one per-channel ledger snapshot to :attr:`timeline`.
-
-        Returns ``{"superstep": n, <channel>: {bytes, messages, rounds,
-        syncs}, ...}`` with every counter cumulative since run start.
-        """
-        entry: Dict[str, Any] = {"superstep": int(superstep)}
-        for ch in self._channels.values():
-            entry[ch.name] = ch.counters()
-        self.timeline.append(entry)
-        return entry
-
     def totals(self) -> Dict[str, float]:
         """Sum of every channel's ledger (must equal the RunStats view)."""
         out = {"bytes": 0.0, "messages": 0, "rounds": 0, "syncs": 0}

@@ -164,7 +164,7 @@ class LazyBlockAsyncEngine(BaseEngine):
         controller = self.controller
         replicas = self.replicas if controller.needs_signals else None
         for step in range(self.max_supersteps):
-            with tracer.span("superstep", category="superstep", superstep=step):
+            with tracer.span("superstep", category="superstep", superstep=step) as ss:
                 lens.begin_superstep(step)
                 # ---- Stage 1: local computation -----------------------
                 if do_local:
@@ -199,10 +199,9 @@ class LazyBlockAsyncEngine(BaseEngine):
                 lens.on_exchange(report, rule="superstep-coherency")
 
                 active = self._global_active_count()
+                ss.set(active=active)
                 if active == 0:
                     sim.stats.extra["mode_switches"] = self.exchanger.mode_switches
-                    if self.trace:
-                        sim.stats.snapshot(active=0, do_local=do_local)
                     return True
 
                 # trend of the active-vertex count between coherency points
@@ -225,14 +224,6 @@ class LazyBlockAsyncEngine(BaseEngine):
                     **signals.as_inputs(),
                 )
                 prev_active = active
-                if self.trace:
-                    sim.stats.snapshot(
-                        active=active,
-                        trend=trend,
-                        do_local=do_local,
-                        mode=report.mode.value,
-                        exchanged=report.vertices_exchanged,
-                    )
 
                 # ---- data coherency point: Apply + Scatter ------------
                 with tracer.span("coherency-apply", category="phase"):

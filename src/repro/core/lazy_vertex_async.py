@@ -114,7 +114,7 @@ class LazyVertexAsyncEngine(BaseEngine):
         replicas = self.replicas if controller.needs_signals else None
         ev_ratio = self.pgraph.graph.ev_ratio
         for step in range(self.max_supersteps):
-            with tracer.span("superstep", category="superstep", superstep=step):
+            with tracer.span("superstep", category="superstep", superstep=step) as ss:
                 lens.begin_superstep(step)
                 # ---- continuous local processing (one round) -----------
                 with tracer.span("local-round", category="phase") as sp:
@@ -195,12 +195,8 @@ class LazyVertexAsyncEngine(BaseEngine):
                            exchanged=report.vertices_exchanged,
                            volume_bytes=report.volume_bytes)
                 sim.stats.supersteps += 1
-                if self.trace:
-                    sim.stats.snapshot(
-                        active=self._global_active_count(),
-                        exchanged=report.vertices_exchanged,
-                        mode=report.mode.value,
-                    )
+                if tracer.enabled:
+                    ss.set(active=self._global_active_count())
 
                 if idle and report.empty and self._globally_idle():
                     # quiescence is only *known* via termination detection

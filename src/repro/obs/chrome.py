@@ -11,8 +11,10 @@ Mapping
   cluster clock in microseconds. Because the model clock advances only
   through metered charges, the summed durations of the ``phase`` events
   reproduce ``RunStats.modeled_time_s`` exactly (an asserted invariant).
-  Instant events (interval-rule decisions, mode switches) and counter
-  tracks (active vertices …) live on the same timeline.
+  Instant events (interval-rule decisions, mode switches) live on the
+  same timeline, and so does the ``active_vertices`` counter track:
+  one sample per ``superstep`` span that carries ``active``, at the
+  span's end (``model_t1``).
 * **pid 1 — "host (wall time)"**: the compute passes on the host
   clock, one thread row per runtime (the unit the host steps: a block
   of consecutive machines, or one machine; ``tid`` is its first
@@ -107,6 +109,16 @@ def chrome_trace_document(
                 events.append(event)
         elif rtype == "span":
             events.append(_span_event(record))
+            active = (record.get("attrs") or {}).get("active")
+            if record["cat"] == "superstep" and active is not None:
+                events.append({
+                    "name": "active_vertices",
+                    "ph": "C",
+                    "ts": record["model_t1"] * _US,
+                    "pid": CLUSTER_PID,
+                    "tid": 0,
+                    "args": {"value": active},
+                })
         elif rtype == "instant":
             events.append({
                 "name": record["name"],
@@ -116,15 +128,6 @@ def chrome_trace_document(
                 "pid": CLUSTER_PID,
                 "tid": 0,
                 "args": dict(record.get("attrs") or {}),
-            })
-        elif rtype == "counter":
-            events.append({
-                "name": record["name"],
-                "ph": "C",
-                "ts": record["model_t"] * _US,
-                "pid": CLUSTER_PID,
-                "tid": 0,
-                "args": {"value": record["value"]},
             })
         elif rtype == "run_meta":
             other_data.update(record.get("meta") or {})

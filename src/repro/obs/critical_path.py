@@ -33,7 +33,7 @@ records. This module reconstructs from such a trace:
   ``lens-probe`` fields (``pending_mass``, ``pending_replicas``,
   ``staleness_max``, ``drift_max``), its cumulative ``channel-ledger``
   bytes (``channel_bytes``), its executed coherency ``exchanges`` and
-  ``active``: the last ``active_vertices`` sample inside the span.
+  its span's ``active`` attribute (``None`` when the span has none).
 
 Accounting invariant (asserted by the integration tests): bootstrap +
 Σ superstep widths + untracked charges = ``RunStats.modeled_time_s``.
@@ -45,7 +45,6 @@ follows the spans' ``id`` / ``parent`` links.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.obs.records import TraceData
@@ -197,8 +196,6 @@ def analyze_trace(trace: TraceData) -> Dict[str, Any]:
     probes = _by_step(trace, "lens-probe")
     ledgers = _by_step(trace, "channel-ledger")
     decisions = _by_step(trace, "coherency-decision")
-    samples = [c for c in trace.counters if c.get("name") == "active_vertices"]
-    sample_t = [float(c.get("model_t", 0.0)) for c in samples]
     untracked = meta.get("untracked_charges") or {}
     untracked_s = float(sum(untracked.values()))
     bootstrap_s = (
@@ -316,7 +313,6 @@ def analyze_trace(trace: TraceData) -> Dict[str, Any]:
                 "host_busy_s": step_host[first],
             }
         t0, t1 = float(ss["model_t0"]), float(ss["model_t1"])
-        last = bisect_right(sample_t, t1)
         probe = probes.get(step, [{}])[-1]
         ledger = ledgers.get(step, [{}])[-1]
         rows.append({
@@ -332,10 +328,7 @@ def analyze_trace(trace: TraceData) -> Dict[str, Any]:
                 1 for d in decisions.get(step, [])
                 if (d.get("kind"), d.get("verdict")) == ("coherency", "exchange")
             ),
-            "active": (
-                int(samples[last - 1]["value"])
-                if last > bisect_left(sample_t, t0) else None
-            ),
+            "active": ss_attrs.get("active"),
         })
 
     # the bootstrap pass stays out of the per-machine columns: its

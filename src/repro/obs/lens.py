@@ -153,9 +153,9 @@ class CoherencyLens:
         are registered on its registry and summary counters land in
         ``stats.extra``.
     plane:
-        The engine's :class:`~repro.comms.ExchangePlane`; each probe
-        snapshots the per-channel ledgers into the plane timeline and a
-        ``channel-ledger`` instant so traffic lines up with decisions.
+        The engine's :class:`~repro.comms.ExchangePlane`; each traced
+        probe writes its per-channel ledgers as a ``channel-ledger``
+        instant so traffic lines up with decisions.
     """
 
     enabled = True
@@ -225,22 +225,23 @@ class CoherencyLens:
         if self.g_drift is not None:
             self.g_drift.set(drift)
         tracer = self.tracer
-        if tracer.enabled and not self._instants_due():
+        if not tracer.enabled:
+            return
+        if not self._instants_due():
             # rollup window: keep the timeline bounded on long runs
             # (metrics above already accumulated this probe)
             self.rolled_up += 1
             return
-        if tracer.enabled:
-            tracer.instant(
-                "lens-probe",
-                superstep=self.superstep,
-                pending_mass=total_mass,
-                pending_replicas=int(sum(pending)),
-                staleness_max=stale_max,
-                drift_max=drift,
-                machine_mass=[float(m) for m in masses],
-            )
-        self._snapshot_channels()
+        tracer.instant(
+            "lens-probe",
+            superstep=self.superstep,
+            pending_mass=total_mass,
+            pending_replicas=int(sum(pending)),
+            staleness_max=stale_max,
+            drift_max=drift,
+            machine_mass=[float(m) for m in masses],
+        )
+        self._ledger_instant()
 
     def _instants_due(self) -> bool:
         """Is this superstep inside the full-resolution window?"""
@@ -249,21 +250,19 @@ class CoherencyLens:
             or self.superstep % ROLLUP_EVERY == 0
         )
 
-    def _snapshot_channels(self) -> None:
-        """Per-superstep per-channel ledger timeline (traffic vs decisions)."""
+    def _ledger_instant(self) -> None:
+        """One ``channel-ledger`` instant: every channel's cumulative
+        counters, so traffic lines up with decisions per superstep."""
         if self.plane is None:
             return
-        entry = self.plane.snapshot(self.superstep)
-        if self.tracer.enabled:
-            attrs: Dict[str, Any] = {"superstep": self.superstep}
-            for name, counters in entry.items():
-                if name == "superstep":
-                    continue
-                attrs[f"{name}.bytes"] = float(counters["bytes"])
-                attrs[f"{name}.messages"] = int(counters["messages"])
-                attrs[f"{name}.syncs"] = int(counters["syncs"])
-                attrs[f"{name}.rounds"] = int(counters["rounds"])
-            self.tracer.instant("channel-ledger", **attrs)
+        attrs: Dict[str, Any] = {"superstep": self.superstep}
+        for ch in self.plane.channels():
+            counters = ch.counters()
+            attrs[f"{ch.name}.bytes"] = float(counters["bytes"])
+            attrs[f"{ch.name}.messages"] = int(counters["messages"])
+            attrs[f"{ch.name}.syncs"] = int(counters["syncs"])
+            attrs[f"{ch.name}.rounds"] = int(counters["rounds"])
+        self.tracer.instant("channel-ledger", **attrs)
 
     def on_staged(self, staged_mass: float) -> None:
         """Delta mass shipped by the exchanger in the current exchange."""

@@ -16,11 +16,15 @@ mutations  ``mutate --out``                      none: every record
                                                  carries ``"event"``
 ========== ===================================== =======================
 
-Record types after the header: ``span`` / ``instant`` / ``counter`` /
-``run_meta`` (run and serve traces — see :mod:`repro.obs.tracer`),
-``telemetry`` (one tick) and ``{"event": "apply" | "run", ...}``
-(mutation streams). Unknown record types inside a recognised file are
-skipped, so a newer writer's extra records do not break an older reader.
+Record types after the header: ``span`` / ``instant`` / ``run_meta``
+(run and serve traces — see :mod:`repro.obs.tracer`), ``telemetry``
+(one tick) and ``{"event": "apply" | "run", ...}`` (mutation streams).
+``counter`` is a type only older run and serve traces contain (their
+``active_vertices`` samples; today ``active`` is an attribute of the
+``superstep`` span): it still loads, into :attr:`TraceData.counters`,
+and no reader uses it. Unknown record types inside a recognised file
+are skipped, so a newer writer's extra records do not break an older
+reader.
 
 Damage policy, the same for every kind: a truncated *final* line (a
 writer killed mid-write) is dropped with one ``path:line`` note on
@@ -135,10 +139,11 @@ class RecordWriter:
 class TraceData:
     """Normalized in-memory view of one observability file.
 
-    ``kind`` says which lists are populated: ``spans`` / ``instants`` /
-    ``counters`` + ``meta`` (the ``run_meta`` record) for ``run`` and
-    ``serve`` traces, ``ticks`` + ``meta`` (the header: ``interval_s``,
-    ``window_s``, …) for ``telemetry``, ``events`` for ``mutations``.
+    ``kind`` says which lists are populated: ``spans`` / ``instants`` +
+    ``meta`` (the ``run_meta`` record) for ``run`` and ``serve`` traces
+    (plus ``counters`` for a file from an older writer), ``ticks`` +
+    ``meta`` (the header: ``interval_s``, ``window_s``, …) for
+    ``telemetry``, ``events`` for ``mutations``.
     """
 
     spans: List[Dict[str, Any]] = field(default_factory=list)

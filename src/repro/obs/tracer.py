@@ -24,6 +24,11 @@ local-computation stages show near-zero *modeled* width (their compute
 is folded into the following coherency barrier) while still carrying
 host time and an ``est_compute_s`` attribute.
 
+The record types are ``span``, ``instant`` and the closing
+``run_meta``; a per-superstep quantity is an attribute of the
+``superstep`` span (``active``: the active-vertex count) or of an
+instant, never a record type of its own.
+
 The tracer is also the default in-memory sink; additional sinks
 (:mod:`repro.obs.sinks`) receive each record as it completes.
 """
@@ -122,9 +127,6 @@ class NullTracer:
     def instant(self, name: str, **attrs) -> None:
         pass
 
-    def counter(self, name: str, value: float) -> None:
-        pass
-
     def emit_closed_span(
         self, name, category, host_t0, host_t1, attrs, charges=None
     ) -> None:
@@ -141,7 +143,7 @@ NULL_TRACER = NullTracer()
 
 
 class Tracer:
-    """Records nested spans, instant events and counter samples.
+    """Records nested spans and instant events.
 
     Parameters
     ----------
@@ -269,15 +271,6 @@ class Tracer:
             "host_t": time.perf_counter() - self.host_epoch,
             "model_t": self.model_now,
             "attrs": attrs,
-        })
-
-    def counter(self, name: str, value: float) -> None:
-        """Sample a time-series counter (e.g. the active-vertex count)."""
-        self._emit({
-            "type": "counter",
-            "name": name,
-            "model_t": self.model_now,
-            "value": float(value),
         })
 
     def _emit(self, record: Dict[str, Any]) -> None:

@@ -52,7 +52,7 @@ class PowerGraphAsyncEngine(BaseEngine):
 
         tracer = self.tracer
         for step in range(self.max_supersteps):
-            with tracer.span("superstep", category="superstep", superstep=step):
+            with tracer.span("superstep", category="superstep", superstep=step) as ss:
                 traffic = exchange.collect()
                 exchange.ship_fine_grained(traffic)
                 if not exchange.anything_pending:
@@ -63,8 +63,7 @@ class PowerGraphAsyncEngine(BaseEngine):
                     if done:
                         return True
                     sim.stats.supersteps += 1
-                    if self.trace:
-                        sim.stats.snapshot(active=0, msgs=0)
+                    ss.set(active=0)
                     continue
                 detector.reset()
                 sent_total += traffic.total_msgs
@@ -75,9 +74,6 @@ class PowerGraphAsyncEngine(BaseEngine):
                     sim.settle_async(traffic.sent_per_machine)
                     sp.set(msgs=traffic.total_msgs, bytes=traffic.total_bytes)
                 sim.stats.supersteps += 1
-                if self.trace:
-                    sim.stats.snapshot(
-                        active=self._global_active_count(),
-                        msgs=traffic.total_msgs,
-                    )
+                if tracer.enabled:
+                    ss.set(active=self._global_active_count())
         return False

@@ -179,7 +179,7 @@ class PowerGraphGASSyncEngine(BaseEngine):
         for step in range(self.max_supersteps):
             if not active.any():
                 return True
-            with tracer.span("superstep", category="superstep", superstep=step):
+            with tracer.span("superstep", category="superstep", superstep=step) as ss:
                 # ---- gather: pull on every replica, combine at master ---
                 with tracer.span("gather", category="phase") as sp:
                     total.fill(alg.identity)
@@ -227,8 +227,6 @@ class PowerGraphGASSyncEngine(BaseEngine):
                     self.comms.control.barrier()  # sync #3
                 sim.stats.supersteps += 1
                 active[:] = next_active
-                if self.trace:
-                    sim.stats.snapshot(
-                        active=int(active.sum()), gather_msgs=gather_msgs,
-                    )
+                if tracer.enabled:
+                    ss.set(active=int(active.sum()))
         return False

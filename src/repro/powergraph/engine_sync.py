@@ -30,7 +30,7 @@ class PowerGraphSyncEngine(BaseEngine):
         self._bootstrap(track_delta=False)
 
         for step in range(self.max_supersteps):
-            with tracer.span("superstep", category="superstep", superstep=step):
+            with tracer.span("superstep", category="superstep", superstep=step) as ss:
                 # ---- gather leg: mirrors ship accums to masters -------
                 with tracer.span("gather", category="phase") as sp:
                     traffic = exchange.collect()
@@ -51,10 +51,6 @@ class PowerGraphSyncEngine(BaseEngine):
                 with tracer.span("scatter", category="phase"):
                     self.comms.control.barrier()  # sync #3 (scatter complete)
                 sim.stats.supersteps += 1
-                if self.trace:
-                    sim.stats.snapshot(
-                        active=self._global_active_count(),
-                        gather_msgs=traffic.gather_msgs,
-                        bcast_msgs=traffic.bcast_msgs,
-                    )
+                if tracer.enabled:
+                    ss.set(active=self._global_active_count())
         return False

@@ -65,7 +65,6 @@ class BaseEngine(abc.ABC):
         self.pgraph = pgraph
         self.program = program
         self.max_supersteps = max_supersteps
-        self.trace = trace
         self.sim = ClusterSim(pgraph.num_machines, network=network)
         # one tracer handle per engine: real when the caller wants spans
         # (explicit tracer, or trace=True), a no-op NullTracer otherwise

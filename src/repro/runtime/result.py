@@ -170,8 +170,8 @@ class EngineResult:
     replica_max_disagreement:
         Measured max cross-replica value gap at termination.
     trace:
-        The run's :class:`~repro.obs.tracer.Tracer` (span records,
-        instants, counter samples) when tracing was enabled; ``None``
+        The run's :class:`~repro.obs.tracer.Tracer` (span records and
+        instants) when tracing was enabled; ``None``
         otherwise. Export with :func:`repro.obs.export_trace`.
     """
 

@@ -11,6 +11,12 @@ readers the same modeled content: gates, legs, per-machine busy totals,
 stragglers. Host-clock keys (every ``host*`` key, at any depth) are
 dropped — they are wall time, and since the change they are reported
 per runtime rather than per machine. Floats compare to 1e-12 relative.
+
+The ``supersteps[*].active`` column was re-recorded once since, on the
+commit that made ``active`` an attribute of the ``superstep`` span (the
+matrix's ``tracer=`` runs wrote no ``active_vertices`` counter, so the
+column was ``None`` throughout); every other key was first checked
+equal to the pins of ``28ef290``.
 """
 
 import json

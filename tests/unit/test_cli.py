@@ -533,6 +533,19 @@ class TestTimelineAndComparison:
             assert row["pending_mass"] is None and row["drift_max"] is None
             assert row["channel_bytes"] == {} and row["exchanges"] == 0
 
+    @pytest.mark.parametrize("engine", ["lazy-block", "lazy-vertex"])
+    def test_active_column_needs_no_trace_flag(self, capsys, tmp_path, engine):
+        import json
+
+        # --trace-out alone (no --trace): the superstep spans carry active
+        path = self._trace(tmp_path, "lens.jsonl", "--engine", engine, "--lens")
+        capsys.readouterr()
+        assert main(["analyze", path, "--json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["supersteps"]
+        actives = [row["active"] for row in rows]
+        assert actives and None not in actives
+        assert actives[-1] == 0
+
     def test_max_rows_bounds_the_timeline(self, capsys, tmp_path):
         path = self._trace(tmp_path, "lens.jsonl", "--engine", "lazy-block", "--lens")
         capsys.readouterr()

@@ -227,11 +227,11 @@ class TestFormatting:
 
 
 def _lens_run(engine, trace):
-    """Lens-on PageRank on road-ca-mini, 4 machines: (TraceData, RunStats)."""
+    """Lens-on PageRank on road-ca-mini, 4 machines, as a TraceData."""
     tracer = Tracer()
-    result = run("road-ca-mini", "pagerank", engine=engine, machines=4,
-                 seed=0, tracer=tracer, lens=True, trace=trace)
-    return trace_from_tracer(tracer), result.stats
+    run("road-ca-mini", "pagerank", engine=engine, machines=4,
+        seed=0, tracer=tracer, lens=True, trace=trace)
+    return trace_from_tracer(tracer)
 
 
 def _named(trace, name):
@@ -246,7 +246,7 @@ class TestTimeline:
 
     @pytest.mark.parametrize("engine", LAZY)
     def test_rows_carry_the_lens_records_verbatim(self, engine):
-        trace, _ = _lens_run(engine, trace=False)
+        trace = _lens_run(engine, trace=False)
         rows = analyze_trace(trace)["supersteps"]
         spans = [s for s in trace.spans if s["cat"] == "superstep"]
         assert [r["superstep"] for r in rows] == [
@@ -273,24 +273,27 @@ class TestTimeline:
             executed.count(r["superstep"]) for r in rows
         ]
         assert sum(r["exchanges"] for r in rows) > 0
-        # active samples come from RunStats.snapshot (trace=True) only:
-        # the lens alone writes none
-        assert not [c for c in trace.counters if c["name"] == "active_vertices"]
-        assert [r["active"] for r in rows] == [None] * len(rows)
+        # active is the superstep span's attribute: any tracer writes
+        # it, trace=True or not
+        assert [r["active"] for r in rows] == [
+            s["attrs"]["active"] for s in spans
+        ]
+        assert None not in [r["active"] for r in rows]
 
     @pytest.mark.parametrize("engine", LAZY)
     def test_active_is_the_post_exchange_sample(self, engine):
-        # trace=True: RunStats.snapshot's post-exchange sample, one per
-        # superstep, is the only active_vertices emitter
-        trace, stats = _lens_run(engine, trace=True)
+        trace = _lens_run(engine, trace=True)
         rows = analyze_trace(trace)["supersteps"]
         spans = [s for s in trace.spans if s["cat"] == "superstep"]
-        samples = [c for c in trace.counters if c["name"] == "active_vertices"]
-        assert len(samples) == len(spans) == len(rows)
-        assert [r["superstep"] for r in rows] == [
-            s["attrs"]["superstep"] for s in spans
-        ]
-        assert len(stats.timeline) == len(rows)
         assert [r["active"] for r in rows] == [
-            entry["active"] for entry in stats.timeline
-        ] == [c["value"] for c in samples]
+            s["attrs"]["active"] for s in spans
+        ]
+        # the count the run converged on, and (lazy-block) the one its
+        # interval rule was fed after each coherency point
+        assert rows[-1]["active"] == 0 and max(r["active"] for r in rows) > 0
+        fed = {d["superstep"]: d["active"]
+               for d in _named(trace, "interval-decision")}
+        assert fed == {
+            r["superstep"]: r["active"] for r in rows if r["superstep"] in fed
+        }
+        assert bool(fed) == (engine == "lazy-block")

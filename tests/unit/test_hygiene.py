@@ -11,6 +11,10 @@ A third scan pins one owner of the staleness clock: under ``src/`` only
 A fourth pins one writer of per-machine work records: one tracer call
 under ``src/`` writes a ``machine``-category record
 (``BaseEngine._compute_pass``, one ``machine-work`` span per pass).
+A fifth pins one per-superstep record: the ``superstep`` span, whose
+``active`` attribute the engines set. Under ``src/`` nothing calls
+``stats.snapshot(...)`` or a tracer's ``.counter(...)``, and nothing
+keeps a ``timeline`` list.
 """
 
 from __future__ import annotations
@@ -207,6 +211,51 @@ def test_one_machine_record_writer():
     ], found
 
 
+def superstep_record_writes(path: Path) -> list:
+    """A second per-superstep record: ``stats.snapshot(...)`` calls,
+    ``.counter(...)`` on a tracer, stores into a ``timeline`` attribute."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        name = None
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            owner = node.func.value
+            owner = getattr(owner, "attr", getattr(owner, "id", ""))
+            if (node.func.attr == "snapshot" and owner == "stats"
+                    or node.func.attr == "counter" and "tracer" in owner.lower()):
+                name = node.func.attr
+        elif (isinstance(node, ast.Attribute) and node.attr == "timeline"
+              and isinstance(node.ctx, ast.Store)):
+            name = node.attr
+        if name is not None:
+            found.append((node.lineno, name))
+    return [f"{path.relative_to(ROOT)}:{line} {name}" for line, name in sorted(found)]
+
+
+def test_one_superstep_record():
+    found = [
+        hit for path in FILES
+        if path.parts[len(ROOT.parts)] == "src"
+        for hit in superstep_record_writes(path)
+    ]
+    assert not found, "\n".join(found)
+
+
+#: the seven ``RunStats.snapshot`` calls the engines made before
+#: ``active`` moved onto the superstep span
+_PARENT_SNAPSHOT_CALLS = """\
+sim.stats.snapshot(active=0, do_local=do_local)
+sim.stats.snapshot(active=active, trend=trend, do_local=do_local,
+                   mode=report.mode.value, exchanged=report.vertices_exchanged)
+sim.stats.snapshot(active=self._global_active_count(),
+                   exchanged=report.vertices_exchanged, mode=report.mode.value)
+sim.stats.snapshot(active=self._global_active_count(),
+                   gather_msgs=traffic.gather_msgs, bcast_msgs=traffic.bcast_msgs)
+sim.stats.snapshot(active=int(active.sum()), gather_msgs=gather_msgs)
+sim.stats.snapshot(active=0, msgs=0)
+sim.stats.snapshot(active=self._global_active_count(), msgs=traffic.total_msgs)
+"""
+
+
 @pytest.mark.parametrize("source, finder, expected", [
     ("import os\nimport sys\nprint(sys.argv)\n", unused_imports, ["os"]),
     ("from typing import List\nx: 'List[int]' = []\n", unused_imports, []),
@@ -222,9 +271,15 @@ def test_one_machine_record_writer():
      "t.emit_closed_span('w', 'machine', 0, 1, {})\n"
      "t.span('p', category='phase')\nt.instant('sweep-mode')\n",
      machine_record_writes, ["machine", "machine-work", "machine"]),
+    (_PARENT_SNAPSHOT_CALLS, superstep_record_writes, ["snapshot"] * 7),
+    ("self._tracer.counter('active_vertices', 3)\n"
+     "NULL_TRACER.counter('x', 1.0)\nself.timeline: list = []\n"
+     "plane.timeline = []\nself.metrics.counter('serve.queries').inc()\n"
+     "win.snapshot(now)\nentry = self.timeline[-1]\n",
+     superstep_record_writes, ["counter", "counter", "timeline", "timeline"]),
 ], ids=["unused", "string-annotation", "dunder-all", "dead", "closure", "tuple",
         "class-attribute", "clock-write", "clock-read-and-copy",
-        "machine-writer"])
+        "machine-writer", "parent-snapshot-calls", "superstep-record"])
 def test_the_scanner_itself(tmp_path, monkeypatch, source, finder, expected):
     monkeypatch.setitem(globals(), "ROOT", tmp_path)
     path = tmp_path / "mod.py"

@@ -100,7 +100,6 @@ class TestSpanNesting:
         with NULL_TRACER.span("x", category="phase") as sp:
             sp.set(a=1)
         NULL_TRACER.instant("x")
-        NULL_TRACER.counter("x", 1.0)
         NULL_TRACER.finish()
         assert NULL_TRACER.enabled is False
 
@@ -240,7 +239,7 @@ def _traced_run():
     t = Tracer()
     stats = RunStats()
     t.bind_stats(stats)
-    with t.span("superstep", category="superstep", superstep=0):
+    with t.span("superstep", category="superstep", superstep=0) as ss:
         with t.span("gather", category="phase") as sp:
             stats.add_comm(0.25)
             sp.set(msgs=10)
@@ -252,8 +251,8 @@ def _traced_run():
                                "busy_s": [0.5, 0.0, 0.25],
                                "host_s": [[0, 0.002], [2, 0.001]],
                            })
+        ss.set(active=42)
     t.instant("decision", do_local=True)
-    t.counter("active_vertices", 42)
     t.finish(engine="test", algorithm="unit", stats=stats.to_dict())
     return t
 
@@ -276,7 +275,7 @@ class TestSinks:
         assert lines[0]["type"] == "trace_header"
         assert lines[0]["format"] == "repro-trace"
         types = {l["type"] for l in lines[1:]}
-        assert types == {"span", "instant", "counter", "run_meta"}
+        assert types == {"span", "instant", "run_meta"}
         # load_trace reconstructs the same structure
         trace = load_trace(str(path))
         assert len(trace.spans) == len(t.spans())
@@ -336,6 +335,12 @@ class TestChromeExport:
             if e["name"] == "thread_name"
         }
         assert threads == {0: "machines 0–1", 2: "machine 2"}
+        # the superstep span's active -> one counter sample at its end
+        (sample,) = [e for e in doc["traceEvents"] if e["ph"] == "C"]
+        (superstep,) = [e for e in xs if e["name"] == "superstep"]
+        assert sample["name"] == "active_vertices"
+        assert sample["args"] == {"value": 42}
+        assert sample["ts"] == superstep["ts"] + superstep["dur"] == 250000.0
         # ts/dur are non-negative microseconds
         for e in xs:
             assert e["ts"] >= 0.0 and e["dur"] >= 0.0

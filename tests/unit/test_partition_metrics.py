@@ -40,10 +40,16 @@ class TestMetrics:
         pg = build_lazy_graph(sym, 6, seed=1)
         est = compute_partition_metrics(pg)
         eng = LazyBlockAsyncEngine(pg, ConnectedComponentsProgram(), trace=True)
-        eng.run()
+        result = eng.run()
         # every single exchange is below the all-replicas-active bound
-        for entry in eng.sim.stats.timeline:
-            pass  # volumes not in timeline; use total/coherency bound
+        volumes = [
+            s["attrs"]["volume_bytes"] for s in result.trace.spans("phase")
+            if s["name"] == "coherency"
+        ]
+        assert len(volumes) == eng.sim.stats.coherency_points
+        assert max(volumes) > 0.0
+        for volume in volumes:
+            assert volume <= est.est_exchange_volume_a2a_bytes
         total = eng.sim.stats.comm_bytes
         points = max(eng.sim.stats.coherency_points, 1)
         assert total / points <= est.est_exchange_volume_a2a_bytes + 1e-9

@@ -43,13 +43,16 @@ class TestBarChart:
 
 class TestTimelinePlot:
     def test_empty_trace(self):
-        assert "no trace" in timeline_plot([])
+        from repro.obs import Tracer
+
+        assert "no trace" in timeline_plot(None)
+        assert "no trace" in timeline_plot(Tracer())
 
     def test_engine_trace_renders(self):
         import repro
 
         r = repro.run("road-ca-mini", "cc", machines=4, trace=True)
-        text = timeline_plot(r.stats.timeline)
+        text = timeline_plot(r.trace)
         assert "supersteps:" in text
         assert "active" in text
         assert "lazy" in text  # lazy-block traces carry do_local
@@ -62,5 +65,5 @@ class TestTimelinePlot:
             "road-ca-mini", "cc", engine="powergraph-sync",
             machines=4, trace=True,
         )
-        text = timeline_plot(r.stats.timeline)
+        text = timeline_plot(r.trace)
         assert "lazy" not in text

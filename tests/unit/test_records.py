@@ -218,10 +218,10 @@ class TestRoundTripPerKind:
         from repro.obs.records import trace_from_tracer
 
         tracer = Tracer()
-        with tracer.span("superstep", category="superstep"):
+        with tracer.span("superstep", category="superstep") as ss:
             with tracer.span("gather", category="phase"):
                 tracer.instant("probe", x=1)
-                tracer.counter("active_vertices", 3)
+            ss.set(active=3)
         tracer.finish(engine="toy")
         path = tmp_path / "nested" / "run.jsonl"  # parent dir is created
         export_trace(tracer, str(path), "jsonl")

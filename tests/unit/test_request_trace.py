@@ -196,6 +196,10 @@ class TestServeTraceEndToEnd:
             analysis["bootstrap_s"] + analysis["supersteps_s"]
             + analysis["untracked_s"]
         ) == pytest.approx(modeled, rel=1e-9, abs=1e-12)
+        # a served run is traced through tracer=, never trace=True: its
+        # superstep spans carry active all the same
+        actives = [row["active"] for row in analysis["supersteps"]]
+        assert actives and None not in actives and actives[-1] == 0
         assert extract_run(trace, run["attrs"]["run_id"] + 1).spans == []
 
     def test_one_record_per_request_and_per_run(self, session, tmp_path):
