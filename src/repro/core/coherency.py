@@ -23,6 +23,20 @@ with the fitted time curves and picks the cheaper (§4.2.2).
 Partial exchanges (used by LazyVertexAsync) are supported: only
 *participating* replicas contribute and clear their deltas; every
 replica of an exchanged vertex still receives the participants' data.
+
+A *full* exchange (``participants=None``, what LazyBlockAsync runs)
+stages every replicated delta, so it always ends with every
+``has_delta`` down and every ``deltaMsg`` at the identity: it clears
+with two ``fill`` calls per runtime. Over a SUM algebra it also delivers
+by streaming each runtime's slots — ``msg += total[v] − deltaMsg`` and
+``has_msg |= count[v] > has_delta`` — instead of gathering the
+receivers: where no other replica contributed the added term is
+exactly +0.0 (``0 − 0``, or ``t − t`` for the slot's own finite delta),
+and a SUM buffer never holds -0.0, so ``msg`` keeps its bits
+(:mod:`repro.runtime.machine_runtime`, "Identity padding").
+Unreplicated slots are zeroed first. A batch with a non-finite staged
+delta (``inf − inf`` is NaN), partial exchanges and idempotent algebras
+deliver to the gathered receivers only.
 """
 
 from __future__ import annotations
@@ -42,7 +56,7 @@ from repro.comms import (
     delta_schema,
 )
 from repro.errors import EngineError
-from repro.kernels.segment_reduce import scatter_reduce
+from repro.kernels.segment_reduce import monoid_kind, scatter_reduce
 from repro.obs.lens import NULL_LENS
 from repro.obs.tracer import NULL_TRACER
 from repro.partition.partitioned_graph import PartitionedGraph
@@ -51,6 +65,8 @@ from repro.runtime.machine_runtime import MachineRuntime
 __all__ = ["CoherencyExchanger", "ExchangeReport", "no_participants"]
 
 ParticipantFn = Callable[[MachineRuntime], np.ndarray]
+
+_POS_ZERO = np.float64(0.0).tobytes()
 
 
 def no_participants(rt: MachineRuntime) -> np.ndarray:
@@ -139,6 +155,17 @@ class CoherencyExchanger:
         # which have none
         self._replicated = [rt.mg.num_replicas > 1 for rt in runtimes]
         self._solo = [~replicated for replicated in self._replicated]
+        # a full exchange over a SUM algebra delivers by streaming every
+        # slot (_deliver_streaming); it zeroes the solo slots' deltas by
+        # index first
+        alg = program.algebra
+        self._stream = (
+            self._shared is None
+            and monoid_kind(alg) == "sum"
+            and alg.inverse_ufunc is np.subtract
+            and np.float64(alg.identity).tobytes() == _POS_ZERO
+        )
+        self._solo_idx = [np.flatnonzero(solo) for solo in self._solo]
 
     @property
     def mode_switches(self) -> int:
@@ -213,10 +240,11 @@ class CoherencyExchanger:
         all_gids = np.concatenate(
             [rt.mg.vertices[idx] for rt, idx in zip(self.runtimes, part_idx)]
         )
+        full = participants is None
         if all_gids.size == 0:
             # still clear deltas of unreplicated vertices
             for rt, solo in zip(self.runtimes, self._solo):
-                rt.clear_deltas(np.flatnonzero(rt.has_delta & solo))
+                rt.clear_deltas(None if full else np.flatnonzero(rt.has_delta & solo))
             return ExchangeReport(
                 CommMode.ALL_TO_ALL, 0.0, 0, 0.0, 0.0, 0
             )
@@ -265,6 +293,55 @@ class CoherencyExchanger:
         )
 
         # ---- deliver: every replica folds the others' combined delta --
+        # a non-finite staged delta makes the sum non-finite (so may an
+        # overflowing finite batch: it takes the index path too)
+        if full and self._stream and np.isfinite(all_deltas.sum()):
+            self._deliver_streaming(total, cnt)
+        else:
+            self._deliver_indexed(total, cnt, part_idx, full)
+        if full:
+            # every replicated delta was staged and delivered, and
+            # unreplicated ones have no peers to inform
+            for rt in self.runtimes:
+                rt.clear_deltas(None)
+
+        return ExchangeReport(
+            mode=mode,
+            volume_bytes=volume,
+            messages=messages,
+            volume_a2a_bytes=vol_a2a,
+            volume_m2m_bytes=vol_m2m,
+            vertices_exchanged=int(exchanged.size),
+        )
+
+    def _deliver_streaming(self, total: np.ndarray, cnt: np.ndarray) -> None:
+        """Full SUM delivery over every slot, no receiver index.
+
+        A replica receives when more replicas contributed than itself,
+        and folds ``total − own`` with ``own`` its ``deltaMsg``. Where no
+        other replica contributed that term is exactly +0.0 — ``0 − 0``,
+        or ``t − t`` for its own finite delta ``t`` — and adding +0.0
+        leaves ``msg`` bit for bit (a SUM buffer never holds -0.0;
+        ``repro.runtime.machine_runtime``). Receivers get the very
+        ``total − own`` and ``+`` of the index path. Unreplicated slots
+        are zeroed first: no peer contributes to them.
+        """
+        ident = self.program.algebra.identity
+        for rt, solo in zip(self.runtimes, self._solo_idx):
+            gids = rt.mg.vertices
+            rt.has_msg |= cnt[gids] > rt.has_delta
+            rt.delta_msg[solo] = ident
+            incoming = total[gids]
+            incoming -= rt.delta_msg
+            rt.msg += incoming
+
+    def _deliver_indexed(
+        self, total: np.ndarray, cnt: np.ndarray, part_idx: List[np.ndarray],
+        full: bool,
+    ) -> None:
+        """Deliver to the gathered receivers only: partial exchanges,
+        idempotent algebras and non-finite staged deltas."""
+        alg = self.program.algebra
         for mi, (rt, idx) in enumerate(zip(self.runtimes, part_idx)):
             gids_all = rt.mg.vertices
             c = cnt[gids_all]
@@ -295,17 +372,9 @@ class CoherencyExchanger:
                 recv, incoming = touched[others], exchanged_here[others]
             rt.msg[recv] = alg.combine(rt.msg[recv], incoming)
             rt.has_msg[recv] = True
-            # participants' deltas are now delivered; unreplicated
-            # vertices have no peers to inform (their messages were
-            # applied locally), so theirs are dead weight either way
-            rt.clear_deltas(idx)
-            rt.clear_deltas(np.flatnonzero(rt.has_delta & self._solo[mi]))
-
-        return ExchangeReport(
-            mode=mode,
-            volume_bytes=volume,
-            messages=messages,
-            volume_a2a_bytes=vol_a2a,
-            volume_m2m_bytes=vol_m2m,
-            vertices_exchanged=int(exchanged.size),
-        )
+            if not full:
+                # participants' deltas are now delivered; unreplicated
+                # vertices have no peers to inform (their messages were
+                # applied locally), so theirs are dead weight either way
+                rt.clear_deltas(idx)
+                rt.clear_deltas(np.flatnonzero(rt.has_delta & self._solo[mi]))

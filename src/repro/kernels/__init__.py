@@ -13,8 +13,9 @@ The bigger structural win lives in :class:`~repro.kernels.csr.CSRPlan`:
 cached CSR flatten structures (edge order, per-source slices, per-slot
 counts, scratch buffers) and the frontier-adaptive sparse/dense sweep
 decision used by
-:class:`~repro.runtime.machine_runtime.MachineRuntime` — dense sweeps
-skip the per-call ``repeat``/``cumsum``/``arange`` flatten entirely.
+:class:`~repro.runtime.machine_runtime.MachineRuntime` — a dense sweep
+visits every edge, pads the frontier's complement with the ⊕-identity
+and computes no positions at all.
 
 Sweep selection is governed by the process-wide :class:`KernelConfig`
 (:func:`configured` temporarily overrides it; ``mode="generic"``

@@ -43,7 +43,7 @@ class KernelConfig:
         frontier covers at least this fraction of local edges.
     dense_min_edges:
         Dense sweeps need at least this many local edges to be worth
-        the O(E) masking.
+        the O(E) sweep.
     """
 
     mode: str = "auto"

@@ -15,12 +15,15 @@ flatten's ``arange`` is built per call rather than cached per edge.
 :meth:`CSRPlan.select` is the push/pull-style mode switch: when the
 frontier's edges cover enough of the local CSR (the
 ``dense_sweep_fraction`` tunable), expanding per-vertex ranges costs
-more than sweeping the whole edge list with a boolean mask (or, for a
-full frontier, no mask at all), so the plan returns the dense selection
-instead of the sparse flatten. Positions are always returned in
-sorted-key order restricted to the frontier — the same edge order the
-sparse flatten produces for ascending ``idx`` — so downstream folds are
-bit-identical across modes.
+more than sweeping the whole edge list, so the plan returns a dense
+selection — no positions at all — instead of the sparse flatten. A
+dense sweep visits *every* edge in sorted order; the delta runtime pads
+the skipped sources with the ⊕-identity, and what it needs of the
+skipped edges (which targets they alone reach) comes from
+:meth:`CSRPlan.complement`, the sparse flatten of the frontier's
+complement. Sparse positions are in sorted-key order restricted to the
+frontier, the same edge order a dense sweep folds in, so downstream
+folds are bit-identical across modes.
 """
 
 from __future__ import annotations
@@ -76,18 +79,15 @@ class CSRPlan:
         self.num_edges = int(order.size)
         # slots that own at least one edge — the full sweep's touched set
         self.nonempty_slots = np.flatnonzero(self.counts > 0)
-        self._mask_scratch = np.zeros(n, dtype=bool)
+        self._mask_scratch = np.empty(n, dtype=bool)
         self.dst_sorted: Optional[np.ndarray] = None
         self.dst_counts_full: Optional[np.ndarray] = None
-        self.dst_targets: Optional[np.ndarray] = None
         if dst is not None:
             ds = dst[order]
             self.dst_sorted = ds
-            # per-target contribution counts of a full sweep, for the
-            # fold-once/apply-twice sum path (apply_segment_sums)
+            # per-target in-edge counts: a dense sweep's target is
+            # touched when this exceeds its count over the skipped edges
             self.dst_counts_full = np.bincount(ds, minlength=n).astype(np.int64)
-            # targets a full sweep touches, ascending (for has_msg flags)
-            self.dst_targets = np.flatnonzero(self.dst_counts_full[:n] > 0)
 
     # ------------------------------------------------------------------
     def _expand(
@@ -121,15 +121,16 @@ class CSRPlan:
         * ``mode == "sparse"`` — ``pos`` are the frontier's edge
           positions from :meth:`flatten`, ``counts`` the per-vertex
           edge counts (for ``np.repeat``-style payload expansion);
-        * ``mode == "dense"`` — ``pos`` from one boolean sweep over the
-          whole CSR (``counts`` is None; expand payloads via a full
-          per-slot array instead);
-        * ``mode == "dense-full"`` — the frontier covers every edge;
-          ``pos`` is None meaning "all edges in sorted order".
+        * ``mode == "dense"`` — the frontier covers at least
+          ``dense_sweep_fraction`` of the edges: sweep every edge in
+          sorted order (``pos`` and ``counts`` are None; the skipped
+          edges are :meth:`complement`'s);
+        * ``mode == "dense-full"`` — the dense case whose complement is
+          empty: the frontier covers every edge.
 
         ``idx`` must be sorted ascending (every engine frontier is — it
-        comes from ``np.flatnonzero``) so that all three modes emit
-        edges in the same order.
+        comes from ``np.flatnonzero``) so that sparse positions follow
+        sorted-edge order, the order a dense sweep folds in.
         """
         cfg = get_config()
         counts = self.counts[idx]
@@ -144,10 +145,22 @@ class CSRPlan:
         if not dense_ok:
             pos = self._expand(self.indptr[idx], counts, total)
             return SPARSE, pos, counts, total
-        if total == self.num_edges:
-            return DENSE_FULL, None, None, total
-        mask = self._mask_scratch
-        mask[:] = False
-        mask[idx] = True
-        pos = np.flatnonzero(mask[self.key_sorted])
-        return DENSE, pos, None, total
+        mode = DENSE_FULL if total == self.num_edges else DENSE
+        return mode, None, None, total
+
+    def complement(self, idx: np.ndarray, total: int) -> np.ndarray:
+        """Sorted positions of the edges whose source is *not* in ``idx``.
+
+        The sparse flatten of the frontier's complement: the edges a
+        dense sweep over ``idx`` pads with the ⊕-identity. ``total`` is
+        the frontier's edge count (:meth:`select`'s), so the result has
+        ``num_edges - total`` entries — none for a full frontier.
+        """
+        rest = self.num_edges - total
+        if rest == 0:
+            return np.empty(0, dtype=np.int64)
+        outside = self._mask_scratch
+        outside.fill(True)
+        outside[idx] = False
+        comp = np.flatnonzero(outside)
+        return self._expand(self.indptr[comp], self.counts[comp], rest)

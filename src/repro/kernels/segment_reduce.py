@@ -11,11 +11,16 @@ there is nothing to dispatch on. It returns a kernel label only because
 
 Fold once, apply twice
 ----------------------
-The one structured path that does win is a *full* sum sweep feeding two
-buffers (``message`` and ``deltaMsg``): one ``np.bincount`` computes the
-per-slot sums, and :func:`apply_segment_sums` adds them into each
-buffer. That must stay **bit-identical** to ``np.add.at`` even though
-floating-point addition does not reassociate. It leans on two facts:
+The one structured path left is the *full* sum sweep (every local
+source fires, ``dense-full``) feeding two buffers (``message`` and
+``deltaMsg``): one ``np.bincount`` computes the per-slot sums, and
+:func:`apply_segment_sums` adds them into each buffer. It no longer
+wins: on a ``pagerank_powerlaw`` block two ``np.add.at`` are faster at
+bootstrap state and about 5× faster on a mid-run buffer, where the
+residual refold below dominates (``docs/performance.md``, "Fold once,
+apply twice", has the numbers and why it stays). It must stay
+**bit-identical** to ``np.add.at`` even though floating-point addition
+does not reassociate. It leans on two facts:
 
 * ``np.bincount`` accumulates each bin *sequentially in input order*,
   exactly the per-slot order ``np.add.at`` uses; and
@@ -88,8 +93,8 @@ def apply_segment_sums(
     provably exact (see module docstring) take the O(n) vectorized add;
     the rest re-fold their elements through ``np.add.at``. Computing
     ``sums`` once and applying it to several buffers is the
-    fold-once/apply-twice path the dense sweep uses for ``message`` and
-    ``deltaMsg``.
+    fold-once/apply-twice path the full (``dense-full``) sweep uses for
+    ``message`` and ``deltaMsg``.
     """
     n = buf.size
     counts = counts[:n]
@@ -117,9 +122,9 @@ def segment_sum(idx: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
     if idx.size == 0:
         return np.zeros(n, dtype=np.float64)
     if get_config().mode == "generic":
-        out = np.zeros(n, dtype=np.float64)
-        np.add.at(out, idx, values)
-        return out
+        folded = np.zeros(n, dtype=np.float64)
+        np.add.at(folded, idx, values)
+        return folded
     out = np.bincount(idx, weights=values, minlength=n)
     if out.size > n:
         raise IndexError(

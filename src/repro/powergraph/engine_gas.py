@@ -13,7 +13,7 @@ in ``benchmarks/bench_gas_baseline.py``).
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Optional
 
 import numpy as np
 
@@ -57,10 +57,25 @@ class _GASMachine:
         """Local per-replica values (the generic result-collection view)."""
         return self.program.values(self.mg, self.state)
 
-    def _edges_of(self, plan: CSRPlan, idx: np.ndarray) -> np.ndarray:
+    @staticmethod
+    def _positions(plan: CSRPlan, idx: np.ndarray) -> Optional[np.ndarray]:
+        """Sorted positions of ``idx``'s edges (``None``: every edge).
+
+        A dense selection carries no positions (the delta runtime sweeps
+        every edge); the pull engine compacts its frontier's edges out
+        of one boolean mask over the sorted keys instead.
+        """
         mode, pos, _counts, total = plan.select(idx)
         if total == 0:
             return np.empty(0, dtype=np.int64)
+        if mode == "dense":
+            mask = np.zeros(plan.num_slots, dtype=bool)
+            mask[idx] = True
+            pos = np.flatnonzero(mask[plan.key_sorted])
+        return pos
+
+    def _edges_of(self, plan: CSRPlan, idx: np.ndarray) -> np.ndarray:
+        pos = self._positions(plan, idx)
         if pos is None:  # dense-full sweep: every local edge
             return plan.eorder
         return plan.eorder[pos]
@@ -78,8 +93,8 @@ class _GASMachine:
         if idx.size == 0:
             return np.empty(0, dtype=np.int64), np.empty(0), 0
         plan = self.in_plan
-        mode, pos, _counts, total = plan.select(idx)
-        if total == 0:
+        pos = self._positions(plan, idx)
+        if pos is not None and pos.size == 0:
             return np.empty(0, dtype=np.int64), np.empty(0), 0
         if pos is None:  # dense-full: every local in-edge, sorted by target
             e_sel = plan.eorder

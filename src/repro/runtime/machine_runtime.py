@@ -7,9 +7,10 @@ variables kept for every replica ``v`` on every machine —
 * ``msg`` / ``has_msg``      — ``message[v]``, the ⊕-accumulated inbox,
 * ``delta_msg`` / ``has_delta`` — ``deltaMsg[v]``, the one-edge-received
   accumulation forwarded at coherency points (``delta_msg`` holds the
-  ⊕-identity wherever ``has_delta`` is unset: every fold sets the flag
-  and ``clear_deltas`` resets both; the exchange's ``Inverse`` delivery
-  relies on it),
+  ⊕-identity wherever ``has_delta`` is unset: a fold that reaches a
+  slot sets its flag, a padded sweep adds only the identity elsewhere,
+  and ``clear_deltas`` resets both; the exchange's deliveries rely on
+  it),
 * ``has_msg`` doubling as ``isActive[v]`` (a vertex with a pending
   message is exactly a vertex scheduled to run Apply)
 
@@ -26,22 +27,40 @@ All CSR flatten structures — edge order, per-source slices, per-target
 counts, scratch buffers — are precomputed once at construction in a
 :class:`~repro.kernels.csr.CSRPlan`. ``scatter`` is
 *frontier-adaptive*: sparse frontiers expand per-vertex edge ranges,
-dense frontiers sweep the whole local CSR (the push/pull-style mode
-switch) with zero per-call index arithmetic. Three further fusions make
-the dense sweep fast:
+dense frontiers sweep *every* local edge (the push/pull-style mode
+switch) with no position compaction. Programs that declare an
+:meth:`~repro.api.vertex_program.DeltaProgram.edge_transform` skip the
+per-call edge-id gather and ``edge_message`` call: a per-edge operand is
+hoisted into sorted edge order once, and a per-source one (PageRank's
+``Δ / outDeg``) is applied to the |frontier| out-deltas *before* they
+are expanded to edges. The parallel-edge mask is pre-inverted (and
+skipped entirely when no parallel edges exist, the common case).
 
-* programs that declare an :meth:`~repro.api.vertex_program.DeltaProgram.
-  edge_transform` skip the per-call edge-id gather and ``edge_message``
-  call: a per-edge operand is hoisted into sorted edge order once, and a
-  per-source one (PageRank's ``Δ / outDeg``) is applied to the
-  |frontier| out-deltas *before* they are expanded to edges;
-* the parallel-edge mask is pre-inverted (and skipped entirely when no
-  parallel edges exist, the common case); a tracked partial dense sweep
-  over one-edge-only edges marks its targets once, in one ``bool[n]``
-  touched mask OR-ed into both ``has_msg`` and ``has_delta``;
-* a full sweep folds each target segment **once** and applies the
-  segment aggregates to both ``msg`` and ``deltaMsg``
-  (fold-once/apply-twice, see :mod:`repro.kernels.segment_reduce`).
+Identity padding
+----------------
+A dense sweep writes the frontier's transformed deltas into a per-source
+payload filled with the ⊕-identity, gathers it along every edge and
+folds it with one ``ufunc.at`` per buffer: the frontier's complement
+contributes the identity. That is bit-identical to folding the
+frontier's edges alone, because of two facts:
+
+* a SUM buffer starts at +0.0 and only ever receives ⊕-folds (resets go
+  back to +0.0), and ``x + y`` is -0.0 only when both are -0.0 — so no
+  ``msg`` / ``delta_msg`` slot ever holds -0.0, and ``x + 0.0`` returns
+  ``x`` bit for bit (``min(x, +inf)`` / ``max(x, -inf)`` always do);
+* padding is used only where the edge transform maps the identity to
+  itself: SUM with ``identity`` / ``divide_source`` (the divide runs per
+  frontier source, before padding), MIN / MAX with ``identity`` or with
+  ``add`` over finite operands, checked once per runtime. Every other
+  program, and ``mode="generic"``, sweeps sparse.
+
+Flags come from the complement: a target is touched when its in-edge
+count (``dst_counts_full``) exceeds one ``bincount`` over the edges of
+the frontier's complement (:meth:`~repro.kernels.csr.CSRPlan.complement`);
+``has_delta`` counts one-edge edges only, as the ``deltaMsg`` fold
+folds them only. An empty complement (``dense-full``) folds each target
+segment once and applies the aggregates to both buffers
+(:meth:`MachineRuntime._fold_segments_once`).
 
 All ⊕-folds are bit-identical to the historical per-call-flatten +
 ``ufunc.at`` spelling (``mode="generic"`` pins that baseline). Sweep
@@ -80,6 +99,7 @@ from repro.api.vertex_program import DeltaProgram
 from repro.errors import AlgorithmError
 from repro.kernels import CSRPlan, KernelStats, apply_segment_sums
 from repro.kernels.config import get_config
+from repro.kernels.csr import SPARSE
 from repro.kernels.segment_reduce import monoid_kind, scatter_reduce
 from repro.obs.tracer import NULL_TRACER
 from repro.partition.partitioned_graph import MachineGraph
@@ -87,6 +107,10 @@ from repro.partition.partitioned_graph import MachineGraph
 __all__ = ["MachineRuntime"]
 
 _TRANSFORM_OPS = ("identity", "add", "divide_source")
+# the ⊕-identities a dense sweep may pad with, per monoid kind
+_PAD_IDENTITY = {
+    "sum": np.float64(0.0), "min": np.float64(np.inf), "max": np.float64(-np.inf),
+}
 
 
 class MachineRuntime:
@@ -126,19 +150,25 @@ class MachineRuntime:
             self.out_plan = plan
         else:
             self.out_plan = CSRPlan(mg.esrc, n, dst=mg.edst)
-        self._epar_sorted = mg.eparallel[self.out_plan.eorder]
-        self._one_edge_sorted = ~self._epar_sorted
+        self._one_edge_sorted = ~mg.eparallel[self.out_plan.eorder]
         self._all_one_edge = bool(self._one_edge_sorted.all())
+        # per-target one-edge in-edge counts: has_delta's side of a
+        # dense sweep's complement flags
+        self._one_edge_in = self.out_plan.dst_counts_full
+        if not self._all_one_edge:
+            self._one_edge_in = np.bincount(
+                self.out_plan.dst_sorted[np.flatnonzero(self._one_edge_sorted)],
+                minlength=n,
+            )
         self._kind = monoid_kind(self.algebra)
         self._init_transform(program, mg)
-        # reusable scratch: take_ready accums, dense-sweep per-source
-        # deltas (only fired sources' slots are ever read back), the
-        # per-target segment aggregates of the fold-once/apply-twice path,
-        # and the dense sweep's touched-target mask
+        self._pad = self._padding_exact()
+        # reusable scratch: take_ready accums, the dense sweep's
+        # identity-padded per-source payload and the per-target segment
+        # aggregates of the empty-complement min/max fold
         self._accum_scratch = np.empty(n, dtype=np.float64)
         self._delta_scratch = np.empty(n, dtype=np.float64)
         self._seg_scratch = np.empty(n, dtype=np.float64)
-        self._touched_scratch = np.empty(n, dtype=bool)
         self.kernel_stats = KernelStats()
         self._last_sweep_mode: str = ""
 
@@ -185,6 +215,30 @@ class MachineRuntime:
                     f"per-local-edge, got shape {operand.shape}"
                 )
             self._tf_operand = operand[self.out_plan.eorder]
+
+    def _padding_exact(self) -> bool:
+        """Whether the edge transform maps the ⊕-identity to itself, so a
+        dense sweep may pad the frontier's complement with it.
+
+        SUM with ``identity`` / ``divide_source`` (the divide runs per
+        frontier source, before padding); MIN / MAX with ``identity``, or
+        with ``add`` over finite operands (``±inf + w == ±inf``). The
+        identity itself must be the canonical one (+0.0, not -0.0).
+        """
+        kind = self._kind
+        ident = _PAD_IDENTITY.get(kind)
+        if ident is None or self._tf_op is None:
+            return False
+        if np.float64(self.algebra.identity).tobytes() != ident.tobytes():
+            return False
+        if self._tf_op == "identity":
+            return True
+        if kind == "sum":
+            return self._tf_op == "divide_source"
+        x = self._tf_operand
+        return self._tf_op == "add" and x is not None and bool(
+            np.isfinite(x).all()
+        )
 
     # ------------------------------------------------------------------
     @property
@@ -308,24 +362,15 @@ class MachineRuntime:
         mode, pos, counts, total = plan.select(idx)
         if total == 0:
             return 0
+        if pos is None and not self._pad:
+            # identity padding would not be exact for this program
+            pos, counts = plan.flatten(idx)
+            mode = SPARSE
         divisor = self._src_divisor
         if divisor is not None and get_config().mode != "generic":
             # one divide per frontier vertex instead of per edge: the same
             # operands through the same IEEE op, so bit-identical
             delta_out = delta_out / divisor[idx]
-        if counts is not None:  # sparse: expand payload per-vertex range
-            delta_per_edge = np.repeat(delta_out, counts)
-        else:  # dense: payload via a full per-source slot array
-            dfull = self._delta_scratch
-            dfull[idx] = delta_out
-            keys = plan.key_sorted if pos is None else plan.key_sorted[pos]
-            delta_per_edge = dfull[keys]
-        msgv = self._edge_messages(pos, delta_per_edge)
-        one_edge_mask = (
-            None
-            if self._all_one_edge
-            else (self._one_edge_sorted if pos is None else self._one_edge_sorted[pos])
-        )
         if mode != self._last_sweep_mode:
             self._last_sweep_mode = mode
             self.tracer.instant(
@@ -336,102 +381,99 @@ class MachineRuntime:
                 frontier_edges=total,
                 local_edges=plan.num_edges,
             )
-        # ---- inbox (+ deltaMsg) fold -----------------------------------
         if pos is None:
-            kernel = self._fold_full_sweep(msgv, one_edge_mask, track_delta)
+            kernel = self._padded_sweep(idx, delta_out, total, track_delta)
         else:
-            tgt = plan.dst_sorted[pos]
-            kernel = scatter_reduce(self.algebra, self.msg, tgt, msgv)
-            if mode == "dense" and track_delta and one_edge_mask is None:
-                # mark the targets once and OR the mask into both flag
-                # arrays (an O(n) OR beats a second |edges| index write
-                # here; sparse wavefronts keep their index writes)
-                scatter_reduce(self.algebra, self.delta_msg, tgt, msgv)
-                touched = self._touched_scratch
-                touched.fill(False)
-                touched[tgt] = True
-                self.has_msg |= touched
-                self.has_delta |= touched
-            else:
-                self.has_msg[tgt] = True
-                if track_delta:
-                    if one_edge_mask is None:
-                        t1, m1 = tgt, msgv
-                    else:
-                        k = np.flatnonzero(one_edge_mask)
-                        t1, m1 = tgt[k], msgv[k]
-                    if t1.size:
-                        scatter_reduce(self.algebra, self.delta_msg, t1, m1)
-                        self.has_delta[t1] = True
+            kernel = self._sparse_sweep(pos, counts, delta_out, track_delta)
         self.kernel_stats.add(f"scatter/{mode}/{kernel}", time.perf_counter() - t0)
         return total
 
-    def _fold_full_sweep(
-        self, msgv: np.ndarray, one_edge_mask, track_delta: bool
+    def _sparse_sweep(
+        self, pos: np.ndarray, counts: np.ndarray, delta_out: np.ndarray,
+        track_delta: bool,
     ) -> str:
-        """Fold a full-CSR sweep's messages using plan-precomputed structure.
+        """Fold the frontier's own edges (``pos``, sorted positions)."""
+        msgv = self._edge_messages(pos, np.repeat(delta_out, counts))
+        tgt = self.out_plan.dst_sorted[pos]
+        kernel = scatter_reduce(self.algebra, self.msg, tgt, msgv)
+        self.has_msg[tgt] = True
+        if track_delta:
+            if self._all_one_edge:
+                t1, m1 = tgt, msgv
+            else:
+                k = np.flatnonzero(self._one_edge_sorted[pos])
+                t1, m1 = tgt[k], msgv[k]
+            if t1.size:
+                scatter_reduce(self.algebra, self.delta_msg, t1, m1)
+                self.has_delta[t1] = True
+        return kernel
 
-        Each target segment is reduced **once**; the aggregates are then
-        applied to ``msg`` and (when every edge is one-edge-mode, the
-        common case) re-applied to ``delta_msg`` — both bit-identical to
-        the per-edge ``ufunc.at`` fold since segment contributions stay
-        in sorted-edge (= historical) order.
+    def _padded_sweep(
+        self, idx: np.ndarray, delta_out: np.ndarray, total: int,
+        track_delta: bool,
+    ) -> str:
+        """Fold every local edge, the frontier's complement padded with
+        the ⊕-identity (exact: see the module docstring).
+
+        A target is flagged when more of its in-edges exist than the
+        complement's edges account for; ``has_delta`` counts one-edge
+        edges only, and so does the ``deltaMsg`` fold.
         """
         plan = self.out_plan
         alg = self.algebra
-        targets = plan.dst_targets
-        if self._kind in ("min", "max"):
-            # fold every target segment once into identity-filled scratch
-            # (indexed ufunc.at loop), then apply the per-slot aggregates
-            # to both buffers with O(n) ops — sound because min/max are
-            # exact under regrouping
-            seg = self._seg_scratch
-            seg.fill(alg.identity)
-            alg.ufunc.at(seg, plan.dst_sorted, msgv)
-            self.msg[targets] = alg.ufunc(self.msg[targets], seg[targets])
-            self.has_msg[targets] = True
-            if track_delta:
-                if one_edge_mask is None:
-                    self.delta_msg[targets] = alg.ufunc(
-                        self.delta_msg[targets], seg[targets]
-                    )
-                    self.has_delta[targets] = True
-                else:
-                    self._fold_delta_subset(one_edge_mask, msgv)
-            return "minmax_shared"
-        if self._kind == "sum":
-            sums = np.bincount(
-                plan.dst_sorted, weights=msgv, minlength=plan.num_slots
+        payload = self._delta_scratch
+        payload.fill(alg.identity)
+        payload[idx] = delta_out
+        msgv = self._edge_messages(None, payload[plan.key_sorted])
+        tgt = plan.dst_sorted
+        delta_too = track_delta and self._all_one_edge
+        if total == plan.num_edges:
+            kernel = self._fold_segments_once(msgv, delta_too)
+        else:
+            kernel = scatter_reduce(alg, self.msg, tgt, msgv)
+            if delta_too:
+                scatter_reduce(alg, self.delta_msg, tgt, msgv)
+        if track_delta and not self._all_one_edge:
+            k = np.flatnonzero(self._one_edge_sorted)
+            scatter_reduce(alg, self.delta_msg, tgt[k], msgv[k])
+        skipped = plan.complement(idx, total)
+        n = plan.num_slots
+        touched = plan.dst_counts_full > np.bincount(tgt[skipped], minlength=n)
+        self.has_msg |= touched
+        if delta_too:
+            self.has_delta |= touched
+        elif track_delta:
+            k = np.flatnonzero(self._one_edge_sorted[skipped])
+            self.has_delta |= self._one_edge_in > np.bincount(
+                tgt[skipped[k]], minlength=n
             )
-            cnts = plan.dst_counts_full
-            apply_segment_sums(self.msg, sums, cnts, plan.dst_sorted, msgv)
-            self.has_msg[targets] = True
-            if track_delta:
-                if one_edge_mask is None:
-                    apply_segment_sums(
-                        self.delta_msg, sums, cnts, plan.dst_sorted, msgv
-                    )
-                    self.has_delta[targets] = True
-                else:
-                    self._fold_delta_subset(one_edge_mask, msgv)
-            return "bincount_shared"
-        kernel = scatter_reduce(alg, self.msg, plan.dst_sorted, msgv)
-        self.has_msg[targets] = True
-        if track_delta:
-            if one_edge_mask is None:
-                scatter_reduce(alg, self.delta_msg, plan.dst_sorted, msgv)
-                self.has_delta[targets] = True
-            else:
-                self._fold_delta_subset(one_edge_mask, msgv)
         return kernel
 
-    def _fold_delta_subset(self, one_edge_mask: np.ndarray, msgv: np.ndarray):
-        """deltaMsg fold for a full sweep that crossed parallel edges."""
-        k = np.flatnonzero(one_edge_mask)
-        if k.size:
-            t1 = self.out_plan.dst_sorted[k]
-            scatter_reduce(self.algebra, self.delta_msg, t1, msgv[k])
-            self.has_delta[t1] = True
+    def _fold_segments_once(self, msgv: np.ndarray, delta_too: bool) -> str:
+        """The empty-complement fold: each target segment is reduced
+        **once**, and the aggregates are applied to ``msg`` and, with
+        ``delta_too``, to ``delta_msg`` — both bit-identical to the
+        per-edge ``ufunc.at`` fold (:mod:`repro.kernels.segment_reduce`;
+        min/max are exact under regrouping, and a slot no edge reaches
+        holds the identity in the per-slot scratch).
+        """
+        plan = self.out_plan
+        alg = self.algebra
+        tgt = plan.dst_sorted
+        if self._kind == "sum":
+            sums = np.bincount(tgt, weights=msgv, minlength=plan.num_slots)
+            cnts = plan.dst_counts_full
+            apply_segment_sums(self.msg, sums, cnts, tgt, msgv)
+            if delta_too:
+                apply_segment_sums(self.delta_msg, sums, cnts, tgt, msgv)
+            return "bincount_shared"
+        seg = self._seg_scratch
+        seg.fill(alg.identity)
+        alg.ufunc.at(seg, tgt, msgv)
+        alg.ufunc(self.msg, seg, out=self.msg)
+        if delta_too:
+            alg.ufunc(self.delta_msg, seg, out=self.delta_msg)
+        return "minmax_shared"
 
     def take_ready(self) -> Tuple[np.ndarray, np.ndarray]:
         """Drain the inbox: (local indices, combined accums); inbox cleared.
@@ -475,8 +517,13 @@ class MachineRuntime:
         idx, accum = self.take_ready()
         return self.apply_and_scatter(idx, accum, track_delta=True)
 
-    def clear_deltas(self, idx: np.ndarray) -> None:
-        """Reset ``deltaMsg`` after a coherency exchange."""
+    def clear_deltas(self, idx: Optional[np.ndarray]) -> None:
+        """Reset ``deltaMsg`` after a coherency exchange: at ``idx``, or
+        everywhere (``None``, what a full exchange ends with)."""
+        if idx is None:
+            self.delta_msg.fill(self.algebra.identity)
+            self.has_delta.fill(False)
+            return
         self.delta_msg[idx] = self.algebra.identity
         self.has_delta[idx] = False
 

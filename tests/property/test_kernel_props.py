@@ -1,12 +1,14 @@
 """Property tests: kernel-layer bit-identity against ``ufunc.at``.
 
 The kernel package promises that every fold — ``scatter_reduce``, the
-fold-once/apply-twice sum primitives, the dense-sweep paths in
+fold-once/apply-twice sum primitives, the identity-padded dense sweep in
 :class:`~repro.runtime.machine_runtime.MachineRuntime` — is
 *bit-identical* to the historical per-call ``ufunc.at`` spelling, for
 every registered algebra, including empty scatters, duplicate indices,
-self-loops, and arbitrary pre-existing buffer contents (the residual
-path of ``apply_segment_sums``). These tests are the enforcement.
+self-loops, ±0.0, subnormal and negative deltas, frontiers that cover
+most of a block, and arbitrary pre-existing buffer contents (the
+residual path of ``apply_segment_sums``). These tests are the
+enforcement.
 """
 
 import numpy as np
@@ -128,9 +130,24 @@ def test_segment_sum_matches_add_at(s):
 # ----------------------------------------------------------------------
 # MachineRuntime.scatter: sweep modes are observationally identical
 # ----------------------------------------------------------------------
+# scattered deltas: the padding's edge cases — signed zeros (x + -0.0 is
+# x; -0.0 + +0.0 is +0.0), subnormals and negatives — beside any finite
+delta_cell = st.one_of(
+    finite,
+    st.just(0.0),
+    st.just(-0.0),
+    st.just(5e-324),
+    st.just(-2.5e-310),
+    st.floats(min_value=-1e6, max_value=-1e-300),
+)
+
+
 @st.composite
 def scatter_runs(draw, max_n=7, max_m=20):
-    """A tiny graph (self-loops/duplicates allowed), a frontier, deltas."""
+    """A tiny graph (self-loops/duplicates allowed), a frontier, deltas.
+
+    Half the frontiers are grown until they cover 50–100 % of the
+    edges: the range a dense sweep pads."""
     n = draw(st.integers(min_value=2, max_value=max_n))
     m = draw(st.integers(min_value=1, max_value=max_m))
     src = draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m))
@@ -138,8 +155,15 @@ def scatter_runs(draw, max_n=7, max_m=20):
     mask = np.asarray(
         draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool
     )
+    cover = draw(st.sampled_from([None, 0.5, 0.75, 1.0]))
+    if cover is not None:
+        out_edges = np.bincount(src, minlength=n)
+        for v in draw(st.permutations(range(n))):
+            if out_edges[mask].sum() >= cover * m:
+                break
+            mask[v] = True
     deltas = np.asarray(
-        draw(st.lists(finite, min_size=int(mask.sum()),
+        draw(st.lists(delta_cell, min_size=int(mask.sum()),
                       max_size=int(mask.sum()))),
         dtype=np.float64,
     )
@@ -162,7 +186,9 @@ def _scatter_state(program_cls, n, src, dst, mask, deltas, track, cfg):
     )
     with configured(**cfg):
         rt = MachineRuntime(pg.machines[0], program_cls())
-        rt.scatter(np.flatnonzero(mask), deltas, track_delta=track)
+        # twice: the second sweep pads into buffers already off identity
+        for _ in range(2):
+            rt.scatter(np.flatnonzero(mask), deltas, track_delta=track)
     return (
         bits(rt.msg),
         bits(rt.delta_msg),

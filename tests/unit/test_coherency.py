@@ -166,6 +166,127 @@ class TestFullExchange:
                   engine=engine, machines=4, tolerance=1e-4)
         assert seen["exchanges"] > 3
 
+    @pytest.mark.parametrize("engine", ["lazy-block", "lazy-vertex"])
+    @pytest.mark.parametrize(
+        "alg,params",
+        [("pagerank", {"tolerance": 1e-4}),
+         ("ppr", {"seeds": (0, 5), "tolerance": 1e-4})],
+        ids=["pagerank", "ppr"],
+    )
+    def test_sum_buffers_never_hold_negative_zero(
+        self, engine, alg, params, monkeypatch
+    ):
+        # identity padding rests on it: x + 0.0 returns x bit for bit
+        # for every x but -0.0, and a SUM buffer that starts at +0.0 and
+        # only receives ⊕-folds never holds -0.0 — checked on both sides
+        # of every exchange of real runs
+        import repro
+        from repro.graph.generators import powerlaw_graph
+
+        seen = {"exchanges": 0}
+        inner = CoherencyExchanger.exchange
+
+        def no_negative_zero(runtimes):
+            for rt in runtimes:
+                for buf in (rt.msg, rt.delta_msg):
+                    assert not ((buf == 0.0) & np.signbit(buf)).any()
+
+        def checked(self, participants=None):
+            no_negative_zero(self.runtimes)
+            report = inner(self, participants)
+            no_negative_zero(self.runtimes)
+            seen["exchanges"] += 1
+            return report
+
+        monkeypatch.setattr(CoherencyExchanger, "exchange", checked)
+        repro.run(powerlaw_graph(300, 2_000, seed=3), alg,
+                  engine=engine, machines=4, **params)
+        assert seen["exchanges"] > 3
+
+    @pytest.mark.parametrize(
+        "alg,params",
+        [("pagerank", {"tolerance": 1e-4}), ("sssp", {"source": 0})],
+        ids=["sum", "min"],
+    )
+    def test_full_exchange_clears_every_delta(self, alg, params, monkeypatch):
+        # a lazy-block exchange is full: every replicated delta is staged
+        # and delivered, unreplicated ones have no peers, so it ends with
+        # every flag down and every deltaMsg at the identity
+        import repro
+        from repro.graph.generators import attach_uniform_weights, powerlaw_graph
+
+        seen = {"staged": 0}
+        inner = CoherencyExchanger.exchange
+
+        def checked(self, participants=None):
+            assert participants is None
+            seen["staged"] += sum(int(rt.has_delta.sum()) for rt in self.runtimes)
+            report = inner(self, participants)
+            ident = np.float64(self.program.algebra.identity).view(np.int64)
+            for rt in self.runtimes:
+                assert not rt.has_delta.any()
+                assert (rt.delta_msg.view(np.int64) == ident).all()
+            return report
+
+        monkeypatch.setattr(CoherencyExchanger, "exchange", checked)
+        graph = attach_uniform_weights(powerlaw_graph(300, 2_000, seed=3), seed=3)
+        repro.run(graph, alg, engine="lazy-block", machines=4, **params)
+        assert seen["staged"] > 0
+
+    def test_nonfinite_staged_delta_takes_the_index_path(self, monkeypatch):
+        # m0 alone stages inf for vertex 1: streaming would add
+        # inf - inf = NaN into m0's own slot; the index path leaves it be
+        prog = PageRankDeltaProgram()
+        g, pg, rts = two_machine_setup(prog)
+        m0, m1 = rts
+        i1 = int(np.flatnonzero(m0.mg.vertices == 1)[0])
+        j1 = int(np.flatnonzero(m1.mg.vertices == 1)[0])
+        m0.delta_msg[i1] = np.inf
+        m0.has_delta[i1] = True
+        ex = CoherencyExchanger(pg, prog, rts)
+        paths = []
+        for name in ("_deliver_streaming", "_deliver_indexed"):
+            inner = getattr(ex, name)
+            monkeypatch.setattr(
+                ex, name,
+                lambda *a, _n=name, _f=inner: (paths.append(_n), _f(*a))[1],
+            )
+        ex.exchange()
+        assert paths == ["_deliver_indexed"]
+        assert not m0.has_msg[i1]
+        assert m0.msg[i1] == 0.0 and not np.signbit(m0.msg[i1])
+        assert m1.has_msg[j1] and m1.msg[j1] == np.inf
+        for rt in rts:
+            assert not rt.has_delta.any() and not rt.delta_msg.any()
+
+    def test_streaming_delivery_ignores_unreplicated_deltas(self, monkeypatch):
+        # a finite staged batch streams; an unreplicated slot's delta
+        # (here inf, which times zero would be NaN) adds nothing
+        prog = PageRankDeltaProgram()
+        g, pg, rts = two_machine_setup(prog)
+        m0, m1 = rts
+        i0 = int(np.flatnonzero(m0.mg.vertices == 0)[0])
+        j1 = int(np.flatnonzero(m1.mg.vertices == 1)[0])
+        m0.delta_msg[i0] = np.inf
+        m0.has_delta[i0] = True
+        m1.delta_msg[j1] = 0.5
+        m1.has_delta[j1] = True
+        ex = CoherencyExchanger(pg, prog, rts)
+        paths = []
+        inner = ex._deliver_streaming
+        monkeypatch.setattr(
+            ex, "_deliver_streaming", lambda *a: (paths.append(1), inner(*a))[1]
+        )
+        ex.exchange()
+        assert paths == [1]
+        i1 = int(np.flatnonzero(m0.mg.vertices == 1)[0])
+        assert m0.has_msg[i1] and m0.msg[i1] == 0.5
+        assert not m0.has_msg[i0] and m0.msg[i0] == 0.0
+        assert not m1.has_msg[j1] and m1.msg[j1] == 0.0
+        assert not np.signbit(m1.msg[j1])
+        for rt in rts:
+            assert not rt.has_delta.any() and not rt.delta_msg.any()
+
 
 class TestVolumes:
     def test_paper_volume_equations(self):

@@ -129,7 +129,6 @@ class TestCSRPlan:
         p = self.plan()
         assert p.dst_sorted.tolist() == [1, 2, 0, 0]
         assert p.dst_counts_full.tolist() == [2, 1, 1]
-        assert p.dst_targets.tolist() == [0, 1, 2]
 
     def test_select_sparse_small_frontier(self):
         p = self.plan()
@@ -146,13 +145,16 @@ class TestCSRPlan:
         assert (mode, pos, counts, total) == ("dense-full", None, None, 4)
 
     def test_select_dense_partial(self):
-        # 6 edges over 3 sources; frontier {0,1} covers 4/6 >= 0.5
+        # 6 edges over 3 sources; frontier {0,1} covers 4/6 >= 0.5: a
+        # dense selection carries no positions, the sweep covers every
+        # edge and the complement lists the skipped ones
         p = CSRPlan(np.array([0, 0, 1, 1, 2, 2]), 3)
         with configured(dense_min_edges=1, dense_sweep_fraction=0.5):
             mode, pos, counts, total = p.select(np.array([0, 1]))
-        assert (mode, total) == ("dense", 4)
-        assert counts is None
-        assert p.key_sorted[pos].tolist() == [0, 0, 1, 1]
+        assert (mode, pos, counts, total) == ("dense", None, None, 4)
+        skipped = p.complement(np.array([0, 1]), total)
+        assert skipped.tolist() == [4, 5]
+        assert p.key_sorted[skipped].tolist() == [2, 2]
 
     def test_select_gates(self):
         p = self.plan()
@@ -383,6 +385,135 @@ class TestSweepModeFlags:
         assert dense.has_msg[[6, 7]].all()
         # reached only over parallel edges: a message but no deltaMsg
         assert dense.has_delta[6] == dense.has_delta[7] == (parallel is None)
+
+
+class TestComplementFlags:
+    """A padded dense sweep flags a target when its in-edges outnumber
+    the complement's; checked against a brute-force OR over the
+    frontier's own edges on random plans."""
+
+    @staticmethod
+    def _graph(seed, n=40, m=160, isolated=6):
+        # the last `isolated` vertices own no out-edges
+        rng = np.random.default_rng(seed)
+        src = rng.integers(0, n - isolated, m)
+        dst = rng.integers(0, n, m)
+        return DiGraph(n, src, dst), rng
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_complement_is_the_skipped_edges(self, seed):
+        g, rng = self._graph(seed)
+        p = CSRPlan(g.src, g.num_vertices, dst=g.dst)
+        for frontier in (
+            np.arange(g.num_vertices),              # empty complement
+            np.flatnonzero(rng.random(g.num_vertices) < 0.7),
+            np.arange(g.num_vertices - 6, g.num_vertices),  # no edges
+        ):
+            total = int(p.counts[frontier].sum())
+            skipped = p.complement(frontier, total)
+            expect = np.flatnonzero(~np.isin(p.key_sorted, frontier))
+            assert skipped.tolist() == expect.tolist()
+
+    @pytest.mark.parametrize(
+        "program", [PageRankDeltaProgram(), ConnectedComponentsProgram()],
+        ids=["sum", "min"],
+    )
+    @pytest.mark.parametrize("parallel", [False, True], ids=["one-edge", "parallel"])
+    @pytest.mark.parametrize(
+        "cover", ["full", "random", "with-edgeless"],
+    )
+    @pytest.mark.parametrize("seed", range(4))
+    def test_flags_match_brute_force(self, program, parallel, cover, seed):
+        g, rng = self._graph(seed)
+        par = (
+            np.flatnonzero(rng.random(g.num_edges) < 0.25) if parallel else None
+        )
+        pg = PartitionedGraph.build(
+            g, np.zeros(g.num_edges, dtype=np.int32), 1, parallel_eids=par,
+        )
+        mg = pg.machines[0]
+        n = mg.num_local_vertices
+        if cover == "full":
+            frontier = np.arange(n)
+        else:
+            frontier = np.flatnonzero(rng.random(n) < 0.75)
+            if cover == "with-edgeless":
+                edgeless = np.flatnonzero(np.bincount(mg.esrc, minlength=n) == 0)
+                frontier = np.union1d(frontier, edgeless[::2])
+        with configured(dense_min_edges=1, dense_sweep_fraction=0.0):
+            rt = MachineRuntime(mg, program)
+            rt.scatter(frontier, np.linspace(0.5, 2.0, frontier.size), True)
+        assert rt._last_sweep_mode == (
+            "dense-full" if cover == "full" else "dense"
+        )
+        fired = np.isin(mg.esrc, frontier)
+        want_msg = np.zeros(n, dtype=bool)
+        want_msg[mg.edst[fired]] = True
+        want_delta = np.zeros(n, dtype=bool)
+        want_delta[mg.edst[fired & ~mg.eparallel]] = True
+        assert rt.has_msg.tolist() == want_msg.tolist()
+        assert rt.has_delta.tolist() == want_delta.tolist()
+        # deltaMsg holds the identity wherever has_delta is unset
+        ident = np.float64(program.algebra.identity)
+        assert (rt.delta_msg[~rt.has_delta] == ident).all()
+
+
+class TestIdentityPadding:
+    """Only programs whose edge transform maps the ⊕-identity to itself
+    sweep densely; every other program sweeps sparse, bit-equal."""
+
+    G = DiGraph(6, [0, 0, 1, 2, 3, 4, 5, 5], [1, 2, 3, 3, 4, 5, 0, 2])
+
+    def _mode(self, program):
+        with configured(dense_min_edges=1, dense_sweep_fraction=0.0):
+            rt = _runtime(self.G, program)
+            rt.scatter(np.arange(5), np.linspace(1.0, 3.0, 5), True)
+        with configured(mode="generic"):
+            base = _runtime(self.G, program)
+            base.scatter(np.arange(5), np.linspace(1.0, 3.0, 5), True)
+        for name in ("msg", "delta_msg", "has_msg", "has_delta"):
+            assert getattr(rt, name).tobytes() == getattr(base, name).tobytes()
+        return rt._last_sweep_mode
+
+    def test_builtin_transforms_pad(self):
+        from repro.algorithms import BFSProgram
+
+        for program in (PageRankDeltaProgram(), ConnectedComponentsProgram(),
+                        BFSProgram()):
+            assert self._mode(program) == "dense", program.name
+
+    def test_no_transform_sweeps_sparse(self):
+        class Opaque(PageRankDeltaProgram):
+            def edge_transform(self, mg):
+                return None
+
+        assert self._mode(Opaque()) == "sparse"
+
+    def test_sum_add_sweeps_sparse(self):
+        class Shifted(PageRankDeltaProgram):
+            # 0 + 1 != 0: padding would not be the identity
+            def edge_transform(self, mg):
+                return ("add", 1.0)
+
+            def edge_message(self, mg, edge_sel, delta_per_edge):
+                return delta_per_edge + 1.0
+
+        assert self._mode(Shifted()) == "sparse"
+
+    def test_min_add_with_infinite_operand_sweeps_sparse(self):
+        class Unbounded(ConnectedComponentsProgram):
+            # inf + (-inf) is NaN, not the identity
+            def edge_transform(self, mg):
+                w = np.zeros(mg.esrc.size)
+                w[0] = -np.inf
+                return ("add", w)
+
+            def edge_message(self, mg, edge_sel, delta_per_edge):
+                w = np.zeros(mg.esrc.size)
+                w[0] = -np.inf
+                return delta_per_edge + w[edge_sel]
+
+        assert self._mode(Unbounded()) == "sparse"
 
 
 class TestTakeReadyScratch:
