@@ -35,7 +35,7 @@ from repro.bench.reporting import format_series, format_table
 from repro.graph.datasets import dataset_info, dataset_names, load_dataset
 from repro.graph.properties import compute_properties
 from repro.core.policy import controller_names, named_policy
-from repro.obs.sinks import TRACE_FORMATS
+from repro.obs.records import TRACE_FORMATS
 from repro.run_api import run
 from repro.runtime.registry import engine_names
 

@@ -9,12 +9,12 @@ exactly those, plus the work/time breakdown the scalability study
 or estimated except ``modeled_time_s``, which integrates the
 :class:`~repro.cluster.network.NetworkModel` costs as the run proceeds.
 
-Since the observability refactor, ``RunStats`` is built on the
-:mod:`repro.obs` layer:
+``RunStats`` meets the :mod:`repro.obs` layer in two places:
 
-* every instance owns a :class:`~repro.obs.metrics.MetricsRegistry`;
-  the historical free-form ``extra`` annotations are a dict-compatible
-  view over ``extra.*`` registry counters (``bump`` increments one);
+* every instance owns a :class:`~repro.obs.metrics.MetricsRegistry`
+  for real instruments (the coherency lens's histograms and gauge);
+  the free-form ``extra`` annotations are a plain dict beside it
+  (``bump`` adds into one key), dumped once, under ``extra``;
 * every model-time charge (``add_compute``/``add_comm``/``add_sync``)
   is forwarded to a bound :class:`~repro.obs.tracer.Tracer`, which is
   how spans learn their modeled durations.
@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Any, Dict, Optional
 
-from repro.obs.metrics import ExtraView, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 
 if TYPE_CHECKING:
     from repro.obs.tracer import Tracer
@@ -77,8 +77,11 @@ class RunStats:
         hitting ``max_supersteps``).
     metrics:
         The run's :class:`~repro.obs.metrics.MetricsRegistry` (created
-        per instance). ``extra`` is a dict-compatible view over its
-        ``extra.*`` counters.
+        per instance).
+    extra:
+        Free-form named run annotations (a plain ``dict``); a value
+        keeps the type its writer stored until :meth:`to_dict` dumps
+        it as a ``float``.
     """
 
     global_syncs: int = 0
@@ -100,7 +103,7 @@ class RunStats:
 
     def __post_init__(self) -> None:
         self.metrics = MetricsRegistry()
-        self.extra = ExtraView(self.metrics)
+        self.extra: Dict[str, float] = {}
         self._tracer: Optional[Tracer] = None
 
     # ------------------------------------------------------------------
@@ -136,8 +139,8 @@ class RunStats:
         self._charge("sync", seconds)
 
     def bump(self, key: str, amount: float = 1.0) -> None:
-        """Increment a free-form ``extra.*`` counter in the registry."""
-        self.metrics.counter(ExtraView.PREFIX + key).inc(amount)
+        """Add ``amount`` to the ``extra[key]`` annotation."""
+        self.extra[key] = self.extra.get(key, 0.0) + amount
 
     @property
     def compute_skew(self) -> float:
@@ -156,7 +159,7 @@ class RunStats:
         """JSON-serializable dump: counters + registry + derived skew."""
         out: Dict[str, Any] = {f.name: getattr(self, f.name) for f in fields(self)}
         out["compute_skew"] = self.compute_skew
-        out["extra"] = dict(self.extra)
+        out["extra"] = {k: float(v) for k, v in sorted(self.extra.items())}
         out["metrics"] = self.metrics.export()
         return out
 
@@ -164,18 +167,16 @@ class RunStats:
     def from_dict(cls, data: Dict[str, Any]) -> "RunStats":
         """Rebuild stats from :meth:`to_dict` output.
 
-        Dataclass counters are restored directly; the registry comes
-        back through :meth:`MetricsRegistry.from_export` (so ``extra``
-        keeps working — its ``extra.*`` counters live in the registry,
-        and the exported ``extra`` dict is redundant with them);
+        Dataclass counters and ``extra`` are restored directly; the
+        registry comes back through :meth:`MetricsRegistry.from_export`;
         ``compute_skew`` is derived and ignored.
         """
         known = {f.name for f in fields(cls)}
         stats = cls(**{k: v for k, v in data.items() if k in known})
+        stats.extra = dict(data.get("extra") or {})
         metrics = data.get("metrics")
         if metrics:
             stats.metrics = MetricsRegistry.from_export(metrics)
-            stats.extra = ExtraView(stats.metrics)
         return stats
 
     def copy(self) -> "RunStats":

@@ -7,13 +7,13 @@ The observability layer the paper's counter-driven evaluation implies:
   both the host clock and the modeled cluster clock, fed by every
   :class:`~repro.cluster.stats.RunStats` charge;
 * :mod:`repro.obs.metrics` — Counter/Gauge/Histogram registry that
-  ``RunStats`` is built on;
+  ``RunStats`` keeps the lens's instruments in;
 * :mod:`repro.obs.records` — the on-disk format of every observability
   file (run trace, serve trace, telemetry, mutation stream): the one
-  :class:`RecordWriter` all four writers go through and the one
-  :func:`load_trace` every reader starts from;
-* :mod:`repro.obs.sinks` — in-memory (default), JSONL stream, and
-  Chrome ``trace_event`` export (``chrome://tracing`` / Perfetto);
+  :class:`RecordWriter` all four writers go through, the one
+  :func:`load_trace` every reader starts from, and :func:`export_trace`,
+  the one run-trace writer (JSONL, or a Chrome ``trace_event`` export
+  through :mod:`repro.obs.chrome` for ``chrome://tracing`` / Perfetto);
 * :mod:`repro.obs.report` — the per-phase / totals / decisions tables
   of a run trace (the first sections of ``repro analyze``) and the
   side-by-side totals of two runs (``repro analyze A B``);
@@ -47,23 +47,15 @@ from repro.obs.lens import (
     CoherencyLens,
     NullLens,
 )
-from repro.obs.metrics import (
-    Counter,
-    ExtraView,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
-from repro.obs.records import RecordWriter, TraceData, load_trace
-from repro.obs.report import format_report, summarize_trace
-from repro.obs.sinks import (
-    ChromeTraceSink,
-    InMemorySink,
-    JsonlSink,
-    Sink,
+from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.records import (
     TRACE_FORMATS,
+    RecordWriter,
+    TraceData,
     export_trace,
+    load_trace,
 )
+from repro.obs.report import format_report, summarize_trace
 from repro.obs.request_trace import (
     RequestContext,
     ServeTraceWriter,
@@ -88,11 +80,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "ExtraView",
-    "Sink",
-    "InMemorySink",
-    "JsonlSink",
-    "ChromeTraceSink",
     "export_trace",
     "TRACE_FORMATS",
     "chrome_trace_document",

@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List
 
-from repro.obs.records import TraceData, trace_from_tracer
+from repro.obs.records import TraceData
 
 __all__ = ["Anomaly", "LensAuditor"]
 
@@ -64,11 +64,6 @@ class LensAuditor:
     def __init__(self, trace: TraceData, atol: float = 1e-9) -> None:
         self.trace = trace
         self.atol = atol
-
-    @classmethod
-    def from_tracer(cls, tracer, atol: float = 1e-9) -> "LensAuditor":
-        """Audit a live (finished) tracer without a file round-trip."""
-        return cls(trace_from_tracer(tracer), atol=atol)
 
     # ------------------------------------------------------------------
     def audit(self) -> List[Anomaly]:

@@ -31,9 +31,13 @@ back (``repro.obs.records.load_trace`` refuses it and says so).
 
 from __future__ import annotations
 
+import json
+import os
 from typing import Any, Dict, List, Set, Tuple
 
-__all__ = ["chrome_trace_document", "CLUSTER_PID", "HOST_PID"]
+__all__ = [
+    "chrome_trace_document", "write_chrome_trace", "CLUSTER_PID", "HOST_PID",
+]
 
 CLUSTER_PID = 0  # modeled-cluster-time timeline
 HOST_PID = 1  # host wall-time timeline (one row per runtime)
@@ -136,3 +140,15 @@ def chrome_trace_document(
         "displayTimeUnit": "ms",
         "otherData": other_data,
     }
+
+
+def write_chrome_trace(
+    path: str, records: List[Dict[str, Any]], meta: Dict[str, Any]
+) -> None:
+    """Write :func:`chrome_trace_document` of ``records`` / ``meta`` to
+    ``path`` (its parent directory is created)."""
+    parent = os.path.dirname(path)
+    if parent:
+        os.makedirs(parent, exist_ok=True)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(chrome_trace_document(records, meta), fh)

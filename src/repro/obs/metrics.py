@@ -1,18 +1,13 @@
 """Typed metrics primitives: Counter, Gauge, Histogram, and a registry.
 
-The paper's evaluation is counter-driven — speedups (Fig 9) are
-*explained* by global-sync counts (Fig 10) and communication traffic
-(Fig 11) — so measurements deserve first-class types instead of ad-hoc
-dict writes. :class:`~repro.cluster.stats.RunStats` owns a
-:class:`MetricsRegistry`; its free-form ``extra`` annotations are backed
-by registry counters (``extra.<name>``), and engines/benches may
-register their own instruments under any dotted namespace.
+:class:`~repro.cluster.stats.RunStats` owns a :class:`MetricsRegistry`
+holding the coherency lens's histograms and drift gauge (a run's scalar
+annotations are the plain ``RunStats.extra`` dict, not instruments);
+the service keeps one for its counters and latency histogram.
 
-Semantics follow the Prometheus conventions the production north-star
-will eventually export to:
+Semantics follow the Prometheus conventions:
 
-* :class:`Counter` — monotone accumulate (``inc``); direct assignment is
-  allowed only through the ``extra`` compatibility view;
+* :class:`Counter` — monotone accumulate (``inc``);
 * :class:`Gauge` — last-write-wins sample (``set``);
 * :class:`Histogram` — streaming distribution summary (count/sum/min/
   max) plus fixed-boundary bucket counts.
@@ -21,8 +16,7 @@ will eventually export to:
 from __future__ import annotations
 
 import math
-from collections.abc import MutableMapping
-from typing import Dict, Iterator, List, Optional, Sequence, Union
+from typing import Any, Dict, List, Optional, Sequence, Type, TypeVar, Union
 
 __all__ = [
     "Counter",
@@ -30,7 +24,6 @@ __all__ = [
     "Histogram",
     "RestoredSummary",
     "MetricsRegistry",
-    "ExtraView",
     "nearest_rank",
 ]
 
@@ -83,10 +76,6 @@ class Counter(Metric):
             )
         self.value += amount
         return self.value
-
-    def _set(self, value: float) -> None:
-        """Direct assignment — only for the ``extra`` dict-compat view."""
-        self.value = float(value)
 
     def export(self) -> float:
         return self.value
@@ -245,6 +234,9 @@ class RestoredSummary(Metric):
         return dict(self.summary)
 
 
+M = TypeVar("M", bound=Metric)
+
+
 class MetricsRegistry:
     """Get-or-create home for named instruments.
 
@@ -256,7 +248,9 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._metrics: Dict[str, Metric] = {}
 
-    def _get_or_create(self, cls, name: str, description: str, **kwargs) -> Metric:
+    def _get_or_create(
+        self, cls: Type[M], name: str, description: str, **kwargs: Any
+    ) -> M:
         existing = self._metrics.get(name)
         if existing is not None:
             if not isinstance(existing, cls):
@@ -307,64 +301,16 @@ class MetricsRegistry:
         """Rebuild a registry from :meth:`export` output.
 
         The export format erases the Counter/Gauge distinction (both
-        export a bare float), so scalars come back as Counters — which
-        keeps the ``extra.*`` :class:`ExtraView` working — and summary
-        dicts come back as :class:`RestoredSummary` snapshots. A
-        restored registry is a read-only snapshot in spirit: it exports
-        exactly what went in, but histogram instruments cannot record
-        further observations.
+        export a bare float), so scalars come back as Gauges and summary
+        dicts as :class:`RestoredSummary` snapshots. A restored registry
+        is a read-only snapshot in spirit: it exports exactly what went
+        in, but histogram instruments cannot record further
+        observations.
         """
         reg = cls()
         for name, value in exported.items():
             if isinstance(value, dict):
                 reg._metrics[name] = RestoredSummary(name, summary=value)
             else:
-                counter = Counter(name)
-                counter._set(float(value))
-                reg._metrics[name] = counter
+                reg.gauge(name).set(value)
         return reg
-
-
-class ExtraView(MutableMapping):
-    """Dict-compatible facade over a registry's ``extra.*`` counters.
-
-    Preserves the historical ``RunStats.extra`` API (``stats.extra["x"]``
-    reads/writes) while the values actually live in the registry, where
-    sinks and reports can see them uniformly.
-    """
-
-    PREFIX = "extra."
-
-    def __init__(self, registry: MetricsRegistry) -> None:
-        self._registry = registry
-
-    def _counter(self, key: str) -> Counter:
-        return self._registry.counter(self.PREFIX + key)
-
-    def __getitem__(self, key: str) -> float:
-        metric = self._registry.get(self.PREFIX + key)
-        if metric is None:
-            raise KeyError(key)
-        return metric.export()
-
-    def __setitem__(self, key: str, value: float) -> None:
-        self._counter(key)._set(value)
-
-    def __delitem__(self, key: str) -> None:
-        if self._registry.get(self.PREFIX + key) is None:
-            raise KeyError(key)
-        del self._registry._metrics[self.PREFIX + key]
-
-    def __iter__(self) -> Iterator[str]:
-        plen = len(self.PREFIX)
-        return (
-            name[plen:]
-            for name in self._registry.names()
-            if name.startswith(self.PREFIX)
-        )
-
-    def __len__(self) -> int:
-        return sum(1 for _ in iter(self))
-
-    def __repr__(self) -> str:  # pragma: no cover - debug helper
-        return f"ExtraView({dict(self)!r})"

@@ -7,7 +7,8 @@ such a file is laid out on disk:
 ========== ===================================== =======================
 kind       written by                            first line
 ========== ===================================== =======================
-run        ``run --trace-out`` (``JsonlSink``)   ``trace_header``
+run        ``run --trace-out``                   ``trace_header``
+           (``export_trace``)
 serve      ``serve --trace-out``                 ``trace_header`` with
            (``ServeTraceWriter``)                ``profile: "serve"``
 telemetry  ``serve --telemetry-out``             ``telemetry_header``
@@ -15,6 +16,10 @@ telemetry  ``serve --telemetry-out``             ``telemetry_header``
 mutations  ``mutate --out``                      none: every record
                                                  carries ``"event"``
 ========== ===================================== =======================
+
+:func:`export_trace` can also write a run trace as a Chrome
+``trace_event`` document (:mod:`repro.obs.chrome`): an export for
+Perfetto, which no reader here takes back.
 
 Record types after the header: ``span`` / ``instant`` / ``run_meta``
 (run and serve traces — see :mod:`repro.obs.tracer`), ``telemetry``
@@ -47,20 +52,26 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional
 
+from repro.obs.chrome import write_chrome_trace
+
 __all__ = [
     "KINDS",
     "TELEMETRY_FORMAT",
     "TRACE_FORMAT",
+    "TRACE_FORMATS",
     "FORMAT_VERSION",
     "RecordWriter",
     "TraceData",
     "encode",
+    "export_trace",
     "iter_follow",
     "load_trace",
     "trace_from_tracer",
 ]
 
 KINDS = ("run", "serve", "telemetry", "mutations")
+#: what ``export_trace`` writes a run trace as (``chrome``: an export only)
+TRACE_FORMATS = ("jsonl", "chrome")
 
 TRACE_FORMAT = "repro-trace"
 TELEMETRY_FORMAT = "repro-telemetry"
@@ -133,6 +144,30 @@ class RecordWriter:
     def close(self) -> None:
         with self._lock:
             self._fh.close()
+
+
+def export_trace(tracer: Any, path: str, format: str = "jsonl") -> str:
+    """Write a tracer's records to ``path`` in ``format``; return the path.
+
+    The one run-trace writer (``run --trace-out``, ``trace_out=``). A
+    finished tracer's records end with the ``run_meta`` line; a tracer
+    whose run raised is written as far as it got (the spans that
+    closed, no ``run_meta``).
+    """
+    if format not in TRACE_FORMATS:
+        raise ValueError(
+            f"unknown trace format {format!r}; known: {', '.join(TRACE_FORMATS)}"
+        )
+    if format == "chrome":
+        write_chrome_trace(str(path), tracer.records, tracer.meta)
+    else:
+        writer = RecordWriter(path, "run")
+        try:
+            for record in tracer.records:
+                writer.write(record)
+        finally:
+            writer.close()
+    return str(path)
 
 
 @dataclass

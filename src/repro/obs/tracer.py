@@ -29,8 +29,11 @@ The record types are ``span``, ``instant`` and the closing
 ``superstep`` span (``active``: the active-vertex count) or of an
 instant, never a record type of its own.
 
-The tracer is also the default in-memory sink; additional sinks
-(:mod:`repro.obs.sinks`) receive each record as it completes.
+The tracer keeps its records in memory only (:attr:`Tracer.records`);
+:func:`repro.obs.records.export_trace` writes them to a file once the
+run is over. A run that raised (``ConvergenceError``) never calls
+:meth:`Tracer.finish`; exporting its tracer in the ``except`` writes
+every span that closed, without the ``run_meta`` line.
 """
 
 from __future__ import annotations
@@ -143,21 +146,12 @@ NULL_TRACER = NullTracer()
 
 
 class Tracer:
-    """Records nested spans and instant events.
-
-    Parameters
-    ----------
-    sinks:
-        Optional list of :class:`~repro.obs.sinks.Sink` objects; each
-        completed record is streamed to every sink (the tracer itself
-        always keeps the in-memory copy).
-    """
+    """Records nested spans and instant events in :attr:`records`."""
 
     enabled = True
 
-    def __init__(self, sinks: Optional[List] = None) -> None:
+    def __init__(self) -> None:
         self.records: List[Dict[str, Any]] = []
-        self.sinks = list(sinks) if sinks else []
         self.meta: Dict[str, Any] = {}
         self.model_now: float = 0.0
         self.untracked: Dict[str, float] = {}
@@ -212,7 +206,7 @@ class Tracer:
         self._emit_span(span)
 
     def _emit_span(self, span: Span) -> None:
-        self._emit({
+        self.records.append({
             "type": "span",
             "id": span.span_id,
             "parent": span.parent_id,
@@ -248,7 +242,7 @@ class Tracer:
         parent = self._stack[-1].span_id if self._stack else None
         span_id = self._next_id
         self._next_id += 1
-        self._emit({
+        self.records.append({
             "type": "span",
             "id": span_id,
             "parent": parent,
@@ -265,7 +259,7 @@ class Tracer:
 
     def instant(self, name: str, **attrs) -> None:
         """A point event on both clocks (e.g. an interval-rule decision)."""
-        self._emit({
+        self.records.append({
             "type": "instant",
             "name": name,
             "host_t": time.perf_counter() - self.host_epoch,
@@ -273,16 +267,11 @@ class Tracer:
             "attrs": attrs,
         })
 
-    def _emit(self, record: Dict[str, Any]) -> None:
-        self.records.append(record)
-        for sink in self.sinks:
-            sink.emit(record)
-
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     def finish(self, **meta) -> None:
-        """Close open spans, record run metadata, flush and close sinks.
+        """Close open spans and record the run metadata.
 
         ``meta`` normally includes ``engine``/``algorithm`` and the final
         ``stats`` dict (see ``RunStats.to_dict``). Idempotent.
@@ -294,9 +283,7 @@ class Tracer:
         self.meta.update(meta)
         if self.untracked:
             self.meta["untracked_charges"] = dict(self.untracked)
-        self._emit({"type": "run_meta", "meta": self.meta})
-        for sink in self.sinks:
-            sink.close(self.meta)
+        self.records.append({"type": "run_meta", "meta": self.meta})
         self._finished = True
 
     # ------------------------------------------------------------------

@@ -87,7 +87,7 @@ from repro.graph.mutation import (
     compose_edge_delta,
     symmetrized_patch,
 )
-from repro.obs.sinks import TRACE_FORMATS, export_trace
+from repro.obs.records import TRACE_FORMATS, export_trace
 from repro.obs.tracer import Tracer
 from repro.partition.dynamic import (
     PatchStats,
@@ -157,13 +157,6 @@ class ApplyResult:
     vertices_added: int
     vertices_removed: int
     patches: Dict[str, PatchStats] = field(default_factory=dict)
-
-    @property
-    def replication_factors(self) -> Dict[str, float]:
-        """Post-mutation λ per patched variant."""
-        return {
-            name: stats.lambda_after for name, stats in self.patches.items()
-        }
 
     @property
     def worst_lambda(self) -> float:

@@ -241,11 +241,10 @@ class TestKernelModesBitIdentical:
                 machines=4, seed=3,
             )
         stats = result.stats.to_dict()
-        for section in ("metrics", "extra"):
-            stats[section] = {
-                k: v for k, v in stats[section].items()
-                if not k.startswith(("kernel_", "extra.kernel_"))
-            }
+        stats["extra"] = {
+            k: v for k, v in stats["extra"].items()
+            if not k.startswith("kernel_")
+        }
         return result.values, stats
 
     def test_generic_equals_auto(self, engine_name, algorithm):

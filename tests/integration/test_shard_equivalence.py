@@ -11,7 +11,7 @@ commit produced (host-clock timestamps excepted — they are real wall
 time and differ between any two runs; everything else, including span
 ids, parent links, model-time stamps, charges, and the full RunStats
 dump with its lens histograms, is digested). The cells were later
-re-recorded on purpose, three times (see :func:`record_pins`).
+re-recorded on purpose, four times (see :func:`record_pins`).
 
 On top of the traces, the :class:`LensAuditor` must be strict-clean, the
 critical-path analyzer must name a gating machine/channel for every
@@ -81,7 +81,13 @@ def observe(engine, alg, er_graph):
 def record_pins():  # pragma: no cover - run by hand
     """Rewrite every cell from the checked-out code.
 
-    Every cell was last recorded on the commit that put ``active`` on
+    Every cell was last recorded on the commit that made
+    ``RunStats.extra`` a plain dict: the ``run_meta`` RunStats dump no
+    longer repeats each extra as an ``extra.*`` key under ``metrics``
+    (its ``extra`` dict is unchanged). Deleting every ``extra.*`` key
+    from ``run_meta.meta.stats.metrics`` in the parent's stream gave
+    that commit's stream in every cell. Before that, every cell was
+    recorded on the commit that put ``active`` on
     the ``superstep`` span (it was an ``active_vertices`` counter record
     written only under ``trace=True``, so these ``tracer=`` streams had
     none): dropping ``active`` from that commit's superstep spans gave

@@ -66,3 +66,28 @@ def test_chrome_export_loads_back(traced_runs, engine, tmp_path):
     assert phase_us > 0.0
     with pytest.raises(ValueError, match="--trace-format jsonl"):
         load_trace(str(path))
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_a_run_that_raises_exports_its_closed_spans(engine, tmp_path):
+    """The route out of a run that raises: export the tracer in the
+    ``except``. The file holds every span that closed (no ``run_meta``:
+    the run never finished) and ``repro analyze`` reads it."""
+    from repro.cli import main
+    from repro.errors import ConvergenceError
+
+    tracer = Tracer()
+    path = tmp_path / f"{engine}.raised.jsonl"
+    with pytest.raises(ConvergenceError):
+        try:
+            run("road-ca-mini", "pagerank", engine=engine, machines=4,
+                seed=0, tracer=tracer, max_supersteps=2)
+        except ConvergenceError:
+            export_trace(tracer, str(path))
+            raise
+    loaded = load_trace(str(path))
+    assert loaded.kind == "run"
+    assert loaded.spans == tracer.spans()
+    assert {s["name"] for s in loaded.spans} >= {"superstep", "machine-work"}
+    assert loaded.meta == {}
+    assert main(["analyze", str(path)]) == 0

@@ -54,6 +54,9 @@ DELETED_NAMES = {
     "register_policy", "get_policy", "policy_names", "_POLICIES",
     # the HTML dashboard: `repro analyze` is the one reader
     "render_dashboard", "render_compare_dashboard",
+    # the streaming trace sinks (export_trace is the one run-trace
+    # writer) and the registry facade over RunStats.extra (a plain dict)
+    "Sink", "InMemorySink", "JsonlSink", "ChromeTraceSink", "ExtraView",
 }
 
 
@@ -119,7 +122,7 @@ class TestOneFormatOwner:
             assert bool(headers) == (path.name == "records.py"), path.name
 
     @pytest.mark.parametrize("module,writer", [
-        ("obs/sinks.py", "JsonlSink"),
+        ("obs/records.py", "export_trace"),
         ("obs/request_trace.py", "ServeTraceWriter"),
         ("obs/telemetry.py", "TelemetrySink"),
         ("cli.py", "_cmd_mutate"),
