@@ -11,11 +11,11 @@ for the argument).
 
 The bigger structural win lives in :class:`~repro.kernels.csr.CSRPlan`:
 cached CSR flatten structures (edge order, per-source slices, per-slot
-counts, scratch buffers) and the frontier-adaptive sparse/dense sweep
-decision used by
+counts) and the frontier-adaptive sparse/dense sweep decision used by
 :class:`~repro.runtime.machine_runtime.MachineRuntime` — a dense sweep
-visits every edge, pads the frontier's complement with the ⊕-identity
-and computes no positions at all.
+visits every edge, pads the frontier's complement with the ⊕-identity,
+computes no positions at all and reads the targets it reached off the
+folded values, so it never lists the skipped edges.
 
 Sweep selection is governed by the process-wide :class:`KernelConfig`
 (:func:`configured` temporarily overrides it; ``mode="generic"``

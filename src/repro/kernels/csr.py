@@ -6,8 +6,8 @@ from a grouped-by-key edge list. Doing that per call with
 arithmetic and allocates fresh buffers every round; a :class:`CSRPlan`
 precomputes everything that depends only on the graph — the stable edge
 order, the per-key slices, the key/value arrays in sorted order, the
-per-target counts of a full sweep — plus reusable slot-sized scratch,
-at machine-runtime construction. Per edge a plan keeps exactly the
+per-target counts of a full sweep — at machine-runtime construction.
+It holds no scratch and no run state. Per edge a plan keeps exactly the
 stable order, the sorted keys and (with ``dst``) the sorted targets: a
 session holds its plans as long as the partition, so the sparse
 flatten's ``arange`` is built per call rather than cached per edge.
@@ -18,11 +18,10 @@ frontier's edges cover enough of the local CSR (the
 more than sweeping the whole edge list, so the plan returns a dense
 selection — no positions at all — instead of the sparse flatten. A
 dense sweep visits *every* edge in sorted order; the delta runtime pads
-the skipped sources with the ⊕-identity, and what it needs of the
-skipped edges (which targets they alone reach) comes from
-:meth:`CSRPlan.complement`, the sparse flatten of the frontier's
-complement. Sparse positions are in sorted-key order restricted to the
-frontier, the same edge order a dense sweep folds in, so downstream
+the skipped sources with the ⊕-identity and reads which targets the
+frontier reached off the folded values, so nothing here lists the
+skipped edges. Sparse positions are in sorted-key order restricted to
+the frontier, the same edge order a dense sweep folds in, so downstream
 folds are bit-identical across modes.
 """
 
@@ -56,7 +55,7 @@ class CSRPlan:
     dst:
         Optional per-edge companion array (the other endpoint); when
         given, ``dst_sorted`` and the full sweep's per-target counts
-        and touched-target set are precomputed as well.
+        are precomputed as well.
     """
 
     def __init__(
@@ -79,14 +78,13 @@ class CSRPlan:
         self.num_edges = int(order.size)
         # slots that own at least one edge — the full sweep's touched set
         self.nonempty_slots = np.flatnonzero(self.counts > 0)
-        self._mask_scratch = np.empty(n, dtype=bool)
         self.dst_sorted: Optional[np.ndarray] = None
         self.dst_counts_full: Optional[np.ndarray] = None
         if dst is not None:
             ds = dst[order]
             self.dst_sorted = ds
-            # per-target in-edge counts: a dense sweep's target is
-            # touched when this exceeds its count over the skipped edges
+            # per-target in-edge counts: the full sweep's segment sizes
+            # and touched set
             self.dst_counts_full = np.bincount(ds, minlength=n).astype(np.int64)
 
     # ------------------------------------------------------------------
@@ -123,10 +121,9 @@ class CSRPlan:
           edge counts (for ``np.repeat``-style payload expansion);
         * ``mode == "dense"`` — the frontier covers at least
           ``dense_sweep_fraction`` of the edges: sweep every edge in
-          sorted order (``pos`` and ``counts`` are None; the skipped
-          edges are :meth:`complement`'s);
-        * ``mode == "dense-full"`` — the dense case whose complement is
-          empty: the frontier covers every edge.
+          sorted order (``pos`` and ``counts`` are None);
+        * ``mode == "dense-full"`` — the dense case that skips no edge:
+          the frontier covers every edge.
 
         ``idx`` must be sorted ascending (every engine frontier is — it
         comes from ``np.flatnonzero``) so that sparse positions follow
@@ -147,20 +144,3 @@ class CSRPlan:
             return SPARSE, pos, counts, total
         mode = DENSE_FULL if total == self.num_edges else DENSE
         return mode, None, None, total
-
-    def complement(self, idx: np.ndarray, total: int) -> np.ndarray:
-        """Sorted positions of the edges whose source is *not* in ``idx``.
-
-        The sparse flatten of the frontier's complement: the edges a
-        dense sweep over ``idx`` pads with the ⊕-identity. ``total`` is
-        the frontier's edge count (:meth:`select`'s), so the result has
-        ``num_edges - total`` entries — none for a full frontier.
-        """
-        rest = self.num_edges - total
-        if rest == 0:
-            return np.empty(0, dtype=np.int64)
-        outside = self._mask_scratch
-        outside.fill(True)
-        outside[idx] = False
-        comp = np.flatnonzero(outside)
-        return self._expand(self.indptr[comp], self.counts[comp], rest)

@@ -7,10 +7,11 @@ variables kept for every replica ``v`` on every machine —
 * ``msg`` / ``has_msg``      — ``message[v]``, the ⊕-accumulated inbox,
 * ``delta_msg`` / ``has_delta`` — ``deltaMsg[v]``, the one-edge-received
   accumulation forwarded at coherency points (``delta_msg`` holds the
-  ⊕-identity wherever ``has_delta`` is unset: a fold that reaches a
-  slot sets its flag, a padded sweep adds only the identity elsewhere,
-  and ``clear_deltas`` resets both; the exchange's deliveries rely on
-  it),
+  ⊕-identity wherever ``has_delta`` is unset, and so does ``msg``
+  wherever ``has_msg`` is: a fold that reaches a slot sets its flag, a
+  padded sweep adds only the identity elsewhere, and ``take_ready`` /
+  ``clear_deltas`` reset value and flag together; the exchange's
+  deliveries and the dense sweep's flags rely on it),
 * ``has_msg`` doubling as ``isActive[v]`` (a vertex with a pending
   message is exactly a vertex scheduled to run Apply)
 
@@ -24,7 +25,7 @@ so they are never re-sent at a coherency point.
 Hot-path layout (the kernel layer)
 ----------------------------------
 All CSR flatten structures — edge order, per-source slices, per-target
-counts, scratch buffers — are precomputed once at construction in a
+counts — are precomputed once at construction in a
 :class:`~repro.kernels.csr.CSRPlan`. ``scatter`` is
 *frontier-adaptive*: sparse frontiers expand per-vertex edge ranges,
 dense frontiers sweep *every* local edge (the push/pull-style mode
@@ -40,8 +41,8 @@ Identity padding
 ----------------
 A dense sweep writes the frontier's transformed deltas into a per-source
 payload filled with the ⊕-identity, gathers it along every edge and
-folds it with one ``ufunc.at`` per buffer: the frontier's complement
-contributes the identity. That is bit-identical to folding the
+folds it with one ``ufunc.at``: the frontier's complement contributes
+the identity. That is bit-identical to folding the
 frontier's edges alone, because of two facts:
 
 * a SUM buffer starts at +0.0 and only ever receives ⊕-folds (resets go
@@ -51,16 +52,22 @@ frontier's edges alone, because of two facts:
 * padding is used only where the edge transform maps the identity to
   itself: SUM with ``identity`` / ``divide_source`` (the divide runs per
   frontier source, before padding), MIN / MAX with ``identity`` or with
-  ``add`` over finite operands, checked once per runtime. Every other
-  program, and ``mode="generic"``, sweeps sparse.
+  ``add`` over finite operands, on blocks without parallel edges,
+  checked once per runtime. Every other program, every parallel-edge
+  block, and ``mode="generic"``, sweeps sparse.
 
-Flags come from the complement: a target is touched when its in-edge
-count (``dst_counts_full``) exceeds one ``bincount`` over the edges of
-the frontier's complement (:meth:`~repro.kernels.csr.CSRPlan.complement`);
-``has_delta`` counts one-edge edges only, as the ``deltaMsg`` fold
-folds them only. An empty complement (``dense-full``) folds each target
-segment once and applies the aggregates to both buffers
-(:meth:`MachineRuntime._fold_segments_once`).
+Flags come from the folded values (Maiter's "a vertex at the
+⊕-identity has nothing pending"). Every caller drains the inbox before
+it scatters, so ``msg`` starts at the identity everywhere; when no
+frontier message can fold to the identity — SUM deltas non-zero and of
+one sign, MIN ``max(delta) + max(operand) < +inf``, MAX the mirror —
+a target was reached exactly where ``msg != identity`` after the fold.
+A coherency-point sweep runs on a clean ``deltaMsg`` (the full exchange
+just reset it), where the ``deltaMsg`` fold equals the ``msg`` fold:
+it is one copy. A sweep that fails the drain or value test sweeps
+sparse. A ``dense-full`` sweep reaches every target with an in-edge,
+folds each target segment once and applies the aggregates to both
+buffers (:meth:`MachineRuntime._fold_segments_once`).
 
 All ⊕-folds are bit-identical to the historical per-call-flatten +
 ``ufunc.at`` spelling (``mode="generic"`` pins that baseline). Sweep
@@ -99,7 +106,7 @@ from repro.api.vertex_program import DeltaProgram
 from repro.errors import AlgorithmError
 from repro.kernels import CSRPlan, KernelStats, apply_segment_sums
 from repro.kernels.config import get_config
-from repro.kernels.csr import SPARSE
+from repro.kernels.csr import DENSE_FULL, SPARSE
 from repro.kernels.segment_reduce import monoid_kind, scatter_reduce
 from repro.obs.tracer import NULL_TRACER
 from repro.partition.partitioned_graph import MachineGraph
@@ -152,17 +159,11 @@ class MachineRuntime:
             self.out_plan = CSRPlan(mg.esrc, n, dst=mg.edst)
         self._one_edge_sorted = ~mg.eparallel[self.out_plan.eorder]
         self._all_one_edge = bool(self._one_edge_sorted.all())
-        # per-target one-edge in-edge counts: has_delta's side of a
-        # dense sweep's complement flags
-        self._one_edge_in = self.out_plan.dst_counts_full
-        if not self._all_one_edge:
-            self._one_edge_in = np.bincount(
-                self.out_plan.dst_sorted[np.flatnonzero(self._one_edge_sorted)],
-                minlength=n,
-            )
         self._kind = monoid_kind(self.algebra)
         self._init_transform(program, mg)
-        self._pad = self._padding_exact()
+        self._pad_bound = self._padding_bound()
+        # the targets a dense-full sweep reaches: every one with an in-edge
+        self._has_in_edge = self.out_plan.dst_counts_full > 0
         # reusable scratch: take_ready accums, the dense sweep's
         # identity-padded per-source payload and the per-target segment
         # aggregates of the empty-complement min/max fold
@@ -216,29 +217,35 @@ class MachineRuntime:
                 )
             self._tf_operand = operand[self.out_plan.eorder]
 
-    def _padding_exact(self) -> bool:
-        """Whether the edge transform maps the ⊕-identity to itself, so a
-        dense sweep may pad the frontier's complement with it.
+    def _padding_bound(self) -> Optional[float]:
+        """The operand extremum a dense sweep's MIN / MAX guard adds to
+        the deltas' (:meth:`_may_pad`; 0 without an operand), or None
+        when the edge transform does not map the ⊕-identity to itself
+        and dense sweeps may not pad the frontier's complement with it.
 
         SUM with ``identity`` / ``divide_source`` (the divide runs per
         frontier source, before padding); MIN / MAX with ``identity``, or
         with ``add`` over finite operands (``±inf + w == ±inf``). The
-        identity itself must be the canonical one (+0.0, not -0.0).
+        identity itself must be the canonical one (+0.0, not -0.0), and
+        the block must have no parallel edges (their messages skip
+        ``deltaMsg``, so one fold could not serve both buffers).
         """
         kind = self._kind
         ident = _PAD_IDENTITY.get(kind)
-        if ident is None or self._tf_op is None:
-            return False
+        if ident is None or self._tf_op is None or not self._all_one_edge:
+            return None
         if np.float64(self.algebra.identity).tobytes() != ident.tobytes():
-            return False
-        if self._tf_op == "identity":
-            return True
-        if kind == "sum":
-            return self._tf_op == "divide_source"
+            return None
+        if self._tf_op == "identity" or (
+            kind == "sum" and self._tf_op == "divide_source"
+        ):
+            return 0.0
         x = self._tf_operand
-        return self._tf_op == "add" and x is not None and bool(
-            np.isfinite(x).all()
-        )
+        if kind == "sum" or x is None or not np.isfinite(x).all():
+            return None
+        # max for MIN, min for MAX; initial= covers an edgeless block
+        return float(np.max(x, initial=-np.inf) if kind == "min"
+                     else np.min(x, initial=np.inf))
 
     # ------------------------------------------------------------------
     @property
@@ -362,15 +369,14 @@ class MachineRuntime:
         mode, pos, counts, total = plan.select(idx)
         if total == 0:
             return 0
-        if pos is None and not self._pad:
-            # identity padding would not be exact for this program
-            pos, counts = plan.flatten(idx)
-            mode = SPARSE
         divisor = self._src_divisor
         if divisor is not None and get_config().mode != "generic":
             # one divide per frontier vertex instead of per edge: the same
             # operands through the same IEEE op, so bit-identical
             delta_out = delta_out / divisor[idx]
+        if pos is None and not self._may_pad(mode, delta_out):
+            pos, counts = plan.flatten(idx)
+            mode = SPARSE
         if mode != self._last_sweep_mode:
             self._last_sweep_mode = mode
             self.tracer.instant(
@@ -387,6 +393,28 @@ class MachineRuntime:
             kernel = self._sparse_sweep(pos, counts, delta_out, track_delta)
         self.kernel_stats.add(f"scatter/{mode}/{kernel}", time.perf_counter() - t0)
         return total
+
+    def _may_pad(self, mode: str, delta_out: np.ndarray) -> bool:
+        """Whether a dense selection may sweep padded, else sparse.
+
+        ``dense-full`` needs exact padding only. A ``dense`` sweep reads
+        its flags off the values, so it also needs a drained inbox and
+        no frontier message that folds to the identity (the module
+        docstring); a NaN delta fails every test.
+        """
+        bound = self._pad_bound
+        if bound is None:
+            return False
+        if mode == DENSE_FULL:
+            return True
+        if self.has_msg.any():
+            return False
+        if self._kind == "sum":
+            return bool(delta_out.min() > 0 or delta_out.max() < 0)
+        # Python floats: an overflow is ±inf, with no warning
+        if self._kind == "min":
+            return float(delta_out.max()) + bound < np.inf
+        return float(delta_out.min()) + bound > -np.inf
 
     def _sparse_sweep(
         self, pos: np.ndarray, counts: np.ndarray, delta_out: np.ndarray,
@@ -413,11 +441,8 @@ class MachineRuntime:
         track_delta: bool,
     ) -> str:
         """Fold every local edge, the frontier's complement padded with
-        the ⊕-identity (exact: see the module docstring).
-
-        A target is flagged when more of its in-edges exist than the
-        complement's edges account for; ``has_delta`` counts one-edge
-        edges only, and so does the ``deltaMsg`` fold.
+        the ⊕-identity; flags come off the values, and a clean
+        ``deltaMsg`` copies the ``msg`` fold (the module docstring).
         """
         plan = self.out_plan
         alg = self.algebra
@@ -425,28 +450,22 @@ class MachineRuntime:
         payload.fill(alg.identity)
         payload[idx] = delta_out
         msgv = self._edge_messages(None, payload[plan.key_sorted])
-        tgt = plan.dst_sorted
-        delta_too = track_delta and self._all_one_edge
         if total == plan.num_edges:
-            kernel = self._fold_segments_once(msgv, delta_too)
-        else:
-            kernel = scatter_reduce(alg, self.msg, tgt, msgv)
-            if delta_too:
+            kernel = self._fold_segments_once(msgv, track_delta)
+            self.has_msg |= self._has_in_edge
+            if track_delta:
+                self.has_delta |= self._has_in_edge
+            return kernel
+        tgt = plan.dst_sorted
+        kernel = scatter_reduce(alg, self.msg, tgt, msgv)
+        np.not_equal(self.msg, alg.identity, out=self.has_msg)
+        if track_delta:
+            if self.has_delta.any():
                 scatter_reduce(alg, self.delta_msg, tgt, msgv)
-        if track_delta and not self._all_one_edge:
-            k = np.flatnonzero(self._one_edge_sorted)
-            scatter_reduce(alg, self.delta_msg, tgt[k], msgv[k])
-        skipped = plan.complement(idx, total)
-        n = plan.num_slots
-        touched = plan.dst_counts_full > np.bincount(tgt[skipped], minlength=n)
-        self.has_msg |= touched
-        if delta_too:
-            self.has_delta |= touched
-        elif track_delta:
-            k = np.flatnonzero(self._one_edge_sorted[skipped])
-            self.has_delta |= self._one_edge_in > np.bincount(
-                tgt[skipped[k]], minlength=n
-            )
+                self.has_delta |= self.has_msg
+            else:
+                np.copyto(self.delta_msg, self.msg)
+                np.copyto(self.has_delta, self.has_msg)
         return kernel
 
     def _fold_segments_once(self, msgv: np.ndarray, delta_too: bool) -> str:

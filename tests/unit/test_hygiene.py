@@ -14,7 +14,10 @@ under ``src/`` writes a ``machine``-category record
 A fifth pins one per-superstep record: the ``superstep`` span, whose
 ``active`` attribute the engines set. Under ``src/`` nothing calls
 ``stats.snapshot(...)`` or a tracer's ``.counter(...)``, and nothing
-keeps a ``timeline`` list.
+keeps a ``timeline`` list. A sixth pins that a dense sweep takes its
+flags off the folded values: under ``src/`` nothing defines or calls a
+``complement(...)`` edge list or keeps per-target ``_one_edge_in``
+counts.
 """
 
 from __future__ import annotations
@@ -240,6 +243,52 @@ def test_one_superstep_record():
     assert not found, "\n".join(found)
 
 
+def complement_flag_uses(path: Path) -> list:
+    """The complement-count flags a dense sweep used to compute: a
+    ``complement`` definition or call, any ``_one_edge_in`` name."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        name = None
+        if isinstance(node, ast.FunctionDef) and node.name == "complement":
+            name = "complement"
+        elif isinstance(node, ast.Call):
+            func = node.func
+            if getattr(func, "attr", getattr(func, "id", "")) == "complement":
+                name = "complement"
+        elif getattr(node, "attr", getattr(node, "id", "")) == "_one_edge_in":
+            name = "_one_edge_in"
+        if name is not None:
+            found.append((node.lineno, name))
+    return [f"{path.relative_to(ROOT)}:{line} {name}" for line, name in sorted(found)]
+
+
+def test_dense_flags_come_from_values():
+    found = [
+        hit for path in FILES
+        if path.parts[len(ROOT.parts)] == "src"
+        for hit in complement_flag_uses(path)
+    ]
+    assert not found, "\n".join(found)
+
+
+#: how ``MachineRuntime`` and ``CSRPlan`` spelled the complement flags
+#: before a dense sweep read them off the values
+_PARENT_COMPLEMENT_FLAGS = """\
+class CSRPlan:
+    def complement(self, idx, total):
+        return self._expand(self.indptr[comp], self.counts[comp], rest)
+class MachineRuntime:
+    def __init__(self, mg):
+        self._one_edge_in = self.out_plan.dst_counts_full
+    def _padded_sweep(self, idx, total, tgt, n):
+        skipped = plan.complement(idx, total)
+        self.has_delta |= self._one_edge_in > np.bincount(
+            tgt[skipped[k]], minlength=n
+        )
+# the kept ids are the complement
+"""
+
+
 #: the seven ``RunStats.snapshot`` calls the engines made before
 #: ``active`` moved onto the superstep span
 _PARENT_SNAPSHOT_CALLS = """\
@@ -277,9 +326,12 @@ sim.stats.snapshot(active=self._global_active_count(), msgs=traffic.total_msgs)
      "plane.timeline = []\nself.metrics.counter('serve.queries').inc()\n"
      "win.snapshot(now)\nentry = self.timeline[-1]\n",
      superstep_record_writes, ["counter", "counter", "timeline", "timeline"]),
+    (_PARENT_COMPLEMENT_FLAGS, complement_flag_uses,
+     ["complement", "_one_edge_in", "complement", "_one_edge_in"]),
 ], ids=["unused", "string-annotation", "dunder-all", "dead", "closure", "tuple",
         "class-attribute", "clock-write", "clock-read-and-copy",
-        "machine-writer", "parent-snapshot-calls", "superstep-record"])
+        "machine-writer", "parent-snapshot-calls", "superstep-record",
+        "parent-complement-flags"])
 def test_the_scanner_itself(tmp_path, monkeypatch, source, finder, expected):
     monkeypatch.setitem(globals(), "ROOT", tmp_path)
     path = tmp_path / "mod.py"

@@ -147,14 +147,11 @@ class TestCSRPlan:
     def test_select_dense_partial(self):
         # 6 edges over 3 sources; frontier {0,1} covers 4/6 >= 0.5: a
         # dense selection carries no positions, the sweep covers every
-        # edge and the complement lists the skipped ones
+        # edge
         p = CSRPlan(np.array([0, 0, 1, 1, 2, 2]), 3)
         with configured(dense_min_edges=1, dense_sweep_fraction=0.5):
             mode, pos, counts, total = p.select(np.array([0, 1]))
         assert (mode, pos, counts, total) == ("dense", None, None, 4)
-        skipped = p.complement(np.array([0, 1]), total)
-        assert skipped.tolist() == [4, 5]
-        assert p.key_sorted[skipped].tolist() == [2, 2]
 
     def test_select_gates(self):
         p = self.plan()
@@ -337,9 +334,9 @@ class TestEdgeTransformValidation:
 class TestSweepModeFlags:
     """Sparse, dense and dense-full scatters leave identical buffers.
 
-    The dense sweep over one-edge-only edges marks its targets through a
-    shared touched mask; with parallel edges it must keep flagging
-    ``has_delta`` only where a one-edge message landed."""
+    A block with parallel edges sweeps sparse whatever the frontier: its
+    ``has_delta`` must stay unset where only parallel-edge messages
+    landed, which one shared fold cannot give."""
 
     # 0..5 each reach the next three around a ring (edges 0..17), and
     # 0,1 -> 6, 2,4 -> 7 (edges 18..21); marked parallel, those last four
@@ -378,7 +375,9 @@ class TestSweepModeFlags:
         sparse = self._scatter(program, frontier, 2.0, parallel)
         dense = self._scatter(program, frontier, 0.0, parallel)
         assert sparse._last_sweep_mode == "sparse"
-        assert dense._last_sweep_mode == dense_mode
+        assert dense._last_sweep_mode == (
+            dense_mode if parallel is None else "sparse"
+        )
         for name in ("msg", "delta_msg", "has_msg", "has_delta"):
             a, b = getattr(sparse, name), getattr(dense, name)
             assert a.tobytes() == b.tobytes(), name
@@ -388,9 +387,10 @@ class TestSweepModeFlags:
 
 
 class TestComplementFlags:
-    """A padded dense sweep flags a target when its in-edges outnumber
-    the complement's; checked against a brute-force OR over the
-    frontier's own edges on random plans."""
+    """A dense sweep that pads the frontier's complement flags exactly
+    the targets the frontier's own edges reach (read off the folded
+    values); checked against a brute-force OR over those edges on random
+    plans. Blocks with parallel edges sweep sparse."""
 
     @staticmethod
     def _graph(seed, n=40, m=160, isolated=6):
@@ -399,20 +399,6 @@ class TestComplementFlags:
         src = rng.integers(0, n - isolated, m)
         dst = rng.integers(0, n, m)
         return DiGraph(n, src, dst), rng
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_complement_is_the_skipped_edges(self, seed):
-        g, rng = self._graph(seed)
-        p = CSRPlan(g.src, g.num_vertices, dst=g.dst)
-        for frontier in (
-            np.arange(g.num_vertices),              # empty complement
-            np.flatnonzero(rng.random(g.num_vertices) < 0.7),
-            np.arange(g.num_vertices - 6, g.num_vertices),  # no edges
-        ):
-            total = int(p.counts[frontier].sum())
-            skipped = p.complement(frontier, total)
-            expect = np.flatnonzero(~np.isin(p.key_sorted, frontier))
-            assert skipped.tolist() == expect.tolist()
 
     @pytest.mark.parametrize(
         "program", [PageRankDeltaProgram(), ConnectedComponentsProgram()],
@@ -440,12 +426,20 @@ class TestComplementFlags:
             if cover == "with-edgeless":
                 edgeless = np.flatnonzero(np.bincount(mg.esrc, minlength=n) == 0)
                 frontier = np.union1d(frontier, edgeless[::2])
+        deltas = np.linspace(0.5, 2.0, frontier.size)
         with configured(dense_min_edges=1, dense_sweep_fraction=0.0):
             rt = MachineRuntime(mg, program)
-            rt.scatter(frontier, np.linspace(0.5, 2.0, frontier.size), True)
+            rt.scatter(frontier, deltas, True)
         assert rt._last_sweep_mode == (
-            "dense-full" if cover == "full" else "dense"
+            "sparse" if parallel
+            else "dense-full" if cover == "full" else "dense"
         )
+        with configured(mode="generic"):
+            base = MachineRuntime(mg, program)
+            base.scatter(frontier, deltas, True)
+        for name in ("msg", "delta_msg", "has_msg", "has_delta"):
+            a, b = getattr(rt, name), getattr(base, name)
+            assert a.tobytes() == b.tobytes(), name
         fired = np.isin(mg.esrc, frontier)
         want_msg = np.zeros(n, dtype=bool)
         want_msg[mg.edst[fired]] = True
