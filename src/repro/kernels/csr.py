@@ -7,10 +7,14 @@ arithmetic and allocates fresh buffers every round; a :class:`CSRPlan`
 precomputes everything that depends only on the graph — the stable edge
 order, the per-key slices, the key/value arrays in sorted order, the
 per-target counts of a full sweep — at machine-runtime construction.
-It holds no scratch and no run state. Per edge a plan keeps exactly the
-stable order, the sorted keys and (with ``dst``) the sorted targets: a
-session holds its plans as long as the partition, so the sparse
-flatten's ``arange`` is built per call rather than cached per edge.
+It holds no scratch and no run state. Per edge a plan keeps at most the
+stable order, the sorted keys and (with ``dst``) the sorted targets,
+and over keys that are already sorted — every delta out-plan, since a
+partition lays local edges out by source — it keeps none of its own:
+the keys and targets are the caller's arrays and the order is the
+identity. A session holds its plans as long as the partition, so the
+sparse flatten's ``arange`` is built per call rather than cached per
+edge.
 
 :meth:`CSRPlan.select` is the push/pull-style mode switch: when the
 frontier's edges cover enough of the local CSR (the
@@ -56,36 +60,64 @@ class CSRPlan:
         Optional per-edge companion array (the other endpoint); when
         given, ``dst_sorted`` and the full sweep's per-target counts
         are precomputed as well.
+    tiebreak:
+        Optional permutation of the edges: the order edges with equal
+        keys keep (default: their order in ``key``).
+
+    Keys that are already non-decreasing, with no ``tiebreak``, are in
+    sorted order as given — a partition's local edges are laid out by
+    source, so every delta out-plan is one: the order is the identity
+    (``eorder`` is None) and ``key_sorted`` / ``dst_sorted`` are
+    ``key`` / ``dst`` themselves, so the plan owns no per-edge array.
+    Read the order through :meth:`edge_ids`, never ``eorder``.
     """
 
     def __init__(
-        self, key: np.ndarray, n: int, dst: Optional[np.ndarray] = None
+        self,
+        key: np.ndarray,
+        n: int,
+        dst: Optional[np.ndarray] = None,
+        tiebreak: Optional[np.ndarray] = None,
     ) -> None:
         if key.size and (key.min() < 0 or key.max() >= n):
             raise GraphError(
                 f"CSR keys must lie in [0, {n}), found range "
                 f"[{key.min()}, {key.max()}]"
             )
-        order = stable_argsort(key, n)
-        self.eorder = order
-        self.key_sorted = key[order]
+        self.eorder: Optional[np.ndarray] = None
+        if tiebreak is None and bool(np.all(key[1:] >= key[:-1])):
+            self.key_sorted = key
+            ds = dst
+        else:
+            if tiebreak is None:
+                order = stable_argsort(key, n)
+            else:
+                order = tiebreak[stable_argsort(key[tiebreak], n)]
+            self.eorder = order
+            self.key_sorted = key[order]
+            ds = None if dst is None else dst[order]
         self.counts = np.bincount(key, minlength=n).astype(
             np.int64, copy=False
         )
         self.indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(self.counts, out=self.indptr[1:])
         self.num_slots = n
-        self.num_edges = int(order.size)
+        self.num_edges = int(key.size)
         # slots that own at least one edge — the full sweep's touched set
         self.nonempty_slots = np.flatnonzero(self.counts > 0)
-        self.dst_sorted: Optional[np.ndarray] = None
+        self.dst_sorted: Optional[np.ndarray] = ds
         self.dst_counts_full: Optional[np.ndarray] = None
-        if dst is not None:
-            ds = dst[order]
-            self.dst_sorted = ds
+        if ds is not None:
             # per-target in-edge counts: the full sweep's segment sizes
             # and touched set
             self.dst_counts_full = np.bincount(ds, minlength=n).astype(np.int64)
+
+    def edge_ids(self, pos: Optional[np.ndarray] = None) -> np.ndarray:
+        """Edge ids (indices into ``key``) at the sorted positions
+        ``pos``; ``None``: every edge, in sorted order."""
+        if self.eorder is None:
+            return np.arange(self.num_edges, dtype=np.int64) if pos is None else pos
+        return self.eorder if pos is None else self.eorder[pos]
 
     # ------------------------------------------------------------------
     def _expand(

@@ -13,9 +13,10 @@ sets, masters and local renumbering, and a handful of array passes, so
 rebuilding every machine costs less than working out which ones could
 be skipped (a kept ++ added edge layout renumbers ``eglobal`` on every
 machine anyway). :class:`PatchStats` reports which machines came out
-*structurally identical* — same vertex list, same local edge endpoints
-— which licenses the session to keep those machines' cached CSR
-*plans*; their ``MachineGraph`` s are rebuilt regardless.
+*structurally identical* — same vertex list, same local edge endpoints.
+It is a statistic only: every ``MachineGraph`` and every CSR plan is
+rebuilt (a delta plan over source-ordered edges is O(slots) and a view
+of them, and a carried one would keep the superseded partition alive).
 
 Carried assignments drift: deletions never remove a replica's original
 justification for the partitioner, and the resumed cascade sees only the

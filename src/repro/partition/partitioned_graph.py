@@ -34,7 +34,22 @@ width-sized stable sorts (:mod:`repro.utils.keysort`), and the only
 per-vertex Python left is the home-machine hash of vertices no one-edge
 edge touches.
 ``tests/unit/test_build_pins.py`` pins every output array, dtype
-included, to what the per-vertex bitmask loops it replaced produced.
+included. A build's traced peak is its own output: the pair keys are
+built in place in one array, an all-one-edge cut gathers no id list, an
+unweighted graph's weights are ``np.ones``, and the replica-table
+locals are dropped before the per-edge arrays are allocated.
+
+Local edge order
+----------------
+Each machine lays its local edges out by **ascending local source**;
+within one source, one-edge edges come before parallel copies, each by
+ascending global edge id (one radix ``stable_argsort`` per machine over
+the placement order). That is the order a delta out-plan sorts into,
+so every delta :class:`~repro.kernels.csr.CSRPlan` is a view of these
+arrays and owns no per-edge array. A merged block shifts each
+machine's local ids past the previous machine's, so its concatenation
+is source-ordered too. The per-edge arrays are read-only after
+``build``; :meth:`PartitionedGraph.validate` checks both.
 
 Blocks
 ------
@@ -82,6 +97,9 @@ _HOME_SEED = 0xC0FFEE  # hash seed for edge-less vertices' home machines
 # docs/performance.md).
 _BLOCK_EDGE_BUDGET = 1 << 17
 
+# the per-local-edge fields, in MachineGraph order
+_EDGE_FIELDS = ("esrc", "edst", "eweight", "eparallel", "eglobal")
+
 
 def _offsets(counts: np.ndarray) -> np.ndarray:
     """CSR offsets (``counts.size + 1``, int64) of back-to-back segments."""
@@ -112,7 +130,9 @@ class MachineGraph:
     """One machine's share of the partitioned graph — or a block of them.
 
     All vertex fields are indexed by *local* vertex index; ``vertices``
-    maps local → global. Edge arrays are aligned with each other.
+    maps local → global. Edge arrays are aligned with each other; as
+    :meth:`PartitionedGraph.build` lays them out they are in the local
+    edge order (module docstring) and read-only.
 
     A block (:attr:`PartitionedGraph.blocks`) lays consecutive machines
     back to back: ``machine_id`` is its first machine and machine
@@ -146,11 +166,6 @@ class MachineGraph:
     def num_machines(self) -> int:
         """Machines laid out in this graph (1 unless it is a merged block)."""
         return int(self.machine_offsets.size) - 1
-
-    @property
-    def machine_ids(self) -> range:
-        """Ids of the machines laid out in this graph, ascending."""
-        return range(self.machine_id, self.machine_id + self.num_machines)
 
     @property
     def num_local_vertices(self) -> int:
@@ -206,6 +221,7 @@ def _machine_span(
     if hi - lo > 1:
         shift = np.repeat(vs[lo:hi] - vs[lo], np.diff(es[lo : hi + 1]))
         esrc, edst = esrc + shift, edst + shift
+        esrc.flags.writeable = edst.flags.writeable = False
     span = MachineGraph(
         machine_id=lo,
         vertices=flat["vertices"][v],
@@ -220,6 +236,19 @@ def _machine_span(
     )
     span.machine_offsets = vs[lo : hi + 1] - vs[lo]
     return span
+
+
+def _source_ordered(mg: MachineGraph) -> bool:
+    """Whether ``mg``'s local edges are in the local edge order: by
+    local source, then one-edge before parallel, then by global edge id
+    (strictly: no edge twice on one machine)."""
+    d_src = np.diff(mg.esrc)
+    d_par = np.diff(mg.eparallel.astype(np.int8))
+    d_eid = np.diff(mg.eglobal)
+    tie = d_src == 0
+    return bool(np.all(
+        (d_src > 0) | (tie & (d_par > 0)) | (tie & (d_par == 0) & (d_eid > 0))
+    ))
 
 
 @dataclass
@@ -320,15 +349,27 @@ class PartitionedGraph:
         # ---- sorted (vertex, machine) pair table of one-edge placements --
         # key = vertex * P + machine over both endpoints of every
         # one-edge edge; the multiplicity of a pair is the vertex's
-        # incident-edge count on that machine (the master score)
+        # incident-edge count on that machine (the master score). The
+        # keys are built in one preallocated array, in place: this table
+        # is the widest transient of a build (2 entries per edge)
         P = np.int64(num_machines)
-        one_ids = np.flatnonzero(~par).astype(np.int64)
-        asg_one = assignment[one_ids]
-        pair_keys, pair_score = unique_counts(
-            np.concatenate([graph.src[one_ids], graph.dst[one_ids]]) * P
-            + np.concatenate([asg_one, asg_one]),
-            n * num_machines,
-        )
+        num_par = parallel_eids_arr.size
+        # every edge one-edge (no split): no id list, no gathers
+        one_ids: Optional[np.ndarray] = None
+        src_one, dst_one, asg_one = graph.src, graph.dst, assignment
+        if num_par:
+            one_ids = np.flatnonzero(~par).astype(np.int64, copy=False)
+            src_one, dst_one = graph.src[one_ids], graph.dst[one_ids]
+            asg_one = assignment[one_ids]
+        num_one = asg_one.size
+        pair_keys = np.empty(2 * num_one, dtype=np.int64)
+        ends_src, ends_dst = pair_keys[:num_one], pair_keys[num_one:]
+        np.multiply(src_one, P, out=ends_src)
+        np.multiply(dst_one, P, out=ends_dst)
+        ends_src += asg_one
+        ends_dst += asg_one
+        del src_one, dst_one, ends_src, ends_dst, par
+        pair_keys, pair_score = unique_counts(pair_keys, n * num_machines)
 
         # ---- home machines for vertices untouched by one-edge edges ----
         # (edge-less vertices, or endpoints of only-parallel edges)
@@ -345,7 +386,6 @@ class PartitionedGraph:
         # the least fixpoint of "source absorbs the target's machines"
         # (both ways when bidirectional), so evaluation order is free:
         # run it over one bool row per endpoint of a parallel edge
-        num_par = parallel_eids_arr.size
         ends, row = np.unique(
             np.concatenate(
                 [graph.src[parallel_eids_arr], graph.dst[parallel_eids_arr]]
@@ -407,55 +447,76 @@ class PartitionedGraph:
         rep_local_idx[order] = (
             np.arange(keys.size) - starts[rep_machines[order]]
         )
+        is_master = master_of[by_machine_verts] == rep_machines[order]
 
         # ---- per-machine arrays, laid out back to back -------------------
         # every MachineGraph field is a slice of one flat allocation in
         # machine order, so a block of consecutive machines slices the
         # same arrays (see _machine_span)
-        weights = graph.edge_weights()
         # one-edge edges grouped by machine, ascending edge id within
-        one_sorted = one_ids[stable_argsort(asg_one, num_machines)]
+        by_machine = stable_argsort(asg_one, num_machines)
+        one_sorted = by_machine if one_ids is None else one_ids[by_machine]
         one_starts = _offsets(np.bincount(asg_one, minlength=num_machines))
         # a parallel edge is copied wherever its target has a replica
         # (at the fixpoint the bidirectional span is the same row)
         copy_on = spans[dst_row]
         estarts = _offsets(np.diff(one_starts) + copy_on.sum(axis=0))
         num_local_edges = int(estarts[-1])
+        # the replica-table phase's locals, dropped before the edge
+        # arrays exist: a build's peak is its own output plus these
+        del (by_machine, one_ids, asg_one, pair_keys, pair_score, keys,
+             score, rep_vertex, top, slot, spans, seeded, order,
+             base_keys, base_row, on_end, row_of)
         eglobal = np.empty(num_local_edges, dtype=np.int64)
         esrc = np.empty(num_local_edges, dtype=np.int64)
         edst = np.empty(num_local_edges, dtype=np.int64)
-        eparallel = np.zeros(num_local_edges, dtype=bool)
+        eparallel = np.empty(num_local_edges, dtype=bool)
         local_of = np.empty(n, dtype=np.int64)  # global -> local, per machine
         for m in range(num_machines):
             verts = by_machine_verts[starts[m] : starts[m + 1]]
             local_of[verts] = np.arange(verts.size)
+            # placement order (one-edge, then parallel, each by ascending
+            # edge id), then one stable sort by local source: the local
+            # edge order (module docstring)
             e_one = one_sorted[one_starts[m] : one_starts[m + 1]]
+            placed = np.concatenate([e_one, parallel_eids_arr[copy_on[:, m]]])
+            src_local = local_of[graph.src[placed]]
+            by_src = stable_argsort(src_local, verts.size)
             lo, hi = estarts[m], estarts[m + 1]
-            eids = eglobal[lo:hi]
-            eids[: e_one.size] = e_one
-            eids[e_one.size :] = parallel_eids_arr[copy_on[:, m]]
-            eparallel[lo + e_one.size : hi] = True
-            esrc[lo:hi] = local_of[graph.src[eids]]
-            edst[lo:hi] = local_of[graph.dst[eids]]
+            np.take(placed, by_src, out=eglobal[lo:hi])
+            np.take(src_local, by_src, out=esrc[lo:hi])
+            np.take(local_of, graph.dst[eglobal[lo:hi]], out=edst[lo:hi])
+            np.greater_equal(by_src, e_one.size, out=eparallel[lo:hi])
+        # e_one is a view: it alone would keep one_sorted alive
+        del one_sorted, e_one, placed, src_local, by_src, local_of
         flat = {
             "vstarts": starts,
             "estarts": estarts,
             "vertices": by_machine_verts,
-            "is_master": master_of[by_machine_verts] == rep_machines[order],
+            "is_master": is_master,
             "out_deg_global": graph.out_degrees()[by_machine_verts],
             "num_replicas": counts[by_machine_verts],
             "esrc": esrc,
             "edst": edst,
-            "eweight": weights[eglobal],
+            # an unweighted graph's weights are ones: no E-sized
+            # temporary to gather them from
+            "eweight": (
+                np.ones(num_local_edges) if graph.weights is None
+                else graph.weights[eglobal]
+            ),
             "eparallel": eparallel,
             "eglobal": eglobal,
         }
+        # a plan over sorted keys is a view of these (CSRPlan): no one
+        # may write through a machine graph into it
+        for name in _EDGE_FIELDS:
+            flat[name].flags.writeable = False
         machines = [
             _machine_span(flat, m, m + 1) for m in range(num_machines)
         ]
 
-        one_assign = assignment.astype(np.int32).copy()
-        one_assign[par] = -1
+        one_assign = assignment.astype(np.int32)  # a copy: holes below
+        one_assign[parallel_eids_arr] = -1
         return PartitionedGraph(
             graph=graph,
             num_machines=num_machines,
@@ -521,6 +582,19 @@ class PartitionedGraph:
                     raise PartitionError("local esrc mismatch")
                 if not np.array_equal(mg.vertices[mg.edst], g.dst[mg.eglobal]):
                     raise PartitionError("local edst mismatch")
+        # the local edge layout, on every machine and every merged block
+        # built so far (validating must not fix the block list)
+        merged = [b for b in self._blocks or [] if b.num_machines > 1]
+        for mg in self.machines + merged:
+            if not _source_ordered(mg):
+                raise PartitionError(
+                    f"machine {mg.machine_id}: local edges are not in "
+                    f"source order"
+                )
+            if any(getattr(mg, f).flags.writeable for f in _EDGE_FIELDS):
+                raise PartitionError(
+                    f"machine {mg.machine_id}: a per-edge array is writeable"
+                )
         par_mask = np.zeros(g.num_edges, dtype=bool)
         par_mask[self.parallel_eids] = True
         if np.any(seen[~par_mask] != 1):

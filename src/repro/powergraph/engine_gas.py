@@ -13,7 +13,7 @@ in ``benchmarks/bench_gas_baseline.py``).
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -23,7 +23,20 @@ from repro.partition.partitioned_graph import MachineGraph
 from repro.powergraph.gas import GASProgram
 from repro.runtime.base_engine import BaseEngine
 
-__all__ = ["PowerGraphGASSyncEngine"]
+__all__ = ["PowerGraphGASSyncEngine", "gas_plans"]
+
+
+def gas_plans(mg: MachineGraph) -> Tuple[CSRPlan, CSRPlan]:
+    """The pull engine's ``(in_plan, out_plan)`` over ``mg``.
+
+    The in-plan sorts by target; its ties keep placement order —
+    one-edge before parallel, each by ascending global edge id — not the
+    source-ordered local layout, so a target's gather folds its in-edges
+    in an order that does not depend on how sources are numbered.
+    """
+    n = mg.num_local_vertices
+    placement = np.lexsort((mg.eglobal, mg.eparallel))
+    return CSRPlan(mg.edst, n, tiebreak=placement), CSRPlan(mg.esrc, n)
 
 
 class _GASMachine:
@@ -45,11 +58,9 @@ class _GASMachine:
         n = mg.num_local_vertices
         # plans: an optional cached (in_plan, out_plan) pair from a
         # GraphSession — must describe this exact machine graph
-        if plans is not None:
-            self.in_plan, self.out_plan = plans
-        else:
-            self.in_plan = CSRPlan(mg.edst, n)
-            self.out_plan = CSRPlan(mg.esrc, n)
+        self.in_plan, self.out_plan = (
+            plans if plans is not None else gas_plans(mg)
+        )
         self._acc_scratch = np.empty(n, dtype=np.float64)
         self.kernel_stats = KernelStats()  # the pull kernels are not timed
 
@@ -75,10 +86,8 @@ class _GASMachine:
         return pos
 
     def _edges_of(self, plan: CSRPlan, idx: np.ndarray) -> np.ndarray:
-        pos = self._positions(plan, idx)
-        if pos is None:  # dense-full sweep: every local edge
-            return plan.eorder
-        return plan.eorder[pos]
+        # pos None: a dense-full sweep, every local edge
+        return plan.edge_ids(self._positions(plan, idx))
 
     def gather(self, program: GASProgram, active_local: np.ndarray):
         """Pull over local in-edges of the active local vertices.
@@ -96,12 +105,11 @@ class _GASMachine:
         pos = self._positions(plan, idx)
         if pos is not None and pos.size == 0:
             return np.empty(0, dtype=np.int64), np.empty(0), 0
+        e_sel = plan.edge_ids(pos)
         if pos is None:  # dense-full: every local in-edge, sorted by target
-            e_sel = plan.eorder
             tgt = plan.key_sorted
             touched = plan.nonempty_slots
         else:
-            e_sel = plan.eorder[pos]
             tgt = plan.key_sorted[pos]  # == mg.edst[e_sel], no gather
             # tgt is ascending (positions are in sorted-key order), so
             # the touched set falls out of the segment boundaries
@@ -199,7 +207,7 @@ class PowerGraphGASSyncEngine(BaseEngine):
                 with tracer.span("gather", category="phase") as sp:
                     total.fill(alg.identity)
                     has.fill(False)
-                    gathered = []
+                    gathered: List[Tuple[np.ndarray, np.ndarray, int]] = []
 
                     def gather(gm):
                         edges, gids, acc, mirrors = gm.gather_step(active)

@@ -157,7 +157,7 @@ class MachineRuntime:
             self.out_plan = plan
         else:
             self.out_plan = CSRPlan(mg.esrc, n, dst=mg.edst)
-        self._one_edge_sorted = ~mg.eparallel[self.out_plan.eorder]
+        self._one_edge_sorted = ~mg.eparallel[self.out_plan.edge_ids()]
         self._all_one_edge = bool(self._one_edge_sorted.all())
         self._kind = monoid_kind(self.algebra)
         self._init_transform(program, mg)
@@ -215,7 +215,7 @@ class MachineRuntime:
                     f"{program.name}: edge_transform operand must be "
                     f"per-local-edge, got shape {operand.shape}"
                 )
-            self._tf_operand = operand[self.out_plan.eorder]
+            self._tf_operand = operand[self.out_plan.edge_ids()]
 
     def _padding_bound(self) -> Optional[float]:
         """The operand extremum a dense sweep's MIN / MAX guard adds to
@@ -337,8 +337,7 @@ class MachineRuntime:
         """
         op = self._tf_op
         if op is None or get_config().mode == "generic":
-            plan = self.out_plan
-            e_sel = plan.eorder if pos is None else plan.eorder[pos]
+            e_sel = self.out_plan.edge_ids(pos)
             return self.program.edge_message(self.mg, e_sel, delta_per_edge)
         if op == "identity" or op == "divide_source":
             return delta_per_edge

@@ -26,8 +26,8 @@ further notice") it is almost all redundant work.
   bit-identical to N fresh ``repro.run`` calls (the session-equivalence
   matrix test pins this, values + stats + trace streams). The cached
   artifacts are precisely the ones that carry no run-mutable state:
-  graphs and partitions are frozen inputs, CSR plans reset their
-  scratch before use.
+  graphs and partitions are frozen inputs (their per-edge arrays are
+  read-only), CSR plans hold no scratch.
 
 ``repro.run`` itself is now a thin open-run-close wrapper over one
 throwaway session, and the serving layer (:mod:`repro.serve`) keeps one
@@ -44,11 +44,11 @@ their machines; added edges go through the same ``_greedy_cut``
 cascade a cold cut runs, resumed; the replica tables come from one
 vectorised :meth:`PartitionedGraph.build`; λ reported per
 variant, with an optional multiplicative ``repartition_threshold``
-valve), and the CSR plans only for the blocks that cover a machine
-whose local graph actually changed. Every variant is validated and
-patched into locals first and committed together, so a batch that fails
-anywhere leaves the session as it was. After a mutation,
-``session.run(..., incremental=True)`` warm-starts delta programs that
+valve), and the CSR plans are rebuilt over the new partition (a delta
+plan is O(slots) over the source-ordered local edges). Every variant
+is validated and patched into locals first and committed together, so
+a batch that fails anywhere leaves the session as it was. After a
+mutation, ``session.run(..., incremental=True)`` warm-starts delta programs that
 opt in (``supports_warm_start``) from the previous fixpoint — reseeding the
 tainted/fresh slice and injecting boundary corrections via
 :mod:`repro.runtime.warm_start` — and re-converges to the same fixpoint
@@ -364,26 +364,22 @@ class GraphSession:
         return self._pgraphs[key], key
 
     @staticmethod
-    def _build_plans(kind: str, pgraph, reuse=None) -> List[Any]:
+    def _build_plans(kind: str, pgraph) -> List[Any]:
         """One CSR plan per runtime unit of ``kind`` over ``pgraph``.
 
         The delta engines' unit is a block, GAS's a machine (an in/out
-        plan pair). ``reuse`` maps a unit's ``(first machine, machine
-        count)`` to a plan that is still valid for it.
+        plan pair). A delta plan is a view of its block's source-ordered
+        edges, so plans are never carried across partitions: a carried
+        one would keep its superseded partition alive.
         """
         from repro.kernels import CSRPlan
+        from repro.powergraph.engine_gas import gas_plans
 
-        plans: List[Any] = []
-        for mg in _runtime_units(kind, pgraph):
-            plan = (reuse or {}).get((mg.machine_id, mg.num_machines))
-            if plan is None:
-                n = mg.num_local_vertices
-                if kind == "gas":
-                    plan = (CSRPlan(mg.edst, n), CSRPlan(mg.esrc, n))
-                else:
-                    plan = CSRPlan(mg.esrc, n, dst=mg.edst)
-            plans.append(plan)
-        return plans
+        return [
+            gas_plans(mg) if kind == "gas"
+            else CSRPlan(mg.esrc, mg.num_local_vertices, dst=mg.edst)
+            for mg in _runtime_units(kind, pgraph)
+        ]
 
     def _plans_for(self, spec: EngineSpec, pgraph, key) -> List[Any]:
         """CSR plans for this engine family's runtime units, built once."""
@@ -463,22 +459,8 @@ class GraphSession:
                 # a refinement pass is a fresh partitioning event: the
                 # valve measures drift from it, not from session open
                 staged.baseline_lambda = float(new_pg.replication_factor)
-                unchanged = frozenset()
-            else:
-                unchanged = frozenset(pstats.machines_unchanged)
-            # a unit's plan survives iff the new partition has a unit
-            # over the same machines and none of them changed
-            old_pg = self._pgraphs[key]
             for pkey in [pk for pk in self._plans if pk[0] == key]:
-                kind = pkey[1]
-                reuse = {
-                    (mg.machine_id, mg.num_machines): plan
-                    for mg, plan in zip(
-                        _runtime_units(kind, old_pg), self._plans[pkey]
-                    )
-                    if unchanged.issuperset(mg.machine_ids)
-                }
-                staged.plans[pkey] = self._build_plans(kind, new_pg, reuse)
+                staged.plans[pkey] = self._build_plans(pkey[1], new_pg)
             staged.pgraph = new_pg
             staged.stats = pstats
         return staged
@@ -490,10 +472,9 @@ class GraphSession:
         cached artifact — base and prepared graphs keep their edge-id
         layout (kept edges first, then additions), the vertex-cut
         carries every surviving edge's assignment and only places the
-        new edges, and CSR plans are rebuilt only for the blocks
-        covering a machine whose local graph actually changed. Fixpoint
-        records from earlier runs survive, and each variant's edge diff
-        is logged, which is what makes a subsequent ``run(...,
+        new edges, and CSR plans are rebuilt over the new partition.
+        Fixpoint records from earlier runs survive, and each variant's
+        edge diff is logged, which is what makes a subsequent ``run(...,
         incremental=True)`` a warm start rather than a cold one.
 
         When :attr:`repartition_threshold` is set and a variant's λ

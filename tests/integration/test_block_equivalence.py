@@ -22,7 +22,7 @@ that from four sides:
   out that parent and calling :func:`record_pins` there — the columnar
   ``machine-work`` records are folded back into that code's
   per-machine events, :func:`_per_machine_events`);
-* which cached block plans survive ``session.apply``.
+* that no cached plan outlives its partition across ``session.apply``.
 """
 
 import hashlib
@@ -402,43 +402,48 @@ def test_per_machine_accounting_and_events_match_the_parent(
 
 
 # ----------------------------------------------------------------------
-# (e) session: which block plans survive a mutation
+# (e) session: cached plans after session.apply
 
 
-def test_block_plans_survive_apply_exactly_when_untouched(monkeypatch):
+def _arrays(obj):
+    return [a for a in vars(obj).values() if isinstance(a, np.ndarray)]
+
+
+def test_cached_plans_never_view_a_superseded_partition(monkeypatch):
+    # a delta plan is a view of its block's source-ordered edges: one
+    # carried across session.apply would keep the superseded partition
+    # alive, so every plan is rebuilt over the new one — also for the
+    # blocks and machines a batch leaves untouched
     graph = road_grid_graph(24, 24, seed=3)
     monkeypatch.setattr(pgmod, "_BLOCK_EDGE_BUDGET", 300)
     with GraphSession.open(graph, machines=48, seed=0) as session:
         session.run("bfs", source=0)
-        (pkey, before), = session._plans.items()
-        old_blocks = session._pgraphs[pkey[0]].blocks
-        assert 4 < len(old_blocks) < 48 and len(before) == len(old_blocks)
-        applied = session.apply(MutationBatch().add_edge(0, 1).add_edge(5, 9))
-        (stats,) = applied.patches.values()
-        unchanged = set(stats.machines_unchanged)
-        assert 0 < len(unchanged) < 48
-        new_blocks = session._pgraphs[pkey[0]].blocks
-        after = session._plans[pkey]
-        assert len(after) == len(new_blocks)
-        old_plan = {
-            (b.machine_id, b.num_machines): p
-            for b, p in zip(old_blocks, before)
-        }
-        kept = 0
-        for block, plan in zip(new_blocks, after):
-            span = (block.machine_id, block.num_machines)
-            untouched = unchanged.issuperset(
-                range(span[0], span[0] + span[1])
-            )
-            if span in old_plan and untouched:
-                assert plan is old_plan[span]
-                kept += 1
-            else:
-                assert all(plan is not p for p in before)
-            assert plan.num_slots == block.num_local_vertices
-            assert plan.num_edges == block.num_local_edges
-        assert 0 < kept < len(after)
-        # and a run over the mixed old/new plans is the run over fresh ones
-        mixed = session.run("bfs", source=0)
+        (pg,) = session._pgraphs.values()
+        assert 4 < len(pg.blocks) < 48
+        session.run("pagerank", engine="powergraph-gas-sync", tolerance=1e-3)
+        assert {pk[1] for pk in session._plans} == {"delta", "gas"}
+        superseded = []
+        for batch in (
+            MutationBatch().add_edge(0, 1).add_edge(5, 9),
+            MutationBatch().add_edge(3, 77).add_edge(100, 7),
+        ):
+            (pg,) = session._pgraphs.values()
+            superseded += [
+                a for mg in pg.machines + pg.blocks for a in _arrays(mg)
+            ]
+            (stats,) = session.apply(batch).patches.values()
+            assert 0 < len(stats.machines_unchanged) < 48
+        for pkey, plans in session._plans.items():
+            live = session._pgraphs[pkey[0]]
+            if pkey[1] == "delta":
+                for block, plan in zip(live.blocks, plans):
+                    assert np.shares_memory(plan.key_sorted, block.esrc)
+                    assert np.shares_memory(plan.dst_sorted, block.edst)
+            flat = [p for u in plans for p in (u if pkey[1] == "gas" else (u,))]
+            for plan in flat:
+                for arr in _arrays(plan):
+                    assert not any(np.shares_memory(arr, old) for old in superseded)
+        # and the run over them is the run over freshly built plans
+        rebuilt = session.run("bfs", source=0)
         session._plans.clear()
-        _assert_same_run(mixed, session.run("bfs", source=0))
+        _assert_same_run(rebuilt, session.run("bfs", source=0))

@@ -110,10 +110,16 @@ def _reference_build(graph, assignment, machines, parallel, bidirectional):
         max(sorted(on), key=lambda m, v=v: score[v, m])
         for v, on in enumerate(hosts)
     ]
+    # the local edge order: by source (local ids rank global ones), and
+    # within one source in placement order — one-edge edges, then
+    # parallel copies, each by edge id (sorted() is stable)
     machine_eids = [
-        [e for e in range(len(edges))
-         if e not in parallel and assignment[e] == m]
-        + [e for e in parallel if m in hosts[edges[e][1]]]
+        sorted(
+            [e for e in range(len(edges))
+             if e not in parallel and assignment[e] == m]
+            + [e for e in parallel if m in hosts[edges[e][1]]],
+            key=lambda e: edges[e][0],
+        )
         for m in range(machines)
     ]
     return hosts, master, machine_eids

@@ -5,8 +5,13 @@ this file fixes everything ``build`` derives from that placement — the
 replica CSR, masters, local renumbering and every per-machine array,
 dtype included. Engines, golden numbers and the benchmark's modeled
 metrics all read these tables, so a rewrite of ``build`` must keep the
-SHA-256 digests below byte for byte. They were recorded from the
-per-vertex Python-bitmask ``build`` that preceded the pair-table one.
+SHA-256 digests below byte for byte. The vertex-side and replica-table
+arrays were recorded from the per-vertex Python-bitmask ``build`` that
+preceded the pair-table one. The per-edge arrays were re-recorded when
+local edges moved to source order, after checking on every case that
+each equals the placement-ordered array it replaced gathered by that
+array's stable source order (the delta out-plan's order), and that
+every other array is unchanged.
 """
 
 import hashlib
@@ -56,15 +61,15 @@ CASES = [
 ]
 
 PINS = {
-    ("powerlaw", 4, None): "d82205b3f556f7fcc906a4bbba334aaf3db580eb828a68744ff54b506b1dd16b",
-    ("powerlaw", 48, None): "3236fa8cd23c3261207acabf93e5e6c39acda7d2681f7e32aae9f64664c0165d",
-    ("road", 4, None): "6dd21d8fdf1a219e322c284af536fa524f945c94b6eb58b52d0f790275b0ac22",
-    ("road", 48, None): "c995b357833bd2ba6b0b3f6e1f847c5a4d10407384e88e1a08f93c3c8600a3c6",
-    ("tiny", 4, None): "13933ed072b977077e32792ac2dfd6ef698f6bce59ab7afa00f30b92c39e7df3",
+    ("powerlaw", 4, None): "a72330d6b19f6cd1aa3a133fc321424ca2aa08776ce076f367082b6ff63c5484",
+    ("powerlaw", 48, None): "9f4b79cda826768451ecd33735d5370b5e2fc594bcdaa2dbb7a1f2601c99619c",
+    ("road", 4, None): "40140716dde723879ff92d51a27585c652d547e89e4106c7956241649b4be984",
+    ("road", 48, None): "8f0c3356028a138c839ce8c0936cc2e12f11d16f929351a24619bbd6c5fc43ef",
+    ("tiny", 4, None): "4b7847f7fa3a7a699ab5368641510426aebc168fb1ca9290c7eb44ddb690d12e",
     ("tiny", 48, None): "c4be02b80cd4e47732fbf684514a0df3d92b5dda2549510222a055d294baccac",
-    ("isolated", 8, None): "344f9e6d20a0e7a2f666290c3ed4ce0cec6b8025906356bc8632e89095bdad98",
-    ("road", 8, "uni"): "d437e15ebb1504ad1801c96bd7cef5fe2379f9199950ab8835bb3afb7eab644c",
-    ("powerlaw", 8, "bi"): "678a1bc430be51dc4b87a4a5473ee7def671ce20ad517cd7b06f6f590ec18b48",
+    ("isolated", 8, None): "454c79cd034e0ecac7b92a5da960fe6e4f099c13a95d184708129d44c16398a7",
+    ("road", 8, "uni"): "c5b8506538ef695739a089b0b8cc5c174c4a063cdbeae499ea8040370d789391",
+    ("powerlaw", 8, "bi"): "4c7e1de5d8e62de191b2e2125fc8376ee364ee287bbc8281cdd6934c69aacd6c",
 }
 
 

@@ -5,7 +5,8 @@ import pytest
 
 from repro.graph.digraph import DiGraph
 from repro.partition.partitioned_graph import PartitionedGraph
-from repro.powergraph.engine_gas import _GASMachine
+from repro.partition.base import partition_graph
+from repro.powergraph.engine_gas import _GASMachine, gas_plans
 from repro.powergraph.gas import GASPageRank, GASSSSP
 
 
@@ -78,3 +79,22 @@ class TestOutTargets:
         gm = single_machine(diamond, prog)
         targets = gm.out_targets(np.array([1, 2]))
         assert sorted(targets.tolist()) == [3, 3]
+
+
+class TestPlans:
+    def test_in_plan_folds_in_placement_order(self, er_graph):
+        # local edges are source-ordered; a target's in-edges still fold
+        # one-edge before parallel, each by ascending global edge id
+        asg = partition_graph(er_graph, 4, "coordinated", seed=2)
+        pg = PartitionedGraph.build(
+            er_graph, asg, 4, parallel_eids=np.arange(0, 60)
+        )
+        for mg in pg.machines:
+            in_plan, out_plan = gas_plans(mg)
+            assert np.array_equal(
+                in_plan.edge_ids(),
+                np.lexsort((mg.eglobal, mg.eparallel, mg.edst)),
+            )
+            # the out-plan is keyed by the source order itself
+            assert out_plan.eorder is None
+            assert np.array_equal(out_plan.edge_ids(), np.arange(mg.num_local_edges))

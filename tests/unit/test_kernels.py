@@ -20,6 +20,8 @@ from repro.kernels import (
     segment_sum,
     set_config,
 )
+from repro.core.transmission import build_lazy_graph
+from repro.graph.generators import powerlaw_graph, road_grid_graph
 from repro.partition.partitioned_graph import PartitionedGraph
 from repro.runtime.machine_runtime import MachineRuntime
 
@@ -93,7 +95,7 @@ class TestCSRPlan:
         assert p.indptr.tolist() == [0, 2, 2, 4]
         assert p.nonempty_slots.tolist() == [0, 2]
         # stable order: original edge ids 1,3 (src 0) then 0,2 (src 2)
-        assert p.eorder.tolist() == [1, 3, 0, 2]
+        assert p.edge_ids().tolist() == [1, 3, 0, 2]
 
     @pytest.mark.parametrize(
         "n, m", [(1, 5), (3, 0), (1000, 4000), (2**16, 3000), (2**16 + 7, 3000)]
@@ -105,8 +107,9 @@ class TestCSRPlan:
         p = CSRPlan(key, n)
         order = np.argsort(key, kind="stable")
         indptr = np.searchsorted(key[order], np.arange(n + 1))
-        assert p.eorder.dtype == p.indptr.dtype == p.counts.dtype == np.int64
-        assert np.array_equal(p.eorder, order)
+        ids = p.edge_ids()
+        assert ids.dtype == p.indptr.dtype == p.counts.dtype == np.int64
+        assert np.array_equal(ids, order)
         assert np.array_equal(p.key_sorted, key[order])
         assert np.array_equal(p.indptr, indptr)
         assert np.array_equal(p.counts, np.diff(indptr))
@@ -188,6 +191,39 @@ class TestCSRPlan:
         assert all(arrays[k].itemsize == 8 for k in per_edge)
         per_slot = sum(a.nbytes for a in arrays.values()) - 24 * m
         assert per_slot <= 48 * (n + 1)
+
+    @pytest.mark.parametrize("graph, machines", [
+        (powerlaw_graph(3000, 20000, seed=4), 4),  # blocks of one machine
+        (road_grid_graph(20, 20, seed=4), 8),      # one merged block
+    ])
+    def test_delta_plan_over_a_partition_is_a_view(self, graph, machines):
+        # a partition's local edges are in source order, so a block's
+        # out-plan sorts nothing: no eorder, and its per-edge arrays
+        # are the block's own esrc / edst
+        for block in build_lazy_graph(graph, machines, seed=0).blocks:
+            m = block.num_local_edges
+            p = CSRPlan(block.esrc, block.num_local_vertices, dst=block.edst)
+            assert p.eorder is None
+            assert np.shares_memory(p.key_sorted, block.esrc)
+            assert np.shares_memory(p.dst_sorted, block.edst)
+            owned = [
+                name for name, a in vars(p).items()
+                if isinstance(a, np.ndarray) and a.size == m
+                and not np.shares_memory(a, block.esrc)
+                and not np.shares_memory(a, block.edst)
+            ]
+            assert owned == []
+            assert np.array_equal(p.edge_ids(), np.arange(m))
+            assert np.array_equal(p.edge_ids(np.array([2, 0])), [2, 0])
+
+    def test_tiebreak_orders_equal_keys(self):
+        # edges 1 and 3 share key 0: the tiebreak lists 3 first
+        p = CSRPlan(np.array([1, 0, 1, 0]), 2, tiebreak=np.array([3, 2, 1, 0]))
+        assert p.edge_ids().tolist() == [3, 1, 2, 0]
+        assert p.key_sorted.tolist() == [0, 0, 1, 1]
+        # a tiebreak sorts even keys that are already in order
+        p = CSRPlan(np.array([0, 0, 1]), 2, tiebreak=np.array([1, 0, 2]))
+        assert p.edge_ids().tolist() == [1, 0, 2]
 
 
 # ----------------------------------------------------------------------

@@ -1,10 +1,14 @@
 """Unit tests for the distributed graph representation."""
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.errors import PartitionError
 from repro.graph.digraph import DiGraph
+from repro.graph.generators import powerlaw_graph
 from repro.partition.base import partition_graph
 from repro.partition.partitioned_graph import PartitionedGraph
 
@@ -131,3 +135,88 @@ class TestParallelEdges:
             PartitionedGraph.build(
                 er_graph, asg, 4, parallel_eids=[er_graph.num_edges + 5]
             )
+
+
+class TestLocalEdgeLayout:
+    """Local edges by source, then one-edge before parallel, then by
+    global edge id; per-edge arrays read-only (PartitionedGraph.validate)."""
+
+    EDGE_FIELDS = ("esrc", "edst", "eweight", "eparallel", "eglobal")
+
+    @staticmethod
+    def _expected_order(mg):
+        return np.lexsort((mg.eglobal, mg.eparallel, mg.esrc))
+
+    def test_machines_and_blocks_are_source_ordered(self, er_graph):
+        # a fresh partition: the shared fixture's block list stays unbuilt
+        asg = partition_graph(er_graph, 6, "coordinated", seed=3)
+        pg = PartitionedGraph.build(er_graph, asg, 6)
+        assert any(b.num_machines > 1 for b in pg.blocks)
+        pg.validate()
+        for mg in pg.machines + pg.blocks:
+            order = self._expected_order(mg)
+            assert np.array_equal(order, np.arange(mg.num_local_edges))
+
+    def test_bidirectional_split_interleaves_parallel_copies(self, er_graph):
+        # under the bidirectional dispatch rule parallel copies land on
+        # sources that also own one-edge edges: within one source every
+        # one-edge edge precedes every parallel copy
+        asg = partition_graph(er_graph, 4, "coordinated", seed=2)
+        pg = PartitionedGraph.build(
+            er_graph, asg, 4, parallel_eids=np.arange(0, 60),
+            bidirectional=True,
+        )
+        pg.validate()
+        mixed = 0
+        for mg in pg.machines + pg.blocks:
+            assert np.array_equal(
+                self._expected_order(mg), np.arange(mg.num_local_edges)
+            )
+            par_srcs = set(mg.esrc[mg.eparallel].tolist())
+            mixed += len(par_srcs & set(mg.esrc[~mg.eparallel].tolist()))
+        assert mixed > 0
+
+    def test_validate_rejects_another_order_or_writeable_edges(
+        self, er_partitioned
+    ):
+        pg = dataclasses.replace(er_partitioned, machines=list(
+            er_partitioned.machines
+        ))
+        mg = pg.machines[0]
+        rev = {f: getattr(mg, f)[::-1].copy() for f in self.EDGE_FIELDS}
+        for a in rev.values():
+            a.flags.writeable = False
+        pg.machines[0] = dataclasses.replace(mg, **rev)
+        with pytest.raises(PartitionError, match="source order"):
+            pg.validate()
+        pg.machines[0] = dataclasses.replace(mg, eweight=mg.eweight.copy())
+        with pytest.raises(PartitionError, match="writeable"):
+            pg.validate()
+
+    def test_per_edge_arrays_are_read_only(self, er_graph):
+        asg = partition_graph(er_graph, 3, "coordinated", seed=2)
+        pg = PartitionedGraph.build(er_graph, asg, 3)
+        for mg in pg.machines + pg.blocks:
+            for name in self.EDGE_FIELDS:
+                assert not getattr(mg, name).flags.writeable, name
+        with pytest.raises(ValueError):
+            pg.machines[0].esrc[0] = 0
+        pg.validate()
+
+    def test_build_peak_is_its_own_output(self):
+        # tracemalloc over one build of a fixed powerlaw graph: the
+        # in-place pair keys, the ones eweight and the dropped
+        # replica-table locals keep the traced peak at what the
+        # partition retains: 1.003x measured (the build before them
+        # peaked at 2.17x on this graph); bound = measured + 10 %
+        graph = powerlaw_graph(20_000, 150_000, seed=3)
+        asg = partition_graph(graph, 8, "coordinated", seed=0)
+        graph.out_degrees()  # cached on the graph: not the build's
+        tracemalloc.start()
+        try:
+            pg = PartitionedGraph.build(graph, asg, 8)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert pg.num_machines == 8
+        assert peak <= 1.10 * kept, peak / kept
