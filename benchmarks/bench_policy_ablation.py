@@ -1,20 +1,22 @@
-"""Policy ablation: the coherency controllers vs the paper rule.
+"""Policy ablation: the ``batched`` controller vs the paper rule.
 
 One deterministic sweep of the controller matrix — PageRank on
-road-ca-mini / 8 machines under every shipped controller on both lazy
-engines, tracer and coherency lens on — recording per row: coherency
-points, convergence, the max deviation from the single-machine
-``pagerank_reference`` fixpoint, and the LensAuditor verdict.
+road-ca-mini / 8 machines under ``paper`` and ``batched`` on
+LazyVertexAsync and under ``paper`` on LazyBlockAsync (where
+``batched`` *is* the paper rule), tracer and coherency lens on —
+recording per row: coherency points, convergence, the max deviation
+from the single-machine ``pagerank_reference`` fixpoint, and the
+LensAuditor verdict.
 
 Acceptance (asserted by the test, so a behavioural regression in the
-policy layer fails the benchmark suite): the ``staleness`` and
-``batched`` controllers cut the LazyVertexAsync coherency-point count by
-at least 20% against the ``paper`` baseline, every controller's final
-values stay within the repo's PageRank validation tolerance of the
-reference fixpoint, and every audited run is clean — pending mass
-drains at each exchange and replicas agree (zero drift) after
-convergence. The five coherency-point counts themselves are golden
-numbers (``tests/integration/test_golden_numbers.py``).
+policy layer fails the benchmark suite): the ``batched`` controller cuts
+the LazyVertexAsync coherency-point count by at least 20% against the
+``paper`` baseline, every controller's final values stay within the
+repo's PageRank validation tolerance of the reference fixpoint, and
+every audited run is clean — pending mass drains at each exchange and
+replicas agree (zero drift) after convergence. The three coherency-point
+counts themselves are golden numbers
+(``tests/integration/test_golden_numbers.py``).
 """
 
 import numpy as np
@@ -28,8 +30,8 @@ from repro.run_api import prepare_graph, run
 
 GRAPH = "road-ca-mini"
 MACHINES = 8
-LAZY_VERTEX_POLICIES = ("paper", "staleness", "batched")
-LAZY_BLOCK_POLICIES = ("paper", "staleness")
+LAZY_VERTEX_POLICIES = ("paper", "batched")
+LAZY_BLOCK_POLICIES = ("paper",)
 #: the repo's validation-standard PageRank tolerance (``repro validate``)
 VALUE_TOL = 5e-2
 CUT_TARGET = 0.20
@@ -78,13 +80,11 @@ def run_matrix():
         )
 
     base = rows["lazy-vertex/paper"]["coherency_points"]
-    cuts = {}
-    for policy in ("staleness", "batched"):
-        points = rows[f"lazy-vertex/{policy}"]["coherency_points"]
-        cuts[policy] = 1.0 - points / base if base else 0.0
+    points = rows["lazy-vertex/batched"]["coherency_points"]
+    cut = 1.0 - points / base if base else 0.0
     acceptance = {
-        "cut_fraction": cuts,
-        "cut_ok": all(c >= CUT_TARGET for c in cuts.values()),
+        "cut_fraction": cut,
+        "cut_ok": cut >= CUT_TARGET,
         "values_ok": all(
             r["max_dev_from_reference"] <= VALUE_TOL for r in rows.values()
         ),

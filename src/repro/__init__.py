@@ -28,7 +28,6 @@ from repro.core import (
     CoherencySignals,
     LazyBlockAsyncEngine,
     LazyVertexAsyncEngine,
-    StalenessController,
     build_lazy_graph,
     controller_names,
 )
@@ -113,7 +112,6 @@ __all__ = [
     "CoherencyController",
     "CoherencyPolicy",
     "CoherencySignals",
-    "StalenessController",
     "BatchedController",
     "controller_names",
     "NetworkModel",

@@ -88,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument(
         "--policy-opt", action="append", metavar="K=V", default=[],
         help="override one policy field or controller option, e.g. "
-             "--policy-opt max_delta_age=4 --policy-opt mass_floor=0.3 "
+             "--policy-opt max_delta_age=4 --policy-opt ev_threshold=5 "
              "(repeatable)",
     )
     p_run.add_argument("--top", type=int, default=0, help="print top-N vertices")
@@ -265,11 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
         "figures", help="regenerate every table/figure to a results dir"
     )
     p_fig.add_argument("--out", default="results", help="output directory")
-
-    p_exp = sub.add_parser(
-        "experiment", help="run a JSON experiment file and print the results"
-    )
-    p_exp.add_argument("--config", required=True, help="study .json file")
 
     p_val = sub.add_parser(
         "validate",
@@ -843,33 +838,6 @@ def _cmd_validate(args) -> int:
     return 0
 
 
-def _cmd_experiment(args) -> int:
-    from repro.bench.experiment_file import run_experiment_file
-
-    name, results = run_experiment_file(args.config)
-    rows = []
-    for cfg, r in results:
-        rows.append(
-            [
-                cfg.graph,
-                cfg.algorithm,
-                cfg.run.engine,
-                cfg.machines,
-                round(r.stats.modeled_time_s, 4),
-                r.stats.global_syncs,
-                round(r.stats.comm_bytes / 1e6, 3),
-            ]
-        )
-    print(
-        format_table(
-            ["graph", "algorithm", "engine", "machines", "time_s", "syncs", "traffic_MB"],
-            rows,
-            title=f"study: {name}",
-        )
-    )
-    return 0
-
-
 def _cmd_analyze(args) -> int:
     import json
 
@@ -1031,7 +999,6 @@ _COMMANDS = {
     "sweep": _cmd_sweep,
     "figures": _cmd_figures,
     "validate": _cmd_validate,
-    "experiment": _cmd_experiment,
     "analyze": _cmd_analyze,
 }
 

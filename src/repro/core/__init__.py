@@ -31,7 +31,6 @@ from repro.core.policy import (
     CoherencyPolicy,
     CoherencySignals,
     ExchangeDirective,
-    StalenessController,
     controller_names,
     resolve_policy,
 )
@@ -44,7 +43,6 @@ __all__ = [
     "CoherencyPolicy",
     "CoherencySignals",
     "ExchangeDirective",
-    "StalenessController",
     "BatchedController",
     "controller_names",
     "resolve_policy",

@@ -29,12 +29,7 @@ from repro.api.vertex_program import DeltaProgram
 from repro.cluster.network import NetworkModel
 from repro.comms import Delivery
 from repro.core.coherency import CoherencyExchanger
-from repro.core.policy import (
-    CoherencyPolicy,
-    CoherencySignals,
-    extended_signals,
-    resolve_policy,
-)
+from repro.core.policy import CoherencyPolicy, CoherencySignals, resolve_policy
 from repro.obs.lens import CoherencyLens
 from repro.partition.partitioned_graph import PartitionedGraph
 from repro.runtime.base_engine import BaseEngine
@@ -82,14 +77,11 @@ class LazyBlockAsyncEngine(BaseEngine):
         )
         self.policy = resolve_policy(policy)
         self.controller = self.policy.make_controller()
-        # the one reader of pending replica state, shared by the lens
-        # and a signal-driven controller; the paper path builds none
-        self.replicas = (
-            ReplicaReader(pgraph, self.runtimes, program.algebra)
-            if lens or self.controller.needs_signals
-            else None
-        )
+        # the reader of pending replica state is the lens's alone: every
+        # controller decides on the paper's features here
+        self.replicas = None
         if lens:
+            self.replicas = ReplicaReader(pgraph, self.runtimes, program.algebra)
             self.lens = CoherencyLens(
                 self.replicas, self.tracer, self.sim.stats, self.comms
             )
@@ -162,26 +154,20 @@ class LazyBlockAsyncEngine(BaseEngine):
         tracer = self.tracer
         lens = self.lens
         controller = self.controller
-        replicas = self.replicas if controller.needs_signals else None
         for step in range(self.max_supersteps):
             with tracer.span("superstep", category="superstep", superstep=step) as ss:
                 lens.begin_superstep(step)
                 # ---- Stage 1: local computation -----------------------
                 if do_local:
                     self._local_stage(step)
-                # only the lens and signal-driven controllers read the
-                # staleness clock: the paper path never ticks it
+                # only the lens reads the staleness clock: a lens-off
+                # run never ticks it
                 if self.replicas is not None:
                     self.backend.dispatch(MachineRuntime.tick_delta_age)
 
                 # pre-exchange reading: how much divergence did the local
                 # stage build up before this coherency point repairs it
                 lens.probe()
-                # extended controller signals must also read the
-                # *pre*-exchange state (the exchange clears the pending
-                # mass the controller is reasoning about); trend/active
-                # join them once known
-                ext = {} if replicas is None else extended_signals(replicas)
 
                 # ---- Stage 2: data coherency --------------------------
                 with tracer.span("coherency", category="phase") as sp:
@@ -209,7 +195,7 @@ class LazyBlockAsyncEngine(BaseEngine):
                     trend = (prev_active - active) / prev_active
                 else:
                     trend = 0.0
-                signals = CoherencySignals(step, ev_ratio, trend, active, **ext)
+                signals = CoherencySignals(step, ev_ratio, trend, active)
                 do_local = controller.turn_on_lazy(signals)
                 tracer.instant(
                     "interval-decision",

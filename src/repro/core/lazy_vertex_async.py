@@ -27,12 +27,7 @@ from repro.cluster.network import NetworkModel
 from repro.cluster.termination import TerminationDetector
 from repro.comms import Delivery
 from repro.core.coherency import CoherencyExchanger, no_participants
-from repro.core.policy import (
-    CoherencyPolicy,
-    CoherencySignals,
-    extended_signals,
-    resolve_policy,
-)
+from repro.core.policy import CoherencyPolicy, CoherencySignals, resolve_policy
 from repro.obs.lens import CoherencyLens
 from repro.partition.partitioned_graph import PartitionedGraph
 from repro.runtime.base_engine import BaseEngine
@@ -82,7 +77,7 @@ class LazyVertexAsyncEngine(BaseEngine):
         self.policy = resolve_policy(policy)
         self.controller = self.policy.make_controller()
         # the one reader of pending replica state, shared by the lens
-        # and a signal-driven controller; the paper path builds none
+        # and a needs_signals controller; the paper path builds none
         self.replicas = (
             ReplicaReader(pgraph, self.runtimes, program.algebra)
             if lens or self.controller.needs_signals
@@ -140,7 +135,7 @@ class LazyVertexAsyncEngine(BaseEngine):
                     if replicas is not None:
                         signals = CoherencySignals(
                             step, ev_ratio, 0.0, self._global_active_count(),
-                            **extended_signals(replicas),
+                            staleness_max=replicas.staleness_max(),
                         )
                     else:
                         signals = CoherencySignals(step, ev_ratio, 0.0, 0)

@@ -15,13 +15,12 @@ trainable machinery is :func:`fit_interval_rule`, for the ablation):
   ``3·T``, where ``T`` is the modeled time of the stage's first
   micro-iteration (measured online).
 
-Controllers are fed a per-superstep :class:`CoherencySignals` snapshot.
-Beyond the paper's two features it can carry the lens-grade signals the
-rule never sees — pending ``deltaMsg`` mass, replica staleness age and
-master↔mirror drift — measured through the engine's
-:class:`~repro.runtime.result.ReplicaReader` only when the controller
-asks (so the paper path computes nothing new, and controllers work with
-``lens=False``).
+Controllers are fed a per-superstep :class:`CoherencySignals` snapshot:
+the paper's two features, the active count and — only for a controller
+that sets ``needs_signals`` (``"batched"``) on LazyVertexAsync — the
+oldest pending delta's age, read through the engine's
+:class:`~repro.runtime.result.ReplicaReader` (so the paper path computes
+nothing new, and controllers work with ``lens=False``).
 
 A policy name *is* a controller name; ``_CONTROLLERS`` is the whole
 vocabulary:
@@ -32,20 +31,15 @@ vocabulary:
 * ``"simple"`` / ``"never"`` — Fig 8(a)'s strawmen: lazy always on with
   every local stage run to quiescence / lazy never on (isolates the
   3-syncs→1-sync saving from laziness);
-* ``"staleness"`` — accumulated-delta-magnitude driven (cf. *Maiter* /
-  *Delayed Asynchronous Iterative Graph Algorithms*): on LazyVertexAsync
-  it delays partial exchanges while the pending mass decays below a
-  fraction of its running peak, bounded by a hard staleness-age cap; on
-  LazyBlockAsync it keeps lazy mode on through the decay phase;
 * ``"batched"`` — LazyVertexAsync partial-exchange batching: wait until
   the *oldest* pending delta reaches ``max_delta_age``, then ship
   **everything** pending in one exchange.
 
 :class:`CoherencyPolicy` is the one value every entry point passes —
-``repro.run(policy=...)``, the CLI's ``--policy`` / ``--policy-opt``, an
-experiment file's ``"policy"`` / ``"policy_opts"`` and the lazy engines'
-``policy=``: a controller name, the exchange's wire mode,
-``max_delta_age`` and the controller's numeric options.
+``repro.run(policy=...)``, the CLI's ``--policy`` / ``--policy-opt``,
+the service's ``policy=`` and the lazy engines' ``policy=``: a
+controller name, the exchange's wire mode, ``max_delta_age`` and the
+controller's numeric options.
 """
 
 from __future__ import annotations
@@ -61,12 +55,10 @@ from repro.errors import ConfigError
 
 __all__ = [
     "CoherencySignals",
-    "extended_signals",
     "ExchangeDirective",
     "CoherencyController",
     "SimpleController",
     "NeverLazyController",
-    "StalenessController",
     "BatchedController",
     "CoherencyPolicy",
     "controller_names",
@@ -84,20 +76,16 @@ class CoherencySignals:
     """One superstep's controller inputs.
 
     ``ev_ratio``/``trend``/``active`` are the paper's features (free to
-    compute); ``pending_mass``/``pending_replicas``/``staleness_max``/
-    ``drift_sample`` are the lens-grade extended signals, filled in only
-    when the active controller sets ``needs_signals`` (they cost one
-    pass over the pending deltas plus a small drift sample).
+    compute); ``staleness_max`` — the age, in local rounds, of the oldest
+    pending delta — is filled in only on LazyVertexAsync when the active
+    controller sets ``needs_signals``.
     """
 
     superstep: int
     ev_ratio: float
     trend: float
     active: int
-    pending_mass: float = 0.0
-    pending_replicas: int = 0
     staleness_max: int = 0
-    drift_sample: float = 0.0
 
     def as_inputs(self) -> Dict[str, float]:
         """Flat snapshot for the lens decision audit log."""
@@ -105,27 +93,8 @@ class CoherencySignals:
             "ev_ratio": float(self.ev_ratio),
             "trend": float(self.trend),
             "active": int(self.active),
-            "pending_mass": float(self.pending_mass),
-            "pending_replicas": int(self.pending_replicas),
             "staleness_max": int(self.staleness_max),
-            "drift_sample": float(self.drift_sample),
         }
-
-
-def extended_signals(reader) -> Dict:
-    """The lens-grade :class:`CoherencySignals` fields, measured now.
-
-    ``reader`` is the engine's ``ReplicaReader``. The pending mass is the
-    reader's per-machine masses folded in machine order — regrouping the
-    float sum would move controllers' decisions in the last bits.
-    """
-    masses, counts = reader.pending()
-    return {
-        "pending_mass": float(sum(masses)),
-        "pending_replicas": sum(counts),
-        "staleness_max": reader.staleness_max(),
-        "drift_sample": reader.sample_drift(),
-    }
 
 
 # ----------------------------------------------------------------------
@@ -155,16 +124,15 @@ class CoherencyController:
     LazyVertexAsync asks :meth:`partial_exchange` (every replica due at
     ``max_delta_age`` triggers its own exchange). Other policies are
     subclasses overriding what they change. One instance lives for one
-    engine run (controllers may keep cross-superstep state such as
-    running peaks); an engine builds its own through
+    engine run; an engine builds its own through
     :meth:`CoherencyPolicy.make_controller`.
     """
 
     name = "paper"
     #: label used in the decision audit log's ``rule`` field
     rule_name = "adaptive"
-    #: Request the extended (mass/staleness/drift) signals. The paper
-    #: rule leaves this off so its path stays bit-identical *and*
+    #: Request ``staleness_max`` (LazyVertexAsync). The paper rule
+    #: leaves this off so its path stays bit-identical *and*
     #: computation-identical.
     needs_signals = False
 
@@ -229,70 +197,6 @@ class NeverLazyController(CoherencyController):
         return 0.0
 
 
-class StalenessController(CoherencyController):
-    """Delay exchanges while the pending delta mass decays.
-
-    Tracks the running peak of the pending ``deltaMsg`` mass. Once the
-    run enters its decay phase (pending mass below ``mass_floor`` × the
-    peak) the accumulated magnitude no longer pays for a sync every
-    superstep, so due replicas are *deferred* and their deltas keep
-    coalescing — until either the mass climbs back over the floor or
-    the oldest pending delta hits the hard age cap
-    (``age_cap_factor × max_delta_age`` local rounds). On LazyBlockAsync
-    the same signal keeps lazy mode on through the decay phase.
-    """
-
-    name = rule_name = "staleness"
-    needs_signals = True
-
-    def __init__(
-        self,
-        mass_floor: float = 0.5,
-        age_cap_factor: float = 2.0,
-        ev_threshold: float = 10.0,
-        trend_threshold: float = 0.07,
-        budget_multiplier: float = 3.0,
-    ) -> None:
-        if not 0.0 < mass_floor <= 1.0:
-            raise ConfigError(
-                f"staleness controller: mass_floor must be in (0, 1], "
-                f"got {mass_floor}"
-            )
-        if age_cap_factor < 1.0:
-            raise ConfigError(
-                f"staleness controller: age_cap_factor must be >= 1, "
-                f"got {age_cap_factor}"
-            )
-        super().__init__(ev_threshold, trend_threshold, budget_multiplier)
-        self.mass_floor = float(mass_floor)
-        self.age_cap_factor = float(age_cap_factor)
-        self._peak_mass = 0.0
-
-    def _decaying(self, pending_mass: float) -> bool:
-        self._peak_mass = max(self._peak_mass, pending_mass)
-        return 0.0 < pending_mass < self.mass_floor * self._peak_mass
-
-    def turn_on_lazy(self, signals: CoherencySignals) -> bool:
-        return super().turn_on_lazy(signals) or self._decaying(
-            signals.pending_mass
-        )
-
-    def partial_exchange(
-        self, signals: CoherencySignals, max_delta_age: int
-    ) -> ExchangeDirective:
-        cap = max(max_delta_age + 1, int(math.ceil(
-            self.age_cap_factor * max_delta_age
-        )))
-        decaying = self._decaying(signals.pending_mass)
-        if signals.staleness_max >= cap:
-            # the backlog hit the hard staleness bound: coalesce — ship
-            # everything pending, not just the replicas that came due
-            return ExchangeDirective(True, 1, "staleness-cap")
-        if decaying:
-            return ExchangeDirective(False, 0, "mass-decaying")
-        return ExchangeDirective(True, max_delta_age, "mass-due")
-
-
 class BatchedController(CoherencyController):
     """Coalesce LazyVertexAsync partial exchanges under ``max_delta_age``.
 
@@ -322,7 +226,7 @@ _CONTROLLERS: Dict[str, Type[CoherencyController]] = {
     cls.name: cls
     for cls in (
         CoherencyController, SimpleController, NeverLazyController,
-        StalenessController, BatchedController,
+        BatchedController,
     )
 }
 
@@ -343,8 +247,9 @@ class CoherencyPolicy:
     :func:`controller_names`), ``mode`` the exchange's wire mode
     (``"dynamic"``, ``"a2a"`` or ``"m2m"``), ``max_delta_age``
     LazyVertexAsync's due age, and ``options`` the controller's numeric
-    constructor arguments — checked here, so a bad option fails when the
-    policy is built rather than when a run starts.
+    constructor arguments — their names and types are checked here, so a
+    bad option fails when the policy is built rather than when a run
+    starts.
     """
 
     controller: str = "paper"
@@ -381,7 +286,6 @@ class CoherencyPolicy:
             raise ConfigError(
                 f"max_delta_age must be >= 1, got {self.max_delta_age}"
             )
-        self.make_controller()  # the controller checks the option values
 
     def make_controller(self) -> CoherencyController:
         """A fresh (per-run) controller configured by this policy."""
@@ -412,8 +316,8 @@ class CoherencyPolicy:
 def named_policy(
     name: Optional[str], opts: Mapping[str, Any]
 ) -> Optional[CoherencyPolicy]:
-    """A flat ``name`` + ``opts`` pair (``--policy`` / ``--policy-opt``,
-    an experiment file's ``policy`` / ``policy_opts``) as one policy.
+    """A flat ``name`` + ``opts`` pair (``--policy`` / ``--policy-opt``)
+    as one policy.
 
     Options alone overlay the ``"paper"`` policy; neither means "no
     explicit policy" (``None``), which eager engines accept.

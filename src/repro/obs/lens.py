@@ -12,9 +12,9 @@ stays bit-identical:
   has been pending), and master↔mirror value drift on a deterministic
   sample of replicated vertices. The pending mass, the sample and the
   full cross-replica gap are read through the engine's one
-  :class:`~repro.runtime.result.ReplicaReader` — the same object the
-  signal-driven controllers read, so the lens and a controller cannot
-  disagree about what is pending;
+  :class:`~repro.runtime.result.ReplicaReader` — the same object
+  LazyVertexAsync reads ``batched``'s staleness through, so the lens and
+  a controller cannot disagree about what is pending;
 * **coherency-decision audit log** — a structured
   :class:`CoherencyDecision` for every interval-rule evaluation
   (``turn_on_lazy`` / ``local_budget``) and one per executed coherency

@@ -109,17 +109,19 @@ def run(
         :mod:`repro.runtime.registry`).
     policy:
         The coherency policy: a name (:func:`repro.controller_names` —
-        ``"paper"``, ``"simple"``, ``"never"``, ``"staleness"``,
-        ``"batched"``) or a :class:`~repro.core.policy.CoherencyPolicy`
-        instance. Collapses the controller choice and its options, wire
-        mode and ``max_delta_age`` into one value; lazy engines only.
+        ``"paper"``, ``"simple"``, ``"never"``, ``"batched"``) or a
+        :class:`~repro.core.policy.CoherencyPolicy` instance. Collapses
+        the controller choice and its options, wire mode and
+        ``max_delta_age`` into one value; lazy engines only.
         Default: the ``"paper"`` policy (bit-identical to the paper's
         rule). The pre-PR-10 ``interval=``/``coherency_mode=`` keywords
         were removed; passing them is a :class:`ConfigError` naming the
         ``policy=`` replacement.
     split:
         Edge-splitter configuration enabling parallel-edges; ``None``
-        keeps every edge in one-edge mode.
+        keeps every edge in one-edge mode. An eager engine refuses a
+        split partition (:class:`ConfigError`) unless the algorithm's
+        ⊕ is idempotent: it scatters every copy of a parallel edge.
     trace_out / trace_format:
         Write the structured execution trace to ``trace_out`` in
         ``"jsonl"`` or ``"chrome"`` format (implies tracing).

@@ -3,9 +3,9 @@
 :func:`collect_values` and :func:`replica_disagreement` assemble every
 run's result. :class:`ReplicaReader` is the one read-only view of what
 is *pending* between replicas mid-run — per-machine ``deltaMsg`` mass,
-staleness, sampled drift — shared by the coherency lens
-(:mod:`repro.obs.lens`) and the signal-driven controllers
-(:mod:`repro.core.policy`).
+staleness, sampled drift — read by the coherency lens
+(:mod:`repro.obs.lens`); LazyVertexAsync also reads its staleness for a
+``needs_signals`` controller (:mod:`repro.core.policy`).
 """
 
 from __future__ import annotations
@@ -75,12 +75,12 @@ def replica_disagreement(
 class ReplicaReader:
     """Read-only view of a lazy engine's pending replica state.
 
-    Built once per engine, and only when a lens or a ``needs_signals``
-    controller asks — the paper-policy hot path has none. Readings stay
-    per **machine**: each runtime (a block of machines) is read through
-    the slices ``mg.machine_offsets`` marks, in machine order, so every
-    float is grouped exactly as with one runtime per machine
-    (non-default controllers decide on these floats).
+    Built once per engine, and only when a lens or (on LazyVertexAsync)
+    a ``needs_signals`` controller asks — the paper-policy hot path has
+    none. Readings stay per **machine**: each runtime (a block of
+    machines) is read through the slices ``mg.machine_offsets`` marks,
+    in machine order, so every float the lens records is grouped exactly
+    as with one runtime per machine.
     """
 
     def __init__(self, pgraph: PartitionedGraph, runtimes, algebra) -> None:

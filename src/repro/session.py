@@ -625,6 +625,16 @@ class GraphSession:
                 )
 
         pgraph, key = self._prepared(program)
+        if (spec.family == "eager" and pgraph.parallel_eids.size
+                and not program.algebra.idempotent):
+            # every placed copy of a parallel edge scatters, so each
+            # message arrives once per copy: harmless only for min/max
+            raise ConfigError(
+                f"engine {config.engine!r} cannot run {program.name!r} on a "
+                f"split partition: its {program.algebra.name!r} ⊕ is not "
+                f"idempotent and each parallel edge scatters once per copy; "
+                f"drop split= or use a lazy engine"
+            )
         plans = self._plans_for(spec, pgraph, key)
 
         # fixpoint bookkeeping: delta programs that opt into warm starts

@@ -74,18 +74,17 @@ class TestGoldenPartition:
 
 
 class TestGoldenPolicyCoherencyPoints:
-    """PageRank on road-ca-mini / 8 machines under each shipped
-    controller (the matrix ``benchmarks/bench_policy_ablation.py``
-    audits): the coherency-point counts are protocol behaviour."""
+    """PageRank on road-ca-mini / 8 machines under the paper rule on
+    both lazy engines and ``batched`` on LazyVertexAsync (the matrix
+    ``benchmarks/bench_policy_ablation.py`` audits): the coherency-point
+    counts are protocol behaviour."""
 
     @pytest.mark.parametrize(
         "engine, policy, points",
         [
             ("lazy-vertex", "paper", 54),
-            ("lazy-vertex", "staleness", 21),
             ("lazy-vertex", "batched", 25),
             ("lazy-block", "paper", 23),
-            ("lazy-block", "staleness", 23),
         ],
     )
     def test_coherency_points(self, engine, policy, points):

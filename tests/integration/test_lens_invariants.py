@@ -14,8 +14,8 @@ These are the invariants that must hold on every clean run:
 
 Parametrized over both lazy engines × two algorithms with different
 delta algebras (pagerank: SUM, cc: MIN) per the acceptance criteria,
-plus the signal-driven coherency controllers (``staleness``,
-``batched``) — deferring exchanges must never break the invariants.
+plus the signal-driven ``batched`` controller — deferring exchanges
+must never break the invariants.
 """
 
 import pytest
@@ -28,10 +28,8 @@ from repro.run_api import run
 ENGINES = ["lazy-block", "lazy-vertex"]
 ALGORITHMS = ["pagerank", "cc"]
 MATRIX = [(e, a, "paper") for e in ENGINES for a in ALGORITHMS] + [
-    ("lazy-vertex", "pagerank", "staleness"),
     ("lazy-vertex", "pagerank", "batched"),
     ("lazy-vertex", "cc", "batched"),
-    ("lazy-block", "pagerank", "staleness"),
 ]
 
 

@@ -1,7 +1,9 @@
 """Parallel-edges transmission mode: correctness + traffic behaviour."""
 
 import numpy as np
+import pytest
 
+import repro
 from repro.algorithms import (
     ConnectedComponentsProgram,
     KCoreProgram,
@@ -13,6 +15,8 @@ from repro.algorithms import (
     sssp_reference,
 )
 from repro.core import LazyBlockAsyncEngine, build_lazy_graph
+from repro.errors import ConfigError
+from repro.graph.generators import powerlaw_graph
 from repro.partition.edge_splitter import EdgeSplitConfig
 from repro.powergraph import PowerGraphSyncEngine
 
@@ -87,3 +91,30 @@ class TestParallelEdgeEffects:
             pg_split.replication_factor != pg_none.replication_factor
             or pg_split.parallel_eids.size > 0
         )
+
+
+class TestEagerEnginesRefuseSumOnSplitPartitions:
+    """An eager engine scatters every placed copy of a parallel edge, so
+    under a non-idempotent ⊕ each message lands once per copy: PageRank
+    on a split power-law graph never converged there. The run is refused
+    before it starts; lazy-block takes the same partition."""
+
+    GRAPH_ARGS = (2000, 12000)
+    RUN = dict(machines=8, tolerance=1e-3,
+               split=EdgeSplitConfig(textra=0.02), max_supersteps=150)
+
+    @pytest.fixture(scope="class")
+    def powerlaw(self):
+        return powerlaw_graph(*self.GRAPH_ARGS, seed=1)
+
+    @pytest.mark.parametrize(
+        "engine", ["powergraph-sync", "powergraph-async", "powergraph-gas-sync"]
+    )
+    def test_eager_engine_refuses_sum(self, powerlaw, engine):
+        with pytest.raises(ConfigError, match="split") as err:
+            repro.run(powerlaw, "pagerank", engine=engine, **self.RUN)
+        assert "\n" not in str(err.value)
+
+    def test_lazy_block_converges_on_the_same_partition(self, powerlaw):
+        r = repro.run(powerlaw, "pagerank", engine="lazy-block", **self.RUN)
+        assert r.stats.converged

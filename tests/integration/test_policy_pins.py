@@ -28,7 +28,7 @@ PINS = Path(__file__).parent.parent / "data" / "policy_pins.json"
 
 GRAPH = "web-uk-mini"
 MACHINES = 8
-POLICIES = ("paper", "simple", "never", "staleness", "batched")
+POLICIES = ("paper", "simple", "never", "batched")
 CELLS = [
     (policy, engine, algorithm)
     for policy in POLICIES

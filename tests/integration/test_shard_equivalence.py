@@ -11,7 +11,7 @@ commit produced (host-clock timestamps excepted — they are real wall
 time and differ between any two runs; everything else, including span
 ids, parent links, model-time stamps, charges, and the full RunStats
 dump with its lens histograms, is digested). The cells were later
-re-recorded on purpose, four times (see :func:`record_pins`).
+re-recorded on purpose, five times (see :func:`record_pins`).
 
 On top of the traces, the :class:`LensAuditor` must be strict-clean, the
 critical-path analyzer must name a gating machine/channel for every
@@ -81,7 +81,14 @@ def observe(engine, alg, er_graph):
 def record_pins():  # pragma: no cover - run by hand
     """Rewrite every cell from the checked-out code.
 
-    Every cell was last recorded on the commit that made
+    The four lazy-engine cells were last recorded on the commit that
+    deleted the ``staleness`` controller: a ``coherency-decision``
+    record no longer carries ``pending_mass`` / ``pending_replicas`` /
+    ``drift_sample`` (the ``lens-probe`` instant of the same superstep
+    keeps them). Deleting those three keys from every parent decision
+    record gave that commit's stream, record for record; the six
+    eager-engine cells were left as they were. Before that, every cell
+    was recorded on the commit that made
     ``RunStats.extra`` a plain dict: the ``run_meta`` RunStats dump no
     longer repeats each extra as an ``extra.*`` key under ``metrics``
     (its ``extra`` dict is unchanged). Deleting every ``extra.*`` key

@@ -215,7 +215,7 @@ class TestPolicyCli:
         rc = main(
             ["run", "--graph", "road-ca-mini", "--algorithm", "pagerank",
              "--machines", "4", "--engine", "lazy-vertex",
-             "--policy", "staleness", "--policy-opt", "mass_floor=0.3",
+             "--policy", "batched", "--policy-opt", "ev_threshold=5",
              "--policy-opt", "max_delta_age=4"]
         )
         assert rc == 0

@@ -17,7 +17,9 @@ A fifth pins one per-superstep record: the ``superstep`` span, whose
 keeps a ``timeline`` list. A sixth pins that a dense sweep takes its
 flags off the folded values: under ``src/`` nothing defines or calls a
 ``complement(...)`` edge list or keeps per-target ``_one_edge_in``
-counts.
+counts. A seventh pins that only LazyVertexAsync feeds a controller
+more than the paper's features: under ``src/`` only
+``lazy_vertex_async.py`` reads ``needs_signals``.
 """
 
 from __future__ import annotations
@@ -271,6 +273,43 @@ def test_dense_flags_come_from_values():
     assert not found, "\n".join(found)
 
 
+def needs_signals_reads(path: Path) -> list:
+    """Reads of a ``needs_signals`` attribute (the class attributes that
+    declare it are stores, not reads)."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if (isinstance(node, ast.Attribute) and node.attr == "needs_signals"
+                and isinstance(node.ctx, ast.Load)):
+            found.append((node.lineno, node.attr))
+    return [f"{path.relative_to(ROOT)}:{line} {name}" for line, name in sorted(found)]
+
+
+def test_only_lazy_vertex_reads_needs_signals():
+    found = [
+        hit for path in FILES
+        if path.parts[len(ROOT.parts)] == "src"
+        for hit in needs_signals_reads(path)
+    ]
+    assert {hit.split(":")[0] for hit in found} == {
+        "src/repro/core/lazy_vertex_async.py"
+    }, found
+
+
+#: how LazyBlockAsync asked its controller for the extended signals
+#: before it read only the paper's features
+_PARENT_BLOCK_SIGNAL_READS = """class LazyBlockAsyncEngine:
+    needs_signals = False
+    def __init__(self, lens):
+        self.replicas = (
+            ReplicaReader(pgraph, self.runtimes, program.algebra)
+            if lens or self.controller.needs_signals
+            else None
+        )
+    def _execute(self):
+        replicas = self.replicas if controller.needs_signals else None
+"""
+
+
 #: how ``MachineRuntime`` and ``CSRPlan`` spelled the complement flags
 #: before a dense sweep read them off the values
 _PARENT_COMPLEMENT_FLAGS = """\
@@ -328,10 +367,12 @@ sim.stats.snapshot(active=self._global_active_count(), msgs=traffic.total_msgs)
      superstep_record_writes, ["counter", "counter", "timeline", "timeline"]),
     (_PARENT_COMPLEMENT_FLAGS, complement_flag_uses,
      ["complement", "_one_edge_in", "complement", "_one_edge_in"]),
+    (_PARENT_BLOCK_SIGNAL_READS, needs_signals_reads,
+     ["needs_signals", "needs_signals"]),
 ], ids=["unused", "string-annotation", "dunder-all", "dead", "closure", "tuple",
         "class-attribute", "clock-write", "clock-read-and-copy",
         "machine-writer", "parent-snapshot-calls", "superstep-record",
-        "parent-complement-flags"])
+        "parent-complement-flags", "parent-signal-reads"])
 def test_the_scanner_itself(tmp_path, monkeypatch, source, finder, expected):
     monkeypatch.setitem(globals(), "ROOT", tmp_path)
     path = tmp_path / "mod.py"

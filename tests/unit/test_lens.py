@@ -142,18 +142,18 @@ class TestLensOnEngines:
 
 
 class TestStalenessClock:
-    """The lens and the controllers read ``MachineRuntime.delta_age``, the
-    clock LazyVertexAsync's due sets are cut from (lens-on PageRank on
-    road-ca-mini, 4 machines)."""
+    """The lens and the ``batched`` controller read
+    ``MachineRuntime.delta_age``, the clock LazyVertexAsync's due sets are
+    cut from (lens-on PageRank on road-ca-mini, 4 machines)."""
 
     def _decisions(self, tracer, kind):
         return [d["attrs"] for d in tracer.instants("coherency-decision")
                 if d["attrs"]["kind"] == kind]
 
-    def _run(self, engine, policy=None):
+    def _run(self, engine):
         tracer = Tracer()
         run("road-ca-mini", "pagerank", engine=engine, machines=4, seed=0,
-            tracer=tracer, lens=True, policy=policy)
+            tracer=tracer, lens=True)
         return tracer
 
     def test_lazy_block_never_reads_older_than_one(self):
@@ -171,13 +171,6 @@ class TestStalenessClock:
         assert shipped
         for d in shipped:
             assert stale[d["superstep"]] >= d["max_delta_age"] == 3
-
-    def test_lazy_block_controller_reads_the_clock(self):
-        tracer = self._run("lazy-block", policy="staleness")
-        pending = [d for d in self._decisions(tracer, "turn_on_lazy")
-                   if d["pending_replicas"] > 0]
-        assert pending
-        assert {d["staleness_max"] for d in pending} == {1}
 
     def test_paper_path_without_lens_never_ticks(self):
         from repro.algorithms import make_program

@@ -17,9 +17,7 @@ from repro.core.policy import (
     ExchangeDirective,
     NeverLazyController,
     SimpleController,
-    StalenessController,
     controller_names,
-    extended_signals,
     fit_interval_rule,
     named_policy,
     resolve_policy,
@@ -39,21 +37,20 @@ def _lazy(controller, ev_ratio, trend):
 
 class TestCoherencySignals:
     def test_as_inputs_is_flat_and_complete(self):
-        s = _signals(pending_mass=3.5, staleness_max=2)
+        s = _signals(staleness_max=2)
         inputs = s.as_inputs()
         assert inputs["ev_ratio"] == 2.0
-        assert inputs["pending_mass"] == 3.5
         assert inputs["staleness_max"] == 2
-        assert set(inputs) == {
-            "ev_ratio", "trend", "active", "pending_mass",
-            "pending_replicas", "staleness_max", "drift_sample",
-        }
+        assert set(inputs) == {"ev_ratio", "trend", "active", "staleness_max"}
 
     def test_extended_signals_default_to_zero(self):
         s = _signals()
-        assert s.pending_mass == 0.0
-        assert s.pending_replicas == 0
         assert s.staleness_max == 0
+        # the pending mass / count and the drift sample are the lens
+        # probe's readings, not controller inputs
+        assert not {"pending_mass", "pending_replicas", "drift_sample"} & set(
+            vars(s)
+        )
 
 
 class TestAdaptiveRule:
@@ -150,51 +147,6 @@ class TestPaperRuleController:
         assert NeverLazyController().turn_on_lazy(_signals(ev_ratio=1.0)) is False
 
 
-class TestStalenessController:
-    def test_parameter_validation(self):
-        with pytest.raises(ConfigError, match="mass_floor"):
-            StalenessController(mass_floor=0.0)
-        with pytest.raises(ConfigError, match="mass_floor"):
-            StalenessController(mass_floor=1.5)
-        with pytest.raises(ConfigError, match="age_cap_factor"):
-            StalenessController(age_cap_factor=0.5)
-
-    def test_defers_while_mass_decays_from_its_peak(self):
-        c = StalenessController(mass_floor=0.5)
-        # rising mass: exchanges proceed on the normal age trigger
-        d = c.partial_exchange(_signals(pending_mass=100.0), 3)
-        assert d.execute and d.rule == "mass-due"
-        # mass fell below half the peak: defer, let deltas coalesce
-        d = c.partial_exchange(_signals(pending_mass=10.0), 3)
-        assert not d.execute and d.rule == "mass-decaying"
-
-    def test_age_cap_forces_a_coalesced_exchange(self):
-        c = StalenessController(mass_floor=0.5, age_cap_factor=2.0)
-        c.partial_exchange(_signals(pending_mass=100.0), 3)
-        d = c.partial_exchange(
-            _signals(pending_mass=10.0, staleness_max=6), 3
-        )
-        assert d.execute and d.min_age == 1 and d.rule == "staleness-cap"
-
-    def test_keeps_lazy_mode_on_through_the_decay_phase(self):
-        c = StalenessController()
-        # E/V too high for the paper rule alone...
-        dense = _signals(ev_ratio=50.0, trend=0.0, pending_mass=100.0)
-        assert c.turn_on_lazy(dense) is False
-        # ...but the decaying mass keeps laziness on
-        decay = _signals(ev_ratio=50.0, trend=0.0, pending_mass=10.0)
-        assert c.turn_on_lazy(decay) is True
-
-    def test_requests_the_extended_signals(self):
-        assert StalenessController.needs_signals is True
-
-    def test_inherits_the_paper_thresholds(self):
-        c = StalenessController(ev_threshold=5.0, budget_multiplier=2.0)
-        assert c.rule_name == "staleness"
-        assert not c.turn_on_lazy(_signals(ev_ratio=6.0, trend=0.0))
-        assert c.local_budget(1.0) == 2.0
-
-
 class TestBatchedController:
     def test_accumulates_until_the_oldest_delta_is_due(self):
         c = BatchedController()
@@ -212,7 +164,7 @@ class TestBatchedController:
 class TestMakeController:
     def test_round_trip_by_name(self):
         assert set(controller_names()) == {
-            "paper", "simple", "never", "staleness", "batched",
+            "paper", "simple", "never", "batched",
         }
         for name in controller_names():
             c = CoherencyPolicy(name).make_controller()
@@ -227,8 +179,8 @@ class TestMakeController:
             CoherencyPolicy(options=(("nonsense", 1.0),))
 
     def test_options_forwarded(self):
-        pol = CoherencyPolicy("staleness", options=(("mass_floor", 0.25),))
-        assert pol.make_controller().mass_floor == 0.25
+        pol = CoherencyPolicy("batched", options=(("ev_threshold", 5.0),))
+        assert pol.make_controller().ev_threshold == 5.0
 
 
 class TestCoherencyPolicy:
@@ -250,31 +202,31 @@ class TestCoherencyPolicy:
         assert CoherencyPolicy() != CoherencyPolicy(controller="batched")
 
     def test_make_controller_is_fresh_per_call(self):
-        pol = CoherencyPolicy(controller="staleness")
+        pol = CoherencyPolicy(controller="batched")
         a, b = pol.make_controller(), pol.make_controller()
-        assert a is not b  # controllers are stateful (running peaks)
-        assert isinstance(a, StalenessController)
+        assert a is not b  # one controller per engine run
+        assert isinstance(a, BatchedController)
 
     def test_options_reach_the_controller(self):
         pol = CoherencyPolicy(
-            controller="staleness", options=(("mass_floor", 0.3),)
+            controller="batched", options=(("budget_multiplier", 2.0),)
         )
-        assert pol.make_controller().mass_floor == 0.3
+        assert pol.make_controller().budget_multiplier == 2.0
 
     def test_apply_opts_routes_fields_and_options(self):
-        base = CoherencyPolicy("staleness")
+        base = CoherencyPolicy("batched")
         pol = base.apply_opts({
-            "max_delta_age": 5, "mode": "a2a", "mass_floor": 0.25,
+            "max_delta_age": 5, "mode": "a2a", "ev_threshold": 5,
         })
         assert pol.max_delta_age == 5
         assert pol.mode == "a2a"
-        assert dict(pol.options)["mass_floor"] == 0.25
+        assert dict(pol.options)["ev_threshold"] == 5.0
         # the original policy is untouched (frozen dataclass)
         assert base.max_delta_age == 3
 
     def test_apply_opts_rejects_non_numeric_controller_options(self):
         with pytest.raises(ConfigError, match="numeric"):
-            CoherencyPolicy("staleness").apply_opts({"mass_floor": "lots"})
+            CoherencyPolicy("batched").apply_opts({"ev_threshold": "lots"})
 
 
 class TestOptionsCheckedWhenBuilt:
@@ -282,8 +234,8 @@ class TestOptionsCheckedWhenBuilt:
     valid options — not after the graph is loaded and partitioned."""
 
     @pytest.mark.parametrize("name, opts, valid", [
-        ("staleness", {"mass_flor": 0.3}, "mass_floor, age_cap_factor"),
-        ("paper", {"mass_floor": 0.3}, "ev_threshold, trend_threshold"),
+        ("paper", {"ev_treshold": 5.0}, "ev_threshold, trend_threshold"),
+        ("batched", {"mass_floor": 0.3}, "ev_threshold, trend_threshold"),
         (None, {"interval": "simple"}, "ev_threshold, trend_threshold"),
         ("simple", {"ev_threshold": 5.0}, "options: none"),
     ], ids=["typo", "other-policy", "interval", "no-options"])
@@ -294,8 +246,8 @@ class TestOptionsCheckedWhenBuilt:
         assert "\n" not in str(err.value)
 
     def test_option_values_checked_too(self):
-        with pytest.raises(ConfigError, match="mass_floor must be"):
-            CoherencyPolicy("staleness", options=(("mass_floor", 2.0),))
+        with pytest.raises(ConfigError, match="must be numeric"):
+            CoherencyPolicy("paper", options=(("ev_threshold", "ten"),))
 
     @pytest.mark.parametrize("opt", ["mass_flor=0.3", "interval=simple"])
     def test_cli_fails_before_the_run_starts(self, monkeypatch, opt):
@@ -307,14 +259,12 @@ class TestOptionsCheckedWhenBuilt:
         monkeypatch.setattr(cli, "run", started)
         with pytest.raises(ConfigError, match="has no option"):
             cli.main(["run", "--algo", "cc", "--engine", "lazy-vertex",
-                      "--policy", "staleness", "--policy-opt", opt])
+                      "--policy", "batched", "--policy-opt", opt])
 
 
 class TestPolicyRegistry:
     def test_builtin_vocabulary(self):
-        assert controller_names() == (
-            "batched", "never", "paper", "simple", "staleness",
-        )
+        assert controller_names() == ("batched", "never", "paper", "simple")
         assert CoherencyPolicy("never").make_controller().rule_name == "never"
         assert isinstance(
             CoherencyPolicy("batched").make_controller(), BatchedController
@@ -348,11 +298,21 @@ class TestPolicyRegistry:
         gone = {"IntervalModel", "AdaptiveIntervalModel",
                 "SimpleIntervalModel", "NeverLazyModel", "make_interval_model",
                 "register_policy", "get_policy", "policy_names",
-                "PaperRuleController", "make_controller"}
+                "PaperRuleController", "make_controller",
+                "StalenessController", "extended_signals"}
         for module in (repro, repro.core, policy_mod):
             assert not gone & set(vars(module)), module.__name__
         assert not {"interval", "to_dict", "make_interval_model"} & set(
             dir(CoherencyPolicy)
+        )
+        # the JSON study-file runner went with ``repro experiment``
+        import importlib.util
+
+        assert importlib.util.find_spec("repro.bench.experiment_file") is None
+        import repro.bench
+
+        assert not {"load_experiment_file", "run_experiment_file"} & set(
+            vars(repro.bench)
         )
 
     @pytest.mark.parametrize("engine", ["lazy-block", "lazy-vertex"])
@@ -374,8 +334,8 @@ class TestResolvePolicy:
         assert pol == CoherencyPolicy("paper") == CoherencyPolicy()
 
     def test_policy_name_resolves_through_the_registry(self):
-        assert resolve_policy(policy="staleness") == CoherencyPolicy(
-            controller="staleness"
+        assert resolve_policy(policy="batched") == CoherencyPolicy(
+            controller="batched"
         )
         pol = CoherencyPolicy("batched", max_delta_age=4)
         assert resolve_policy(pol) is pol
@@ -385,8 +345,8 @@ class TestResolvePolicy:
 
 
 class TestSignalTap:
-    """The extended signals the tap used to sample privately, measured
-    through the engine's one ``ReplicaReader`` (same numbers)."""
+    """The pending replica state, measured through the engine's one
+    ``ReplicaReader`` (the lens probe's and ``batched``'s readings)."""
 
     @pytest.fixture(scope="class")
     def tap_setup(self):
@@ -404,10 +364,12 @@ class TestSignalTap:
 
     def test_quiet_cluster_reads_zero(self, tap_setup):
         rts, pg, prog, reader = tap_setup
-        s = CoherencySignals(0, 2.0, 0.0, 0, **extended_signals(reader()))
-        assert s.pending_mass == 0.0
-        assert s.pending_replicas == 0
-        assert s.staleness_max == 0
+        r = reader()
+        masses, counts = r.pending()
+        assert len(masses) == len(counts) == pg.num_machines
+        assert not any(masses) and not any(counts)
+        assert r.staleness_max() == 0
+        assert r.sample_drift() == 0.0
 
     def test_pending_deltas_are_measured(self, tap_setup):
         rts, pg, prog, reader = tap_setup
@@ -417,13 +379,15 @@ class TestSignalTap:
         rt.delta_age[:3] = 4
         rt.delta_age[3] = 9  # no pending delta there: not read
         try:
-            s = CoherencySignals(1, 2.0, 0.0, 3, **extended_signals(reader()))
-            assert s.pending_mass == pytest.approx(6.0)
-            assert s.pending_replicas == 3
-            assert s.staleness_max == 4
-            masses, counts = reader().pending()
+            r = reader()
+            masses, counts = r.pending()
             assert (masses[0], counts[0]) == (6.0, 3)
             assert not any(masses[1:]) and not any(counts[1:])
+            assert r.staleness_max() == 4
+            # a mask narrows the reading to the masked slots
+            masks = [np.zeros_like(x.has_delta) for x in rts]
+            masks[0][1] = True
+            assert r.pending(masks)[1][0] == 1
         finally:
             rt.delta_msg[:3] = prog.algebra.identity
             rt.has_delta[:3] = False
@@ -434,6 +398,15 @@ class TestSignalTap:
         a, b = reader(), reader()
         assert np.array_equal(a.sample, b.sample) and a.sample.size == 32
         assert a.sample_drift() == b.sample_drift()
+        # a mirror that drifts from its master shows in the sample
+        vdata = rts[0].state["vdata"]
+        _, idx = a._sample_slots[0]
+        old = vdata[idx[0]]
+        vdata[idx[0]] = old + 0.5
+        try:
+            assert a.sample_drift() == pytest.approx(0.5)
+        finally:
+            vdata[idx[0]] = old
 
     def test_one_full_pass_serves_the_result_and_the_lens(self, monkeypatch):
         """A lens-on run measures the full cross-replica gap once: the
@@ -529,4 +502,4 @@ class TestShimRemoval:
 
         with pytest.raises(ConfigError, match="eagerly coherent"):
             run("road-ca-mini", "pagerank", engine="powergraph-sync",
-                machines=4, seed=0, policy="staleness")
+                machines=4, seed=0, policy="batched")

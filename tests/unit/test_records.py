@@ -170,15 +170,14 @@ class TestOneFormatOwner:
 
 
 class TestCommandSurface:
-    def test_exactly_the_twelve_subcommands(self):
+    def test_exactly_the_eleven_subcommands(self):
         (sub,) = [
             a for a in build_parser()._actions if hasattr(a, "choices")
             and a.dest == "command"
         ]
         assert set(sub.choices) == {
             "run", "serve", "query", "mutate", "compare", "datasets",
-            "info", "sweep", "figures", "experiment", "validate",
-            "analyze",
+            "info", "sweep", "figures", "validate", "analyze",
         }
 
     def test_analyze_has_only_flags_that_existed_before(self):

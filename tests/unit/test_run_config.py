@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.bench.experiment_file import _build_config
-from repro.core.policy import CoherencyPolicy
+from repro.bench.configs import ExperimentConfig
+from repro.core.policy import CoherencyPolicy, named_policy
 from repro.errors import ConfigError
 from repro.obs.tracer import Tracer
 from repro.runtime.registry import get_engine
@@ -51,7 +51,7 @@ class TestEngineKwargs:
         assert cfg.engine_kwargs(LAZY, tracer=per_run)["tracer"] is per_run
 
     def test_policy_folded_for_controller_engines(self):
-        pol = CoherencyPolicy("staleness", mode="a2a")
+        pol = CoherencyPolicy("batched", mode="a2a")
         assert RunConfig(policy=pol).engine_kwargs(LAZY)["policy"] is pol
         # by name or by default: resolved to the policy value
         assert RunConfig(policy="never").engine_kwargs(LAZY)["policy"] == \
@@ -106,28 +106,24 @@ class TestRemovedKnobs:
         assert "\n" not in str(err.value)
         assert "lens_opts" not in RunConfig.field_names()
 
-    def test_lens_opts_is_not_an_experiment_file_key(self):
-        with pytest.raises(ConfigError, match="unknown keys \\['lens_opts'\\]"):
-            _build_config(
-                {"graph": "road-ca-mini", "algorithm": "pagerank",
-                 "lens_opts": {"rollup_every": 5}}, {}, 0,
-            )
-
 
 class TestExperimentConfigBridge:
-    """Flat experiment-file keys -> the RunConfig an experiment carries."""
+    """A flat ``--policy`` / ``--policy-opt`` pair -> the RunConfig an
+    experiment carries."""
 
     @staticmethod
-    def _run_config(**entry) -> RunConfig:
-        entry = {"graph": "road-ca-mini", "algorithm": "cc", **entry}
-        return _build_config(entry, {}, 0).run
+    def _run_config(policy=None, policy_opts=None) -> RunConfig:
+        return ExperimentConfig(
+            "road-ca-mini", "cc",
+            run=RunConfig(policy=named_policy(policy, policy_opts or {})),
+        ).run
 
     def test_named_policy_resolves_with_opts(self):
         rc = self._run_config(
-            policy="staleness", policy_opts={"max_delta_age": 2}
+            policy="batched", policy_opts={"max_delta_age": 2}
         )
         assert isinstance(rc.policy, CoherencyPolicy)
-        assert rc.policy.controller == "staleness"
+        assert rc.policy.controller == "batched"
         assert rc.policy.max_delta_age == 2
 
     def test_policy_opts_alone_overlay_the_paper_policy(self):
@@ -144,10 +140,9 @@ class TestExperimentConfigBridge:
         assert rc.policy is None
 
     def test_lens_flag_and_params_resolve(self):
-        exp = _build_config(
-            {"graph": "road-ca-mini", "algorithm": "pagerank",
-             "lens": True, "params": {"tolerance": 1e-5}},
-            {}, 0,
+        exp = ExperimentConfig(
+            "road-ca-mini", "pagerank",
+            run=RunConfig(lens=True, params={"tolerance": 1e-5}),
         )
         assert exp.run.engine_kwargs(LAZY)["lens"] is True
         # figure defaults overlaid with explicit params
