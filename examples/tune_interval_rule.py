@@ -67,7 +67,7 @@ def main() -> None:
     errors = sum(
         1
         for ev, tr, label in samples
-        if fitted.turn_on_lazy(CoherencySignals(0, ev, tr, 0)) != label
+        if fitted.turn_on_lazy(CoherencySignals(0, ev, tr)) != label
     )
     print(f"\nfitted rule : E/V <= {fitted.ev_threshold}"
           f"  or  trend >= {fitted.trend_threshold}"

@@ -14,6 +14,19 @@ NumPy's fast paths: one gather per state array, one write-back, no
 ``np.where`` and no mask compress (``docs/performance.md``, "NumPy fast
 paths"). ``idx`` is duplicate-free, so a gathered copy stands for the
 state it was read from.
+
+Both also take the block form (``idx`` a bool mask over every slot,
+``accum`` per slot at the ⊕-identity where the mask is unset), which
+runs unindexed over whole arrays and equals the index form bit for bit:
+
+* min-relaxation: ``min(x, +inf) == x`` and ``+inf < x`` is never true,
+  so an unflagged slot neither changes nor fires;
+* damped sum: ``damping · (+0.0)`` is ``+0.0``, and ``x + 0.0 == x``
+  for every ``x`` but ``-0.0``. No ``vdata`` / ``pending`` slot ever
+  holds ``-0.0``: both start at a non-negative value, ``pending`` is
+  reset to ``+0.0``, and every other write is ``+= change``, which is
+  ``-0.0`` only when both terms are. ``fire &= flags`` keeps an
+  unflagged slot from firing on a ``pending`` over the tolerance.
 """
 
 from __future__ import annotations
@@ -33,6 +46,10 @@ def min_relax(
     value: np.ndarray, idx: np.ndarray, accum: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
     """``value[idx] = min(value[idx], accum)``; fire where it improved."""
+    if idx.dtype == bool:  # the block form: idx is the ready mask
+        fire = accum < value
+        np.minimum(value, accum, out=value)
+        return value, fire
     new = value[idx]
     fire = accum < new
     np.minimum(new, accum, out=new)
@@ -51,6 +68,14 @@ def damped_sum(
     """Fold ``damping · accum`` into ``rank`` and ``pending`` at ``idx``;
     fire where ``|pending| > tolerance`` and reset those to ``+0.0``."""
     change = damping * accum
+    if idx.dtype == bool:  # the block form: idx is the ready mask
+        rank += change
+        pending += change
+        fire = np.abs(pending) > tolerance
+        fire &= idx
+        delta_out = pending.copy()
+        pending[np.flatnonzero(fire)] = 0.0
+        return delta_out, fire
     rank[idx] += change
     delta_out = pending[idx]
     delta_out += change
@@ -68,6 +93,7 @@ class MinRelaxProgram(DeltaProgram):
 
     algebra = MIN_ALGEBRA
     supports_warm_start = True
+    block_apply = True
 
     def apply(
         self,
@@ -89,6 +115,7 @@ class DampedSumProgram(DeltaProgram):
 
     algebra = SUM_ALGEBRA
     supports_warm_start = True
+    block_apply = True
 
     def __init__(self, damping: float, tolerance: float) -> None:
         if not 0.0 < damping < 1.0:

@@ -168,6 +168,14 @@ class DeltaProgram(abc.ABC):
         warm planners understand (monotone value for idempotent
         algebras; value + unfired ``pending`` residual for invertible
         ones). Off by default — opt in per program.
+    block_apply:
+        :meth:`apply` also takes the *block form*: ``idx`` a bool mask
+        over every slot and ``accum`` per slot, the ⊕-identity wherever
+        the mask is unset. The runtime passes it when most of a block's
+        inbox is ready (:meth:`MachineRuntime.take_ready
+        <repro.runtime.machine_runtime.MachineRuntime.take_ready>`).
+        Off by default; a subclass that overrides :meth:`apply` must
+        declare it again.
     """
 
     name: str = "abstract"
@@ -176,6 +184,7 @@ class DeltaProgram(abc.ABC):
     requires_symmetric: bool = False
     needs_weights: bool = False
     supports_warm_start: bool = False
+    block_apply: bool = False
 
     # ------------------------------------------------------------------
     @abc.abstractmethod
@@ -223,6 +232,12 @@ class DeltaProgram(abc.ABC):
         The update must satisfy the iterative-equation contract: the
         final state depends only on the multiset of accums folded in,
         not on their grouping or order.
+
+        In the block form (``block_apply`` programs only) ``idx`` is a
+        bool mask over every slot, ``accum`` and the returned arrays
+        are per slot, and ``fire`` must be False wherever ``idx`` is:
+        the result must equal the index form over ``flatnonzero(idx)``
+        bit for bit, state included.
         """
 
     @abc.abstractmethod

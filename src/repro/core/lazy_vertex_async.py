@@ -134,11 +134,12 @@ class LazyVertexAsyncEngine(BaseEngine):
                     # and let the pending deltas keep coalescing
                     if replicas is not None:
                         signals = CoherencySignals(
-                            step, ev_ratio, 0.0, self._global_active_count(),
+                            step, ev_ratio,
+                            active=self._global_active_count(),
                             staleness_max=replicas.staleness_max(),
                         )
                     else:
-                        signals = CoherencySignals(step, ev_ratio, 0.0, 0)
+                        signals = CoherencySignals(step, ev_ratio)
                     directive = controller.partial_exchange(
                         signals, max_delta_age
                     )

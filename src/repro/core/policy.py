@@ -15,10 +15,11 @@ trainable machinery is :func:`fit_interval_rule`, for the ablation):
   ``3·T``, where ``T`` is the modeled time of the stage's first
   micro-iteration (measured online).
 
-Controllers are fed a per-superstep :class:`CoherencySignals` snapshot:
-the paper's two features, the active count and — only for a controller
-that sets ``needs_signals`` (``"batched"``) on LazyVertexAsync — the
-oldest pending delta's age, read through the engine's
+Controllers are fed a per-superstep :class:`CoherencySignals` snapshot
+of what the engine measured: the paper's two features and the active
+count on LazyBlockAsync; E/V on LazyVertexAsync, plus the active count
+and the oldest pending delta's age only for a controller that sets
+``needs_signals`` (``"batched"``), the age read through the engine's
 :class:`~repro.runtime.result.ReplicaReader` (so the paper path computes
 nothing new, and controllers work with ``lens=False``).
 
@@ -75,26 +76,31 @@ __all__ = [
 class CoherencySignals:
     """One superstep's controller inputs.
 
-    ``ev_ratio``/``trend``/``active`` are the paper's features (free to
-    compute); ``staleness_max`` — the age, in local rounds, of the oldest
-    pending delta — is filled in only on LazyVertexAsync when the active
-    controller sets ``needs_signals``.
+    ``ev_ratio`` is always measured. The rest are None where the engine
+    did not measure them: LazyBlockAsync measures ``trend`` and
+    ``active``; LazyVertexAsync measures ``active`` and
+    ``staleness_max`` — the age, in local rounds, of the oldest pending
+    delta — only when the active controller sets ``needs_signals``, and
+    never ``trend``.
     """
 
     superstep: int
     ev_ratio: float
-    trend: float
-    active: int
-    staleness_max: int = 0
+    trend: Optional[float] = None
+    active: Optional[int] = None
+    staleness_max: Optional[int] = None
 
     def as_inputs(self) -> Dict[str, float]:
-        """Flat snapshot for the lens decision audit log."""
-        return {
-            "ev_ratio": float(self.ev_ratio),
-            "trend": float(self.trend),
-            "active": int(self.active),
-            "staleness_max": int(self.staleness_max),
-        }
+        """Flat snapshot for the lens decision audit log: the measured
+        inputs only."""
+        inputs = {"ev_ratio": float(self.ev_ratio)}
+        if self.trend is not None:
+            inputs["trend"] = float(self.trend)
+        if self.active is not None:
+            inputs["active"] = int(self.active)
+        if self.staleness_max is not None:
+            inputs["staleness_max"] = int(self.staleness_max)
+        return inputs
 
 
 # ----------------------------------------------------------------------
@@ -149,6 +155,7 @@ class CoherencyController:
     # ---- LazyBlockAsync hooks ----------------------------------------
     def turn_on_lazy(self, signals: CoherencySignals) -> bool:
         """Should the next superstep run a local computation stage?"""
+        assert signals.trend is not None, "LazyBlockAsync measures the trend"
         return (
             signals.ev_ratio <= self.ev_threshold
             or signals.trend >= self.trend_threshold
@@ -217,6 +224,8 @@ class BatchedController(CoherencyController):
     def partial_exchange(
         self, signals: CoherencySignals, max_delta_age: int
     ) -> ExchangeDirective:
+        # needs_signals: LazyVertexAsync measures the age for this rule
+        assert signals.staleness_max is not None
         if signals.staleness_max >= max_delta_age:
             return ExchangeDirective(True, 1, "batched-coalesce")
         return ExchangeDirective(False, 0, "batch-accumulate")

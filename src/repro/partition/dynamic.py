@@ -68,8 +68,9 @@ class PatchStats:
     edges_removed: int
     lambda_before: float  # replication factor before the mutation
     lambda_after: float  # replication factor after the patch
-    #: machines whose (vertices, esrc, edst) are unchanged — their CSR
-    #: plans remain valid and the session keeps them
+    #: machines whose (vertices, esrc, edst) are unchanged by the patch
+    #: (a census: the session rebuilds every CSR plan all the same, as
+    #: a delta plan is a view of its block's edges)
     machines_unchanged: List[int] = field(default_factory=list)
     #: vertices consolidated by the repartition pass (empty when the
     #: λ threshold did not trip)

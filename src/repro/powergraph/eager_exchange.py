@@ -106,7 +106,7 @@ class EagerExchange:
         gather_msgs = 0
         sent = np.zeros(self.pgraph.num_machines, dtype=np.int64)
         for rt in self.runtimes:
-            idx, accum = rt.take_ready()
+            idx, accum, _ = rt.take_ready()
             if idx.size == 0:
                 continue
             mg = rt.mg

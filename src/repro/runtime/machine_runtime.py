@@ -69,6 +69,20 @@ sparse. A ``dense-full`` sweep reaches every target with an in-edge,
 folds each target segment once and applies the aggregates to both
 buffers (:meth:`MachineRuntime._fold_segments_once`).
 
+The Apply half pads the same way. A pass whose inbox holds at least
+``dense_sweep_fraction`` of the block's slots (lazy engines' passes, on
+a program that declares ``block_apply``) drains densely: ``msg`` is
+copied whole into the accum scratch and ``has_msg`` into the ready
+flags, then both are filled, with no index gather or scatter. The
+program's block form then runs over every slot, where an unflagged
+slot's accum is the identity and changes nothing
+(:mod:`repro.algorithms.apply_rules`: ``min(x, +inf) == x``; ``x + 0.0
+== x`` since no ``vdata`` / ``pending`` slot holds -0.0), and
+``fire &= flags`` keeps it from firing. The fired slots and out-deltas
+reach ``scatter`` exactly as on the index path, so no sweep decision
+moves. ``mode="generic"`` and programs without a block form (k-core,
+user programs, the eager engines' apply leg) keep the index path.
+
 All ⊕-folds are bit-identical to the historical per-call-flatten +
 ``ufunc.at`` spelling (``mode="generic"`` pins that baseline). Sweep
 decisions are surfaced through the tracer (``sweep-mode`` instants on
@@ -140,12 +154,12 @@ class MachineRuntime:
         # the one staleness clock: supersteps each pending delta has
         # waited unshipped (tick_delta_age / reset_delta_age)
         self.delta_age = np.zeros(n, dtype=np.int64)
-        # local out-CSR plan: edge order, per-source slices, per-target
-        # counts and scratch — computed once, reused every scatter.
-        # A caller-provided plan (a GraphSession's per-block cache)
-        # must describe this exact machine graph; plans carry no
-        # run-mutable state beyond reset-before-use scratch, so reuse
-        # across sequential runs is bit-identical to rebuilding.
+        # local out-CSR plan: edge order, per-source slices and
+        # per-target counts — computed once, reused every scatter.
+        # A caller-provided plan (a GraphSession's per-block cache, built
+        # per partition) must describe this exact machine graph; a plan
+        # holds no scratch and no run state, so reuse across sequential
+        # runs is bit-identical to rebuilding.
         if plan is not None:
             if plan.num_slots != n or plan.num_edges != mg.esrc.size:
                 raise AlgorithmError(
@@ -164,10 +178,11 @@ class MachineRuntime:
         self._pad_bound = self._padding_bound()
         # the targets a dense-full sweep reaches: every one with an in-edge
         self._has_in_edge = self.out_plan.dst_counts_full > 0
-        # reusable scratch: take_ready accums, the dense sweep's
-        # identity-padded per-source payload and the per-target segment
-        # aggregates of the empty-complement min/max fold
+        # reusable scratch: take_ready accums and ready flags, the dense
+        # sweep's identity-padded per-source payload and the per-target
+        # segment aggregates of the empty-complement min/max fold
         self._accum_scratch = np.empty(n, dtype=np.float64)
+        self._ready_scratch = np.empty(n, dtype=bool)
         self._delta_scratch = np.empty(n, dtype=np.float64)
         self._seg_scratch = np.empty(n, dtype=np.float64)
         self.kernel_stats = KernelStats()
@@ -493,47 +508,76 @@ class MachineRuntime:
             alg.ufunc(self.delta_msg, seg, out=self.delta_msg)
         return "minmax_shared"
 
-    def take_ready(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Drain the inbox: (local indices, combined accums); inbox cleared.
+    def take_ready(
+        self, block: bool = False
+    ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+        """Drain the inbox: ``(idx, accum, flags)``; inbox cleared.
 
-        The accum array is a view into per-block scratch, valid until
-        the next ``take_ready`` on this runtime — every engine consumes
-        it immediately (Apply reads it within the same round).
+        ``idx`` are the ready slots, sorted. On the index path ``accum``
+        is aligned with ``idx`` and ``flags`` is None. With ``block``
+        (a program with a block form), a drain that finds at least
+        ``dense_sweep_fraction`` of the block's slots ready is *dense*:
+        ``accum`` is a copy of the whole inbox — the ⊕-identity where
+        nothing was ready — and ``flags`` the ready mask, with no index
+        gather or scatter (the module docstring). ``mode="generic"``
+        pins the index path.
+
+        ``accum`` and ``flags`` are per-block scratch, valid until the
+        next ``take_ready`` on this runtime — every engine consumes them
+        immediately (Apply reads them within the same round).
         """
         idx = np.flatnonzero(self.has_msg)
+        if block and idx.size:
+            cfg = get_config()
+            if (idx.size >= cfg.dense_sweep_fraction * self.msg.size
+                    and cfg.mode != "generic"):
+                accum, flags = self._accum_scratch, self._ready_scratch
+                np.copyto(accum, self.msg)
+                np.copyto(flags, self.has_msg)
+                self.msg.fill(self.algebra.identity)
+                self.has_msg.fill(False)
+                return idx, accum, flags
         accum = self._accum_scratch[: idx.size]
         np.take(self.msg, idx, out=accum)
         self.msg[idx] = self.algebra.identity
         self.has_msg[idx] = False
-        return idx, accum
+        return idx, accum, None
 
     def apply_and_scatter(
-        self, idx: np.ndarray, accum: np.ndarray, track_delta: bool
+        self, idx: np.ndarray, accum: np.ndarray, track_delta: bool,
+        flags: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Apply accums to ``idx`` (sorted), then scatter the fired deltas.
+
+        With ``flags`` (a dense :meth:`take_ready`), Apply runs in the
+        program's block form over every slot: ``accum`` is per slot and
+        ``flags`` (the ready mask) stands in for ``idx``.
 
         Returns per-machine ``(edges, applies)`` rows
         (:meth:`work_by_machine`).
         """
         if idx.size == 0:
             return self.work_by_machine(idx, idx, 0)
-        delta_out, fire = self.program.apply(self.mg, self.state, idx, accum)
+        delta_out, fire = self.program.apply(
+            self.mg, self.state, idx if flags is None else flags, accum
+        )
         # delta_out is read only where fire (the DeltaProgram.apply contract)
         k = np.flatnonzero(fire)
-        fired = idx[k]
+        fired = idx[k] if flags is None else k
         edges = self.scatter(fired, delta_out[k], track_delta)
         return self.work_by_machine(idx, fired, edges)
 
     def apply_step(self) -> np.ndarray:
         """Drain the inbox and apply+scatter: one pass of a lazy engine's
-        inner loop (one-edge messages fold into ``deltaMsg``).
+        inner loop (one-edge messages fold into ``deltaMsg``); a mostly
+        full inbox drains and applies densely (:meth:`take_ready`).
 
         Returns per-machine ``(edges, applies)`` rows
         (:meth:`work_by_machine`); the engine charges and traces the
         pass (``BaseEngine._compute_pass``).
         """
-        idx, accum = self.take_ready()
-        return self.apply_and_scatter(idx, accum, track_delta=True)
+        idx, accum, flags = self.take_ready(self.program.block_apply)
+        return self.apply_and_scatter(idx, accum, True, flags)
 
     def clear_deltas(self, idx: Optional[np.ndarray]) -> None:
         """Reset ``deltaMsg`` after a coherency exchange: at ``idx``, or

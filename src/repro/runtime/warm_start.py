@@ -207,6 +207,8 @@ class WarmStartProgram(DeltaProgram):
         self.delta_bytes = base.delta_bytes
         self.requires_symmetric = base.requires_symmetric
         self.needs_weights = base.needs_weights
+        # apply forwards its arguments, the block form included
+        self.block_apply = base.block_apply
 
     # -- plan summary (rides into stats.extra) -------------------------
     @property

@@ -11,7 +11,7 @@ commit produced (host-clock timestamps excepted — they are real wall
 time and differ between any two runs; everything else, including span
 ids, parent links, model-time stamps, charges, and the full RunStats
 dump with its lens histograms, is digested). The cells were later
-re-recorded on purpose, five times (see :func:`record_pins`).
+re-recorded on purpose, six times (see :func:`record_pins`).
 
 On top of the traces, the :class:`LensAuditor` must be strict-clean, the
 critical-path analyzer must name a gating machine/channel for every
@@ -82,6 +82,14 @@ def record_pins():  # pragma: no cover - run by hand
     """Rewrite every cell from the checked-out code.
 
     The four lazy-engine cells were last recorded on the commit that
+    made the unmeasured ``CoherencySignals`` fields None: a
+    ``coherency-decision`` record carries only the inputs its engine
+    measured. Deleting ``staleness_max`` from every lazy-block decision
+    record of the parent's stream, and ``trend`` / ``active`` /
+    ``staleness_max`` from every lazy-vertex one (the ``paper`` policy
+    measures none of them there), gave that commit's stream record for
+    record; the six eager-engine cells were left as they were. Before
+    that, they were recorded on the commit that
     deleted the ``staleness`` controller: a ``coherency-decision``
     record no longer carries ``pending_mass`` / ``pending_replicas`` /
     ``drift_sample`` (the ``lens-probe`` instant of the same superstep

@@ -8,13 +8,22 @@ rest on what every caller leaves at a ``scatter`` entry: ``msg`` at the
 entry of every delta engine × pagerank / ppr / cc / sssp and of a warm
 start, and that a lazy-block PageRank run takes the value path on every
 dense selection and the copy path on every dense coherency-point sweep.
+
+A pass whose inbox is mostly ready drains and applies densely
+(``MachineRuntime.take_ready``): a lazy-block PageRank run takes that
+path at its coherency points and sweeps exactly as on the index path,
+and a road SSSP run, whose inbox is never that full, never takes it.
 """
 
 import numpy as np
 import pytest
 
 from repro.core import LazyBlockAsyncEngine, build_lazy_graph
-from repro.graph.generators import attach_uniform_weights, powerlaw_graph
+from repro.graph.generators import (
+    attach_uniform_weights,
+    powerlaw_graph,
+    road_grid_graph,
+)
 from repro.graph.mutation import MutationBatch
 from repro.runtime import machine_runtime as mr
 from repro.runtime.base_engine import BaseEngine
@@ -126,3 +135,70 @@ def test_lazy_block_pagerank_takes_the_value_and_copy_paths(graph, sweeps):
     at_coherency = [s for s in dense if s[0] == "coherency"]
     assert at_coherency
     assert all(s[4] and s[3] == 1 for s in at_coherency)
+
+
+def _no_host_clock(stats):
+    """A RunStats dump without its host timings (``*host_s`` keys)."""
+    extra = {k: v for k, v in stats.pop("extra").items() if "host_s" not in k}
+    return {k: v for k, v in stats.items() if "host_s" not in k}, extra
+
+
+@pytest.fixture
+def applies(monkeypatch):
+    """Record every non-empty Apply pass: ``(in a local stage, dense)``."""
+    record = []
+    local = [False]
+    real_stage = LazyBlockAsyncEngine._local_stage
+    real_apply = MachineRuntime.apply_and_scatter
+
+    def stage(self, *args, **kwargs):
+        local[0] = True
+        try:
+            return real_stage(self, *args, **kwargs)
+        finally:
+            local[0] = False
+
+    def apply(self, idx, accum, track_delta, flags=None):
+        if idx.size:
+            record.append((local[0], flags is not None))
+        return real_apply(self, idx, accum, track_delta, flags)
+
+    monkeypatch.setattr(LazyBlockAsyncEngine, "_local_stage", stage)
+    monkeypatch.setattr(MachineRuntime, "apply_and_scatter", apply)
+    return record
+
+
+def test_lazy_block_pagerank_applies_densely_at_coherency_points(
+    graph, sweeps, applies
+):
+    pg = build_lazy_graph(graph, 4, seed=1)
+    spec = SPECS["lazy-block"]
+    runs = []
+    for block_apply in (True, False):
+        program = spec.make_program("pagerank", tolerance=1e-4)
+        program.block_apply = block_apply  # False pins the index path
+        sweeps.clear()
+        applies.clear()
+        result = spec.cls(pg, program).run()
+        runs.append((result, list(sweeps), list(applies)))
+    (dense, dense_sweeps, dense_passes), (index, index_sweeps, index_passes) = runs
+    at_coherency = [d for local, d in dense_passes if not local]
+    assert at_coherency and any(at_coherency)
+    assert not any(d for _, d in index_passes)
+    # same passes, same sweeps (selected mode, swept mode, folds, copy)
+    assert [local for local, _ in dense_passes] == [
+        local for local, _ in index_passes
+    ]
+    assert dense_sweeps == index_sweeps
+    assert np.array_equal(_bits(dense.values), _bits(index.values))
+    assert _no_host_clock(dense.stats.to_dict()) == _no_host_clock(
+        index.stats.to_dict()
+    )
+
+
+def test_road_sssp_never_applies_densely(applies):
+    graph = attach_uniform_weights(road_grid_graph(60, 60, seed=1), seed=1)
+    pg = build_lazy_graph(graph, 8, seed=1)
+    spec = SPECS["lazy-block"]
+    spec.cls(pg, spec.make_program("sssp", source=0)).run()
+    assert applies and not any(dense for _, dense in applies)

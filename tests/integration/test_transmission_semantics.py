@@ -51,7 +51,7 @@ def run_stages(rts, ex, stages: int):
         for _ in range(50):
             worked = False
             for rt in rts:
-                idx, accum = rt.take_ready()
+                idx, accum, _ = rt.take_ready()
                 if idx.size:
                     worked = True
                 rt.apply_and_scatter(idx, accum, track_delta=True)
@@ -60,7 +60,7 @@ def run_stages(rts, ex, stages: int):
         ex.exchange()
         # coherency point: apply delivered messages
         for rt in rts:
-            idx, accum = rt.take_ready()
+            idx, accum, _ = rt.take_ready()
             rt.apply_and_scatter(idx, accum, track_delta=True)
 
 
@@ -73,7 +73,7 @@ def u_has_pending(rts, machine: int) -> bool:
 def local_pass(rts):
     """One communication-free Apply+Scatter sweep on every machine."""
     for rt in rts:
-        idx, accum = rt.take_ready()
+        idx, accum, _ = rt.take_ready()
         rt.apply_and_scatter(idx, accum, track_delta=True)
 
 

@@ -6,6 +6,7 @@ import pytest
 from repro.algorithms import (
     BFSProgram,
     ConnectedComponentsProgram,
+    KCoreProgram,
     MultiSourceBFSProgram,
     PageRankDeltaProgram,
     PersonalizedPageRankProgram,
@@ -116,11 +117,62 @@ class TestDampedSum:
         assert _bits(rank) == _bits([1.0, 1.5, 3.0, 4.0])
 
 
+class TestBlockForm:
+    """A bool mask over every slot, accums at the ⊕-identity where it is
+    unset: equal to the index form over the mask's slots, bit for bit."""
+
+    IDX = np.array([1, 2, 4])
+
+    def _mask(self, n):
+        mask = np.zeros(n, dtype=bool)
+        mask[self.IDX] = True
+        return mask
+
+    @pytest.mark.parametrize("accum", [[3.0, 1.0, INF], [2.0, 4.0, 0.5],
+                                       [-0.0, np.nan, INF]])
+    def test_min_relax(self, accum):
+        indexed, block = (np.array([INF, 3.0, 1.0, -0.0, np.nan])
+                          for _ in range(2))
+        out_i, fire_i = min_relax(indexed, self.IDX, np.array(accum))
+        per_slot = np.full(5, INF)
+        per_slot[self.IDX] = accum
+        out_b, fire_b = min_relax(block, self._mask(5), per_slot)
+        assert _bits(block) == _bits(indexed)
+        assert fire_b[self.IDX].tolist() == fire_i.tolist()
+        assert not fire_b[~self._mask(5)].any()
+        assert _bits(out_b[self.IDX][fire_i]) == _bits(out_i[fire_i])
+
+    @pytest.mark.parametrize("accum", [[0.25, -0.5, 0.5], [1.0, -0.0, 0.0],
+                                       [np.inf, 5e-324, np.nan]])
+    def test_damped_sum(self, accum):
+        # slot 3 heard nothing but holds a pending over the tolerance:
+        # it must neither fire nor change
+        states = [(np.array([1.0, 2.0, 0.0, 4.0, np.inf]),
+                   np.array([0.0, 0.125, 9.0, 9.0, 5e-324])) for _ in range(2)]
+        (rank_i, pend_i), (rank_b, pend_b) = states
+        with np.errstate(invalid="ignore"):
+            out_i, fire_i = damped_sum(rank_i, pend_i, self.IDX,
+                                       np.array(accum), 0.5, 0.25)
+            per_slot = np.zeros(5)
+            per_slot[self.IDX] = accum
+            out_b, fire_b = damped_sum(rank_b, pend_b, self._mask(5),
+                                       per_slot, 0.5, 0.25)
+        assert _bits(rank_b) == _bits(rank_i)
+        assert _bits(pend_b) == _bits(pend_i)
+        assert fire_b[self.IDX].tolist() == fire_i.tolist()
+        assert not fire_b[~self._mask(5)].any()
+        assert _bits(out_b[self.IDX][fire_i]) == _bits(out_i[fire_i])
+
+
 def test_programs_share_the_two_rules():
     for prog in (BFSProgram(), MultiSourceBFSProgram(), SSSPProgram(),
                  ConnectedComponentsProgram()):
         assert isinstance(prog, MinRelaxProgram)
         assert type(prog).apply is MinRelaxProgram.apply
+        assert prog.block_apply
     for prog in (PageRankDeltaProgram(), PersonalizedPageRankProgram([0])):
         assert isinstance(prog, DampedSumProgram)
         assert type(prog).apply is DampedSumProgram.apply
+        assert prog.block_apply
+    # k-core's Apply has no block form: it keeps the index path
+    assert not KCoreProgram().block_apply

@@ -170,8 +170,9 @@ class TestFullExchange:
     @pytest.mark.parametrize(
         "alg,params",
         [("pagerank", {"tolerance": 1e-4}),
-         ("ppr", {"seeds": (0, 5), "tolerance": 1e-4})],
-        ids=["pagerank", "ppr"],
+         ("ppr", {"seeds": (0, 5), "tolerance": 1e-4}),
+         ("pagerank", {"tolerance": 1e-4, "incremental": True})],
+        ids=["pagerank", "ppr", "pagerank-warm"],
     )
     def test_sum_buffers_never_hold_negative_zero(
         self, engine, alg, params, monkeypatch
@@ -179,16 +180,22 @@ class TestFullExchange:
         # identity padding rests on it: x + 0.0 returns x bit for bit
         # for every x but -0.0, and a SUM buffer that starts at +0.0 and
         # only receives ⊕-folds never holds -0.0 — checked on both sides
-        # of every exchange of real runs
+        # of every exchange of real runs. The dense Apply rests on the
+        # same fact for the program state: vdata and pending start
+        # non-negative, and pending resets to +0.0. The warm cell starts
+        # from a converged state and folds signed corrections.
         import repro
         from repro.graph.generators import powerlaw_graph
+        from repro.graph.mutation import MutationBatch
+        from repro.session import GraphSession
 
         seen = {"exchanges": 0}
         inner = CoherencyExchanger.exchange
 
         def no_negative_zero(runtimes):
             for rt in runtimes:
-                for buf in (rt.msg, rt.delta_msg):
+                for buf in (rt.msg, rt.delta_msg, rt.state["vdata"],
+                            rt.state["pending"]):
                     assert not ((buf == 0.0) & np.signbit(buf)).any()
 
         def checked(self, participants=None):
@@ -199,8 +206,20 @@ class TestFullExchange:
             return report
 
         monkeypatch.setattr(CoherencyExchanger, "exchange", checked)
-        repro.run(powerlaw_graph(300, 2_000, seed=3), alg,
-                  engine=engine, machines=4, **params)
+        graph = powerlaw_graph(300, 2_000, seed=3)
+        params = dict(params)
+        if not params.pop("incremental", False):
+            repro.run(graph, alg, engine=engine, machines=4, **params)
+        else:
+            batch = MutationBatch().add_edge(0, 7).add_edge(7, 11)
+            for e in (3, 50, 400):
+                batch.remove_edge(int(graph.src[e]), int(graph.dst[e]))
+            with GraphSession.open(graph, machines=4, seed=0) as sess:
+                sess.run(alg, engine=engine, **params)
+                sess.apply(batch)
+                seen["exchanges"] = 0
+                inc = sess.run(alg, engine=engine, incremental=True, **params)
+            assert inc.stats.extra["warm_start"] == 1
         assert seen["exchanges"] > 3
 
     @pytest.mark.parametrize(

@@ -19,7 +19,11 @@ flags off the folded values: under ``src/`` nothing defines or calls a
 ``complement(...)`` edge list or keeps per-target ``_one_edge_in``
 counts. A seventh pins that only LazyVertexAsync feeds a controller
 more than the paper's features: under ``src/`` only
-``lazy_vertex_async.py`` reads ``needs_signals``.
+``lazy_vertex_async.py`` reads ``needs_signals``. An eighth keeps the
+shared Apply rules on NumPy's fast paths, both forms
+(``docs/performance.md``, "NumPy fast paths"): ``algorithms/apply_rules.py``
+calls no ``np.where``, passes no ``where=`` and stores through no
+boolean mask.
 """
 
 from __future__ import annotations
@@ -295,6 +299,71 @@ def test_only_lazy_vertex_reads_needs_signals():
     }, found
 
 
+_BOOL_BINOPS = (ast.BitAnd, ast.BitOr, ast.BitXor)
+
+
+def _is_mask(node: ast.AST, masks: set) -> bool:
+    """A comparison, a ``~`` / ``not`` / ``&`` / ``|`` / ``^``
+    expression, or a name bound to one."""
+    return (
+        isinstance(node, ast.Compare)
+        or isinstance(node, ast.UnaryOp)
+        and isinstance(node.op, (ast.Invert, ast.Not))
+        or isinstance(node, ast.BinOp) and isinstance(node.op, _BOOL_BINOPS)
+        or isinstance(node, ast.Name) and node.id in masks
+    )
+
+
+def masked_numpy(path: Path) -> list:
+    """``np.where`` calls, ``where=`` keywords and subscript stores
+    whose index is a boolean mask (:func:`_is_mask`)."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    masks: set = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and _is_mask(node.value, masks):
+            masks.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    found = []
+    for node in ast.walk(tree):
+        name = None
+        if isinstance(node, ast.Call):
+            if getattr(node.func, "attr", getattr(node.func, "id", "")) == "where":
+                name = "np.where"
+            elif any(kw.arg == "where" for kw in node.keywords):
+                name = "where="
+        elif (isinstance(node, ast.Subscript)
+              and isinstance(node.ctx, ast.Store)
+              and _is_mask(node.slice, masks)):
+            name = "mask-store"
+        if name is not None:
+            found.append((node.lineno, name))
+    return [f"{path.relative_to(ROOT)}:{line} {name}" for line, name in sorted(found)]
+
+
+def test_apply_rules_stay_on_fast_paths():
+    rules = ROOT / "src" / "repro" / "algorithms" / "apply_rules.py"
+    assert not masked_numpy(rules), "\n".join(masked_numpy(rules))
+
+
+#: how PageRank's Apply spelled its out-delta and reset before the
+#: shared rules gathered, computed unmasked and scattered back by index,
+#: and the mask store and masked ufunc docs/performance.md measured
+_PARENT_MASKED_APPLY = """\
+def apply(self, mg, state, idx, accum):
+    change = self.damping * accum
+    pending = state["pending"][idx]
+    pending += change
+    fire = np.abs(pending) > self.tolerance
+    delta_out = np.where(fire, pending, 0.0)
+    state["pending"][idx] = np.where(fire, 0.0, pending)
+    kept = pending.copy()
+    kept[fire] = 0.0
+    age[~has_delta] = 0
+    np.add(rank, change, out=rank, where=fire)
+    pending[np.flatnonzero(fire)] = 0.0
+    return delta_out, fire
+"""
+
+
 #: how LazyBlockAsync asked its controller for the extended signals
 #: before it read only the paper's features
 _PARENT_BLOCK_SIGNAL_READS = """class LazyBlockAsyncEngine:
@@ -369,10 +438,13 @@ sim.stats.snapshot(active=self._global_active_count(), msgs=traffic.total_msgs)
      ["complement", "_one_edge_in", "complement", "_one_edge_in"]),
     (_PARENT_BLOCK_SIGNAL_READS, needs_signals_reads,
      ["needs_signals", "needs_signals"]),
+    (_PARENT_MASKED_APPLY, masked_numpy,
+     ["np.where", "np.where", "mask-store", "mask-store", "where="]),
 ], ids=["unused", "string-annotation", "dunder-all", "dead", "closure", "tuple",
         "class-attribute", "clock-write", "clock-read-and-copy",
         "machine-writer", "parent-snapshot-calls", "superstep-record",
-        "parent-complement-flags", "parent-signal-reads"])
+        "parent-complement-flags", "parent-signal-reads",
+        "parent-masked-apply"])
 def test_the_scanner_itself(tmp_path, monkeypatch, source, finder, expected):
     monkeypatch.setitem(globals(), "ROOT", tmp_path)
     path = tmp_path / "mod.py"

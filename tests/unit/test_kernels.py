@@ -551,10 +551,10 @@ class TestTakeReadyScratch:
         g = DiGraph(3, [0, 1], [1, 2]).symmetrized()
         rt = _runtime(g, ConnectedComponentsProgram())
         rt.scatter(np.array([0]), np.array([0.0]), track_delta=False)
-        idx1, acc1 = rt.take_ready()
+        idx1, acc1, _ = rt.take_ready()
         first = (idx1.tolist(), acc1.tolist())
         rt.scatter(np.array([2]), np.array([2.0]), track_delta=False)
-        idx2, acc2 = rt.take_ready()
+        idx2, acc2, _ = rt.take_ready()
         # second drain is correct even though it reuses the same scratch
         assert idx2.tolist() == [1] and acc2.tolist() == [2.0]
         assert first == ([1], [0.0])

@@ -126,6 +126,26 @@ class TestLensOnEngines:
         assert rules <= {"max-delta-age", "idle-drain"}
         assert "idle-drain" in rules  # the final drain always happens
 
+    @pytest.mark.parametrize("engine,policy,kind,measured", [
+        ("lazy-block", "paper", "turn_on_lazy", {"ev_ratio", "trend", "active"}),
+        ("lazy-block", "batched", "turn_on_lazy",
+         {"ev_ratio", "trend", "active"}),
+        ("lazy-vertex", "paper", "partial_exchange", {"ev_ratio"}),
+        ("lazy-vertex", "batched", "partial_exchange",
+         {"ev_ratio", "active", "staleness_max"}),
+    ])
+    def test_decisions_log_the_inputs_measured(self, engine, policy, kind,
+                                               measured):
+        # an input the engine did not measure is absent, not a 0
+        tracer = Tracer()
+        run("road-ca-mini", "pagerank", engine=engine, machines=8, seed=0,
+            tracer=tracer, lens=True, policy=policy)
+        signals = {"ev_ratio", "trend", "active", "staleness_max"}
+        logged = [set(d["attrs"]) & signals
+                  for d in tracer.instants("coherency-decision")
+                  if d["attrs"]["kind"] == kind]
+        assert logged and all(keys == measured for keys in logged)
+
     def test_lens_works_without_tracer(self):
         # metrics-only mode: NULL_TRACER suppresses instants, not gauges
         result = run("road-ca-mini", "pagerank", engine="lazy-block",

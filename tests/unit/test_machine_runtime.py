@@ -58,14 +58,14 @@ class TestScatter:
 class TestTakeReady:
     def test_drains_and_resets(self, cc_rt):
         cc_rt.scatter(np.array([0]), np.array([0.0]), track_delta=False)
-        idx, accum = cc_rt.take_ready()
+        idx, accum, _ = cc_rt.take_ready()
         assert idx.tolist() == [1]
         assert accum.tolist() == [0.0]
         assert cc_rt.num_active == 0
         assert cc_rt.msg[1] == cc_rt.algebra.identity
 
     def test_empty_when_idle(self, cc_rt):
-        idx, accum = cc_rt.take_ready()
+        idx, accum, _ = cc_rt.take_ready()
         assert idx.size == 0 and accum.size == 0
 
 

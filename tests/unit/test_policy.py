@@ -43,9 +43,15 @@ class TestCoherencySignals:
         assert inputs["staleness_max"] == 2
         assert set(inputs) == {"ev_ratio", "trend", "active", "staleness_max"}
 
-    def test_extended_signals_default_to_zero(self):
+    def test_unmeasured_signals_default_to_none(self):
+        # an input nobody measured is absent from the decision record,
+        # not a placeholder 0 a reader would take for a measurement
+        s = CoherencySignals(superstep=0, ev_ratio=2.0)
+        assert (s.trend, s.active, s.staleness_max) == (None, None, None)
+        assert s.as_inputs() == {"ev_ratio": 2.0}
         s = _signals()
-        assert s.staleness_max == 0
+        assert s.staleness_max is None
+        assert set(s.as_inputs()) == {"ev_ratio", "trend", "active"}
         # the pending mass / count and the drift sample are the lens
         # probe's readings, not controller inputs
         assert not {"pending_mass", "pending_replicas", "drift_sample"} & set(
