@@ -39,13 +39,23 @@ __all__ = [
 
 
 def _dedup_directed(n: int, src: np.ndarray, dst: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Remove duplicate directed edges and self-loops."""
-    keep = src != dst
-    src, dst = src[keep], dst[keep]
+    """Remove duplicate directed edges (the first copy stays) and
+    self-loops, keeping the survivors' order."""
     if src.size == 0:
         return src, dst
-    key = src * np.int64(n) + dst
-    _, idx = np.unique(key, return_index=True)
+    key = src * np.int64(n)
+    key += dst
+    # the first of each run of equal keys in a stable sort: the indices
+    # np.unique(key, return_index=True) returns, without its copies
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = np.empty(key.size, dtype=bool)
+    first[0] = True
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    del key
+    idx = order[first]
+    del order, first
+    idx = idx[src[idx] != dst[idx]]  # a self-loop's key is its own
     idx.sort()
     return src[idx], dst[idx]
 
@@ -275,32 +285,41 @@ def powerlaw_graph(
 
     # oversample: dedup + self-loop removal eats some edges
     want = num_edges
-    src_parts = []
-    dst_parts = []
-    got = 0
+    src = dst = np.empty(0, dtype=np.int64)
     attempts = 0
-    while got < want and attempts < 8:
-        batch = int((want - got) * 1.35) + 64
+    while src.size < want and attempts < 8:
+        batch = int((want - src.size) * 1.35) + 64
+        # one quadrant per level, built in place: the draws, two bool
+        # scratch rows and the two coordinates are all this allocates
         rows = np.zeros(batch, dtype=np.int64)
         cols = np.zeros(batch, dtype=np.int64)
+        r = np.empty(batch)
+        down = np.empty(batch, dtype=bool)
+        right = np.empty(batch, dtype=bool)
         for _ in range(levels):
-            r = rng.random(batch)
-            right = (r >= a) & (r < a + b) | (r >= a + b + c)
-            down = r >= a + b
-            rows = rows * 2 + down.astype(np.int64)
-            cols = cols * 2 + right.astype(np.int64)
+            rng.random(out=r)
+            # right = (a <= r < a + b) | (r >= a + b + c)
+            np.greater_equal(r, a, out=right)
+            np.less(r, a + b, out=down)
+            right &= down
+            np.greater_equal(r, a + b + c, out=down)
+            right |= down
+            np.greater_equal(r, a + b, out=down)
+            rows *= 2
+            rows += down
+            cols *= 2
+            cols += right
+        del r, down, right
         rows %= n
         cols %= n
         s, t = _dedup_directed(n, rows, cols)
-        src_parts.append(s)
-        dst_parts.append(t)
-        merged_s = np.concatenate(src_parts)
-        merged_t = np.concatenate(dst_parts)
-        merged_s, merged_t = _dedup_directed(n, merged_s, merged_t)
-        src_parts, dst_parts = [merged_s], [merged_t]
-        got = merged_s.size
+        del rows, cols
+        if attempts:  # the first batch needs no merge
+            s, t = _dedup_directed(
+                n, np.concatenate([src, s]), np.concatenate([dst, t])
+            )
+        src, dst = s, t
         attempts += 1
-    src, dst = src_parts[0], dst_parts[0]
     if src.size > want:
         pick = rng.choice(src.size, size=want, replace=False)
         pick.sort()

@@ -117,16 +117,24 @@ def compose_edge_delta(
     added and removed again inside the span appears in neither; an edge
     removed and re-added appears in both (the new copy is a new edge).
     """
-    origin = np.arange(num_edges, dtype=np.int64)  # -1: born in the span
+    # every patched graph is (first-graph survivors, in order) ++ (edges
+    # born in the span, in order): the survivors are all of the first
+    # graph but the ascending ``gone``, and the born ones only count
+    gone = np.empty(0, dtype=np.int64)
+    born = 0
     for removed_eids, num_added in steps:
-        keep = np.ones(origin.size, dtype=bool)
-        keep[removed_eids] = False
-        origin = np.concatenate(
-            [origin[keep], np.full(num_added, -1, dtype=np.int64)]
+        removed_eids = np.asarray(removed_eids, dtype=np.int64)
+        survivors = num_edges - gone.size
+        rank = removed_eids[removed_eids < survivors]
+        # survivor ``rank`` is first-graph id ``rank + (gone ids before
+        # it)``; ``gone[j] - j`` survivors precede gone id ``j``
+        first_ids = rank + np.searchsorted(
+            gone - np.arange(gone.size), rank, side="right"
         )
-    gone = np.ones(num_edges, dtype=bool)
-    gone[origin[origin >= 0]] = False
-    return np.flatnonzero(gone), np.flatnonzero(origin < 0)
+        gone = np.sort(np.concatenate([gone, first_ids]))
+        born += int(num_added) - (removed_eids.size - rank.size)
+    start = num_edges - gone.size
+    return gone, np.arange(start, start + born, dtype=np.int64)
 
 
 class MutationBatch:
@@ -339,8 +347,13 @@ class MutationBatch:
         return batch
 
     # -- validation ----------------------------------------------------
-    def validate(self, graph: DiGraph) -> None:
-        """Check the batch is applicable to ``graph`` (raises GraphError)."""
+    def validate(self, graph: DiGraph) -> Optional[np.ndarray]:
+        """Check the batch is applicable to ``graph`` (raises GraphError).
+
+        Returns the mask of ``graph``'s edges its ``remove_edge`` targets
+        hit (``None`` when it removes no edge), so that
+        :func:`apply_batch` scans the edge array for them once.
+        """
         n = graph.num_vertices
         n_after = n + self._new_vertices
         for u, v in self._add:
@@ -355,6 +368,7 @@ class MutationBatch:
                 raise GraphError(
                     f"remove_vertex({v}): id must lie in [0, {n})"
                 )
+        hit = None
         if self._remove:
             pairs = np.asarray(self._remove, dtype=np.int64)
             if pairs.size and (
@@ -369,12 +383,14 @@ class MutationBatch:
                     f"remove_edge endpoints out of [0, {n}): {bad[:5]}"
                 )
             keys = pairs[:, 0] * np.int64(n) + pairs[:, 1]
-            edge_keys = graph.src * np.int64(n) + graph.dst
-            # scan the edge array for the few removal keys, then look
-            # the keys up among the hits: |E| equality passes per key
-            # instead of hashing |E| edge keys to find a handful
-            hits = edge_keys[np.isin(edge_keys, keys)]
-            present = np.isin(keys, hits)
+            # one table lookup per edge finds the few edges leaving a
+            # removal's source; only those are keyed and matched
+            from_source = np.zeros(n, dtype=bool)
+            from_source[pairs[:, 0]] = True
+            near = np.flatnonzero(from_source[graph.src])
+            near_keys = graph.src[near] * np.int64(n) + graph.dst[near]
+            on = np.isin(near_keys, keys)
+            present = np.isin(keys, near_keys[on])
             if not present.all():
                 missing = [
                     self._remove[i]
@@ -384,11 +400,14 @@ class MutationBatch:
                     f"remove_edge targets not present in the graph: "
                     f"{missing}"
                 )
+            hit = np.zeros(graph.num_edges, dtype=bool)
+            hit[near[on]] = True
         weighted_adds = any(w is not None for w in self._add_weights)
         if weighted_adds and graph.weights is None:
             raise GraphError(
                 "batch carries edge weights but the graph is unweighted"
             )
+        return hit
 
     def added_weights_for(self, graph: DiGraph) -> Optional[np.ndarray]:
         """Weights for the added edges against ``graph``'s weightedness.
@@ -414,21 +433,17 @@ def apply_batch(
     :class:`EdgeDiff`), its name is preserved, and the input graph is
     untouched.
     """
-    batch.validate(graph)
+    removed = batch.validate(graph)
     n = graph.num_vertices
     n_after = n + batch.num_added_vertices
 
-    removed = np.zeros(graph.num_edges, dtype=bool)
+    if removed is None:
+        removed = np.zeros(graph.num_edges, dtype=bool)
     if batch._remove_vertices:
         rv = np.unique(
             np.asarray(batch._remove_vertices, dtype=np.int64)
         )
         removed |= np.isin(graph.src, rv) | np.isin(graph.dst, rv)
-    if batch._remove:
-        pairs = np.asarray(batch._remove, dtype=np.int64)
-        keys = pairs[:, 0] * np.int64(n) + pairs[:, 1]
-        edge_keys = graph.src * np.int64(n) + graph.dst
-        removed |= np.isin(edge_keys, keys)
 
     kept = np.flatnonzero(~removed).astype(np.int64)
     removed_ids = np.flatnonzero(removed).astype(np.int64)

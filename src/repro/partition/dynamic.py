@@ -7,16 +7,18 @@ instead *carries* the surviving edges' machine assignment across the
 mutation — the :class:`~repro.graph.mutation.EdgeDiff` old↔new edge-id
 correspondence makes that a gather — and places only the added edges,
 with the same ``_greedy_cut`` cascade a cold cut runs, resumed from the
-carried loads and replica sets. The materialization step runs the full
-:meth:`PartitionedGraph.build` — the single source of truth for replica
-sets, masters and local renumbering, and a handful of array passes, so
-rebuilding every machine costs less than working out which ones could
-be skipped (a kept ++ added edge layout renumbers ``eglobal`` on every
-machine anyway). :class:`PatchStats` reports which machines came out
-*structurally identical* — same vertex list, same local edge endpoints.
-It is a statistic only: every ``MachineGraph`` and every CSR plan is
-rebuilt (a delta plan over source-ordered edges is O(slots) and a view
-of them, and a carried one would keep the superseded partition alive).
+carried loads and replica sets. The new partition is then *spliced*
+from the old one, not rebuilt: :meth:`PartitionedGraph.splice`
+re-scores only the batch's endpoints, inserts and deletes only their
+replicas and moves every per-machine array through one gather, so the
+patch costs the batch plus a few passes over the flat arrays, against
+``build``'s pair-key sort and per-machine edge sorts. Its output is
+``build``'s, array for array (``tests/property/test_splice_props.py``).
+:class:`PatchStats` reports which machines came out *structurally
+identical* — same vertex list, same local edge endpoints. It is a
+statistic only: every CSR plan is rebuilt (a delta plan is O(slots)
+and a view of its block's edges, and a carried one would keep the
+superseded partition alive).
 
 Carried assignments drift: deletions never remove a replica's original
 justification for the partitioner, and the resumed cascade sees only the
@@ -128,7 +130,6 @@ def patch_partition(
             f"({diff.num_kept}+{diff.num_added} != {new_graph.num_edges})"
         )
     P = old_pgraph.num_machines
-    carried = old_pgraph.assignment[diff.kept_eids].astype(np.int64)
     # the batch as a graph over its endpoints; each one's A(v) is its
     # replica set (none for a vertex this batch adds)
     ends, local = np.unique(
@@ -140,23 +141,18 @@ def patch_partition(
         if v < old_pgraph.graph.num_vertices else 0
         for v in ends.tolist()
     ]
+    # the carried loads: each machine's local edges, less the removed ones
+    loads = np.array(
+        [mg.num_local_edges for mg in old_pgraph.machines], dtype=np.int64
+    ) - np.bincount(
+        old_pgraph.assignment[diff.removed_eids], minlength=P
+    )
     placed = _greedy_cut(
         DiGraph(ends.size, local[: diff.num_added], local[diff.num_added:]),
         P, make_rng(_PLACE_SEED), _BALANCE_SLACK, None, None, 1,
-        loads=np.bincount(carried, minlength=P), masks=masks,
+        loads=loads, masks=masks,
     )
-    assignment = np.concatenate([carried, placed])
-    new_pgraph = PartitionedGraph.build(new_graph, assignment, P)
-
-    unchanged = [
-        old_mg.machine_id
-        for old_mg, new_mg in zip(old_pgraph.machines, new_pgraph.machines)
-        if (
-            np.array_equal(old_mg.vertices, new_mg.vertices)
-            and np.array_equal(old_mg.esrc, new_mg.esrc)
-            and np.array_equal(old_mg.edst, new_mg.edst)
-        )
-    ]
+    new_pgraph, unchanged = old_pgraph.splice(new_graph, diff, placed)
     stats = PatchStats(
         num_machines=P,
         edges_carried=diff.num_kept,

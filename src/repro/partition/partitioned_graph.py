@@ -24,8 +24,8 @@ span of parallel edges *into* ``v``.
 
 Construction
 ------------
-:meth:`PartitionedGraph.build` is the one constructor, used by cold
-set-up and by every mutation patch alike, so it works on whole arrays:
+:meth:`PartitionedGraph.build` is the constructor from a placement, so
+it works on whole arrays:
 the replica sets are a sorted table of ``vertex * P + machine`` keys
 (one :func:`~repro.utils.keysort.unique_counts` over both endpoints of
 every one-edge edge, whose counts double as the master scores), masters
@@ -38,6 +38,19 @@ included. A build's traced peak is its own output: the pair keys are
 built in place in one array, an all-one-edge cut gathers no id list, an
 unweighted graph's weights are ``np.ones``, and the replica-table
 locals are dropped before the per-edge arrays are allocated.
+
+Splicing
+--------
+A mutation batch does not rebuild: :meth:`PartitionedGraph.splice`
+carries a split-free partition across a graph patch and returns, array
+for array, what ``build`` would. Only the batch's endpoints are
+re-scored, and only their replicas are inserted or deleted; every
+machine's vertex list changes by those few slots, so local ids move by
+one shift table, and the flat arrays are each written by one gather
+through a splice index (kept entries, placeholders where new ones go).
+Removed edges drop out of their source's run and added edges join the
+end of it, which is ``build``'s order: local source first, then
+ascending edge id (kept ids keep their order, added ids come after).
 
 Local edge order
 ----------------
@@ -74,7 +87,7 @@ budget.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -83,6 +96,9 @@ from repro.graph.digraph import DiGraph
 from repro.partition.base import validate_assignment
 from repro.utils.keysort import stable_argsort, unique_counts
 from repro.utils.rng import derive_seed
+
+if TYPE_CHECKING:
+    from repro.graph.mutation import EdgeDiff
 
 __all__ = ["MachineGraph", "PartitionedGraph"]
 
@@ -106,6 +122,15 @@ def _offsets(counts: np.ndarray) -> np.ndarray:
     out = np.zeros(counts.size + 1, dtype=np.int64)
     np.cumsum(counts, out=out[1:])
     return out
+
+
+def _home_machines(vertices: np.ndarray, num_machines: int) -> np.ndarray:
+    """The machine hosting each vertex no one-edge edge touches."""
+    return np.array(
+        [derive_seed(_HOME_SEED, str(v)) % num_machines
+         for v in vertices.tolist()],
+        dtype=np.int64,
+    )
 
 
 def _block_bounds(edge_counts: Sequence[int]) -> List[Tuple[int, int]]:
@@ -236,6 +261,77 @@ def _machine_span(
     )
     span.machine_offsets = vs[lo : hi + 1] - vs[lo]
     return span
+
+
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """The distinct values of ``keys``, ascending (sort plus a run cut)."""
+    keys = np.sort(keys)
+    return keys[np.append(True, keys[1:] != keys[:-1])] if keys.size else keys
+
+
+def _member(ref: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Whether each non-negative key is in the ascending ``ref``."""
+    # the sentinel answers for insertion points past the last entry
+    return np.append(ref, -1)[np.searchsorted(ref, keys)] == keys
+
+
+def _steps(size: int, starts: np.ndarray, deltas: np.ndarray) -> np.ndarray:
+    """``size`` entries, entry ``i`` the sum of the ``deltas`` whose
+    ``starts`` are at most ``i`` (``deltas``' dtype): a step function,
+    laid down by one ``repeat``, not by a ``size``-long running sum."""
+    order = np.argsort(starts, kind="stable")
+    levels = np.zeros(order.size + 1, dtype=deltas.dtype)
+    np.cumsum(deltas[order], out=levels[1:])
+    bounds = np.minimum(np.append(starts[order], size), size)
+    return np.repeat(levels, np.diff(bounds, prepend=0))
+
+
+def _splice_index(
+    size: int, deleted: np.ndarray, at: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Where each entry of a spliced array comes from.
+
+    The spliced array is an old one of ``size`` entries without those at
+    the ascending positions ``deleted``, plus one new entry before old
+    position ``at[j]`` for each ``j`` (``at`` ascending; new entries at
+    one position keep their order). Returns ``(take, dest)``: kept entry
+    ``i`` is ``old[take[i]]``, and the new entries sit at ``dest``, where
+    ``take`` holds a placeholder in ``[-1, size)`` (gather with
+    :func:`_gathered`, then overwrite them).
+    """
+    dest = at - np.searchsorted(deleted, at) + np.arange(at.size)
+    # take[i] = i + (deleted entries passed) - (new entries so far): a
+    # new entry repeats the index before it, and the entry after a
+    # deleted one steps over it
+    skip = (deleted + np.searchsorted(at, deleted, side="right")
+            - np.arange(deleted.size))
+    n_new = size - deleted.size + at.size
+    take = _steps(
+        n_new, np.concatenate([dest, skip]),
+        np.concatenate([np.full(at.size, -1), np.ones(deleted.size, np.int64)]),
+    )
+    take += np.arange(n_new)
+    return take, dest
+
+
+def _splice_shift(
+    size: int, deleted: np.ndarray, at: np.ndarray
+) -> np.ndarray:
+    """Spliced position of each old entry (:func:`_splice_index`'s
+    splice; a deleted entry's is a placeholder)."""
+    shift = _steps(
+        size, np.concatenate([at, deleted + 1]),
+        np.concatenate([np.ones(at.size, np.int64), np.full(deleted.size, -1)]),
+    )
+    shift += np.arange(size)
+    return shift
+
+
+def _gathered(arr: np.ndarray, take: np.ndarray) -> np.ndarray:
+    """``arr[take]``; when ``arr`` is empty, every entry is a placeholder."""
+    if arr.size == 0:
+        return np.empty(take.size, dtype=arr.dtype)
+    return arr.take(take)
 
 
 def _source_ordered(mg: MachineGraph) -> bool:
@@ -376,11 +472,7 @@ class PartitionedGraph:
         hosted = np.zeros(n, dtype=bool)
         hosted[pair_keys // P] = True
         lonely = np.flatnonzero(~hosted)
-        home_keys = lonely * P + np.array(
-            [derive_seed(_HOME_SEED, str(v)) % num_machines
-             for v in lonely.tolist()],
-            dtype=np.int64,
-        )
+        home_keys = lonely * P + _home_machines(lonely, num_machines)
 
         # ---- parallel-edges dispatch fixpoint ---------------------------
         # the least fixpoint of "source absorbs the target's machines"
@@ -530,6 +622,250 @@ class PartitionedGraph:
             assignment=one_assign,
             _flat=flat,
         )
+
+    # ------------------------------------------------------------------
+    def splice(
+        self, graph: DiGraph, diff: "EdgeDiff", placed: np.ndarray
+    ) -> Tuple["PartitionedGraph", List[int]]:
+        """This partition carried across a graph patch, without a build.
+
+        ``graph`` is the patched graph ``diff`` describes (kept edges
+        first, in order, then the added ones), and ``placed`` holds the
+        added edges' machines; every kept edge stays where it is.
+        Returns what :meth:`build` returns for ``graph`` and the
+        carried ++ placed assignment, array for array, plus the
+        machines whose ``vertices`` / ``esrc`` / ``edst`` are unchanged.
+
+        Only the batch's endpoints are re-scored (their old scores come
+        off the machines' local edges) and only their replicas move:
+        each machine's vertex list takes a few inserts and deletes and
+        its local ids shift by one table; removed edges drop out and
+        added ones go to the end of their local source's run. Each flat
+        array is written by one gather. A split partition is refused: a
+        splice carries no dispatch fixpoint.
+        """
+        if self.parallel_eids.size:
+            raise PartitionError(
+                "a partition with parallel edges cannot be spliced"
+            )
+        P = self.num_machines
+        Pk = np.int64(P)
+        old, flat = self.graph, self._flat
+        n_old, n = old.num_vertices, graph.num_vertices
+        vs_old, es_old = flat["vstarts"], flat["estarts"]
+        placed = np.asarray(placed, dtype=np.int64)
+        removed = diff.removed_eids
+        rem_m = self.assignment[removed].astype(np.int64)
+        rem_src, rem_dst = old.src[removed], old.dst[removed]
+        add_src, add_dst = diff.added_src, diff.added_dst
+
+        # ---- re-score the batch's endpoints ------------------------------
+        touched = _distinct(np.concatenate(
+            [rem_src, rem_dst, add_src, add_dst, np.arange(n_old, n)]
+        ))
+        old_t = touched[touched < n_old]
+        per_old = self.rep_indptr[old_t + 1] - self.rep_indptr[old_t]
+        first_row = _offsets(per_old)[:-1]
+        # their rows of the replica table (ascending: it is vertex-major)
+        rows = (np.repeat(self.rep_indptr[old_t] - first_row, per_old)
+                + np.arange(per_old.sum()))
+        o_mach = self.rep_machines[rows].astype(np.int64)
+        o_key = np.repeat(old_t, per_old) * Pk + o_mach
+        o_slot = vs_old[o_mach] + self.rep_local_idx[rows]
+        # a replica's score is its out-edges on the machine, one run of
+        # the flat edge arrays (local edges are source-ordered), plus its
+        # in-edges there
+        run_lo = np.empty(rows.size, dtype=np.int64)
+        run_hi = np.empty(rows.size, dtype=np.int64)
+        o_score = np.empty(rows.size, dtype=np.int64)
+        for m in _distinct(o_mach).tolist():
+            on = np.flatnonzero(o_mach == m)
+            local = o_slot[on] - vs_old[m]
+            mg = self.machines[m]
+            run_lo[on] = es_old[m] + np.searchsorted(mg.esrc, local)
+            run_hi[on] = es_old[m] + np.searchsorted(
+                mg.esrc, local, side="right"
+            )
+            o_score[on] = np.bincount(
+                mg.edst, minlength=mg.vertices.size
+            )[local]
+        o_score += run_hi - run_lo
+        keys, inverse = np.unique(np.concatenate([
+            o_key, rem_src * Pk + rem_m, rem_dst * Pk + rem_m,
+            add_src * Pk + placed, add_dst * Pk + placed,
+        ]), return_inverse=True)
+        score = np.zeros(keys.size, dtype=np.int64)
+        np.add.at(score, inverse, np.concatenate([
+            o_score, np.full(2 * removed.size, -1),
+            np.ones(2 * placed.size, dtype=np.int64),
+        ]))
+        # the new replica sets: the scored pairs, else the home machine
+        n_key, n_score = keys[score > 0], score[score > 0]
+        lonely = touched[~_member(n_key // Pk, touched)]
+        home = lonely * Pk + _home_machines(lonely, P)
+        at = np.searchsorted(n_key, home)
+        n_key, n_score = np.insert(n_key, at, home), np.insert(n_score, at, 0)
+        n_vert, n_mach = n_key // Pk, n_key % Pk
+        n_count = np.bincount(
+            np.searchsorted(touched, n_vert), minlength=touched.size
+        )
+        first = _offsets(n_count)[:-1]
+        top = np.repeat(np.maximum.reduceat(n_score, first), n_count)
+        pick = np.where(n_score == top, np.arange(n_key.size), n_key.size)
+        master_t = n_mach[np.minimum.reduceat(pick, first)]
+        gone = ~_member(n_key, o_key)
+        born = np.flatnonzero(~_member(o_key, n_key))
+
+        # ---- slots: each machine's vertex list, by inserts and deletes ----
+        born = born[np.lexsort((n_vert[born], n_mach[born]))]  # slot order
+        ins_vert, ins_mach = n_vert[born], n_mach[born]
+        ins_at = np.empty(born.size, dtype=np.int64)
+        ins_run = np.empty(born.size, dtype=np.int64)  # its empty run
+        for m in _distinct(ins_mach).tolist():
+            on = np.flatnonzero(ins_mach == m)
+            mg = self.machines[m]
+            local = np.searchsorted(mg.vertices, ins_vert[on])
+            ins_at[on] = vs_old[m] + local
+            ins_run[on] = es_old[m] + np.searchsorted(mg.esrc, local)
+        del_slot = np.sort(o_slot[gone])
+        slots = int(vs_old[-1])
+        take_v, dest_v = _splice_index(slots, del_slot, ins_at)
+        shift_v = _splice_shift(slots, del_slot, ins_at)
+        slot_gain = np.bincount(ins_mach, minlength=P)
+        slot_loss = np.bincount(o_mach[gone], minlength=P)
+        vs_new = _offsets(np.diff(vs_old) + slot_gain - slot_loss)
+        # the new slot of every replica of a touched vertex, and where
+        # its run ends in the old edge arrays
+        n_slot = np.empty(n_key.size, dtype=np.int64)
+        n_run_end = np.empty(n_key.size, dtype=np.int64)
+        kept = np.ones(n_key.size, dtype=bool)
+        kept[born] = False
+        was = np.searchsorted(o_key, n_key[kept])
+        n_slot[kept] = shift_v[o_slot[was]]
+        n_run_end[kept] = run_hi[was]
+        n_slot[born] = dest_v
+        n_run_end[born] = ins_run
+        out_deg_t = np.zeros(touched.size, dtype=np.int64)
+        out_deg_t[: old_t.size] = flat["out_deg_global"][o_slot[first_row]]
+        np.add.at(out_deg_t, np.searchsorted(touched, add_src), 1)
+        np.add.at(out_deg_t, np.searchsorted(touched, rem_src), -1)
+        vertices = _gathered(flat["vertices"], take_v)
+        vertices[dest_v] = ins_vert
+        is_master = _gathered(flat["is_master"], take_v)
+        is_master[n_slot] = n_mach == np.repeat(master_t, n_count)
+        out_deg_global = _gathered(flat["out_deg_global"], take_v)
+        out_deg_global[n_slot] = np.repeat(out_deg_t, n_count)
+        num_replicas = _gathered(flat["num_replicas"], take_v)
+        num_replicas[n_slot] = np.repeat(n_count, n_count)
+
+        # ---- the replica table: the touched vertices' rows replaced -------
+        take_r, dest_r = _splice_index(
+            self.rep_machines.size, rows,
+            self.rep_indptr[np.minimum(n_vert, n_old)],
+        )
+        rep_machines = _gathered(self.rep_machines, take_r)
+        rep_machines[dest_r] = n_mach
+        rep_local_idx = _gathered(
+            shift_v, _gathered(vs_old[self.rep_machines] + self.rep_local_idx,
+                               take_r),
+        )
+        rep_local_idx -= vs_new[rep_machines]
+        rep_local_idx[dest_r] = n_slot - vs_new[n_mach]
+        counts = np.zeros(n, dtype=np.int64)
+        counts[:n_old] = self.num_replicas
+        counts[touched] = n_count
+        master_of = np.zeros(n, dtype=self.master_of.dtype)
+        master_of[:n_old] = self.master_of
+        master_of[touched] = master_t
+
+        # ---- edges: removed ones drop out, added ones end their run ------
+        # a removed edge sits in its source's run: scan each such run once
+        runs = _distinct(np.searchsorted(o_key, rem_src * Pk + rem_m))
+        run = run_hi[runs] - run_lo[runs]
+        in_run = (np.repeat(run_lo[runs] - _offsets(run)[:-1], run)
+                  + np.arange(run.sum()))
+        gone_e = np.zeros(old.num_edges, dtype=bool)
+        gone_e[removed] = True
+        del_pos = np.sort(in_run[gone_e[flat["eglobal"][in_run]]])
+        # added edges, in their new order (by machine, source, edge id),
+        # each at the end of its source's old run
+        by_run = np.lexsort((add_src, placed))
+        add_m, add_s = placed[by_run], add_src[by_run]
+        add_at = n_run_end[np.searchsorted(n_key, add_s * Pk + add_m)]
+        take_e, dest_e = _splice_index(old.num_edges, del_pos, add_at)
+        edge_gain = np.bincount(placed, minlength=P)
+        edge_loss = np.bincount(rem_m, minlength=P)
+        es_new = _offsets(np.diff(es_old) + edge_gain - edge_loss)
+        # kept ids renumbered: less the removed ids below them
+        eglobal = _gathered(flat["eglobal"], take_e)
+        eglobal -= _gathered(
+            _steps(old.num_edges, removed + 1,
+                   np.ones(removed.size, dtype=np.int32)),
+            eglobal,
+        )
+        eglobal[dest_e] = diff.num_kept + by_run
+        esrc = _gathered(flat["esrc"], take_e)
+        edst = _gathered(flat["edst"], take_e)
+        for m in np.flatnonzero(slot_gain + slot_loss).tolist():
+            local = shift_v[vs_old[m] : vs_old[m + 1]] - vs_new[m]
+            if local.size:  # else every edge here is an added one
+                # a placeholder may hold a neighbour machine's local id
+                e = slice(es_new[m], es_new[m + 1])
+                esrc[e] = local.take(esrc[e], mode="clip")
+                edst[e] = local.take(edst[e], mode="clip")
+
+        def local_of(verts: np.ndarray) -> np.ndarray:
+            at = np.searchsorted(n_key, verts * Pk + add_m)
+            return n_slot[at] - vs_new[add_m]
+
+        esrc[dest_e] = local_of(add_s)
+        edst[dest_e] = local_of(add_dst[by_run])
+        assignment = np.empty(graph.num_edges, dtype=np.int32)
+        np.compress(~gone_e, self.assignment, out=assignment[: diff.num_kept])
+        assignment[diff.num_kept :] = placed
+        flat = {
+            "vstarts": vs_new,
+            "estarts": es_new,
+            "vertices": vertices,
+            "is_master": is_master,
+            "out_deg_global": out_deg_global,
+            "num_replicas": num_replicas,
+            "esrc": esrc,
+            "edst": edst,
+            "eweight": (
+                np.ones(esrc.size) if graph.weights is None
+                else graph.weights[eglobal]
+            ),
+            "eparallel": np.zeros(esrc.size, dtype=bool),
+            "eglobal": eglobal,
+        }
+        for name in _EDGE_FIELDS:
+            flat[name].flags.writeable = False
+        new = PartitionedGraph(
+            graph=graph,
+            num_machines=P,
+            machines=[_machine_span(flat, m, m + 1) for m in range(P)],
+            master_of=master_of,
+            rep_indptr=_offsets(counts),
+            rep_machines=rep_machines,
+            rep_local_idx=rep_local_idx,
+            num_replicas=counts,
+            parallel_eids=self.parallel_eids.copy(),
+            assignment=assignment,
+            _flat=flat,
+        )
+        # a machine kept its local graph when no replica moved on it and
+        # its edges, if any changed, came out equal
+        unchanged = [
+            m for m in range(P)
+            if not slot_gain[m] + slot_loss[m] and (
+                not edge_gain[m] + edge_loss[m] or (
+                    np.array_equal(self.machines[m].esrc, new.machines[m].esrc)
+                    and np.array_equal(self.machines[m].edst, new.machines[m].edst)
+                )
+            )
+        ]
+        return new, unchanged
 
     # ------------------------------------------------------------------
     def memory_footprint(self) -> dict:

@@ -41,8 +41,8 @@ prepared graph variant via the edge-diff layout
 :func:`~repro.graph.mutation.symmetrized_patch`), the vertex-cut via
 :func:`~repro.partition.dynamic.patch_partition` (kept edges stay on
 their machines; added edges go through the same ``_greedy_cut``
-cascade a cold cut runs, resumed; the replica tables come from one
-vectorised :meth:`PartitionedGraph.build`; λ reported per
+cascade a cold cut runs, resumed; the partition is spliced by
+:meth:`PartitionedGraph.splice`, not rebuilt; λ reported per
 variant, with an optional multiplicative ``repartition_threshold``
 valve), and the CSR plans are rebuilt over the new partition (a delta
 plan is O(slots) over the source-ordered local edges). Every variant

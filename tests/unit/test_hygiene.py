@@ -23,7 +23,8 @@ more than the paper's features: under ``src/`` only
 shared Apply rules on NumPy's fast paths, both forms
 (``docs/performance.md``, "NumPy fast paths"): ``algorithms/apply_rules.py``
 calls no ``np.where``, passes no ``where=`` and stores through no
-boolean mask.
+boolean mask. A ninth pins that a mutation patch splices the partition
+instead of rebuilding it: ``patch_partition`` calls no ``build``.
 """
 
 from __future__ import annotations
@@ -344,6 +345,38 @@ def test_apply_rules_stay_on_fast_paths():
     assert not masked_numpy(rules), "\n".join(masked_numpy(rules))
 
 
+def rebuild_calls(path: Path) -> list:
+    """``build(...)`` calls (any owner) inside a ``patch_partition``."""
+    found = []
+    for func in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not (isinstance(func, ast.FunctionDef)
+                and func.name == "patch_partition"):
+            continue
+        for node in ast.walk(func):
+            if isinstance(node, ast.Call) and getattr(
+                node.func, "attr", getattr(node.func, "id", "")
+            ) == "build":
+                found.append((node.lineno, "build"))
+    return [f"{path.relative_to(ROOT)}:{line} {name}" for line, name in sorted(found)]
+
+
+def test_patch_never_rebuilds():
+    dynamic = ROOT / "src" / "repro" / "partition" / "dynamic.py"
+    assert not rebuild_calls(dynamic), "\n".join(rebuild_calls(dynamic))
+
+
+#: how ``patch_partition`` materialized a patch before it spliced the
+#: carried partition (``repartition_worst`` may still rebuild)
+_PARENT_PATCH_REBUILD = """\
+def patch_partition(old_pgraph, new_graph, diff):
+    assignment = np.concatenate([carried, placed])
+    new_pgraph = PartitionedGraph.build(new_graph, assignment, P)
+    return new_pgraph, stats
+def repartition_if_needed(pgraph, baseline_lambda, threshold):
+    return PartitionedGraph.build(pgraph.graph, refined, pgraph.num_machines)
+"""
+
+
 #: how PageRank's Apply spelled its out-delta and reset before the
 #: shared rules gathered, computed unmasked and scattered back by index,
 #: and the mask store and masked ufunc docs/performance.md measured
@@ -440,11 +473,12 @@ sim.stats.snapshot(active=self._global_active_count(), msgs=traffic.total_msgs)
      ["needs_signals", "needs_signals"]),
     (_PARENT_MASKED_APPLY, masked_numpy,
      ["np.where", "np.where", "mask-store", "mask-store", "where="]),
+    (_PARENT_PATCH_REBUILD, rebuild_calls, ["build"]),
 ], ids=["unused", "string-annotation", "dunder-all", "dead", "closure", "tuple",
         "class-attribute", "clock-write", "clock-read-and-copy",
         "machine-writer", "parent-snapshot-calls", "superstep-record",
         "parent-complement-flags", "parent-signal-reads",
-        "parent-masked-apply"])
+        "parent-masked-apply", "parent-patch-rebuild"])
 def test_the_scanner_itself(tmp_path, monkeypatch, source, finder, expected):
     monkeypatch.setitem(globals(), "ROOT", tmp_path)
     path = tmp_path / "mod.py"
