@@ -9,10 +9,15 @@ paper would have:
 * zero global synchronizations (its defining property) while matching
   LazyBlockAsync's converged values;
 * the delta-age knob trades coherency traffic against staleness;
-* on latency-dominated road workloads the barrier-free engine is
-  competitive with LazyBlockAsync; on traffic-dominated skewed graphs
-  the unbatched fine-grained exchanges cost it the lead — mirroring the
-  paper's sync-vs-async trade (§2.2 ISSUE III).
+* on the latency-dominated road workload the barrier-free engine wins
+  clearly (0.23 s against LazyBlockAsync's 0.79 s on road-usa-mini):
+  it pays no barrier, and its bounded-delay schedule ships every
+  pending delta in one exchange at most every ``max_delta_age`` local
+  rounds. On the traffic-dominated skewed twitter-mini LazyBlockAsync
+  keeps a small lead (0.105 s against 0.116 s), because an
+  asynchronous exchange's volume is charged at the fine-grained
+  (unbatched) rate — the paper's sync-vs-async trade (§2.2 ISSUE III).
+  On web-uk-mini the two tie.
 """
 
 import numpy as np

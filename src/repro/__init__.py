@@ -22,7 +22,6 @@ from repro.api import DeltaAlgebra, DeltaProgram, MAX_ALGEBRA, MIN_ALGEBRA, SUM_
 from repro.algorithms import make_program, program_names
 from repro.cluster import ClusterSim, CommMode, NetworkModel, RunStats
 from repro.core import (
-    BatchedController,
     CoherencyController,
     CoherencyPolicy,
     CoherencySignals,
@@ -112,7 +111,6 @@ __all__ = [
     "CoherencyController",
     "CoherencyPolicy",
     "CoherencySignals",
-    "BatchedController",
     "controller_names",
     "NetworkModel",
     "CommMode",

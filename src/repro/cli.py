@@ -812,7 +812,7 @@ def _cmd_validate(args) -> int:
         g = prepare_graph(graph, prog, seed=args.seed)
         ref = references[alg](g)
         verdicts = []
-        for engine in ("powergraph-sync", "lazy-block"):
+        for engine in ("powergraph-sync", "lazy-block", "lazy-vertex"):
             result = run(
                 g, make_program(alg, **params.get(alg, {})),
                 engine=engine, machines=args.machines, seed=args.seed,
@@ -826,7 +826,8 @@ def _cmd_validate(args) -> int:
         rows.append([alg, *("OK" if v else "MISMATCH" for v in verdicts)])
     print(
         format_table(
-            ["algorithm", "eager vs reference", "lazy vs reference"],
+            ["algorithm", "eager vs reference", "lazy-block vs reference",
+             "lazy-vertex vs reference"],
             rows,
             title=f"§3.5 equivalence on {args.graph_file} ({args.machines} machines)",
         )

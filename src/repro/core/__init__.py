@@ -9,8 +9,8 @@ coherency points (paper §3). This package provides:
   every evaluation figure): bulk local-computation stages separated by
   single-barrier coherency stages;
 * :class:`LazyVertexAsyncEngine` — paper Algorithm 2 (left as future
-  work in the paper; implemented here): no global barrier, per-replica
-  coherency triggered by delta age;
+  work in the paper; implemented here): no global barrier, one full
+  coherency exchange once the oldest pending delta is old enough;
 * :class:`CoherencyExchanger` — the delta exchange in both all-to-all
   and mirrors-to-master modes with the paper's §4.2.2 dynamic switch;
 * the coherency controllers (:mod:`repro.core.policy`): the paper's
@@ -26,11 +26,9 @@ from repro.core.coherency import CoherencyExchanger, ExchangeReport
 from repro.core.lazy_block_async import LazyBlockAsyncEngine
 from repro.core.lazy_vertex_async import LazyVertexAsyncEngine
 from repro.core.policy import (
-    BatchedController,
     CoherencyController,
     CoherencyPolicy,
     CoherencySignals,
-    ExchangeDirective,
     controller_names,
     resolve_policy,
 )
@@ -42,8 +40,6 @@ __all__ = [
     "CoherencyController",
     "CoherencyPolicy",
     "CoherencySignals",
-    "ExchangeDirective",
-    "BatchedController",
     "controller_names",
     "resolve_policy",
     "LazyBlockAsyncEngine",

@@ -20,14 +20,14 @@ bit-identical — a tested invariant); they differ in the traffic charged
 and the time model used. The ``dynamic`` policy evaluates both volumes
 with the fitted time curves and picks the cheaper (§4.2.2).
 
-Partial exchanges (used by LazyVertexAsync) are supported: only
-*participating* replicas contribute and clear their deltas; every
-replica of an exchanged vertex still receives the participants' data.
-
-A *full* exchange (``participants=None``, what LazyBlockAsync runs)
+Every exchange is *full* — both lazy engines run only this kind: it
 stages every replicated delta, so it always ends with every
-``has_delta`` down and every ``deltaMsg`` at the identity: it clears
-with two ``fill`` calls per runtime. Over a SUM algebra it also delivers
+``has_delta`` down and every ``deltaMsg`` at the identity, and it clears
+with two ``fill`` calls per runtime. A superstep that defers its
+exchange (LazyVertexAsync) calls :meth:`CoherencyExchanger.sweep`
+instead, which ships nothing but drops what no exchange would ship:
+unreplicated deltas, and under an idempotent ⊕ subsumed ones. Over a
+SUM algebra a full exchange delivers
 by streaming each runtime's slots — ``msg += total[v] − deltaMsg`` and
 ``has_msg |= count[v] > has_delta`` — instead of gathering the
 receivers: where no other replica contributed the added term is
@@ -35,14 +35,14 @@ exactly +0.0 (``0 − 0``, or ``t − t`` for the slot's own finite delta),
 and a SUM buffer never holds -0.0, so ``msg`` keeps its bits
 (:mod:`repro.runtime.machine_runtime`, "Identity padding").
 Unreplicated slots are zeroed first. A batch with a non-finite staged
-delta (``inf − inf`` is NaN), partial exchanges and idempotent algebras
-deliver to the gathered receivers only.
+delta (``inf − inf`` is NaN) and idempotent algebras deliver to the
+gathered receivers only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -62,22 +62,9 @@ from repro.obs.tracer import NULL_TRACER
 from repro.partition.partitioned_graph import PartitionedGraph
 from repro.runtime.machine_runtime import MachineRuntime
 
-__all__ = ["CoherencyExchanger", "ExchangeReport", "no_participants"]
-
-ParticipantFn = Callable[[MachineRuntime], np.ndarray]
+__all__ = ["CoherencyExchanger", "ExchangeReport"]
 
 _POS_ZERO = np.float64(0.0).tobytes()
-
-
-def no_participants(rt: MachineRuntime) -> np.ndarray:
-    """Participant mask selecting nobody — a *deferred* exchange.
-
-    Coherency controllers that postpone a partial exchange still run the
-    exchanger with this mask so the empty-exchange bookkeeping (clearing
-    unreplicated vertices' deltas, sweeping subsumed deltas) happens
-    exactly as on a superstep where no replica came due.
-    """
-    return np.zeros(rt.mg.num_local_vertices, dtype=bool)
 
 
 @dataclass(frozen=True)
@@ -94,6 +81,9 @@ class ExchangeReport:
     @property
     def empty(self) -> bool:
         return self.vertices_exchanged == 0
+
+
+_EMPTY = ExchangeReport(CommMode.ALL_TO_ALL, 0.0, 0, 0.0, 0.0, 0)
 
 
 class CoherencyExchanger:
@@ -151,13 +141,13 @@ class CoherencyExchanger:
             # initial shared view = the initial vdata (identical on every
             # replica by the DeltaProgram.make_state contract)
             self._shared = [rt.values().astype(np.float64).copy() for rt in runtimes]
-        # fixed per partition: which slots have peers to inform, and
-        # which have none
+        # fixed per partition: which slots have peers to inform, and the
+        # (solo) slots that have none — a sweep clears their deltas, and
+        # the streaming delivery zeroes them, by index
         self._replicated = [rt.mg.num_replicas > 1 for rt in runtimes]
-        self._solo = [~replicated for replicated in self._replicated]
+        self._solo_idx = [np.flatnonzero(~rep) for rep in self._replicated]
         # a full exchange over a SUM algebra delivers by streaming every
-        # slot (_deliver_streaming); it zeroes the solo slots' deltas by
-        # index first
+        # slot (_deliver_streaming)
         alg = program.algebra
         self._stream = (
             self._shared is None
@@ -165,7 +155,6 @@ class CoherencyExchanger:
             and alg.inverse_ufunc is np.subtract
             and np.float64(alg.identity).tobytes() == _POS_ZERO
         )
-        self._solo_idx = [np.flatnonzero(solo) for solo in self._solo]
 
     @property
     def mode_switches(self) -> int:
@@ -197,19 +186,43 @@ class CoherencyExchanger:
         return ch.round(report.volume_bytes)
 
     # ------------------------------------------------------------------
-    def exchange(
-        self, participants: Optional[ParticipantFn] = None
-    ) -> ExchangeReport:
-        """Run one coherency exchange; returns the traffic report.
+    def _stage(self, mi: int, rt: MachineRuntime) -> Tuple[np.ndarray, np.ndarray]:
+        """``rt``'s replicated pending deltas: ``(local idx, deltas)``.
 
-        ``participants`` selects, per machine, which local replicas
-        contribute their delta (boolean mask over local vertices);
-        ``None`` means every replica with a pending delta participates
-        (the LazyBlockAsync full exchange).
+        Under an idempotent ⊕ a delta that does not strictly improve the
+        last shared view carries no new information: it is cleared here
+        and not staged.
+        """
+        idx = np.flatnonzero(rt.has_delta & self._replicated[mi])
+        deltas = rt.delta_msg[idx]
+        if self._shared is not None and idx.size:
+            seen = self._shared[mi][idx]
+            improves = self.program.algebra.combine(deltas, seen) != seen
+            keep = np.flatnonzero(improves)
+            if keep.size < idx.size:
+                rt.clear_deltas(idx[np.flatnonzero(~improves)])
+                idx, deltas = idx[keep], deltas[keep]
+        return idx, deltas
+
+    def sweep(self) -> ExchangeReport:
+        """A deferred exchange: ship nothing, keep every replicated
+        pending delta, but drop what no exchange would ship — unreplicated
+        deltas (no peer to inform; their messages were applied locally)
+        and subsumed ones. Returns the empty report."""
+        for mi, rt in enumerate(self.runtimes):
+            self._stage(mi, rt)
+            rt.clear_deltas(self._solo_idx[mi])
+        return _EMPTY
+
+    def exchange(self) -> ExchangeReport:
+        """Run one full coherency exchange; returns the traffic report.
+
+        Every replica with a pending delta contributes it, and every
+        ``has_delta`` is down afterwards.
         """
         alg = self.program.algebra
 
-        # ---- collect participants' deltas -----------------------------
+        # ---- collect every replicated delta ---------------------------
         # Stage per-runtime (gids, deltas) then fold once: runtimes are
         # blocks of consecutive machines in machine order with each
         # machine's slots contiguous, so the concatenation lists every
@@ -218,36 +231,17 @@ class CoherencyExchanger:
         # plumbing stays on NumPy's fast paths: bool flatnonzero plus
         # gathers, never an int flatnonzero or a mask compress
         # (docs/performance.md, "NumPy fast paths").
-        part_idx: List[np.ndarray] = []
-        part_deltas: List[np.ndarray] = []
-        for mi, rt in enumerate(self.runtimes):
-            idx = np.flatnonzero(rt.has_delta & self._replicated[mi])
-            deltas = rt.delta_msg[idx]
-            if self._shared is not None and idx.size:
-                # subsumption filter: a delta that does not strictly
-                # improve the last shared view carries no new information
-                seen = self._shared[mi][idx]
-                improves = alg.combine(deltas, seen) != seen
-                keep = np.flatnonzero(improves)
-                if keep.size < idx.size:
-                    rt.clear_deltas(idx[np.flatnonzero(~improves)])
-                    idx, deltas = idx[keep], deltas[keep]
-            if participants is not None and idx.size:
-                keep = np.flatnonzero(participants(rt)[idx])
-                idx, deltas = idx[keep], deltas[keep]
-            part_idx.append(idx)
-            part_deltas.append(deltas)
+        part_idx, part_deltas = zip(*(
+            self._stage(mi, rt) for mi, rt in enumerate(self.runtimes)
+        ))
         all_gids = np.concatenate(
             [rt.mg.vertices[idx] for rt, idx in zip(self.runtimes, part_idx)]
         )
-        full = participants is None
         if all_gids.size == 0:
             # still clear deltas of unreplicated vertices
-            for rt, solo in zip(self.runtimes, self._solo):
-                rt.clear_deltas(None if full else np.flatnonzero(rt.has_delta & solo))
-            return ExchangeReport(
-                CommMode.ALL_TO_ALL, 0.0, 0, 0.0, 0.0, 0
-            )
+            for rt in self.runtimes:
+                rt.clear_deltas(None)
+            return _EMPTY
         all_deltas = np.concatenate(part_deltas)
         total = self._total
         total.fill(alg.identity)
@@ -295,15 +289,14 @@ class CoherencyExchanger:
         # ---- deliver: every replica folds the others' combined delta --
         # a non-finite staged delta makes the sum non-finite (so may an
         # overflowing finite batch: it takes the index path too)
-        if full and self._stream and np.isfinite(all_deltas.sum()):
+        if self._stream and np.isfinite(all_deltas.sum()):
             self._deliver_streaming(total, cnt)
         else:
-            self._deliver_indexed(total, cnt, part_idx, full)
-        if full:
-            # every replicated delta was staged and delivered, and
-            # unreplicated ones have no peers to inform
-            for rt in self.runtimes:
-                rt.clear_deltas(None)
+            self._deliver_indexed(total, cnt, part_idx)
+        # every replicated delta was staged and delivered, and
+        # unreplicated ones have no peers to inform
+        for rt in self.runtimes:
+            rt.clear_deltas(None)
 
         return ExchangeReport(
             mode=mode,
@@ -336,11 +329,10 @@ class CoherencyExchanger:
             rt.msg += incoming
 
     def _deliver_indexed(
-        self, total: np.ndarray, cnt: np.ndarray, part_idx: List[np.ndarray],
-        full: bool,
+        self, total: np.ndarray, cnt: np.ndarray, part_idx: Sequence[np.ndarray],
     ) -> None:
-        """Deliver to the gathered receivers only: partial exchanges,
-        idempotent algebras and non-finite staged deltas."""
+        """Deliver to the gathered receivers only: idempotent algebras
+        and non-finite staged deltas."""
         alg = self.program.algebra
         for mi, (rt, idx) in enumerate(zip(self.runtimes, part_idx)):
             gids_all = rt.mg.vertices
@@ -348,16 +340,10 @@ class CoherencyExchanger:
             if self._shared is None:
                 # a replica receives when another replica contributed,
                 # and removes its own contribution from the total: its
-                # deltaMsg (identity wherever has_delta is unset), or
-                # nothing if it keeps a delta this partial exchange left
-                # pending — such a slot is still flagged once the
-                # participants' flags are down
+                # deltaMsg (identity wherever has_delta is unset)
                 c[idx] -= 1
                 recv = np.flatnonzero(c > 0)
-                rt.has_delta[idx] = False
-                own = rt.delta_msg[recv]
-                own[np.flatnonzero(rt.has_delta[recv])] = alg.identity
-                incoming = alg.inverse(total[gids_all[recv]], own)
+                incoming = alg.inverse(total[gids_all[recv]], rt.delta_msg[recv])
             else:
                 # advance this replica's shared-view snapshot with
                 # everything exchanged for its vertices
@@ -365,16 +351,10 @@ class CoherencyExchanger:
                 exchanged_here = total[gids_all[touched]]
                 shared = self._shared[mi]
                 shared[touched] = alg.combine(shared[touched], exchanged_here)
-                # a participant does not receive from itself — though
+                # a contributor does not receive from itself — though
                 # with idempotent ⊕ re-folding its own delta is a no-op
                 c[idx] -= 1
                 others = np.flatnonzero(c[touched] > 0)
                 recv, incoming = touched[others], exchanged_here[others]
             rt.msg[recv] = alg.combine(rt.msg[recv], incoming)
             rt.has_msg[recv] = True
-            if not full:
-                # participants' deltas are now delivered; unreplicated
-                # vertices have no peers to inform (their messages were
-                # applied locally), so theirs are dead weight either way
-                rt.clear_deltas(idx)
-                rt.clear_deltas(np.flatnonzero(rt.has_delta & self._solo[mi]))

@@ -1,14 +1,15 @@
 """LazyVertexAsync — paper Algorithm 2 (future work there; built here).
 
 No global barrier anywhere: machines continuously drain their local
-queues (Apply + Scatter with immediate local visibility), and a replica
-participates in a *partial* coherency exchange only when its own
-``needDataCoherency`` predicate fires — here, when its delta has been
-pending for ``max_delta_age`` local rounds (freshly-updated hot vertices
-keep computing locally; stale deltas get shipped). Exchanges deliver to
-all replicas of the exchanged vertices but clear only the participants,
-so replicas synchronize pairwise-asynchronously, "as soon as possible",
-hiding network latency behind continued local work.
+queues (Apply + Scatter with immediate local visibility), and pending
+deltas are shipped only when ``needDataCoherency`` fires. The paper
+leaves that schedule open; here it is bounded-delay batching: once the
+oldest pending delta has waited ``max_delta_age`` local rounds, every
+pending delta ships together in one full exchange (freshly-updated hot
+vertices keep computing locally in between, and no delta waits longer
+than the bound). A deferred superstep ships nothing but still sweeps
+unreplicated and subsumed deltas. Transfers pipeline behind continued
+local work instead of closing a barrier.
 
 Cost accounting follows the Async conventions: no ``global_syncs``, the
 exchange volume is charged at the fine-grained (unbatched) rate, and
@@ -26,7 +27,7 @@ from repro.api.vertex_program import DeltaProgram
 from repro.cluster.network import NetworkModel
 from repro.cluster.termination import TerminationDetector
 from repro.comms import Delivery
-from repro.core.coherency import CoherencyExchanger, no_participants
+from repro.core.coherency import CoherencyExchanger
 from repro.core.policy import CoherencyPolicy, CoherencySignals, resolve_policy
 from repro.obs.lens import CoherencyLens
 from repro.partition.partitioned_graph import PartitionedGraph
@@ -44,13 +45,11 @@ class LazyVertexAsyncEngine(BaseEngine):
     ----------
     policy:
         The :class:`~repro.core.policy.CoherencyPolicy` (or its name).
-        Its ``max_delta_age`` is the age, in local rounds, at which a
-        replica's pending delta comes due (1 = exchange every round,
-        most coherent; larger values trade staleness for fewer
-        exchanges); its controller's ``partial_exchange`` directive can
-        defer or widen each superstep's partial exchange (default: the
-        paper rule — every due replica triggers its own exchange). The
-        engine builds its own controller from it.
+        Its ``max_delta_age`` is the age, in local rounds, of the oldest
+        pending delta that triggers an exchange (1 = exchange every
+        round, most coherent; larger values trade staleness for fewer
+        exchanges); its controller's ``partial_exchange`` decides each
+        superstep. The engine builds its own controller from it.
     lens:
         Enable the coherency lens (:mod:`repro.obs.lens`): staleness/
         divergence probes and the decision audit log. Off by default.
@@ -77,12 +76,8 @@ class LazyVertexAsyncEngine(BaseEngine):
         self.policy = resolve_policy(policy)
         self.controller = self.policy.make_controller()
         # the one reader of pending replica state, shared by the lens
-        # and a needs_signals controller; the paper path builds none
-        self.replicas = (
-            ReplicaReader(pgraph, self.runtimes, program.algebra)
-            if lens or self.controller.needs_signals
-            else None
-        )
+        # and the controller's staleness signal
+        self.replicas = ReplicaReader(pgraph, self.runtimes, program.algebra)
         if lens:
             self.lens = CoherencyLens(
                 self.replicas, self.tracer, self.sim.stats, self.comms
@@ -106,7 +101,6 @@ class LazyVertexAsyncEngine(BaseEngine):
         lens = self.lens
         controller = self.controller
         max_delta_age = self.policy.max_delta_age
-        replicas = self.replicas if controller.needs_signals else None
         ev_ratio = self.pgraph.graph.ev_ratio
         for step in range(self.max_supersteps):
             with tracer.span("superstep", category="superstep", superstep=step) as ss:
@@ -118,69 +112,48 @@ class LazyVertexAsyncEngine(BaseEngine):
                     )
                     sp.set(edges=int(edges.sum()), applies=int(applies.sum()))
 
-                # ---- age deltas; stale ones trigger their own coherency
+                # ---- age deltas; the oldest triggers the exchange -------
                 self.backend.dispatch(MachineRuntime.tick_delta_age)
 
                 # pre-exchange reading: staleness ages + the pending mass
-                # the due replicas are about to ship
+                # an exchange is about to ship
                 lens.probe()
 
                 idle = self._globally_idle()
-                due = None
-                directive = None
+                execute = True
                 if not idle:
-                    # the controller decides this superstep's partial
-                    # exchange: execute at some due-age floor, or defer
-                    # and let the pending deltas keep coalescing
-                    if replicas is not None:
-                        signals = CoherencySignals(
-                            step, ev_ratio,
-                            active=self._global_active_count(),
-                            staleness_max=replicas.staleness_max(),
-                        )
-                    else:
-                        signals = CoherencySignals(step, ev_ratio)
-                    directive = controller.partial_exchange(
-                        signals, max_delta_age
+                    # exchange, or defer and let the pending deltas keep
+                    # coalescing
+                    signals = CoherencySignals(
+                        step, ev_ratio,
+                        active=self._global_active_count(),
+                        staleness_max=self.replicas.staleness_max(),
                     )
+                    execute = controller.partial_exchange(signals, max_delta_age)
                     lens.decision(
                         "partial_exchange",
-                        rule=directive.rule,
-                        verdict="exchange" if directive.execute else "defer",
+                        rule="max-delta-age",
+                        verdict="exchange" if execute else "defer",
                         controller=controller.name,
-                        min_age=directive.min_age,
                         **signals.as_inputs(),
                     )
-                    if directive.execute:
-                        def due(rt: MachineRuntime, _m=directive.min_age):
-                            return rt.delta_age >= _m
 
                 with tracer.span("partial-coherency", category="phase") as sp:
-                    if idle:
-                        # drain everything before concluding: a final full
-                        # exchange may reactivate replicas
-                        report = self.exchanger.exchange()
-                    elif due is not None:
-                        report = self.exchanger.exchange(participants=due)
-                    else:
-                        # deferred: no replica participates; the empty
-                        # path still sweeps unreplicated/subsumed deltas
-                        report = self.exchanger.exchange(
-                            participants=no_participants
-                        )
+                    # idle: drain everything before concluding — a final
+                    # exchange may reactivate replicas
+                    report = (
+                        self.exchanger.exchange() if execute
+                        else self.exchanger.sweep()
+                    )
                     comm_seconds = self.exchanger.deliver(report)
                     if not report.empty:
                         sim.stats.coherency_points += 1
                         sent_total += report.messages
-                        # audit entry + invariant probe while the due mask
-                        # still reflects pre-exchange ages: a full (idle)
-                        # drain must clear everything, a partial exchange
-                        # everything at/above the directive's age floor +
-                        # unreplicated vertices
+                        # audit entry + invariant probe: an exchange
+                        # clears everything
                         lens.on_exchange(
                             report,
-                            due=None if idle else due,
-                            rule="idle-drain" if idle else directive.rule,
+                            rule="idle-drain" if idle else "max-delta-age",
                             controller=controller.name,
                             max_delta_age=max_delta_age,
                         )

@@ -15,26 +15,32 @@ trainable machinery is :func:`fit_interval_rule`, for the ablation):
   ``3·T``, where ``T`` is the modeled time of the stage's first
   micro-iteration (measured online).
 
+The paper leaves LazyVertexAsync's ``needDataCoherency`` schedule
+(Algorithm 2) open; every controller answers it with one bounded-delay
+rule (as in "Delayed Asynchronous Iterative Graph Algorithms"):
+
+* **partial_exchange()** — defer while the *oldest* pending delta is
+  younger than ``max_delta_age`` local rounds, then ship **every**
+  pending delta in one full exchange. No delta waits longer than
+  ``max_delta_age`` rounds, and deltas coming due on consecutive
+  supersteps share one exchange.
+
 Controllers are fed a per-superstep :class:`CoherencySignals` snapshot
 of what the engine measured: the paper's two features and the active
-count on LazyBlockAsync; E/V on LazyVertexAsync, plus the active count
-and the oldest pending delta's age only for a controller that sets
-``needs_signals`` (``"batched"``), the age read through the engine's
-:class:`~repro.runtime.result.ReplicaReader` (so the paper path computes
-nothing new, and controllers work with ``lens=False``).
+count on LazyBlockAsync; E/V, the active count and the oldest pending
+delta's age on LazyVertexAsync, the age read through the engine's
+:class:`~repro.runtime.result.ReplicaReader` (so controllers work with
+``lens=False``).
 
 A policy name *is* a controller name; ``_CONTROLLERS`` is the whole
 vocabulary:
 
-* ``"paper"`` (the default) — :class:`CoherencyController`, the rule
-  above; on LazyVertexAsync every replica whose delta is
-  ``max_delta_age`` local rounds old triggers its own exchange;
+* ``"paper"`` (the default) — :class:`CoherencyController`, the rules
+  above;
 * ``"simple"`` / ``"never"`` — Fig 8(a)'s strawmen: lazy always on with
   every local stage run to quiescence / lazy never on (isolates the
-  3-syncs→1-sync saving from laziness);
-* ``"batched"`` — LazyVertexAsync partial-exchange batching: wait until
-  the *oldest* pending delta reaches ``max_delta_age``, then ship
-  **everything** pending in one exchange.
+  3-syncs→1-sync saving from laziness). On LazyVertexAsync they keep
+  the ``max_delta_age`` rule.
 
 :class:`CoherencyPolicy` is the one value every entry point passes —
 ``repro.run(policy=...)``, the CLI's ``--policy`` / ``--policy-opt``,
@@ -56,11 +62,9 @@ from repro.errors import ConfigError
 
 __all__ = [
     "CoherencySignals",
-    "ExchangeDirective",
     "CoherencyController",
     "SimpleController",
     "NeverLazyController",
-    "BatchedController",
     "CoherencyPolicy",
     "controller_names",
     "named_policy",
@@ -80,8 +84,7 @@ class CoherencySignals:
     did not measure them: LazyBlockAsync measures ``trend`` and
     ``active``; LazyVertexAsync measures ``active`` and
     ``staleness_max`` — the age, in local rounds, of the oldest pending
-    delta — only when the active controller sets ``needs_signals``, and
-    never ``trend``.
+    delta — and never ``trend``.
     """
 
     superstep: int
@@ -106,29 +109,14 @@ class CoherencySignals:
 # ----------------------------------------------------------------------
 # Controllers
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class ExchangeDirective:
-    """One superstep's partial-exchange decision (LazyVertexAsync).
-
-    ``execute=False`` defers: no replica participates this superstep
-    (unreplicated and subsumed deltas are still swept). ``min_age``
-    selects the participants of an executed exchange — every replica
-    whose pending delta is at least that many local rounds old.
-    """
-
-    execute: bool
-    min_age: int
-    rule: str
-
-
 class CoherencyController:
     """The paper's coherency rule — the ``"paper"`` policy.
 
     LazyBlockAsync asks :meth:`turn_on_lazy` (``E/V <= ev_threshold or
     trend >= trend_threshold``) and :meth:`local_budget`
     (``budget_multiplier`` × the stage's first micro-iteration);
-    LazyVertexAsync asks :meth:`partial_exchange` (every replica due at
-    ``max_delta_age`` triggers its own exchange). Other policies are
+    LazyVertexAsync asks :meth:`partial_exchange` (exchange once the
+    oldest pending delta is ``max_delta_age`` rounds old). Other policies are
     subclasses overriding what they change. One instance lives for one
     engine run; an engine builds its own through
     :meth:`CoherencyPolicy.make_controller`.
@@ -137,10 +125,6 @@ class CoherencyController:
     name = "paper"
     #: label used in the decision audit log's ``rule`` field
     rule_name = "adaptive"
-    #: Request ``staleness_max`` (LazyVertexAsync). The paper rule
-    #: leaves this off so its path stays bit-identical *and*
-    #: computation-identical.
-    needs_signals = False
 
     def __init__(
         self,
@@ -168,10 +152,14 @@ class CoherencyController:
     # ---- LazyVertexAsync hook ----------------------------------------
     def partial_exchange(
         self, signals: CoherencySignals, max_delta_age: int
-    ) -> ExchangeDirective:
-        """Decide this superstep's partial exchange (default: paper rule —
-        replicas due at ``max_delta_age`` trigger their own exchange)."""
-        return ExchangeDirective(True, max_delta_age, "max-delta-age")
+    ) -> bool:
+        """Exchange this superstep (``True``), or defer and let the
+        pending deltas keep coalescing: exchange once the oldest pending
+        delta is ``max_delta_age`` local rounds old."""
+        assert signals.staleness_max is not None, (
+            "LazyVertexAsync measures the age"
+        )
+        return signals.staleness_max >= max_delta_age
 
 
 class SimpleController(CoherencyController):
@@ -204,38 +192,10 @@ class NeverLazyController(CoherencyController):
         return 0.0
 
 
-class BatchedController(CoherencyController):
-    """Coalesce LazyVertexAsync partial exchanges under ``max_delta_age``.
-
-    The per-replica age trigger spreads many tiny partial exchanges over
-    consecutive supersteps (replicas come due one superstep apart). This
-    controller batches them: defer while the oldest pending delta is
-    younger than ``max_delta_age``, then ship *every* pending delta in
-    one exchange. The staleness bound is unchanged — no delta ever waits
-    more than ``max_delta_age`` local rounds — but the exchange count
-    drops by roughly that factor. On LazyBlockAsync it is the paper rule
-    (there is nothing to batch: Algorithm 1 already runs one full
-    exchange per superstep).
-    """
-
-    name = rule_name = "batched"
-    needs_signals = True
-
-    def partial_exchange(
-        self, signals: CoherencySignals, max_delta_age: int
-    ) -> ExchangeDirective:
-        # needs_signals: LazyVertexAsync measures the age for this rule
-        assert signals.staleness_max is not None
-        if signals.staleness_max >= max_delta_age:
-            return ExchangeDirective(True, 1, "batched-coalesce")
-        return ExchangeDirective(False, 0, "batch-accumulate")
-
-
 _CONTROLLERS: Dict[str, Type[CoherencyController]] = {
     cls.name: cls
     for cls in (
         CoherencyController, SimpleController, NeverLazyController,
-        BatchedController,
     )
 }
 
@@ -254,8 +214,9 @@ class CoherencyPolicy:
 
     ``controller`` names the decision rule (one of
     :func:`controller_names`), ``mode`` the exchange's wire mode
-    (``"dynamic"``, ``"a2a"`` or ``"m2m"``), ``max_delta_age``
-    LazyVertexAsync's due age, and ``options`` the controller's numeric
+    (``"dynamic"``, ``"a2a"`` or ``"m2m"``), ``max_delta_age`` the age
+    of the oldest pending delta that triggers a LazyVertexAsync
+    exchange, and ``options`` the controller's numeric
     constructor arguments — their names and types are checked here, so a
     bad option fails when the policy is built rather than when a run
     starts.

@@ -9,8 +9,8 @@ contradiction as an :class:`Anomaly`:
   no span was open (``meta["untracked_charges"]``): the span tree no
   longer tiles the run, so per-phase breakdowns are silently short;
 * ``pending-after-exchange`` — a coherency exchange left non-zero
-  pending deltaMsg mass in the scope it was responsible for clearing
-  (full exchange: everything; partial: the due replicas);
+  pending deltaMsg mass (every exchange is full: it must clear
+  everything);
 * ``final-drift`` — master and mirror values still disagree after the
   final superstep of a converged run;
 * ``decision-mismatch`` — the audit log's ``kind="coherency"`` decision
@@ -105,7 +105,7 @@ class LensAuditor:
                     "pending-after-exchange",
                     "critical",
                     f"coherency exchange at superstep "
-                    f"{attrs.get('superstep', '?')} left {pending} due "
+                    f"{attrs.get('superstep', '?')} left {pending} "
                     f"replica(s) pending (mass {mass:g})",
                     dict(attrs),
                 ))

@@ -13,18 +13,17 @@ stays bit-identical:
   sample of replicated vertices. The pending mass, the sample and the
   full cross-replica gap are read through the engine's one
   :class:`~repro.runtime.result.ReplicaReader` — the same object
-  LazyVertexAsync reads ``batched``'s staleness through, so the lens and
-  a controller cannot disagree about what is pending;
+  LazyVertexAsync reads its controller's staleness signal through, so
+  the lens and a controller cannot disagree about what is pending;
 * **coherency-decision audit log** — a structured
   :class:`CoherencyDecision` for every interval-rule evaluation
   (``turn_on_lazy`` / ``local_budget``) and one per executed coherency
   exchange, so a report can answer *why did the coherency point happen
   then*;
 * **post-exchange invariant probes** — immediately after each exchange
-  the lens re-measures the pending mass in the scope the exchange was
-  responsible for clearing (everything for a full exchange, the due
-  replicas for a partial one). :class:`~repro.obs.audit.LensAuditor`
-  flags any non-zero reading at report time.
+  the lens re-measures the pending mass, which every exchange (each is
+  full) must have cleared. :class:`~repro.obs.audit.LensAuditor` flags
+  any non-zero reading at report time.
 
 Everything is emitted twice: as tracer instants (``lens-probe`` /
 ``lens-exchange`` / ``coherency-decision`` / ``channel-ledger`` /
@@ -38,7 +37,7 @@ when the lens is off.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
@@ -124,9 +123,7 @@ class NullLens:
     def decision(self, kind: str, rule: str, verdict: str, **inputs) -> None:
         pass
 
-    def on_exchange(
-        self, report, due: Optional[Callable] = None, rule: str = "", **inputs
-    ) -> None:
+    def on_exchange(self, report, rule: str = "", **inputs) -> None:
         pass
 
     def finish(self, converged: bool, final_drift: float) -> None:
@@ -276,24 +273,14 @@ class CoherencyLens:
         if self.tracer.enabled:
             self.tracer.instant("coherency-decision", **d.to_record())
 
-    def on_exchange(
-        self, report, due: Optional[Callable] = None, rule: str = "", **inputs
-    ) -> None:
+    def on_exchange(self, report, rule: str = "", **inputs) -> None:
         """Post-exchange probe + the exchange's ``"coherency"`` decision.
 
-        ``due`` scopes the invariant: ``None`` means the exchange was
-        *full* (every pending delta must be gone afterwards); otherwise
-        ``due(rt)`` masks the replicas that were due for exchange (only
-        those, plus unreplicated vertices, must be clean).
+        The invariant: every pending delta is gone afterwards.
         """
         self.exchanges += 1
-        full = due is None
         # per-machine readings folded machine-ascending
-        masses, counts = self.reader.pending(
-            None if full else [
-                due(rt) | (rt.mg.num_replicas == 1) for rt in self.runtimes
-            ]
-        )
+        masses, counts = self.reader.pending()
         mass_after = sum(masses, 0.0)
         count_after = sum(counts)
         ok = count_after == 0 and mass_after == 0.0
@@ -312,7 +299,7 @@ class CoherencyLens:
             self.tracer.instant(
                 "lens-exchange",
                 superstep=self.superstep,
-                full=full,
+                full=True,  # every exchange is; the record keeps the key
                 mass_after=float(mass_after),
                 pending_after=int(count_after),
                 vertices=int(report.vertices_exchanged),

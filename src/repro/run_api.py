@@ -109,7 +109,7 @@ def run(
         :mod:`repro.runtime.registry`).
     policy:
         The coherency policy: a name (:func:`repro.controller_names` —
-        ``"paper"``, ``"simple"``, ``"never"``, ``"batched"``) or a
+        ``"paper"``, ``"simple"``, ``"never"``) or a
         :class:`~repro.core.policy.CoherencyPolicy` instance. Collapses
         the controller choice and its options, wire mode and
         ``max_delta_age`` into one value; lazy engines only.

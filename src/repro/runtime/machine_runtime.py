@@ -603,7 +603,7 @@ class MachineRuntime:
         Not after an empty exchange, and not in ``clear_deltas``: a delta
         the subsumption filter drops while nothing ships keeps its age,
         and a delta arriving there before the next tick inherits it —
-        LazyVertexAsync's due sets depend on that.
+        LazyVertexAsync's ``staleness_max`` signal depends on that.
         """
         self.delta_age *= self.has_delta
 

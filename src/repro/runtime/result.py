@@ -4,14 +4,14 @@
 run's result. :class:`ReplicaReader` is the one read-only view of what
 is *pending* between replicas mid-run — per-machine ``deltaMsg`` mass,
 staleness, sampled drift — read by the coherency lens
-(:mod:`repro.obs.lens`); LazyVertexAsync also reads its staleness for a
-``needs_signals`` controller (:mod:`repro.core.policy`).
+(:mod:`repro.obs.lens`); LazyVertexAsync also reads its staleness for
+its controller (:mod:`repro.core.policy`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -75,9 +75,9 @@ def replica_disagreement(
 class ReplicaReader:
     """Read-only view of a lazy engine's pending replica state.
 
-    Built once per engine, and only when a lens or (on LazyVertexAsync)
-    a ``needs_signals`` controller asks — the paper-policy hot path has
-    none. Readings stay per **machine**: each runtime (a block of
+    Built once per engine: always on LazyVertexAsync (its controller
+    reads the staleness), and on LazyBlockAsync only under a lens.
+    Readings stay per **machine**: each runtime (a block of
     machines) is read through the slices ``mg.machine_offsets`` marks,
     in machine order, so every float the lens records is grouped exactly
     as with one runtime per machine.
@@ -110,13 +110,10 @@ class ReplicaReader:
             slots = np.searchsorted(self.sample, rt.mg.vertices[idx])
             self._sample_slots.append((slots, idx))
 
-    def pending(
-        self, masks: Optional[Sequence[np.ndarray]] = None
-    ) -> Tuple[List[float], List[int]]:
+    def pending(self) -> Tuple[List[float], List[int]]:
         """Pending ``deltaMsg`` mass and count of every machine.
 
-        ``masks`` (one boolean array per runtime) narrows the reading to
-        the masked slots. The mass is monoid-measured
+        The mass is monoid-measured
         (:meth:`~repro.api.vertex_program.DeltaAlgebra.magnitude`); fold
         the per-machine masses left to right to keep the total's bits.
         """
@@ -124,10 +121,7 @@ class ReplicaReader:
         counts: List[int] = []
         for ri, lo, hi in self.machines:
             rt = self.runtimes[ri]
-            sel = rt.has_delta[lo:hi]
-            if masks is not None:
-                sel = sel & masks[ri][lo:hi]
-            idx = np.flatnonzero(sel)
+            idx = np.flatnonzero(rt.has_delta[lo:hi])
             masses.append(
                 self.algebra.magnitude(rt.delta_msg[lo:hi][idx])
                 if idx.size else 0.0

@@ -16,7 +16,8 @@ The ``supersteps[*].active`` column was re-recorded once since, on the
 commit that made ``active`` an attribute of the ``superstep`` span (the
 matrix's ``tracer=`` runs wrote no ``active_vertices`` counter, so the
 column was ``None`` throughout); every other key was first checked
-equal to the pins of ``28ef290``.
+equal to the pins of ``28ef290``. See :func:`record_pins` for the
+lazy-vertex cells.
 """
 
 import json
@@ -50,6 +51,13 @@ def observe(engine, alg, er_graph):
 
 
 def record_pins():  # pragma: no cover - run by hand on the parent commit
+    """Rewrite every cell from the checked-out code.
+
+    The two lazy-vertex cells were re-recorded from the commit that made
+    ``batched``'s rule the only LazyVertexAsync schedule, after checking
+    each equal, key for key, to its parent (``8234093``) run with
+    ``policy="batched"``; the other cells were left as they were.
+    """
     from repro.graph.generators import erdos_renyi_graph
 
     er_graph = erdos_renyi_graph(200, 900, seed=11)  # conftest's er_graph

@@ -384,6 +384,14 @@ PIN_CELLS = [
 
 
 def record_pins():  # pragma: no cover - run by hand on the parent commit
+    """Rewrite every cell from the checked-out code.
+
+    The four lazy-vertex cells were re-recorded from the commit that
+    made ``batched``'s rule the only LazyVertexAsync schedule, after
+    checking each equal, digest for digest, to its parent (``8234093``)
+    run with ``policy="batched"``; the other cells were left as they
+    were.
+    """
     PINS.write_text(json.dumps(
         {"/".join(cell): observe(*cell) for cell in PIN_CELLS},
         indent=1, sort_keys=True,

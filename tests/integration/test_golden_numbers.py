@@ -75,15 +75,13 @@ class TestGoldenPartition:
 
 class TestGoldenPolicyCoherencyPoints:
     """PageRank on road-ca-mini / 8 machines under the paper rule on
-    both lazy engines and ``batched`` on LazyVertexAsync (the matrix
-    ``benchmarks/bench_policy_ablation.py`` audits): the coherency-point
-    counts are protocol behaviour."""
+    both lazy engines (the matrix ``benchmarks/bench_policy_ablation.py``
+    audits): the coherency-point counts are protocol behaviour."""
 
     @pytest.mark.parametrize(
         "engine, policy, points",
         [
-            ("lazy-vertex", "paper", 54),
-            ("lazy-vertex", "batched", 25),
+            ("lazy-vertex", "paper", 25),
             ("lazy-block", "paper", 23),
         ],
     )

@@ -13,9 +13,8 @@ These are the invariants that must hold on every clean run:
 * the :class:`~repro.obs.audit.LensAuditor` finds nothing to flag.
 
 Parametrized over both lazy engines × two algorithms with different
-delta algebras (pagerank: SUM, cc: MIN) per the acceptance criteria,
-plus the signal-driven ``batched`` controller — deferring exchanges
-must never break the invariants.
+delta algebras (pagerank: SUM, cc: MIN). LazyVertexAsync defers most
+of its exchanges — deferring must never break the invariants.
 """
 
 import pytest
@@ -27,10 +26,7 @@ from repro.run_api import run
 
 ENGINES = ["lazy-block", "lazy-vertex"]
 ALGORITHMS = ["pagerank", "cc"]
-MATRIX = [(e, a, "paper") for e in ENGINES for a in ALGORITHMS] + [
-    ("lazy-vertex", "pagerank", "batched"),
-    ("lazy-vertex", "cc", "batched"),
-]
+MATRIX = [(e, a, "paper") for e in ENGINES for a in ALGORITHMS]
 
 
 @pytest.fixture(scope="module", params=MATRIX,

@@ -81,8 +81,17 @@ def observe(engine, alg, er_graph):
 def record_pins():  # pragma: no cover - run by hand
     """Rewrite every cell from the checked-out code.
 
-    The four lazy-engine cells were last recorded on the commit that
-    made the unmeasured ``CoherencySignals`` fields None: a
+    The two lazy-vertex cells were last re-recorded on the commit that
+    made ``batched``'s rule the only LazyVertexAsync schedule and every
+    coherency exchange full. Each new stream was first checked against
+    its parent's (``8234093``) stream run with ``policy="batched"``:
+    they are equal record for record once the parent's decision records
+    name controller ``paper`` and rule ``max-delta-age`` (for
+    ``batched-coalesce`` / ``batch-accumulate``) and drop ``min_age``
+    (the directive field is deleted), and its ``lens-exchange`` records
+    read ``full=True``. The lazy-block and eager cells were left as they
+    were. Before that, the four lazy-engine cells were last recorded on
+    the commit that made the unmeasured ``CoherencySignals`` fields None: a
     ``coherency-decision`` record carries only the inputs its engine
     measured. Deleting ``staleness_max`` from every lazy-block decision
     record of the parent's stream, and ``trend`` / ``active`` /

@@ -129,6 +129,10 @@ class TestCommands:
         assert rc == 0
         out = capsys.readouterr().out
         assert "OK" in out and "MISMATCH" not in out
+        # one column per engine: eager, Algorithm 1 and Algorithm 2
+        assert "lazy-vertex vs reference" in out
+        (row,) = [line for line in out.splitlines() if line.split()[:1] == ["cc"]]
+        assert row.split().count("OK") == 3
 
     def test_validate_dimacs_input(self, capsys, tmp_path, er_weighted):
         from repro.graph.io import save_dimacs
@@ -206,7 +210,7 @@ class TestPolicyCli:
         rc = main(
             ["run", "--graph", "road-ca-mini", "--algorithm", "pagerank",
              "--machines", "4", "--engine", "lazy-vertex",
-             "--policy", "batched"]
+             "--policy", "simple"]
         )
         assert rc == 0
         assert "converged=True" in capsys.readouterr().out
@@ -215,7 +219,7 @@ class TestPolicyCli:
         rc = main(
             ["run", "--graph", "road-ca-mini", "--algorithm", "pagerank",
              "--machines", "4", "--engine", "lazy-vertex",
-             "--policy", "batched", "--policy-opt", "ev_threshold=5",
+             "--policy", "paper", "--policy-opt", "ev_threshold=5",
              "--policy-opt", "max_delta_age=4"]
         )
         assert rc == 0
@@ -564,22 +568,22 @@ class TestTimelineAndComparison:
         from repro.obs.records import load_trace
 
         paths = [
-            self._trace(tmp_path, f"{policy}.jsonl", "--engine", "lazy-vertex",
-                        "--lens", "--policy", policy)
-            for policy in ("paper", "batched")
+            self._trace(tmp_path, f"age{age}.jsonl", "--engine", "lazy-vertex",
+                        "--lens", "--policy-opt", f"max_delta_age={age}")
+            for age in (3, 1)
         ]
         points = [load_trace(p).stats["coherency_points"] for p in paths]
         assert points[0] != points[1]
         capsys.readouterr()
         assert main(["analyze", *paths]) == 0
         out = capsys.readouterr().out
-        assert "paper.jsonl" in out and "batched.jsonl" in out
+        assert "age3.jsonl" in out and "age1.jsonl" in out
         for label in ("coherency points", "coherency / exchange"):
             row = re.search(rf"{label} +(\d+) +(\d+)\n", out)
             assert [int(n) for n in row.groups()] == points
         assert main(["analyze", *paths, "--json"]) == 0
         document = json.loads(capsys.readouterr().out)
-        assert document["labels"] == ["paper.jsonl", "batched.jsonl"]
+        assert document["labels"] == ["age3.jsonl", "age1.jsonl"]
         assert [r["totals"]["coherency_points"] for r in document["runs"]] == points
 
     @pytest.mark.parametrize("kind", ["serve", "telemetry"])

@@ -125,23 +125,6 @@ class TestFullExchange:
             for rt in rts:
                 rt.take_ready()
 
-    def test_partial_sum_exchange_keeps_a_held_delta_out(self):
-        # m1's delta stays pending (not a participant): m1 receives m0's
-        # delta whole, removing nothing of its own
-        prog = PageRankDeltaProgram()
-        g, pg, rts = two_machine_setup(prog)
-        slots = [int(np.flatnonzero(rt.mg.vertices == 1)[0]) for rt in rts]
-        for rt, i, v in zip(rts, slots, (0.25, 0.75)):
-            rt.delta_msg[i] = v
-            rt.has_delta[i] = True
-        ex = CoherencyExchanger(pg, prog, rts)
-        report = ex.exchange(participants=lambda rt: np.full(
-            rt.mg.num_local_vertices, rt is rts[0]))
-        assert report.vertices_exchanged == 1
-        m0, m1 = rts
-        assert not m0.has_msg[slots[0]] and not m0.has_delta[slots[0]]
-        assert m1.has_msg[slots[1]] and m1.msg[slots[1]] == 0.25
-        assert m1.has_delta[slots[1]] and m1.delta_msg[slots[1]] == 0.75
 
     @pytest.mark.parametrize("engine", ["lazy-block", "lazy-vertex"])
     def test_delta_msg_is_identity_where_no_delta(self, engine, monkeypatch):
@@ -154,12 +137,12 @@ class TestFullExchange:
         seen = {"exchanges": 0}
         inner = CoherencyExchanger.exchange
 
-        def checked(self, participants=None):
+        def checked(self):
             ident = np.float64(self.program.algebra.identity).view(np.int64)
             for rt in self.runtimes:
                 assert (rt.delta_msg[~rt.has_delta].view(np.int64) == ident).all()
             seen["exchanges"] += 1
-            return inner(self, participants)
+            return inner(self)
 
         monkeypatch.setattr(CoherencyExchanger, "exchange", checked)
         repro.run(powerlaw_graph(300, 2_000, seed=3), "pagerank",
@@ -198,9 +181,9 @@ class TestFullExchange:
                             rt.state["pending"]):
                     assert not ((buf == 0.0) & np.signbit(buf)).any()
 
-        def checked(self, participants=None):
+        def checked(self):
             no_negative_zero(self.runtimes)
-            report = inner(self, participants)
+            report = inner(self)
             no_negative_zero(self.runtimes)
             seen["exchanges"] += 1
             return report
@@ -228,19 +211,19 @@ class TestFullExchange:
         ids=["sum", "min"],
     )
     def test_full_exchange_clears_every_delta(self, alg, params, monkeypatch):
-        # a lazy-block exchange is full: every replicated delta is staged
-        # and delivered, unreplicated ones have no peers, so it ends with
-        # every flag down and every deltaMsg at the identity
+        # every exchange, on either lazy engine, is full: every
+        # replicated delta is staged and delivered, unreplicated ones
+        # have no peers, so it ends with every flag down and every
+        # deltaMsg at the identity
         import repro
         from repro.graph.generators import attach_uniform_weights, powerlaw_graph
 
         seen = {"staged": 0}
         inner = CoherencyExchanger.exchange
 
-        def checked(self, participants=None):
-            assert participants is None
+        def checked(self):
             seen["staged"] += sum(int(rt.has_delta.sum()) for rt in self.runtimes)
-            report = inner(self, participants)
+            report = inner(self)
             ident = np.float64(self.program.algebra.identity).view(np.int64)
             for rt in self.runtimes:
                 assert not rt.has_delta.any()
@@ -249,8 +232,10 @@ class TestFullExchange:
 
         monkeypatch.setattr(CoherencyExchanger, "exchange", checked)
         graph = attach_uniform_weights(powerlaw_graph(300, 2_000, seed=3), seed=3)
-        repro.run(graph, alg, engine="lazy-block", machines=4, **params)
-        assert seen["staged"] > 0
+        for engine in ("lazy-block", "lazy-vertex"):
+            seen["staged"] = 0
+            repro.run(graph, alg, engine=engine, machines=4, **params)
+            assert seen["staged"] > 0, engine
 
     def test_nonfinite_staged_delta_takes_the_index_path(self, monkeypatch):
         # m0 alone stages inf for vertex 1: streaming would add
@@ -305,6 +290,85 @@ class TestFullExchange:
         assert not np.signbit(m1.msg[j1])
         for rt in rts:
             assert not rt.has_delta.any() and not rt.delta_msg.any()
+
+
+class TestSweep:
+    """A deferred LazyVertexAsync superstep runs ``sweep()``: it ships
+    nothing and keeps every replicated pending delta, but clears what no
+    exchange would ship — unreplicated deltas, and (idempotent ⊕)
+    subsumed ones."""
+
+    def test_sweep_ships_nothing_and_clears_unreplicated_deltas(self):
+        prog = PageRankDeltaProgram()
+        g, pg, rts = two_machine_setup(prog)
+        m0, m1 = rts
+        i1 = int(np.flatnonzero(m0.mg.vertices == 1)[0])
+        j2 = int(np.flatnonzero(m1.mg.vertices == 2)[0])
+        m0.delta_msg[i1], m0.has_delta[i1] = 0.5, True  # replicated
+        m1.delta_msg[j2], m1.has_delta[j2] = 1.0, True  # vertex 2: solo
+        report = CoherencyExchanger(pg, prog, rts).sweep()
+        assert report.empty
+        assert (report.volume_bytes, report.messages) == (0.0, 0)
+        for rt in rts:
+            assert not rt.has_msg.any() and not rt.msg.any()
+        assert not m1.has_delta[j2] and m1.delta_msg[j2] == 0.0
+        assert m0.has_delta[i1] and m0.delta_msg[i1] == 0.5
+
+    def test_sweep_clears_subsumed_min_deltas(self):
+        prog = ConnectedComponentsProgram()
+        g, pg, rts = two_machine_setup(prog)
+        m0, m1 = rts
+        i1 = int(np.flatnonzero(m0.mg.vertices == 1)[0])
+        j1 = int(np.flatnonzero(m1.mg.vertices == 1)[0])
+        # 5.0 is worse than vertex 1's shared label 1.0; 0.0 improves it
+        m0.delta_msg[i1], m0.has_delta[i1] = 5.0, True
+        m1.delta_msg[j1], m1.has_delta[j1] = 0.0, True
+        report = CoherencyExchanger(pg, prog, rts).sweep()
+        assert report.empty and not any(rt.has_msg.any() for rt in rts)
+        assert not m0.has_delta[i1] and m0.delta_msg[i1] == np.inf
+        assert m1.has_delta[j1] and m1.delta_msg[j1] == 0.0
+
+    def test_sweep_keeps_replicated_deltas_for_the_next_exchange(self):
+        # a delta held over a deferred superstep ships whole at the next
+        # exchange, and each replica removes only its own contribution
+        prog = PageRankDeltaProgram()
+        g, pg, rts = two_machine_setup(prog)
+        ex = CoherencyExchanger(pg, prog, rts)
+        slots = [int(np.flatnonzero(rt.mg.vertices == 1)[0]) for rt in rts]
+        rts[0].delta_msg[slots[0]], rts[0].has_delta[slots[0]] = 0.25, True
+        assert ex.sweep().empty
+        rts[1].delta_msg[slots[1]], rts[1].has_delta[slots[1]] = 0.75, True
+        assert ex.exchange().vertices_exchanged == 1
+        got = [float(rt.msg[i]) for rt, i in zip(rts, slots)]
+        assert got == [0.75, 0.25]
+        assert not any(rt.has_delta.any() for rt in rts)
+
+    @pytest.mark.parametrize("alg", ["bfs", "ppr"])
+    def test_lazy_vertex_sweeps_every_deferred_superstep(self, alg, monkeypatch):
+        # road-usa-mini, 8 machines: cells whose results move when a
+        # deferred superstep skips the sweep. Every deferral sweeps, and
+        # leaves no unreplicated delta pending.
+        import repro
+        from repro.obs.tracer import Tracer
+
+        calls = {"sweep": 0}
+        inner = CoherencyExchanger.sweep
+
+        def checked(self):
+            report = inner(self)
+            calls["sweep"] += 1
+            for rt in self.runtimes:
+                assert not (rt.has_delta & (rt.mg.num_replicas == 1)).any()
+            return report
+
+        monkeypatch.setattr(CoherencyExchanger, "sweep", checked)
+        params = {"source": 0} if alg == "bfs" else {"seeds": (0, 5)}
+        tracer = Tracer()
+        repro.run("road-usa-mini", alg, engine="lazy-vertex", machines=8,
+                  seed=0, lens=True, tracer=tracer, **params)
+        defers = sum(d["attrs"]["verdict"] == "defer"
+                     for d in tracer.instants("coherency-decision"))
+        assert calls["sweep"] == defers > 0
 
 
 class TestVolumes:

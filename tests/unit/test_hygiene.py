@@ -17,14 +17,12 @@ A fifth pins one per-superstep record: the ``superstep`` span, whose
 keeps a ``timeline`` list. A sixth pins that a dense sweep takes its
 flags off the folded values: under ``src/`` nothing defines or calls a
 ``complement(...)`` edge list or keeps per-target ``_one_edge_in``
-counts. A seventh pins that only LazyVertexAsync feeds a controller
-more than the paper's features: under ``src/`` only
-``lazy_vertex_async.py`` reads ``needs_signals``. An eighth keeps the
-shared Apply rules on NumPy's fast paths, both forms
-(``docs/performance.md``, "NumPy fast paths"): ``algorithms/apply_rules.py``
-calls no ``np.where``, passes no ``where=`` and stores through no
-boolean mask. A ninth pins that a mutation patch splices the partition
-instead of rebuilding it: ``patch_partition`` calls no ``build``.
+counts. A seventh keeps the shared Apply rules on NumPy's fast paths,
+both forms (``docs/performance.md``, "NumPy fast paths"):
+``algorithms/apply_rules.py`` calls no ``np.where``, passes no
+``where=`` and stores through no boolean mask. An eighth pins that a
+mutation patch splices the partition instead of rebuilding it:
+``patch_partition`` calls no ``build``.
 """
 
 from __future__ import annotations
@@ -278,28 +276,6 @@ def test_dense_flags_come_from_values():
     assert not found, "\n".join(found)
 
 
-def needs_signals_reads(path: Path) -> list:
-    """Reads of a ``needs_signals`` attribute (the class attributes that
-    declare it are stores, not reads)."""
-    found = []
-    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-        if (isinstance(node, ast.Attribute) and node.attr == "needs_signals"
-                and isinstance(node.ctx, ast.Load)):
-            found.append((node.lineno, node.attr))
-    return [f"{path.relative_to(ROOT)}:{line} {name}" for line, name in sorted(found)]
-
-
-def test_only_lazy_vertex_reads_needs_signals():
-    found = [
-        hit for path in FILES
-        if path.parts[len(ROOT.parts)] == "src"
-        for hit in needs_signals_reads(path)
-    ]
-    assert {hit.split(":")[0] for hit in found} == {
-        "src/repro/core/lazy_vertex_async.py"
-    }, found
-
-
 _BOOL_BINOPS = (ast.BitAnd, ast.BitOr, ast.BitXor)
 
 
@@ -397,21 +373,6 @@ def apply(self, mg, state, idx, accum):
 """
 
 
-#: how LazyBlockAsync asked its controller for the extended signals
-#: before it read only the paper's features
-_PARENT_BLOCK_SIGNAL_READS = """class LazyBlockAsyncEngine:
-    needs_signals = False
-    def __init__(self, lens):
-        self.replicas = (
-            ReplicaReader(pgraph, self.runtimes, program.algebra)
-            if lens or self.controller.needs_signals
-            else None
-        )
-    def _execute(self):
-        replicas = self.replicas if controller.needs_signals else None
-"""
-
-
 #: how ``MachineRuntime`` and ``CSRPlan`` spelled the complement flags
 #: before a dense sweep read them off the values
 _PARENT_COMPLEMENT_FLAGS = """\
@@ -469,15 +430,13 @@ sim.stats.snapshot(active=self._global_active_count(), msgs=traffic.total_msgs)
      superstep_record_writes, ["counter", "counter", "timeline", "timeline"]),
     (_PARENT_COMPLEMENT_FLAGS, complement_flag_uses,
      ["complement", "_one_edge_in", "complement", "_one_edge_in"]),
-    (_PARENT_BLOCK_SIGNAL_READS, needs_signals_reads,
-     ["needs_signals", "needs_signals"]),
     (_PARENT_MASKED_APPLY, masked_numpy,
      ["np.where", "np.where", "mask-store", "mask-store", "where="]),
     (_PARENT_PATCH_REBUILD, rebuild_calls, ["build"]),
 ], ids=["unused", "string-annotation", "dunder-all", "dead", "closure", "tuple",
         "class-attribute", "clock-write", "clock-read-and-copy",
         "machine-writer", "parent-snapshot-calls", "superstep-record",
-        "parent-complement-flags", "parent-signal-reads",
+        "parent-complement-flags",
         "parent-masked-apply", "parent-patch-rebuild"])
 def test_the_scanner_itself(tmp_path, monkeypatch, source, finder, expected):
     monkeypatch.setitem(globals(), "ROOT", tmp_path)

@@ -128,10 +128,11 @@ class TestLensOnEngines:
 
     @pytest.mark.parametrize("engine,policy,kind,measured", [
         ("lazy-block", "paper", "turn_on_lazy", {"ev_ratio", "trend", "active"}),
-        ("lazy-block", "batched", "turn_on_lazy",
+        ("lazy-block", "simple", "turn_on_lazy",
          {"ev_ratio", "trend", "active"}),
-        ("lazy-vertex", "paper", "partial_exchange", {"ev_ratio"}),
-        ("lazy-vertex", "batched", "partial_exchange",
+        ("lazy-vertex", "paper", "partial_exchange",
+         {"ev_ratio", "active", "staleness_max"}),
+        ("lazy-vertex", "simple", "partial_exchange",
          {"ev_ratio", "active", "staleness_max"}),
     ])
     def test_decisions_log_the_inputs_measured(self, engine, policy, kind,
@@ -162,9 +163,9 @@ class TestLensOnEngines:
 
 
 class TestStalenessClock:
-    """The lens and the ``batched`` controller read
-    ``MachineRuntime.delta_age``, the clock LazyVertexAsync's due sets are
-    cut from (lens-on PageRank on road-ca-mini, 4 machines)."""
+    """The lens and LazyVertexAsync's controller read
+    ``MachineRuntime.delta_age``, the clock that triggers its exchanges
+    (lens-on PageRank on road-ca-mini, 4 machines)."""
 
     def _decisions(self, tracer, kind):
         return [d["attrs"] for d in tracer.instants("coherency-decision")

@@ -159,7 +159,7 @@ class TestDeltaAge:
     def test_a_delta_cleared_by_an_empty_exchange_keeps_its_age(self, cc_rt):
         # no reset after an exchange that shipped nothing, and none in
         # clear_deltas: a delta arriving before the next tick inherits
-        # the age (LazyVertexAsync's due sets are defined by this)
+        # the age (LazyVertexAsync's staleness_max reads it)
         self._pending(cc_rt, [1])
         cc_rt.tick_delta_age()
         cc_rt.tick_delta_age()

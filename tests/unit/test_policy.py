@@ -10,11 +10,9 @@ import numpy as np
 import pytest
 
 from repro.core.policy import (
-    BatchedController,
     CoherencyController,
     CoherencyPolicy,
     CoherencySignals,
-    ExchangeDirective,
     NeverLazyController,
     SimpleController,
     controller_names,
@@ -137,14 +135,23 @@ class TestPaperRuleController:
     def test_base_controller_is_the_paper_rule(self):
         c = CoherencyController()
         assert (c.name, c.rule_name) == ("paper", "adaptive")
-        assert c.needs_signals is False
         # the paper rule: E/V <= 10 turns lazy mode on
         assert c.turn_on_lazy(_signals(ev_ratio=2.0)) is True
         assert c.turn_on_lazy(_signals(ev_ratio=50.0, trend=0.0)) is False
 
+    def test_accumulates_until_the_oldest_delta_is_due(self):
+        c = CoherencyController()
+        assert c.partial_exchange(_signals(staleness_max=2), 3) is False
+        assert c.partial_exchange(_signals(staleness_max=3), 3) is True
+
     def test_default_partial_exchange_is_the_age_trigger(self):
-        d = CoherencyController().partial_exchange(_signals(), 3)
-        assert d == ExchangeDirective(True, 3, "max-delta-age")
+        # the strawmen change lazy-block's rule only: on LazyVertexAsync
+        # every controller exchanges once the oldest delta is due
+        for cls in (CoherencyController, SimpleController, NeverLazyController):
+            c = cls()
+            for age in range(6):
+                assert c.partial_exchange(_signals(staleness_max=age), 4) \
+                    is (age >= 4)
 
     def test_strawmen_name_their_rule(self):
         for cls in (SimpleController, NeverLazyController):
@@ -153,25 +160,9 @@ class TestPaperRuleController:
         assert NeverLazyController().turn_on_lazy(_signals(ev_ratio=1.0)) is False
 
 
-class TestBatchedController:
-    def test_accumulates_until_the_oldest_delta_is_due(self):
-        c = BatchedController()
-        d = c.partial_exchange(_signals(staleness_max=2), 3)
-        assert not d.execute and d.rule == "batch-accumulate"
-        d = c.partial_exchange(_signals(staleness_max=3), 3)
-        assert d.execute and d.min_age == 1 and d.rule == "batched-coalesce"
-
-    def test_turn_on_lazy_falls_back_to_the_paper_rule(self):
-        c = BatchedController()
-        assert c.turn_on_lazy(_signals(ev_ratio=2.0)) is True
-        assert c.turn_on_lazy(_signals(ev_ratio=50.0, trend=0.0)) is False
-
-
 class TestMakeController:
     def test_round_trip_by_name(self):
-        assert set(controller_names()) == {
-            "paper", "simple", "never", "batched",
-        }
+        assert controller_names() == ("never", "paper", "simple")
         for name in controller_names():
             c = CoherencyPolicy(name).make_controller()
             assert c.name == name
@@ -185,7 +176,7 @@ class TestMakeController:
             CoherencyPolicy(options=(("nonsense", 1.0),))
 
     def test_options_forwarded(self):
-        pol = CoherencyPolicy("batched", options=(("ev_threshold", 5.0),))
+        pol = CoherencyPolicy("paper", options=(("ev_threshold", 5.0),))
         assert pol.make_controller().ev_threshold == 5.0
 
 
@@ -205,22 +196,22 @@ class TestCoherencyPolicy:
 
     def test_is_hashable(self):
         assert hash(CoherencyPolicy()) == hash(CoherencyPolicy())
-        assert CoherencyPolicy() != CoherencyPolicy(controller="batched")
+        assert CoherencyPolicy() != CoherencyPolicy(controller="simple")
 
     def test_make_controller_is_fresh_per_call(self):
-        pol = CoherencyPolicy(controller="batched")
+        pol = CoherencyPolicy(controller="simple")
         a, b = pol.make_controller(), pol.make_controller()
         assert a is not b  # one controller per engine run
-        assert isinstance(a, BatchedController)
+        assert isinstance(a, SimpleController)
 
     def test_options_reach_the_controller(self):
         pol = CoherencyPolicy(
-            controller="batched", options=(("budget_multiplier", 2.0),)
+            controller="paper", options=(("budget_multiplier", 2.0),)
         )
         assert pol.make_controller().budget_multiplier == 2.0
 
     def test_apply_opts_routes_fields_and_options(self):
-        base = CoherencyPolicy("batched")
+        base = CoherencyPolicy("paper")
         pol = base.apply_opts({
             "max_delta_age": 5, "mode": "a2a", "ev_threshold": 5,
         })
@@ -232,7 +223,7 @@ class TestCoherencyPolicy:
 
     def test_apply_opts_rejects_non_numeric_controller_options(self):
         with pytest.raises(ConfigError, match="numeric"):
-            CoherencyPolicy("batched").apply_opts({"ev_threshold": "lots"})
+            CoherencyPolicy("paper").apply_opts({"ev_threshold": "lots"})
 
 
 class TestOptionsCheckedWhenBuilt:
@@ -241,7 +232,7 @@ class TestOptionsCheckedWhenBuilt:
 
     @pytest.mark.parametrize("name, opts, valid", [
         ("paper", {"ev_treshold": 5.0}, "ev_threshold, trend_threshold"),
-        ("batched", {"mass_floor": 0.3}, "ev_threshold, trend_threshold"),
+        ("paper", {"mass_floor": 0.3}, "ev_threshold, trend_threshold"),
         (None, {"interval": "simple"}, "ev_threshold, trend_threshold"),
         ("simple", {"ev_threshold": 5.0}, "options: none"),
     ], ids=["typo", "other-policy", "interval", "no-options"])
@@ -265,15 +256,15 @@ class TestOptionsCheckedWhenBuilt:
         monkeypatch.setattr(cli, "run", started)
         with pytest.raises(ConfigError, match="has no option"):
             cli.main(["run", "--algo", "cc", "--engine", "lazy-vertex",
-                      "--policy", "batched", "--policy-opt", opt])
+                      "--policy", "paper", "--policy-opt", opt])
 
 
 class TestPolicyRegistry:
     def test_builtin_vocabulary(self):
-        assert controller_names() == ("batched", "never", "paper", "simple")
+        assert controller_names() == ("never", "paper", "simple")
         assert CoherencyPolicy("never").make_controller().rule_name == "never"
         assert isinstance(
-            CoherencyPolicy("batched").make_controller(), BatchedController
+            CoherencyPolicy("simple").make_controller(), SimpleController
         )
 
     def test_unknown_policy_rejected(self):
@@ -299,18 +290,27 @@ class TestPolicyRegistry:
     def test_deleted_names_stay_deleted(self):
         import repro
         import repro.core
+        import repro.core.coherency as coherency_mod
         import repro.core.policy as policy_mod
 
         gone = {"IntervalModel", "AdaptiveIntervalModel",
                 "SimpleIntervalModel", "NeverLazyModel", "make_interval_model",
                 "register_policy", "get_policy", "policy_names",
                 "PaperRuleController", "make_controller",
-                "StalenessController", "extended_signals"}
-        for module in (repro, repro.core, policy_mod):
+                "StalenessController", "extended_signals",
+                "BatchedController", "ExchangeDirective", "no_participants",
+                "ParticipantFn", "needs_signals"}
+        for module in (repro, repro.core, policy_mod, coherency_mod):
             assert not gone & set(vars(module)), module.__name__
         assert not {"interval", "to_dict", "make_interval_model"} & set(
             dir(CoherencyPolicy)
         )
+        assert "needs_signals" not in dir(CoherencyController)
+        from repro.core.coherency import CoherencyExchanger
+
+        assert "participants" not in inspect.signature(
+            CoherencyExchanger.exchange
+        ).parameters
         # the JSON study-file runner went with ``repro experiment``
         import importlib.util
 
@@ -340,10 +340,10 @@ class TestResolvePolicy:
         assert pol == CoherencyPolicy("paper") == CoherencyPolicy()
 
     def test_policy_name_resolves_through_the_registry(self):
-        assert resolve_policy(policy="batched") == CoherencyPolicy(
-            controller="batched"
+        assert resolve_policy(policy="simple") == CoherencyPolicy(
+            controller="simple"
         )
-        pol = CoherencyPolicy("batched", max_delta_age=4)
+        pol = CoherencyPolicy("simple", max_delta_age=4)
         assert resolve_policy(pol) is pol
 
     def test_takes_the_policy_and_nothing_else(self):
@@ -352,7 +352,8 @@ class TestResolvePolicy:
 
 class TestSignalTap:
     """The pending replica state, measured through the engine's one
-    ``ReplicaReader`` (the lens probe's and ``batched``'s readings)."""
+    ``ReplicaReader`` (the lens probe's and LazyVertexAsync's
+    controller's readings)."""
 
     @pytest.fixture(scope="class")
     def tap_setup(self):
@@ -390,10 +391,6 @@ class TestSignalTap:
             assert (masses[0], counts[0]) == (6.0, 3)
             assert not any(masses[1:]) and not any(counts[1:])
             assert r.staleness_max() == 4
-            # a mask narrows the reading to the masked slots
-            masks = [np.zeros_like(x.has_delta) for x in rts]
-            masks[0][1] = True
-            assert r.pending(masks)[1][0] == 1
         finally:
             rt.delta_msg[:3] = prog.algebra.identity
             rt.has_delta[:3] = False
@@ -508,4 +505,4 @@ class TestShimRemoval:
 
         with pytest.raises(ConfigError, match="eagerly coherent"):
             run("road-ca-mini", "pagerank", engine="powergraph-sync",
-                machines=4, seed=0, policy="batched")
+                machines=4, seed=0, policy="simple")

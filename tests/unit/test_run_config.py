@@ -51,7 +51,7 @@ class TestEngineKwargs:
         assert cfg.engine_kwargs(LAZY, tracer=per_run)["tracer"] is per_run
 
     def test_policy_folded_for_controller_engines(self):
-        pol = CoherencyPolicy("batched", mode="a2a")
+        pol = CoherencyPolicy("simple", mode="a2a")
         assert RunConfig(policy=pol).engine_kwargs(LAZY)["policy"] is pol
         # by name or by default: resolved to the policy value
         assert RunConfig(policy="never").engine_kwargs(LAZY)["policy"] == \
@@ -120,10 +120,10 @@ class TestExperimentConfigBridge:
 
     def test_named_policy_resolves_with_opts(self):
         rc = self._run_config(
-            policy="batched", policy_opts={"max_delta_age": 2}
+            policy="simple", policy_opts={"max_delta_age": 2}
         )
         assert isinstance(rc.policy, CoherencyPolicy)
-        assert rc.policy.controller == "batched"
+        assert rc.policy.controller == "simple"
         assert rc.policy.max_delta_age == 2
 
     def test_policy_opts_alone_overlay_the_paper_policy(self):
