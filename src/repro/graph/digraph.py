@@ -167,6 +167,36 @@ class DiGraph:
             ).astype(np.int64)
         return self._in_degree
 
+    def _carry_degrees(
+        self,
+        parent: "DiGraph",
+        removed_eids: np.ndarray,
+        added_src: np.ndarray,
+        added_dst: np.ndarray,
+    ) -> None:
+        """Fill the degree caches from ``parent``'s, patched by a batch.
+
+        This graph must be ``parent`` without the edges ``removed_eids``
+        plus the edges ``added_src → added_dst``, over at least as many
+        vertices (what :func:`~repro.graph.mutation.apply_batch` and
+        :func:`~repro.graph.mutation.symmetrized_patch` build). Each
+        degree array ``parent`` has cached is patched in O(n + batch)
+        instead of counted over E; one it has not stays uncached.
+        """
+        n = self.num_vertices
+        for attr, ends, added in (
+            ("_out_degree", parent.src, added_src),
+            ("_in_degree", parent.dst, added_dst),
+        ):
+            old = getattr(parent, attr)
+            if old is None:
+                continue
+            deg = np.zeros(n, dtype=np.int64)
+            deg[:old.size] = old
+            deg -= np.bincount(ends[removed_eids], minlength=n)
+            deg += np.bincount(added, minlength=n)
+            setattr(self, attr, deg)
+
     def degrees(self) -> np.ndarray:
         """Total degree (in + out) of every vertex."""
         return self.out_degrees() + self.in_degrees()

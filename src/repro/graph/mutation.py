@@ -21,6 +21,10 @@ on) without re-running the full symmetrization: only unordered pairs
 whose multiplicity crossed zero — or whose min-weight changed — turn
 into removed/added edge pairs; everything else keeps its edge id slot.
 
+Both patches also carry the input graph's cached out- and in-degrees
+to the patched graph by the batch (O(n + batch)), so nothing after a
+mutation counts degrees over every edge again.
+
 :func:`compose_edge_delta` folds the diffs of consecutive patches into
 the net ``(removed, inserted)`` edge ids between the first and the last
 graph — what a warm start after several batches is planned from,
@@ -460,6 +464,7 @@ def apply_batch(
         add_w = batch.added_weights_for(graph)
         weights = np.concatenate([graph.weights[kept], add_w])
     new_graph = DiGraph(n_after, new_src, new_dst, weights, name=graph.name)
+    new_graph._carry_degrees(graph, removed_ids, added_src, added_dst)
     diff = EdgeDiff(
         kept_eids=kept,
         removed_eids=removed_ids,
@@ -541,6 +546,7 @@ def symmetrized_patch(
     new_sym = DiGraph(
         n_after, new_src, new_dst, weights, name=old_sym.name
     )
+    new_sym._carry_degrees(old_sym, removed_ids, added_src, added_dst)
     diff = EdgeDiff(
         kept_eids=kept,
         removed_eids=removed_ids,

@@ -69,7 +69,8 @@ class CSRPlan:
     source, so every delta out-plan is one: the order is the identity
     (``eorder`` is None) and ``key_sorted`` / ``dst_sorted`` are
     ``key`` / ``dst`` themselves, so the plan owns no per-edge array.
-    Read the order through :meth:`edge_ids`, never ``eorder``.
+    Read the order through :meth:`edge_ids` / :meth:`sorted_edges`,
+    never ``eorder``.
     """
 
     def __init__(
@@ -118,6 +119,11 @@ class CSRPlan:
         if self.eorder is None:
             return np.arange(self.num_edges, dtype=np.int64) if pos is None else pos
         return self.eorder if pos is None else self.eorder[pos]
+
+    def sorted_edges(self, values: np.ndarray) -> np.ndarray:
+        """A per-edge array in sorted order: ``values`` itself when the
+        order is the identity, else one gather."""
+        return values if self.eorder is None else values[self.eorder]
 
     # ------------------------------------------------------------------
     def _expand(

@@ -171,8 +171,13 @@ class MachineRuntime:
             self.out_plan = plan
         else:
             self.out_plan = CSRPlan(mg.esrc, n, dst=mg.edst)
-        self._one_edge_sorted = ~mg.eparallel[self.out_plan.edge_ids()]
-        self._all_one_edge = bool(self._one_edge_sorted.all())
+        # one-edge flags in sorted order, only where some edge is a
+        # parallel copy (a split-free block reads the flag alone)
+        self._all_one_edge = not bool(mg.eparallel.any())
+        self._one_edge_sorted = (
+            None if self._all_one_edge
+            else ~self.out_plan.sorted_edges(mg.eparallel)
+        )
         self._kind = monoid_kind(self.algebra)
         self._init_transform(program, mg)
         self._pad_bound = self._padding_bound()
@@ -230,7 +235,7 @@ class MachineRuntime:
                     f"{program.name}: edge_transform operand must be "
                     f"per-local-edge, got shape {operand.shape}"
                 )
-            self._tf_operand = operand[self.out_plan.edge_ids()]
+            self._tf_operand = self.out_plan.sorted_edges(operand)
 
     def _padding_bound(self) -> Optional[float]:
         """The operand extremum a dense sweep's MIN / MAX guard adds to

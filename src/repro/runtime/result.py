@@ -36,9 +36,8 @@ def collect_values(
     n = pgraph.graph.num_vertices
     out = np.empty(n, dtype=np.float64)
     for rt in runtimes:
-        vals = rt.values()
-        masters = rt.mg.is_master
-        out[rt.mg.vertices[masters]] = vals[masters]
+        masters = np.flatnonzero(rt.mg.is_master)
+        out[rt.mg.vertices[masters]] = rt.values()[masters]
     return out
 
 

@@ -22,7 +22,10 @@ both forms (``docs/performance.md``, "NumPy fast paths"):
 ``algorithms/apply_rules.py`` calls no ``np.where``, passes no
 ``where=`` and stores through no boolean mask. An eighth pins that a
 mutation patch splices the partition instead of rebuilding it:
-``patch_partition`` calls no ``build``.
+``patch_partition`` calls no ``build``. A ninth keeps the warm-start
+planner batch-sized: its ``_plan_*`` functions and ``_Planning`` build
+no CSR (``out_csr`` / ``in_csr``), sort nothing by key
+(``stable_argsort`` / ``argsort``) and call no plain ``np.unique``.
 """
 
 from __future__ import annotations
@@ -341,6 +344,59 @@ def test_patch_never_rebuilds():
     assert not rebuild_calls(dynamic), "\n".join(rebuild_calls(dynamic))
 
 
+_WHOLE_GRAPH_CALLS = ("out_csr", "in_csr", "stable_argsort", "argsort")
+
+
+def whole_graph_calls(path: Path) -> list:
+    """Sorting and CSR calls inside the warm-start planner's ``_plan_*``
+    functions and ``_Planning``: ``out_csr`` / ``in_csr`` /
+    ``stable_argsort`` / ``argsort`` (any owner) and ``np.unique``
+    without keywords (ROADMAP 3(c))."""
+    found = []
+    for top in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not (isinstance(top, (ast.FunctionDef, ast.ClassDef))
+                and top.name.lower().startswith("_plan")):
+            continue
+        for node in ast.walk(top):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "attr", getattr(node.func, "id", ""))
+            if name in _WHOLE_GRAPH_CALLS:
+                found.append((node.lineno, name))
+            elif (name == "unique" and not node.keywords
+                  and getattr(node.func.value, "id", "") == "np"):
+                found.append((node.lineno, "np.unique"))
+    return [f"{path.relative_to(ROOT)}:{line} {name}" for line, name in sorted(found)]
+
+
+def test_warm_plan_stays_batch_sized():
+    planner = ROOT / "src" / "repro" / "runtime" / "warm_start.py"
+    assert not whole_graph_calls(planner), "\n".join(
+        whole_graph_calls(planner)
+    )
+
+
+#: the idempotent planner's taint closure before it walked the resident
+#: partition (``tests/warm_plan_oracle.py``), plus two calls it may keep
+_PARENT_WARM_PLAN = """\
+def _plan_idempotent(program, old_graph, new_graph, old_state, removed):
+    out_indptr, out_eids = old_graph.out_csr()
+    frontier = np.flatnonzero(tainted)
+    while frontier.size:
+        spans = [
+            out_eids[out_indptr[v]: out_indptr[v + 1]]
+            for v in frontier.tolist()
+        ]
+        support = (msgs == F[tgt]) & (F[tgt] != init[tgt]) & ~tainted[tgt]
+        frontier = np.unique(tgt[support])
+        tainted[frontier] = True
+    _, first = np.unique(keys, return_index=True)
+    return np.sort(sel)
+def graph_delta(old_graph, new_graph):
+    return np.argsort(old_graph.src, kind="stable")
+"""
+
+
 #: how ``patch_partition`` materialized a patch before it spliced the
 #: carried partition (``repartition_worst`` may still rebuild)
 _PARENT_PATCH_REBUILD = """\
@@ -433,11 +489,13 @@ sim.stats.snapshot(active=self._global_active_count(), msgs=traffic.total_msgs)
     (_PARENT_MASKED_APPLY, masked_numpy,
      ["np.where", "np.where", "mask-store", "mask-store", "where="]),
     (_PARENT_PATCH_REBUILD, rebuild_calls, ["build"]),
+    (_PARENT_WARM_PLAN, whole_graph_calls, ["out_csr", "np.unique"]),
 ], ids=["unused", "string-annotation", "dunder-all", "dead", "closure", "tuple",
         "class-attribute", "clock-write", "clock-read-and-copy",
         "machine-writer", "parent-snapshot-calls", "superstep-record",
         "parent-complement-flags",
-        "parent-masked-apply", "parent-patch-rebuild"])
+        "parent-masked-apply", "parent-patch-rebuild",
+        "parent-warm-plan"])
 def test_the_scanner_itself(tmp_path, monkeypatch, source, finder, expected):
     monkeypatch.setitem(globals(), "ROOT", tmp_path)
     path = tmp_path / "mod.py"

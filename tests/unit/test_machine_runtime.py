@@ -106,6 +106,31 @@ class TestParallelEdgeHandling:
         assert rt.has_msg[2] and rt.has_delta[2]
 
 
+class TestNoPerRunEdgeGathers:
+    """A delta out-plan's order is the identity, so a runtime reads its
+    block's per-edge arrays as they are."""
+
+    def test_operand_is_the_blocks_own_weights(self):
+        from repro.algorithms import SSSPProgram
+
+        g = DiGraph(4, [0, 1, 2, 0], [1, 2, 3, 3], [1.0, 2.0, 3.0, 9.0])
+        rt = runtime_for(g, SSSPProgram(source=0))
+        assert rt.out_plan.edge_ids(np.arange(2)).tolist() == [0, 1]
+        assert np.shares_memory(rt._tf_operand, rt.mg.eweight)
+        assert rt._all_one_edge and rt._one_edge_sorted is None
+
+    def test_parallel_copies_keep_the_sorted_mask(self):
+        g = DiGraph(3, [0, 1, 0], [1, 2, 2])
+        asg = np.array([0, 1, 0], dtype=np.int32)
+        pg = PartitionedGraph.build(g, asg, 2, parallel_eids=[1])
+        mg = next(m for m in pg.machines if m.eparallel.any())
+        rt = MachineRuntime(mg, ConnectedComponentsProgram())
+        assert not rt._all_one_edge
+        np.testing.assert_array_equal(
+            rt._one_edge_sorted, ~mg.eparallel[rt.out_plan.edge_ids()]
+        )
+
+
 class TestBootstrap:
     def test_pagerank_bootstrap_scatters(self):
         g = DiGraph(3, [0, 1, 2], [1, 2, 0])

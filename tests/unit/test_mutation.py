@@ -265,3 +265,66 @@ class TestEdgeDiff:
         assert diff.added_eids.tolist() == [2]
         assert not diff.is_identity()
         assert "kept=2" in diff.summary()
+
+
+class TestDegreeCarry:
+    """A patch carries its input's cached degrees by the batch; they
+    equal what counting the patched graph's edges gives, dtype too."""
+
+    @staticmethod
+    def _random_batch(graph, rng):
+        n = graph.num_vertices
+        batch = MutationBatch().add_vertices(int(rng.integers(0, 3)))
+        n_after = n + batch.num_added_vertices
+        picks = rng.choice(graph.num_edges, size=4, replace=False)
+        batch.remove_edges(
+            {(int(graph.src[e]), int(graph.dst[e])) for e in picks}
+        )
+        if rng.random() < 0.5:
+            batch.remove_vertex(int(rng.integers(0, n)))
+        ends = rng.integers(0, n_after, size=(5, 2))
+        batch.add_edges([(int(u), int(v)) for u, v in ends])
+        return batch
+
+    @staticmethod
+    def _assert_counted(g: DiGraph):
+        want_out = np.bincount(g.src, minlength=g.num_vertices)
+        want_in = np.bincount(g.dst, minlength=g.num_vertices)
+        got_out, got_in = g._out_degree, g._in_degree
+        assert got_out is not None and got_in is not None
+        np.testing.assert_array_equal(got_out, want_out)
+        np.testing.assert_array_equal(got_in, want_in)
+        fresh = DiGraph(g.num_vertices, g.src, g.dst)
+        assert got_out.dtype == fresh.out_degrees().dtype
+        assert got_in.dtype == fresh.in_degrees().dtype
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_apply_batch_carries_both_degrees(self, seed):
+        rng = np.random.default_rng(seed)
+        g = erdos_renyi_graph(40, 160, seed=seed)
+        g.out_degrees(), g.in_degrees()
+        for _ in range(5):
+            g, _ = apply_batch(g, self._random_batch(g, rng))
+            self._assert_counted(g)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_symmetrized_patch_carries_both_degrees(self, seed):
+        rng = np.random.default_rng(seed)
+        base = erdos_renyi_graph(30, 90, seed=seed)
+        sym = base.symmetrized()
+        sym.out_degrees(), sym.in_degrees()
+        for _ in range(4):
+            new_base, _ = apply_batch(base, self._random_batch(base, rng))
+            sym, _ = symmetrized_patch(sym, base, new_base)
+            base = new_base
+            self._assert_counted(sym)
+
+    def test_only_a_cached_degree_is_carried(self):
+        g = erdos_renyi_graph(20, 60, seed=3)
+        g.out_degrees()
+        new, _ = apply_batch(g, MutationBatch().add_edge(0, 1))
+        assert new._out_degree is not None and new._in_degree is None
+        untouched, _ = apply_batch(
+            erdos_renyi_graph(20, 60, seed=3), MutationBatch().add_edge(0, 1)
+        )
+        assert untouched._out_degree is None and untouched._in_degree is None

@@ -351,6 +351,28 @@ class TestWarmStartDeltaComesFromTheDiffs:
             inc = session.run(alg, incremental=True, **params)
             assert inc.stats.extra["warm_start"] == 1
 
+    def test_incremental_run_never_sorts(
+        self, session, er_graph, monkeypatch
+    ):
+        """After warm-up an incremental run builds no CSR and sorts no
+        keys: the plan walks the resident partition."""
+        from repro.graph.digraph import DiGraph
+        from repro.utils import keysort
+
+        def boom(*_args, **_kwargs):
+            raise AssertionError("an incremental run sorted")
+
+        session.run("bfs", source=0)
+        session.run("pagerank", tolerance=1e-4)
+        session.apply(_fresh_batch(er_graph))
+        monkeypatch.setattr(DiGraph, "_build_csr", boom)
+        monkeypatch.setattr(keysort, "stable_argsort", boom)
+        for alg, params in (
+            ("bfs", {"source": 0}), ("pagerank", {"tolerance": 1e-4}),
+        ):
+            inc = session.run(alg, incremental=True, **params)
+            assert inc.stats.extra["warm_start"] == 1
+
     def test_threaded_delta_is_the_oracles_delta(
         self, session, er_graph, monkeypatch
     ):
@@ -361,12 +383,14 @@ class TestWarmStartDeltaComesFromTheDiffs:
         seen = []
         real_plan = session_module.plan_warm_start
 
-        def checked(program, old, new, state, removed, inserted):
+        def checked(program, old, new, state, removed, inserted, **kw):
             want_removed, want_inserted = graph_delta(old, new)
             np.testing.assert_array_equal(removed, want_removed)
             np.testing.assert_array_equal(inserted, want_inserted)
             seen.append((program.name, removed.size, inserted.size))
-            return real_plan(program, old, new, state, removed, inserted)
+            return real_plan(
+                program, old, new, state, removed, inserted, **kw
+            )
 
         monkeypatch.setattr(session_module, "plan_warm_start", checked)
         runs = {
