@@ -5,7 +5,6 @@ NumPy-backed directed graph with CSR adjacency in both directions. Every
 other subsystem (partitioning, engines, algorithms) consumes this type.
 """
 
-from repro.graph.builder import GraphBuilder
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import (
     attach_uniform_weights,
@@ -29,7 +28,6 @@ from repro.graph.properties import GraphProperties, compute_properties
 
 __all__ = [
     "DiGraph",
-    "GraphBuilder",
     "attach_uniform_weights",
     "community_graph",
     "erdos_renyi_graph",

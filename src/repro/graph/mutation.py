@@ -45,6 +45,7 @@ import numpy as np
 
 from repro.errors import GraphError
 from repro.graph.digraph import DiGraph
+from repro.utils.keysort import isin_sorted
 
 __all__ = [
     "MutationBatch",
@@ -83,21 +84,6 @@ class EdgeDiff:
     @property
     def num_added(self) -> int:
         return int(self.added_src.size)
-
-    @property
-    def added_eids(self) -> np.ndarray:
-        """New-graph edge ids of the added edges."""
-        return np.arange(
-            self.num_kept, self.num_kept + self.num_added, dtype=np.int64
-        )
-
-    def is_identity(self) -> bool:
-        """True when the patch changed nothing structural."""
-        return (
-            self.num_removed == 0
-            and self.num_added == 0
-            and self.num_vertices_before == self.num_vertices_after
-        )
 
     def summary(self) -> str:
         return (
@@ -505,8 +491,10 @@ def symmetrized_patch(
     old_keys, old_w = old_base.pair_table(scale)
     new_keys, new_w = new_base.pair_table(scale)
 
-    gone = ~np.isin(old_keys, new_keys)
-    born = ~np.isin(new_keys, old_keys)
+    # pair tables are sorted and duplicate-free, and so are both key
+    # sets derived from them below
+    gone = ~isin_sorted(old_keys, new_keys)
+    born = ~isin_sorted(new_keys, old_keys)
     removed_keys = old_keys[gone]
     added_keys = new_keys[born]
     if old_w is not None and new_w is not None:
@@ -522,7 +510,7 @@ def symmetrized_patch(
         np.minimum(old_sym.src, old_sym.dst) * scale
         + np.maximum(old_sym.src, old_sym.dst)
     )
-    removed_mask = np.isin(sym_keys, removed_keys)
+    removed_mask = isin_sorted(sym_keys, removed_keys)
     kept = np.flatnonzero(~removed_mask).astype(np.int64)
     removed_ids = np.flatnonzero(removed_mask).astype(np.int64)
 

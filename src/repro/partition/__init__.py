@@ -6,7 +6,7 @@ distributed representation both engines execute on:
 
 1. a **vertex-cut partitioner** assigns every edge to one of P machines
    (:func:`partition_graph` dispatches by name: ``random``, ``grid``,
-   ``coordinated``, ``hybrid``, ``edge``);
+   ``coordinated``, ``oblivious``, ``hybrid``, ``edge``);
 2. the **edge splitter** (:mod:`repro.partition.edge_splitter`,
    paper §4.1) optionally promotes selected edges to *parallel-edges*;
 3. :meth:`PartitionedGraph.build` materializes per-machine local graphs,
@@ -23,7 +23,7 @@ from repro.partition.oblivious_cut import oblivious_cut
 from repro.partition.metrics import PartitionMetrics, compute_partition_metrics
 from repro.partition.partitioned_graph import MachineGraph, PartitionedGraph
 from repro.partition.random_cut import random_cut
-from repro.partition.replication import replica_sets, replication_factor
+from repro.partition.replication import replication_factor
 
 __all__ = [
     "PARTITIONER_NAMES",
@@ -34,7 +34,6 @@ __all__ = [
     "oblivious_cut",
     "hybrid_cut",
     "edge_cut",
-    "replica_sets",
     "replication_factor",
     "EdgeSplitConfig",
     "select_parallel_edges",

@@ -42,16 +42,6 @@ class PartitionMetrics:
     est_exchange_volume_a2a_bytes: float
     est_exchange_volume_m2m_bytes: float
 
-    def as_row(self) -> list:
-        """Compact row for table printing."""
-        return [
-            self.num_machines,
-            round(self.replication_factor, 3),
-            round(self.edge_balance, 3),
-            round(self.vertex_balance, 3),
-            round(self.replicated_vertex_fraction, 3),
-        ]
-
 
 def compute_partition_metrics(
     pgraph: PartitionedGraph, delta_bytes: int = 16

@@ -200,29 +200,6 @@ class MachineGraph:
     def num_local_edges(self) -> int:
         return int(self.esrc.size)
 
-    def global_to_local(self, gids: np.ndarray) -> np.ndarray:
-        """Map global vertex ids to local indices.
-
-        Raises :class:`PartitionError` for an id this machine does not
-        host, and on a merged block, where a global id may sit on
-        several machines and ``vertices`` is not ascending overall.
-        """
-        if self.num_machines > 1:
-            raise PartitionError(
-                f"global_to_local is per machine; this is a block of "
-                f"{self.num_machines} machines"
-            )
-        gids = np.asarray(gids, dtype=np.int64)
-        idx = np.searchsorted(self.vertices, gids)
-        # the sentinel answers for insertion points past the last vertex
-        missing = np.append(self.vertices, -1)[idx] != gids
-        if missing.any():
-            raise PartitionError(
-                f"vertex {int(gids[missing].flat[0])} has no replica on "
-                f"machine {self.machine_id}"
-            )
-        return idx
-
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (
             f"MachineGraph(m={self.machine_id}, |V|={self.num_local_vertices}, "
@@ -866,31 +843,6 @@ class PartitionedGraph:
             )
         ]
         return new, unchanged
-
-    # ------------------------------------------------------------------
-    def memory_footprint(self) -> dict:
-        """Estimated per-machine storage of the distributed layout.
-
-        The paper's §3 motivation for keeping most edges in one-edge
-        mode is memory: every parallel-edge copy and every extra replica
-        costs space on each machine it lands on. Returns totals and the
-        per-machine breakdown in bytes (8 B per vertex-array slot, 24 B
-        per edge record: two endpoints + weight).
-        """
-        per_machine = []
-        for mg in self.machines:
-            vertex_bytes = 8 * 4 * mg.num_local_vertices  # data+msg+delta+flags
-            edge_bytes = 24 * mg.num_local_edges
-            per_machine.append(vertex_bytes + edge_bytes)
-        total = float(sum(per_machine))
-        return {
-            "total_bytes": total,
-            "max_machine_bytes": float(max(per_machine)),
-            "mean_machine_bytes": total / self.num_machines,
-            "per_machine_bytes": per_machine,
-            "replica_slots": int(self.num_replicas.sum()),
-            "edge_slots": int(sum(mg.num_local_edges for mg in self.machines)),
-        }
 
     # ------------------------------------------------------------------
     def validate(self) -> None:

@@ -8,33 +8,13 @@ main determinant of LazyGraph's speedup.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from repro.graph.digraph import DiGraph
 
-__all__ = ["replica_sets", "replication_factor", "replica_csr"]
-
-
-def replica_sets(
-    graph: DiGraph, assignment: np.ndarray, num_machines: int
-) -> List[set]:
-    """Machines hosting each vertex, as a list of Python sets.
-
-    Vertices with no edges get an empty set here; the partitioned-graph
-    builder later assigns them a home machine by hash so every vertex has
-    exactly one master.
-    """
-    sets: List[set] = [set() for _ in range(graph.num_vertices)]
-    # Vectorized unique (vertex, machine) pairs, then a single pass.
-    for endpoint in (graph.src, graph.dst):
-        if endpoint.size == 0:
-            continue
-        key = endpoint.astype(np.int64) * num_machines + assignment
-        for k in np.unique(key):
-            sets[int(k) // num_machines].add(int(k) % num_machines)
-    return sets
+__all__ = ["replication_factor", "replica_csr"]
 
 
 def replica_csr(

@@ -141,10 +141,6 @@ class ReplicaReader:
             for rt, (slots, idx) in zip(self.runtimes, self._sample_slots)
         ))
 
-    def full_gap(self) -> float:
-        """Max cross-replica value gap over *all* vertices."""
-        return replica_disagreement(self.pgraph, self.runtimes)
-
 
 @dataclass
 class EngineResult:

@@ -1,21 +1,10 @@
-"""Shared utilities: seeded RNG management, timers, validation helpers."""
+"""Shared utilities: seeded RNG management, timers, key sorts."""
 
-from repro.utils.rng import RngStream, derive_seed, make_rng
+from repro.utils.rng import derive_seed, make_rng
 from repro.utils.timer import Timer
-from repro.utils.validation import (
-    check_nonnegative,
-    check_positive,
-    check_probability,
-    check_type,
-)
 
 __all__ = [
-    "RngStream",
     "derive_seed",
     "make_rng",
     "Timer",
-    "check_nonnegative",
-    "check_positive",
-    "check_probability",
-    "check_type",
 ]

@@ -18,6 +18,10 @@ no larger than the array (``bound <= keys.size``) and falls back to
 ``np.unique`` otherwise, so a sparse key space never allocates a
 ``bound``-sized count array.
 
+:func:`isin_sorted` is ``np.isin`` against a table that is already
+sorted: one binary search per key, where NumPy 2.4's ``np.isin`` would
+hash both arrays through ``np.unique``.
+
 The test oracles — ``algorithms/reference.py``'s k-core CSR and
 ``tests/greedy_cut_oracle.py`` — keep NumPy's own sorts on purpose: an
 oracle must not share the code it checks.
@@ -29,7 +33,7 @@ from typing import Tuple
 
 import numpy as np
 
-__all__ = ["stable_argsort", "unique_counts"]
+__all__ = ["isin_sorted", "stable_argsort", "unique_counts"]
 
 _ONE_PASS = 1 << 16
 
@@ -64,3 +68,18 @@ def unique_counts(
         )
     uniq, counts = np.unique(keys, return_counts=True)
     return uniq, counts.astype(np.int64, copy=False)
+
+
+def isin_sorted(keys: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """``np.isin(keys, table)`` for an ascending ``table``.
+
+    The caller owns the order (an unsorted table answers wrongly, it is
+    not detected here).
+    """
+    if table.size == 0:
+        return np.zeros(np.shape(keys), dtype=bool)
+    pos = np.searchsorted(table, keys)
+    # a key above the last entry lands past the end; its clamped
+    # neighbour is smaller, so the comparison below is False
+    np.minimum(pos, table.size - 1, out=pos)
+    return table[pos] == keys

@@ -6,14 +6,13 @@ so that a single integer seed reproduces an entire experiment bit-for-bit.
 
 Independent subsystems should not share one generator — drawing numbers in
 one would perturb the other. :func:`derive_seed` derives stable child seeds
-from a parent seed and a string label, and :class:`RngStream` packages the
-pattern: one parent seed, many named, mutually independent child streams.
+from a parent seed and a string label.
 """
 
 from __future__ import annotations
 
 import zlib
-from typing import Dict, Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -54,35 +53,3 @@ def make_rng(seed: SeedLike = None) -> np.random.Generator:
     if not isinstance(seed, (int, np.integer)):
         raise TypeError(f"seed must be int, Generator or None, got {type(seed)!r}")
     return np.random.default_rng(int(seed))
-
-
-class RngStream:
-    """A family of named, independent random generators under one seed.
-
-    Example
-    -------
-    >>> streams = RngStream(seed=7)
-    >>> g1 = streams.get("graph")
-    >>> g2 = streams.get("partition")
-    >>> streams.get("graph") is g1   # cached per label
-    True
-    """
-
-    def __init__(self, seed: Optional[int] = None) -> None:
-        self.seed = _DEFAULT_SEED if seed is None else int(seed)
-        self._streams: Dict[str, np.random.Generator] = {}
-
-    def get(self, label: str) -> np.random.Generator:
-        """Return the generator for ``label``, creating it on first use."""
-        if label not in self._streams:
-            self._streams[label] = np.random.default_rng(
-                derive_seed(self.seed, label)
-            )
-        return self._streams[label]
-
-    def child(self, label: str) -> "RngStream":
-        """Return a new :class:`RngStream` seeded from ``label``."""
-        return RngStream(derive_seed(self.seed, label))
-
-    def __repr__(self) -> str:  # pragma: no cover - debug helper
-        return f"RngStream(seed={self.seed}, labels={sorted(self._streams)})"

@@ -269,23 +269,6 @@ def test_default_budget_merges_small_machines_only():
     assert len(road.blocks) == 1
 
 
-def test_global_to_local_refuses_absent_ids_and_merged_blocks(monkeypatch):
-    from repro.errors import PartitionError
-
-    monkeypatch.setattr(pgmod, "_BLOCK_EDGE_BUDGET", 1 << 62)
-    pg, _ = _partition("road48", "sssp")
-    mg = pg.machines[3]
-    assert np.array_equal(
-        mg.vertices[mg.global_to_local(mg.vertices[::-1])], mg.vertices[::-1]
-    )
-    absent = np.setdiff1d(np.arange(pg.graph.num_vertices), mg.vertices)
-    for gid in (absent[0], absent[-1], pg.graph.num_vertices + 7):
-        with pytest.raises(PartitionError, match=f"vertex {gid} "):
-            mg.global_to_local(np.array([mg.vertices[0], gid]))
-    with pytest.raises(PartitionError, match="block of 48 machines"):
-        pg.blocks[0].global_to_local(mg.vertices)
-
-
 # ----------------------------------------------------------------------
 # (c) + (d) per-machine accounting and trace events, pinned to the parent
 

@@ -97,24 +97,3 @@ class TestInputGuards:
         assert r.values[sinks[0]] == 0.0
         finite = np.isfinite(r.values)
         assert finite.sum() == 1
-
-
-class TestMemoryFootprint:
-    def test_footprint_reports(self, er_partitioned):
-        fp = er_partitioned.memory_footprint()
-        assert fp["total_bytes"] > 0
-        assert fp["max_machine_bytes"] >= fp["mean_machine_bytes"]
-        assert len(fp["per_machine_bytes"]) == er_partitioned.num_machines
-        assert fp["edge_slots"] == er_partitioned.graph.num_edges
-
-    def test_parallel_edges_cost_memory(self, er_graph):
-        from repro.partition.edge_splitter import EdgeSplitConfig
-
-        plain = build_lazy_graph(er_graph, 6, seed=1)
-        split = build_lazy_graph(
-            er_graph, 6, split_config=EdgeSplitConfig(textra=0.5), seed=1
-        )
-        assert (
-            split.memory_footprint()["total_bytes"]
-            > plain.memory_footprint()["total_bytes"]
-        )

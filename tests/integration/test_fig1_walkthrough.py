@@ -19,14 +19,13 @@ import pytest
 
 from repro.algorithms import KCoreProgram, kcore_reference
 from repro.core import LazyBlockAsyncEngine
-from repro.graph.builder import GraphBuilder
+from repro.graph.digraph import DiGraph
 from repro.partition.partitioned_graph import PartitionedGraph
 from repro.powergraph import PowerGraphSyncEngine
 
 
 def fig1_graph():
     """25 vertices; K4 core on {3, 8, 10, 18}; peeling chains around it."""
-    b = GraphBuilder(num_vertices=25)
     undirected = [
         # the 3-core: K4 on {3, 8, 10, 18}
         (3, 8), (3, 10), (3, 18), (8, 10), (8, 18), (10, 18),
@@ -44,10 +43,10 @@ def fig1_graph():
         (6, 21), (21, 24), (23, 11), (14, 12),
         (9, 11), (3, 5), (10, 22), (1, 9),
     ]
-    for u, v in undirected:
-        b.add_edge(u, v)
-        b.add_edge(v, u)
-    return b.build(dedup=True, name="fig1")
+    # both directions of each pair, in list order; no pair repeats
+    src = np.array([x for u, v in undirected for x in (u, v)], dtype=np.int64)
+    dst = np.array([x for u, v in undirected for x in (v, u)], dtype=np.int64)
+    return DiGraph(25, src, dst, name="fig1")
 
 
 def two_machine_partition(graph):

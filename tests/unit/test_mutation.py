@@ -153,7 +153,7 @@ class TestApplyBatch:
         np.testing.assert_array_equal(
             patched.dst[diff.num_kept:], np.array([0])
         )
-        assert diff.added_eids.tolist() == [diff.num_kept]
+        assert patched.src[diff.num_kept:].tolist() == [3]
 
     def test_remove_vertex_drops_all_incident_edges(self, graph):
         patched, diff = apply_batch(
@@ -196,7 +196,8 @@ class TestApplyBatch:
 
     def test_identity_batch(self, graph):
         patched, diff = apply_batch(graph, MutationBatch())
-        assert diff.is_identity()
+        assert diff.num_removed == diff.num_added == 0
+        assert diff.num_vertices_before == diff.num_vertices_after
         assert edge_multiset(patched) == edge_multiset(graph)
 
 
@@ -251,9 +252,29 @@ class TestSymmetrizedPatch:
         )
         assert set(patched.weights[diff.num_kept:].tolist()) == {1.0}
 
+    @pytest.mark.parametrize("batch, removed_pair", [
+        (MutationBatch().remove_edge(4, 5), (4, 5)),
+        (MutationBatch().remove_edge(0, 1).add_vertices(1).add_edge(5, 6),
+         (0, 1)),
+    ], ids=["removes-the-largest-pair", "adds-above-every-pair"])
+    def test_keys_past_the_end_of_a_pair_table(self, graph, batch, removed_pair):
+        """A key above a sorted table's last entry: the largest old pair
+        removed (absent from the new table), or a new pair above every
+        old one and kept pairs above the one removed."""
+        old_sym = graph.symmetrized()
+        new_base, _ = apply_batch(graph, batch)
+        patched, diff = symmetrized_patch(old_sym, graph, new_base)
+        assert edge_multiset(patched) == edge_multiset(
+            new_base.symmetrized()
+        )
+        removed = zip(old_sym.src[diff.removed_eids].tolist(),
+                      old_sym.dst[diff.removed_eids].tolist())
+        assert {tuple(sorted(p)) for p in removed} == {removed_pair}
+        assert diff.num_removed == 2
+
 
 class TestEdgeDiff:
-    def test_added_eids_follow_kept(self):
+    def test_summary_counts_each_part(self):
         diff = EdgeDiff(
             kept_eids=np.array([0, 2], dtype=np.int64),
             removed_eids=np.array([1], dtype=np.int64),
@@ -262,9 +283,9 @@ class TestEdgeDiff:
             num_vertices_before=6,
             num_vertices_after=6,
         )
-        assert diff.added_eids.tolist() == [2]
-        assert not diff.is_identity()
-        assert "kept=2" in diff.summary()
+        assert diff.summary() == (
+            "EdgeDiff(kept=2, removed=1, added=1, vertices=6->6)"
+        )
 
 
 class TestDegreeCarry:

@@ -60,11 +60,6 @@ class TestMetrics:
             m.est_exchange_volume_a2a_bytes >= m.est_exchange_volume_m2m_bytes
         )
 
-    def test_as_row(self, er_partitioned):
-        row = compute_partition_metrics(er_partitioned).as_row()
-        assert row[0] == er_partitioned.num_machines
-        assert len(row) == 5
-
     def test_random_vs_coordinated_ordering(self, webby_graph):
         lam = {}
         for method in ("coordinated", "random"):

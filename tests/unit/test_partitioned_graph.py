@@ -74,12 +74,6 @@ class TestBuild:
         with pytest.raises(PartitionError, match="one entry per edge"):
             PartitionedGraph.build(er_graph, np.zeros(3, dtype=np.int32), 4)
 
-    def test_global_to_local_roundtrip(self, er_partitioned):
-        for mg in er_partitioned.machines[:3]:
-            gids = mg.vertices[:: max(1, mg.num_local_vertices // 7)]
-            lids = mg.global_to_local(gids)
-            assert np.array_equal(mg.vertices[lids], gids)
-
 
 class TestParallelEdges:
     def _build(self, graph, P, parallel):

@@ -413,7 +413,7 @@ class TestSignalTap:
 
     def test_one_full_pass_serves_the_result_and_the_lens(self, monkeypatch):
         """A lens-on run measures the full cross-replica gap once: the
-        reader's gap, the lens's final drift and the result's
+        replicas' gap, the lens's final drift and the result's
         disagreement are one float."""
         import repro.runtime.base_engine as base_engine
         from repro.algorithms import make_program
@@ -436,7 +436,7 @@ class TestSignalTap:
         assert not hasattr(eng.lens, "full_drift")
         result = eng.run()
         assert len(calls) == 1
-        gap = eng.replicas.full_gap()
+        gap = real(eng.pgraph, eng.runtimes)
         assert gap > 0.0  # tolerance-level float noise, not a trivial 0
         assert eng.lens.final_drift == gap
         assert result.replica_max_disagreement == gap

@@ -5,11 +5,21 @@ import pytest
 
 from repro.graph.digraph import DiGraph
 from repro.partition.random_cut import random_cut
-from repro.partition.replication import (
-    replica_csr,
-    replica_sets,
-    replication_factor,
-)
+from repro.partition.replication import replica_csr, replication_factor
+
+
+def replica_sets(graph, assignment, num_machines):
+    """Machines hosting each vertex, as a list of Python sets: the
+    oracle for :func:`replica_csr`. Vertices with no edges get an empty
+    set."""
+    sets = [set() for _ in range(graph.num_vertices)]
+    for endpoint in (graph.src, graph.dst):
+        if endpoint.size == 0:
+            continue
+        key = endpoint.astype(np.int64) * num_machines + assignment
+        for k in np.unique(key):
+            sets[int(k) // num_machines].add(int(k) % num_machines)
+    return sets
 
 
 class TestReplicaSets:
