@@ -230,11 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
              "'{\"add_edges\": [[0, 9]], \"remove_edges\": [[3, 4]]}'",
     )
     p_mut.add_argument(
-        "--repartition-threshold", type=float, metavar="X",
-        help="repartition the worst-replicated vertices when lambda "
-             "exceeds baseline*X (e.g. 1.2)",
-    )
-    p_mut.add_argument(
         "--compare-cold", action="store_true",
         help="also re-run from scratch after each batch and report the "
              "superstep / modeled-time ratio",
@@ -662,7 +657,6 @@ def _cmd_mutate(args) -> int:
     session = GraphSession.open(
         args.graph, machines=args.machines,
         partitioner=args.partitioner, seed=args.seed,
-        repartition_threshold=args.repartition_threshold,
     )
     with session:
         if args.algorithm:

@@ -13,7 +13,7 @@ edge layout: **every kept edge first, in its original relative order,
 then the added edges**. The returned :class:`EdgeDiff` is therefore a
 complete old-id ↔ new-id correspondence for free, which is what lets the
 partition layer (:mod:`repro.partition.dynamic`) carry edge→machine
-assignments across a mutation instead of repartitioning from scratch.
+assignments across a mutation instead of cutting the graph from scratch.
 
 :func:`symmetrized_patch` lifts a base-graph change onto a cached
 *symmetrized* prepared graph (what ``requires_symmetric`` programs run

@@ -11,8 +11,7 @@ hangs on:
   modeled time) each incremental run needed, against the from-scratch
   cost where the stream recorded a cold comparison run;
 * **λ drift**: how far the patched vertex-cut's replication factor
-  wandered from the baseline partitioning as mutations accumulated,
-  and where the repartition valve fired.
+  wandered from the baseline partitioning as mutations accumulated.
 
 ``repro analyze PATH`` prints the result.
 """
@@ -75,10 +74,6 @@ def analyze_mutation_stream(
                 "edges_added": ev.get("edges_added", 0),
                 "edges_removed": ev.get("edges_removed", 0),
                 "lambda": lam,
-                "repartitioned": sum(
-                    len(p.get("repartitioned_vertices", []))
-                    for p in ev.get("patches", {}).values()
-                ),
             }
         elif kind == "run":
             mode = ev.get("mode", "incremental")
@@ -147,9 +142,6 @@ def analyze_mutation_stream(
             if lambdas and baseline_lambda
             else None
         ),
-        "repartition_events": sum(
-            1 for s in steps if s.get("repartitioned", 0)
-        ),
     }
     if cold_ss:
         totals["superstep_speedup"] = (
@@ -182,7 +174,6 @@ def format_mutation_analysis(
             s.get("graph_version"),
             f"+{s.get('edges_added', 0)}/-{s.get('edges_removed', 0)}",
             round(s.get("lambda", 0.0), 3),
-            s.get("repartitioned", 0) or "",
             inc.get("supersteps", ""),
             cold.get("supersteps", ""),
             inc.get("reseeded", ""),
@@ -191,7 +182,7 @@ def format_mutation_analysis(
     if rows:
         out.append(format_table(
             [
-                "ver", "edges", "lambda", "repart",
+                "ver", "edges", "lambda",
                 "inc_ss", "cold_ss", "reseeded", "injected",
             ],
             rows,
@@ -216,7 +207,5 @@ def format_mutation_analysis(
             f"lambda drift {t['lambda_drift']:+.2%} "
             f"({t['baseline_lambda']:.3f} -> {t['final_lambda']:.3f})"
         )
-    if t.get("repartition_events"):
-        parts.append(f"repartition valve fired {t['repartition_events']}x")
     out.append("totals: " + "; ".join(parts))
     return "\n".join(out)

@@ -20,14 +20,13 @@ statistic only: every CSR plan is rebuilt (a delta plan is O(slots)
 and a view of its block's edges, and a carried one would keep the
 superseded partition alive).
 
-Carried assignments drift: deletions never remove a replica's original
-justification for the partitioner, and the resumed cascade sees only the
-batch, so the replication factor λ creeps upward over a long mutation
-stream. :func:`repartition_worst` is the xDGP-style pressure valve —
-pick the vertices with the most replicas and consolidate each one's
-edges onto the machine that already hosts the most of them — triggered
-by the session's ``repartition_threshold`` knob when λ drifts past its
-budget.
+Carried assignments are kept as they are, never re-cut. On a planted
+partition whose communities trade 1 % of their members per batch
+(4 000 vertices, 64 communities, 16 machines, 48 batches), λ drifts
+28 %, yet the carried cut still ends 6–7 % below a cold cut of the
+session's final graph (``tests/integration/test_lambda_drift.py``).
+The greedy cut is sensitive to edge order, though: the same final edges
+sorted by source cut 25–28 % below the carried cut.
 
 Parallel-edges mode (edge-splitter sessions) is not patchable: the
 splitter ranks edges against whole-graph degree percentiles and a
@@ -38,7 +37,7 @@ hold −1), so dynamic sessions refuse it up front.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -47,15 +46,9 @@ from repro.graph.digraph import DiGraph
 from repro.graph.mutation import EdgeDiff
 from repro.partition.coordinated_cut import _BALANCE_SLACK, _greedy_cut
 from repro.partition.partitioned_graph import PartitionedGraph
-from repro.partition.replication import replica_csr
 from repro.utils.rng import make_rng
 
-__all__ = [
-    "PatchStats",
-    "patch_partition",
-    "repartition_worst",
-    "repartition_if_needed",
-]
+__all__ = ["PatchStats", "patch_partition"]
 
 _PLACE_SEED = 0x5EED  # tie-rank seed of every mutation-time placement
 
@@ -74,9 +67,6 @@ class PatchStats:
     #: (a census: the session rebuilds every CSR plan all the same, as
     #: a delta plan is a view of its block's edges)
     machines_unchanged: List[int] = field(default_factory=list)
-    #: vertices consolidated by the repartition pass (empty when the
-    #: λ threshold did not trip)
-    repartitioned_vertices: List[int] = field(default_factory=list)
 
     @property
     def machines_rebuilt(self) -> int:
@@ -100,7 +90,6 @@ class PatchStats:
             "lambda_drift": self.lambda_drift,
             "machines_unchanged": list(self.machines_unchanged),
             "machines_rebuilt": self.machines_rebuilt,
-            "repartitioned_vertices": list(self.repartitioned_vertices),
         }
 
 
@@ -163,69 +152,3 @@ def patch_partition(
         machines_unchanged=unchanged,
     )
     return new_pgraph, stats
-
-
-def repartition_worst(
-    graph: DiGraph,
-    assignment: np.ndarray,
-    num_machines: int,
-    max_vertices: int = 64,
-) -> Tuple[np.ndarray, List[int]]:
-    """xDGP-style local refinement: consolidate the worst-replicated vertices.
-
-    Picks up to ``max_vertices`` vertices with the most distinct
-    incident-edge machines and moves each one's incident edges onto the
-    machine already hosting the plurality of them (ties: lower machine
-    id). Returns the refined assignment (a copy) and the vertices
-    actually touched; vertices whose edges already share one machine are
-    skipped.
-    """
-    assignment = np.asarray(assignment, dtype=np.int64).copy()
-    if graph.num_edges == 0 or max_vertices <= 0:
-        return assignment, []
-    # distinct machines per vertex over incident edges (both endpoints)
-    spread = np.diff(replica_csr(graph, assignment, num_machines)[0])
-    worst = np.argsort(-spread, kind="stable")[:max_vertices]
-    moved: List[int] = []
-    for v in worst.tolist():
-        if spread[v] <= 1:
-            break  # sorted descending: everything after is ≤ 1 too
-        eids = np.concatenate([graph.out_edge_ids(v), graph.in_edge_ids(v)])
-        eids = np.unique(eids)
-        homes = assignment[eids]
-        counts = np.bincount(homes, minlength=num_machines)
-        target = int(np.argmax(counts))
-        if np.all(homes == target):
-            continue
-        assignment[eids] = target
-        moved.append(int(v))
-    return assignment, moved
-
-
-def repartition_if_needed(
-    pgraph: PartitionedGraph,
-    baseline_lambda: float,
-    threshold: Optional[float],
-    max_vertices: int = 64,
-) -> Tuple[PartitionedGraph, List[int]]:
-    """Apply :func:`repartition_worst` when λ drifted past its budget.
-
-    ``threshold`` is multiplicative over ``baseline_lambda`` (the λ the
-    last full partitioning produced): ``threshold=1.2`` tolerates 20%
-    drift. ``None`` disables the valve. Returns the (possibly new)
-    partitioned graph and the consolidated vertices.
-    """
-    if threshold is None or baseline_lambda <= 0.0:
-        return pgraph, []
-    if pgraph.replication_factor <= baseline_lambda * threshold:
-        return pgraph, []
-    refined, moved = repartition_worst(
-        pgraph.graph, pgraph.assignment, pgraph.num_machines,
-        max_vertices=max_vertices,
-    )
-    if not moved:
-        return pgraph, []
-    return (
-        PartitionedGraph.build(pgraph.graph, refined, pgraph.num_machines),
-        moved,
-    )

@@ -43,8 +43,7 @@ prepared graph variant via the edge-diff layout
 their machines; added edges go through the same ``_greedy_cut``
 cascade a cold cut runs, resumed; the partition is spliced by
 :meth:`PartitionedGraph.splice`, not rebuilt; λ reported per
-variant, with an optional multiplicative ``repartition_threshold``
-valve), and the CSR plans are rebuilt over the new partition (a delta
+variant), and the CSR plans are rebuilt over the new partition (a delta
 plan is O(slots) over the source-ordered local edges). Every variant
 is validated and patched into locals first and committed together, so
 a batch that fails anywhere leaves the session as it was. After a
@@ -89,11 +88,7 @@ from repro.graph.mutation import (
 )
 from repro.obs.records import TRACE_FORMATS, export_trace
 from repro.obs.tracer import Tracer
-from repro.partition.dynamic import (
-    PatchStats,
-    patch_partition,
-    repartition_if_needed,
-)
+from repro.partition.dynamic import PatchStats, patch_partition
 from repro.partition.edge_splitter import EdgeSplitConfig
 from repro.partition.partitioned_graph import PartitionedGraph
 from repro.powergraph.gas import GASProgram
@@ -145,8 +140,8 @@ class ApplyResult:
     ``patches`` is keyed by variant label (``"directed"``,
     ``"symmetric"``, …) and holds the partition-layer
     :class:`~repro.partition.dynamic.PatchStats` for every variant that
-    had a partitioned graph cached (λ before/after, machines rebuilt,
-    repartitioned vertices). Variants never yet partitioned — and
+    had a partitioned graph cached (λ before/after, machines rebuilt).
+    Variants never yet partitioned — and
     sessions mutated before their first run — show up with no patch
     entry; they will materialize against the mutated graph lazily.
     """
@@ -191,8 +186,6 @@ class _StagedPatch:
     pgraph: Optional[PartitionedGraph] = None
     stats: Optional[PatchStats] = None
     plans: Dict[Tuple[GraphKey, str], List[Any]] = field(default_factory=dict)
-    #: set when the repartition valve fired (a fresh partitioning event)
-    baseline_lambda: Optional[float] = None
 
 
 class GraphSession:
@@ -217,25 +210,14 @@ class GraphSession:
         partitioner: str = "coordinated",
         split: Optional[EdgeSplitConfig] = None,
         seed: int = 0,
-        repartition_threshold: Optional[float] = None,
     ) -> None:
         if machines < 1:
             raise ConfigError(f"machines must be >= 1, got {machines}")
-        if repartition_threshold is not None and repartition_threshold < 1.0:
-            raise ConfigError(
-                f"repartition_threshold is multiplicative over the "
-                f"baseline λ and must be >= 1.0, got {repartition_threshold}"
-            )
         self.graph = graph
         self.machines = machines
         self.partitioner = partitioner
         self.split = split
         self.seed = seed
-        #: λ-drift budget for the repartition valve: after a mutation,
-        #: if any variant's replication factor exceeds
-        #: ``baseline λ × threshold``, the worst-replicated vertices are
-        #: consolidated (xDGP-style local refinement). ``None`` disables.
-        self.repartition_threshold = repartition_threshold
         #: bumped on every applied mutation batch; serving caches key on it
         self.graph_version = 0
         #: total engine runs served by this session
@@ -250,8 +232,6 @@ class GraphSession:
         self._graphs: Dict[GraphKey, DiGraph] = {}
         self._pgraphs: Dict[GraphKey, Any] = {}
         self._plans: Dict[Tuple[GraphKey, str], List[Any]] = {}
-        #: λ the last from-scratch partitioning of each variant produced
-        self._baseline_lambda: Dict[GraphKey, float] = {}
         #: requires_symmetric -> the last partition cut from scratch at
         #: the current ``graph_version``; a variant that differs from it
         #: in weights alone takes its (read-only) assignment instead of
@@ -278,13 +258,11 @@ class GraphSession:
         partitioner: str = "coordinated",
         split: Optional[EdgeSplitConfig] = None,
         seed: int = 0,
-        repartition_threshold: Optional[float] = None,
     ) -> "GraphSession":
         """Open a session; graph-level choices are fixed for its lifetime."""
         return cls(
             graph, machines=machines, partitioner=partitioner,
             split=split, seed=seed,
-            repartition_threshold=repartition_threshold,
         )
 
     # ------------------------------------------------------------------
@@ -360,7 +338,6 @@ class GraphSession:
                 pgraph.assignment.flags.writeable = False
                 self._cold_cuts[key[0]] = pgraph
             self._pgraphs[key] = pgraph
-            self._baseline_lambda[key] = float(pgraph.replication_factor)
         return self._pgraphs[key], key
 
     @staticmethod
@@ -453,16 +430,6 @@ class GraphSession:
             new_pg, pstats = patch_partition(
                 self._pgraphs[key], new_prep, pdiff
             )
-            new_pg, moved = repartition_if_needed(
-                new_pg, self._baseline_lambda.get(key, 0.0),
-                self.repartition_threshold,
-            )
-            if moved:
-                pstats.repartitioned_vertices = moved
-                pstats.lambda_after = float(new_pg.replication_factor)
-                # a refinement pass is a fresh partitioning event: the
-                # valve measures drift from it, not from session open
-                staged.baseline_lambda = float(new_pg.replication_factor)
             for pkey in [pk for pk in self._plans if pk[0] == key]:
                 staged.plans[pkey] = self._build_plans(pkey[1], new_pg)
             staged.pgraph = new_pg
@@ -480,10 +447,6 @@ class GraphSession:
         Fixpoint records from earlier runs survive, and each variant's
         edge diff is logged, which is what makes a subsequent ``run(...,
         incremental=True)`` a warm start rather than a cold one.
-
-        When :attr:`repartition_threshold` is set and a variant's λ
-        drifted past ``baseline × threshold``, the worst-replicated
-        vertices are consolidated before plans are rebuilt.
 
         Raises :class:`~repro.errors.ConfigError` for sessions opened
         with an edge ``split`` (the splitter ranks edges against
@@ -535,8 +498,6 @@ class GraphSession:
                 self._pgraphs[key] = patch.pgraph
                 self._plans.update(patch.plans)
                 patches[_key_name(key)] = patch.stats
-            if patch.baseline_lambda is not None:
-                self._baseline_lambda[key] = patch.baseline_lambda
 
         # a variant first prepared after this batch is cut from scratch:
         # a patched partition is not what a cold cut of its graph gives
@@ -754,7 +715,6 @@ class GraphSession:
         self._graphs.clear()
         self._pgraphs.clear()
         self._plans.clear()
-        self._baseline_lambda.clear()
         self._cold_cuts.clear()
         self._deltas.clear()
         self._fixpoints.clear()

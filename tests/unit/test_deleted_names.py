@@ -2,11 +2,18 @@
 
 ``tests/tools/call_census.py`` found each of these reached only by its
 own unit tests: two modules, and names that were a second way to do what
-the engines, the partitioner or the session already do. No module,
-export, attribute or page of ``docs/`` brings one back.
+the engines, the partitioner or the session already do. The
+repartition valve went too: on a drifting-community stream the carried
+cut already ends below the λ of a cold cut of the session's graph, and
+a cold cut recovers more, for less host time, than the valve did
+(``tests/integration/test_lambda_drift.py``). No module, export,
+attribute, dataclass field, session parameter, CLI flag or page of
+``docs/`` brings one back.
 """
 
+import dataclasses
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
@@ -30,6 +37,11 @@ DELETED = [
     "as_row",
     "added_eids",
     "is_identity",
+    "repartition_worst",
+    "repartition_if_needed",
+    "repartitioned_vertices",
+    "replica_csr",
+    "repartition_threshold",
 ]
 
 
@@ -38,19 +50,48 @@ def test_deleted_names_stay_deleted(name):
     import repro
     import repro.graph
     import repro.partition
+    import repro.partition.dynamic
+    import repro.partition.replication
+    import repro.session
     import repro.utils
     from repro.graph.mutation import EdgeDiff
+    from repro.partition.dynamic import PatchStats
     from repro.partition.metrics import PartitionMetrics
     from repro.partition.partitioned_graph import MachineGraph, PartitionedGraph
     from repro.runtime.result import ReplicaReader
+    from repro.session import GraphSession
 
     if name.startswith("repro."):
         assert importlib.util.find_spec(name) is None
-    for module in (repro, repro.utils, repro.graph, repro.partition):
+    for module in (repro, repro.utils, repro.graph, repro.partition,
+                   repro.partition.dynamic, repro.partition.replication,
+                   repro.session):
         assert name not in vars(module), module.__name__
         assert name not in getattr(module, "__all__", ()), module.__name__
     for cls in (PartitionedGraph, MachineGraph, ReplicaReader,
-                PartitionMetrics, EdgeDiff):
+                PartitionMetrics, EdgeDiff, PatchStats, GraphSession):
         assert name not in dir(cls), cls.__name__
+        if dataclasses.is_dataclass(cls):
+            fields = {f.name for f in dataclasses.fields(cls)}
+            assert name not in fields, cls.__name__
     for doc in DOCS:
         assert name not in doc.read_text(encoding="utf-8"), doc.name
+
+
+@pytest.mark.parametrize("method", ["__init__", "open"])
+def test_session_takes_no_repartition_threshold(method):
+    from repro.session import GraphSession
+
+    params = inspect.signature(getattr(GraphSession, method)).parameters
+    assert "repartition_threshold" not in params
+
+
+def test_mutate_has_no_repartition_flag(capsys):
+    from repro.cli import main
+
+    with pytest.raises(SystemExit) as exit_:
+        main(["mutate", "--help"])
+    assert exit_.value.code == 0
+    out = capsys.readouterr().out
+    assert "--batch" in out  # the help text did print
+    assert "--repartition-threshold" not in out

@@ -1,4 +1,4 @@
-"""Partition patching across mutations: carry, place, repartition.
+"""Partition patching across mutations: carry and place.
 
 :func:`patch_partition` must produce a *valid* vertex-cut (every check
 in ``PartitionedGraph.validate``) whose kept edges stayed on their old
@@ -16,11 +16,7 @@ from repro.graph.digraph import DiGraph
 from repro.graph.generators import erdos_renyi_graph, powerlaw_graph
 from repro.graph.mutation import MutationBatch, apply_batch
 from repro.partition.coordinated_cut import _greedy_cut
-from repro.partition.dynamic import (
-    patch_partition,
-    repartition_if_needed,
-    repartition_worst,
-)
+from repro.partition.dynamic import patch_partition
 from repro.partition.edge_splitter import EdgeSplitConfig
 from repro.partition.partitioned_graph import PartitionedGraph
 from repro.utils.rng import make_rng
@@ -183,35 +179,3 @@ class TestResumedCascade:
         assert np.count_nonzero(placed == 0) == 2
         assert np.bincount(new_pgraph.assignment).max() <= capacity
 
-
-class TestRepartition:
-    def test_consolidation_reduces_lambda(self):
-        graph = erdos_renyi_graph(80, 600, seed=6)
-        # adversarial assignment: scatter edges round-robin
-        assignment = np.arange(graph.num_edges, dtype=np.int64) % 6
-        before = PartitionedGraph.build(graph, assignment, 6)
-        refined, moved = repartition_worst(
-            graph, assignment, 6, max_vertices=32
-        )
-        assert moved
-        after = PartitionedGraph.build(graph, refined, 6)
-        after.validate()
-        assert after.replication_factor < before.replication_factor
-
-    def test_valve_respects_threshold(self):
-        graph = erdos_renyi_graph(80, 600, seed=6)
-        assignment = np.arange(graph.num_edges, dtype=np.int64) % 6
-        pgraph = PartitionedGraph.build(graph, assignment, 6)
-        lam = float(pgraph.replication_factor)
-        # generous budget: nothing happens
-        same, moved = repartition_if_needed(pgraph, lam, threshold=2.0)
-        assert same is pgraph and moved == []
-        # threshold disabled: nothing happens
-        same, moved = repartition_if_needed(pgraph, lam, threshold=None)
-        assert same is pgraph and moved == []
-        # drifted past budget: the valve fires and λ improves
-        refined, moved = repartition_if_needed(
-            pgraph, lam / 2.0, threshold=1.1
-        )
-        assert moved
-        assert refined.replication_factor < pgraph.replication_factor

@@ -5,13 +5,13 @@ import pytest
 
 from repro.graph.digraph import DiGraph
 from repro.partition.random_cut import random_cut
-from repro.partition.replication import replica_csr, replication_factor
+from repro.partition.replication import replication_factor
 
 
 def replica_sets(graph, assignment, num_machines):
     """Machines hosting each vertex, as a list of Python sets: the
-    oracle for :func:`replica_csr`. Vertices with no edges get an empty
-    set."""
+    oracle for :func:`replication_factor`. Vertices with no edges get an
+    empty set."""
     sets = [set() for _ in range(graph.num_vertices)]
     for endpoint in (graph.src, graph.dst):
         if endpoint.size == 0:
@@ -32,14 +32,14 @@ class TestReplicaSets:
         assert sets[1] == {0, 1}
         assert sets[2] == {1}
 
-    def test_csr_matches_sets(self, er_graph):
+    def test_lambda_matches_sets(self, er_graph):
         P = 5
         asg = random_cut(er_graph, P, seed=4)
         sets = replica_sets(er_graph, asg, P)
-        indptr, machines = replica_csr(er_graph, asg, P)
-        for v in range(er_graph.num_vertices):
-            got = set(machines[indptr[v] : indptr[v + 1]].tolist())
-            assert got == sets[v]
+        # an edge-less vertex counts one replica
+        replicas = sum(max(len(s), 1) for s in sets)
+        lam = replication_factor(er_graph, asg, P)
+        assert lam == replicas / er_graph.num_vertices
 
     def test_lambda_hand_case(self):
         g = DiGraph(3, [0, 1], [1, 2])

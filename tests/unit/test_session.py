@@ -432,7 +432,6 @@ def _artifacts(session):
         "pgraphs": {k: id(v) for k, v in session._pgraphs.items()},
         "plans": {k: id(v) for k, v in session._plans.items()},
         "deltas": {k: len(v) for k, v in session._deltas.items()},
-        "lambda": dict(session._baseline_lambda),
         "log": len(session._mutation_log),
         "fixpoints": list(session._fixpoints),
         "last_apply": session.last_apply,
