@@ -59,7 +59,8 @@ def build_lazy_graph(
         :meth:`PartitionedGraph.build`): the partitioner is not run.
         A placement depends on ``(num_vertices, src, dst,
         num_machines, seed)`` only, so graphs that differ in weights
-        alone share one — a session cuts each topology once.
+        alone can share one (a session goes further and shares the
+        whole partition, :meth:`PartitionedGraph.reweighted`).
     """
     if assignment is None:
         assignment = partition_graph(

@@ -52,6 +52,16 @@ Removed edges drop out of their source's run and added edges join the
 end of it, which is ``build``'s order: local source first, then
 ascending edge id (kept ids keep their order, added ids come after).
 
+Re-weighting
+------------
+A cut depends on the edge list only; weights are data carried on the
+edges. :meth:`PartitionedGraph.reweighted` hands a graph with the same
+edge list and other weights this partition with only ``eweight``
+gathered again: every other array, every machine's view and every
+merged block's renumbered ``esrc`` / ``edst`` are shared. Every array a
+partition holds is read-only (``build``, ``splice`` and ``reweighted``
+freeze them), which is what makes sharing them safe.
+
 Local edge order
 ----------------
 Each machine lays its local edges out by **ascending local source**;
@@ -61,8 +71,8 @@ the placement order). That is the order a delta out-plan sorts into,
 so every delta :class:`~repro.kernels.csr.CSRPlan` is a view of these
 arrays and owns no per-edge array. A merged block shifts each
 machine's local ids past the previous machine's, so its concatenation
-is source-ordered too. The per-edge arrays are read-only after
-``build``; :meth:`PartitionedGraph.validate` checks both.
+is source-ordered too. :meth:`PartitionedGraph.validate` checks the
+order and that no array is writeable.
 
 Blocks
 ------
@@ -86,7 +96,7 @@ budget.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -113,8 +123,17 @@ _HOME_SEED = 0xC0FFEE  # hash seed for edge-less vertices' home machines
 # docs/performance.md).
 _BLOCK_EDGE_BUDGET = 1 << 17
 
-# the per-local-edge fields, in MachineGraph order
-_EDGE_FIELDS = ("esrc", "edst", "eweight", "eparallel", "eglobal")
+# the partition-wide tables, besides the flat per-machine arrays
+_TABLE_FIELDS = (
+    "master_of", "rep_indptr", "rep_machines", "rep_local_idx",
+    "num_replicas", "parallel_eids", "assignment",
+)
+
+
+def _read_only(*arrays: np.ndarray) -> None:
+    """Freeze ``arrays`` (a view taken later is read-only too)."""
+    for arr in arrays:
+        arr.flags.writeable = False
 
 
 def _offsets(counts: np.ndarray) -> np.ndarray:
@@ -157,7 +176,7 @@ class MachineGraph:
     All vertex fields are indexed by *local* vertex index; ``vertices``
     maps local → global. Edge arrays are aligned with each other; as
     :meth:`PartitionedGraph.build` lays them out they are in the local
-    edge order (module docstring) and read-only.
+    edge order (module docstring), and every array is read-only.
 
     A block (:attr:`PartitionedGraph.blocks`) lays consecutive machines
     back to back: ``machine_id`` is its first machine and machine
@@ -186,6 +205,7 @@ class MachineGraph:
         self.machine_offsets: np.ndarray = np.array(
             [0, self.vertices.size], dtype=np.int64
         )
+        _read_only(self.machine_offsets)
 
     @property
     def num_machines(self) -> int:
@@ -212,9 +232,10 @@ def _machine_span(
 ) -> MachineGraph:
     """Machines ``[lo, hi)`` of a flat layout as one :class:`MachineGraph`.
 
-    Every field is a view of the flat arrays except a merged span's
-    ``esrc`` / ``edst``, which are renumbered block-locally (each
-    machine's local indices shifted by its offset in the block).
+    Every field is a view of the (frozen) flat arrays except a merged
+    span's ``esrc`` / ``edst``, which are renumbered block-locally (each
+    machine's local indices shifted by its offset in the block), and
+    its ``machine_offsets``; those are frozen here.
     """
     vs, es = flat["vstarts"], flat["estarts"]
     v = slice(vs[lo], vs[hi])
@@ -223,7 +244,7 @@ def _machine_span(
     if hi - lo > 1:
         shift = np.repeat(vs[lo:hi] - vs[lo], np.diff(es[lo : hi + 1]))
         esrc, edst = esrc + shift, edst + shift
-        esrc.flags.writeable = edst.flags.writeable = False
+        _read_only(esrc, edst)
     span = MachineGraph(
         machine_id=lo,
         vertices=flat["vertices"][v],
@@ -237,6 +258,7 @@ def _machine_span(
         num_replicas=flat["num_replicas"][v],
     )
     span.machine_offsets = vs[lo : hi + 1] - vs[lo]
+    _read_only(span.machine_offsets)
     return span
 
 
@@ -576,16 +598,17 @@ class PartitionedGraph:
             "eparallel": eparallel,
             "eglobal": eglobal,
         }
-        # a plan over sorted keys is a view of these (CSRPlan): no one
-        # may write through a machine graph into it
-        for name in _EDGE_FIELDS:
-            flat[name].flags.writeable = False
+        # a plan over sorted keys is a view of these (CSRPlan), and a
+        # re-weighted partition shares them: no one may write into them
+        _read_only(*flat.values())
         machines = [
             _machine_span(flat, m, m + 1) for m in range(num_machines)
         ]
 
         one_assign = assignment.astype(np.int32)  # a copy: holes below
         one_assign[parallel_eids_arr] = -1
+        _read_only(master_of, rep_indptr, rep_machines, rep_local_idx,
+                   counts, parallel_eids_arr, one_assign)
         return PartitionedGraph(
             graph=graph,
             num_machines=num_machines,
@@ -816,18 +839,19 @@ class PartitionedGraph:
             "eparallel": np.zeros(esrc.size, dtype=bool),
             "eglobal": eglobal,
         }
-        for name in _EDGE_FIELDS:
-            flat[name].flags.writeable = False
+        rep_indptr = _offsets(counts)
+        _read_only(*flat.values(), master_of, rep_indptr, rep_machines,
+                   rep_local_idx, counts, assignment)
         new = PartitionedGraph(
             graph=graph,
             num_machines=P,
             machines=[_machine_span(flat, m, m + 1) for m in range(P)],
             master_of=master_of,
-            rep_indptr=_offsets(counts),
+            rep_indptr=rep_indptr,
             rep_machines=rep_machines,
             rep_local_idx=rep_local_idx,
             num_replicas=counts,
-            parallel_eids=self.parallel_eids.copy(),
+            parallel_eids=self.parallel_eids,  # empty, and read-only
             assignment=assignment,
             _flat=flat,
         )
@@ -843,6 +867,63 @@ class PartitionedGraph:
             )
         ]
         return new, unchanged
+
+    # ------------------------------------------------------------------
+    def reweighted(self, graph: DiGraph) -> "PartitionedGraph":
+        """This partition for ``graph``: the same edge list, other weights.
+
+        Placement, replica table and local layout read the edge list
+        only, so the result shares every array with this partition but
+        ``eweight``, which is gathered from ``graph``'s weights (ones
+        when it has none) as :meth:`build` gathers it. Each machine is
+        its view with an ``eweight`` slice, and each merged block keeps
+        this partition's block-local ``esrc`` / ``edst``. The caller
+        vouches for the edge list (only its sizes are checked here); for
+        this partition's own graph the result is this partition.
+        """
+        old = self.graph
+        if graph is old:
+            return self
+        if (graph.num_vertices, graph.num_edges) != (
+            old.num_vertices, old.num_edges
+        ):
+            raise PartitionError(
+                "a re-weighted partition needs its graph's edge list"
+            )
+        flat = dict(self._flat)
+        eglobal = flat["eglobal"]
+        eweight = (np.ones(eglobal.size) if graph.weights is None
+                   else graph.weights[eglobal])
+        _read_only(eweight)
+        flat["eweight"] = eweight
+        es = flat["estarts"]
+
+        def with_weights(mg: MachineGraph) -> MachineGraph:
+            lo = es[mg.machine_id]
+            span = replace(mg, eweight=eweight[lo : lo + mg.num_local_edges])
+            span.machine_offsets = mg.machine_offsets
+            return span
+
+        machines = [with_weights(mg) for mg in self.machines]
+        blocks = [
+            machines[mg.machine_id] if mg.num_machines == 1
+            else with_weights(mg)
+            for mg in self.blocks
+        ]
+        return PartitionedGraph(
+            graph=graph,
+            num_machines=self.num_machines,
+            machines=machines,
+            master_of=self.master_of,
+            rep_indptr=self.rep_indptr,
+            rep_machines=self.rep_machines,
+            rep_local_idx=self.rep_local_idx,
+            num_replicas=self.num_replicas,
+            parallel_eids=self.parallel_eids,
+            assignment=self.assignment,
+            _flat=flat,
+            _blocks=blocks,
+        )
 
     # ------------------------------------------------------------------
     def validate(self) -> None:
@@ -879,10 +960,17 @@ class PartitionedGraph:
                     f"machine {mg.machine_id}: local edges are not in "
                     f"source order"
                 )
-            if any(getattr(mg, f).flags.writeable for f in _EDGE_FIELDS):
+            arrays = [mg.machine_offsets] + [
+                getattr(mg, f.name) for f in fields(mg)
+                if f.name != "machine_id"
+            ]
+            if any(a.flags.writeable for a in arrays):
                 raise PartitionError(
-                    f"machine {mg.machine_id}: a per-edge array is writeable"
+                    f"machine {mg.machine_id}: an array is writeable"
                 )
+        tables = [getattr(self, name) for name in _TABLE_FIELDS]
+        if any(a.flags.writeable for a in tables + list(self._flat.values())):
+            raise PartitionError("a partition table is writeable")
         par_mask = np.zeros(g.num_edges, dtype=bool)
         par_mask[self.parallel_eids] = True
         if np.any(seen[~par_mask] != 1):

@@ -12,12 +12,14 @@ further notice") it is almost all redundant work.
   *graph-level* — the graph, machine count, partitioner, edge split,
   seed — and lazily caches each derived artifact the first time a run
   needs it: the prepared graph per ``(symmetric, weighted)`` program
-  requirement, the partitioned graph (the partitioner runs once per
-  *topology*: a variant that differs from an already-cut one in weights
-  alone takes its assignment and only builds its own tables) and the
+  requirement, the partitioned graph (one per *topology*: a variant
+  that differs from an already-cut one in weights alone is lent that
+  partition re-weighted, :meth:`PartitionedGraph.reweighted`, which
+  shares every array but ``eweight``) and the
   :class:`~repro.kernels.csr.CSRPlan` lists per program API
   (one plan per *block* of the partition for the delta engines, a pair
-  per machine for GAS).
+  per machine for GAS; a re-weighted variant holds its donor's, as no
+  plan reads a weight).
 * ``session.run(algorithm, ...)`` is everything *run-level*: a fresh
   engine constructed against the cached artifacts. Fresh construction
   **is** the reset — new program state, mailboxes, delta arrays,
@@ -26,8 +28,8 @@ further notice") it is almost all redundant work.
   bit-identical to N fresh ``repro.run`` calls (the session-equivalence
   matrix test pins this, values + stats + trace streams). The cached
   artifacts are precisely the ones that carry no run-mutable state:
-  graphs and partitions are frozen inputs (their per-edge arrays are
-  read-only), CSR plans hold no scratch.
+  graphs and partitions are frozen inputs (every array a partition
+  holds is read-only), CSR plans hold no scratch.
 
 ``repro.run`` itself is now a thin open-run-close wrapper over one
 throwaway session, and the serving layer (:mod:`repro.serve`) keeps one
@@ -44,7 +46,10 @@ their machines; added edges go through the same ``_greedy_cut``
 cascade a cold cut runs, resumed; the partition is spliced by
 :meth:`PartitionedGraph.splice`, not rebuilt; λ reported per
 variant), and the CSR plans are rebuilt over the new partition (a delta
-plan is O(slots) over the source-ordered local edges). Every variant
+plan is O(slots) over the source-ordered local edges). A base graph
+several variants share is patched once, and so is each partition: a
+re-weighted variant re-weights its donor's spliced partition with its
+own patched graph and shares the donor's new plans. Every variant
 is validated and patched into locals first and committed together, so
 a batch that fails anywhere leaves the session as it was. After a
 mutation, ``session.run(..., incremental=True)`` warm-starts delta programs that
@@ -120,7 +125,7 @@ def _runtime_units(kind: str, pgraph) -> List[Any]:
 
 def _same_topology(a: DiGraph, b: DiGraph) -> bool:
     """Equal vertex count and edge lists (weights aside)."""
-    return (
+    return a is b or (
         a.num_vertices == b.num_vertices
         and np.array_equal(a.src, b.src)
         and np.array_equal(a.dst, b.dst)
@@ -232,11 +237,15 @@ class GraphSession:
         self._graphs: Dict[GraphKey, DiGraph] = {}
         self._pgraphs: Dict[GraphKey, Any] = {}
         self._plans: Dict[Tuple[GraphKey, str], List[Any]] = {}
-        #: requires_symmetric -> the last partition cut from scratch at
-        #: the current ``graph_version``; a variant that differs from it
-        #: in weights alone takes its (read-only) assignment instead of
-        #: running the partitioner again
-        self._cold_cuts: Dict[bool, PartitionedGraph] = {}
+        #: requires_symmetric -> the key of the last partition cut from
+        #: scratch at the current ``graph_version``; a variant that
+        #: differs from it in weights alone is lent it, re-weighted,
+        #: instead of running the partitioner and a build again
+        self._cold_cuts: Dict[bool, GraphKey] = {}
+        #: re-weighted variant -> the key whose partition it re-weights
+        #: (its donor); kept across batches, as ``apply`` re-weights the
+        #: donor's patched partition
+        self._donors: Dict[GraphKey, GraphKey] = {}
         #: every batch applied, in order — replayed when a variant is
         #: first prepared after mutations
         self._mutation_log: List[MutationBatch] = []
@@ -322,22 +331,23 @@ class GraphSession:
             donor = self._cold_cuts.get(key[0])
             # equality is checked, not assumed: a dataset may load a
             # different edge list with weights than without
-            shared = (
-                donor.assignment
-                if donor is not None and _same_topology(donor.graph, g)
-                else None
-            )
-            pgraph = build_lazy_graph(
-                g, self.machines,
-                partitioner=self.partitioner, split_config=self.split,
-                seed=self.seed, assignment=shared,
-            )
-            # a split partition's assignment has holes (-1 on the
-            # parallel edges), so only a split-free cut can be lent
-            if shared is None and pgraph.parallel_eids.size == 0:
-                pgraph.assignment.flags.writeable = False
-                self._cold_cuts[key[0]] = pgraph
-            self._pgraphs[key] = pgraph
+            if donor is not None and _same_topology(
+                self._pgraphs[donor].graph, g
+            ):
+                self._pgraphs[key] = self._pgraphs[donor].reweighted(g)
+                self._donors[key] = donor
+            else:
+                pgraph = build_lazy_graph(
+                    g, self.machines,
+                    partitioner=self.partitioner, split_config=self.split,
+                    seed=self.seed,
+                )
+                # only a split-free cut is lent: a split one's parallel
+                # edges are the splitter's choice, and unlike a
+                # partitioner the splitter is not bound to ignore weights
+                if pgraph.parallel_eids.size == 0:
+                    self._cold_cuts[key[0]] = key
+                self._pgraphs[key] = pgraph
         return self._pgraphs[key], key
 
     @staticmethod
@@ -359,28 +369,44 @@ class GraphSession:
         ]
 
     def _plans_for(self, spec: EngineSpec, pgraph, key) -> List[Any]:
-        """CSR plans for this engine family's runtime units, built once."""
+        """CSR plans for this engine family's runtime units, built once
+        per partition: a re-weighted variant and its donor hold one list
+        (delta plans read ``esrc`` / ``edst``, GAS plans those and
+        ``eglobal`` / ``eparallel``; none reads a weight)."""
         pkey = (key, spec.program_api)
         if pkey not in self._plans:
-            self._plans[pkey] = self._build_plans(pkey[1], pgraph)
+            root = self._donors.get(key, key)
+            shared = [
+                plans for (k, kind), plans in self._plans.items()
+                if kind == pkey[1] and self._donors.get(k, k) == root
+            ]
+            self._plans[pkey] = (
+                shared[0] if shared else self._build_plans(pkey[1], pgraph)
+            )
         return self._plans[pkey]
 
     # ------------------------------------------------------------------
-    def _stage_variant(
-        self, key: GraphKey, batch: MutationBatch, next_version: int
+    def _stage_graphs(
+        self, key: GraphKey, batch: MutationBatch, next_version: int,
+        patched: Dict[int, Tuple[DiGraph, EdgeDiff]],
     ) -> _StagedPatch:
-        """Patch one cached graph variant into a :class:`_StagedPatch`.
+        """Patch one cached variant's graphs into a :class:`_StagedPatch`.
 
-        Reads the session, writes nothing: :meth:`apply` commits the
-        staged variants together. ``apply_batch`` validates the batch
-        against this variant's base — the one validation it gets.
+        Reads the session, writes nothing: :meth:`apply` stages the
+        partitions and commits the staged variants together.
+        ``apply_batch`` validates the batch against this variant's base
+        — the one validation it gets — once per distinct base:
+        ``patched`` maps ``id(old base)`` to its patch.
         """
         sym, _weighted = key
         old_base = self._bases[key]
-        vbatch = (
-            batch if old_base.weights is not None else batch.without_weights()
-        )
-        new_base, bdiff = apply_batch(old_base, vbatch)
+        if id(old_base) not in patched:
+            vbatch = (
+                batch if old_base.weights is not None
+                else batch.without_weights()
+            )
+            patched[id(old_base)] = apply_batch(old_base, vbatch)
+        new_base, bdiff = patched[id(old_base)]
         old_prep = self._graphs[key]
         synthetic = old_prep.weights is not None and old_base.weights is None
 
@@ -425,16 +451,32 @@ class GraphSession:
             new_prep = new_base
             pdiff = bdiff
 
-        staged = _StagedPatch(new_base, new_prep, bdiff, pdiff)
-        if key in self._pgraphs:
-            new_pg, pstats = patch_partition(
-                self._pgraphs[key], new_prep, pdiff
-            )
-            for pkey in [pk for pk in self._plans if pk[0] == key]:
-                staged.plans[pkey] = self._build_plans(pkey[1], new_pg)
-            staged.pgraph = new_pg
-            staged.stats = pstats
-        return staged
+        return _StagedPatch(new_base, new_prep, bdiff, pdiff)
+
+    def _stage_partitions(self, staged: Dict[GraphKey, _StagedPatch]) -> None:
+        """Patch each cached partition once into ``staged``.
+
+        A cut of its own is spliced by ``patch_partition``; a
+        re-weighted variant re-weights its donor's splice with its own
+        patched graph and reports the donor's stats. Plans are rebuilt
+        once per partition and runtime kind, and shared as they were.
+        """
+        for key in staged:
+            if key in self._pgraphs and key not in self._donors:
+                patch = staged[key]
+                patch.pgraph, patch.stats = patch_partition(
+                    self._pgraphs[key], patch.graph, patch.graph_diff
+                )
+        for key, donor in self._donors.items():
+            patch = staged[key]
+            patch.pgraph = staged[donor].pgraph.reweighted(patch.graph)
+            patch.stats = staged[donor].stats
+        rebuilt: Dict[Tuple[GraphKey, str], List[Any]] = {}
+        for key, kind in self._plans:
+            root = (self._donors.get(key, key), kind)
+            if root not in rebuilt:
+                rebuilt[root] = self._build_plans(kind, staged[key].pgraph)
+            staged[key].plans[(key, kind)] = rebuilt[root]
 
     def apply(self, batch: MutationBatch) -> ApplyResult:
         """Apply one mutation batch to the resident graph.
@@ -443,7 +485,9 @@ class GraphSession:
         cached artifact — base and prepared graphs keep their edge-id
         layout (kept edges first, then additions), the vertex-cut
         carries every surviving edge's assignment and only places the
-        new edges, and CSR plans are rebuilt over the new partition.
+        new edges, and CSR plans are rebuilt over the new partition —
+        each once per base graph, partition and plan list, however many
+        variants share it.
         Fixpoint records from earlier runs survive, and each variant's
         edge diff is logged, which is what makes a subsequent ``run(...,
         incremental=True)`` a warm start rather than a cold one.
@@ -473,10 +517,12 @@ class GraphSession:
         # touching anything, so neither a bad batch nor a failing patch
         # can leave variants at different versions
         next_version = self.graph_version + 1
+        patched: Dict[int, Tuple[DiGraph, EdgeDiff]] = {}
         staged = {
-            key: self._stage_variant(key, batch, next_version)
+            key: self._stage_graphs(key, batch, next_version, patched)
             for key in sorted(self._graphs)
         }
+        self._stage_partitions(staged)
 
         patches: Dict[str, PatchStats] = {}
         edges_added = batch.num_added_edges
@@ -716,6 +762,7 @@ class GraphSession:
         self._pgraphs.clear()
         self._plans.clear()
         self._cold_cuts.clear()
+        self._donors.clear()
         self._deltas.clear()
         self._fixpoints.clear()
         self.last_result = None

@@ -8,9 +8,12 @@ insertions must leave a partition equal, array for array, to
 ``PartitionedGraph.build`` over the patched graph and the carried
 assignment, with the ``array_equal`` census of unchanged machines. A
 session's symmetrized and weighted variants, patched by
-``symmetrized_patch`` and synthetic weights, must hold the same. One
-batch of 5 % of the edges prints the splice's time beside the build's
-(``pytest -rP`` shows it).
+``symmetrized_patch`` and synthetic weights, must hold the same; a bfs +
+sssp session splices once per batch and its weighted partition, the
+bfs splice re-weighted, shares every array but ``eweight``. One batch
+of 5 % of the edges prints the splice's time beside the build's, and a
+two-variant session's ``apply`` time is printed beside a one-variant
+one's (``pytest -rP`` shows both).
 """
 
 import time
@@ -18,6 +21,7 @@ import time
 import numpy as np
 import pytest
 
+import repro.session as session_module
 from repro.core.transmission import build_lazy_graph
 from repro.graph.generators import erdos_renyi_graph, powerlaw_graph
 from repro.graph.mutation import MutationBatch, apply_batch
@@ -93,17 +97,64 @@ def test_a_five_percent_batch(service):
     )
 
 
-@pytest.mark.parametrize("algorithm", ["cc", "sssp"])
-def test_session_variants_stay_builds(algorithm):
-    # cc runs on the symmetrized graph, sssp on synthetic weights
-    program = get_engine("lazy-block").make_program(algorithm)
+def _shares_all_but_eweight(a: PartitionedGraph, b: PartitionedGraph) -> bool:
+    return all(
+        np.shares_memory(arr, b._flat[name]) == (name != "eweight")
+        for name, arr in a._flat.items()
+    )
+
+
+@pytest.mark.parametrize("algorithms", [
+    ["cc"], ["sssp"], ["bfs", "sssp"],
+], ids=["cc", "sssp", "bfs+sssp"])
+def test_session_variants_stay_builds(algorithms, monkeypatch):
+    # cc runs on the symmetrized graph, sssp on synthetic weights; bfs
+    # + sssp is one topology, whose weighted variant re-weights the bfs
+    # partition and must stay a build while one splice per batch runs
+    calls = []
+    real_patch = session_module.patch_partition
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real_patch(*args, **kwargs)
+
+    monkeypatch.setattr(session_module, "patch_partition", counted)
+    programs = [get_engine("lazy-block").make_program(a) for a in algorithms]
     base = erdos_renyi_graph(400, 3000, seed=5)
     session = GraphSession(base, machines=6, seed=2)
-    session.partitioned(program)
+    for program in programs:
+        session.partitioned(program)
     rng = np.random.default_rng(3)
-    for _ in range(8):
+    for i in range(8):
         batch = random_batch(base, rng, 12)
         base, _ = apply_batch(base, batch)
         session.apply(batch)
-        pgraph = session.partitioned(program)
-        assert_same_partition(pgraph, rebuilt(pgraph))
+        assert len(calls) == i + 1
+        pgraphs = [session.partitioned(p) for p in programs]
+        for pgraph in pgraphs:
+            assert_same_partition(pgraph, rebuilt(pgraph))
+        if len(pgraphs) == 2:
+            assert _shares_all_but_eweight(*pgraphs)
+
+
+def test_two_variant_apply_costs_about_one(capsys):
+    """``pytest -rP`` prints a two-variant session's ``apply`` time
+    beside a one-variant one's on the service graph."""
+    graph = powerlaw_graph(20_000, 150_000, seed=1)
+    times = {}
+    for algorithms in (["bfs"], ["bfs", "sssp"]):
+        session = GraphSession(graph, machines=MACHINES, seed=0)
+        for a in algorithms:
+            session.run(a, source=0)
+        rng = np.random.default_rng(5)
+        g, spent = graph, []
+        for _ in range(6):
+            batch = random_batch(g, rng, 16)
+            g, _ = apply_batch(g, batch)
+            t0 = time.perf_counter()
+            session.apply(batch)
+            spent.append(time.perf_counter() - t0)
+        times[" + ".join(algorithms)] = 1e3 * float(np.median(spent))
+    print("apply per 32-edge batch: " + ", ".join(
+        f"{k} {v:.1f} ms" for k, v in times.items()
+    ))

@@ -9,6 +9,7 @@ import pytest
 from repro.errors import PartitionError
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import powerlaw_graph
+from repro.graph.mutation import MutationBatch, apply_batch
 from repro.partition.base import partition_graph
 from repro.partition.partitioned_graph import PartitionedGraph
 
@@ -136,6 +137,10 @@ class TestLocalEdgeLayout:
     global edge id; per-edge arrays read-only (PartitionedGraph.validate)."""
 
     EDGE_FIELDS = ("esrc", "edst", "eweight", "eparallel", "eglobal")
+    TABLE_FIELDS = (
+        "master_of", "rep_indptr", "rep_machines", "rep_local_idx",
+        "num_replicas", "parallel_eids", "assignment",
+    )
 
     @staticmethod
     def _expected_order(mg):
@@ -187,15 +192,61 @@ class TestLocalEdgeLayout:
         with pytest.raises(PartitionError, match="writeable"):
             pg.validate()
 
-    def test_per_edge_arrays_are_read_only(self, er_graph):
+    def test_per_edge_arrays_are_read_only(self, er_graph, er_weighted):
+        # not only the per-edge arrays: every array a built, a spliced
+        # and a re-weighted partition holds (re-weighted variants share
+        # them all but eweight)
+        asg = partition_graph(er_graph, 3, "coordinated", seed=2)
+        built = PartitionedGraph.build(er_graph, asg, 3)
+        new_graph, diff = apply_batch(er_graph, MutationBatch().remove_edge(
+            int(er_graph.src[0]), int(er_graph.dst[0])
+        ).add_edge(0, 199))
+        spliced, _ = built.splice(
+            new_graph, diff, np.zeros(diff.num_added, dtype=np.int64)
+        )
+        reweighted = built.reweighted(er_weighted)
+        for pg in (built, spliced, reweighted):
+            arrays = [(n, getattr(pg, n)) for n in self.TABLE_FIELDS]
+            arrays += list(pg._flat.items())
+            for mg in pg.machines + pg.blocks:
+                arrays.append(("machine_offsets", mg.machine_offsets))
+                arrays += [(f.name, getattr(mg, f.name))
+                           for f in dataclasses.fields(mg)
+                           if f.name != "machine_id"]
+            for name, arr in arrays:
+                assert not arr.flags.writeable, name
+            with pytest.raises(ValueError):
+                pg.machines[0].esrc[0] = 0
+            with pytest.raises(ValueError):
+                pg.rep_local_idx[0] = 0
+            pg.validate()
+
+    def test_validate_rejects_a_writeable_table(self, er_partitioned):
+        pg = dataclasses.replace(
+            er_partitioned, master_of=er_partitioned.master_of.copy()
+        )
+        with pytest.raises(PartitionError, match="writeable"):
+            pg.validate()
+
+    def test_reweighted_shares_all_but_eweight(self, er_graph, er_weighted):
         asg = partition_graph(er_graph, 3, "coordinated", seed=2)
         pg = PartitionedGraph.build(er_graph, asg, 3)
-        for mg in pg.machines + pg.blocks:
-            for name in self.EDGE_FIELDS:
-                assert not getattr(mg, name).flags.writeable, name
-        with pytest.raises(ValueError):
-            pg.machines[0].esrc[0] = 0
-        pg.validate()
+        rw = pg.reweighted(er_weighted)
+        assert pg.reweighted(er_graph) is pg
+        assert rw.graph is er_weighted
+        want = PartitionedGraph.build(er_weighted, asg, 3)
+        for name in self.TABLE_FIELDS:
+            assert getattr(rw, name) is getattr(pg, name)
+        for name, arr in rw._flat.items():
+            np.testing.assert_array_equal(arr, want._flat[name])
+            assert (arr is pg._flat[name]) == (name != "eweight"), name
+        for a, b in zip(rw.machines + rw.blocks, pg.machines + pg.blocks):
+            assert a.esrc is b.esrc and a.edst is b.edst
+            assert a.machine_offsets is b.machine_offsets
+            assert not np.shares_memory(a.eweight, b.eweight)
+        rw.validate()
+        with pytest.raises(PartitionError, match="edge list"):
+            pg.reweighted(DiGraph(er_graph.num_vertices, [0], [1]))
 
     def test_build_peak_is_its_own_output(self):
         # tracemalloc over one build of a fixed powerlaw graph: the

@@ -511,6 +511,42 @@ class TestMutations:
         assert repeat.cached
         assert np.array_equal(repeat.result.values, after.result.values)
 
+    def test_answers_across_a_mutation_equal_one_variant_sessions(
+        self, service, session, er_graph
+    ):
+        """bfs and sssp share one partition (sssp's re-weights bfs's),
+        and ``mutate`` patches it once: every answer, hit or miss,
+        equals a session that holds only its own variant, taken
+        through the same batches to the version the answer reports."""
+        batches = [MutationBatch().remove_edge(
+            int(er_graph.src[5]), int(er_graph.dst[5])
+        ).add_edges([(0, 150), (3, 77)])]
+        queries = [("bfs", 0), ("sssp", 0), ("bfs", 9), ("sssp", 9)]
+
+        def alone(alg, source, version):
+            with GraphSession.open(er_graph, machines=MACHINES, seed=0) as s:
+                s.run(alg, source=0)  # prepared before any batch
+                for batch in batches[:version]:
+                    s.apply(batch)
+                return s.run(alg, source=source).values
+
+        served = []
+        for version in range(len(batches) + 1):
+            if version:
+                service.mutate(batches[version - 1])
+            for alg, source in queries:
+                miss = service.query(alg, sources=[source])
+                hit = service.query(alg, sources=[source])
+                assert not miss.cached and hit.cached
+                # a hit's key starts with the graph version it answers
+                assert hit.cache_key.startswith(f"({version},")
+                served.append((alg, source, version, miss, hit))
+        assert session.artifact_stats()["partitioned_graphs"] == 2
+        for alg, source, version, miss, hit in served:
+            want = alone(alg, source, version)
+            np.testing.assert_array_equal(miss.result.values, want)
+            np.testing.assert_array_equal(hit.result.values, want)
+
     def test_rejects_non_batch_and_closed_service(self, session):
         from repro.graph.mutation import MutationBatch
 

@@ -1,6 +1,8 @@
 """GraphSession lifecycle: caching, validation, reset, close — and the
 mutation path's bookkeeping (bounded fixpoints, delta log, atomic apply)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,8 +13,11 @@ from repro.bench import harness
 from repro.core.transmission import build_lazy_graph
 from repro.errors import ConfigError, PartitionError
 from repro.graph.digraph import DiGraph
+from repro.graph.generators import erdos_renyi_graph
 from repro.graph.mutation import MutationBatch
 from repro.partition.edge_splitter import EdgeSplitConfig
+from repro.partition.partitioned_graph import PartitionedGraph
+from repro.runtime.registry import get_engine
 from repro.runtime.run_config import RunConfig
 from repro.session import GraphSession
 from tests.unit.test_build_pins import digest
@@ -201,14 +206,38 @@ class TestOneCutPerTopology:
         assert (stats["prepared_graphs"], stats["partitioned_graphs"]) == (3, 3)
         _assert_equals_unshared(session)
 
-    def test_lent_assignment_is_read_only_and_copied(self, session):
-        session.run("bfs", source=0)
-        session.run("sssp", source=0)
-        lender = session._pgraphs[(False, False)]
-        borrower = session._pgraphs[(False, True)]
-        assert not lender.assignment.flags.writeable
-        assert not np.shares_memory(lender.assignment, borrower.assignment)
-        assert np.array_equal(lender.assignment, borrower.assignment)
+    def test_weight_variants_share_all_but_eweight(self):
+        # big enough that the variant's own arrays dwarf its objects
+        graph = erdos_renyi_graph(5_000, 60_000, seed=3)
+        with GraphSession.open(graph, machines=MACHINES, seed=0) as s:
+            s.run("bfs", source=0)
+            sssp = get_engine("lazy-block").make_program("sssp")
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                s.partitioned(sssp)
+                added = tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+            # its weights and its eweight: 2 * E * 8 B, plus 10 %
+            assert added <= 1.1 * 2 * graph.num_edges * 8
+            s.run("sssp", source=0)
+            lender = s._pgraphs[(False, False)]
+            borrower = s._pgraphs[(False, True)]
+            for name, arr in borrower._flat.items():
+                assert np.shares_memory(arr, lender._flat[name]) == (
+                    name != "eweight"
+                ), name
+            merged = [b for b in lender.blocks if b.num_machines > 1]
+            assert merged
+            for a, b in zip(borrower.blocks, lender.blocks):
+                assert a.esrc is b.esrc and a.edst is b.edst
+            assert (s._plans[((False, True), "delta")]
+                    is s._plans[((False, False), "delta")])
+            stats = s.artifact_stats()
+            assert (stats["prepared_graphs"], stats["partitioned_graphs"],
+                    stats["plans"]) == (2, 2, 2)
+            _assert_equals_unshared(s)
 
     def test_variant_first_prepared_after_a_mutation_is_cut_cold(
         self, er_graph, session, cuts
@@ -490,11 +519,29 @@ class TestApplyIsAtomic:
             assert _artifacts(s) == before
             assert s.graph_version == 0
 
-    def test_validation_runs_once_per_cached_variant(
+    def test_a_refused_batch_leaves_both_weight_variants(
         self, session, er_graph, monkeypatch
     ):
         session.run("bfs", source=0)
+        session.run("sssp", source=0)  # re-weights the bfs partition
+        before = _artifacts(session)
+
+        def refuse(*_args, **_kwargs):
+            raise PartitionError("refused")
+
+        # the splice passes, its re-weighting fails: nothing commits
+        monkeypatch.setattr(PartitionedGraph, "reweighted", refuse)
+        with pytest.raises(PartitionError, match="refused"):
+            session.apply(_fresh_batch(er_graph))
+        assert _artifacts(session) == before
+
+    def test_validation_runs_once_per_distinct_base(
+        self, session, er_graph, monkeypatch
+    ):
+        # three variants over one base graph object: one apply_batch
+        session.run("bfs", source=0)
         session.run("cc")
+        session.run("sssp", source=0)
         validated = []
         real_validate = MutationBatch.validate
 
@@ -504,7 +551,10 @@ class TestApplyIsAtomic:
 
         monkeypatch.setattr(MutationBatch, "validate", counting)
         session.apply(_fresh_batch(er_graph))
-        assert len(validated) == len(session._graphs) == 2
+        assert len(session._graphs) == 3
+        assert len(validated) == len(
+            {id(base) for base in session._bases.values()}
+        ) == 1
 
     def test_bad_batch_changes_nothing(self, session, er_graph):
         from repro.errors import GraphError
