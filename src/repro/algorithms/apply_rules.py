@@ -137,19 +137,7 @@ class DampedSumProgram(DeltaProgram):
             self.damping, self.tolerance,
         )
 
-    def edge_message(
-        self,
-        mg: MachineGraph,
-        edge_sel: np.ndarray,
-        delta_per_edge: np.ndarray,
-    ) -> np.ndarray:
-        # vertices with zero out-degree never scatter (no out-edges
-        # exist), so out_deg > 0 wherever this is evaluated
-        return delta_per_edge / mg.out_deg_global[mg.esrc[edge_sel]]
-
     def edge_transform(
         self, mg: MachineGraph
     ) -> Optional[Tuple[str, Optional[np.ndarray]]]:
-        # edge_message's divisor depends only on the source: divide the
-        # frontier's out-deltas once instead of every edge's copy
         return ("divide_source", mg.out_deg_global)

@@ -42,13 +42,5 @@ class BFSProgram(MinRelaxProgram):
         active = mg.vertices == self.source
         return np.where(active, 0.0, np.inf), active
 
-    def edge_message(
-        self,
-        mg: MachineGraph,
-        edge_sel: np.ndarray,
-        delta_per_edge: np.ndarray,
-    ) -> np.ndarray:
-        return delta_per_edge + 1.0
-
     def edge_transform(self, mg: MachineGraph):
         return ("add", 1.0)

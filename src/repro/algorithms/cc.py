@@ -40,13 +40,5 @@ class ConnectedComponentsProgram(MinRelaxProgram):
         active = np.ones(mg.num_local_vertices, dtype=bool)
         return state["vdata"].copy(), active
 
-    def edge_message(
-        self,
-        mg: MachineGraph,
-        edge_sel: np.ndarray,
-        delta_per_edge: np.ndarray,
-    ) -> np.ndarray:
-        return delta_per_edge
-
     def edge_transform(self, mg: MachineGraph):
         return ("identity", None)

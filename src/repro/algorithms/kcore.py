@@ -82,13 +82,5 @@ class KCoreProgram(DeltaProgram):
         newly_dead[live[dead]] = True
         return np.ones(idx.size, dtype=np.float64), newly_dead
 
-    def edge_message(
-        self,
-        mg: MachineGraph,
-        edge_sel: np.ndarray,
-        delta_per_edge: np.ndarray,
-    ) -> np.ndarray:
-        return delta_per_edge
-
     def edge_transform(self, mg: MachineGraph):
         return ("identity", None)

@@ -51,13 +51,5 @@ class SSSPProgram(MinRelaxProgram):
         delta = np.where(active, 0.0, np.inf)
         return delta, active
 
-    def edge_message(
-        self,
-        mg: MachineGraph,
-        edge_sel: np.ndarray,
-        delta_per_edge: np.ndarray,
-    ) -> np.ndarray:
-        return delta_per_edge + mg.eweight[edge_sel]
-
     def edge_transform(self, mg: MachineGraph):
         return ("add", mg.eweight)

@@ -43,6 +43,8 @@ __all__ = [
     "SUM_ALGEBRA",
     "MIN_ALGEBRA",
     "MAX_ALGEBRA",
+    "EDGE_OPS",
+    "checked_edge_transform",
 ]
 
 
@@ -131,12 +133,70 @@ SUM_ALGEBRA = DeltaAlgebra(
 MIN_ALGEBRA = DeltaAlgebra("min", np.minimum, np.inf, idempotent=True)
 MAX_ALGEBRA = DeltaAlgebra("max", np.maximum, -np.inf, idempotent=True)
 
+#: The ops :meth:`DeltaProgram.edge_transform` may declare, each the
+#: binary ufunc that evaluates ``ufunc(delta, operand)`` (``None``:
+#: ``identity`` has no operand). The derived
+#: :meth:`DeltaProgram.edge_message` and the runtime's fused sweep both
+#: evaluate an op through this table.
+EDGE_OPS: Dict[str, Optional[np.ufunc]] = {
+    "identity": None,
+    "add": np.add,
+    "divide_source": np.divide,
+}
+
+
+def checked_edge_transform(
+    program: "DeltaProgram", mg: MachineGraph
+) -> Optional[Tuple[str, object]]:
+    """``program.edge_transform(mg)``, checked against :data:`EDGE_OPS`.
+
+    Raises :class:`AlgorithmError` for an unknown op, an op that takes
+    an operand given ``None``, and an array operand of the wrong shape
+    (``divide_source``: one per local vertex; ``add``: one per local
+    edge).
+    """
+    tf = program.edge_transform(mg)
+    if tf is None:
+        return None
+    op, operand = tf
+    if op not in EDGE_OPS:
+        raise AlgorithmError(
+            f"{program.name}: unknown edge_transform op {op!r} "
+            f"(expected one of {tuple(EDGE_OPS)})"
+        )
+    if EDGE_OPS[op] is None:
+        return op, None
+    if operand is None:
+        raise AlgorithmError(
+            f"{program.name}: edge_transform op {op!r} needs an operand, "
+            f"got None"
+        )
+    if op == "divide_source":
+        operand = np.asarray(operand)
+        if operand.shape != (mg.num_local_vertices,):
+            raise AlgorithmError(
+                f"{program.name}: divide_source operand must be "
+                f"per-source (one per local vertex), got shape "
+                f"{operand.shape}"
+            )
+    elif np.ndim(operand):
+        operand = np.asarray(operand)
+        if operand.shape != (mg.esrc.size,):
+            raise AlgorithmError(
+                f"{program.name}: edge_transform operand must be "
+                f"per-local-edge, got shape {operand.shape}"
+            )
+    return op, operand
+
 
 class DeltaProgram(abc.ABC):
     """A push-style delta vertex program (GatherMsg/Sum/Inverse/Apply/Scatter).
 
-    Subclasses implement the four hooks below with *vectorized* NumPy
-    operations over one machine's local arrays; the engines drive them
+    Subclasses implement :meth:`make_state`, :meth:`initial_scatter`
+    and :meth:`apply` with *vectorized* NumPy operations over one
+    machine's local arrays, and declare the per-edge transform once:
+    :meth:`edge_transform` for one of the :data:`EDGE_OPS`, or an
+    :meth:`edge_message` override for any other. The engines drive them
     identically whether coherency is eager or lazy.
 
     The ``mg`` a hook receives may be a *block*: several consecutive
@@ -240,49 +300,61 @@ class DeltaProgram(abc.ABC):
         bit for bit, state included.
         """
 
-    @abc.abstractmethod
+    def edge_transform(
+        self, mg: MachineGraph
+    ) -> Optional[Tuple[str, Optional[np.ndarray]]]:
+        """Paper ``Scatter``'s per-edge transform, declared as ``(op, operand)``.
+
+        The message an edge deposits at its target is the source's
+        out-delta transformed by one op of :data:`EDGE_OPS` against an
+        operand that does not change over the run:
+
+        * ``("identity", None)`` — message is the delta unchanged;
+        * ``("add", x)`` — ``delta + x`` (scalar or per-local-edge array);
+        * ``("divide_source", x)`` — ``delta / x[source]`` with ``x`` a
+          per-source array of shape ``(mg.num_local_vertices,)``, indexed
+          by the edge's local source slot (PageRank divides by the
+          source's global out-degree). Entries of slots without local
+          edges are never read.
+
+        The runtime hoists the operand once and fuses the op into the
+        sweep (a ``divide_source`` runs once per fired source, before
+        its delta is expanded to the source's edges), and
+        :meth:`edge_message` derives from it. Return ``None`` (the
+        default) only for a transform outside these ops, and override
+        :meth:`edge_message` instead.
+        """
+        return None
+
     def edge_message(
         self,
         mg: MachineGraph,
         edge_sel: np.ndarray,
         delta_per_edge: np.ndarray,
     ) -> np.ndarray:
-        """Paper ``Scatter``'s per-edge transform.
+        """The messages of the local edges ``edge_sel``, whose sources'
+        out-deltas are ``delta_per_edge``.
 
-        ``edge_sel`` are local edge indices being scattered;
-        ``delta_per_edge`` is each edge's source out-delta. Returns the
-        message value deposited at each edge's target (e.g. PageRank
-        divides by the source's global out-degree; SSSP adds the edge
-        weight).
+        Evaluates the :meth:`edge_transform` declaration with the same
+        ufunc the runtime's fused sweep uses, so the two agree bit for
+        bit. Override it only when :meth:`edge_transform` returns
+        ``None``: the runtime then calls it on every scatter.
         """
-
-    def edge_transform(
-        self, mg: MachineGraph
-    ) -> Optional[Tuple[str, Optional[np.ndarray]]]:
-        """Declarative form of :meth:`edge_message` for kernel fusion.
-
-        When the per-edge transform is a fixed elementwise op against an
-        operand that does not change over the run, returning
-        ``(op, operand)`` lets the runtime hoist the operand once and
-        fuse the transform into the sweep, skipping
-        :meth:`edge_message`'s per-call edge gathers. Supported ops:
-
-        * ``("identity", None)`` — message is the delta unchanged;
-        * ``("add", x)`` — ``delta + x`` (scalar or per-local-edge array);
-        * ``("divide_source", x)`` — ``delta / x[source]`` with ``x`` a
-          per-source array of shape ``(mg.num_local_vertices,)``, indexed
-          by the edge's local source slot. The runtime divides each
-          fired out-delta once, before expanding it to the source's
-          edges. Entries of slots without local edges are never read.
-
-        The contract is **bit-identity**: for every edge selection ``e``
-        and payload ``d``, ``edge_message(mg, e, d)`` must equal the
-        declared op applied with ``operand[e]`` (``operand[mg.esrc[e]]``
-        for ``divide_source``), bit for bit (the ops are evaluated with
-        the same ufunc either way). Return ``None`` (the default) to
-        keep the general ``edge_message`` path.
-        """
-        return None
+        tf = checked_edge_transform(self, mg)
+        if tf is None:
+            raise AlgorithmError(
+                f"{self.name}: edge_transform declares no op, so the "
+                f"program must override edge_message"
+            )
+        op, operand = tf
+        ufunc = EDGE_OPS[op]
+        if ufunc is None:
+            return delta_per_edge
+        if op == "divide_source":
+            operand = operand[mg.esrc[edge_sel]]
+        elif np.ndim(operand):
+            operand = operand[edge_sel]
+        return ufunc(delta_per_edge, operand)
 
     def initial_messages(
         self, mg: MachineGraph, state: Dict[str, np.ndarray]
@@ -318,6 +390,14 @@ class DeltaProgram(abc.ABC):
             raise AlgorithmError(f"{self.name}: delta_bytes must be positive")
         if not isinstance(self.algebra, DeltaAlgebra):
             raise AlgorithmError(f"{self.name}: algebra must be a DeltaAlgebra")
+        cls = type(self)
+        if (cls.edge_transform is DeltaProgram.edge_transform
+                and cls.edge_message is DeltaProgram.edge_message):
+            raise AlgorithmError(
+                f"{self.name}: no per-edge transform; override "
+                f"edge_transform, or edge_message for a transform outside "
+                f"{tuple(EDGE_OPS)}"
+            )
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"<DeltaProgram {self.name} algebra={self.algebra.name}>"

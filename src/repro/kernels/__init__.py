@@ -23,12 +23,7 @@ forces the old per-call-flatten path everywhere, which is how the
 bench harness measures old-vs-new).
 """
 
-from repro.kernels.config import (
-    KernelConfig,
-    configured,
-    get_config,
-    set_config,
-)
+from repro.kernels.config import KernelConfig, configured, get_config
 from repro.kernels.csr import CSRPlan
 from repro.kernels.segment_reduce import (
     apply_segment_sums,
@@ -42,7 +37,6 @@ __all__ = [
     "KernelConfig",
     "configured",
     "get_config",
-    "set_config",
     "CSRPlan",
     "scatter_reduce",
     "segment_sum",

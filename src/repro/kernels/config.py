@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 from repro.errors import ConfigError
 
-__all__ = ["KernelConfig", "get_config", "set_config", "configured"]
+__all__ = ["KernelConfig", "get_config", "configured"]
 
 _MODES = ("auto", "generic")
 
@@ -64,13 +64,6 @@ _config = KernelConfig()
 
 def get_config() -> KernelConfig:
     """The active kernel configuration."""
-    return _config
-
-
-def set_config(**overrides) -> KernelConfig:
-    """Replace fields of the active configuration; returns the new one."""
-    global _config
-    _config = replace(_config, **overrides)
     return _config
 
 

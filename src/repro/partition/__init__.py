@@ -23,7 +23,6 @@ from repro.partition.oblivious_cut import oblivious_cut
 from repro.partition.metrics import PartitionMetrics, compute_partition_metrics
 from repro.partition.partitioned_graph import MachineGraph, PartitionedGraph
 from repro.partition.random_cut import random_cut
-from repro.partition.replication import replication_factor
 
 __all__ = [
     "PARTITIONER_NAMES",
@@ -34,7 +33,6 @@ __all__ = [
     "oblivious_cut",
     "hybrid_cut",
     "edge_cut",
-    "replication_factor",
     "EdgeSplitConfig",
     "select_parallel_edges",
     "MachineGraph",

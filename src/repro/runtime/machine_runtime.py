@@ -116,7 +116,9 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.api.vertex_program import DeltaProgram
+from repro.api.vertex_program import (
+    EDGE_OPS, DeltaProgram, checked_edge_transform,
+)
 from repro.errors import AlgorithmError
 from repro.kernels import CSRPlan, KernelStats, apply_segment_sums
 from repro.kernels.config import get_config
@@ -127,7 +129,6 @@ from repro.partition.partitioned_graph import MachineGraph
 
 __all__ = ["MachineRuntime"]
 
-_TRANSFORM_OPS = ("identity", "add", "divide_source")
 # the ⊕-identities a dense sweep may pad with, per monoid kind
 _PAD_IDENTITY = {
     "sum": np.float64(0.0), "min": np.float64(np.inf), "max": np.float64(-np.inf),
@@ -204,38 +205,22 @@ class MachineRuntime:
         stored as 1 — a bootstrap that fires a dangling vertex divides
         by a real number instead of raising on 0.
         """
-        tf = program.edge_transform(mg)
+        tf = checked_edge_transform(program, mg)
         self._tf_op: Optional[str] = None
+        self._tf_ufunc: Optional[np.ufunc] = None
         self._tf_operand = None
         self._src_divisor: Optional[np.ndarray] = None
         if tf is None:
             return
         op, operand = tf
-        if op not in _TRANSFORM_OPS:
-            raise AlgorithmError(
-                f"{program.name}: unknown edge_transform op {op!r} "
-                f"(expected one of {_TRANSFORM_OPS})"
-            )
         self._tf_op = op
+        self._tf_ufunc = EDGE_OPS[op]
         if op == "divide_source":
-            operand = np.asarray(operand)
-            if operand.shape != (self.out_plan.num_slots,):
-                raise AlgorithmError(
-                    f"{program.name}: divide_source operand must be "
-                    f"per-source (one per local vertex), got shape "
-                    f"{operand.shape}"
-                )
             self._src_divisor = np.where(self.out_plan.counts > 0, operand, 1)
-        elif operand is None or np.ndim(operand) == 0:
-            self._tf_operand = operand
-        else:
-            operand = np.asarray(operand)
-            if operand.shape != (self.out_plan.num_edges,):
-                raise AlgorithmError(
-                    f"{program.name}: edge_transform operand must be "
-                    f"per-local-edge, got shape {operand.shape}"
-                )
+        elif np.ndim(operand):
             self._tf_operand = self.out_plan.sorted_edges(operand)
+        else:
+            self._tf_operand = operand
 
     def _padding_bound(self) -> Optional[float]:
         """The operand extremum a dense sweep's MIN / MAX guard adds to
@@ -364,7 +349,7 @@ class MachineRuntime:
         x = self._tf_operand
         if isinstance(x, np.ndarray) and pos is not None:
             x = x[pos]
-        return delta_per_edge + x
+        return self._tf_ufunc(delta_per_edge, x)
 
     def scatter(
         self, idx: np.ndarray, delta_out: np.ndarray, track_delta: bool
@@ -392,7 +377,7 @@ class MachineRuntime:
         if divisor is not None and get_config().mode != "generic":
             # one divide per frontier vertex instead of per edge: the same
             # operands through the same IEEE op, so bit-identical
-            delta_out = delta_out / divisor[idx]
+            delta_out = self._tf_ufunc(delta_out, divisor[idx])
         if pos is None and not self._may_pad(mode, delta_out):
             pos, counts = plan.flatten(idx)
             mode = SPARSE

@@ -281,6 +281,8 @@ class WarmStartProgram(DeltaProgram):
         return self.base.apply(mg, state, idx, accum)
 
     def edge_message(self, mg, edge_sel, delta_per_edge):
+        # a base that declares only edge_message is reached through
+        # here: the derived one would find no transform to evaluate
         return self.base.edge_message(mg, edge_sel, delta_per_edge)
 
     def edge_transform(self, mg):

@@ -22,14 +22,19 @@ for patched graph versions are derived from the session seed and the
 mutation log, so the session is the unit of reproducibility.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from repro.algorithms.apply_rules import MinRelaxProgram
 from repro.graph.generators import erdos_renyi_graph
 from repro.graph.mutation import MutationBatch
+from repro.kernels import configured
 from repro.obs.audit import LensAuditor
 from repro.obs.records import trace_from_tracer
 from repro.obs.tracer import Tracer
+from repro.runtime.warm_start import WarmStartProgram
 from repro.session import GraphSession
 
 MACHINES = 6
@@ -192,3 +197,48 @@ class TestReplaceBatch:
         inc, cold = self._roundtrip(alg, params)
         err = float(np.max(np.abs(inc.values - cold.values)))
         assert err <= 50 * params["tolerance"], err
+
+
+class Hops(MinRelaxProgram):
+    """BFS levels declared by ``edge_message`` alone, as a user program
+    may: the warm runtime reaches it through ``WarmStartProgram``'s
+    forwarder, where the base class's derivation would raise."""
+
+    name = "hops"
+
+    def __init__(self, source: int = 0) -> None:
+        self.source = source
+
+    def make_state(self, mg):
+        level = np.full(mg.num_local_vertices, np.inf)
+        level[mg.vertices == self.source] = 0.0
+        return {"vdata": level}
+
+    def initial_scatter(self, mg, state):
+        active = mg.vertices == self.source
+        return np.where(active, 0.0, np.inf), active
+
+    def edge_message(self, mg, edge_sel, delta_per_edge):
+        return delta_per_edge + 1.0
+
+
+class TestEdgeMessageOnlyProgram:
+    @pytest.mark.parametrize("mode", ["auto", "generic"])
+    def test_incremental_matches_cold_bitwise(self, mode):
+        graph = _graph()
+        forwarder = mock.patch.object(
+            WarmStartProgram, "edge_message", autospec=True,
+            side_effect=WarmStartProgram.edge_message,
+        )
+        with configured(mode=mode), \
+                GraphSession.open(graph, machines=MACHINES, seed=0) as sess:
+            sess.run(Hops())
+            sess.apply(_batch(graph))
+            with forwarder as forwarded:
+                inc = sess.run(Hops(), incremental=True)
+            cold = sess.run(Hops())
+            bfs = sess.run("bfs", source=0)
+        assert inc.stats.extra["warm_start"] == 1
+        assert forwarded.called
+        np.testing.assert_array_equal(inc.values, cold.values)
+        np.testing.assert_array_equal(inc.values, bfs.values)

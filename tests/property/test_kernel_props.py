@@ -238,7 +238,7 @@ BIG = float(np.finfo(np.float64).max)
 
 
 class _AddProgram(ConnectedComponentsProgram):
-    """MIN or MAX with a per-edge ``add`` operand, spelled both ways."""
+    """MIN or MAX with a per-edge ``add`` operand."""
 
     def __init__(self, algebra, w):
         self.algebra = algebra
@@ -246,9 +246,6 @@ class _AddProgram(ConnectedComponentsProgram):
 
     def edge_transform(self, mg):
         return ("add", self.w)
-
-    def edge_message(self, mg, edge_sel, delta_per_edge):
-        return delta_per_edge + self.w[edge_sel]
 
 
 # a value-flag sweep's edge cases: exact cancellations (mixed signs),

@@ -12,7 +12,6 @@ from repro.partition.base import partition_graph
 from repro.partition.coordinated_cut import coordinated_cut
 from repro.partition.oblivious_cut import oblivious_cut
 from repro.partition.partitioned_graph import PartitionedGraph
-from repro.partition.replication import replication_factor
 from tests import greedy_cut_oracle as oracle
 
 
@@ -42,10 +41,15 @@ def test_partition_invariants(graph, machines, method, seed):
     pg.validate()  # every placement invariant, including master/replica
     assert pg.replication_factor >= 1.0
     assert pg.replication_factor <= machines
-    lam = replication_factor(graph, assignment, machines)
-    # λ computed two independent ways agrees (modulo home machines of
-    # edge-less vertices, which PartitionedGraph counts as one replica)
-    assert pg.replication_factor >= lam - 1e-9
+    # λ counted independently: a replica per distinct (endpoint,
+    # machine) pair, and one per edge-less vertex
+    pairs = {
+        (int(v), int(m))
+        for end in (graph.src, graph.dst)
+        for v, m in zip(end, assignment)
+    }
+    lonely = graph.num_vertices - len({v for v, _ in pairs})
+    assert pg.replication_factor == (len(pairs) + lonely) / graph.num_vertices
 
 
 @given(

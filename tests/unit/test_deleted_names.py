@@ -1,12 +1,12 @@
 """Helpers that no production path called stay deleted.
 
 ``tests/tools/call_census.py`` found each of these reached only by its
-own unit tests: two modules, and names that were a second way to do what
-the engines, the partitioner or the session already do. The
-repartition valve went too: on a drifting-community stream the carried
-cut already ends below the λ of a cold cut of the session's graph, and
-a cold cut recovers more, for less host time, than the valve did
-(``tests/integration/test_lambda_drift.py``). No module, export,
+own unit tests: three modules, and names that were a second way to do
+what the engines, the partitioner, the session or ``configured`` already
+do. The repartition valve went too: on a drifting-community stream the
+carried cut already ends below the λ of a cold cut of the session's
+graph, and a cold cut recovers more, for less host time, than the valve
+did (``tests/integration/test_lambda_drift.py``). No module, export,
 attribute, dataclass field, session parameter, CLI flag or page of
 ``docs/`` brings one back.
 """
@@ -23,6 +23,7 @@ DOCS = sorted((Path(__file__).resolve().parents[2] / "docs").glob("*.md"))
 DELETED = [
     "repro.utils.validation",
     "repro.graph.builder",
+    "repro.partition.replication",
     "check_type",
     "check_positive",
     "check_nonnegative",
@@ -42,6 +43,7 @@ DELETED = [
     "repartitioned_vertices",
     "replica_csr",
     "repartition_threshold",
+    "set_config",
 ]
 
 
@@ -49,9 +51,10 @@ DELETED = [
 def test_deleted_names_stay_deleted(name):
     import repro
     import repro.graph
+    import repro.kernels
+    import repro.kernels.config
     import repro.partition
     import repro.partition.dynamic
-    import repro.partition.replication
     import repro.session
     import repro.utils
     from repro.graph.mutation import EdgeDiff
@@ -63,9 +66,9 @@ def test_deleted_names_stay_deleted(name):
 
     if name.startswith("repro."):
         assert importlib.util.find_spec(name) is None
-    for module in (repro, repro.utils, repro.graph, repro.partition,
-                   repro.partition.dynamic, repro.partition.replication,
-                   repro.session):
+    for module in (repro, repro.utils, repro.graph, repro.kernels,
+                   repro.kernels.config, repro.partition,
+                   repro.partition.dynamic, repro.session):
         assert name not in vars(module), module.__name__
         assert name not in getattr(module, "__all__", ()), module.__name__
     for cls in (PartitionedGraph, MachineGraph, ReplicaReader,

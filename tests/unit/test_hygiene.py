@@ -25,7 +25,10 @@ mutation patch splices the partition instead of rebuilding it:
 ``patch_partition`` calls no ``build``. A ninth keeps the warm-start
 planner batch-sized: its ``_plan_*`` functions and ``_Planning`` build
 no CSR (``out_csr`` / ``in_csr``), sort nothing by key
-(``stable_argsort`` / ``argsort``) and call no plain ``np.unique``.
+(``stable_argsort`` / ``argsort``) and call no plain ``np.unique``. A
+tenth pins one per-edge declaration: no built-in program class defines
+``edge_message``, so every one runs the derivation from its
+``edge_transform``.
 """
 
 from __future__ import annotations
@@ -374,6 +377,21 @@ def test_warm_plan_stays_batch_sized():
     assert not whole_graph_calls(planner), "\n".join(
         whole_graph_calls(planner)
     )
+
+
+def test_built_in_programs_declare_only_the_transform():
+    import repro.algorithms as algorithms
+    from repro.algorithms.apply_rules import DampedSumProgram, MinRelaxProgram
+    from repro.api.vertex_program import DeltaProgram
+
+    exported = [getattr(algorithms, name) for name in algorithms.__all__]
+    classes = {
+        obj for obj in exported
+        if isinstance(obj, type) and issubclass(obj, DeltaProgram)
+    } | {DampedSumProgram, MinRelaxProgram}
+    assert len(classes) == len(algorithms.program_names()) + 2
+    defining = sorted(c.__name__ for c in classes if "edge_message" in vars(c))
+    assert defining == []
 
 
 #: the idempotent planner's taint closure before it walked the resident

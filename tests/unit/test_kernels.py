@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from repro.algorithms import ConnectedComponentsProgram, PageRankDeltaProgram
-from repro.api.vertex_program import MAX_ALGEBRA, MIN_ALGEBRA, SUM_ALGEBRA
+from repro.api.vertex_program import (
+    MAX_ALGEBRA, MIN_ALGEBRA, SUM_ALGEBRA, DeltaProgram,
+)
 from repro.errors import AlgorithmError, ConfigError, GraphError
 from repro.graph.digraph import DiGraph
 from repro.kernels import (
@@ -18,8 +20,8 @@ from repro.kernels import (
     monoid_kind,
     scatter_reduce,
     segment_sum,
-    set_config,
 )
+from repro.core.lazy_block_async import LazyBlockAsyncEngine
 from repro.core.transmission import build_lazy_graph
 from repro.graph.generators import powerlaw_graph, road_grid_graph
 from repro.partition.partitioned_graph import PartitionedGraph
@@ -54,14 +56,6 @@ class TestKernelConfig:
             with configured(dense_min_edges=7):
                 raise RuntimeError("boom")
         assert get_config() is before
-
-    def test_set_config_replaces(self):
-        before = get_config()
-        try:
-            cfg = set_config(dense_min_edges=17)
-            assert get_config() is cfg and cfg.dense_min_edges == 17
-        finally:
-            set_config(dense_min_edges=before.dense_min_edges)
 
 
 class TestMonoidKind:
@@ -352,6 +346,41 @@ class TestEdgeTransformValidation:
         with pytest.raises(AlgorithmError, match="per-source"):
             _runtime(g, Bad())
 
+    def test_add_without_operand_raises_at_construction(self):
+        class Bad(ConnectedComponentsProgram):
+            def edge_transform(self, mg):
+                return ("add", None)
+
+        pg = build_lazy_graph(DiGraph(3, [0, 1], [1, 2]), 2, seed=1)
+        with pytest.raises(AlgorithmError, match="needs an operand"):
+            LazyBlockAsyncEngine(pg, Bad())
+
+    def test_program_declaring_no_transform_is_refused(self):
+        class Undeclared(DeltaProgram):
+            name = "undeclared"
+
+            def make_state(self, mg):
+                return {"vdata": np.zeros(mg.num_local_vertices)}
+
+            def initial_scatter(self, mg, state):
+                return None, np.ones(mg.num_local_vertices, dtype=bool)
+
+            def apply(self, mg, state, idx, accum):
+                return accum, np.zeros(idx.size, dtype=bool)
+
+        pg = build_lazy_graph(DiGraph(3, [0, 1], [1, 2]), 2, seed=1)
+        with pytest.raises(AlgorithmError, match="undeclared: no per-edge"):
+            LazyBlockAsyncEngine(pg, Undeclared())
+
+    def test_derivation_without_transform_raises(self):
+        class Opaque(PageRankDeltaProgram):
+            def edge_transform(self, mg):
+                return None
+
+        rt = _runtime(DiGraph(3, [0, 1], [1, 2]), Opaque())
+        with pytest.raises(AlgorithmError, match="must override edge_message"):
+            rt.scatter(np.array([0]), np.array([1.0]), track_delta=False)
+
     def test_transform_matches_edge_message(self):
         # the hoisted divide transform must reproduce edge_message bits
         g = DiGraph(4, [0, 0, 1, 2], [1, 2, 3, 3])
@@ -517,6 +546,9 @@ class TestIdentityPadding:
             def edge_transform(self, mg):
                 return None
 
+            def edge_message(self, mg, edge_sel, delta_per_edge):
+                return delta_per_edge / mg.out_deg_global[mg.esrc[edge_sel]]
+
         assert self._mode(Opaque()) == "sparse"
 
     def test_sum_add_sweeps_sparse(self):
@@ -524,9 +556,6 @@ class TestIdentityPadding:
             # 0 + 1 != 0: padding would not be the identity
             def edge_transform(self, mg):
                 return ("add", 1.0)
-
-            def edge_message(self, mg, edge_sel, delta_per_edge):
-                return delta_per_edge + 1.0
 
         assert self._mode(Shifted()) == "sparse"
 
@@ -537,11 +566,6 @@ class TestIdentityPadding:
                 w = np.zeros(mg.esrc.size)
                 w[0] = -np.inf
                 return ("add", w)
-
-            def edge_message(self, mg, edge_sel, delta_per_edge):
-                w = np.zeros(mg.esrc.size)
-                w[0] = -np.inf
-                return delta_per_edge + w[edge_sel]
 
         assert self._mode(Unbounded()) == "sparse"
 

@@ -8,7 +8,6 @@ from repro.graph.digraph import DiGraph
 from repro.partition.base import PARTITIONER_NAMES, partition_graph
 from repro.partition.oblivious_cut import oblivious_cut
 from repro.partition.partitioned_graph import PartitionedGraph
-from repro.partition.replication import replication_factor
 
 
 class TestObliviousCut:
@@ -41,9 +40,9 @@ class TestObliviousCut:
         locality-free skewed graphs (the cost of obliviousness)."""
         P = 8
         lam = {
-            m: replication_factor(
+            m: PartitionedGraph.build(
                 social_graph, partition_graph(social_graph, P, m, seed=1), P
-            )
+            ).replication_factor
             for m in ("coordinated", "oblivious", "random")
         }
         assert lam["coordinated"] <= lam["oblivious"] + 1e-9

@@ -20,8 +20,8 @@ from repro.partition.edge_cut import edge_cut
 from repro.partition.grid_cut import _grid_shape, grid_cut
 from repro.partition.hybrid_cut import hybrid_cut
 from repro.partition.oblivious_cut import oblivious_cut
+from repro.partition.partitioned_graph import PartitionedGraph
 from repro.partition.random_cut import random_cut
-from repro.partition.replication import replication_factor
 
 
 ALL_PARTITIONERS = ["random", "grid", "coordinated", "oblivious", "hybrid", "edge"]
@@ -110,12 +110,12 @@ class TestCoordinated:
 
     def test_lower_lambda_than_random(self, webby_graph):
         P = 8
-        lam_coord = replication_factor(
+        lam_coord = PartitionedGraph.build(
             webby_graph, coordinated_cut(webby_graph, P, seed=1), P
-        )
-        lam_rand = replication_factor(
+        ).replication_factor
+        lam_rand = PartitionedGraph.build(
             webby_graph, random_cut(webby_graph, P, seed=1), P
-        )
+        ).replication_factor
         assert lam_coord < lam_rand
 
     def test_shuffle_option_changes_result(self, er_graph):
@@ -177,7 +177,7 @@ class TestGrid:
     def test_replication_bounded_by_grid(self, social_graph):
         P = 16  # 4x4 grid
         asg = grid_cut(social_graph, P, seed=1)
-        lam = replication_factor(social_graph, asg, P)
+        lam = PartitionedGraph.build(social_graph, asg, P).replication_factor
         r, c = _grid_shape(P)
         # per-vertex bound is r + c - 1; the mean must be well below it
         assert lam <= r + c - 1
