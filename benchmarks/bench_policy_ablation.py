@@ -1,6 +1,6 @@
-"""Policy ablation: every named controller on both lazy engines.
+"""Policy ablation: every named policy on both lazy engines.
 
-One deterministic sweep of the controller matrix — PageRank on
+One deterministic sweep of the policy matrix — PageRank on
 road-ca-mini / 8 machines under every policy (``paper``, ``simple``,
 ``never``) on LazyVertexAsync and LazyBlockAsync, tracer and coherency
 lens on — recording per row: coherency points, convergence, the max
@@ -8,7 +8,7 @@ deviation from the single-machine ``pagerank_reference`` fixpoint, and
 the LensAuditor verdict.
 
 Acceptance (asserted by the test, so a behavioural regression in the
-policy layer fails the benchmark suite): every controller's final
+policy layer fails the benchmark suite): every policy's final
 values stay within the repo's PageRank validation tolerance of the
 reference fixpoint, and every audited run is clean — pending mass
 drains at each exchange and replicas agree (zero drift) after
@@ -65,7 +65,7 @@ def _measure(engine, policy_name, reference):
 
 
 def run_matrix():
-    """The full controller × engine matrix plus its acceptance verdict."""
+    """The full policy × engine matrix plus its acceptance verdict."""
     reference = _reference()
     rows = {
         f"{engine}/{policy}": _measure(engine, policy, reference)

@@ -63,14 +63,13 @@ def main() -> None:
         ev_candidates=[2.5, 5.0, 10.0, 15.0, 25.0],
         trend_candidates=[0.0, 0.03, 0.07, 0.15, 0.5],
     )
-    fitted = rule.make_controller()
     errors = sum(
         1
         for ev, tr, label in samples
-        if fitted.turn_on_lazy(CoherencySignals(0, ev, tr)) != label
+        if rule.turn_on_lazy(CoherencySignals(0, ev, tr)) != label
     )
-    print(f"\nfitted rule : E/V <= {fitted.ev_threshold}"
-          f"  or  trend >= {fitted.trend_threshold}"
+    print(f"\nfitted rule : E/V <= {rule.ev_threshold}"
+          f"  or  trend >= {rule.trend_threshold}"
           f"   ({errors}/{len(samples)} misclassified)")
     print(f"paper's rule: E/V <= {PAPER_INTERVAL_RULE['ev_threshold']:.0f}"
           f"  or  trend >= {PAPER_INTERVAL_RULE['trend_threshold']}")

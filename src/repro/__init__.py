@@ -22,7 +22,6 @@ from repro.api import DeltaAlgebra, DeltaProgram, MAX_ALGEBRA, MIN_ALGEBRA, SUM_
 from repro.algorithms import make_program, program_names
 from repro.cluster import ClusterSim, CommMode, NetworkModel, RunStats
 from repro.core import (
-    CoherencyController,
     CoherencyPolicy,
     CoherencySignals,
     LazyBlockAsyncEngine,
@@ -108,7 +107,6 @@ __all__ = [
     "Channel",
     "Delivery",
     "PayloadSchema",
-    "CoherencyController",
     "CoherencyPolicy",
     "CoherencySignals",
     "controller_names",

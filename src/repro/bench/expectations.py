@@ -11,6 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
+# §4.2.1's learned interval rule is held by the policy that applies it
+from repro.core.policy import PAPER_INTERVAL_RULE
+
 __all__ = [
     "PAPER_SPEEDUP_RANGE",
     "PAPER_MEAN_SPEEDUPS",
@@ -42,13 +45,6 @@ PAPER_CLUSTER: Dict[str, object] = {
     "partitioner": "coordinated",
     "compiler": "GCC 4.8.1",
     "runs_averaged": 3,
-}
-
-# §4.2.1: the learned interval rule
-PAPER_INTERVAL_RULE: Dict[str, float] = {
-    "ev_threshold": 10.0,
-    "trend_threshold": 0.07,
-    "budget_multiplier": 3.0,
 }
 
 

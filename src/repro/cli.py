@@ -51,19 +51,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_session(p):
+        """The resident graph: dataset, cluster size and partitioning."""
         p.add_argument(
             "--graph", default="road-ca-mini",
             help="dataset name (default: road-ca-mini)",
         )
-        p.add_argument(
-            "--algorithm", "--algo",
-            required=True,
-            choices=list(program_names()),
-        )
         p.add_argument("--machines", type=int, default=48)
         p.add_argument("--partitioner", default="coordinated")
         p.add_argument("--seed", type=int, default=0)
+
+    def add_algorithm(p, required=True, help=None):
+        """The algorithm and its parameters."""
+        p.add_argument(
+            "--algorithm", "--algo",
+            required=required,
+            choices=list(program_names()),
+            help=help,
+        )
         p.add_argument("--k", type=int, help="k-core K")
         p.add_argument("--source", type=int, help="SSSP/BFS source vertex")
         p.add_argument("--tolerance", type=float, help="PageRank/PPR tolerance")
@@ -76,18 +81,19 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     p_run = sub.add_parser("run", help="run one engine and print its stats")
-    add_common(p_run)
+    add_session(p_run)
+    add_algorithm(p_run)
     p_run.add_argument(
         "--engine", default="lazy-block", choices=list(engine_names())
     )
     p_run.add_argument(
         "--policy", choices=list(POLICY_NAMES),
-        help="named coherency policy (its controller + wire mode + "
+        help="named coherency policy (its rule + wire mode + "
              "max_delta_age in one knob; lazy engines)",
     )
     p_run.add_argument(
         "--policy-opt", action="append", metavar="K=V", default=[],
-        help="override one policy field or controller option, e.g. "
+        help="override one policy field or rule option, e.g. "
              "--policy-opt max_delta_age=4 --policy-opt ev_threshold=5 "
              "(repeatable)",
     )
@@ -168,10 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="resident query service: one request per stdin line, one "
              "JSON answer per line",
     )
-    p_srv.add_argument("--graph", default="road-ca-mini")
-    p_srv.add_argument("--machines", type=int, default=48)
-    p_srv.add_argument("--partitioner", default="coordinated")
-    p_srv.add_argument("--seed", type=int, default=0)
+    add_session(p_srv)
     add_serving(p_srv)
 
     p_qry = sub.add_parser(
@@ -179,7 +182,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="run one query through a resident session/service "
              "(--repeat shows warm-session + cache behavior)",
     )
-    add_common(p_qry)
+    add_session(p_qry)
+    add_algorithm(p_qry)
     add_serving(p_qry)
     p_qry.add_argument(
         "--repeat", type=int, default=1,
@@ -196,28 +200,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="apply mutation batches to a resident graph and re-converge "
              "incrementally; emits one JSONL event per apply/run",
     )
-    p_mut.add_argument("--graph", default="road-ca-mini")
-    p_mut.add_argument("--machines", type=int, default=48)
-    p_mut.add_argument("--partitioner", default="coordinated")
-    p_mut.add_argument("--seed", type=int, default=0)
+    add_session(p_mut)
     p_mut.add_argument(
         "--engine", default="lazy-block", choices=list(engine_names())
     )
-    p_mut.add_argument(
-        "--algorithm", "--algo", choices=list(program_names()),
+    add_algorithm(
+        p_mut, required=False,
         help="algorithm to re-converge after each batch (a cold "
              "baseline run records the fixpoint first)",
-    )
-    p_mut.add_argument("--k", type=int, help="k-core K")
-    p_mut.add_argument("--source", type=int, help="SSSP/BFS source vertex")
-    p_mut.add_argument(
-        "--tolerance", type=float, help="PageRank/PPR tolerance"
-    )
-    p_mut.add_argument(
-        "--seeds", help="comma-separated PPR seed vertices (e.g. 0,7,42)"
-    )
-    p_mut.add_argument(
-        "--sources", help="comma-separated msbfs source vertices"
     )
     p_mut.add_argument(
         "--batch", action="append", default=[], metavar="PATH",
@@ -241,7 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_cmp = sub.add_parser("compare", help="lazy vs PowerGraph Sync")
-    add_common(p_cmp)
+    add_session(p_cmp)
+    add_algorithm(p_cmp)
 
     sub.add_parser("datasets", help="list the Table 1 dataset registry")
 
@@ -249,7 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_info.add_argument("--graph", required=True)
 
     p_sweep = sub.add_parser("sweep", help="machine-count scaling series")
-    add_common(p_sweep)
+    add_session(p_sweep)
+    add_algorithm(p_sweep)
     p_sweep.add_argument(
         "--machine-counts",
         default="8,16,24,32,40,48",

@@ -13,12 +13,11 @@ coherency points (paper §3). This package provides:
   coherency exchange once the oldest pending delta is old enough;
 * :class:`CoherencyExchanger` — the delta exchange in both all-to-all
   and mirrors-to-master modes with the paper's §4.2.2 dynamic switch;
-* the coherency controllers (:mod:`repro.core.policy`): the paper's
-  adaptive rule (§4.2.1) deciding when lazy mode turns on and how long
-  a local stage may run is :class:`CoherencyController`; every other
-  named policy is a subclass fed the same per-superstep
-  :class:`CoherencySignals` snapshot, chosen by one
-  :class:`CoherencyPolicy` value;
+* the coherency rule (:mod:`repro.core.policy`): one
+  :class:`CoherencyPolicy` value applies the paper's adaptive rule
+  (§4.2.1) deciding when lazy mode turns on and how long a local stage
+  may run, fed a per-superstep :class:`CoherencySignals` snapshot;
+  every named policy is one setting of that rule's parameters;
 * :func:`build_lazy_graph` — one-call partition + edge-split pipeline.
 """
 
@@ -26,7 +25,6 @@ from repro.core.coherency import CoherencyExchanger, ExchangeReport
 from repro.core.lazy_block_async import LazyBlockAsyncEngine
 from repro.core.lazy_vertex_async import LazyVertexAsyncEngine
 from repro.core.policy import (
-    CoherencyController,
     CoherencyPolicy,
     CoherencySignals,
     controller_names,
@@ -37,7 +35,6 @@ from repro.core.transmission import build_lazy_graph
 __all__ = [
     "CoherencyExchanger",
     "ExchangeReport",
-    "CoherencyController",
     "CoherencyPolicy",
     "CoherencySignals",
     "controller_names",

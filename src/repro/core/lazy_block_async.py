@@ -7,7 +7,7 @@ Execution alternates two stages:
   data — replicas of a vertex drift apart, new local views become
   visible to local neighbours immediately, and one-edge messages
   accumulate into ``deltaMsg``. No communication, no synchronization.
-  The stage is bounded by the controller's ``doLC()`` budget
+  The stage is bounded by the policy's ``doLC()`` budget
   (``3·T`` of the stage's first micro-iteration by default) or ends at
   local quiescence.
 * **data coherency stage**: one delta exchange (all-to-all or
@@ -42,15 +42,19 @@ _MAX_LOCAL_ITERS = 100_000  # hard stop against pathological programs
 
 
 class LazyBlockAsyncEngine(BaseEngine):
-    """The lazy bulk engine (Algorithm 1).
+    """The lazy bulk engine (Algorithm 1), and the one constructor of
+    both lazy engines.
 
     Parameters
     ----------
     policy:
         The :class:`~repro.core.policy.CoherencyPolicy` (or its name)
         deciding the coherency points and the exchange's wire mode
-        (default: the paper rule, ``"dynamic"`` mode). The engine builds
-        its own controller from it.
+        (default: the paper rule, ``"dynamic"`` mode). Lazy-block asks
+        it ``turn_on_lazy`` at every coherency point and
+        ``local_budget`` at every local stage; lazy-vertex asks it
+        ``partial_exchange`` every superstep, against its
+        ``max_delta_age``.
     lens:
         Enable the coherency lens (:mod:`repro.obs.lens`): staleness/
         divergence probes and the decision audit log. Off by default —
@@ -58,6 +62,11 @@ class LazyBlockAsyncEngine(BaseEngine):
     """
 
     name = "lazy-block"
+    #: how the exchanger charges a delivery: one barrier per exchange
+    delivery = Delivery.BSP
+    #: whether the policy's signals need the ``ReplicaReader`` with the
+    #: lens off (lazy-block's rule reads only the paper's features)
+    reads_replicas = False
 
     def __init__(
         self,
@@ -76,18 +85,18 @@ class LazyBlockAsyncEngine(BaseEngine):
             plans=plans,
         )
         self.policy = resolve_policy(policy)
-        self.controller = self.policy.make_controller()
-        # the reader of pending replica state is the lens's alone: every
-        # controller decides on the paper's features here
+        # the one reader of pending replica state, shared by the lens
+        # and (lazy-vertex) the policy's age signal
         self.replicas = None
-        if lens:
+        if lens or self.reads_replicas:
             self.replicas = ReplicaReader(pgraph, self.runtimes, program.algebra)
+        if lens:
             self.lens = CoherencyLens(
                 self.replicas, self.tracer, self.sim.stats, self.comms
             )
         self.exchanger = CoherencyExchanger(
             pgraph, program, self.runtimes, self.policy.mode, self.sim.network,
-            tracer=self.tracer, plane=self.comms, delivery=Delivery.BSP,
+            tracer=self.tracer, plane=self.comms, delivery=self.delivery,
             lens=self.lens,
         )
 
@@ -127,12 +136,12 @@ class LazyBlockAsyncEngine(BaseEngine):
                 if budget is None:
                     # doLC(): measure the stage's first micro-iteration
                     # online
-                    budget = self.controller.local_budget(seconds)
+                    budget = self.policy.local_budget(seconds)
                     self.lens.decision(
                         "local_budget",
-                        rule=self.controller.rule_name,
+                        rule=self.policy.rule_name,
                         verdict="budget",
-                        controller=self.controller.name,
+                        controller=self.policy.controller,
                         first_iteration_s=seconds,
                         budget_s=budget,
                     )
@@ -153,7 +162,7 @@ class LazyBlockAsyncEngine(BaseEngine):
 
         tracer = self.tracer
         lens = self.lens
-        controller = self.controller
+        policy = self.policy
         for step in range(self.max_supersteps):
             with tracer.span("superstep", category="superstep", superstep=step) as ss:
                 lens.begin_superstep(step)
@@ -196,7 +205,7 @@ class LazyBlockAsyncEngine(BaseEngine):
                 else:
                     trend = 0.0
                 signals = CoherencySignals(step, ev_ratio, trend, active)
-                do_local = controller.turn_on_lazy(signals)
+                do_local = policy.turn_on_lazy(signals)
                 tracer.instant(
                     "interval-decision",
                     superstep=step, ev_ratio=ev_ratio, trend=trend,
@@ -204,9 +213,9 @@ class LazyBlockAsyncEngine(BaseEngine):
                 )
                 lens.decision(
                     "turn_on_lazy",
-                    rule=controller.rule_name,
+                    rule=policy.rule_name,
                     verdict="lazy-on" if do_local else "lazy-off",
-                    controller=controller.name,
+                    controller=policy.controller,
                     **signals.as_inputs(),
                 )
                 prev_active = active

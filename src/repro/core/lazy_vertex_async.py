@@ -21,73 +21,30 @@ for lazy coherency in an asynchronous setting.
 
 from __future__ import annotations
 
-from typing import Optional, Union
-
-from repro.api.vertex_program import DeltaProgram
-from repro.cluster.network import NetworkModel
 from repro.cluster.termination import TerminationDetector
 from repro.comms import Delivery
-from repro.core.coherency import CoherencyExchanger
-from repro.core.policy import CoherencyPolicy, CoherencySignals, resolve_policy
-from repro.obs.lens import CoherencyLens
-from repro.partition.partitioned_graph import PartitionedGraph
-from repro.runtime.base_engine import BaseEngine
+from repro.core.lazy_block_async import LazyBlockAsyncEngine
+from repro.core.policy import CoherencySignals
 from repro.runtime.machine_runtime import MachineRuntime
-from repro.runtime.result import ReplicaReader
 
 __all__ = ["LazyVertexAsyncEngine"]
 
 
-class LazyVertexAsyncEngine(BaseEngine):
+class LazyVertexAsyncEngine(LazyBlockAsyncEngine):
     """The lazy per-vertex asynchronous engine (Algorithm 2).
 
-    Parameters
-    ----------
-    policy:
-        The :class:`~repro.core.policy.CoherencyPolicy` (or its name).
-        Its ``max_delta_age`` is the age, in local rounds, of the oldest
-        pending delta that triggers an exchange (1 = exchange every
-        round, most coherent; larger values trade staleness for fewer
-        exchanges); its controller's ``partial_exchange`` decides each
-        superstep. The engine builds its own controller from it.
-    lens:
-        Enable the coherency lens (:mod:`repro.obs.lens`): staleness/
-        divergence probes and the decision audit log. Off by default.
+    It takes lazy-block's constructor (``policy=``, ``lens=``) and runs
+    its own loop: the policy's ``max_delta_age`` is the age, in local
+    rounds, of the oldest pending delta that triggers an exchange (1 =
+    exchange every round, most coherent; larger values trade staleness
+    for fewer exchanges), and its ``partial_exchange`` decides each
+    superstep.
     """
 
     name = "lazy-vertex"
-
-    def __init__(
-        self,
-        pgraph: PartitionedGraph,
-        program: DeltaProgram,
-        network: Optional[NetworkModel] = None,
-        policy: Union[str, CoherencyPolicy, None] = None,
-        max_supersteps: int = 100_000,
-        trace: bool = False,
-        tracer=None,
-        lens: bool = False,
-        plans=None,
-    ) -> None:
-        super().__init__(
-            pgraph, program, network, max_supersteps, trace, tracer,
-            plans=plans,
-        )
-        self.policy = resolve_policy(policy)
-        self.controller = self.policy.make_controller()
-        # the one reader of pending replica state, shared by the lens
-        # and the controller's staleness signal
-        self.replicas = ReplicaReader(pgraph, self.runtimes, program.algebra)
-        if lens:
-            self.lens = CoherencyLens(
-                self.replicas, self.tracer, self.sim.stats, self.comms
-            )
-        self.exchanger = CoherencyExchanger(
-            pgraph, program, self.runtimes, self.policy.mode, self.sim.network,
-            tracer=self.tracer, plane=self.comms,
-            delivery=Delivery.ASYNC_PIPELINED,
-            lens=self.lens,
-        )
+    delivery = Delivery.ASYNC_PIPELINED
+    #: the age signal reads the pending deltas, lens or not
+    reads_replicas = True
 
     # ------------------------------------------------------------------
     def _execute(self) -> bool:
@@ -99,8 +56,7 @@ class LazyVertexAsyncEngine(BaseEngine):
 
         tracer = self.tracer
         lens = self.lens
-        controller = self.controller
-        max_delta_age = self.policy.max_delta_age
+        policy = self.policy
         ev_ratio = self.pgraph.graph.ev_ratio
         for step in range(self.max_supersteps):
             with tracer.span("superstep", category="superstep", superstep=step) as ss:
@@ -129,12 +85,12 @@ class LazyVertexAsyncEngine(BaseEngine):
                         active=self._global_active_count(),
                         staleness_max=self.replicas.staleness_max(),
                     )
-                    execute = controller.partial_exchange(signals, max_delta_age)
+                    execute = policy.partial_exchange(signals)
                     lens.decision(
                         "partial_exchange",
                         rule="max-delta-age",
                         verdict="exchange" if execute else "defer",
-                        controller=controller.name,
+                        controller=policy.controller,
                         **signals.as_inputs(),
                     )
 
@@ -154,8 +110,8 @@ class LazyVertexAsyncEngine(BaseEngine):
                         lens.on_exchange(
                             report,
                             rule="idle-drain" if idle else "max-delta-age",
-                            controller=controller.name,
-                            max_delta_age=max_delta_age,
+                            controller=policy.controller,
+                            max_delta_age=policy.max_delta_age,
                         )
                         self.backend.dispatch(MachineRuntime.reset_delta_age)
                     # transfers pipeline behind local processing (§3.4)

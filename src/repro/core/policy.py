@@ -1,9 +1,10 @@
-"""The coherency decision: one controller per named policy (paper §4.2.1).
+"""The coherency decision: one rule, three named settings (paper §4.2.1).
 
 How long may replica coherency be delayed? The paper trains a
-decision-tree classifier over two features and reports the learned rule;
-:class:`CoherencyController` implements that rule directly (the
-trainable machinery is :func:`fit_interval_rule`, for the ablation):
+decision-tree classifier over two features and reports the learned rule
+with three numbers (:data:`PAPER_INTERVAL_RULE`);
+:class:`CoherencyPolicy` applies that rule directly (the trainable
+machinery is :func:`fit_interval_rule`, for the ablation):
 
 * **turnOnLazy()** — lazy mode turns on iff
   ``E/V <= 10  or  trend >= 0.07``, where
@@ -16,7 +17,7 @@ trainable machinery is :func:`fit_interval_rule`, for the ablation):
   micro-iteration (measured online).
 
 The paper leaves LazyVertexAsync's ``needDataCoherency`` schedule
-(Algorithm 2) open; every controller answers it with one bounded-delay
+(Algorithm 2) open; every policy answers it with one bounded-delay
 rule (as in "Delayed Asynchronous Iterative Graph Algorithms"):
 
 * **partial_exchange()** — defer while the *oldest* pending delta is
@@ -25,18 +26,18 @@ rule (as in "Delayed Asynchronous Iterative Graph Algorithms"):
   ``max_delta_age`` rounds, and deltas coming due on consecutive
   supersteps share one exchange.
 
-Controllers are fed a per-superstep :class:`CoherencySignals` snapshot
+The policy is fed a per-superstep :class:`CoherencySignals` snapshot
 of what the engine measured: the paper's two features and the active
 count on LazyBlockAsync; E/V, the active count and the oldest pending
 delta's age on LazyVertexAsync, the age read through the engine's
-:class:`~repro.runtime.result.ReplicaReader` (so controllers work with
+:class:`~repro.runtime.result.ReplicaReader` (so the rule works with
 ``lens=False``).
 
-A policy name *is* a controller name; ``_CONTROLLERS`` is the whole
-vocabulary:
+A policy name is one row of ``_RULES``, the whole vocabulary, each row a
+setting of the same rule:
 
-* ``"paper"`` (the default) — :class:`CoherencyController`, the rules
-  above;
+* ``"paper"`` (the default) — the rule above, its three numbers
+  tunable as options;
 * ``"simple"`` / ``"never"`` — Fig 8(a)'s strawmen: lazy always on with
   every local stage run to quiescence / lazy never on (isolates the
   3-syncs→1-sync saving from laziness). On LazyVertexAsync they keep
@@ -44,28 +45,23 @@ vocabulary:
 
 :class:`CoherencyPolicy` is the one value every entry point passes —
 ``repro.run(policy=...)``, the CLI's ``--policy`` / ``--policy-opt``,
-the service's ``policy=`` and the lazy engines' ``policy=``: a
-controller name, the exchange's wire mode, ``max_delta_age`` and the
-controller's numeric options.
+the service's ``policy=`` and the lazy engines' ``policy=``: a policy
+name, the exchange's wire mode, ``max_delta_age`` and the rule's
+numeric options.
 """
 
 from __future__ import annotations
 
-import inspect
 import math
 from dataclasses import dataclass, replace
-from typing import (
-    Any, Dict, Mapping, Optional, Sequence, Tuple, Type, Union,
-)
+from typing import Any, Dict, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.errors import ConfigError
 
 __all__ = [
     "CoherencySignals",
-    "CoherencyController",
-    "SimpleController",
-    "NeverLazyController",
     "CoherencyPolicy",
+    "PAPER_INTERVAL_RULE",
     "controller_names",
     "named_policy",
     "resolve_policy",
@@ -78,7 +74,7 @@ __all__ = [
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class CoherencySignals:
-    """One superstep's controller inputs.
+    """One superstep's decision inputs.
 
     ``ev_ratio`` is always measured. The rest are None where the engine
     did not measure them: LazyBlockAsync measures ``trend`` and
@@ -107,102 +103,36 @@ class CoherencySignals:
 
 
 # ----------------------------------------------------------------------
-# Controllers
+# The rule table
 # ----------------------------------------------------------------------
-class CoherencyController:
-    """The paper's coherency rule — the ``"paper"`` policy.
+#: The paper's learned rule (§4.2.1): the ``"paper"`` policy's tunable
+#: options and their defaults.
+PAPER_INTERVAL_RULE: Dict[str, float] = {
+    "ev_threshold": 10.0,
+    "trend_threshold": 0.07,
+    "budget_multiplier": 3.0,
+}
 
-    LazyBlockAsync asks :meth:`turn_on_lazy` (``E/V <= ev_threshold or
-    trend >= trend_threshold``) and :meth:`local_budget`
-    (``budget_multiplier`` × the stage's first micro-iteration);
-    LazyVertexAsync asks :meth:`partial_exchange` (exchange once the
-    oldest pending delta is ``max_delta_age`` rounds old). Other policies are
-    subclasses overriding what they change. One instance lives for one
-    engine run; an engine builds its own through
-    :meth:`CoherencyPolicy.make_controller`.
-    """
-
-    name = "paper"
-    #: label used in the decision audit log's ``rule`` field
-    rule_name = "adaptive"
-
-    def __init__(
-        self,
-        ev_threshold: float = 10.0,
-        trend_threshold: float = 0.07,
-        budget_multiplier: float = 3.0,
-    ) -> None:
-        self.ev_threshold = ev_threshold
-        self.trend_threshold = trend_threshold
-        self.budget_multiplier = budget_multiplier
-
-    # ---- LazyBlockAsync hooks ----------------------------------------
-    def turn_on_lazy(self, signals: CoherencySignals) -> bool:
-        """Should the next superstep run a local computation stage?"""
-        assert signals.trend is not None, "LazyBlockAsync measures the trend"
-        return (
-            signals.ev_ratio <= self.ev_threshold
-            or signals.trend >= self.trend_threshold
-        )
-
-    def local_budget(self, first_iteration_time: float) -> float:
-        """Max modeled seconds a local stage may run (∞ = quiescence)."""
-        return self.budget_multiplier * first_iteration_time
-
-    # ---- LazyVertexAsync hook ----------------------------------------
-    def partial_exchange(
-        self, signals: CoherencySignals, max_delta_age: int
-    ) -> bool:
-        """Exchange this superstep (``True``), or defer and let the
-        pending deltas keep coalescing: exchange once the oldest pending
-        delta is ``max_delta_age`` local rounds old."""
-        assert signals.staleness_max is not None, (
-            "LazyVertexAsync measures the age"
-        )
-        return signals.staleness_max >= max_delta_age
-
-
-class SimpleController(CoherencyController):
-    """Fig 8(a)'s strawman: always lazy, local stages run to quiescence."""
-
-    name = rule_name = "simple"
-
-    def __init__(self) -> None:  # reads neither feature: no options
-        pass
-
-    def turn_on_lazy(self, signals: CoherencySignals) -> bool:
-        return True
-
-    def local_budget(self, first_iteration_time: float) -> float:
-        return math.inf
-
-
-class NeverLazyController(CoherencyController):
-    """Coherency at every superstep (no local stages at all)."""
-
-    name = rule_name = "never"
-
-    def __init__(self) -> None:  # reads neither feature: no options
-        pass
-
-    def turn_on_lazy(self, signals: CoherencySignals) -> bool:
-        return False
-
-    def local_budget(self, first_iteration_time: float) -> float:
-        return 0.0
-
-
-_CONTROLLERS: Dict[str, Type[CoherencyController]] = {
-    cls.name: cls
-    for cls in (
-        CoherencyController, SimpleController, NeverLazyController,
-    )
+#: One row per policy name: the rule label the decision log records,
+#: the rule's parameter values, and the option names callers may tune.
+#: The strawmen are settings of the paper rule: ``E/V <= inf`` is always
+#: true, ``E/V <= -inf or trend >= inf`` never; an infinite budget
+#: multiplier runs every stage to quiescence, a zero one stops it after
+#: its first micro-iteration (``never`` runs no stage at all).
+_RULES: Dict[str, Tuple[str, Mapping[str, float], Tuple[str, ...]]] = {
+    "paper": ("adaptive", PAPER_INTERVAL_RULE, tuple(PAPER_INTERVAL_RULE)),
+    "simple": ("simple", {"ev_threshold": math.inf,
+                          "trend_threshold": -math.inf,
+                          "budget_multiplier": math.inf}, ()),
+    "never": ("never", {"ev_threshold": -math.inf,
+                        "trend_threshold": math.inf,
+                        "budget_multiplier": 0.0}, ()),
 }
 
 
 def controller_names() -> Tuple[str, ...]:
-    """Every policy name (= controller name), sorted."""
-    return tuple(sorted(_CONTROLLERS))
+    """Every policy name, sorted."""
+    return tuple(sorted(_RULES))
 
 
 # ----------------------------------------------------------------------
@@ -210,16 +140,22 @@ def controller_names() -> Tuple[str, ...]:
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class CoherencyPolicy:
-    """Every coherency knob in one typed, hashable value.
+    """Every coherency knob in one typed, hashable value, and the rule
+    it names.
 
     ``controller`` names the decision rule (one of
     :func:`controller_names`), ``mode`` the exchange's wire mode
     (``"dynamic"``, ``"a2a"`` or ``"m2m"``), ``max_delta_age`` the age
     of the oldest pending delta that triggers a LazyVertexAsync
-    exchange, and ``options`` the controller's numeric
-    constructor arguments — their names and types are checked here, so a
-    bad option fails when the policy is built rather than when a run
-    starts.
+    exchange, and ``options`` the rule's tunable numeric parameters —
+    their names and types are checked here, so a bad option fails when
+    the policy is built rather than when a run starts.
+
+    The rule's parameters are resolved once, here, into the plain
+    attributes ``rule_name`` (the decision log's ``rule`` label),
+    ``ev_threshold``, ``trend_threshold`` and ``budget_multiplier``;
+    they are not fields, so ``repr``, ``==`` and ``hash`` read the four
+    fields alone.
     """
 
     controller: str = "paper"
@@ -228,13 +164,13 @@ class CoherencyPolicy:
     options: Tuple[Tuple[str, float], ...] = ()
 
     def __post_init__(self) -> None:
-        cls = _CONTROLLERS.get(self.controller)
-        if cls is None:
+        row = _RULES.get(self.controller)
+        if row is None:
             raise ConfigError(
                 f"unknown coherency policy {self.controller!r}; known "
                 f"controllers: {', '.join(controller_names())}"
             )
-        valid = list(inspect.signature(cls).parameters)
+        rule_name, params, valid = row
         unknown = sorted(set(dict(self.options)) - set(valid))
         if unknown:
             raise ConfigError(
@@ -256,17 +192,43 @@ class CoherencyPolicy:
             raise ConfigError(
                 f"max_delta_age must be >= 1, got {self.max_delta_age}"
             )
+        object.__setattr__(self, "rule_name", rule_name)
+        for key, value in {**params, **dict(self.options)}.items():
+            object.__setattr__(self, key, value)
 
-    def make_controller(self) -> CoherencyController:
-        """A fresh (per-run) controller configured by this policy."""
-        return _CONTROLLERS[self.controller](**dict(self.options))
+    # ---- LazyBlockAsync: turnOnLazy() and doLC() -----------------------
+    def turn_on_lazy(self, signals: CoherencySignals) -> bool:
+        """Should the next superstep run a local computation stage?"""
+        assert signals.trend is not None, "LazyBlockAsync measures the trend"
+        return (
+            signals.ev_ratio <= self.ev_threshold
+            or signals.trend >= self.trend_threshold
+        )
+
+    def local_budget(self, first_iteration_s: float) -> float:
+        """Max modeled seconds a local stage may run: ``budget_multiplier``
+        × the stage's first micro-iteration (∞ = quiescence, whatever
+        the first micro-iteration took)."""
+        if self.budget_multiplier == math.inf:
+            return math.inf
+        return self.budget_multiplier * first_iteration_s
+
+    # ---- LazyVertexAsync: needDataCoherency() --------------------------
+    def partial_exchange(self, signals: CoherencySignals) -> bool:
+        """Exchange this superstep (``True``), or defer and let the
+        pending deltas keep coalescing: exchange once the oldest pending
+        delta is ``max_delta_age`` local rounds old."""
+        assert signals.staleness_max is not None, (
+            "LazyVertexAsync measures the age"
+        )
+        return signals.staleness_max >= self.max_delta_age
 
     def apply_opts(self, opts: Mapping[str, Any]) -> "CoherencyPolicy":
         """Overlay ``--policy-opt``-style key=value overrides.
 
         The policy's own fields (``controller``, ``mode``,
         ``max_delta_age``) are recognized by name; anything else becomes
-        a numeric controller option.
+        a numeric rule option.
         """
         changed: Dict[str, Any] = {}
         options: Dict[str, Any] = dict(self.options)

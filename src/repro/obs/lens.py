@@ -13,8 +13,8 @@ stays bit-identical:
   sample of replicated vertices. The pending mass, the sample and the
   full cross-replica gap are read through the engine's one
   :class:`~repro.runtime.result.ReplicaReader` — the same object
-  LazyVertexAsync reads its controller's staleness signal through, so
-  the lens and a controller cannot disagree about what is pending;
+  LazyVertexAsync reads its policy's staleness signal through, so
+  the lens and the policy cannot disagree about what is pending;
 * **coherency-decision audit log** — a structured
   :class:`CoherencyDecision` for every interval-rule evaluation
   (``turn_on_lazy`` / ``local_budget``) and one per executed coherency
@@ -79,7 +79,7 @@ class CoherencyDecision:
         exchange — the audit invariant is that the count of these
         equals ``RunStats.coherency_points``).
     rule:
-        Name of the rule that decided (the controller's ``rule_name``,
+        Name of the rule that decided (the policy's ``rule_name``,
         ``"max-delta-age"``, ``"idle-drain"``).
     verdict:
         Human-readable outcome (``"lazy-on"``, ``"exchange"``, …).

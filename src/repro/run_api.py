@@ -111,7 +111,7 @@ def run(
         The coherency policy: a name (:func:`repro.controller_names` —
         ``"paper"``, ``"simple"``, ``"never"``) or a
         :class:`~repro.core.policy.CoherencyPolicy` instance. Collapses
-        the controller choice and its options, wire mode and
+        the rule choice and its options, wire mode and
         ``max_delta_age`` into one value; lazy engines only.
         Default: the ``"paper"`` policy (bit-identical to the paper's
         rule). The pre-PR-10 ``interval=``/``coherency_mode=`` keywords

@@ -204,6 +204,10 @@ class MachineRuntime:
         local edges never have their quotient read, so their divisor is
         stored as 1 — a bootstrap that fires a dangling vertex divides
         by a real number instead of raising on 0.
+
+        A program that declares no transform must override
+        :meth:`~repro.api.vertex_program.DeltaProgram.edge_message`;
+        one that does not fails here, not at its first scatter.
         """
         tf = checked_edge_transform(program, mg)
         self._tf_op: Optional[str] = None
@@ -211,6 +215,11 @@ class MachineRuntime:
         self._tf_operand = None
         self._src_divisor: Optional[np.ndarray] = None
         if tf is None:
+            if type(program).edge_message is DeltaProgram.edge_message:
+                raise AlgorithmError(
+                    f"{program.name}: edge_transform declares no op, so "
+                    f"the program must override edge_message"
+                )
             return
         op, operand = tf
         self._tf_op = op

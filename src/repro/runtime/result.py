@@ -5,7 +5,7 @@ run's result. :class:`ReplicaReader` is the one read-only view of what
 is *pending* between replicas mid-run — per-machine ``deltaMsg`` mass,
 staleness, sampled drift — read by the coherency lens
 (:mod:`repro.obs.lens`); LazyVertexAsync also reads its staleness for
-its controller (:mod:`repro.core.policy`).
+its coherency policy's age rule (:mod:`repro.core.policy`).
 """
 
 from __future__ import annotations
@@ -74,8 +74,8 @@ def replica_disagreement(
 class ReplicaReader:
     """Read-only view of a lazy engine's pending replica state.
 
-    Built once per engine: always on LazyVertexAsync (its controller
-    reads the staleness), and on LazyBlockAsync only under a lens.
+    Built once per engine: always on LazyVertexAsync (its policy's age
+    rule reads the staleness), and on LazyBlockAsync only under a lens.
     Readings stay per **machine**: each runtime (a block of
     machines) is read through the slices ``mg.machine_offsets`` marks,
     in machine order, so every float the lens records is grouped exactly

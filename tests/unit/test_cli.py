@@ -59,6 +59,43 @@ class TestParser:
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
+class TestSharedFlagGroups:
+    """``serve`` and ``mutate`` take the session flags (and ``mutate``
+    the algorithm parameters) from the helpers every command uses; the
+    namespaces are the ones the commands parsed when each declared its
+    own copies."""
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["serve", "--graph", "g", "--machines", "4", "--partitioner",
+          "random", "--seed", "3", "--policy", "simple"],
+         {"batch_mode": "fused", "cache_size": 128, "command": "serve",
+          "engine": "lazy-block", "graph": "g", "machines": 4,
+          "max_batch": 8, "max_wait": 0.002, "partitioner": "random",
+          "policy": "simple", "seed": 3, "telemetry_interval": 1.0,
+          "telemetry_out": None, "telemetry_window": 60.0, "top": 0,
+          "trace_out": None}),
+        (["mutate"],
+         {"algorithm": None, "batch": [], "batch_json": [],
+          "command": "mutate", "compare_cold": False,
+          "engine": "lazy-block", "graph": "road-ca-mini", "k": None,
+          "machines": 48, "out": None, "partitioner": "coordinated",
+          "seed": 0, "seeds": None, "source": None, "sources": None,
+          "tolerance": None}),
+        (["mutate", "--graph", "g", "--machines", "4", "--partitioner",
+          "random", "--seed", "3", "--algo", "ppr", "--k", "2",
+          "--source", "5", "--tolerance", "0.01", "--seeds", "1,2",
+          "--sources", "3,4", "--batch", "b.json"],
+         {"algorithm": "ppr", "batch": ["b.json"], "batch_json": [],
+          "command": "mutate", "compare_cold": False,
+          "engine": "lazy-block", "graph": "g", "k": 2, "machines": 4,
+          "out": None, "partitioner": "random", "seed": 3,
+          "seeds": "1,2", "source": 5, "sources": "3,4",
+          "tolerance": 0.01}),
+    ], ids=["serve", "mutate-defaults", "mutate-all"])
+    def test_namespaces_unchanged(self, argv, expected):
+        assert vars(build_parser().parse_args(argv)) == expected
+
+
 class TestCommands:
     def test_datasets(self, capsys):
         assert main(["datasets"]) == 0

@@ -6,7 +6,9 @@ what the engines, the partitioner, the session or ``configured`` already
 do. The repartition valve went too: on a drifting-community stream the
 carried cut already ends below the λ of a cold cut of the session's
 graph, and a cold cut recovers more, for less host time, than the valve
-did (``tests/integration/test_lambda_drift.py``). No module, export,
+did (``tests/integration/test_lambda_drift.py``). So did the
+controller classes and their table: each named policy is one setting of
+the paper rule that ``CoherencyPolicy`` applies itself. No module, export,
 attribute, dataclass field, session parameter, CLI flag or page of
 ``docs/`` brings one back.
 """
@@ -44,6 +46,11 @@ DELETED = [
     "replica_csr",
     "repartition_threshold",
     "set_config",
+    "CoherencyController",
+    "SimpleController",
+    "NeverLazyController",
+    "make_controller",
+    "_CONTROLLERS",
 ]
 
 
@@ -55,6 +62,8 @@ def test_deleted_names_stay_deleted(name):
     import repro.kernels.config
     import repro.partition
     import repro.partition.dynamic
+    import repro.core
+    import repro.core.policy
     import repro.session
     import repro.utils
     from repro.graph.mutation import EdgeDiff
@@ -62,17 +71,20 @@ def test_deleted_names_stay_deleted(name):
     from repro.partition.metrics import PartitionMetrics
     from repro.partition.partitioned_graph import MachineGraph, PartitionedGraph
     from repro.runtime.result import ReplicaReader
+    from repro.core.policy import CoherencyPolicy
     from repro.session import GraphSession
 
     if name.startswith("repro."):
         assert importlib.util.find_spec(name) is None
     for module in (repro, repro.utils, repro.graph, repro.kernels,
                    repro.kernels.config, repro.partition,
-                   repro.partition.dynamic, repro.session):
+                   repro.partition.dynamic, repro.session, repro.core,
+                   repro.core.policy):
         assert name not in vars(module), module.__name__
         assert name not in getattr(module, "__all__", ()), module.__name__
     for cls in (PartitionedGraph, MachineGraph, ReplicaReader,
-                PartitionMetrics, EdgeDiff, PatchStats, GraphSession):
+                PartitionMetrics, EdgeDiff, PatchStats, GraphSession,
+                CoherencyPolicy):
         assert name not in dir(cls), cls.__name__
         if dataclasses.is_dataclass(cls):
             fields = {f.name for f in dataclasses.fields(cls)}

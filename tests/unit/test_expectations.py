@@ -7,7 +7,7 @@ from repro.bench.expectations import (
     PAPER_MEAN_SPEEDUPS,
     PAPER_SPEEDUP_RANGE,
 )
-from repro.core import CoherencyController
+from repro.core import CoherencyPolicy
 
 
 class TestExpectations:
@@ -20,7 +20,7 @@ class TestExpectations:
         assert all(lo <= v <= hi for v in PAPER_MEAN_SPEEDUPS.values())
 
     def test_interval_rule_matches_default_model(self):
-        m = CoherencyController()
+        m = CoherencyPolicy()
         assert m.ev_threshold == PAPER_INTERVAL_RULE["ev_threshold"]
         assert m.trend_threshold == PAPER_INTERVAL_RULE["trend_threshold"]
         assert m.budget_multiplier == PAPER_INTERVAL_RULE["budget_multiplier"]

@@ -163,7 +163,7 @@ class TestLensOnEngines:
 
 
 class TestStalenessClock:
-    """The lens and LazyVertexAsync's controller read
+    """The lens and LazyVertexAsync's policy read
     ``MachineRuntime.delta_age``, the clock that triggers its exchanges
     (lens-on PageRank on road-ca-mini, 4 machines)."""
 

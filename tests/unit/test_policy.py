@@ -1,6 +1,5 @@
-"""Unit tests for the coherency controllers and the policy value
-(repro.core.policy), the paper's adaptive interval rule (§4.2.1)
-included."""
+"""Unit tests for the coherency policy (repro.core.policy): the
+paper's adaptive interval rule (§4.2.1) and its named settings."""
 
 import inspect
 import math
@@ -10,11 +9,8 @@ import numpy as np
 import pytest
 
 from repro.core.policy import (
-    CoherencyController,
     CoherencyPolicy,
     CoherencySignals,
-    NeverLazyController,
-    SimpleController,
     controller_names,
     fit_interval_rule,
     named_policy,
@@ -29,8 +25,8 @@ def _signals(**overrides):
     return CoherencySignals(**base)
 
 
-def _lazy(controller, ev_ratio, trend):
-    return controller.turn_on_lazy(_signals(ev_ratio=ev_ratio, trend=trend))
+def _lazy(policy, ev_ratio, trend):
+    return policy.turn_on_lazy(_signals(ev_ratio=ev_ratio, trend=trend))
 
 
 class TestCoherencySignals:
@@ -51,58 +47,86 @@ class TestCoherencySignals:
         assert s.staleness_max is None
         assert set(s.as_inputs()) == {"ev_ratio", "trend", "active"}
         # the pending mass / count and the drift sample are the lens
-        # probe's readings, not controller inputs
+        # probe's readings, not decision inputs
         assert not {"pending_mass", "pending_replicas", "drift_sample"} & set(
             vars(s)
         )
 
 
-class TestAdaptiveRule:
-    def test_paper_disjunction(self):
-        m = CoherencyController()
-        # E/V <= 10 -> lazy regardless of trend (road graphs)
-        assert _lazy(m, 2.4, -0.5)
-        # high E/V, ascending frontier -> eager
-        assert not _lazy(m, 23.8, -0.1)
-        # high E/V, descending >= 7% -> lazy
-        assert _lazy(m, 23.8, 0.08)
-
-    def test_boundaries_inclusive(self):
-        m = CoherencyController()
-        assert _lazy(m, 10.0, 0.0)
-        assert _lazy(m, 11.0, 0.07)
-        assert not _lazy(m, 10.01, 0.069)
-
-    def test_budget_is_3t(self):
-        m = CoherencyController()
-        assert m.local_budget(0.5) == pytest.approx(1.5)
-
-    def test_custom_thresholds(self):
-        m = CoherencyController(ev_threshold=5.0, budget_multiplier=2.0)
-        assert not _lazy(m, 6.0, 0.0)
-        assert m.local_budget(1.0) == 2.0
+EV_GRID = (1.0, 10.0, 10.01, 23.8)
+TREND_GRID = (-0.5, 0.0, 0.069, 0.07, 0.08, 1.0)
+T, F = True, False
 
 
-class TestOtherStrategies:
-    def test_simple_always_on_unbounded(self):
-        m = SimpleController()
-        assert _lazy(m, 100.0, -1.0)
-        assert math.isinf(m.local_budget(1.0))
+class TestTruthTable:
+    """What each named policy answers, written out as literals: the
+    values the per-policy controller classes returned before the rule
+    became the policy's own."""
 
-    def test_never(self):
-        m = NeverLazyController()
-        assert not _lazy(m, 1.0, 1.0)
-        assert m.local_budget(1.0) == 0.0
+    # turn_on_lazy: one row per E/V in EV_GRID, one column per trend in
+    # TREND_GRID (the 10.0 / 0.07 boundaries are inclusive)
+    TURN_ON_LAZY = {
+        "paper": [
+            [T, T, T, T, T, T],
+            [T, T, T, T, T, T],
+            [F, F, F, T, T, T],
+            [F, F, F, T, T, T],
+        ],
+        "simple": [[T] * 6] * 4,
+        "never": [[F] * 6] * 4,
+    }
+    # local_budget at t = 0, 1e-9, 1.0
+    LOCAL_BUDGET = {
+        "paper": [0.0, 3.0000000000000004e-09, 3.0],
+        "simple": [math.inf, math.inf, math.inf],
+        "never": [0.0, 0.0, 0.0],
+    }
+    # partial_exchange at ages 0..5 under max_delta_age=4
+    PARTIAL_EXCHANGE = [F, F, F, F, T, T]
 
-    def test_factory(self):
-        rules = {
-            name: CoherencyPolicy(name).make_controller().rule_name
-            for name in ("paper", "simple", "never")
-        }
-        assert rules == {"paper": "adaptive", "simple": "simple",
-                         "never": "never"}
-        with pytest.raises(ConfigError):
-            CoherencyPolicy("bogus")
+    @pytest.mark.parametrize("name", ["paper", "simple", "never"])
+    def test_turn_on_lazy(self, name):
+        policy = CoherencyPolicy(name)
+        got = [[_lazy(policy, ev, trend) for trend in TREND_GRID]
+               for ev in EV_GRID]
+        assert got == self.TURN_ON_LAZY[name]
+
+    @pytest.mark.parametrize("name", ["paper", "simple", "never"])
+    def test_local_budget(self, name):
+        policy = CoherencyPolicy(name)
+        got = [policy.local_budget(t) for t in (0.0, 1e-9, 1.0)]
+        assert got == self.LOCAL_BUDGET[name]  # NaN would compare unequal
+        assert not any(math.isnan(b) for b in got)
+
+    @pytest.mark.parametrize("name", ["paper", "simple", "never"])
+    def test_partial_exchange(self, name):
+        policy = CoherencyPolicy(name, max_delta_age=4)
+        got = [policy.partial_exchange(_signals(staleness_max=age))
+               for age in range(6)]
+        assert got == self.PARTIAL_EXCHANGE
+
+    def test_paper_defaults_are_the_paper_rule(self):
+        pol = CoherencyPolicy()
+        assert (pol.ev_threshold, pol.trend_threshold,
+                pol.budget_multiplier) == (10.0, 0.07, 3.0)
+
+    def test_resolved_parameters_are_not_fields(self):
+        # repr / == / hash read the four fields: the service keys its
+        # result cache on repr(policy)
+        import dataclasses
+
+        pol = CoherencyPolicy("paper", options=(("ev_threshold", 5.0),))
+        assert [f.name for f in dataclasses.fields(pol)] == [
+            "controller", "mode", "max_delta_age", "options",
+        ]
+        assert repr(pol) == (
+            "CoherencyPolicy(controller='paper', mode='dynamic', "
+            "max_delta_age=3, options=(('ev_threshold', 5.0),))"
+        )
+        assert pol == CoherencyPolicy(
+            "paper", options=(("ev_threshold", 5.0),)
+        )
+        assert pol != CoherencyPolicy()
 
 
 class TestFitting:
@@ -112,7 +136,7 @@ class TestFitting:
         for ev in (2.0, 5.0, 8.0, 12.0, 20.0):
             for trend in (-0.2, 0.0, 0.1, 0.3):
                 samples.append((ev, trend, ev <= 8 or trend >= 0.1))
-        rule = fit_interval_rule(samples).make_controller()
+        rule = fit_interval_rule(samples)
         for ev, trend, label in samples:
             assert _lazy(rule, ev, trend) == label
 
@@ -131,41 +155,14 @@ class TestFitting:
         }
 
 
-class TestPaperRuleController:
-    def test_base_controller_is_the_paper_rule(self):
-        c = CoherencyController()
-        assert (c.name, c.rule_name) == ("paper", "adaptive")
-        # the paper rule: E/V <= 10 turns lazy mode on
-        assert c.turn_on_lazy(_signals(ev_ratio=2.0)) is True
-        assert c.turn_on_lazy(_signals(ev_ratio=50.0, trend=0.0)) is False
-
-    def test_accumulates_until_the_oldest_delta_is_due(self):
-        c = CoherencyController()
-        assert c.partial_exchange(_signals(staleness_max=2), 3) is False
-        assert c.partial_exchange(_signals(staleness_max=3), 3) is True
-
-    def test_default_partial_exchange_is_the_age_trigger(self):
-        # the strawmen change lazy-block's rule only: on LazyVertexAsync
-        # every controller exchanges once the oldest delta is due
-        for cls in (CoherencyController, SimpleController, NeverLazyController):
-            c = cls()
-            for age in range(6):
-                assert c.partial_exchange(_signals(staleness_max=age), 4) \
-                    is (age >= 4)
-
-    def test_strawmen_name_their_rule(self):
-        for cls in (SimpleController, NeverLazyController):
-            c = cls()
-            assert c.name == c.rule_name == CoherencyPolicy(c.name).controller
-        assert NeverLazyController().turn_on_lazy(_signals(ev_ratio=1.0)) is False
-
-
 class TestMakeController:
+    """Policies built by name (a name used to build a controller class;
+    the policy now applies its row of the rule table itself)."""
+
     def test_round_trip_by_name(self):
         assert controller_names() == ("never", "paper", "simple")
         for name in controller_names():
-            c = CoherencyPolicy(name).make_controller()
-            assert c.name == name
+            assert CoherencyPolicy(name).controller == name
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ConfigError, match="unknown coherency policy"):
@@ -177,7 +174,91 @@ class TestMakeController:
 
     def test_options_forwarded(self):
         pol = CoherencyPolicy("paper", options=(("ev_threshold", 5.0),))
-        assert pol.make_controller().ev_threshold == 5.0
+        assert pol.ev_threshold == 5.0
+
+
+class TestAdaptiveRule:
+    def test_paper_disjunction(self):
+        m = CoherencyPolicy()
+        # E/V <= 10 -> lazy regardless of trend (road graphs)
+        assert _lazy(m, 2.4, -0.5)
+        # high E/V, ascending frontier -> eager
+        assert not _lazy(m, 23.8, -0.1)
+        # high E/V, descending >= 7% -> lazy
+        assert _lazy(m, 23.8, 0.08)
+
+    def test_boundaries_inclusive(self):
+        m = CoherencyPolicy()
+        assert _lazy(m, 10.0, 0.0)
+        assert _lazy(m, 11.0, 0.07)
+        assert not _lazy(m, 10.01, 0.069)
+
+    def test_budget_is_3t(self):
+        assert CoherencyPolicy().local_budget(0.5) == pytest.approx(1.5)
+
+    def test_custom_thresholds(self):
+        m = CoherencyPolicy(options=(
+            ("budget_multiplier", 2.0), ("ev_threshold", 5.0),
+        ))
+        assert not _lazy(m, 6.0, 0.0)
+        assert _lazy(m, 5.0, 0.0)
+        assert m.local_budget(1.0) == 2.0
+        assert m.trend_threshold == 0.07  # untuned: the paper's
+
+
+class TestOtherStrategies:
+    def test_simple_always_on_unbounded(self):
+        m = CoherencyPolicy("simple")
+        assert _lazy(m, 100.0, -1.0)
+        assert math.isinf(m.local_budget(1.0))
+
+    def test_never(self):
+        m = CoherencyPolicy("never")
+        assert not _lazy(m, 1.0, 1.0)
+        assert m.local_budget(1.0) == 0.0
+
+    def test_factory(self):
+        rules = {
+            name: CoherencyPolicy(name).rule_name
+            for name in ("paper", "simple", "never")
+        }
+        assert rules == {"paper": "adaptive", "simple": "simple",
+                         "never": "never"}
+        with pytest.raises(ConfigError):
+            CoherencyPolicy("bogus")
+
+
+class TestPaperRuleController:
+    """The paper row of the rule table, and the age trigger every row
+    shares."""
+
+    def test_base_controller_is_the_paper_rule(self):
+        c = CoherencyPolicy()
+        assert (c.controller, c.rule_name) == ("paper", "adaptive")
+        # the paper rule: E/V <= 10 turns lazy mode on
+        assert c.turn_on_lazy(_signals(ev_ratio=2.0)) is True
+        assert c.turn_on_lazy(_signals(ev_ratio=50.0, trend=0.0)) is False
+
+    def test_accumulates_until_the_oldest_delta_is_due(self):
+        c = CoherencyPolicy(max_delta_age=3)
+        assert c.partial_exchange(_signals(staleness_max=2)) is False
+        assert c.partial_exchange(_signals(staleness_max=3)) is True
+
+    def test_default_partial_exchange_is_the_age_trigger(self):
+        # the strawmen change lazy-block's rule only: on LazyVertexAsync
+        # every policy exchanges once the oldest delta is due
+        for name in controller_names():
+            c = CoherencyPolicy(name, max_delta_age=4)
+            for age in range(6):
+                assert c.partial_exchange(_signals(staleness_max=age)) \
+                    is (age >= 4)
+
+    def test_strawmen_name_their_rule(self):
+        for name in ("simple", "never"):
+            assert CoherencyPolicy(name).rule_name == name
+        assert CoherencyPolicy("never").turn_on_lazy(
+            _signals(ev_ratio=1.0)
+        ) is False
 
 
 class TestCoherencyPolicy:
@@ -198,17 +279,12 @@ class TestCoherencyPolicy:
         assert hash(CoherencyPolicy()) == hash(CoherencyPolicy())
         assert CoherencyPolicy() != CoherencyPolicy(controller="simple")
 
-    def test_make_controller_is_fresh_per_call(self):
-        pol = CoherencyPolicy(controller="simple")
-        a, b = pol.make_controller(), pol.make_controller()
-        assert a is not b  # one controller per engine run
-        assert isinstance(a, SimpleController)
-
     def test_options_reach_the_controller(self):
         pol = CoherencyPolicy(
             controller="paper", options=(("budget_multiplier", 2.0),)
         )
-        assert pol.make_controller().budget_multiplier == 2.0
+        assert pol.budget_multiplier == 2.0
+        assert pol.local_budget(0.5) == 1.0
 
     def test_apply_opts_routes_fields_and_options(self):
         base = CoherencyPolicy("paper")
@@ -262,10 +338,7 @@ class TestOptionsCheckedWhenBuilt:
 class TestPolicyRegistry:
     def test_builtin_vocabulary(self):
         assert controller_names() == ("never", "paper", "simple")
-        assert CoherencyPolicy("never").make_controller().rule_name == "never"
-        assert isinstance(
-            CoherencyPolicy("simple").make_controller(), SimpleController
-        )
+        assert CoherencyPolicy("never").rule_name == "never"
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ConfigError, match="unknown coherency policy"):
@@ -305,7 +378,7 @@ class TestPolicyRegistry:
         assert not {"interval", "to_dict", "make_interval_model"} & set(
             dir(CoherencyPolicy)
         )
-        assert "needs_signals" not in dir(CoherencyController)
+        assert "needs_signals" not in dir(CoherencyPolicy)
         from repro.core.coherency import CoherencyExchanger
 
         assert "participants" not in inspect.signature(
@@ -353,7 +426,7 @@ class TestResolvePolicy:
 class TestSignalTap:
     """The pending replica state, measured through the engine's one
     ``ReplicaReader`` (the lens probe's and LazyVertexAsync's
-    controller's readings)."""
+    policy's readings)."""
 
     @pytest.fixture(scope="class")
     def tap_setup(self):

@@ -48,7 +48,7 @@ DELETED_NAMES = {
     # the op protocol and the controllers' private sampler
     "OpContext", "OP_HANDLERS", "SignalTap",
     # the interval-model layer and the named-policy registry (a policy
-    # name is a controller name; the base controller is the paper rule)
+    # name is one row of the paper rule's table)
     "IntervalModel", "AdaptiveIntervalModel", "SimpleIntervalModel",
     "NeverLazyModel", "make_interval_model", "PaperRuleController",
     "register_policy", "get_policy", "policy_names", "_POLICIES",
