@@ -36,6 +36,7 @@ from repro.graph.datasets import dataset_info, dataset_names, load_dataset
 from repro.graph.properties import compute_properties
 from repro.core.policy import controller_names, named_policy
 from repro.obs.records import TRACE_FORMATS
+from repro.partition.base import PARTITIONER_NAMES
 from repro.run_api import run
 from repro.runtime.registry import engine_names
 
@@ -58,7 +59,10 @@ def build_parser() -> argparse.ArgumentParser:
             help="dataset name (default: road-ca-mini)",
         )
         p.add_argument("--machines", type=int, default=48)
-        p.add_argument("--partitioner", default="coordinated")
+        p.add_argument(
+            "--partitioner", default="coordinated",
+            choices=list(PARTITIONER_NAMES),
+        )
         p.add_argument("--seed", type=int, default=0)
 
     def add_algorithm(p, required=True, help=None):
@@ -774,9 +778,14 @@ def _cmd_validate(args) -> int:
         make_program,
         sssp_reference,
     )
+    from repro.errors import GraphFormatError
     from repro.run_api import prepare_graph
 
-    graph = _load_graph_file(args.graph_file)
+    try:
+        graph = _load_graph_file(args.graph_file)
+    except (OSError, GraphFormatError) as exc:
+        print(f"validate: {exc}", file=sys.stderr)
+        return 2
     print(f"loaded {graph!r}")
     algorithms = (
         ["pagerank", "sssp", "cc", "kcore", "bfs"]

@@ -41,13 +41,12 @@ class ClusterSim:
         self,
         num_machines: int,
         network: Optional[NetworkModel] = None,
-        stats: Optional[RunStats] = None,
     ) -> None:
         if num_machines < 1:
             raise EngineError(f"num_machines must be >= 1, got {num_machines}")
         self.num_machines = num_machines
         self.network = network or NetworkModel()
-        self.stats = stats or RunStats()
+        self.stats = RunStats()
         #: modeled compute per machine since the last fold
         self.busy_s = np.zeros(num_machines, dtype=np.float64)
 

@@ -138,9 +138,9 @@ class RunStats:
         self.modeled_time_s += seconds
         self._charge("sync", seconds)
 
-    def bump(self, key: str, amount: float = 1.0) -> None:
-        """Add ``amount`` to the ``extra[key]`` annotation."""
-        self.extra[key] = self.extra.get(key, 0.0) + amount
+    def bump(self, key: str) -> None:
+        """Add one to the ``extra[key]`` annotation."""
+        self.extra[key] = self.extra.get(key, 0.0) + 1.0
 
     @property
     def compute_skew(self) -> float:

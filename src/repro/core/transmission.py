@@ -36,7 +36,6 @@ def build_lazy_graph(
     num_machines: int,
     partitioner: str = "coordinated",
     split_config: Optional[EdgeSplitConfig] = None,
-    bidirectional: bool = False,
     seed: SeedLike = None,
     assignment: Optional[np.ndarray] = None,
 ) -> PartitionedGraph:
@@ -50,9 +49,8 @@ def build_lazy_graph(
         Edge-splitter budget/criteria; ``None`` disables parallel-edges
         (every edge in one-edge mode — also what the eager baselines
         use, since parallel-edges only pay off with lazy coherency).
-    bidirectional:
-        Dispatch parallel edges for bidirectional algorithms (copies on
-        both endpoints' machines).
+        A parallel edge is copied onto every machine that holds a
+        replica of its target.
     assignment:
         A vertex-cut of this topology that already exists (one machine
         id per edge, checked by ``validate_assignment`` in
@@ -72,9 +70,5 @@ def build_lazy_graph(
         else None
     )
     return PartitionedGraph.build(
-        graph,
-        assignment,
-        num_machines,
-        parallel_eids=parallel,
-        bidirectional=bidirectional,
+        graph, assignment, num_machines, parallel_eids=parallel
     )

@@ -143,35 +143,40 @@ def load_dimacs(path: PathLike, name: str = "") -> DiGraph:
             if not line or line.startswith("c"):
                 continue
             parts = line.split()
-            if parts[0] == "p":
-                if len(parts) != 4 or parts[1] != "sp":
+            try:
+                if parts[0] == "p":
+                    if len(parts) != 4 or parts[1] != "sp":
+                        raise GraphFormatError(
+                            f"{path}:{lineno}: malformed problem line {line!r}"
+                        )
+                    if n is not None:
+                        raise GraphFormatError(f"{path}:{lineno}: duplicate problem line")
+                    n, m_declared = int(parts[2]), int(parts[3])
+                elif parts[0] == "a":
+                    if len(parts) != 4:
+                        raise GraphFormatError(
+                            f"{path}:{lineno}: malformed arc line {line!r}"
+                        )
+                    if n is None:
+                        raise GraphFormatError(
+                            f"{path}:{lineno}: arc line before problem line"
+                        )
+                    u, v = int(parts[1]) - 1, int(parts[2]) - 1
+                    if not (0 <= u < n and 0 <= v < n):
+                        raise GraphFormatError(
+                            f"{path}:{lineno}: vertex id out of range in {line!r}"
+                        )
+                    src.append(u)
+                    dst.append(v)
+                    wts.append(float(parts[3]))
+                else:
                     raise GraphFormatError(
-                        f"{path}:{lineno}: malformed problem line {line!r}"
+                        f"{path}:{lineno}: unknown record type {parts[0]!r}"
                     )
-                if n is not None:
-                    raise GraphFormatError(f"{path}:{lineno}: duplicate problem line")
-                n, m_declared = int(parts[2]), int(parts[3])
-            elif parts[0] == "a":
-                if len(parts) != 4:
-                    raise GraphFormatError(
-                        f"{path}:{lineno}: malformed arc line {line!r}"
-                    )
-                if n is None:
-                    raise GraphFormatError(
-                        f"{path}:{lineno}: arc line before problem line"
-                    )
-                u, v = int(parts[1]) - 1, int(parts[2]) - 1
-                if not (0 <= u < n and 0 <= v < n):
-                    raise GraphFormatError(
-                        f"{path}:{lineno}: vertex id out of range in {line!r}"
-                    )
-                src.append(u)
-                dst.append(v)
-                wts.append(float(parts[3]))
-            else:
+            except ValueError as exc:
                 raise GraphFormatError(
-                    f"{path}:{lineno}: unknown record type {parts[0]!r}"
-                )
+                    f"{path}:{lineno}: non-numeric field in {line!r}"
+                ) from exc
     if n is None:
         raise GraphFormatError(f"{path}: missing 'p sp' problem line")
     if m_declared is not None and m_declared != len(src):

@@ -467,7 +467,6 @@ def symmetrized_patch(
     old_sym: DiGraph,
     old_base: DiGraph,
     new_base: DiGraph,
-    fill_weight: float = 1.0,
 ) -> Tuple[DiGraph, EdgeDiff]:
     """Lift a base-graph change onto its cached symmetrized graph.
 
@@ -483,7 +482,7 @@ def symmetrized_patch(
 
     When ``old_sym`` carries weights the bases do not have (synthetic
     weights attached after symmetrization), kept edges keep their
-    weights and added edges get ``fill_weight``; the caller owns
+    weights and added edges get weight 1.0; the caller owns
     overwriting ``weights[diff.num_kept:]`` with real values.
     """
     n_after = new_base.num_vertices
@@ -527,7 +526,7 @@ def symmetrized_patch(
             pos = np.searchsorted(new_keys, added_keys)
             half = new_w[pos]
         else:
-            half = np.full(added_keys.size, float(fill_weight))
+            half = np.ones(added_keys.size)
         weights = np.concatenate(
             [old_sym.weights[kept], half, half]
         )

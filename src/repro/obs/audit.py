@@ -36,6 +36,9 @@ from repro.obs.records import TraceData
 
 __all__ = ["Anomaly", "LensAuditor"]
 
+#: the absolute tolerance of every float comparison the checks make
+_ATOL = 1e-9
+
 #: Ledger counters cross-checked against their RunStats totals.
 _LEDGER_KEYS = (
     ("bytes", "comm_bytes"),
@@ -61,9 +64,8 @@ class Anomaly:
 class LensAuditor:
     """Run the invariant checks over one finished trace."""
 
-    def __init__(self, trace: TraceData, atol: float = 1e-9) -> None:
+    def __init__(self, trace: TraceData) -> None:
         self.trace = trace
-        self.atol = atol
 
     # ------------------------------------------------------------------
     def audit(self) -> List[Anomaly]:
@@ -100,7 +102,7 @@ class LensAuditor:
             attrs = inst.get("attrs") or {}
             mass = float(attrs.get("mass_after", 0.0))
             pending = int(attrs.get("pending_after", 0))
-            if mass > self.atol or pending > 0:
+            if mass > _ATOL or pending > 0:
                 out.append(Anomaly(
                     "pending-after-exchange",
                     "critical",
@@ -118,7 +120,7 @@ class LensAuditor:
         attrs = finals[-1].get("attrs") or {}
         drift = float(attrs.get("drift", 0.0))
         converged = bool(attrs.get("converged", False))
-        if not converged or drift <= self.atol:
+        if not converged or drift <= _ATOL:
             return []
         return [Anomaly(
             "final-drift",
@@ -166,7 +168,7 @@ class LensAuditor:
             expected = stats.get(stat_key)
             if expected is None:
                 continue
-            if abs(sums[counter] - expected) > self.atol:
+            if abs(sums[counter] - expected) > _ATOL:
                 out.append(Anomaly(
                     "ledger-mismatch",
                     "critical",

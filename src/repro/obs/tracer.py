@@ -130,9 +130,7 @@ class NullTracer:
     def instant(self, name: str, **attrs) -> None:
         pass
 
-    def emit_closed_span(
-        self, name, category, host_t0, host_t1, attrs, charges=None
-    ) -> None:
+    def emit_closed_span(self, name, category, host_t0, host_t1, attrs) -> None:
         pass
 
     def bind_stats(self, stats) -> None:
@@ -227,7 +225,6 @@ class Tracer:
         host_t0: float,
         host_t1: float,
         attrs: Dict[str, Any],
-        charges: Optional[Dict[str, float]] = None,
     ) -> int:
         """Record a span whose host interval the caller measured.
 
@@ -236,8 +233,8 @@ class Tracer:
         Allocates the next span id and parents it to the innermost open
         span, exactly as :meth:`span` would; host times are absolute
         ``perf_counter`` readings, converted to epoch-relative here.
-        Both model stamps read the current model clock (no charge lands
-        inside a compute pass).
+        Both model stamps read the current model clock and ``charges``
+        is empty: no charge lands inside a compute pass.
         """
         parent = self._stack[-1].span_id if self._stack else None
         span_id = self._next_id
@@ -252,7 +249,7 @@ class Tracer:
             "host_t1": host_t1 - self.host_epoch,
             "model_t0": self.model_now,
             "model_t1": self.model_now,
-            "charges": dict(charges) if charges else {},
+            "charges": {},
             "attrs": attrs,
         })
         return span_id

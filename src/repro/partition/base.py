@@ -21,7 +21,7 @@ from repro.utils.rng import SeedLike
 
 __all__ = ["PARTITIONER_NAMES", "partition_graph", "validate_assignment", "register_partitioner"]
 
-PartitionerFn = Callable[..., np.ndarray]
+PartitionerFn = Callable[[DiGraph, int, SeedLike], np.ndarray]
 
 _PARTITIONERS: Dict[str, PartitionerFn] = {}
 
@@ -29,8 +29,8 @@ _PARTITIONERS: Dict[str, PartitionerFn] = {}
 def register_partitioner(name: str, fn: PartitionerFn) -> None:
     """Register a partitioner under ``name`` for :func:`partition_graph`.
 
-    ``fn(graph, num_machines, seed=..., **kwargs)`` returns one integer
-    machine id per edge. It must depend on ``graph.num_vertices``,
+    ``fn(graph, num_machines, seed)`` returns one integer machine id per
+    edge. It must depend on ``graph.num_vertices``,
     ``graph.src``, ``graph.dst``, ``num_machines`` and ``seed`` only —
     not on ``graph.weights`` — because a session calls it once per
     topology and shares the result between the weighted and unweighted
@@ -72,12 +72,10 @@ def partition_graph(
     num_machines: int,
     method: str = "coordinated",
     seed: SeedLike = None,
-    **kwargs,
 ) -> np.ndarray:
     """Assign every edge of ``graph`` to one of ``num_machines`` machines.
 
-    ``method`` is one of :data:`PARTITIONER_NAMES`. Extra keyword args are
-    forwarded to the partitioner (e.g. ``degree_threshold`` for hybrid).
+    ``method`` is one of :data:`PARTITIONER_NAMES`.
     """
     if num_machines < 1:
         raise PartitionError(f"num_machines must be >= 1, got {num_machines}")
@@ -87,7 +85,7 @@ def partition_graph(
         raise PartitionError(
             f"unknown partitioner {method!r}; known: {', '.join(sorted(_PARTITIONERS))}"
         ) from None
-    assignment = fn(graph, num_machines, seed=seed, **kwargs)
+    assignment = fn(graph, num_machines, seed)
     return validate_assignment(graph, assignment, num_machines)
 
 

@@ -25,8 +25,8 @@ The loop is inherently sequential: the rules keep loads balanced to a
 fraction of a percent, so each arg-min depends on every earlier
 placement and no chunk of edges can be placed ahead of the ones before
 it. What it can be is cheap per edge. Machine sets are Python int
-bitmasks (one bit per machine, so any ``P`` up to ``_MAX_MACHINES`` =
-1024, the same bound :meth:`PartitionedGraph.build` has; past 64
+bitmasks (one bit per machine, so any ``P`` up to ``MAX_MACHINES`` =
+1024, the bound :meth:`PartitionedGraph.build` has; past 64
 machines they are multi-word ints and nothing else changes), "least
 loaded, ties by a seeded permutation" is one int compare
 (:func:`_greedy_cut`), and the edge list is streamed through the loop in
@@ -44,11 +44,11 @@ import numpy as np
 
 from repro.errors import PartitionError
 from repro.graph.digraph import DiGraph
+from repro.partition.partitioned_graph import MAX_MACHINES
 from repro.utils.rng import SeedLike, make_rng
 
 __all__ = ["coordinated_cut"]
 
-_MAX_MACHINES = 1024
 #: edges turned into Python ints at a time; bounds the loop's transient
 #: memory to the chunk, whatever the graph. Short on purpose: the lists
 #: stay cache-sized (the ``tolist()`` / write-back skeleton is cheapest
@@ -67,9 +67,9 @@ def _check_cut_args(name: str, num_machines: int, balance_slack: float) -> None:
     first step (``partition_graph`` only checks ``num_machines >= 1``)."""
     if num_machines < 1:
         raise PartitionError(f"num_machines must be >= 1, got {num_machines}")
-    if num_machines > _MAX_MACHINES:
+    if num_machines > MAX_MACHINES:
         raise PartitionError(
-            f"{name} supports up to {_MAX_MACHINES} machines, got {num_machines}"
+            f"{name} supports up to {MAX_MACHINES} machines, got {num_machines}"
         )
     if not (math.isfinite(balance_slack) and balance_slack >= 0):
         raise PartitionError(

@@ -21,7 +21,7 @@ The splitter has the paper's three elements:
 3. **Dispatch rule** — enforced by
    :meth:`repro.partition.partitioned_graph.PartitionedGraph.build`
    (fixpoint instantiation on every machine holding the target's
-   replicas; both endpoints' machines for bidirectional algorithms).
+   replicas).
 
 ``TEPS`` here is the *simulated* machine rate from
 :class:`repro.cluster.network.NetworkModel` so budgets scale with the
@@ -39,6 +39,13 @@ from repro.graph.digraph import DiGraph
 
 __all__ = ["EdgeSplitConfig", "select_parallel_edges", "parallel_edge_budget"]
 
+#: total-degree percentile at or above which a vertex is high-degree
+_HIGH_DEGREE_PERCENTILE = 90.0
+#: total-degree percentile at or below which a vertex is low-degree
+_LOW_DEGREE_PERCENTILE = 50.0
+#: the paper's PElow = 550 · PEhigh mix
+_LOW_HIGH_RATIO = 550.0
+
 
 @dataclass(frozen=True)
 class EdgeSplitConfig:
@@ -52,33 +59,16 @@ class EdgeSplitConfig:
     teps:
         Simulated per-machine 'traversed edges per second' rate used to
         price the budget (paper §4.1's TEPS).
-    high_degree_percentile:
-        Vertices at or above this total-degree percentile count as
-        "high-degree" for criterion 1.
-    low_degree_percentile:
-        Vertices at or below this percentile count as "low-degree" for
-        criterion 2.
-    low_high_ratio:
-        The paper's PElow = 550 · PEhigh mix.
     """
 
     textra: float = 0.1
     teps: float = 50_000.0
-    high_degree_percentile: float = 90.0
-    low_degree_percentile: float = 50.0
-    low_high_ratio: float = 550.0
 
     def __post_init__(self) -> None:
         if self.textra < 0:
             raise PartitionError(f"textra must be >= 0, got {self.textra}")
         if self.teps <= 0:
             raise PartitionError(f"teps must be > 0, got {self.teps}")
-        if not 0 <= self.low_degree_percentile <= 100:
-            raise PartitionError("low_degree_percentile must be in [0, 100]")
-        if not 0 <= self.high_degree_percentile <= 100:
-            raise PartitionError("high_degree_percentile must be in [0, 100]")
-        if self.low_high_ratio < 0:
-            raise PartitionError("low_high_ratio must be >= 0")
 
 
 def parallel_edge_budget(
@@ -87,16 +77,16 @@ def parallel_edge_budget(
     """Solve the paper's budget equations for (PEhigh, PElow).
 
     ``[PEhigh·(P−1) + PElow·(P/3)] / P = TEPS · textra`` with
-    ``PElow = ratio · PEhigh`` gives
+    ``PElow = 550 · PEhigh`` gives
 
-    ``PEhigh = TEPS·textra·P / ((P−1) + ratio·P/3)``.
+    ``PEhigh = TEPS·textra·P / ((P−1) + 550·P/3)``.
     """
     P = num_machines
     if P < 2 or config.textra == 0:
         return 0, 0
-    denom = (P - 1) + config.low_high_ratio * P / 3.0
+    denom = (P - 1) + _LOW_HIGH_RATIO * P / 3.0
     pe_high = config.teps * config.textra * P / denom
-    return int(round(pe_high)), int(round(config.low_high_ratio * pe_high))
+    return int(round(pe_high)), int(round(_LOW_HIGH_RATIO * pe_high))
 
 
 def select_parallel_edges(
@@ -109,8 +99,8 @@ def select_parallel_edges(
     Candidates are ranked within each criterion (highest combined degree
     first for high–high edges; lowest combined degree first for low–low
     edges) and truncated to the budget. The two sets are disjoint by
-    construction (an edge cannot be both high–high and low–low unless the
-    percentiles overlap, in which case high–high wins).
+    construction (an edge both high–high and low–low, which needs a
+    degree-flat graph, counts as high–high).
     """
     pe_high, pe_low = parallel_edge_budget(num_machines, config)
     if (pe_high == 0 and pe_low == 0) or graph.num_edges == 0:
@@ -118,8 +108,8 @@ def select_parallel_edges(
 
     deg = graph.degrees()
     out_deg = graph.out_degrees()
-    hi_thresh = np.percentile(deg, config.high_degree_percentile)
-    lo_thresh = np.percentile(deg, config.low_degree_percentile)
+    hi_thresh = np.percentile(deg, _HIGH_DEGREE_PERCENTILE)
+    lo_thresh = np.percentile(deg, _LOW_DEGREE_PERCENTILE)
 
     src_deg, dst_deg = deg[graph.src], deg[graph.dst]
     high_high = (src_deg >= hi_thresh) & (dst_deg >= hi_thresh)

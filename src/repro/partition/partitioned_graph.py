@@ -112,6 +112,8 @@ if TYPE_CHECKING:
 
 __all__ = ["MachineGraph", "PartitionedGraph"]
 
+#: the most machines a partition may have (the greedy cuts check the same)
+MAX_MACHINES = 1024
 _HOME_SEED = 0xC0FFEE  # hash seed for edge-less vertices' home machines
 
 # Local edges a block may hold before the next machine starts a new one:
@@ -360,7 +362,6 @@ class PartitionedGraph:
     num_replicas: np.ndarray  # (n,) replica counts
     parallel_eids: np.ndarray  # global ids of edges in parallel mode
     assignment: np.ndarray  # one-edge home machine per edge (parallel: -1)
-    extra_stats: dict = field(default_factory=dict)
     # the flat arrays every machine's fields are slices of, and the
     # lazily built block list over them (dropped with the partition)
     _flat: Dict[str, np.ndarray] = field(
@@ -408,7 +409,6 @@ class PartitionedGraph:
         assignment: np.ndarray,
         num_machines: int,
         parallel_eids: Optional[Sequence[int]] = None,
-        bidirectional: bool = False,
     ) -> "PartitionedGraph":
         """Materialize the distributed representation.
 
@@ -419,17 +419,14 @@ class PartitionedGraph:
         parallel_eids:
             Global edge ids to place in parallel-edges mode. Their
             ``assignment`` entry is ignored; they are instantiated by the
-            dispatch fixpoint instead.
-        bidirectional:
-            Use the dispatch rule for bidirectional algorithms (parallel
-            edge ``v→u`` must appear wherever *either* endpoint has a
-            replica). Default is the unidirectional rule (target's
-            machines only), which is what push-style programs need.
+            dispatch fixpoint instead: a parallel edge ``u→v`` is copied
+            onto every machine that holds a replica of its target ``v``
+            (paper §3.3), which is the rule push-style programs need.
         """
         if num_machines < 1:
             raise PartitionError(f"num_machines must be >= 1, got {num_machines}")
-        if num_machines > 1024:
-            raise PartitionError("num_machines > 1024 not supported")
+        if num_machines > MAX_MACHINES:
+            raise PartitionError(f"num_machines > {MAX_MACHINES} not supported")
         assignment = validate_assignment(graph, assignment, num_machines)
         n = graph.num_vertices
 
@@ -474,9 +471,9 @@ class PartitionedGraph:
         home_keys = lonely * P + _home_machines(lonely, num_machines)
 
         # ---- parallel-edges dispatch fixpoint ---------------------------
-        # the least fixpoint of "source absorbs the target's machines"
-        # (both ways when bidirectional), so evaluation order is free:
-        # run it over one bool row per endpoint of a parallel edge
+        # the least fixpoint of "source absorbs the target's machines",
+        # so evaluation order is free: run it over one bool row per
+        # endpoint of a parallel edge
         ends, row = np.unique(
             np.concatenate(
                 [graph.src[parallel_eids_arr], graph.dst[parallel_eids_arr]]
@@ -491,17 +488,11 @@ class PartitionedGraph:
         on_end = base_row >= 0
         seeded = np.zeros((ends.size, num_machines), dtype=bool)
         seeded[base_row[on_end], base_keys[on_end] % P] = True
-        # per parallel edge, row ``take`` absorbs row ``give``
-        take, give = src_row, dst_row
-        if bidirectional:
-            take, give = (
-                np.concatenate([src_row, dst_row]),
-                np.concatenate([dst_row, src_row]),
-            )
-        by_taker = stable_argsort(take, ends.size)
-        takers, per_taker = unique_counts(take, ends.size)
+        # per parallel edge, the source's row absorbs the target's
+        by_taker = stable_argsort(src_row, ends.size)
+        takers, per_taker = unique_counts(src_row, ends.size)
         first = _offsets(per_taker)[:-1]
-        givers = give[by_taker]  # takers[i] absorbs givers[first[i]:first[i+1]]
+        givers = dst_row[by_taker]  # takers[i] absorbs givers[first[i]:first[i+1]]
         spans = seeded.copy()
         while True:
             held = spans[takers]
@@ -549,7 +540,6 @@ class PartitionedGraph:
         one_sorted = by_machine if one_ids is None else one_ids[by_machine]
         one_starts = _offsets(np.bincount(asg_one, minlength=num_machines))
         # a parallel edge is copied wherever its target has a replica
-        # (at the fixpoint the bidirectional span is the same row)
         copy_on = spans[dst_row]
         estarts = _offsets(np.diff(one_starts) + copy_on.sum(axis=0))
         num_local_edges = int(estarts[-1])

@@ -23,7 +23,7 @@ from repro.core.policy import CoherencyPolicy
 from repro.errors import ConfigError
 from repro.graph.datasets import load_dataset
 from repro.graph.digraph import DiGraph
-from repro.graph.generators import attach_uniform_weights
+from repro.graph import generators
 from repro.obs.tracer import Tracer
 from repro.partition.edge_splitter import EdgeSplitConfig
 from repro.powergraph.gas import GASProgram
@@ -67,7 +67,11 @@ def prepare_graph(
         sym.name = g.name
         g = sym
     if program.needs_weights and g.weights is None:
-        g = attach_uniform_weights(g, seed=derive_seed(seed, "weights"))
+        # looked up at call time, so a wrapper on the module attribute
+        # (the traced benchmark's) sees every call
+        g = generators.attach_uniform_weights(
+            g, seed=derive_seed(seed, "weights")
+        )
     return g
 
 

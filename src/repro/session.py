@@ -97,6 +97,7 @@ from repro.partition.dynamic import PatchStats, patch_partition
 from repro.partition.edge_splitter import EdgeSplitConfig
 from repro.partition.partitioned_graph import PartitionedGraph
 from repro.powergraph.gas import GASProgram
+from repro.run_api import prepare_graph
 from repro.runtime.registry import EngineSpec, get_engine
 from repro.runtime.result import EngineResult
 from repro.runtime.run_config import RunConfig
@@ -310,22 +311,11 @@ class GraphSession:
 
     def _prepared(self, program) -> Tuple[Any, GraphKey]:
         """The partitioned graph + CSR plans this program runs against."""
-        from repro.graph.generators import attach_uniform_weights
-
         key = (bool(program.requires_symmetric), bool(program.needs_weights))
         if key not in self._graphs:
             base = self._resolve_base(program)
-            g = base
-            if program.requires_symmetric:
-                sym = g.symmetrized()
-                sym.name = g.name
-                g = sym
-            if program.needs_weights and g.weights is None:
-                g = attach_uniform_weights(
-                    g, seed=derive_seed(self.seed, "weights")
-                )
             self._bases[key] = base
-            self._graphs[key] = g
+            self._graphs[key] = prepare_graph(base, program, seed=self.seed)
         if key not in self._pgraphs:
             g = self._graphs[key]
             donor = self._cold_cuts.get(key[0])

@@ -72,7 +72,7 @@ def test_parallel_edge_dispatch_invariants(graph, machines, n_parallel, seed):
         assert set(pg.replicas_of(t)) <= set(pg.replicas_of(s))
 
 
-def _reference_build(graph, assignment, machines, parallel, bidirectional):
+def _reference_build(graph, assignment, machines, parallel):
     """``PartitionedGraph.build``'s rules spelled out per vertex and per
     edge with Python sets — the loop the pair-table version replaced.
 
@@ -106,9 +106,6 @@ def _reference_build(graph, assignment, machines, parallel, bidirectional):
             if not hosts[t] <= hosts[s]:
                 hosts[s] |= hosts[t]
                 changed = True
-            if bidirectional and not hosts[s] <= hosts[t]:
-                hosts[t] |= hosts[s]
-                changed = True
     # most one-edge incident edges; max() keeps the first (lowest) of ties
     master = [
         max(sorted(on), key=lambda m, v=v: score[v, m])
@@ -133,12 +130,11 @@ def _reference_build(graph, assignment, machines, parallel, bidirectional):
     graph=random_graph(max_vertices=14, max_edges=40),
     machines=st.integers(1, 5),
     n_parallel=st.integers(0, 25),
-    bidirectional=st.booleans(),
     seed=st.integers(0, 50),
 )
 @settings(max_examples=120, deadline=None)
 def test_build_matches_the_per_vertex_reference(
-    graph, machines, n_parallel, bidirectional, seed
+    graph, machines, n_parallel, seed
 ):
     assignment = partition_graph(graph, machines, "random", seed=seed)
     rng = np.random.default_rng(seed)
@@ -146,12 +142,11 @@ def test_build_matches_the_per_vertex_reference(
         graph.num_edges, size=min(n_parallel, graph.num_edges), replace=False
     )
     pg = PartitionedGraph.build(
-        graph, assignment, machines,
-        parallel_eids=parallel, bidirectional=bidirectional,
+        graph, assignment, machines, parallel_eids=parallel
     )
     pg.validate()
     hosts, master, machine_eids = _reference_build(
-        graph, assignment, machines, parallel, bidirectional
+        graph, assignment, machines, parallel
     )
     assert [pg.replicas_of(v).tolist() for v in range(graph.num_vertices)] \
         == [sorted(on) for on in hosts]

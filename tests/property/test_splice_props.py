@@ -50,7 +50,6 @@ def assert_same_array(got: np.ndarray, want: np.ndarray, what: str) -> None:
 def assert_same_partition(got: PartitionedGraph, want: PartitionedGraph):
     assert got.num_machines == want.num_machines
     assert got.graph is want.graph
-    assert got.extra_stats == want.extra_stats
     for name in TABLE:
         assert_same_array(getattr(got, name), getattr(want, name), name)
     assert got._flat.keys() == want._flat.keys()

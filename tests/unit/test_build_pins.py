@@ -51,13 +51,13 @@ GRAPHS = {
     "isolated": _isolated,
 }
 
-# (graph, machines, split) — split is None, "uni" or "bi"
+# (graph, machines, split) — split is None or "uni" (parallel edges
+# dispatched to their target's machines)
 CASES = [
     (g, p, None) for g in ("powerlaw", "road", "tiny") for p in (4, 48)
 ] + [
     ("isolated", 8, None),
     ("road", 8, "uni"),
-    ("powerlaw", 8, "bi"),
 ]
 
 PINS = {
@@ -69,7 +69,6 @@ PINS = {
     ("tiny", 48, None): "c4be02b80cd4e47732fbf684514a0df3d92b5dda2549510222a055d294baccac",
     ("isolated", 8, None): "454c79cd034e0ecac7b92a5da960fe6e4f099c13a95d184708129d44c16398a7",
     ("road", 8, "uni"): "c5b8506538ef695739a089b0b8cc5c174c4a063cdbeae499ea8040370d789391",
-    ("powerlaw", 8, "bi"): "4c7e1de5d8e62de191b2e2125fc8376ee364ee287bbc8281cdd6934c69aacd6c",
 }
 
 
@@ -98,8 +97,7 @@ def build_case(graph: DiGraph, machines: int, split) -> PartitionedGraph:
         )
         assert parallel.size > 0
     return PartitionedGraph.build(
-        graph, assignment, machines,
-        parallel_eids=parallel, bidirectional=split == "bi",
+        graph, assignment, machines, parallel_eids=parallel
     )
 
 

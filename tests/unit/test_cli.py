@@ -182,6 +182,34 @@ class TestCommands:
         )
         assert rc == 0
 
+    def test_validate_missing_file_is_one_line(self, capsys, tmp_path):
+        path = tmp_path / "absent.txt"
+        assert main(["validate", "--graph-file", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("validate: ") and str(path) in line
+
+    def test_validate_malformed_line_names_path_and_line(self, capsys, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("0 1\n1 two\n")
+        assert main(["validate", "--graph-file", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"validate: {path}:2: ")
+
+    @pytest.mark.parametrize("command", [
+        ["run", "--algorithm", "cc"], ["serve"],
+    ], ids=lambda argv: argv[0])
+    def test_unknown_partitioner_is_a_usage_error(self, command, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(command + ["--partitioner", "bogus"])
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert "bogus" in err
+        assert "coordinated" in err and "hybrid" in err
+
 
 class TestLensCli:
     def _write_lens_trace(self, tmp_path):

@@ -11,6 +11,13 @@ controller classes and their table: each named policy is one setting of
 the paper rule that ``CoherencyPolicy`` applies itself. No module, export,
 attribute, dataclass field, session parameter, CLI flag or page of
 ``docs/`` brings one back.
+
+The census's ``--params`` report found options that no entry point ever
+set to anything but the default. Those that were neither an algorithm
+parameter nor a seam a test drives a path through are gone from their
+signatures and dataclasses: each value is a module constant now, or
+only the default path is left (the bidirectional dispatch rule, which
+no push-style program needs).
 """
 
 import dataclasses
@@ -91,6 +98,64 @@ def test_deleted_names_stay_deleted(name):
             assert name not in fields, cls.__name__
     for doc in DOCS:
         assert name not in doc.read_text(encoding="utf-8"), doc.name
+
+
+#: (module, function or method, parameter)
+DELETED_PARAMETERS = [
+    ("repro.partition.partitioned_graph", "PartitionedGraph.build",
+     "bidirectional"),
+    ("repro.core.transmission", "build_lazy_graph", "bidirectional"),
+    ("repro.partition.hybrid_cut", "hybrid_cut", "degree_threshold"),
+    ("repro.graph.mutation", "symmetrized_patch", "fill_weight"),
+    ("repro.obs.audit", "LensAuditor.__init__", "atol"),
+    ("repro.cluster.simulator", "ClusterSim.__init__", "stats"),
+    ("repro.cluster.stats", "RunStats.bump", "amount"),
+    ("repro.obs.tracer", "Tracer.emit_closed_span", "charges"),
+    ("repro.obs.tracer", "NullTracer.emit_closed_span", "charges"),
+]
+
+#: (module, dataclass, field)
+DELETED_FIELDS = [
+    ("repro.partition.edge_splitter", "EdgeSplitConfig",
+     "high_degree_percentile"),
+    ("repro.partition.edge_splitter", "EdgeSplitConfig",
+     "low_degree_percentile"),
+    ("repro.partition.edge_splitter", "EdgeSplitConfig", "low_high_ratio"),
+    ("repro.partition.partitioned_graph", "PartitionedGraph", "extra_stats"),
+]
+
+
+def _resolve(module, qualname):
+    obj = importlib.import_module(module)
+    for part in qualname.split("."):
+        obj = getattr(obj, part)
+    return obj
+
+
+@pytest.mark.parametrize("module, qualname, name", DELETED_PARAMETERS,
+                         ids=[f"{q}-{n}" for _, q, n in DELETED_PARAMETERS])
+def test_deleted_parameters_stay_deleted(module, qualname, name):
+    params = inspect.signature(_resolve(module, qualname)).parameters
+    assert name not in params
+
+
+@pytest.mark.parametrize("module, cls, name", DELETED_FIELDS,
+                         ids=[f"{c}-{n}" for _, c, n in DELETED_FIELDS])
+def test_deleted_fields_stay_deleted(module, cls, name):
+    klass = _resolve(module, cls)
+    assert name not in {f.name for f in dataclasses.fields(klass)}
+    assert name not in dir(klass)
+
+
+def test_partitioners_take_graph_machines_and_seed_only():
+    from repro.partition.base import partition_graph
+    from repro.partition.hybrid_cut import hybrid_cut
+
+    kinds = {p.kind for p in inspect.signature(partition_graph).parameters.values()}
+    assert inspect.Parameter.VAR_KEYWORD not in kinds
+    assert list(inspect.signature(hybrid_cut).parameters) == [
+        "graph", "num_machines", "seed"
+    ]
 
 
 @pytest.mark.parametrize("method", ["__init__", "open"])

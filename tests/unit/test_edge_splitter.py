@@ -13,7 +13,7 @@ from repro.partition.edge_splitter import (
 
 class TestBudget:
     def test_paper_equations(self):
-        cfg = EdgeSplitConfig(textra=0.1, teps=50_000, low_high_ratio=550.0)
+        cfg = EdgeSplitConfig(textra=0.1, teps=50_000)
         P = 48
         pe_high, pe_low = parallel_edge_budget(P, cfg)
         denom = (P - 1) + 550.0 * P / 3.0
@@ -38,10 +38,6 @@ class TestBudget:
             EdgeSplitConfig(textra=-1)
         with pytest.raises(PartitionError):
             EdgeSplitConfig(teps=0)
-        with pytest.raises(PartitionError):
-            EdgeSplitConfig(low_degree_percentile=150)
-        with pytest.raises(PartitionError):
-            EdgeSplitConfig(low_high_ratio=-1)
 
 
 class TestSelection:
@@ -59,24 +55,35 @@ class TestSelection:
         assert small.size <= big.size
 
     def test_high_high_edges_selected_first(self, social_graph):
-        # tiny budget: only high-degree pairs should be picked
-        cfg = EdgeSplitConfig(textra=0.01, teps=5_000, low_high_ratio=0.0)
+        # a budget of a few high-degree pairs, among more candidates:
+        # the pairs of highest combined degree (>= 90th percentile both)
+        cfg = EdgeSplitConfig(textra=0.02, teps=50_000)
+        pe_high, _ = parallel_edge_budget(8, cfg)
+        deg = social_graph.degrees()
+        hi = np.percentile(deg, 90)
+        src_deg, dst_deg = deg[social_graph.src], deg[social_graph.dst]
+        candidates = np.flatnonzero((src_deg >= hi) & (dst_deg >= hi))
+        assert 0 < pe_high < candidates.size
         ids = select_parallel_edges(social_graph, 8, cfg)
-        if ids.size:
-            deg = social_graph.degrees()
-            hi = np.percentile(deg, cfg.high_degree_percentile)
-            assert np.all(deg[social_graph.src[ids]] >= hi)
-            assert np.all(deg[social_graph.dst[ids]] >= hi)
+        picked = np.intersect1d(ids, candidates)
+        assert picked.size == pe_high
+        combined = src_deg + dst_deg
+        passed = np.setdiff1d(candidates, picked)
+        assert combined[picked].min() >= combined[passed].max()
 
     def test_low_low_edges_have_low_degrees(self, er_graph):
-        cfg = EdgeSplitConfig(
-            textra=0.5, teps=50_000, high_degree_percentile=100.0
+        # every pick that is not a high-degree pair has an out-degree
+        # source and a target degree at or below the median
+        ids = select_parallel_edges(
+            er_graph, 8, EdgeSplitConfig(textra=0.5, teps=50_000)
         )
-        ids = select_parallel_edges(er_graph, 8, cfg)
-        if ids.size:
-            deg = er_graph.degrees()
-            lo = np.percentile(deg, cfg.low_degree_percentile)
-            assert np.all(deg[er_graph.dst[ids]] <= lo)
+        deg, out_deg = er_graph.degrees(), er_graph.out_degrees()
+        hi, lo = np.percentile(deg, 90), np.percentile(deg, 50)
+        src, dst = er_graph.src[ids], er_graph.dst[ids]
+        low = ids[(deg[src] < hi) | (deg[dst] < hi)]
+        assert low.size
+        assert np.all(out_deg[er_graph.src[low]] <= lo)
+        assert np.all(deg[er_graph.dst[low]] <= lo)
 
     def test_zero_budget_empty(self, er_graph):
         ids = select_parallel_edges(er_graph, 8, EdgeSplitConfig(textra=0.0))

@@ -113,6 +113,14 @@ class TestDimacs:
         with pytest.raises(GraphFormatError, match="duplicate"):
             load_dimacs(path)
 
+    @pytest.mark.parametrize("text", ["p sp 2 x\n", "p sp 2 1\na 1 2 x\n"],
+                             ids=["problem", "arc"])
+    def test_non_numeric_field(self, tmp_path, text):
+        path = self._write(tmp_path, text)
+        lineno = text.count("\n")
+        with pytest.raises(GraphFormatError, match=f":{lineno}: non-numeric"):
+            load_dimacs(path)
+
     def test_unknown_record(self, tmp_path):
         path = self._write(tmp_path, "p sp 2 0\nx 1 2\n")
         with pytest.raises(GraphFormatError, match="unknown record"):

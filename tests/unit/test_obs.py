@@ -222,8 +222,8 @@ class TestMetricsRegistry:
         # mirrored into the registry
         stats = RunStats()
         stats.extra["mode_switches"] = 3
-        stats.bump("probes", 2)
-        stats.bump("probes")
+        for _ in range(3):
+            stats.bump("probes")
         assert type(stats.extra) is dict
         assert stats.extra == {"mode_switches": 3, "probes": 3.0}
         assert len(stats.metrics) == 0

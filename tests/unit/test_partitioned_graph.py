@@ -114,16 +114,6 @@ class TestParallelEdges:
         keep[parallel] = False
         assert np.all(pg.assignment[keep] >= 0)
 
-    def test_bidirectional_dispatch(self, er_graph):
-        parallel = np.arange(0, 10)
-        asg = partition_graph(er_graph, 4, "coordinated", seed=2)
-        pg = PartitionedGraph.build(
-            er_graph, asg, 4, parallel_eids=parallel, bidirectional=True
-        )
-        for e in parallel:
-            s, t = er_graph.src[e], er_graph.dst[e]
-            assert set(pg.replicas_of(s)) == set(pg.replicas_of(t))
-
     def test_out_of_range_parallel_id(self, er_graph):
         asg = partition_graph(er_graph, 4, "coordinated", seed=2)
         with pytest.raises(PartitionError, match="parallel edge id"):
@@ -155,25 +145,6 @@ class TestLocalEdgeLayout:
         for mg in pg.machines + pg.blocks:
             order = self._expected_order(mg)
             assert np.array_equal(order, np.arange(mg.num_local_edges))
-
-    def test_bidirectional_split_interleaves_parallel_copies(self, er_graph):
-        # under the bidirectional dispatch rule parallel copies land on
-        # sources that also own one-edge edges: within one source every
-        # one-edge edge precedes every parallel copy
-        asg = partition_graph(er_graph, 4, "coordinated", seed=2)
-        pg = PartitionedGraph.build(
-            er_graph, asg, 4, parallel_eids=np.arange(0, 60),
-            bidirectional=True,
-        )
-        pg.validate()
-        mixed = 0
-        for mg in pg.machines + pg.blocks:
-            assert np.array_equal(
-                self._expected_order(mg), np.arange(mg.num_local_edges)
-            )
-            par_srcs = set(mg.esrc[mg.eparallel].tolist())
-            mixed += len(par_srcs & set(mg.esrc[~mg.eparallel].tolist()))
-        assert mixed > 0
 
     def test_validate_rejects_another_order_or_writeable_edges(
         self, er_partitioned

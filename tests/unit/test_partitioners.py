@@ -184,22 +184,32 @@ class TestGrid:
 
 
 class TestHybrid:
+    """In-degree above 100 (PowerLyra's default) is high-degree."""
+
     def test_low_degree_edges_follow_target(self, er_graph):
-        P = 5
-        asg = hybrid_cut(er_graph, P, seed=2, degree_threshold=10**9)
-        # threshold so high every edge is "low-degree": grouped by target
-        for v in range(0, 50):
+        # every in-degree is at most 100: each vertex's in-edges together
+        assert er_graph.in_degrees().max() <= 100
+        asg = hybrid_cut(er_graph, 5, seed=2)
+        for v in range(er_graph.num_vertices):
             eids = er_graph.in_edge_ids(v)
             if eids.size:
                 assert np.unique(asg[eids]).size == 1
 
-    def test_high_degree_targets_spread(self, social_graph):
-        P = 8
-        asg = hybrid_cut(social_graph, P, seed=2, degree_threshold=5)
-        in_deg = social_graph.in_degrees()
-        hub = int(np.argmax(in_deg))
-        eids = social_graph.in_edge_ids(hub)
+    def test_high_degree_targets_spread(self, er_graph):
+        # a hub with 150 in-edges from distinct sources: placed by source
+        hub_src = np.arange(150)
+        graph = DiGraph(
+            er_graph.num_vertices,
+            np.concatenate([er_graph.src, hub_src]),
+            np.concatenate([er_graph.dst, np.full(150, 199)]),
+        )
+        asg = hybrid_cut(graph, 8, seed=2)
+        eids = graph.in_edge_ids(199)
+        assert eids.size > 100
         assert np.unique(asg[eids]).size > 1
+        # the other targets keep their in-edges together
+        for v in range(150, 199):
+            assert np.unique(asg[graph.in_edge_ids(v)]).size <= 1
 
 
 class TestEdgeCut:

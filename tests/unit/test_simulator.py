@@ -27,8 +27,8 @@ class TestStats:
     def test_bump(self):
         s = RunStats()
         s.bump("x")
-        s.bump("x", 2.0)
-        assert s.extra["x"] == 3.0
+        s.bump("x")
+        assert s.extra["x"] == 2.0
 
     def test_summary_contains_key_counters(self):
         s = RunStats(global_syncs=7, comm_bytes=2e6)
